@@ -38,7 +38,6 @@ from .errors import (
 from .fields import (
     SmoothField,
     TensorField,
-    field_eval,
     field_from_polynomial,
 )
 from .hamiltonian import (

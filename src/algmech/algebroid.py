@@ -147,6 +147,16 @@ def diff_lr_section(A: AlgebroidStructure, kappa: TensorField, q) -> np.ndarray:
     return out
 
 
+def worst_residual(values) -> float:
+    """Largest of the residuals ``values``; NaN if one of them is NaN or if there are none.
+
+    ``max`` keeps its first argument when comparing it with a NaN, so a NaN
+    residual would vanish from a running maximum and its check would pass.
+    """
+    values = np.asarray(list(values), dtype=float)
+    return float(np.max(values)) if values.size else float("nan")
+
+
 @dataclass(frozen=True)
 class StructureReport:
     """Diagnostics of optional algebraic properties at one point."""
@@ -197,12 +207,11 @@ def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     if A.n:
         rv, rg = A.anchor_left.eval_grad(q)  # [n,m], [n,m,n]
         Bv = s.B
-        defect = 0.0
-        for a in range(A.m):
-            for b in range(A.m):
-                lhs = rv @ Bv[:, a, b]
-                comm = rg[:, b, :] @ rv[:, a] - rg[:, a, :] @ rv[:, b]
-                defect = max(defect, float(np.max(np.abs(lhs - comm))))
+        defect = worst_residual(
+            np.max(np.abs(rv @ Bv[:, a, b] - (rg[:, b, :] @ rv[:, a] - rg[:, a, :] @ rv[:, b])))
+            for a in range(A.m)
+            for b in range(A.m)
+        )
     else:
         defect = 0.0
     return StructureReport(skew, anchor_lr, jac, defect)

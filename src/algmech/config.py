@@ -19,6 +19,7 @@ errors name the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,19 +94,38 @@ def _validate_integration(icfg):
         raise InputError("integration.x0 must be an object with 'q' and 'p'")
 
 
+def _check_points(value, key):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{key} must be an integer >= 1")
+
+
+def _check_tolerance(value, key):
+    # a NaN tolerance fails every comparison and would pass a negative control
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and math.isfinite(value) and value > 0):
+        raise InputError(f"{key} must be a finite number > 0")
+
+
 def _validate_verification(vcfg):
-    K = vcfg.get("points", 1)
-    if not isinstance(K, int) or K < 1:
-        raise InputError("verification.points must be an integer >= 1")
+    _check_points(vcfg.get("points", 1), "verification.points")
+    tolerances = vcfg.get("tolerances") or {}
+    if not isinstance(tolerances, dict):
+        raise InputError("verification.tolerances must be an object")
+    for cls, value in tolerances.items():
+        _check_tolerance(value, f"verification.tolerances.{cls}")
     checks = vcfg.get("checks", [])
     if not isinstance(checks, list):
         raise InputError("verification.checks must be a list")
-    for entry in checks:
+    for pos, entry in enumerate(checks):
         if isinstance(entry, str):
             continue
-        if isinstance(entry, dict) and "name" in entry:
-            continue
-        raise InputError("verification.checks entries must be names or objects with 'name'")
+        if not (isinstance(entry, dict) and "name" in entry):
+            raise InputError("verification.checks entries must be names or objects with 'name'")
+        key = f"verification.checks[{pos}]"
+        if "points" in entry:
+            _check_points(entry["points"], f"{key}.points")
+        if "tolerance" in entry:
+            _check_tolerance(entry["tolerance"], f"{key}.tolerance")
 
 
 def initial_point(icfg, bundle: ScenarioBundle) -> PhasePoint:

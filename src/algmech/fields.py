@@ -13,6 +13,11 @@ jet.  Three flavours exist:
 Linear combinations of fields keep exact gradients (the jet is linear), so
 derived coefficients like differences of Christoffel tensors stay as accurate
 as their ingredients.
+
+Polynomial data is compiled when it is built: a field keeps the monomial
+table of its first derivatives, and a :class:`TensorField` packs all of its
+polynomial components into one shared monomial table and one coefficient
+matrix, so a value or a whole jet costs a fixed handful of array operations.
 """
 
 from __future__ import annotations
@@ -45,9 +50,26 @@ def _check_point(q, arity):
     q = np.asarray(q, dtype=float).reshape(-1)
     if q.shape[0] != arity:
         raise InputError(f"point has length {q.shape[0]}, field arity is {arity}")
-    if not np.all(np.isfinite(q)):
+    if not np.isfinite(q).all():
         raise InputError("point has non-finite entries")
     return q
+
+
+def _monomials(q, E):
+    """Values of the monomials q**E[t] for every row t of the table E."""
+    return np.multiply.reduce(q ** E, axis=1)
+
+
+def _derivative_terms(coefs, exps):
+    """First derivatives of the terms ``coefs[t] * q**exps[t]``.
+
+    Returns ``(t, i, dcoefs, dexps)``: for each pair with ``exps[t, i] > 0``,
+    d/dq_i of term t is ``dcoefs * q**dexps``.
+    """
+    t, i = np.nonzero(exps)
+    dexps = exps[t]
+    dexps[np.arange(t.shape[0]), i] -= 1
+    return t, i, coefs[t] * exps[t, i], dexps
 
 
 def memoized_on_point(fn, maxsize=16384):
@@ -77,15 +99,18 @@ class SmoothField:
     """Scalar function of ``arity`` chart coordinates with a first-derivative jet.
 
     ``kind`` is one of ``"polynomial"``, ``"builtin"``, ``"fd"`` or
-    ``"composite"`` (linear combination of other fields).
+    ``"composite"`` (linear combination of other fields).  A polynomial keeps
+    its terms ``(coefs[T], exps[T, arity])`` and the table of its derivative
+    monomials ``_dexps[K, arity]`` with coefficients ``_dcoefs[arity, K]``.
     """
 
-    __slots__ = ("arity", "kind", "_terms", "_fn", "_grad", "_h", "name")
+    __slots__ = ("arity", "kind", "_terms", "_dexps", "_dcoefs", "_fn", "_grad", "_h", "name")
 
     def __init__(self, arity, kind, terms=None, fn=None, grad=None, h=None, name=None):
         self.arity = int(arity)
         self.kind = kind
         self._terms = terms
+        self._dexps = self._dcoefs = None
         self._fn = fn
         self._grad = grad
         self._h = h
@@ -99,26 +124,29 @@ class SmoothField:
         arity = int(arity)
         if arity < 0:
             raise InputError("arity must be >= 0")
-        coefs = []
-        exps = []
-        for coef, exp in terms:
-            exp = np.asarray(exp, dtype=int).reshape(-1)
+        terms = list(terms)
+        exps = [np.asarray(exp, dtype=int).reshape(-1) for _, exp in terms]
+        for exp in exps:
             if exp.shape[0] != arity:
                 raise InputError(
                     f"exponent vector {exp.tolist()} has length {exp.shape[0]}, arity is {arity}"
                 )
-            if np.any(exp < 0):
-                raise InputError("exponents must be >= 0")
-            coef = float(coef)
-            if not math.isfinite(coef):
-                raise InputError("coefficients must be finite")
-            coefs.append(coef)
-            exps.append(exp)
-        if coefs:
-            packed = (np.asarray(coefs, dtype=float), np.vstack(exps))
-        else:
-            packed = (np.zeros(0), np.zeros((0, arity), dtype=int))
-        return cls(arity, "polynomial", terms=packed)
+        exps = np.array(exps, dtype=int).reshape(len(terms), arity)
+        if np.any(exps < 0):
+            raise InputError("exponents must be >= 0")
+        coefs = np.array([float(coef) for coef, _ in terms], dtype=float)
+        if not np.isfinite(coefs).all():
+            raise InputError("coefficients must be finite")
+        return cls._from_arrays(coefs, exps, arity)
+
+    @classmethod
+    def _from_arrays(cls, coefs, exps, arity) -> "SmoothField":
+        """Polynomial from validated ``coefs[T]`` and ``exps[T, arity]``."""
+        f = cls(arity, "polynomial", terms=(coefs, exps))
+        _, i, dcoefs, f._dexps = _derivative_terms(coefs, exps)
+        f._dcoefs = np.zeros((arity, i.shape[0]))
+        f._dcoefs[i, np.arange(i.shape[0])] = dcoefs
+        return f
 
     @classmethod
     def constant(cls, value, arity) -> "SmoothField":
@@ -169,7 +197,7 @@ class SmoothField:
     def gradient(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
         g = self._gradient(q)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NumericError(f"field gradient non-finite at {q.tolist()}")
         return g
 
@@ -183,9 +211,7 @@ class SmoothField:
     def _value(self, q):
         if self.kind == "polynomial":
             coefs, exps = self._terms
-            if coefs.shape[0] == 0:
-                return 0.0
-            return float(np.sum(coefs * np.prod(q[None, :] ** exps, axis=1)))
+            return float(coefs @ _monomials(q, exps))
         if self.kind == "composite":
             return float(sum(w * f._value(q) for w, f in self._terms))
         return float(self._fn(q))
@@ -193,21 +219,7 @@ class SmoothField:
     def _gradient(self, q):
         n = self.arity
         if self.kind == "polynomial":
-            coefs, exps = self._terms
-            g = np.zeros(n)
-            if coefs.shape[0] == 0:
-                return g
-            for i in range(n):
-                e = exps[:, i]
-                mask = e > 0
-                if not np.any(mask):
-                    continue
-                dexps = exps[mask].copy()
-                dexps[:, i] -= 1
-                g[i] = np.sum(
-                    coefs[mask] * e[mask] * np.prod(q[None, :] ** dexps, axis=1)
-                )
-            return g
+            return self._dcoefs @ _monomials(q, self._dexps)
         if self.kind == "composite":
             g = np.zeros(n)
             for w, f in self._terms:
@@ -236,10 +248,9 @@ class SmoothField:
         if self.kind == "polynomial" and other.kind == "polynomial":
             c1, e1 = self._terms
             c2, e2 = other._terms
-            coefs = np.concatenate([w_self * c1, w_other * c2])
-            exps = np.vstack([e1, e2]) if coefs.shape[0] else e1
-            terms = list(zip(coefs.tolist(), exps.tolist()))
-            return SmoothField.polynomial(terms, self.arity)
+            return SmoothField._from_arrays(
+                np.concatenate([w_self * c1, w_other * c2]), np.vstack([e1, e2]), self.arity
+            )
         return SmoothField(
             self.arity, "composite", terms=((w_self, self), (w_other, other))
         )
@@ -257,9 +268,7 @@ class SmoothField:
         w = float(w)
         if self.kind == "polynomial":
             coefs, exps = self._terms
-            return SmoothField.polynomial(
-                list(zip((w * coefs).tolist(), exps.tolist())), self.arity
-            )
+            return SmoothField._from_arrays(w * coefs, exps, self.arity)
         return SmoothField(self.arity, "composite", terms=((w, self),))
 
     def __mul__(self, w):
@@ -285,11 +294,6 @@ class SmoothField:
 
     def __repr__(self):
         return f"SmoothField(arity={self.arity}, kind={self.kind!r})"
-
-
-def field_eval(f: SmoothField, q):
-    """Value and gradient of ``f`` at ``q``; exact for polynomials, FD otherwise."""
-    return f.eval(q)
 
 
 def field_from_polynomial(terms, arity) -> SmoothField:
@@ -339,15 +343,54 @@ register_builtin("cos", lambda q: math.cos(q[0]))
 register_builtin("exp", lambda q: math.exp(q[0]))
 
 
+def _merge_monomials(E):
+    """Distinct rows of the exponent table ``E`` and each row's position among them."""
+    if E.shape[1] == 0:  # over a point every monomial is 1
+        return E[:1], np.zeros(E.shape[0], dtype=np.intp)
+    E = np.ascontiguousarray(E)
+    rows = E.view(np.dtype((np.void, E.dtype.itemsize * E.shape[1]))).reshape(-1)
+    distinct, where = np.unique(rows, return_inverse=True)
+    return distinct.view(E.dtype).reshape(-1, E.shape[1]), where.reshape(-1)
+
+
+def _jet_table(rows, coefs, exps, size, arity):
+    """Pack polynomial terms into one monomial table and one coefficient matrix.
+
+    Term t adds ``coefs[t] * q**exps[t]`` to flat component ``rows[t]``.
+    Returns ``(E, nv, C)``: ``E[U, arity]`` lists the distinct monomials of
+    the components and of their first derivatives, the ``nv`` monomials of
+    the values first; ``C[size * (1 + arity), U]`` maps their values at q to
+    the ``size`` component values followed by the ``[size, arity]`` gradient.
+    """
+    t, i, dcoefs, dexps = _derivative_terms(coefs, exps)
+    E, col = _merge_monomials(np.concatenate([exps, dexps]))
+    is_value = np.zeros(E.shape[0], dtype=bool)
+    is_value[col[: exps.shape[0]]] = True
+    order = np.argsort(~is_value, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    C = np.zeros((size * (1 + arity), E.shape[0]))
+    np.add.at(
+        C,
+        (np.concatenate([rows, size + rows[t] * arity + i]), rank[col]),
+        np.concatenate([coefs, dcoefs]),
+    )
+    return E[order].astype(float), int(is_value.sum()), C
+
+
 class TensorField:
     """Dense array of SmoothFields, one per multi-index.
 
     ``shape`` is the list of index extents; evaluation at a chart point
     returns a float array of the same shape.  All component fields share one
-    arity.
+    arity.  Polynomial components are packed into one shared monomial table
+    ``_E`` and coefficient matrix ``_C`` (values and gradients in one
+    product); a tensor of constants is folded into ``_const``.  Other
+    components are evaluated one by one and listed in ``_others`` as
+    ``(flat index, field)``.
     """
 
-    __slots__ = ("shape", "arity", "fields")
+    __slots__ = ("shape", "arity", "_components", "_const", "_E", "_C", "_Ev", "_Cv", "_others")
 
     def __init__(self, fields, arity=None):
         fields = np.asarray(fields, dtype=object)
@@ -361,9 +404,36 @@ class TensorField:
                 raise InputError("TensorField components must be SmoothField")
             if f.arity != arity:
                 raise InputError("TensorField components have mixed arities")
-        self.fields = fields
         self.shape = fields.shape
         self.arity = int(arity)
+        self._components = tuple(flat)
+        self._pack()
+
+    def _pack(self):
+        comps = self._components
+        n, size = self.arity, len(comps)
+        poly = [k for k, f in enumerate(comps) if f.kind == "polynomial"]
+        self._others = tuple((k, f) for k, f in enumerate(comps) if f.kind != "polynomial")
+        counts = [comps[k]._terms[0].shape[0] for k in poly]
+        rows = np.repeat(np.asarray(poly, dtype=int), counts)
+        coefs = np.concatenate([np.zeros(0)] + [comps[k]._terms[0] for k in poly])
+        exps = np.concatenate([np.zeros((0, n), dtype=int)] + [comps[k]._terms[1] for k in poly])
+        if not self._others and not exps.any():
+            # only constants: fold once, the jet is zero
+            self._const = np.bincount(rows, weights=coefs, minlength=size).reshape(self.shape)
+            self._E = self._C = self._Ev = self._Cv = None
+            return
+        self._const = None
+        self._E, nv, self._C = _jet_table(rows, coefs, exps, size, n)
+        self._Ev = np.ascontiguousarray(self._E[:nv])
+        self._Cv = np.ascontiguousarray(self._C[:size, :nv])
+
+    @property
+    def fields(self) -> np.ndarray:
+        """The components as a fresh object array of ``shape``."""
+        return np.fromiter(self._components, dtype=object, count=len(self._components)).reshape(
+            self.shape
+        )
 
     @classmethod
     def from_constants(cls, array, arity) -> "TensorField":
@@ -381,40 +451,35 @@ class TensorField:
             out[idx] = zero
         return cls(out, arity=arity)
 
-    @classmethod
-    def from_callable(cls, fn, shape, arity, h=None) -> "TensorField":
-        """Componentwise wrap of ``fn(q) -> array(shape)`` with FD gradients."""
-        shape = tuple(shape)
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = SmoothField.from_callable(
-                (lambda i: lambda q: float(np.asarray(fn(q))[i]))(idx), arity, h=h
-            )
-        return cls(out, arity=arity)
-
     def __getitem__(self, idx) -> SmoothField:
         return self.fields[idx]
 
     def eval(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
-        out = np.empty(self.shape)
-        for idx in np.ndindex(*self.shape):
-            out[idx] = self.fields[idx]._value(q)
-        if not np.all(np.isfinite(out)):
+        if self._const is not None:
+            return self._const.copy()
+        vals = self._Cv @ _monomials(q, self._Ev)
+        for k, f in self._others:
+            vals[k] = f._value(q)
+        if not np.isfinite(vals).all():
             raise NumericError("tensor field evaluated to non-finite entries")
-        return out
+        return vals.reshape(self.shape)
 
     def eval_grad(self, q):
         """Values and gradients: shapes ``shape`` and ``shape + (arity,)``."""
         q = _check_point(q, self.arity)
-        vals = np.empty(self.shape)
-        grads = np.empty(self.shape + (self.arity,))
-        for idx in np.ndindex(*self.shape):
-            vals[idx] = self.fields[idx]._value(q)
-            grads[idx] = self.fields[idx]._gradient(q)
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(grads))):
+        if self._const is not None:
+            return self._const.copy(), np.zeros(self.shape + (self.arity,))
+        size = len(self._components)
+        jet = self._C @ _monomials(q, self._E)
+        vals = jet[:size]
+        grads = jet[size:].reshape(size, self.arity)
+        for k, f in self._others:
+            vals[k] = f._value(q)
+            grads[k] = f._gradient(q)
+        if not np.isfinite(jet).all():
             raise NumericError("tensor field jet non-finite")
-        return vals, grads
+        return vals.reshape(self.shape), grads.reshape(self.shape + (self.arity,))
 
     def as_config(self):
         def rec(a):

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, structure_eval
+from .algebroid import AlgebroidStructure, structure_eval, worst_residual
 from .connections import ConnectionPair, CurvatureTensor, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
-from .fields import SmoothField, memoized_on_point
+from .fields import SmoothField, TensorField, memoized_on_point
 from .hamiltonian import PhasePoint
 
 SPLIT_TOL = 1e-10
@@ -52,10 +52,10 @@ class ProlongationData:
             raise InputError("connection pair does not match the base algebroid")
         if self.R.m != self.base.m or self.R.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
-        worst = 0.0
-        for q in _probe_points(self.base.n):
-            worst = max(worst, verify_split(self.base, self.split, q))
-        if worst > SPLIT_TOL:
+        worst = worst_residual(
+            verify_split(self.base, self.split, q) for q in _probe_points(self.base.n)
+        )
+        if not worst <= SPLIT_TOL:
             raise InvalidStructureError(
                 f"connection pair does not split the bracket: residual {worst:.3e} > {SPLIT_TOL:g}"
             )
@@ -141,14 +141,12 @@ def liouville(P: ProlongationData, x: PhasePoint) -> np.ndarray:
     return np.concatenate([x.p, np.zeros(P.base.m)])
 
 
-def _liouville_fields(P: ProlongationData):
+def _liouville_section(P: ProlongationData) -> TensorField:
     n, m = P.base.n, P.base.m
-    out = np.empty(2 * m, dtype=object)
-    for a in range(m):
-        out[a] = SmoothField.coordinate(n + a, n + m)
-    for a in range(m):
-        out[m + a] = SmoothField.zero(n + m)
-    return out
+    return TensorField(
+        [SmoothField.coordinate(n + a, n + m) for a in range(m)] + [SmoothField.zero(n + m)] * m,
+        arity=n + m,
+    )
 
 
 def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndarray:
@@ -169,10 +167,7 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
     if method != "generic_dlr":
         raise InputError(f"unknown omega method {method!r}")
     snap = prolong_eval(P, x)
-    lam = _liouville_fields(P)
-    z = x.z
-    lam_v = np.array([f._value(z) for f in lam])
-    lam_g = np.array([f._gradient(z) for f in lam])  # [2m, n+m]
+    lam_v, lam_g = _liouville_section(P).eval_grad(x.z)  # [2m], [2m, n+m]
     O = np.empty((2 * m, 2 * m))
     for A in range(2 * m):
         for B in range(2 * m):
@@ -220,8 +215,6 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
     Lie-type base, a metric-compatible splitting and that metric's curvature,
     all four defects vanish (the lifted bracket is the canonical one).
     """
-    from .fields import TensorField
-
     n, m = P.base.n, P.base.m
     nm, size = n + m, 2 * P.base.m
     at = memoized_on_point(lambda z: prolong_eval(P, PhasePoint.from_z(z, n)))
@@ -254,25 +247,33 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
 # -- degree-raising differentials on the lifted algebroid --------------------
 
 
-def _component_jets(T, z, size):
-    """Values and chart gradients of a [size, size] array of fields/constants."""
-    T = np.asarray(T)
-    if T.shape != (size, size):
-        raise InputError(f"tensor components must form a [{size},{size}] array")
-    vals = np.empty((size, size))
-    grads = np.zeros((size, size, z.shape[0]))
-    if T.dtype == object:
-        for i in range(size):
-            for j in range(size):
-                f = T[i, j]
-                if isinstance(f, SmoothField):
-                    vals[i, j] = f._value(z)
-                    grads[i, j] = f._gradient(z)
-                else:
-                    vals[i, j] = float(f)
-        return vals, grads
-    vals[:] = T.astype(float)
-    return vals, grads
+def _as_section(T, shape, arity):
+    """A TensorField of ``shape``, or a float array for constant components.
+
+    ``T`` is a TensorField, an array of SmoothFields and numbers (numbers are
+    constant fields) or a float array.
+    """
+    if not isinstance(T, TensorField):
+        T = np.asarray(T)
+        if T.dtype != object:
+            T = T.astype(float)
+        elif T.shape == shape:
+            comps = [
+                f if isinstance(f, SmoothField) else SmoothField.constant(f, arity)
+                for f in T.reshape(-1)
+            ]
+            T = TensorField(np.array(comps, dtype=object).reshape(shape), arity=arity)
+    if T.shape != shape:
+        raise InputError(f"tensor components must form a {list(shape)} array")
+    return T
+
+
+def _section_jets(T, z, shape):
+    """Values and chart gradients of a section given as for :func:`_as_section`."""
+    T = _as_section(T, shape, z.shape[0])
+    if isinstance(T, TensorField):
+        return T.eval_grad(z)
+    return T, np.zeros(shape + z.shape)
 
 
 def _skew_parts(snap: ProlongationSnapshot):
@@ -297,7 +298,7 @@ def d_skew(P: ProlongationData, T, x: PhasePoint) -> np.ndarray:
     """
     P.check_phase(x)
     size = P.frame_size
-    vals, grads = _component_jets(T, x.z, size)
+    vals, grads = _section_jets(T, x.z, (size, size))
     vals = 0.5 * (vals - vals.T)
     grads = 0.5 * (grads - np.swapaxes(grads, 0, 1))
     snap = prolong_eval(P, x)
@@ -314,7 +315,7 @@ def d_sym(P: ProlongationData, T, x: PhasePoint) -> np.ndarray:
     """Symmetric differential of the symmetric part of a (0,2) section."""
     P.check_phase(x)
     size = P.frame_size
-    vals, grads = _component_jets(T, x.z, size)
+    vals, grads = _section_jets(T, x.z, (size, size))
     vals = 0.5 * (vals + vals.T)
     grads = 0.5 * (grads + np.swapaxes(grads, 0, 1))
     snap = prolong_eval(P, x)
@@ -363,9 +364,7 @@ def _d_skew_scalar_closures(P: ProlongationData, phi: SmoothField):
     def maker(A):
         return lambda z: float(at(z)[A])
 
-    return np.array(
-        [SmoothField.from_callable(maker(A), nm) for A in range(size)], dtype=object
-    )
+    return TensorField([SmoothField.from_callable(maker(A), nm) for A in range(size)], arity=nm)
 
 
 def d_skew_oneform(P: ProlongationData, theta, x: PhasePoint) -> np.ndarray:
@@ -375,17 +374,7 @@ def d_skew_oneform(P: ProlongationData, theta, x: PhasePoint) -> np.ndarray:
     - sum_C cA[C,A,B] theta_C.
     """
     P.check_phase(x)
-    size = P.frame_size
-    theta = np.asarray(theta)
-    vals = np.empty(size)
-    grads = np.zeros((size, x.z.shape[0]))
-    for A in range(size):
-        f = theta[A]
-        if isinstance(f, SmoothField):
-            vals[A] = f._value(x.z)
-            grads[A] = f._gradient(x.z)
-        else:
-            vals[A] = float(f)
+    vals, grads = _section_jets(theta, x.z, (P.frame_size,))
     snap = prolong_eval(P, x)
     rhoA, cA = _skew_parts(snap)
     d = rhoA.T @ grads.T  # d[A, B] = rho(f_A)(theta_B)
@@ -405,7 +394,6 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
 def _d_skew_oneform_closures(P: ProlongationData, theta):
     nm = P.base.n + P.base.m
     size = P.frame_size
-    theta = np.asarray(theta, dtype=object)
     at = memoized_on_point(
         lambda z: d_skew_oneform(P, theta, PhasePoint.from_z(z, P.base.n))
     )
@@ -413,15 +401,14 @@ def _d_skew_oneform_closures(P: ProlongationData, theta):
     def maker(A, B):
         return lambda z: float(at(z)[A, B])
 
-    out = np.empty((size, size), dtype=object)
-    for A in range(size):
-        for B in range(size):
-            out[A, B] = SmoothField.from_callable(maker(A, B), nm)
-    return out
+    return TensorField(
+        [[SmoothField.from_callable(maker(A, B), nm) for B in range(size)] for A in range(size)],
+        arity=nm,
+    )
 
 
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a frame one-section."""
-    theta = np.asarray(theta, dtype=object)
+    theta = _as_section(theta, (P.frame_size,), P.base.n + P.base.m)
     eta = _d_skew_oneform_closures(P, theta)
     return float(np.max(np.abs(d_skew(P, eta, x))))

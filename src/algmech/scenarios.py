@@ -62,7 +62,7 @@ class ScenarioBundle:
 def _tensor_map(T: TensorField, fn) -> TensorField:
     out = np.empty(T.shape, dtype=object)
     for idx in np.ndindex(*T.shape):
-        out[idx] = fn(T.fields[idx], idx)
+        out[idx] = fn(T[idx], idx)
     return TensorField(out, arity=T.arity)
 
 
@@ -359,31 +359,27 @@ class _AdaptedFrame:
         self.n = spec.ambient.n
         self.k = spec.rank
         self.h = CHRISTOFFEL_FD_STEP
+        self.kinematic = TensorField(spec.kinematic_basis, arity=self.n)
+        self.variational = (
+            None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
+        )
         self.U_at = memoized_on_point(self._compute_U)
         self.core_at = memoized_on_point(self._compute_core)
         self._build_fields()
 
     # frame assembly ---------------------------------------------------------
 
-    def _basis_values(self, basis, q):
-        k, M = basis.shape
-        out = np.empty((M, k))
-        for j in range(k):
-            for mu in range(M):
-                out[mu, j] = basis[j, mu]._value(q)
-        return out
-
     def _compute_U(self, q):
         spec = self.spec
         Gv = spec.metric.eval(q)
-        Dcols = self._basis_values(spec.kinematic_basis, q).T
+        Dcols = self.kinematic.eval(q)
         d_frame = _gram_schmidt(Dcols, Gv, strict=True)
         if len(d_frame) != self.k:
             raise InputError(f"kinematic basis rank deficient at {q.tolist()}")
         if spec.classical:
             complement_seed = d_frame
         else:
-            Vcols = self._basis_values(spec.variational_basis, q).T
+            Vcols = self.variational.eval(q)
             v_frame = _gram_schmidt(Vcols, Gv, strict=True)
             if len(v_frame) != self.k:
                 raise InputError(f"variational basis rank deficient at {q.tolist()}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebroid import structure_checks
+from .algebroid import structure_checks, worst_residual
 from .connections import verify_split
 from .errors import InputError
 from .hamiltonian import PhasePoint, energy_rate, ham_field, integrate
@@ -48,14 +48,14 @@ def theorem43_residual(A, split, R, H, x) -> float:
 def check_theorem43_equivalence(bundle, cfg, rng):
     """Section route equals tensor route, on the scenario and random instances."""
     K = cfg["points"]
-    worst = 0.0
+    residuals = []
     if bundle is not None:
         P = bundle.prolongation()
         for _ in range(K):
             x = _probe(rng, bundle.algebroid)
             lhs = lr_ham_field(P, bundle.hamiltonian, x)
             rhs = ham_field(bundle.algebroid, bundle.hamiltonian, x)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(rhs)))))
+            residuals.append(np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(rhs))))
     for _ in range(int(cfg.get("random_instances", 5))):
         A = random_algebroid(rng)
         split = random_valid_split(rng, A)
@@ -63,8 +63,8 @@ def check_theorem43_equivalence(bundle, cfg, rng):
         H = random_phase_function(rng, A.n, A.m)
         for _ in range(max(1, K // 10)):
             x = _probe(rng, A)
-            worst = max(worst, theorem43_residual(A, split, R, H, x))
-    return worst
+            residuals.append(theorem43_residual(A, split, R, H, x))
+    return worst_residual(residuals)
 
 
 def check_omega_frame(bundle, cfg, rng):
@@ -74,71 +74,65 @@ def check_omega_frame(bundle, cfg, rng):
     block = np.zeros((2 * m, 2 * m))
     block[:m, m:] = np.eye(m)
     block[m:, :m] = -np.eye(m)
-    worst = 0.0
+    residuals = []
     for _ in range(cfg["points"]):
         x = _probe(rng, bundle.algebroid)
         O = omega(P, x, "frame_formula")
-        worst = max(worst, float(np.max(np.abs(O - block))))
-        worst = max(worst, abs(float(np.linalg.det(O)) - 1.0))
-    return worst
+        residuals.append(np.max(np.abs(O - block)))
+        residuals.append(abs(np.linalg.det(O) - 1.0))
+    return worst_residual(residuals)
 
 
 def check_omega_dlr_consistency(bundle, cfg, rng):
     """Generic differential route reproduces the frame pairing."""
     P = bundle.prolongation()
-    worst = 0.0
+    residuals = []
     for _ in range(cfg["points"]):
         x = _probe(rng, bundle.algebroid)
-        worst = max(
-            worst,
-            float(np.max(np.abs(omega(P, x, "generic_dlr") - omega(P, x, "frame_formula")))),
-        )
-    return worst
+        residuals.append(np.max(np.abs(omega(P, x, "generic_dlr") - omega(P, x, "frame_formula"))))
+    return worst_residual(residuals)
 
 
 def check_closedness(bundle, cfg, rng):
     P = bundle.prolongation()
-    worst = 0.0
-    for _ in range(cfg["points"]):
-        worst = max(worst, closedness_residual(P, _probe(rng, bundle.algebroid)))
-    return worst
+    return worst_residual(
+        closedness_residual(P, _probe(rng, bundle.algebroid)) for _ in range(cfg["points"])
+    )
 
 
 def check_curvature_identities(bundle, cfg, rng):
     """Skew and first-Bianchi residuals of the scenario's curvature tensor."""
     A = bundle.algebroid
-    worst = 0.0
+    residuals = []
     for _ in range(cfg["points"]):
         q = rng.uniform(-1, 1, size=A.n)
         R = bundle.curvature.eval(q)
-        worst = max(worst, float(np.max(np.abs(R + np.swapaxes(R, 1, 2)))))
+        residuals.append(np.max(np.abs(R + np.swapaxes(R, 1, 2))))
         cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-        worst = max(worst, float(np.max(np.abs(cyc))))
-    return worst
+        residuals.append(np.max(np.abs(cyc)))
+    return worst_residual(residuals)
 
 
 def check_structure_checks(bundle, cfg, rng):
     """Max of the four structural defects at the probe points."""
     A = bundle.algebroid
-    worst = 0.0
+    residuals = []
     for _ in range(cfg["points"]):
         rep = structure_checks(A, rng.uniform(-1, 1, size=A.n))
-        worst = max(
-            worst,
+        residuals += [
             rep.skew_defect,
             rep.anchor_lr_defect,
             rep.jacobiator_norm,
             rep.anchor_morphism_defect,
-        )
-    return worst
+        ]
+    return worst_residual(residuals)
 
 
 def check_split_consistency(bundle, cfg, rng):
-    worst = 0.0
-    for _ in range(cfg["points"]):
-        q = rng.uniform(-1, 1, size=bundle.algebroid.n)
-        worst = max(worst, verify_split(bundle.algebroid, bundle.split, q))
-    return worst
+    A = bundle.algebroid
+    return worst_residual(
+        verify_split(A, bundle.split, rng.uniform(-1, 1, size=A.n)) for _ in range(cfg["points"])
+    )
 
 
 def check_legendre_equivalence(bundle, cfg, rng):
@@ -153,12 +147,12 @@ def check_legendre_equivalence(bundle, cfg, rng):
     v0 = np.asarray(cfg.get("v0", 0.1 + 0.1 * np.arange(k)), dtype=float)
     traj = integrate(bundle.algebroid, bundle.hamiltonian, PhasePoint(q0, v0), h, steps)
     ref = lagrangian_reference(spec, v0, q0, h, steps)
-    worst = 0.0
+    residuals = []
     for smp, (_, lq, lv) in zip(traj.samples, ref):
         if n:
-            worst = max(worst, float(np.max(np.abs(smp[1].q - lq))))
-        worst = max(worst, float(np.max(np.abs(smp[1].p - lv))))
-    return worst
+            residuals.append(np.max(np.abs(smp[1].q - lq)))
+        residuals.append(np.max(np.abs(smp[1].p - lv)))
+    return worst_residual(residuals)
 
 
 def check_casimir_drift(bundle, cfg, rng):
@@ -170,11 +164,10 @@ def check_casimir_drift(bundle, cfg, rng):
     if x0 is None:
         x0 = PhasePoint(np.zeros(bundle.algebroid.n), np.ones(bundle.algebroid.m))
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps, bundle.monitors)
-    worst = 0.0
-    for name in traj.monitor_names:
-        vals = traj.monitor_values(name)
-        worst = max(worst, float(np.max(np.abs(vals - vals[0]))))
-    return worst
+    return worst_residual(
+        np.max(np.abs(vals - vals[0]))
+        for vals in (traj.monitor_values(name) for name in traj.monitor_names)
+    )
 
 
 def check_energy_rate_fd(bundle, cfg, rng):
@@ -188,11 +181,9 @@ def check_energy_rate_fd(bundle, cfg, rng):
     Hs = traj.h_values()
     rates = np.array([s[3] for s in traj.samples])
     stride = max(1, steps // 100)
-    worst = 0.0
-    for i in range(1, steps, stride):
-        fd = (Hs[i + 1] - Hs[i - 1]) / (2 * h)
-        worst = max(worst, abs(fd - rates[i]))
-    return worst
+    return worst_residual(
+        abs((Hs[i + 1] - Hs[i - 1]) / (2 * h) - rates[i]) for i in range(1, steps, stride)
+    )
 
 
 def check_dA_squared(bundle, cfg, rng):
@@ -204,13 +195,9 @@ def check_dA_squared(bundle, cfg, rng):
         [random_phase_function(rng, A.n, A.m, degree=1) for _ in range(2 * A.m)],
         dtype=object,
     )
-    worst = 0.0
-    for _ in range(cfg["points"]):
-        x = _probe(rng, A)
-        worst = max(worst, d_squared_scalar_residual(P, phi, x))
-    x = _probe(rng, A)
-    worst = max(worst, d_squared_oneform_residual(P, theta, x))
-    return worst
+    residuals = [d_squared_scalar_residual(P, phi, _probe(rng, A)) for _ in range(cfg["points"])]
+    residuals.append(d_squared_oneform_residual(P, theta, _probe(rng, A)))
+    return worst_residual(residuals)
 
 
 _DEFAULT_TOLERANCES = {
@@ -263,10 +250,11 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
         fallback = cfg[cls]
     tolerance = float(cfg.get("tolerance", fallback))
     residual = CHECKS[name](bundle, cfg, rng)
-    expect_fail = bool(cfg.get("expect_fail", False))
-    ok = residual <= tolerance
-    if expect_fail:
-        ok = not ok
+    # a NaN residual fails both comparisons, so it fails a negative control too
+    if cfg.get("expect_fail", False):
+        ok = residual > tolerance
+    else:
+        ok = residual <= tolerance
     return {
         "check": name,
         "points": int(cfg["points"]),

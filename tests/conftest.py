@@ -1,5 +1,8 @@
 """Shared instances for the test suite."""
 
+import os
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,24 @@ from algmech.algebroid import (
 )
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.scenarios import ConstraintSpec
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def checkout_env():
+    """Environment for a child interpreter that imports this checkout's ``algmech``.
+
+    PYTHONPATH starts with the absolute ``src/`` of this checkout, so the
+    child imports the same ``algmech`` as the tests whatever its working
+    directory is and whatever is installed. Inherited entries follow, made
+    absolute because they were relative to the parent's working directory.
+    """
+    inherited = [
+        str(pathlib.Path(p).resolve())
+        for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+        if p
+    ]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), *inherited])}
 
 
 @pytest.fixture

@@ -1,5 +1,4 @@
 import json
-import os
 import pathlib
 import subprocess
 import sys
@@ -7,31 +6,20 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import checkout_env
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
-SRC_DIR = ROOT / "src"
 
 
 def run_cli(*args, cwd):
-    """Run this checkout's CLI in ``cwd``.
-
-    The child's PYTHONPATH starts with the absolute ``src/`` of this
-    checkout, so it imports the same ``algmech`` as the tests whatever
-    ``cwd`` is and whatever is installed. Inherited entries follow, made
-    absolute because they were relative to the parent's working directory.
-    """
-    inherited = [
-        str(pathlib.Path(p).resolve())
-        for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        if p
-    ]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), *inherited])}
+    """Run this checkout's CLI in ``cwd`` (see :func:`conftest.checkout_env`)."""
     return subprocess.run(
         [sys.executable, "-m", "algmech.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=env,
+        env=checkout_env(),
     )
 
 
@@ -127,8 +115,8 @@ def test_verify_unknown_check(tmp_path):
 def test_verify_failing_check_nonzero_exit(tmp_path):
     path = harmonic_config(tmp_path)
     cfg = json.loads(pathlib.Path(path).read_text())
-    # an impossible tolerance forces a failure
-    cfg["verification"]["checks"] = [{"name": "omega_frame", "tolerance": -1.0}]
+    # a negative control on a structure whose defects all vanish must fail
+    cfg["verification"]["checks"] = [{"name": "structure_checks", "expect_fail": True}]
     path = write_config(tmp_path, cfg, "failing.json")
     r = run_cli("verify", path, cwd=tmp_path)
     assert r.returncode == 1
@@ -217,3 +205,35 @@ def test_shipped_configs_round_trip(tmp_path, name):
     traj = json.loads(pathlib.Path(cfg_path).read_text())["output"]["trajectory"]
     r = run_cli("report", str(tmp_path / traj), cwd=tmp_path)
     assert r.returncode == 0, (name, r.stderr)
+
+
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ({"points": 0}, "verification.checks[0].points"),
+        ({"points": -3}, "verification.checks[0].points"),
+        ({"points": 2.5}, "verification.checks[0].points"),
+        ({"tolerance": "nan", "expect_fail": True}, "verification.checks[0].tolerance"),
+        ({"tolerance": -1.0}, "verification.checks[0].tolerance"),
+        ({"tolerance": 0}, "verification.checks[0].tolerance"),
+    ],
+)
+def test_verify_rejects_bad_check_overrides(tmp_path, override, key):
+    path = harmonic_config(tmp_path)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["verification"]["checks"] = [{"name": "closedness", **override}]
+    path = write_config(tmp_path, cfg, "bad_override.json")
+    r = run_cli("verify", path, cwd=tmp_path)
+    assert r.returncode == 1
+    assert key in r.stderr
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_verify_rejects_non_finite_tolerance_class(tmp_path):
+    path = harmonic_config(tmp_path)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["verification"]["tolerances"] = {"analytic": "nan"}
+    path = write_config(tmp_path, cfg, "bad_class.json")
+    r = run_cli("verify", path, cwd=tmp_path)
+    assert r.returncode == 1
+    assert "verification.tolerances.analytic" in r.stderr

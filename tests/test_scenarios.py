@@ -376,3 +376,18 @@ def test_nonjacobi_instance_profile():
     rep = structure_checks(b.algebroid, [])
     assert rep.skew_defect <= 1e-12
     assert abs(rep.jacobiator_norm - 0.19245008972987568) <= 1e-9
+
+
+def test_adapted_frame_is_freed_after_use():
+    """The frame's fields close over the frame; the cycle must stay collectable."""
+    import gc
+    import weakref
+
+    from algmech import scenarios
+
+    frame = scenarios._AdaptedFrame(tr3_classical_spec())
+    frame.projected_structure_at(np.array([0.1, -0.2, 0.3]))
+    ref = weakref.ref(frame)
+    del frame
+    gc.collect()
+    assert ref() is None

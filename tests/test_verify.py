@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,3 +87,83 @@ def test_report_schema():
     assert set(out) == {"check", "points", "max_residual", "tolerance", "pass"}
     assert isinstance(out["pass"], bool)
     assert isinstance(out["max_residual"], float)
+
+
+# -- NaN residuals fail ---------------------------------------------------------
+
+
+def _nan_at_second_call(value):
+    calls = []
+
+    def fake(*args, **kwargs):
+        calls.append(1)
+        return math.nan if len(calls) == 2 else value(*args, **kwargs)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "check,target",
+    [
+        ("closedness", "closedness_residual"),
+        ("split_consistency", "verify_split"),
+        ("theorem43_equivalence", "theorem43_residual"),
+        ("dA_squared", "d_squared_scalar_residual"),
+    ],
+)
+def test_nan_residual_fails_the_check(monkeypatch, check, target):
+    import algmech.verify as verify
+
+    monkeypatch.setattr(verify, target, _nan_at_second_call(getattr(verify, target)))
+    cfg = {"points": 4, "random_instances": 1}
+    if check == "theorem43_equivalence":
+        cfg["points"] = 20  # two random points, the second one NaN
+    out = run_check(check, _canonical_bundle(), cfg, 11)
+    assert math.isnan(out["max_residual"])
+    assert out["pass"] is False
+
+
+def test_worst_residual_propagates_nan():
+    from algmech.algebroid import worst_residual
+
+    assert worst_residual([0.0, 2.0, 1.0]) == 2.0
+    for values in ([math.nan, 1.0], [0.0, math.nan], [1.0, math.nan, 3.0], []):
+        assert math.isnan(worst_residual(values))
+
+
+def test_nan_residual_fails_a_negative_control(monkeypatch):
+    import algmech.verify as verify
+
+    monkeypatch.setitem(verify.CHECKS, "closedness", lambda bundle, cfg, rng: math.nan)
+    out = run_check("closedness", _canonical_bundle(), {"points": 2, "expect_fail": True}, 0)
+    assert out["pass"] is False
+
+
+def test_nan_anchor_morphism_defect_is_reported(monkeypatch):
+    from algmech.algebroid import canonical_tangent, structure_checks
+    from algmech.fields import TensorField
+
+    A = canonical_tangent(2)
+    real = TensorField.eval_grad
+
+    def nan_jet(self, q):
+        vals, grads = real(self, q)
+        if self is A.anchor_left:
+            grads[:, 0, :] = math.nan
+        return vals, grads
+
+    monkeypatch.setattr(TensorField, "eval_grad", nan_jet)
+    rep = structure_checks(A, [0.1, 0.2])
+    assert math.isnan(rep.anchor_morphism_defect)
+
+
+def test_nan_split_residual_rejects_the_pair(monkeypatch):
+    import algmech.prolongation as prolongation
+    from algmech.errors import InvalidStructureError
+
+    b = _canonical_bundle()
+    monkeypatch.setattr(
+        prolongation, "verify_split", _nan_at_second_call(prolongation.verify_split)
+    )
+    with pytest.raises(InvalidStructureError):
+        b.prolongation()
