@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .fields import SmoothField, TensorField
 
 
@@ -69,18 +69,24 @@ class StructureSnapshot:
 
 
 def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
-    """Evaluate all structure functions at ``q``; pointwise results are cached."""
+    """Evaluate all structure functions at ``q``; pointwise results are cached.
+
+    ``q`` is validated once here (length, finiteness) and the snapshot is
+    checked once for non-finite entries (:class:`NumericError`).
+    """
     q = A.check_point(q)
     cache = A._snapshot_cache
     key = q.tobytes()
     snap = cache.get(key)
     if snap is None:
-        snap = StructureSnapshot(
-            B=A.bracket.eval(q),
-            rho_l=A.anchor_left.eval(q),
-            rho_r=A.anchor_right.eval(q),
-            q=q,
-        )
+        if not np.isfinite(q).all():
+            raise InputError("point has non-finite entries")
+        tensors = (A.bracket, A.anchor_left, A.anchor_right)
+        B, rho_l, rho_r = values = [T._values(q) for T in tensors]
+        # constant tensors are finite by construction
+        if not all(np.isfinite(v).all() for T, v in zip(tensors, values) if T._const is None):
+            raise NumericError("structure functions evaluated to non-finite entries")
+        snap = StructureSnapshot(B=B, rho_l=rho_l, rho_r=rho_r, q=q)
         if len(cache) >= 16384:
             cache.clear()
         cache[key] = snap

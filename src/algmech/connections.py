@@ -74,22 +74,19 @@ def metric_compatible_pair(Gamma: TensorField) -> ConnectionPair:
     return ConnectionPair(Dl=Gamma, Dr=Gamma)
 
 
-def _koszul_rhs(Gv, Gg, Bv, rho, m, n):
-    """2 G(D_a s_b, s_g) for all (a, b, g): metric derivative and bracket terms."""
-    K = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for g in range(m):
-                val = 0.0
-                if n:
-                    val += float(Gg[b, g] @ rho[:, a])
-                    val += float(Gg[a, g] @ rho[:, b])
-                    val -= float(Gg[a, b] @ rho[:, g])
-                val += float(Bv[:, g, b] @ Gv[:, a])
-                val += float(Bv[:, g, a] @ Gv[:, b])
-                val -= float(Bv[:, b, a] @ Gv[:, g])
-                K[a, b, g] = val
-    return K
+def _koszul_rhs(Gv, Gg, Bv, rho):
+    """2 G(D_a s_b, s_g) for all (a, b, g): metric derivative and bracket terms.
+
+    With d[x, y, a] = rho(s_a) G[x, y] and c[x, y, z] = G(B(s_x, s_y), s_z):
+    K[a, b, g] = d[b, g, a] + d[a, g, b] - d[a, b, g]
+               + c[g, b, a] + c[g, a, b] - c[b, a, g].
+    """
+    d = Gg @ rho  # [m, m, m]; zero over a point (n = 0)
+    c = np.einsum("kxy,kz->xyz", Bv, Gv)
+    return (
+        d.transpose(2, 0, 1) + d.transpose(0, 2, 1) - d
+        + c.transpose(2, 1, 0) + c.transpose(1, 2, 0) - c.transpose(1, 0, 2)
+    )
 
 
 def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
@@ -110,14 +107,10 @@ def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise InputError(f"metric not positive-definite at {q.tolist()}") from exc
     s = structure_eval(A, q)
-    K = _koszul_rhs(Gv, Gg, s.B, s.rho_l, A.m, A.n)
-    # Gamma[c,a,b]: solve 2 G_{cg} Gamma[c,a,b] = K[a,b,g] for each (a,b)
+    K = _koszul_rhs(Gv, Gg, s.B, s.rho_l)
+    # Gamma[c,a,b]: solve 2 G_{cg} Gamma[c,a,b] = K[a,b,g] for all (a,b) at once
     m = A.m
-    Gamma = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(m):
-            Gamma[:, a, b] = np.linalg.solve(Gv, 0.5 * K[a, b, :])
-    return Gamma
+    return np.linalg.solve(Gv, 0.5 * K.reshape(m * m, m).T).reshape(m, m, m)
 
 
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:

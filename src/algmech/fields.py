@@ -14,8 +14,8 @@ Linear combinations of fields keep exact gradients (the jet is linear), so
 derived coefficients like differences of Christoffel tensors stay as accurate
 as their ingredients.
 
-Polynomial data is compiled when it is built: a field keeps the monomial
-table of its first derivatives, and a :class:`TensorField` packs all of its
+Polynomial data is compiled: a field builds the monomial table of its first
+derivatives on its first gradient, and a :class:`TensorField` packs all of its
 polynomial components into one shared monomial table and one coefficient
 matrix, so a value or a whole jet costs a fixed handful of array operations.
 """
@@ -100,8 +100,9 @@ class SmoothField:
 
     ``kind`` is one of ``"polynomial"``, ``"builtin"``, ``"fd"`` or
     ``"composite"`` (linear combination of other fields).  A polynomial keeps
-    its terms ``(coefs[T], exps[T, arity])`` and the table of its derivative
-    monomials ``_dexps[K, arity]`` with coefficients ``_dcoefs[arity, K]``.
+    its terms ``(coefs[T], exps[T, arity])`` and, from its first gradient on,
+    the table of its derivative monomials ``_dexps[K, arity]`` with
+    coefficients ``_dcoefs[arity, K]``.
     """
 
     __slots__ = ("arity", "kind", "_terms", "_dexps", "_dcoefs", "_fn", "_grad", "_h", "name")
@@ -142,11 +143,18 @@ class SmoothField:
     @classmethod
     def _from_arrays(cls, coefs, exps, arity) -> "SmoothField":
         """Polynomial from validated ``coefs[T]`` and ``exps[T, arity]``."""
-        f = cls(arity, "polynomial", terms=(coefs, exps))
-        _, i, dcoefs, f._dexps = _derivative_terms(coefs, exps)
-        f._dcoefs = np.zeros((arity, i.shape[0]))
-        f._dcoefs[i, np.arange(i.shape[0])] = dcoefs
-        return f
+        return cls(arity, "polynomial", terms=(coefs, exps))
+
+    def _derivative_table(self):
+        """Build ``_dexps``/``_dcoefs`` on the first standalone gradient.
+
+        Components of a packed tensor are differentiated through the tensor's
+        own table, so most polynomials never need theirs.
+        """
+        coefs, exps = self._terms
+        _, i, dcoefs, self._dexps = _derivative_terms(coefs, exps)
+        self._dcoefs = np.zeros((self.arity, i.shape[0]))
+        self._dcoefs[i, np.arange(i.shape[0])] = dcoefs
 
     @classmethod
     def constant(cls, value, arity) -> "SmoothField":
@@ -219,6 +227,8 @@ class SmoothField:
     def _gradient(self, q):
         n = self.arity
         if self.kind == "polynomial":
+            if self._dexps is None:
+                self._derivative_table()
             return self._dcoefs @ _monomials(q, self._dexps)
         if self.kind == "composite":
             g = np.zeros(n)
@@ -456,13 +466,18 @@ class TensorField:
 
     def eval(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
+        vals = self._values(q)
+        if self._const is None and not np.isfinite(vals).all():
+            raise NumericError("tensor field evaluated to non-finite entries")
+        return vals
+
+    def _values(self, q) -> np.ndarray:
+        """Values at a validated point ``q``; the caller checks them for finiteness."""
         if self._const is not None:
             return self._const.copy()
         vals = self._Cv @ _monomials(q, self._Ev)
         for k, f in self._others:
             vals[k] = f._value(q)
-        if not np.isfinite(vals).all():
-            raise NumericError("tensor field evaluated to non-finite entries")
         return vals.reshape(self.shape)
 
     def eval_grad(self, q):

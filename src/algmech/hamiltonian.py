@@ -8,6 +8,7 @@ step trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,18 @@ class PhasePoint:
         z = np.asarray(z, dtype=float).reshape(-1)
         return cls(z[:n], z[n:])
 
+    @classmethod
+    def _of(cls, z, n) -> "PhasePoint":
+        """View a float chart vector ``z`` as a point, without validation.
+
+        For the integrator's stages: the step checks its state for finiteness
+        and the jets evaluated at the point check their own input.
+        """
+        x = object.__new__(cls)
+        object.__setattr__(x, "q", z[:n])
+        object.__setattr__(x, "p", z[n:])
+        return x
+
 
 def _check_phase(A: AlgebroidStructure, x: PhasePoint):
     if x.q.shape[0] != A.n or x.p.shape[0] != A.m:
@@ -63,6 +76,12 @@ def _check_phase(A: AlgebroidStructure, x: PhasePoint):
 def _check_phase_fn(A: AlgebroidStructure, H: SmoothField):
     if H.arity != A.n + A.m:
         raise InputError(f"phase function arity {H.arity} must be n+m={A.n + A.m}")
+
+
+def _p_dot_B(B, p) -> np.ndarray:
+    """pB[a, b] = sum_c p_c B[c, a, b], as one matrix product."""
+    m = p.shape[0]
+    return (p @ B.reshape(m, m * m)).reshape(m, m)
 
 
 def poisson_tensor(A: AlgebroidStructure, x: PhasePoint) -> np.ndarray:
@@ -78,7 +97,7 @@ def poisson_tensor(A: AlgebroidStructure, x: PhasePoint) -> np.ndarray:
     Pi = np.zeros((n + m, n + m))
     Pi[:n, n:] = s.rho_r
     Pi[n:, :n] = -s.rho_l.T
-    Pi[n:, n:] = -np.einsum("cab,c->ab", s.B, x.p)
+    Pi[n:, n:] = -_p_dot_B(s.B, x.p)
     return Pi
 
 
@@ -91,7 +110,7 @@ def poisson_bracket(A, phi: SmoothField, psi: SmoothField, x: PhasePoint) -> flo
     return float(phi.gradient(z) @ Pi @ psi.gradient(z))
 
 
-def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard") -> np.ndarray:
+def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradient=False):
     """Hamiltonian vector field at ``x`` as a chart vector (dq, dp).
 
     standard: dq_i = sum_a rho_l[i,a] dH/dp_a,
@@ -99,22 +118,27 @@ def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard") -> np.ndarra
     tilde:    the right-sided companion field; anchors swap roles and the
               bracket term appears transposed with opposite sign.  The two
               coincide exactly when the bracket is skew and the anchors agree.
+
+    With ``with_gradient`` the result is ``(field, dH)``, the gradient of H
+    at ``x`` that the field was built from.
     """
     _check_phase(A, x)
     _check_phase_fn(A, H)
+    if variant not in ("standard", "tilde"):
+        raise InputError(f"unknown variant {variant!r}")
     s = structure_eval(A, x.q)
-    n, m = A.n, A.m
+    n = A.n
     g = H.gradient(x.z)
     gq, gp = g[:n], g[n:]
+    pB = _p_dot_B(s.B, x.p)
+    out = np.empty(g.shape[0])
     if variant == "standard":
-        dq = s.rho_l @ gp if n else np.zeros(0)
-        dp = -(s.rho_r.T @ gq if n else 0.0) + np.einsum("cab,c,a->b", s.B, x.p, gp)
-    elif variant == "tilde":
-        dq = s.rho_r @ gp if n else np.zeros(0)
-        dp = -(s.rho_l.T @ gq if n else 0.0) - np.einsum("cba,c,a->b", s.B, x.p, gp)
+        out[:n] = s.rho_l @ gp
+        out[n:] = gp @ pB - gq @ s.rho_r
     else:
-        raise InputError(f"unknown variant {variant!r}")
-    return np.concatenate([dq, np.atleast_1d(dp)])
+        out[:n] = s.rho_r @ gp
+        out[n:] = -(pB @ gp) - gq @ s.rho_l
+    return (out, g) if with_gradient else out
 
 
 def energy_rate(A, H: SmoothField, x: PhasePoint) -> float:
@@ -161,11 +185,18 @@ class Trajectory:
         return ",".join(cols)
 
     def to_csv(self) -> str:
-        """CSV with 17 significant digits per value; header per contract."""
-        lines = [self.csv_header()]
-        for t, x, hval, rate, mon in self.samples:
-            row = [t, *x.q, *x.p, hval, rate, *mon]
-            lines.append(",".join(f"{v + 0.0 if v != 0 else 0.0:.17g}" for v in row))
+        """CSV with 17 significant digits per value and no negative zero; header per contract."""
+        S = self.samples
+        N = len(S)
+        data = np.hstack([
+            np.array([s[0] for s in S]).reshape(N, 1),
+            np.array([s[1].q for s in S]).reshape(N, self.n),
+            np.array([s[1].p for s in S]).reshape(N, self.m),
+            np.array([(s[2], s[3]) for s in S]).reshape(N, 2),
+            np.array([s[4] for s in S]).reshape(N, len(self.monitor_names)),
+        ]) + 0.0  # -0.0 + 0.0 is +0.0
+        fmt = ",".join(["%.17g"] * data.shape[1])
+        lines = [self.csv_header()] + [fmt % tuple(row) for row in data.tolist()]
         return "\n".join(lines) + "\n"
 
 
@@ -181,9 +212,13 @@ def rk4_step(f, y, h):
 def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """Integrate the standard Hamiltonian field with fixed-step RK4.
 
-    Records H, dH/dt and every monitor at each of the steps+1 samples.
-    Raises :class:`IntegrationDivergedError` (carrying the last good step
-    index and the partial trajectory) if the state leaves float range.
+    Records H, dH/dt and every monitor at each of the steps+1 samples.  Each
+    sample reuses the first stage of the step that starts from it, whose
+    field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}.  Raises
+    :class:`IntegrationDivergedError` (carrying the last good step index and
+    the partial trajectory) if the state leaves float range or if H, dH/dt
+    or a monitor is not finite at a sample; a non-finite value at the
+    initial state raises its own error.
     """
     _check_phase(A, x0)
     _check_phase_fn(A, H)
@@ -197,34 +232,49 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     for name in names:
         _check_phase_fn(A, monitors[name])
     n = A.n
-
-    def rhs(z):
-        return ham_field(A, H, PhasePoint.from_z(z, n))
-
     traj = Trajectory(h=h, n=A.n, m=A.m, monitor_names=names)
+    stages = []
 
-    def record(t, z):
-        x = PhasePoint.from_z(z, n)
-        mon = np.array([monitors[k].value(z) for k in names])
-        traj.samples.append((t, x, H.value(z), energy_rate(A, H, x), mon))
+    def stage(z):
+        dz, g = ham_field(A, H, PhasePoint._of(z, n), with_gradient=True)
+        stages.append((dz, g))
+        return dz
+
+    def sample(k, z, dz, g):
+        rate = float(g @ dz)
+        if not math.isfinite(rate):
+            raise NumericError(f"dH/dt non-finite at step {k}")
+        mon = np.array([monitors[name].value(z) for name in names])
+        return k * h, PhasePoint._of(z, n), H.value(z), rate, mon
+
+    def diverged(message, last_good):
+        err = IntegrationDivergedError(message, last_good_step=last_good)
+        err.trajectory = traj
+        return err
 
     z = x0.z
-    record(0.0, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
+        for k in range(steps + 1):
+            stages.clear()
+            error = z_next = None
             try:
-                z = rk4_step(rhs, z, h)
-                bad = not np.all(np.isfinite(z))
-            except (InputError, NumericError):
-                # an intermediate stage already left float range
-                bad = True
-            if bad:
-                err = IntegrationDivergedError(
-                    f"state non-finite after step {k + 1}", last_good_step=k
-                )
-                err.trajectory = traj
-                raise err
-            record((k + 1) * h, z)
+                if k < steps:
+                    z_next = rk4_step(stage, z, h)
+                else:
+                    stage(z)  # the last sample has no step of its own
+            except (InputError, NumericError) as exc:
+                error = exc  # a stage already left float range
+            try:
+                if not stages:
+                    raise error  # the first stage failed: no jet at z
+                traj.samples.append(sample(k, z, *stages[0]))
+            except (InputError, NumericError) as exc:
+                if k == 0:
+                    raise
+                raise diverged(f"non-finite value at the sample of step {k}", k - 1) from exc
+            if error is not None or (z_next is not None and not np.isfinite(z_next).all()):
+                raise diverged(f"state non-finite after step {k + 1}", k) from error
+            z = z_next
     return traj
 
 
@@ -237,13 +287,15 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
     """
     if G.shape != (m, m):
         raise InputError("metric must be m x m over the base")
+    # a constant metric (folded into G._const) is inverted once, here
+    Ginv_const = None if G._const is None else np.linalg.inv(G._const)
 
     def split(z):
         return z[:n], z[n:]
 
     def value(z):
         q, p = split(z)
-        Ginv = np.linalg.inv(G.eval(q))
+        Ginv = Ginv_const if Ginv_const is not None else np.linalg.inv(G.eval(q))
         v = 0.5 * float(p @ Ginv @ p)
         if V is not None:
             v += V.value(q)
@@ -251,10 +303,13 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
 
     def grad(z):
         q, p = split(z)
-        Gv, Gg = G.eval_grad(q)  # [m,m], [m,m,n]
-        Ginv = np.linalg.inv(Gv)
-        w = Ginv @ p
-        gq = -0.5 * np.einsum("i,ijk,j->k", w, Gg, w) if n else np.zeros(0)
+        if Ginv_const is not None:
+            w = Ginv_const @ p
+            gq = np.zeros(n)
+        else:
+            Gv, Gg = G.eval_grad(q)  # [m,m], [m,m,n]
+            w = np.linalg.inv(Gv) @ p
+            gq = -0.5 * np.einsum("i,ijk,j->k", w, Gg, w) if n else np.zeros(0)
         if V is not None:
             gq = gq + V.gradient(q)
         return np.concatenate([gq, w])

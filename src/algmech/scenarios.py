@@ -241,11 +241,12 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
         anchor_right=TensorField.from_constants(np.eye(n), n),
     )
     H = quadratic_hamiltonian(G, V, n, n)
+    Ginv_const = None if G._const is None else np.linalg.inv(G._const)
 
     def dissipation(z):
         q, p = z[:n], z[n:]
         Tv = T.eval(q)
-        Ginv = np.linalg.inv(G.eval(q))
+        Ginv = Ginv_const if Ginv_const is not None else np.linalg.inv(G.eval(q))
         w = Ginv @ p
         return -float(np.einsum("kij,k,i,j->", Tv, p, w, w))
 

@@ -74,21 +74,31 @@ def test_simulate_rejects_negative_step(tmp_path):
 
 
 def test_simulate_divergence_exit_code(tmp_path):
-    cfg = {
-        "scenario": {
-            "scenario": "lie_poisson",
-            "structure": [[[-1.0]]],
-            "hamiltonian": {"arity": 1, "terms": [{"coef": 0.5, "exp": [2]}]},
-        },
-        "integration": {"h": 0.5, "steps": 1000, "x0": {"q": [], "p": [10.0]}},
-        "output": {"trajectory": "part.csv"},
-    }
-    path = write_config(tmp_path, cfg)
-    r = run_cli("simulate", path, cwd=tmp_path)
-    assert r.returncode == 2
-    assert "diverged" in r.stderr
-    assert (tmp_path / "part.csv").exists()
-    assert len((tmp_path / "part.csv").read_text().strip().split("\n")) >= 2
+    cases = [
+        # dp/dt = p^2: the state after a step leaves float range
+        ({"coef": 0.5, "exp": [2]}, 0.5, 10.0),
+        # dp/dt = 4 p^4: the state stays finite while H and its gradient at it overflow
+        ({"coef": 1.0, "exp": [4]}, 0.1, 2.0),
+    ]
+    for k, (term, h, p0) in enumerate(cases):
+        cfg = {
+            "scenario": {
+                "scenario": "lie_poisson",
+                "structure": [[[-1.0]]],
+                "hamiltonian": {"arity": 1, "terms": [term]},
+            },
+            "integration": {"h": h, "steps": 1000, "x0": {"q": [], "p": [p0]}},
+            "output": {"trajectory": f"part{k}.csv"},
+        }
+        path = write_config(tmp_path, cfg, f"cfg{k}.json")
+        r = run_cli("simulate", path, cwd=tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "diverged" in r.stderr
+        assert "Traceback" not in r.stderr
+        lines = (tmp_path / f"part{k}.csv").read_text().strip().split("\n")
+        assert len(lines) >= 2
+        last_good = int(r.stderr.split("last good step ")[1].split(";")[0])
+        assert len(lines) == last_good + 2  # header plus samples 0..last_good
 
 
 def test_verify_report_and_exit_codes(tmp_path):

@@ -10,6 +10,8 @@ from algmech.algebroid import (
 )
 from algmech.connections import (
     ConnectionPair,
+    _koszul_rhs,
+    christoffels_at,
     curvature,
     curvature_at,
     default_split,
@@ -82,6 +84,43 @@ def test_levi_civita_curved_plane(canonical2):
     others = G.copy()
     others[1, 0, 1] = others[1, 1, 0] = others[0, 1, 1] = 0.0
     assert np.max(np.abs(others)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_christoffels_at_curved_plane_closed_form(canonical2, seed):
+    """diag(1, 1 + x^2) in (x, y): Gamma^x_yy = -x, Gamma^y_xy = Gamma^y_yx = x / (1 + x^2)."""
+    G = curved_plane_metric()
+    rng = np.random.default_rng(seed)
+    for q in rng.uniform(-2.0, 2.0, size=(8, 2)):
+        x = float(q[0])
+        expected = np.zeros((2, 2, 2))
+        expected[0, 1, 1] = -x
+        expected[1, 0, 1] = expected[1, 1, 0] = x / (1.0 + x * x)
+        assert np.max(np.abs(christoffels_at(canonical2, G, q) - expected)) <= 1e-14
+
+
+def _koszul_rhs_loop(Gv, Gg, Bv, rho):
+    """Entrywise reference for the Koszul right-hand side K[a, b, g]."""
+    m, n = Gv.shape[0], rho.shape[0]
+    K = np.zeros((m, m, m))
+    for a, b, g in itertools.product(range(m), repeat=3):
+        val = 0.0
+        if n:
+            val += float(Gg[b, g] @ rho[:, a]) + float(Gg[a, g] @ rho[:, b])
+            val -= float(Gg[a, b] @ rho[:, g])
+        val += float(Bv[:, g, b] @ Gv[:, a]) + float(Bv[:, g, a] @ Gv[:, b])
+        val -= float(Bv[:, b, a] @ Gv[:, g])
+        K[a, b, g] = val
+    return K
+
+
+@pytest.mark.parametrize("m,n", [(1, 0), (3, 0), (2, 1), (2, 2), (3, 3)])
+def test_koszul_rhs_matches_entrywise_loop(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    Gv, Gg = rng.normal(size=(m, m)), rng.normal(size=(m, m, n))
+    Bv, rho = rng.normal(size=(m, m, m)), rng.normal(size=(n, m))
+    ref = _koszul_rhs_loop(Gv, Gg, Bv, rho)
+    assert np.max(np.abs(_koszul_rhs(Gv, Gg, Bv, rho) - ref)) <= 1e-14 * (1 + np.max(np.abs(ref)))
 
 
 def test_levi_civita_so3_brute_force_koszul(so3):

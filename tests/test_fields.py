@@ -304,6 +304,20 @@ def test_polynomial_gradient_needs_only_its_derivative_monomials():
         f.value([1e103])
 
 
+def test_packed_components_build_no_derivative_tables():
+    T, specs = _random_tensor_case(2, 2, (2, 2), "polynomial")
+    q = np.array([0.4, -1.1])
+    T.eval(q)
+    T.eval_grad(q)
+    assert all(f._dexps is None and f._dcoefs is None for f in T.fields.reshape(-1))
+    # a standalone gradient builds the table of its own component only
+    f = T[0, 1]
+    value, grad, scale = _oracle_jet(specs[1], 2, [0.4, -1.1])
+    assert np.max(np.abs(f.gradient(q) - grad)) <= 1e-13 * max(scale, 1e-300)
+    assert f._dexps is not None
+    assert T[0, 0]._dexps is None
+
+
 def test_components_and_fields_view():
     T, _ = _random_tensor_case(3, 2, (2, 3), "mixed")
     F = T.fields

@@ -6,6 +6,7 @@ from algmech.errors import InputError, IntegrationDivergedError
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.hamiltonian import (
     PhasePoint,
+    Trajectory,
     energy_rate,
     ham_field,
     integrate,
@@ -260,15 +261,58 @@ def test_monitor_rate_is_minus_bracket_along_flow():
 
 
 def test_integrate_divergence_reports_last_good_step():
-    # dp/dt = p^2 blows up in finite time
     B = np.zeros((1, 1, 1))
     B[0, 0, 0] = -1.0
     A = algebroid_from_constants(B, n=0)
-    H = field_from_polynomial([(0.5, [2])], 1)
-    with pytest.raises(IntegrationDivergedError) as info:
-        integrate(A, H, PhasePoint([], [10.0]), 0.5, 1000)
-    assert info.value.last_good_step >= 0
-    assert len(info.value.trajectory.samples) == info.value.last_good_step + 1
+    cases = [
+        ((0.5, [2]), 0.5, 10.0, 2),  # dp/dt = p^2 blows up in finite time
+        # dp/dt = 4 p^4: the state after step 123 is finite, but H = p^4 and
+        # its gradient at it overflow, so that sample cannot be recorded
+        ((1.0, [4]), 0.1, 2.0, 122),
+    ]
+    for term, h, p0, last_good in cases:
+        H = field_from_polynomial([term], 1)
+        with pytest.raises(IntegrationDivergedError) as info:
+            integrate(A, H, PhasePoint([], [p0]), h, 1000)
+        assert info.value.last_good_step == last_good
+        samples = info.value.trajectory.samples
+        assert len(samples) == last_good + 1
+        assert all(np.isfinite(s[2]) and np.isfinite(s[3]) for s in samples)
+
+
+# the shipped gradient_extension field X = (1, 0) conserves H = p.X exactly;
+# X = (q2, q1^2) makes dH/dt non-zero
+_SWIRL = {"vector_field": [
+    {"arity": 2, "terms": [{"coef": 1.0, "exp": [0, 1]}]},
+    {"arity": 2, "terms": [{"coef": 1.0, "exp": [2, 0]}]},
+]}
+
+
+@pytest.mark.parametrize(
+    "name,override", [("contorsion_dissipative", {}), ("gradient_extension", _SWIRL)]
+)
+def test_samples_match_standalone_h_and_energy_rate(name, override):
+    import json
+    import pathlib
+
+    from algmech.config import build_scenario, initial_point
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = json.loads(path.read_text())
+    bundle, _ = build_scenario({**cfg["scenario"], **override})
+    A, H = bundle.algebroid, bundle.hamiltonian
+    x0 = initial_point(cfg["integration"], bundle)
+    traj = integrate(A, H, x0, float(cfg["integration"]["h"]), 60, bundle.monitors)
+    rates = [s[3] for s in traj.samples]
+    assert max(abs(r) for r in rates) > 1e-3  # dH/dt is not identically zero here
+    for t, x, hval, rate, mon in traj.samples:
+        ref_rate = energy_rate(A, H, x)
+        assert abs(rate - ref_rate) <= 1e-12 * (1 + abs(ref_rate))
+        ref_h = H.value(x.z)
+        assert abs(hval - ref_h) <= 1e-12 * (1 + abs(ref_h))
+        for k, name in enumerate(traj.monitor_names):
+            assert mon[k] == bundle.monitors[name].value(x.z)
+    assert traj.monitor_names == list(bundle.monitors)
 
 
 def test_integrate_validation(canonical1):
@@ -279,6 +323,27 @@ def test_integrate_validation(canonical1):
         integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, 0)
     with pytest.raises(InputError):
         ham_field(canonical1, H, PhasePoint([1.0, 2.0], [0.0]))
+
+
+def test_csv_bytes_pinned():
+    traj = Trajectory(h=0.5, n=2, m=1, monitor_names=["a", "b"])
+    traj.samples.append(
+        (0.0, PhasePoint([-0.0, 5e-324], [-1e308]), 0.1, 1 / 3, np.array([1e16, -0.0]))
+    )
+    traj.samples.append(
+        (0.5, PhasePoint([1 / 3, -0.1], [0.0]), -0.0, 5e-324, np.array([-1e308, 0.1]))
+    )
+    assert traj.to_csv().split("\n") == [
+        "t,q1,q2,p1,H,dHdt,a,b",
+        "0,0,4.9406564584124654e-324,-1e+308,0.10000000000000001,0.33333333333333331,"
+        "10000000000000000,0",
+        "0.5,0.33333333333333331,-0.10000000000000001,0,0,4.9406564584124654e-324,"
+        "-1e+308,0.10000000000000001",
+        "",
+    ]
+    over_point = Trajectory(h=1.0, n=0, m=1)
+    over_point.samples.append((1.0, PhasePoint([], [-0.0]), 2.5, -0.0, np.zeros(0)))
+    assert over_point.to_csv() == "t,p1,H,dHdt\n1,0,2.5,0\n"
 
 
 def test_csv_format(canonical1):
