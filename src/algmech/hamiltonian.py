@@ -25,6 +25,7 @@ __all__ = [
     "ham_field",
     "energy_rate",
     "integrate",
+    "metric_inverse",
     "quadratic_hamiltonian",
     "momentum_pairing_hamiltonian",
 ]
@@ -278,6 +279,14 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     return traj
 
 
+def metric_inverse(G: TensorField):
+    """``q -> G(q)^{-1}``; a constant metric is inverted once, here."""
+    if G._const is None:
+        return lambda q: np.linalg.inv(G.eval(q))
+    Ginv = np.linalg.inv(G._const)
+    return lambda q: Ginv
+
+
 def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
     """H(q, p) = 1/2 p^T G(q)^{-1} p + V(q) with an exact analytic jet.
 
@@ -287,24 +296,22 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
     """
     if G.shape != (m, m):
         raise InputError("metric must be m x m over the base")
-    # a constant metric (folded into G._const) is inverted once, here
-    Ginv_const = None if G._const is None else np.linalg.inv(G._const)
+    inverse = metric_inverse(G)
 
     def split(z):
         return z[:n], z[n:]
 
     def value(z):
         q, p = split(z)
-        Ginv = Ginv_const if Ginv_const is not None else np.linalg.inv(G.eval(q))
-        v = 0.5 * float(p @ Ginv @ p)
+        v = 0.5 * float(p @ inverse(q) @ p)
         if V is not None:
             v += V.value(q)
         return v
 
     def grad(z):
         q, p = split(z)
-        if Ginv_const is not None:
-            w = Ginv_const @ p
+        if G._const is not None:  # zero metric derivative
+            w = inverse(q) @ p
             gq = np.zeros(n)
         else:
             Gv, Gg = G.eval_grad(q)  # [m,m], [m,m,n]

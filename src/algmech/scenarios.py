@@ -35,6 +35,7 @@ from .errors import InputError
 from .fields import SmoothField, TensorField, memoized_on_point
 from .hamiltonian import (
     PhasePoint,
+    metric_inverse,
     momentum_pairing_hamiltonian,
     quadratic_hamiltonian,
     rk4_step,
@@ -241,13 +242,12 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
         anchor_right=TensorField.from_constants(np.eye(n), n),
     )
     H = quadratic_hamiltonian(G, V, n, n)
-    Ginv_const = None if G._const is None else np.linalg.inv(G._const)
+    inverse = metric_inverse(G)
 
     def dissipation(z):
         q, p = z[:n], z[n:]
         Tv = T.eval(q)
-        Ginv = Ginv_const if Ginv_const is not None else np.linalg.inv(G.eval(q))
-        w = Ginv @ p
+        w = inverse(q) @ p
         return -float(np.einsum("kij,k,i,j->", Tv, p, w, w))
 
     return ScenarioBundle(
