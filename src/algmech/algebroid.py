@@ -58,6 +58,18 @@ class AlgebroidStructure:
         return q
 
 
+def base_probes(n, seed, count=5):
+    """Construction-time probe points of an n-dimensional chart.
+
+    The origin, then ``count - 1`` points uniform in [-1, 1]^n drawn from
+    ``seed``; over a point (n = 0) the one empty point.
+    """
+    if n == 0:
+        return [np.zeros(0)]
+    rng = np.random.default_rng(seed)
+    return [np.zeros(n)] + [rng.uniform(-1.0, 1.0, size=n) for _ in range(count - 1)]
+
+
 @dataclass(frozen=True)
 class StructureSnapshot:
     """Pointwise values of the structure functions at one base point."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, structure_eval
 from .errors import InputError
-from .fields import SmoothField, TensorField, memoized_on_point
+from .fields import TensorField, memoized_on_point
 from .hamiltonian import PhasePoint
 
 CHRISTOFFEL_FD_STEP = 1e-4  # larger than the field default: the metric solve
@@ -49,13 +49,10 @@ def default_split(A: AlgebroidStructure) -> ConnectionPair:
 
     Exactly consistent by construction: verify_split vanishes identically.
     """
-    m, n = A.m, A.n
-    Dr = np.empty((m, m, m), dtype=object)
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                Dr[c, a, b] = A.bracket[c, b, a].scaled(-1.0)
-    return ConnectionPair(Dl=TensorField.zeros((m, m, m), n), Dr=TensorField(Dr, arity=n))
+    m = A.m
+    return ConnectionPair(
+        Dl=TensorField.zeros((m, m, m), A.n), Dr=A.bracket.scaled(-1.0, (0, 2, 1))
+    )
 
 
 def verify_split(A: AlgebroidStructure, CP: ConnectionPair, q) -> float:
@@ -116,23 +113,14 @@ def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G``.
 
-    Components are closures over the pointwise Koszul solve; their gradients
-    are central differences with step ``CHRISTOFFEL_FD_STEP``.
+    One array-valued tensor over the pointwise Koszul solve, memoized on the
+    point because the Christoffels feed several tensors (Dl, Dr, a bracket,
+    a curvature); gradients are central differences with step
+    ``CHRISTOFFEL_FD_STEP``.
     """
-    m, n = A.m, A.n
+    m = A.m
     at = memoized_on_point(lambda q: christoffels_at(A, G, q))
-
-    def maker(c, a, b):
-        return lambda q: at(q)[c, a, b]
-
-    out = np.empty((m, m, m), dtype=object)
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                out[c, a, b] = SmoothField.from_callable(
-                    maker(c, a, b), n, h=CHRISTOFFEL_FD_STEP
-                )
-    return TensorField(out, arity=n)
+    return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)
 
 
 @dataclass(frozen=True)
@@ -210,17 +198,12 @@ def curvature(A: AlgebroidStructure, Gamma: TensorField, q):
 
 
 def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> CurvatureTensor:
-    """Curvature of ``Gamma`` as a (1,3) tensor field of closures over the base."""
-    m, n = A.m, A.n
-    at = memoized_on_point(lambda q: curvature_at(A, Gamma, q))
-
-    def maker(idx):
-        return lambda q: at(q)[idx]
-
-    out = np.empty((m, m, m, m), dtype=object)
-    for idx in np.ndindex(m, m, m, m):
-        out[idx] = SmoothField.from_callable(maker(idx), n, h=CHRISTOFFEL_FD_STEP)
-    return CurvatureTensor(TensorField(out, arity=n))
+    """Curvature of ``Gamma`` as an array-valued (1,3) tensor field over the base."""
+    return CurvatureTensor(
+        TensorField.from_array_fn(
+            lambda q: curvature_at(A, Gamma, q), (A.m,) * 4, A.n, h=CHRISTOFFEL_FD_STEP
+        )
+    )
 
 
 def lift(A: AlgebroidStructure, CP: ConnectionPair, mode, coeffs, x: PhasePoint) -> np.ndarray:

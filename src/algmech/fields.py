@@ -1,9 +1,9 @@
 """Smooth scalar and tensor fields over a coordinate chart.
 
 Every coordinate-dependent coefficient in the library (structure functions,
-metrics, Hamiltonians, Christoffel symbols) is a :class:`SmoothField`: a real
-function of the chart coordinates that can also report its first-derivative
-jet.  Three flavours exist:
+metrics, Hamiltonians) is a :class:`SmoothField`: a real function of the chart
+coordinates that can also report its first-derivative jet.  Three flavours
+exist:
 
 * polynomial fields, with exact evaluation and exact gradients;
 * builtin fields, named closures registered in code (``sin``, ``cos``, ...);
@@ -11,13 +11,18 @@ jet.  Three flavours exist:
   taken by central differences with step ``h``.
 
 Linear combinations of fields keep exact gradients (the jet is linear), so
-derived coefficients like differences of Christoffel tensors stay as accurate
+derived coefficients like differences of polynomial tensors stay as accurate
 as their ingredients.
 
 Polynomial data is compiled: a field builds the monomial table of its first
 derivatives on its first gradient, and a :class:`TensorField` packs all of its
 polynomial components into one shared monomial table and one coefficient
 matrix, so a value or a whole jet costs a fixed handful of array operations.
+
+Derived tensors (Christoffel symbols, curvature, the adapted-frame and lifted
+structure functions) are array-valued: one callable ``fn(q) -> array[shape]``
+(:meth:`TensorField.from_array_fn`) gives the whole value in one call, and its
+jet is one central-difference sweep over the whole array.
 """
 
 from __future__ import annotations
@@ -75,9 +80,13 @@ def _derivative_terms(coefs, exps):
 def memoized_on_point(fn, maxsize=16384):
     """Cache a pure array-to-result function on the point's byte image.
 
-    Evaluation closures in this library are pure, so different components of
-    one tensor (and repeated finite-difference shifts) can share a single
-    pointwise computation.  The cache is cleared wholesale when full.
+    Only pointwise results shared by several tensors or points are cached:
+    the Levi-Civita Christoffels (``connections.levi_civita``: Dl, Dr, a
+    bracket, a curvature), the adapted frame ``_AdaptedFrame.U`` (the jets of
+    neighbouring core points share the frames at their stencil points), the
+    adapted-frame core (``_AdaptedFrame.core_at``: every frame tensor) and
+    the projected structure of ``build_constrained`` (bracket and both
+    anchors).  The cache is cleared wholesale when full.
     """
     cache = {}
 
@@ -389,18 +398,26 @@ def _jet_table(rows, coefs, exps, size, arity):
 
 
 class TensorField:
-    """Dense array of SmoothFields, one per multi-index.
+    """Dense tensor of smooth fields over the chart, one value per multi-index.
 
     ``shape`` is the list of index extents; evaluation at a chart point
-    returns a float array of the same shape.  All component fields share one
-    arity.  Polynomial components are packed into one shared monomial table
-    ``_E`` and coefficient matrix ``_C`` (values and gradients in one
-    product); a tensor of constants is folded into ``_const``.  Other
-    components are evaluated one by one and listed in ``_others`` as
-    ``(flat index, field)``.
+    returns a float array of the same shape.  Two forms exist:
+
+    * components: one SmoothField per multi-index, all of one arity.
+      Polynomial components are packed into one shared monomial table ``_E``
+      and coefficient matrix ``_C`` (values and gradients in one product).
+      Other components are evaluated one by one and listed in ``_others`` as
+      ``(flat index, field)``.
+    * array-valued (:meth:`from_array_fn`): one callable ``_fn(q)`` returns
+      the whole array; the jet is central differences with step ``_h``.
+
+    A tensor of constants, and an array-valued tensor over a point, is folded
+    into ``_const``.
     """
 
-    __slots__ = ("shape", "arity", "_components", "_const", "_E", "_C", "_Ev", "_Cv", "_others")
+    __slots__ = (
+        "shape", "arity", "_components", "_const", "_E", "_C", "_Ev", "_Cv", "_others", "_fn", "_h"
+    )
 
     def __init__(self, fields, arity=None):
         fields = np.asarray(fields, dtype=object)
@@ -417,7 +434,33 @@ class TensorField:
         self.shape = fields.shape
         self.arity = int(arity)
         self._components = tuple(flat)
+        self._fn = self._h = None
         self._pack()
+
+    @classmethod
+    def from_array_fn(cls, fn, shape, arity, h=None) -> "TensorField":
+        """Tensor whose whole value at ``q`` is ``fn(q) -> array[shape]``.
+
+        The jet is one central-difference sweep over the array, 2 * arity
+        calls of ``fn`` with step ``h`` (``fd_default_step()`` when not
+        given); entry by entry it is the arithmetic of a per-component FD
+        field.  Over a point (arity 0) ``fn`` is called once, here, and its
+        value is folded into a constant.
+        """
+        T = cls.__new__(cls)
+        T.shape = tuple(int(s) for s in shape)
+        T.arity = int(arity)
+        T._components = None
+        T._E = T._C = T._Ev = T._Cv = None
+        T._others = ()
+        T._h = fd_default_step() if h is None else float(h)
+        T._fn, T._const = fn, None
+        if T.arity == 0:
+            T._const = T._values(np.zeros(0))
+            T._fn = None
+            if not np.isfinite(T._const).all():
+                raise NumericError("tensor field evaluated to non-finite entries")
+        return T
 
     def _pack(self):
         comps = self._components
@@ -441,6 +484,8 @@ class TensorField:
     @property
     def fields(self) -> np.ndarray:
         """The components as a fresh object array of ``shape``."""
+        if self._components is None:
+            raise InputError("an array-valued TensorField has no per-component fields")
         return np.fromiter(self._components, dtype=object, count=len(self._components)).reshape(
             self.shape
         )
@@ -464,6 +509,27 @@ class TensorField:
     def __getitem__(self, idx) -> SmoothField:
         return self.fields[idx]
 
+    def scaled(self, w, axes=None) -> "TensorField":
+        """``w`` times this tensor with its indices permuted as ``np.transpose(., axes)``.
+
+        Packed components stay packed, with exact jets; an array-valued
+        tensor stays one call.
+        """
+        w = float(w)
+        axes = tuple(range(len(self.shape))) if axes is None else tuple(axes)
+        if self._components is None:
+            return TensorField.from_array_fn(
+                lambda q: w * np.transpose(self._values(q), axes),
+                [self.shape[a] for a in axes],
+                self.arity,
+                self._h,
+            )
+        F = np.transpose(self.fields, axes)
+        out = np.empty(F.shape, dtype=object)
+        for idx in np.ndindex(*F.shape):
+            out[idx] = F[idx].scaled(w)
+        return TensorField(out, arity=self.arity)
+
     def eval(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
         vals = self._values(q)
@@ -475,6 +541,8 @@ class TensorField:
         """Values at a validated point ``q``; the caller checks them for finiteness."""
         if self._const is not None:
             return self._const.copy()
+        if self._fn is not None:
+            return np.array(self._fn(q), dtype=float).reshape(self.shape)
         vals = self._Cv @ _monomials(q, self._Ev)
         for k, f in self._others:
             vals[k] = f._value(q)
@@ -485,6 +553,8 @@ class TensorField:
         q = _check_point(q, self.arity)
         if self._const is not None:
             return self._const.copy(), np.zeros(self.shape + (self.arity,))
+        if self._fn is not None:
+            return self._fd_jet(q)
         size = len(self._components)
         jet = self._C @ _monomials(q, self._E)
         vals = jet[:size]
@@ -495,6 +565,20 @@ class TensorField:
         if not np.isfinite(jet).all():
             raise NumericError("tensor field jet non-finite")
         return vals.reshape(self.shape), grads.reshape(self.shape + (self.arity,))
+
+    def _fd_jet(self, q):
+        """Value and central-difference gradient of the array-valued form."""
+        h = self._h
+        vals = self._values(q)
+        grads = np.empty(self.shape + (self.arity,))
+        for i in range(self.arity):
+            qp, qm = q.copy(), q.copy()
+            qp[i] += h
+            qm[i] -= h
+            grads[..., i] = (self._values(qp) - self._values(qm)) / (2.0 * h)
+        if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
+            raise NumericError("tensor field jet non-finite")
+        return vals, grads
 
     def as_config(self):
         def rec(a):

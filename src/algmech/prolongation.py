@@ -17,22 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, structure_eval, worst_residual
+from .algebroid import AlgebroidStructure, base_probes, structure_eval, worst_residual
 from .connections import ConnectionPair, CurvatureTensor, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
-from .fields import SmoothField, TensorField, memoized_on_point
+from .fields import SmoothField, TensorField
 from .hamiltonian import PhasePoint
 
 SPLIT_TOL = 1e-10
-
-
-def _probe_points(n, count=5, seed=12345):
-    if n == 0:
-        return [np.zeros(0)]
-    rng = np.random.default_rng(seed)
-    pts = [np.zeros(n)]
-    pts += [rng.uniform(-1.0, 1.0, size=n) for _ in range(count - 1)]
-    return pts
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,7 @@ class ProlongationData:
         if self.R.m != self.base.m or self.R.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
         worst = worst_residual(
-            verify_split(self.base, self.split, q) for q in _probe_points(self.base.n)
+            verify_split(self.base, self.split, q) for q in base_probes(self.base.n, seed=12345)
         )
         if not worst <= SPLIT_TOL:
             raise InvalidStructureError(
@@ -215,32 +206,21 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
     Lie-type base, a metric-compatible splitting and that metric's curvature,
     all four defects vanish (the lifted bracket is the canonical one).
     """
-    n, m = P.base.n, P.base.m
-    nm, size = n + m, 2 * P.base.m
-    at = memoized_on_point(lambda z: prolong_eval(P, PhasePoint.from_z(z, n)))
+    n = P.base.n
+    nm, size = n + P.base.m, P.frame_size
 
-    def coeff(idx):
-        return SmoothField.from_callable(lambda z, idx=idx: at(z).coeffs[idx], nm)
+    def part(name, shape):
+        # the three parts share prolong_eval's snapshot of each point
+        return TensorField.from_array_fn(
+            lambda z: getattr(prolong_eval(P, PhasePoint.from_z(z, n)), name), shape, nm
+        )
 
-    def anchor(which, idx):
-        if which == "l":
-            return SmoothField.from_callable(lambda z, idx=idx: at(z).anchor_left[idx], nm)
-        return SmoothField.from_callable(lambda z, idx=idx: at(z).anchor_right[idx], nm)
-
-    Bf = np.empty((size, size, size), dtype=object)
-    for idx in np.ndindex(size, size, size):
-        Bf[idx] = coeff(idx)
-    Al = np.empty((nm, size), dtype=object)
-    Ar = np.empty((nm, size), dtype=object)
-    for idx in np.ndindex(nm, size):
-        Al[idx] = anchor("l", idx)
-        Ar[idx] = anchor("r", idx)
     return AlgebroidStructure(
         n=nm,
         m=size,
-        bracket=TensorField(Bf, arity=nm),
-        anchor_left=TensorField(Al, arity=nm),
-        anchor_right=TensorField(Ar, arity=nm),
+        bracket=part("coeffs", (size, size, size)),
+        anchor_left=part("anchor_left", (nm, size)),
+        anchor_right=part("anchor_right", (nm, size)),
     )
 
 
@@ -354,19 +334,6 @@ def d_skew_scalar(P: ProlongationData, phi: SmoothField, x: PhasePoint) -> np.nd
     return rhoA.T @ phi.gradient(x.z)
 
 
-def _d_skew_scalar_closures(P: ProlongationData, phi: SmoothField):
-    nm = P.base.n + P.base.m
-    size = P.frame_size
-    at = memoized_on_point(
-        lambda z: d_skew_scalar(P, phi, PhasePoint.from_z(z, P.base.n))
-    )
-
-    def maker(A):
-        return lambda z: float(at(z)[A])
-
-    return TensorField([SmoothField.from_callable(maker(A), nm) for A in range(size)], arity=nm)
-
-
 def d_skew_oneform(P: ProlongationData, theta, x: PhasePoint) -> np.ndarray:
     """Skew differential of a frame one-section: [2m, 2m] skew array.
 
@@ -387,28 +354,18 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
     Vanishes iff the averaged anchor is a morphism for the skew bracket at
     ``x``; a Lie lifted structure gives zero up to FD noise.
     """
-    theta = _d_skew_scalar_closures(P, phi)
+    n = P.base.n
+    theta = TensorField.from_array_fn(
+        lambda z: d_skew_scalar(P, phi, PhasePoint.from_z(z, n)), (P.frame_size,), n + P.base.m
+    )
     return float(np.max(np.abs(d_skew_oneform(P, theta, x))))
-
-
-def _d_skew_oneform_closures(P: ProlongationData, theta):
-    nm = P.base.n + P.base.m
-    size = P.frame_size
-    at = memoized_on_point(
-        lambda z: d_skew_oneform(P, theta, PhasePoint.from_z(z, P.base.n))
-    )
-
-    def maker(A, B):
-        return lambda z: float(at(z)[A, B])
-
-    return TensorField(
-        [[SmoothField.from_callable(maker(A, B), nm) for B in range(size)] for A in range(size)],
-        arity=nm,
-    )
 
 
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a frame one-section."""
-    theta = _as_section(theta, (P.frame_size,), P.base.n + P.base.m)
-    eta = _d_skew_oneform_closures(P, theta)
+    n, size = P.base.n, P.frame_size
+    theta = _as_section(theta, (size,), n + P.base.m)
+    eta = TensorField.from_array_fn(
+        lambda z: d_skew_oneform(P, theta, PhasePoint.from_z(z, n)), (size, size), n + P.base.m
+    )
     return float(np.max(np.abs(d_skew(P, eta, x))))

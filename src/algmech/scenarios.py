@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, canonical_tangent, structure_eval
+from .algebroid import AlgebroidStructure, base_probes, canonical_tangent, structure_eval
 from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
@@ -43,6 +43,7 @@ from .hamiltonian import (
 from .prolongation import ProlongationData
 
 GRAM_SCHMIDT_TOL = 1e-12
+_PROBE_SEED = 2024  # construction-time checks of metrics and frames
 
 
 @dataclass(frozen=True)
@@ -60,13 +61,6 @@ class ScenarioBundle:
         return ProlongationData(self.algebroid, self.split, self.curvature)
 
 
-def _tensor_map(T: TensorField, fn) -> TensorField:
-    out = np.empty(T.shape, dtype=object)
-    for idx in np.ndindex(*T.shape):
-        out[idx] = fn(T[idx], idx)
-    return TensorField(out, arity=T.arity)
-
-
 def _check_metric(G: TensorField, probes):
     for q in probes:
         Gv = G.eval(q)
@@ -78,13 +72,6 @@ def _check_metric(G: TensorField, probes):
             raise InputError(
                 f"metric not positive-definite at {np.asarray(q).tolist()}"
             ) from exc
-
-
-def _base_probes(n, count=5, seed=2024):
-    if n == 0:
-        return [np.zeros(0)]
-    rng = np.random.default_rng(seed)
-    return [np.zeros(n)] + [rng.uniform(-1, 1, size=n) for _ in range(count - 1)]
 
 
 # -- gradient extension -------------------------------------------------------
@@ -102,18 +89,17 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n) or X.shape != (n,):
         raise InputError("need an [n,n] metric and an [n] vector field")
-    _check_metric(G, _base_probes(n))
+    _check_metric(G, base_probes(n, seed=_PROBE_SEED))
     A0 = canonical_tangent(n)
     Gamma = levi_civita(A0, G)
-    bracket = _tensor_map(Gamma, lambda f, idx: f.scaled(2.0))
     alg = AlgebroidStructure(
         n=n,
         m=n,
-        bracket=bracket,
+        bracket=Gamma.scaled(2.0),
         anchor_left=TensorField.from_constants(np.eye(n), n),
         anchor_right=TensorField.from_constants(-np.eye(n), n),
     )
-    split = ConnectionPair(Dl=Gamma, Dr=_tensor_map(Gamma, lambda f, idx: f.scaled(-1.0)))
+    split = ConnectionPair(Dl=Gamma, Dr=Gamma.scaled(-1.0))
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=momentum_pairing_hamiltonian(X, n),
@@ -222,7 +208,7 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n):
         raise InputError("metric must be [n,n]")
-    _check_metric(G, _base_probes(n))
+    _check_metric(G, base_probes(n, seed=_PROBE_SEED))
     if (S is None) == (T is None):
         raise InputError("give exactly one of S (contorsion) or T (direct torsion)")
     if T is None:
@@ -310,7 +296,7 @@ class ConstraintSpec:
         if self.potential is not None and self.potential.arity != n:
             raise InputError("potential must be a base function")
         rep = None
-        for q in _base_probes(n):
+        for q in base_probes(n, seed=_PROBE_SEED):
             s = structure_eval(self.ambient, q)
             if n and np.max(np.abs(s.rho_l - s.rho_r)) > 1e-12:
                 rep = f"ambient anchors differ at {q.tolist()}"
@@ -318,7 +304,7 @@ class ConstraintSpec:
                 rep = f"ambient bracket not skew at {q.tolist()}"
         if rep:
             raise InputError("ambient structure must be Lie-type: " + rep)
-        _check_metric(self.metric, _base_probes(n))
+        _check_metric(self.metric, base_probes(n, seed=_PROBE_SEED))
 
     @property
     def rank(self) -> int:
@@ -350,8 +336,10 @@ class _AdaptedFrame:
 
     Columns 0..k-1 are a metric-orthonormal basis of the kinematic subbundle,
     the remaining columns an orthonormal basis of the orthogonal complement of
-    the variational subbundle.  All pointwise results are memoized; gradients
-    of frame-dependent quantities are central differences on the closures.
+    the variational subbundle.  The frame U and the pointwise core are
+    memoized, since every frame tensor reads the core; gradients of
+    frame-dependent quantities are central differences of array-valued
+    tensors over them.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -364,7 +352,10 @@ class _AdaptedFrame:
         self.variational = (
             None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
         )
-        self.U_at = memoized_on_point(self._compute_U)
+        # the jets of neighbouring core points share frames at their stencils' points
+        self.U = TensorField.from_array_fn(
+            memoized_on_point(self._compute_U), (self.M, self.M), self.n, h=self.h
+        )
         self.core_at = memoized_on_point(self._compute_core)
         self._build_fields()
 
@@ -407,26 +398,13 @@ class _AdaptedFrame:
             )
         return U
 
-    def _dU(self, q):
-        n = self.n
-        if n == 0:
-            return np.zeros((self.M, self.M, 0))
-        out = np.empty((self.M, self.M, n))
-        for i in range(n):
-            qp, qm = q.copy(), q.copy()
-            qp[i] += self.h
-            qm[i] -= self.h
-            out[:, :, i] = (self.U_at(qp) - self.U_at(qm)) / (2.0 * self.h)
-        return out
-
     def _compute_core(self, q):
         spec = self.spec
         M, n, k = self.M, self.n, self.k
-        U = self.U_at(q)
+        U, dU = self.U.eval_grad(q)
         Uinv = np.linalg.inv(U)
         s = structure_eval(spec.ambient, q)
         rho_new = s.rho_l @ U if n else np.zeros((0, M))
-        dU = self._dU(q)
         # bracket coefficients in the adapted frame
         W = np.einsum("lmv,ma,vb->lab", s.B, U, U)
         if n:
@@ -465,16 +443,8 @@ class _AdaptedFrame:
 
     # fields over the base ----------------------------------------------------
 
-    def _closure(self, key, idx):
-        return SmoothField.from_callable(
-            lambda q: float(self.core_at(q)[key][idx]), self.n, h=self.h
-        )
-
     def _field_from_core(self, key, shape):
-        out = np.empty(shape, dtype=object)
-        for idx in np.ndindex(*shape):
-            out[idx] = self._closure(key, idx)
-        return TensorField(out, arity=self.n)
+        return TensorField.from_array_fn(lambda q: self.core_at(q)[key], shape, self.n, h=self.h)
 
     def _build_fields(self):
         M, n = self.M, self.n
@@ -535,15 +505,7 @@ class _AdaptedFrame:
         k, M, n = self.k, self.M, self.n
         C, Ginv, g, rho = core["C_new"], core["Ginv"], core["g"], core["rho_new"]
         GD = Ginv[:k, :k]
-        if n:
-            dg = np.empty((k, M - k, n))
-            for i in range(n):
-                qp, qm = q.copy(), q.copy()
-                qp[i] += self.h
-                qm[i] -= self.h
-                dg[:, :, i] = (self.core_at(qp)["g"] - self.core_at(qm)["g"]) / (2 * self.h)
-        else:
-            dg = np.zeros((k, M - k, 0))
+        _, dg = self._field_from_core("g", (k, M - k)).eval_grad(q)
         out = np.zeros((k, k, k))
         for a in range(k):
             for b in range(k):
@@ -563,20 +525,13 @@ class _AdaptedFrame:
     def curvature_projected(self) -> CurvatureTensor:
         """Kinematic projection of the ambient Levi-Civita curvature."""
         amb_curv = curvature_field(self.adapted, self.Gamma)
-        k, n = self.k, self.n
+        k = self.k
 
         def at(q):
             Rv = amb_curv.eval(q)[:, :k, :k, :k]
-            P = self.core_at(q)["P"]
-            return np.einsum("dg,gabc->dabc", P, Rv)
+            return np.einsum("dg,gabc->dabc", self.core_at(q)["P"], Rv)
 
-        at = memoized_on_point(at)
-        out = np.empty((k, k, k, k), dtype=object)
-        for idx in np.ndindex(k, k, k, k):
-            out[idx] = SmoothField.from_callable(
-                (lambda i: lambda q: float(at(q)[i]))(idx), n, h=self.h
-            )
-        return CurvatureTensor(TensorField(out, arity=n))
+        return CurvatureTensor(TensorField.from_array_fn(at, (k, k, k, k), self.n, h=self.h))
 
 
 def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
@@ -592,38 +547,25 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
     # exercise the frame at probe points so ill-posed data fails loudly here
-    for q in _base_probes(n):
+    for q in base_probes(n, seed=_PROBE_SEED):
         frame.core_at(q)
 
-    proj_at = memoized_on_point(lambda q: frame.projected_structure_at(q))
-    split_at = memoized_on_point(lambda q: frame.split_at(q))
+    # one projected structure feeds the bracket and both anchors
+    proj_at = memoized_on_point(frame.projected_structure_at)
 
-    def piece(src, pos, idx):
-        return SmoothField.from_callable(
-            lambda q: float(src(q)[pos][idx]), n, h=frame.h
-        )
+    def piece(src, pos, shape):
+        return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
 
-    Bf = np.empty((k, k, k), dtype=object)
-    for idx in np.ndindex(k, k, k):
-        Bf[idx] = piece(proj_at, 0, idx)
-    rlf = np.empty((n, k), dtype=object)
-    rrf = np.empty((n, k), dtype=object)
-    for idx in np.ndindex(n, k):
-        rlf[idx] = piece(proj_at, 1, idx)
-        rrf[idx] = piece(proj_at, 2, idx)
     alg = AlgebroidStructure(
         n=n,
         m=k,
-        bracket=TensorField(Bf, arity=n),
-        anchor_left=TensorField(rlf, arity=n),
-        anchor_right=TensorField(rrf, arity=n),
+        bracket=piece(proj_at, 0, (k, k, k)),
+        anchor_left=piece(proj_at, 1, (n, k)),
+        anchor_right=piece(proj_at, 2, (n, k)),
     )
-    Dlf = np.empty((k, k, k), dtype=object)
-    Drf = np.empty((k, k, k), dtype=object)
-    for idx in np.ndindex(k, k, k):
-        Dlf[idx] = piece(split_at, 0, idx)
-        Drf[idx] = piece(split_at, 1, idx)
-    split = ConnectionPair(Dl=TensorField(Dlf, arity=n), Dr=TensorField(Drf, arity=n))
+    split = ConnectionPair(
+        Dl=piece(frame.split_at, 0, (k, k, k)), Dr=piece(frame.split_at, 1, (k, k, k))
+    )
 
     terms = [(0.5, [0] * (n + a) + [2] + [0] * (k - a - 1)) for a in range(k)]
     H = SmoothField.polynomial(terms, n + k)

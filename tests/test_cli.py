@@ -201,6 +201,26 @@ def test_explicit_split_override(tmp_path):
     assert "does not split the bracket" in r.stderr
 
 
+def _constant_curvature(m):
+    """R[mu,a,b,nu] = d[mu,a] d[b,nu] - d[mu,b] d[a,nu]: skew in (a, b), Bianchi holds."""
+    d = np.eye(m)
+    return (np.einsum("ma,bn->mabn", d, d) - np.einsum("mb,an->mabn", d, d)).tolist()
+
+
+@pytest.mark.parametrize("override", ["split", "curvature"])
+@pytest.mark.parametrize("name", ["gradient_extension.json", "nonholonomic_classical.json"])
+def test_overrides_on_array_valued_structures(tmp_path, name, override):
+    """`split: "default"` and an explicit curvature where bracket and Christoffels are arrays."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cfg["scenario"][override] = "default" if override == "split" else _constant_curvature(2)
+    cfg["integration"]["steps"] = 50
+    cfg["verification"]["points"] = 5
+    path = write_config(tmp_path, cfg, "override.json")
+    for command in ("simulate", "verify"):
+        r = run_cli(command, path, cwd=tmp_path)
+        assert r.returncode == 0, (command, r.stdout, r.stderr)
+
+
 @pytest.mark.parametrize(
     "name",
     sorted(p.name for p in CONFIG_DIR.glob("*.json")),

@@ -9,11 +9,13 @@ from algmech.algebroid import (
     structure_eval,
 )
 from algmech.connections import (
+    CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     _koszul_rhs,
     christoffels_at,
     curvature,
     curvature_at,
+    curvature_field,
     default_split,
     levi_civita,
     lift,
@@ -170,6 +172,54 @@ def test_curvature_so3_quarter(so3):
     out = R[:, 0, 1, 1]  # curvature of the (e1, e2) pair applied to e2
     assert np.max(np.abs(out - [0.25, 0.0, 0.0])) <= 1e-14
     assert rep.skew_residual <= 1e-14 and rep.bianchi_residual <= 1e-14
+
+
+def _per_component_fd(at, shape, arity):
+    """The per-component form: one FD closure per entry over the pointwise array."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = SmoothField.from_callable(
+            lambda q, idx=idx: at(q)[idx], arity, h=CHRISTOFFEL_FD_STEP
+        )
+    return TensorField(out, arity=arity)
+
+
+@pytest.mark.parametrize("which", ["curved_plane", "so3"])
+def test_christoffels_and_curvature_are_bit_equal_to_per_component_fields(which, canonical2, so3):
+    if which == "so3":
+        A, G = so3, TensorField.from_constants(np.diag([1.0, 2.0, 3.0]), 0)
+    else:
+        A, G = canonical2, curved_plane_metric()
+    m, n = A.m, A.n
+    Gamma = levi_civita(A, G)
+    R = curvature_field(A, Gamma).R
+    ref_gamma = _per_component_fd(lambda q: christoffels_at(A, G, q), (m, m, m), n)
+    ref_R = _per_component_fd(lambda q: curvature_at(A, ref_gamma, q), (m,) * 4, n)
+    rng = np.random.default_rng(17)
+    for q in [np.zeros(n)] + [rng.uniform(-1, 1, size=n) for _ in range(3)]:
+        for T, ref in ((Gamma, ref_gamma), (R, ref_R)):
+            (v, g), (rv, rg) = T.eval_grad(q), ref.eval_grad(q)
+            assert np.array_equal(v, rv) and np.array_equal(g, rg)
+
+
+def test_default_split_of_array_valued_and_packed_brackets(canonical2):
+    from algmech.scenarios import build_gradient_extension
+
+    X = TensorField(np.array([field_from_polynomial([(1.0, [0, 1])], 2), SmoothField.zero(2)]))
+    A = build_gradient_extension(curved_plane_metric(), X).algebroid  # bracket 2 Gamma
+    rng = np.random.default_rng(3)
+    cp = default_split(A)
+    for q in rng.uniform(-1, 1, size=(4, 2)):
+        assert verify_split(A, cp, q) == 0.0
+        assert np.max(np.abs(A.bracket.eval(q))) > 1e-3
+    packed = random_algebroid(rng, n=2, m=2)
+    cp = default_split(packed)
+    assert cp.Dr._others == () and cp.Dr._fn is None  # exact packed jets
+    for q in rng.uniform(-1, 1, size=(4, 2)):
+        (v, g), (bv, bg) = cp.Dr.eval_grad(q), packed.bracket.eval_grad(q)
+        assert np.allclose(v, -np.swapaxes(bv, 1, 2), rtol=1e-14, atol=1e-14)
+        assert np.allclose(g, -np.swapaxes(bg, 1, 2), rtol=1e-14, atol=1e-14)
+        assert verify_split(packed, cp, q) <= 1e-15
 
 
 def test_lift_canonical(canonical1):

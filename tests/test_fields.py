@@ -328,3 +328,112 @@ def test_components_and_fields_view():
     assert list(T[0]) == list(F[0])
     with pytest.raises(IndexError):
         T[2, 0]
+
+
+# -- array-valued tensors against per-component FD fields ----------------------
+
+
+def _array_fn(shape):
+    """A smooth array-valued function whose entries all differ."""
+    weights = np.arange(1.0, 1.0 + int(np.prod(shape))).reshape(shape)
+
+    def fn(q):
+        s = 0.3 + float(np.arange(1, q.shape[0] + 1) @ q)
+        return np.sin(weights * s) + weights * s * s
+
+    return fn
+
+
+def _per_component(fn, shape, arity, h=None):
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(*shape):
+        out[idx] = SmoothField.from_callable(lambda q, idx=idx: float(fn(q)[idx]), arity, h=h)
+    return TensorField(out, arity=arity)
+
+
+@pytest.mark.parametrize("h", [None, 1e-4])
+@pytest.mark.parametrize(
+    "arity,shape", [(0, (3, 3)), (1, (2,)), (2, (2, 2, 2)), (3, (3, 3, 3)), (3, (2, 2, 2, 2))]
+)
+def test_array_form_is_bit_equal_to_per_component_fd(arity, shape, h):
+    fn = _array_fn(shape)
+    T = TensorField.from_array_fn(fn, shape, arity, h=h)
+    ref = _per_component(fn, shape, arity, h=h)
+    rng = np.random.default_rng(40 + arity)
+    for q in [np.zeros(arity)] + [rng.uniform(-1, 1, size=arity) for _ in range(4)]:
+        assert np.array_equal(T.eval(q), ref.eval(q))
+        (v, g), (rv, rg) = T.eval_grad(q), ref.eval_grad(q)
+        assert g.shape == shape + (arity,)
+        assert np.array_equal(v, rv) and np.array_equal(g, rg)
+
+
+def test_array_form_over_a_point_calls_fn_once_when_built():
+    calls = []
+
+    def fn(q):
+        calls.append(q.shape)
+        return np.arange(6.0).reshape(2, 3)
+
+    T = TensorField.from_array_fn(fn, (2, 3), 0)
+    assert calls == [(0,)]
+    for _ in range(3):
+        vals = T.eval([])
+        assert np.array_equal(vals, np.arange(6.0).reshape(2, 3))
+        vals[:] = 99.0
+        v, g = T.eval_grad(np.zeros(0))
+        assert np.array_equal(v, np.arange(6.0).reshape(2, 3)) and g.shape == (2, 3, 0)
+    assert calls == [(0,)]
+
+
+def test_array_form_non_finite_is_numeric_error():
+    with pytest.raises(NumericError):
+        TensorField.from_array_fn(lambda q: np.array([1.0, math.nan]), (2,), 0)
+    # finite at q <= 0; the jet's stencil at 0 reaches a non-finite entry
+    T = TensorField.from_array_fn(lambda q: np.array([math.inf if q[0] > 0 else 1.0]), (1,), 1)
+    assert T.eval([0.0])[0] == 1.0
+    with pytest.raises(NumericError):
+        T.eval_grad([0.0])
+    with pytest.raises(NumericError):
+        T.eval([1.0])
+    with pytest.raises(NumericError):
+        T.eval_grad([1.0])
+
+
+def test_array_form_honours_fd_step_env(monkeypatch):
+    cube = lambda q: np.array([q[0] ** 3])  # noqa: E731
+    # central difference of q^3 at q = 1: 3 + h^2, exact in binary for these h
+    monkeypatch.setenv("ALGMECH_FD_STEP", "0.25")
+    assert TensorField.from_array_fn(cube, (1,), 1).eval_grad([1.0])[1][0, 0] == 3.0625
+    assert TensorField.from_array_fn(cube, (1,), 1, h=0.5).eval_grad([1.0])[1][0, 0] == 3.25
+    monkeypatch.delenv("ALGMECH_FD_STEP")
+    _, g = TensorField.from_array_fn(cube, (1,), 1).eval_grad([1.0])
+    assert g[0, 0] == _per_component(cube, (1,), 1).eval_grad([1.0])[1][0, 0]
+
+
+def test_array_form_has_no_components():
+    for arity in (0, 2):
+        T = TensorField.from_array_fn(lambda q: np.ones((2, 2)), (2, 2), arity)
+        with pytest.raises(InputError):
+            T[0, 0]
+        with pytest.raises(InputError):
+            T.fields
+        with pytest.raises(InputError):
+            T.as_config()
+
+
+@pytest.mark.parametrize("arity", [0, 2])
+def test_scaled_transposes_both_forms(arity):
+    rng = np.random.default_rng(5)
+    packed, _ = _random_tensor_case(11, arity, (2, 3, 2), "polynomial")
+    array = TensorField.from_array_fn(_array_fn((2, 3, 2)), (2, 3, 2), arity)
+    for T in (packed, array):
+        S = T.scaled(-2.0, (0, 2, 1))
+        assert S.shape == (2, 2, 3)
+        for q in [np.zeros(arity), rng.uniform(-1, 1, size=arity)]:
+            (v, g), (sv, sg) = T.eval_grad(q), S.eval_grad(q)
+            assert np.array_equal(sv, -2.0 * np.swapaxes(v, 1, 2))
+            assert np.allclose(sg, -2.0 * np.swapaxes(g, 1, 2), rtol=1e-9, atol=1e-12)
+    # packed components stay packed, with exact jets
+    S = packed.scaled(3.0)
+    assert S._others == () and S._fn is None
+    assert all(f.kind == "polynomial" for f in S.fields.reshape(-1))

@@ -1,9 +1,11 @@
-"""Golden `simulate` outputs of the nine shipped configs.
+"""Golden `simulate` and `verify` outputs of the nine shipped configs.
 
 Each file ``tests/data/golden/<config>.csv`` is the trajectory CSV that
 ``algmech simulate`` wrote for that config with its step count capped at
-``GOLDEN_STEPS``.  Every value must be reproduced within
-``1e-9 * (1 + |ref|)``, the bound the benchmark applies to final states.  A
+``GOLDEN_STEPS``, and ``<config>.verify.json`` the report ``algmech verify``
+wrote for the config as shipped.  Every value must be reproduced within
+``1e-9 * (1 + |ref|)``, the bound the benchmark applies to final states; a
+report's check names, point counts, tolerances and pass flags exactly.  A
 change whose numerics legitimately move a value beyond it re-baselines with
 ``PYTHONPATH=src python3 tests/test_golden.py`` and records the largest
 deviation per config in ``CHANGES.md``.
@@ -16,7 +18,7 @@ import sys
 import numpy as np
 import pytest
 
-from algmech.cli import cmd_simulate
+from algmech.cli import cmd_simulate, cmd_verify
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -37,6 +39,13 @@ def simulate_capped(name, out_dir) -> pathlib.Path:
     return csv_path
 
 
+def verify_shipped(name, out_dir) -> pathlib.Path:
+    """Run `verify` on a shipped config as shipped; return the report path."""
+    report = pathlib.Path(out_dir) / f"{name}.verify.json"
+    assert cmd_verify(str(CONFIG_DIR / f"{name}.json"), report_path=str(report)) == 0
+    return report
+
+
 def read_csv(path):
     lines = pathlib.Path(path).read_text().splitlines()
     return lines[0], np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
@@ -45,6 +54,9 @@ def read_csv(path):
 def test_every_shipped_config_has_a_golden():
     assert len(CONFIGS) == 9
     assert sorted(p.stem for p in GOLDEN_DIR.glob("*.csv")) == CONFIGS
+    assert sorted(p.name for p in GOLDEN_DIR.glob("*.verify.json")) == [
+        f"{name}.verify.json" for name in CONFIGS
+    ]
 
 
 @pytest.mark.parametrize("name", CONFIGS)
@@ -61,9 +73,23 @@ def test_simulate_matches_golden(name, tmp_path):
     )
 
 
+@pytest.mark.parametrize("name", CONFIGS)
+def test_verify_matches_golden(name, tmp_path):
+    ref = json.loads((GOLDEN_DIR / f"{name}.verify.json").read_text())
+    got = json.loads(verify_shipped(name, tmp_path).read_text())
+    exact = ("check", "points", "tolerance", "pass")
+    assert [{k: e[k] for k in exact} for e in got] == [{k: e[k] for k in exact} for e in ref]
+    for e, r in zip(got, ref):
+        bound = 1e-9 * (1.0 + abs(r["max_residual"]))
+        assert abs(e["max_residual"] - r["max_residual"]) <= bound, (
+            f"{e['check']}: {e['max_residual']!r} against golden {r['max_residual']!r}"
+        )
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for config in CONFIGS:
         path = simulate_capped(config, GOLDEN_DIR)
         (GOLDEN_DIR / f"{config}.json").unlink()
         print(f"wrote {path}", file=sys.stderr)
+        print(f"wrote {verify_shipped(config, GOLDEN_DIR)}", file=sys.stderr)
