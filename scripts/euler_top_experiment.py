@@ -11,6 +11,7 @@ import argparse
 import numpy as np
 
 from algmech import PhasePoint, ham_field, integrate, lr_ham_field
+from algmech.algebroid import worst_residual
 from algmech.scenarios import build_euler_top
 
 
@@ -26,7 +27,7 @@ def main():
     x0 = PhasePoint([], args.p0)
 
     P = bundle.prolongation()
-    gap = max(
+    gap = worst_residual(
         np.max(
             np.abs(
                 lr_ham_field(P, bundle.hamiltonian, PhasePoint([], p))

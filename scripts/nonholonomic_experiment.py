@@ -13,7 +13,7 @@ import numpy as np
 
 from algmech import PhasePoint, integrate
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
-from algmech.algebroid import canonical_tangent
+from algmech.algebroid import canonical_tangent, worst_residual
 from algmech.scenarios import ConstraintSpec, build_constrained, lagrangian_reference
 
 
@@ -49,9 +49,11 @@ def main():
     traj = integrate(bundle.algebroid, bundle.hamiltonian, PhasePoint(q0, v0), args.h, args.steps)
     ref = lagrangian_reference(spec, v0, q0, args.h, args.steps)
 
-    worst = 0.0
-    for smp, (_, lq, lv) in zip(traj.samples, ref):
-        worst = max(worst, np.max(np.abs(smp[1].q - lq)), np.max(np.abs(smp[1].p - lv)))
+    worst = worst_residual(
+        np.max(np.abs(diff))
+        for smp, (_, lq, lv) in zip(traj.samples, ref)
+        for diff in (smp[1].q - lq, smp[1].p - lv)
+    )
     H = traj.h_values()
     print(f"steps: {args.steps}, h: {args.h}")
     print(f"momentum/velocity trajectory gap: {worst:.3e}")

@@ -12,6 +12,7 @@ import argparse
 import numpy as np
 
 from algmech import PhasePoint, ham_field
+from algmech.algebroid import worst_residual
 from algmech.connections import CurvatureTensor, default_split
 from algmech.prolongation import ProlongationData, closedness_residual, lr_ham_field
 from algmech.randoms import (
@@ -37,16 +38,17 @@ def main():
         H = random_phase_function(rng, A.n, A.m)
         P0 = ProlongationData(A, default_split(A), CurvatureTensor.zero(A.m, A.n))
         P1 = ProlongationData(A, random_valid_split(rng, A), random_curvature(rng, A.m, A.n))
-        gap = drift = closed = 0.0
+        gaps, drifts, closeds = [], [], []
         for _ in range(args.points):
             x = PhasePoint(rng.uniform(-1, 1, A.n), rng.uniform(-1, 1, A.m))
             f_direct = ham_field(A, H, x)
             f0 = lr_ham_field(P0, H, x)
             f1 = lr_ham_field(P1, H, x)
             scale = 1.0 + np.max(np.abs(f_direct))
-            gap = max(gap, np.max(np.abs(f0 - f_direct)) / scale)
-            drift = max(drift, np.max(np.abs(f1 - f0)) / scale)
-            closed = max(closed, closedness_residual(P0, x))
+            gaps.append(np.max(np.abs(f0 - f_direct)) / scale)
+            drifts.append(np.max(np.abs(f1 - f0)) / scale)
+            closeds.append(closedness_residual(P0, x))
+        gap, drift, closed = map(worst_residual, (gaps, drifts, closeds))
         print(f"{A.n:>2} {A.m:>2} {gap:>12.3e} {drift:>14.3e} {closed:>12.3e}")
         worst = np.maximum(worst, [gap, drift, closed])
     print(f"\nworst: route gap {worst[0]:.3e}, resplit drift {worst[1]:.3e}, "

@@ -11,6 +11,9 @@ from .algebroid import (
     StructureReport,
     StructureSnapshot,
     canonical_tangent,
+    d_full,
+    d_skew,
+    d_sym,
     decompose_sym_skew,
     diff_lr_section,
     left_right_diff,
@@ -51,11 +54,7 @@ from .hamiltonian import (
 )
 from .prolongation import (
     ProlongationData,
-    ProlongationSnapshot,
     closedness_residual,
-    d_full,
-    d_skew,
-    d_sym,
     liouville,
     lr_ham_field,
     omega,

@@ -72,7 +72,12 @@ def base_probes(n, seed, count=5):
 
 @dataclass(frozen=True)
 class StructureSnapshot:
-    """Pointwise values of the structure functions at one base point."""
+    """Pointwise values of the structure functions at one chart point ``q``.
+
+    The base algebroid (:func:`structure_eval`) and the lifted one
+    (``prolongation.prolong_eval``) are both evaluated into this type, and
+    the differential calculus below works on either.
+    """
 
     B: np.ndarray  # [m, m, m]
     rho_l: np.ndarray  # [n, m]
@@ -105,20 +110,21 @@ def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
     return snap
 
 
-def decompose_sym_skew(A: AlgebroidStructure, q):
-    """Split the structure at ``q`` into skew and symmetric parts.
+def sym_skew_parts(s: StructureSnapshot):
+    """Split a snapshot into skew and symmetric parts ``(B_A, rho_A, B_S, rho_S)``.
 
-    Returns ``(B_A, rho_A, B_S, rho_S)`` with B_A/B_S the skew/symmetric parts
-    of the bracket in its two argument slots, rho_A the anchor average and
-    rho_S the anchor half-difference.  The parts recombine exactly:
-    B = B_A + B_S, rho_l = rho_A + rho_S, rho_r = rho_A - rho_S.
+    B_A/B_S are the skew/symmetric parts of the bracket in its two argument
+    slots, rho_A the anchor average and rho_S the anchor half-difference.
+    The parts recombine exactly: B = B_A + B_S, rho_l = rho_A + rho_S,
+    rho_r = rho_A - rho_S.
     """
-    s = structure_eval(A, q)
-    B_A = 0.5 * (s.B - np.swapaxes(s.B, 1, 2))
-    B_S = 0.5 * (s.B + np.swapaxes(s.B, 1, 2))
-    rho_A = 0.5 * (s.rho_l + s.rho_r)
-    rho_S = 0.5 * (s.rho_l - s.rho_r)
-    return B_A, rho_A, B_S, rho_S
+    Bt = np.swapaxes(s.B, 1, 2)
+    return 0.5 * (s.B - Bt), 0.5 * (s.rho_l + s.rho_r), 0.5 * (s.B + Bt), 0.5 * (s.rho_l - s.rho_r)
+
+
+def decompose_sym_skew(A: AlgebroidStructure, q):
+    """:func:`sym_skew_parts` of the structure at ``q``."""
+    return sym_skew_parts(structure_eval(A, q))
 
 
 def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
@@ -137,7 +143,41 @@ def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
     return dl, dr
 
 
-def diff_lr_section(A: AlgebroidStructure, kappa: TensorField, q) -> np.ndarray:
+# -- the differential calculus of a snapshot ---------------------------------
+# Each differential takes the snapshot ``s`` of any algebroid, base or lifted,
+# and a section given as for _as_section; its jet is taken at ``s.q``.
+
+
+def _as_section(T, shape, arity):
+    """A TensorField of ``shape``, or a float array for constant components.
+
+    ``T`` is a TensorField, an array of SmoothFields and numbers (numbers are
+    constant fields) or a float array.
+    """
+    if not isinstance(T, TensorField):
+        T = np.asarray(T)
+        if T.dtype != object:
+            T = T.astype(float)
+        elif T.shape == shape:
+            comps = [
+                f if isinstance(f, SmoothField) else SmoothField.constant(f, arity)
+                for f in T.reshape(-1)
+            ]
+            T = TensorField(np.array(comps, dtype=object).reshape(shape), arity=arity)
+    if T.shape != shape:
+        raise InputError(f"tensor components must form a {list(shape)} array")
+    return T
+
+
+def _section_jets(T, z, shape):
+    """Values and chart gradients of a section given as for :func:`_as_section`."""
+    T = _as_section(T, shape, z.shape[0])
+    if isinstance(T, TensorField):
+        return T.eval_grad(z)
+    return T, np.zeros(shape + z.shape)
+
+
+def diff_lr_section(s: StructureSnapshot, kappa) -> np.ndarray:
     """Two-anchor differential of a dual section, as an [m, m] array.
 
     entry(beta, gamma) = sum_i rho_l[i,beta] d kappa_gamma / dq_i
@@ -149,20 +189,54 @@ def diff_lr_section(A: AlgebroidStructure, kappa: TensorField, q) -> np.ndarray:
     and it is the convention under which the pairing built from the canonical
     dual section comes out skew.
     """
-    if kappa.shape != (A.m,):
-        raise InputError(f"dual section must have shape [m]={A.m}")
-    if kappa.arity != A.n:
-        raise InputError("dual section fields must have arity n")
-    q = A.check_point(q)
-    s = structure_eval(A, q)
-    kv, kg = kappa.eval_grad(q)  # kv: [m], kg: [m, n]
-    out = np.empty((A.m, A.m))
-    for beta in range(A.m):
-        for gamma in range(A.m):
-            d_left = float(s.rho_l[:, beta] @ kg[gamma]) if A.n else 0.0
-            d_right = float(s.rho_r[:, gamma] @ kg[beta]) if A.n else 0.0
-            out[beta, gamma] = d_left - d_right - float(s.B[:, beta, gamma] @ kv)
-    return out
+    kv, kg = _section_jets(kappa, s.q, (s.B.shape[0],))  # kv: [m], kg: [m, n]
+    return (kg @ s.rho_l).T - kg @ s.rho_r - np.tensordot(kv, s.B, 1)
+
+
+def d_skew_scalar(s: StructureSnapshot, phi: SmoothField) -> np.ndarray:
+    """Skew differential of a chart function on frame sections: [m] vector."""
+    return sym_skew_parts(s)[1].T @ phi.gradient(s.q)
+
+
+def d_skew_oneform(s: StructureSnapshot, theta) -> np.ndarray:
+    """Skew differential of a one-section: :func:`diff_lr_section` of the skew parts."""
+    B_A, rho_A, _, _ = sym_skew_parts(s)
+    return diff_lr_section(StructureSnapshot(B=B_A, rho_l=rho_A, rho_r=rho_A, q=s.q), theta)
+
+
+def _d_two(s: StructureSnapshot, T, sign) -> np.ndarray:
+    """Differential of the skew (sign -1) or symmetric (sign +1) part of a (0,2) section.
+
+    Six-term formula on frame sections (a, b, c), with the anchor rho and
+    bracket C of the same part of the structure:
+    rho(a)T(b,c) + sign rho(b)T(a,c) + rho(c)T(a,b)
+    - T(C(a,b),c) - sign T(C(a,c),b) - T(C(b,c),a).
+    """
+    m = s.B.shape[0]
+    vals, grads = _section_jets(T, s.q, (m, m))
+    vals = 0.5 * (vals + sign * vals.T)
+    grads = 0.5 * (grads + sign * np.swapaxes(grads, 0, 1))
+    B_A, rho_A, B_S, rho_S = sym_skew_parts(s)
+    C, rho = (B_A, rho_A) if sign < 0 else (B_S, rho_S)
+    dirT = np.einsum("ua,bcu->abc", rho, grads)  # dirT[a,b,c] = rho(a)(T[b,c])
+    CT = np.einsum("dab,dc->abc", C, vals)  # CT[a,b,c] = T(C(a,b),c)
+    out = dirT + sign * dirT.transpose(1, 0, 2) + dirT.transpose(1, 2, 0)
+    return out - CT - sign * CT.transpose(0, 2, 1) - CT.transpose(2, 0, 1)
+
+
+def d_skew(s: StructureSnapshot, T) -> np.ndarray:
+    """Skew differential of the skew part of a (0,2) section, as [m, m, m]."""
+    return _d_two(s, T, -1.0)
+
+
+def d_sym(s: StructureSnapshot, T) -> np.ndarray:
+    """Symmetric differential of the symmetric part of a (0,2) section."""
+    return _d_two(s, T, 1.0)
+
+
+def d_full(s: StructureSnapshot, T) -> np.ndarray:
+    """Differential of a general (0,2) section: skew part + symmetric part."""
+    return d_skew(s, T) + d_sym(s, T)
 
 
 def worst_residual(values) -> float:
@@ -196,21 +270,9 @@ def jacobiator(A: AlgebroidStructure, q) -> np.ndarray:
     q = A.check_point(q)
     Bv, Bg = A.bracket.eval_grad(q)  # [m,m,m], [m,m,m,n]
     s = structure_eval(A, q)
-    m, n = A.m, A.n
-
-    def half(a, b, c):
-        # B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
-        term = np.einsum("m,nm->n", Bv[:, b, c], Bv[:, a, :])
-        if n:
-            term = term + Bg[:, b, c, :] @ s.rho_l[:, a]
-        return term
-
-    J = np.zeros((m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                J[:, a, b, c] = half(a, b, c) + half(b, c, a) + half(c, a, b)
-    return J
+    # half[nu,a,b,c] = B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
+    half = np.einsum("mbc,nam->nabc", Bv, Bv) + np.einsum("nbci,ia->nabc", Bg, s.rho_l)
+    return half + half.transpose(0, 3, 1, 2) + half.transpose(0, 2, 3, 1)
 
 
 def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
@@ -224,12 +286,8 @@ def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     # anchor morphism: rho_l(B(s_a, s_b)) vs [rho_l s_a, rho_l s_b] pointwise
     if A.n:
         rv, rg = A.anchor_left.eval_grad(q)  # [n,m], [n,m,n]
-        Bv = s.B
-        defect = worst_residual(
-            np.max(np.abs(rv @ Bv[:, a, b] - (rg[:, b, :] @ rv[:, a] - rg[:, a, :] @ rv[:, b])))
-            for a in range(A.m)
-            for b in range(A.m)
-        )
+        D = np.einsum("ibj,ja->iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
+        defect = float(np.max(np.abs(np.tensordot(rv, s.B, 1) - (D - np.swapaxes(D, 1, 2)))))
     else:
         defect = 0.0
     return StructureReport(skew, anchor_lr, jac, defect)

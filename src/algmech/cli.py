@@ -12,10 +12,10 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, build_scenario, initial_point, load_config
+from .config import build_scenario, initial_point, load_config
 from .errors import InputError, IntegrationDivergedError
 from .hamiltonian import integrate
-from .verify import CHECKS, run_check
+from .verify import CHECKS, TOLERANCES, run_check
 
 
 def cmd_simulate(config_path, out=None) -> int:
@@ -65,7 +65,12 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
     vcfg = cfg.verification
     points = int(vcfg.get("points", 100))
     base_seed = int(seed if seed is not None else vcfg.get("seed", 0))
-    tolerances = {**DEFAULT_TOLERANCES, **(vcfg.get("tolerances") or {})}
+    class_tolerances = vcfg.get("tolerances") or {}
+    classes = sorted({cls for cls, _ in TOLERANCES.values() if cls})
+    for cls in class_tolerances:
+        if cls not in classes:
+            print(f"error: verification.tolerances.{cls} is not one of {classes}", file=sys.stderr)
+            return 1
     entries = []
     for pos, entry in enumerate(vcfg.get("checks", [])):
         if isinstance(entry, str):
@@ -77,8 +82,9 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         ccfg = dict(entry)
         ccfg.pop("name")
         ccfg.setdefault("points", points)
-        ccfg["analytic_tol"] = tolerances["analytic"]
-        ccfg["fd_tol"] = tolerances["fd"]
+        cls = TOLERANCES[name][0]
+        if cls in class_tolerances:
+            ccfg.setdefault("tolerance", class_tolerances[cls])
         if spec is not None:
             ccfg["constraint_spec"] = spec
         try:

@@ -45,8 +45,6 @@ from .scenarios import (
     euler_top_hamiltonian,
 )
 
-DEFAULT_TOLERANCES = {"analytic": 1e-9, "fd": 1e-5}
-
 
 @dataclass
 class RunConfig:

@@ -4,11 +4,13 @@ Given an algebroid, a bracket-splitting connection pair and a free (1,3)
 curvature-like tensor, this module realizes the induced algebroid on the
 rank-2m bundle over the (q, p) chart whose frame is (h_1..h_m, v^1..v^m):
 h_a is the left-connection horizontal lift of the a-th frame section and v^a
-the vertical lift of the a-th dual frame section.  On that structure it
-evaluates the canonical dual section, the induced skew pairing (constant
-[[0, I], [-I, 0]] in the frame), the right Hamiltonian section, the induced
-Hamiltonian vector field on the chart, and the skew/symmetric degree-raising
-differentials with their closedness residuals.
+the vertical lift of the a-th dual frame section.  :func:`prolong_eval`
+evaluates that structure into an ``algebroid.StructureSnapshot``, so the
+differential calculus of ``algebroid`` applies to it unchanged.  On it this
+module evaluates the canonical dual section, the induced skew pairing
+(constant [[0, I], [-I, 0]] in the frame), the right Hamiltonian section,
+the induced Hamiltonian vector field on the chart, and the closedness and
+squared-differential residuals.
 """
 
 from __future__ import annotations
@@ -17,7 +19,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, base_probes, structure_eval, worst_residual
+from .algebroid import (
+    AlgebroidStructure,
+    StructureSnapshot,
+    _as_section,
+    base_probes,
+    d_full,
+    d_skew,
+    d_skew_oneform,
+    d_skew_scalar,
+    diff_lr_section,
+    structure_eval,
+    worst_residual,
+)
 from .connections import ConnectionPair, CurvatureTensor, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
 from .fields import SmoothField, TensorField
@@ -61,15 +75,6 @@ class ProlongationData:
             raise InputError("phase point does not match the base algebroid")
 
 
-@dataclass(frozen=True)
-class ProlongationSnapshot:
-    """Anchors (chart vectors per frame section) and bracket coefficients at one point."""
-
-    anchor_left: np.ndarray  # [n+m, 2m]
-    anchor_right: np.ndarray  # [n+m, 2m]
-    coeffs: np.ndarray  # [2m, 2m, 2m]; coeffs[C, A, B] = C-component of B(f_A, f_B)
-
-
 def _structure_at(P: ProlongationData, q):
     s = structure_eval(P.base, q)
     Dl = P.split.Dl.eval(q)
@@ -78,11 +83,12 @@ def _structure_at(P: ProlongationData, q):
     return s, Dl, Dr, Rv
 
 
-def prolong_eval(P: ProlongationData, x: PhasePoint) -> ProlongationSnapshot:
+def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     """Evaluate the lifted algebroid structure at a dual-bundle chart point.
 
-    Anchor columns: h_a maps to its left (resp. right) horizontal lift,
-    v^a to the vertical lift, under both anchors.  Bracket coefficients:
+    The snapshot's point is the chart vector ``x.z``.  Anchor columns: h_a
+    maps to its left (resp. right) horizontal lift, v^a to the vertical
+    lift, under both anchors.  Bracket coefficients:
 
     * B(h_a, h_b) = sum_c B[c,a,b] h_c + sum_nu (sum_mu R[mu,a,b,nu] p_mu) v^nu
     * B(h_a, v^b) = -sum_c Dl[b,a,c] v^c
@@ -91,7 +97,8 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> ProlongationSnapshot:
     """
     P.check_phase(x)
     cache = P._snapshot_cache
-    key = x.z.tobytes()
+    z = x.z
+    key = z.tobytes()
     hit = cache.get(key)
     if hit is not None:
         return hit
@@ -114,12 +121,9 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> ProlongationSnapshot:
     coeffs = np.zeros((2 * m, 2 * m, 2 * m))
     coeffs[:m, :m, :m] = s.B
     coeffs[m:, :m, :m] = np.einsum("mabn,m->nab", Rv, p)
-    for a in range(m):
-        for b in range(m):
-            # value index runs over vertical frame entries
-            coeffs[m:, a, m + b] = -Dl[b, a, :]
-            coeffs[m:, m + a, b] = Dr[a, b, :]
-    snap = ProlongationSnapshot(anchor_left=al, anchor_right=ar, coeffs=coeffs)
+    coeffs[m:, :m, m:] = -Dl.transpose(2, 1, 0)
+    coeffs[m:, m:, :m] = Dr.transpose(2, 0, 1)
+    snap = StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=z)
     if len(cache) >= 16384:
         cache.clear()
     cache[key] = snap
@@ -157,15 +161,7 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
         return O
     if method != "generic_dlr":
         raise InputError(f"unknown omega method {method!r}")
-    snap = prolong_eval(P, x)
-    lam_v, lam_g = _liouville_section(P).eval_grad(x.z)  # [2m], [2m, n+m]
-    O = np.empty((2 * m, 2 * m))
-    for A in range(2 * m):
-        for B in range(2 * m):
-            d_left = float(snap.anchor_left[:, A] @ lam_g[B])
-            d_right = float(snap.anchor_right[:, B] @ lam_g[A])
-            O[A, B] = -(d_left - d_right - float(snap.coeffs[:, A, B] @ lam_v))
-    return O
+    return -diff_lr_section(prolong_eval(P, x), _liouville_section(P))
 
 
 def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarray:
@@ -179,7 +175,7 @@ def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.
         raise InputError("Hamiltonian arity must be n+m")
     snap = prolong_eval(P, x)
     gH = H.gradient(x.z)
-    drH = snap.anchor_right.T @ gH  # d_r H on each frame section
+    drH = snap.rho_r.T @ gH  # d_r H on each frame section
     O = omega(P, x, "frame_formula")
     try:
         xi = np.linalg.solve(O.T, drH)
@@ -196,7 +192,7 @@ def lr_ham_field(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarr
     """
     xi = right_ham_section(P, H, x)
     snap = prolong_eval(P, x)
-    return snap.anchor_left @ xi
+    return snap.rho_l @ xi
 
 
 def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
@@ -218,134 +214,27 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
     return AlgebroidStructure(
         n=nm,
         m=size,
-        bracket=part("coeffs", (size, size, size)),
-        anchor_left=part("anchor_left", (nm, size)),
-        anchor_right=part("anchor_right", (nm, size)),
+        bracket=part("B", (size, size, size)),
+        anchor_left=part("rho_l", (nm, size)),
+        anchor_right=part("rho_r", (nm, size)),
     )
 
 
-# -- degree-raising differentials on the lifted algebroid --------------------
-
-
-def _as_section(T, shape, arity):
-    """A TensorField of ``shape``, or a float array for constant components.
-
-    ``T`` is a TensorField, an array of SmoothFields and numbers (numbers are
-    constant fields) or a float array.
-    """
-    if not isinstance(T, TensorField):
-        T = np.asarray(T)
-        if T.dtype != object:
-            T = T.astype(float)
-        elif T.shape == shape:
-            comps = [
-                f if isinstance(f, SmoothField) else SmoothField.constant(f, arity)
-                for f in T.reshape(-1)
-            ]
-            T = TensorField(np.array(comps, dtype=object).reshape(shape), arity=arity)
-    if T.shape != shape:
-        raise InputError(f"tensor components must form a {list(shape)} array")
-    return T
-
-
-def _section_jets(T, z, shape):
-    """Values and chart gradients of a section given as for :func:`_as_section`."""
-    T = _as_section(T, shape, z.shape[0])
-    if isinstance(T, TensorField):
-        return T.eval_grad(z)
-    return T, np.zeros(shape + z.shape)
-
-
-def _skew_parts(snap: ProlongationSnapshot):
-    rhoA = 0.5 * (snap.anchor_left + snap.anchor_right)
-    cA = 0.5 * (snap.coeffs - np.swapaxes(snap.coeffs, 1, 2))
-    return rhoA, cA
-
-
-def _sym_parts(snap: ProlongationSnapshot):
-    rhoS = 0.5 * (snap.anchor_left - snap.anchor_right)
-    cS = 0.5 * (snap.coeffs + np.swapaxes(snap.coeffs, 1, 2))
-    return rhoS, cS
-
-
-def d_skew(P: ProlongationData, T, x: PhasePoint) -> np.ndarray:
-    """Skew differential of the skew part of a (0,2) section, as [2m,2m,2m].
-
-    Six-term formula on frame sections, with the averaged anchors and the
-    skew part of the lifted bracket:
-    +rho(s)T(sb,sc) - rho(sb)T(s,sc) + rho(sc)T(s,sb)
-    -T(B(s,sb),sc) + T(B(s,sc),sb) - T(B(sb,sc),s).
-    """
-    P.check_phase(x)
-    size = P.frame_size
-    vals, grads = _section_jets(T, x.z, (size, size))
-    vals = 0.5 * (vals - vals.T)
-    grads = 0.5 * (grads - np.swapaxes(grads, 0, 1))
-    snap = prolong_eval(P, x)
-    rhoA, cA = _skew_parts(snap)
-    dirT = np.einsum("uA,BCu->ABC", rhoA, grads)  # dirT[A,B,C] = rho(f_A)(T[B,C])
-    out = dirT - np.transpose(dirT, (1, 0, 2)) + np.transpose(dirT, (1, 2, 0))
-    out -= np.einsum("DAB,DC->ABC", cA, vals)
-    out += np.einsum("DAC,DB->ABC", cA, vals)
-    out -= np.einsum("DBC,DA->ABC", cA, vals)
-    return out
-
-
-def d_sym(P: ProlongationData, T, x: PhasePoint) -> np.ndarray:
-    """Symmetric differential of the symmetric part of a (0,2) section."""
-    P.check_phase(x)
-    size = P.frame_size
-    vals, grads = _section_jets(T, x.z, (size, size))
-    vals = 0.5 * (vals + vals.T)
-    grads = 0.5 * (grads + np.swapaxes(grads, 0, 1))
-    snap = prolong_eval(P, x)
-    rhoS, cS = _sym_parts(snap)
-    dirT = np.einsum("uA,BCu->ABC", rhoS, grads)
-    out = dirT + np.transpose(dirT, (1, 0, 2)) + np.transpose(dirT, (1, 2, 0))
-    out -= np.einsum("DAB,DC->ABC", cS, vals)
-    out -= np.einsum("DAC,DB->ABC", cS, vals)
-    out -= np.einsum("DBC,DA->ABC", cS, vals)
-    return out
-
-
-def d_full(P: ProlongationData, T, x: PhasePoint) -> np.ndarray:
-    """Differential of a general (0,2) section: skew part + symmetric part."""
-    return d_skew(P, T, x) + d_sym(P, T, x)
+# -- residuals of the degree-raising differentials on the lifted algebroid --
 
 
 def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
     """Max-abs entry of the full differential of the frame pairing at ``x``.
 
-    Zero (to rounding / FD noise) whenever R is skew in its first two slots
-    and satisfies the first Bianchi identity; order-one otherwise.
+    The pairing is constant and skew, so only the skew part of the lifted
+    bracket enters, and R only through the cyclic sum over three horizontal
+    slots of its part skew in the first two.  The residual vanishes (to
+    rounding / FD noise) when that part satisfies the first Bianchi identity.
+    At m <= 2 no three horizontal slots differ and the residual does not see
+    R at all; at m >= 3 a violation gives an order-one residual.
     """
     O = omega(P, x, "frame_formula")
-    return float(np.max(np.abs(d_full(P, O, x))))
-
-
-# -- squared-differential diagnostics ----------------------------------------
-
-
-def d_skew_scalar(P: ProlongationData, phi: SmoothField, x: PhasePoint) -> np.ndarray:
-    """Skew differential of a chart function on frame sections: [2m] vector."""
-    P.check_phase(x)
-    snap = prolong_eval(P, x)
-    rhoA, _ = _skew_parts(snap)
-    return rhoA.T @ phi.gradient(x.z)
-
-
-def d_skew_oneform(P: ProlongationData, theta, x: PhasePoint) -> np.ndarray:
-    """Skew differential of a frame one-section: [2m, 2m] skew array.
-
-    (d theta)(f_A, f_B) = rho(f_A)(theta_B) - rho(f_B)(theta_A)
-    - sum_C cA[C,A,B] theta_C.
-    """
-    P.check_phase(x)
-    vals, grads = _section_jets(theta, x.z, (P.frame_size,))
-    snap = prolong_eval(P, x)
-    rhoA, cA = _skew_parts(snap)
-    d = rhoA.T @ grads.T  # d[A, B] = rho(f_A)(theta_B)
-    return d - d.T - np.einsum("CAB,C->AB", cA, vals)
+    return float(np.max(np.abs(d_full(prolong_eval(P, x), O))))
 
 
 def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoint) -> float:
@@ -354,11 +243,13 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
     Vanishes iff the averaged anchor is a morphism for the skew bracket at
     ``x``; a Lie lifted structure gives zero up to FD noise.
     """
-    n = P.base.n
+    n, size = P.base.n, P.frame_size
     theta = TensorField.from_array_fn(
-        lambda z: d_skew_scalar(P, phi, PhasePoint.from_z(z, n)), (P.frame_size,), n + P.base.m
+        lambda z: d_skew_scalar(prolong_eval(P, PhasePoint.from_z(z, n)), phi),
+        (size,),
+        n + P.base.m,
     )
-    return float(np.max(np.abs(d_skew_oneform(P, theta, x))))
+    return float(np.max(np.abs(d_skew_oneform(prolong_eval(P, x), theta))))
 
 
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
@@ -366,6 +257,8 @@ def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> flo
     n, size = P.base.n, P.frame_size
     theta = _as_section(theta, (size,), n + P.base.m)
     eta = TensorField.from_array_fn(
-        lambda z: d_skew_oneform(P, theta, PhasePoint.from_z(z, n)), (size, size), n + P.base.m
+        lambda z: d_skew_oneform(prolong_eval(P, PhasePoint.from_z(z, n)), theta),
+        (size, size),
+        n + P.base.m,
     )
-    return float(np.max(np.abs(d_skew(P, eta, x))))
+    return float(np.max(np.abs(d_skew(prolong_eval(P, x), eta))))

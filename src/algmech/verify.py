@@ -44,11 +44,6 @@ def _theorem43_gap(P: ProlongationData, H, x) -> float:
     return float(np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(rhs))))
 
 
-def theorem43_residual(A, split, R, H, x) -> float:
-    """The gap of :func:`_theorem43_gap` for the lifted structure of (A, split, R)."""
-    return _theorem43_gap(ProlongationData(A, split, R), H, x)
-
-
 def check_theorem43_equivalence(bundle, cfg, rng):
     """Section route equals tensor route, on the scenario and random instances.
 
@@ -203,24 +198,20 @@ def check_dA_squared(bundle, cfg, rng):
     return worst_residual(residuals)
 
 
-_DEFAULT_TOLERANCES = {
-    "theorem43_equivalence": 1e-9,
-    "omega_frame": 1e-15,
-    "omega_dlr_consistency": 1e-8,
-    "closedness": 1e-8,
-    "curvature_identities": 1e-5,
-    "structure_checks": 1e-10,
-    "split_consistency": 1e-10,
-    "legendre_equivalence": 1e-6,
-    "casimir_drift": 1e-8,
-    "energy_rate_fd": 1e-6,
-    "dA_squared": 1e-8,
-}
-
-# checks whose tolerance class is configurable through verification.tolerances
-_TOLERANCE_CLASS = {
-    "theorem43_equivalence": "analytic_tol",
-    "curvature_identities": "fd_tol",
+# check -> (the class of verification.tolerances that sets its tolerance, or
+# None; its default tolerance)
+TOLERANCES = {
+    "theorem43_equivalence": ("analytic", 1e-9),
+    "omega_frame": (None, 1e-15),
+    "omega_dlr_consistency": (None, 1e-8),
+    "closedness": (None, 1e-8),
+    "curvature_identities": ("fd", 1e-5),
+    "structure_checks": (None, 1e-10),
+    "split_consistency": (None, 1e-10),
+    "legendre_equivalence": (None, 1e-6),
+    "casimir_drift": (None, 1e-8),
+    "energy_rate_fd": (None, 1e-6),
+    "dA_squared": (None, 1e-8),
 }
 
 CHECKS = {
@@ -239,7 +230,10 @@ CHECKS = {
 
 
 def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
-    """Run one registered check; ``cfg`` holds points/tolerances/extras.
+    """Run one registered check; ``cfg`` holds points/tolerance/extras.
+
+    The tolerance is ``cfg["tolerance"]`` if given, else the check's default
+    in :data:`TOLERANCES`.
 
     With ``expect_fail`` set, passing means the residual *exceeded* the
     tolerance, as expected for a negative control.
@@ -247,11 +241,7 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
     if name not in CHECKS:
         raise InputError(f"unknown check name {name!r}")
     rng = np.random.default_rng(seed)
-    fallback = _DEFAULT_TOLERANCES[name]
-    cls = _TOLERANCE_CLASS.get(name)
-    if cls is not None and cls in cfg:
-        fallback = cfg[cls]
-    tolerance = float(cfg.get("tolerance", fallback))
+    tolerance = float(cfg.get("tolerance", TOLERANCES[name][1]))
     residual = CHECKS[name](bundle, cfg, rng)
     # a NaN residual fails both comparisons, so it fails a negative control too
     if cfg.get("expect_fail", False):

@@ -237,21 +237,27 @@ def test_shipped_configs_round_trip(tmp_path, name):
     assert r.returncode == 0, (name, r.stderr)
 
 
+def _closedness_entry(**override):
+    return {"checks": [{"name": "closedness", **override}]}
+
+
 @pytest.mark.parametrize(
     "override,key",
     [
-        ({"points": 0}, "verification.checks[0].points"),
-        ({"points": -3}, "verification.checks[0].points"),
-        ({"points": 2.5}, "verification.checks[0].points"),
-        ({"tolerance": "nan", "expect_fail": True}, "verification.checks[0].tolerance"),
-        ({"tolerance": -1.0}, "verification.checks[0].tolerance"),
-        ({"tolerance": 0}, "verification.checks[0].tolerance"),
+        (_closedness_entry(points=0), "verification.checks[0].points"),
+        (_closedness_entry(points=-3), "verification.checks[0].points"),
+        (_closedness_entry(points=2.5), "verification.checks[0].points"),
+        (_closedness_entry(tolerance="nan", expect_fail=True), "verification.checks[0].tolerance"),
+        (_closedness_entry(tolerance=-1.0), "verification.checks[0].tolerance"),
+        (_closedness_entry(tolerance=0), "verification.checks[0].tolerance"),
+        # a misspelt tolerance class would otherwise be ignored
+        ({"tolerances": {"analytc": 1e-12}}, "verification.tolerances.analytc"),
     ],
 )
 def test_verify_rejects_bad_check_overrides(tmp_path, override, key):
     path = harmonic_config(tmp_path)
     cfg = json.loads(pathlib.Path(path).read_text())
-    cfg["verification"]["checks"] = [{"name": "closedness", **override}]
+    cfg["verification"].update(override)
     path = write_config(tmp_path, cfg, "bad_override.json")
     r = run_cli("verify", path, cwd=tmp_path)
     assert r.returncode == 1
@@ -267,3 +273,23 @@ def test_verify_rejects_non_finite_tolerance_class(tmp_path):
     r = run_cli("verify", path, cwd=tmp_path)
     assert r.returncode == 1
     assert "verification.tolerances.analytic" in r.stderr
+
+
+def test_tolerance_class_sets_its_checks_and_yields_to_an_entry(tmp_path):
+    path = harmonic_config(tmp_path)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["verification"].update(
+        points=2,
+        tolerances={"analytic": 1e-3, "fd": 2e-4},
+        checks=[
+            "theorem43_equivalence",
+            "curvature_identities",
+            "closedness",
+            {"name": "theorem43_equivalence", "tolerance": 1e-7},
+        ],
+    )
+    path = write_config(tmp_path, cfg, "classes.json")
+    r = run_cli("verify", path, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [e["tolerance"] for e in report] == [1e-3, 2e-4, 1e-8, 1e-7]

@@ -1,7 +1,15 @@
+import pathlib
+
 import numpy as np
 import pytest
 
-from algmech.algebroid import canonical_tangent, structure_eval
+from algmech.algebroid import (
+    canonical_tangent,
+    d_full,
+    d_skew,
+    d_sym,
+    worst_residual,
+)
 from algmech.connections import (
     CurvatureTensor,
     curvature_field,
@@ -9,17 +17,15 @@ from algmech.connections import (
     levi_civita,
     metric_compatible_pair,
 )
+from algmech.config import build_scenario, load_config
 from algmech.errors import InvalidStructureError
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
     ProlongationData,
     closedness_residual,
-    d_full,
-    d_skew,
     d_squared_oneform_residual,
     d_squared_scalar_residual,
-    d_sym,
     liouville,
     lr_ham_field,
     omega,
@@ -54,22 +60,22 @@ def so3_metric_prolongation(so3):
 def test_prolong_eval_canonical():
     P = canonical_prolongation()
     snap = prolong_eval(P, PhasePoint([0.2], [0.7]))
-    assert np.all(snap.coeffs == 0.0)
-    assert np.array_equal(snap.anchor_left, np.eye(2))
-    assert np.array_equal(snap.anchor_right, np.eye(2))
+    assert np.all(snap.B == 0.0)
+    assert np.array_equal(snap.rho_l, np.eye(2))
+    assert np.array_equal(snap.rho_r, np.eye(2))
 
 
 def test_prolong_eval_so3(so3):
     P = so3_default_prolongation(so3)
     snap = prolong_eval(P, PhasePoint([], [1.0, 2.0, 3.0]))
     # horizontal-horizontal: base bracket coefficient, no lifted fibre part
-    assert snap.coeffs[2, 0, 1] == 1.0
-    assert np.all(snap.coeffs[3:, 0, 1] == 0.0)
+    assert snap.B[2, 0, 1] == 1.0
+    assert np.all(snap.B[3:, 0, 1] == 0.0)
     # fibre-horizontal: right Christoffels of the zero-reference splitting
-    assert np.allclose(snap.coeffs[3:, 3 + 0, 1], [0.0, 0.0, 1.0])
+    assert np.allclose(snap.B[3:, 3 + 0, 1], [0.0, 0.0, 1.0])
     # fibre frame sections anchor to the fibre directions on both sides
-    assert np.array_equal(snap.anchor_left[:, 3:], np.eye(3))
-    assert np.array_equal(snap.anchor_right[:, 3:], np.eye(3))
+    assert np.array_equal(snap.rho_l[:, 3:], np.eye(3))
+    assert np.array_equal(snap.rho_r[:, 3:], np.eye(3))
 
 
 def test_prolong_eval_vertical_anchor_columns():
@@ -79,8 +85,8 @@ def test_prolong_eval_vertical_anchor_columns():
     x = PhasePoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
     snap = prolong_eval(P, x)
     expect = np.vstack([np.zeros((2, 2)), np.eye(2)])
-    assert np.array_equal(snap.anchor_left[:, 2:], expect)
-    assert np.array_equal(snap.anchor_right[:, 2:], expect)
+    assert np.array_equal(snap.rho_l[:, 2:], expect)
+    assert np.array_equal(snap.rho_r[:, 2:], expect)
 
 
 def test_prolongation_rejects_bad_split(so3):
@@ -206,7 +212,7 @@ def test_lr_field_invariant_under_split_and_curvature_choice():
 def test_d_skew_of_frame_pairing_is_zero_canonical():
     P = canonical_prolongation()
     x = PhasePoint([0.3], [0.9])
-    assert np.all(d_skew(P, omega(P, x), x) == 0.0)
+    assert np.all(d_skew(prolong_eval(P, x), omega(P, x)) == 0.0)
 
 
 def test_d_skew_constant_tensor_zero_bracket():
@@ -215,7 +221,7 @@ def test_d_skew_constant_tensor_zero_bracket():
     T = np.array(
         [[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]], dtype=float
     )
-    assert np.all(d_skew(P, T, PhasePoint([0.1, 0.2], [0.3, 0.4])) == 0.0)
+    assert np.all(d_skew(prolong_eval(P, PhasePoint([0.1, 0.2], [0.3, 0.4])), T) == 0.0)
 
 
 def bianchi_violating_prolongation(so3):
@@ -228,21 +234,21 @@ def bianchi_violating_prolongation(so3):
 def test_d_skew_detects_bianchi_violation(so3):
     P = bianchi_violating_prolongation(so3)
     x = PhasePoint([], [1.0, 0.0, 0.0])
-    ds = d_skew(P, omega(P, x), x)
+    ds = d_skew(prolong_eval(P, x), omega(P, x))
     assert abs(ds[0, 1, 2] - 1.0) <= 1e-14  # the cyclic fibre-weighted sum
 
 
 def test_d_sym_of_skew_pairing_vanishes(so3):
     P = so3_default_prolongation(so3)
     x = PhasePoint([], [0.5, -0.5, 1.0])
-    assert np.all(d_sym(P, omega(P, x), x) == 0.0)
+    assert np.all(d_sym(prolong_eval(P, x), omega(P, x)) == 0.0)
 
 
 def test_d_sym_constant_symmetric_flat_line():
     A = canonical_tangent(1)
     P = ProlongationData(A, default_split(A), CurvatureTensor.zero(1, 1))
     T = np.array([[1.0, 0.0], [0.0, 2.0]])
-    assert np.all(d_sym(P, T, PhasePoint([0.2], [0.4])) == 0.0)
+    assert np.all(d_sym(prolong_eval(P, PhasePoint([0.2], [0.4])), T) == 0.0)
 
 
 def test_closedness_zero_curvature_all_scenarios(so3):
@@ -265,6 +271,29 @@ def test_closedness_levi_civita_curvature(so3):
 def test_closedness_negative_control(so3):
     P = bianchi_violating_prolongation(so3)
     assert closedness_residual(P, PhasePoint([], [1.0, 0.0, 0.0])) >= 0.5
+
+
+@pytest.mark.parametrize(
+    "config", ["gradient_extension.json", "nonholonomic_classical.json", "euler_top.json"]
+)
+def test_closedness_sees_curvature_only_from_rank_three(config):
+    """A random constant R on the shipped splitting: closedness reads exactly
+    zero at m = 2 (no three distinct horizontal slots for R's cyclic sum) and
+    order one at m = 3."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
+    bundle, _ = build_scenario(load_config(path).scenario)
+    A = bundle.algebroid
+    rng = np.random.default_rng(13)
+    R = CurvatureTensor.from_constants(rng.uniform(-1, 1, (A.m,) * 4), A.n)
+    P = ProlongationData(A, bundle.split, R)
+    worst = worst_residual(
+        closedness_residual(P, PhasePoint(rng.uniform(-1, 1, A.n), rng.uniform(-1, 1, A.m)))
+        for _ in range(5)
+    )
+    if A.m == 2:
+        assert worst == 0.0
+    else:
+        assert A.m == 3 and worst >= 0.1
 
 
 def test_d_squared_lie_prolongations(so3):
@@ -327,5 +356,5 @@ def test_full_differential_splits():
     P = ProlongationData(A, default_split(A), random_curvature(rng, 2, 1))
     x = PhasePoint([0.2], [0.3, -0.4])
     T = rng.uniform(-1, 1, (4, 4))
-    total = d_full(P, T, x)
-    assert np.max(np.abs(total - d_skew(P, T, x) - d_sym(P, T, x))) <= 1e-15
+    s = prolong_eval(P, x)
+    assert np.max(np.abs(d_full(s, T) - d_skew(s, T) - d_sym(s, T))) <= 1e-15
