@@ -45,7 +45,9 @@ class AlgebroidStructure:
         for t in (self.bracket, self.anchor_left, self.anchor_right):
             if t.arity != self.n:
                 raise InputError("structure function fields must have arity n")
-        object.__setattr__(self, "_snapshot_cache", {})
+        object.__setattr__(self, "_point_snapshot", None)
+        if self.n == 0:  # constant structure functions: one snapshot, built here
+            object.__setattr__(self, "_point_snapshot", structure_eval(self, np.zeros(0)))
 
     @property
     def is_over_point(self) -> bool:
@@ -86,28 +88,23 @@ class StructureSnapshot:
 
 
 def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
-    """Evaluate all structure functions at ``q``; pointwise results are cached.
+    """Evaluate all structure functions at ``q``.
 
-    ``q`` is validated once here (length, finiteness) and the snapshot is
-    checked once for non-finite entries (:class:`NumericError`).
+    ``q`` is validated here (length, finiteness) and the snapshot is checked
+    for non-finite entries (:class:`NumericError`).  Over a point (n = 0)
+    the one snapshot built with the structure is returned.
     """
     q = A.check_point(q)
-    cache = A._snapshot_cache
-    key = q.tobytes()
-    snap = cache.get(key)
-    if snap is None:
-        if not np.isfinite(q).all():
-            raise InputError("point has non-finite entries")
-        tensors = (A.bracket, A.anchor_left, A.anchor_right)
-        B, rho_l, rho_r = values = [T._values(q) for T in tensors]
-        # constant tensors are finite by construction
-        if not all(np.isfinite(v).all() for T, v in zip(tensors, values) if T._const is None):
-            raise NumericError("structure functions evaluated to non-finite entries")
-        snap = StructureSnapshot(B=B, rho_l=rho_l, rho_r=rho_r, q=q)
-        if len(cache) >= 16384:
-            cache.clear()
-        cache[key] = snap
-    return snap
+    if A._point_snapshot is not None:
+        return A._point_snapshot
+    if not np.isfinite(q).all():
+        raise InputError("point has non-finite entries")
+    tensors = (A.bracket, A.anchor_left, A.anchor_right)
+    B, rho_l, rho_r = values = [T._values(q) for T in tensors]
+    # constant tensors are finite by construction
+    if not all(np.isfinite(v).all() for T, v in zip(tensors, values) if T._const is None):
+        raise NumericError("structure functions evaluated to non-finite entries")
+    return StructureSnapshot(B=B, rho_l=rho_l, rho_r=rho_r, q=q)
 
 
 def sym_skew_parts(s: StructureSnapshot):
@@ -267,9 +264,11 @@ def jacobiator(A: AlgebroidStructure, q) -> np.ndarray:
     derivative of the inner bracket coefficients is taken along the left
     anchor (the left Leibniz direction).  Identically zero for Lie algebroids.
     """
-    q = A.check_point(q)
-    Bv, Bg = A.bracket.eval_grad(q)  # [m,m,m], [m,m,m,n]
-    s = structure_eval(A, q)
+    return _jacobiator(A, structure_eval(A, q))
+
+
+def _jacobiator(A: AlgebroidStructure, s: StructureSnapshot) -> np.ndarray:
+    Bv, Bg = A.bracket.eval_grad(s.q)  # [m,m,m], [m,m,m,n]
     # half[nu,a,b,c] = B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
     half = np.einsum("mbc,nam->nabc", Bv, Bv) + np.einsum("nbci,ia->nabc", Bg, s.rho_l)
     return half + half.transpose(0, 3, 1, 2) + half.transpose(0, 2, 3, 1)
@@ -277,15 +276,14 @@ def jacobiator(A: AlgebroidStructure, q) -> np.ndarray:
 
 def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     """Measure skewness, anchor agreement, Jacobi and anchor morphism defects."""
-    q = A.check_point(q)
     s = structure_eval(A, q)
     skew = float(np.max(np.abs(s.B + np.swapaxes(s.B, 1, 2)))) if A.m else 0.0
     anchor_lr = float(np.max(np.abs(s.rho_l - s.rho_r))) if A.n else 0.0
-    jac = float(np.max(np.abs(jacobiator(A, q))))
+    jac = float(np.max(np.abs(_jacobiator(A, s))))
 
     # anchor morphism: rho_l(B(s_a, s_b)) vs [rho_l s_a, rho_l s_b] pointwise
     if A.n:
-        rv, rg = A.anchor_left.eval_grad(q)  # [n,m], [n,m,n]
+        rv, rg = A.anchor_left.eval_grad(s.q)  # [n,m], [n,m,n]
         D = np.einsum("ibj,ja->iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
         defect = float(np.max(np.abs(np.tensordot(rv, s.B, 1) - (D - np.swapaxes(D, 1, 2)))))
     else:

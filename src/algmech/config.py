@@ -87,30 +87,43 @@ def _validate_integration(icfg):
     steps = icfg.get("steps")
     if not isinstance(steps, int) or steps < 1:
         raise InputError("integration.steps must be an integer >= 1")
-    x0 = icfg.get("x0")
-    if not isinstance(x0, dict) or "q" not in x0 or "p" not in x0:
-        raise InputError("integration.x0 must be an object with 'q' and 'p'")
+    _check_x0(icfg.get("x0"), "integration.x0")
 
 
-def _check_points(value, key):
+def _check_count(value, key):
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise InputError(f"{key} must be an integer >= 1")
 
 
-def _check_tolerance(value, key):
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_positive(value, key):
     # a NaN tolerance fails every comparison and would pass a negative control
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and math.isfinite(value) and value > 0):
+    if not (_is_number(value) and math.isfinite(value) and value > 0):
         raise InputError(f"{key} must be a finite number > 0")
 
 
+def _check_vector(value, key):
+    if not (isinstance(value, list) and all(_is_number(v) and math.isfinite(v) for v in value)):
+        raise InputError(f"{key} must be a list of finite numbers")
+
+
+def _check_x0(x0, key):
+    if not isinstance(x0, dict) or "q" not in x0 or "p" not in x0:
+        raise InputError(f"{key} must be an object with 'q' and 'p'")
+    _check_vector(x0["q"], f"{key}.q")
+    _check_vector(x0["p"], f"{key}.p")
+
+
 def _validate_verification(vcfg):
-    _check_points(vcfg.get("points", 1), "verification.points")
+    _check_count(vcfg.get("points", 1), "verification.points")
     tolerances = vcfg.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise InputError("verification.tolerances must be an object")
     for cls, value in tolerances.items():
-        _check_tolerance(value, f"verification.tolerances.{cls}")
+        _check_positive(value, f"verification.tolerances.{cls}")
     checks = vcfg.get("checks", [])
     if not isinstance(checks, list):
         raise InputError("verification.checks must be a list")
@@ -120,10 +133,18 @@ def _validate_verification(vcfg):
         if not (isinstance(entry, dict) and "name" in entry):
             raise InputError("verification.checks entries must be names or objects with 'name'")
         key = f"verification.checks[{pos}]"
-        if "points" in entry:
-            _check_points(entry["points"], f"{key}.points")
-        if "tolerance" in entry:
-            _check_tolerance(entry["tolerance"], f"{key}.tolerance")
+        for name, check in (
+            ("points", _check_count),
+            ("steps", _check_count),
+            ("random_instances", _check_count),
+            ("tolerance", _check_positive),
+            ("h", _check_positive),
+            ("x0", _check_x0),
+            ("q0", _check_vector),
+            ("v0", _check_vector),
+        ):
+            if name in entry:
+                check(entry[name], f"{key}.{name}")
 
 
 def initial_point(icfg, bundle: ScenarioBundle) -> PhasePoint:

@@ -165,23 +165,13 @@ def curvature_at(A: AlgebroidStructure, Gamma: TensorField, q) -> np.ndarray:
     q = A.check_point(q)
     Gv, Gg = Gamma.eval_grad(q)  # [m,m,m], [m,m,m,n]
     s = structure_eval(A, q)
-    m, n = A.m, A.n
-    R = np.zeros((m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            # derivative terms: rho(s_a)(Gamma[mu,b,nu]) - rho(s_b)(Gamma[mu,a,nu])
-            if n:
-                dterm = np.einsum("mvj,j->mv", Gg[:, b, :, :], s.rho_l[:, a]) - np.einsum(
-                    "mvj,j->mv", Gg[:, a, :, :], s.rho_l[:, b]
-                )
-            else:
-                dterm = np.zeros((m, m))
-            quad = np.einsum("lv,ml->mv", Gv[:, b, :], Gv[:, a, :]) - np.einsum(
-                "lv,ml->mv", Gv[:, a, :], Gv[:, b, :]
-            )
-            brk = -np.einsum("l,mlv->mv", s.B[:, a, b], Gv)
-            R[:, a, b, :] = dterm + quad + brk
-    return R
+    # derivative terms: rho(s_a)(Gamma[mu,b,nu]) - rho(s_b)(Gamma[mu,a,nu])
+    D = np.einsum("mbvj,ja->mabv", Gg, s.rho_l)
+    # quadratic terms: sum_l Gamma[mu,a,l] Gamma[l,b,nu] - (a <-> b)
+    Q = np.einsum("lbv,mal->mabv", Gv, Gv)
+    # bracket term: -sum_l B[l,a,b] Gamma[mu,l,nu]
+    brk = -np.einsum("lab,mlv->mabv", s.B, Gv)
+    return (D - D.swapaxes(1, 2)) + (Q - Q.swapaxes(1, 2)) + brk
 
 
 def curvature(A: AlgebroidStructure, Gamma: TensorField, q):

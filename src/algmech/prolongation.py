@@ -64,7 +64,11 @@ class ProlongationData:
             raise InvalidStructureError(
                 f"connection pair does not split the bracket: residual {worst:.3e} > {SPLIT_TOL:g}"
             )
-        object.__setattr__(self, "_snapshot_cache", {})
+        # the canonical dual section (p_1..p_m, 0..0) depends only on (n, m)
+        n, m = self.base.n, self.base.m
+        liouville = [SmoothField.coordinate(n + a, n + m) for a in range(m)]
+        liouville += [SmoothField.zero(n + m)] * m
+        object.__setattr__(self, "_liouville", TensorField(liouville, arity=n + m))
 
     @property
     def frame_size(self) -> int:
@@ -73,14 +77,6 @@ class ProlongationData:
     def check_phase(self, x: PhasePoint):
         if x.q.shape[0] != self.base.n or x.p.shape[0] != self.base.m:
             raise InputError("phase point does not match the base algebroid")
-
-
-def _structure_at(P: ProlongationData, q):
-    s = structure_eval(P.base, q)
-    Dl = P.split.Dl.eval(q)
-    Dr = P.split.Dr.eval(q)
-    Rv = P.R.eval(q)
-    return s, Dl, Dr, Rv
 
 
 def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
@@ -96,15 +92,11 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     * B(v, v) = 0
     """
     P.check_phase(x)
-    cache = P._snapshot_cache
-    z = x.z
-    key = z.tobytes()
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
     n, m = P.base.n, P.base.m
-    s, Dl, Dr, Rv = _structure_at(P, x.q)
-    p = x.p
+    q, p = x.q, x.p
+    s = structure_eval(P.base, q)
+    Dl = P.split.Dl.eval(q)
+    Dr = P.split.Dr.eval(q)
 
     al = np.zeros((n + m, 2 * m))
     ar = np.zeros((n + m, 2 * m))
@@ -120,28 +112,16 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
 
     coeffs = np.zeros((2 * m, 2 * m, 2 * m))
     coeffs[:m, :m, :m] = s.B
-    coeffs[m:, :m, :m] = np.einsum("mabn,m->nab", Rv, p)
+    coeffs[m:, :m, :m] = np.einsum("mabn,m->nab", P.R.eval(q), p)
     coeffs[m:, :m, m:] = -Dl.transpose(2, 1, 0)
     coeffs[m:, m:, :m] = Dr.transpose(2, 0, 1)
-    snap = StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=z)
-    if len(cache) >= 16384:
-        cache.clear()
-    cache[key] = snap
-    return snap
+    return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)
 
 
 def liouville(P: ProlongationData, x: PhasePoint) -> np.ndarray:
     """Canonical dual section in the dual frame: (p_1..p_m, 0..0)."""
     P.check_phase(x)
     return np.concatenate([x.p, np.zeros(P.base.m)])
-
-
-def _liouville_section(P: ProlongationData) -> TensorField:
-    n, m = P.base.n, P.base.m
-    return TensorField(
-        [SmoothField.coordinate(n + a, n + m) for a in range(m)] + [SmoothField.zero(n + m)] * m,
-        arity=n + m,
-    )
 
 
 def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndarray:
@@ -161,7 +141,7 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
         return O
     if method != "generic_dlr":
         raise InputError(f"unknown omega method {method!r}")
-    return -diff_lr_section(prolong_eval(P, x), _liouville_section(P))
+    return -diff_lr_section(prolong_eval(P, x), P._liouville)
 
 
 def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarray:
@@ -170,12 +150,14 @@ def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.
     Explicitly: h-part dH/dp_a; v-part
     -(sum_i dH/dq_i rho_r[i,a] + sum_{b,g} dH/dp_b Dr[g,a,b] p_g).
     """
-    P.check_phase(x)
+    return _right_ham_section(P, H, x, prolong_eval(P, x))
+
+
+def _right_ham_section(P, H, x, snap) -> np.ndarray:
+    """:func:`right_ham_section` on the lifted snapshot ``snap`` of ``x``."""
     if H.arity != P.base.n + P.base.m:
         raise InputError("Hamiltonian arity must be n+m")
-    snap = prolong_eval(P, x)
-    gH = H.gradient(x.z)
-    drH = snap.rho_r.T @ gH  # d_r H on each frame section
+    drH = snap.rho_r.T @ H.gradient(snap.q)  # d_r H on each frame section
     O = omega(P, x, "frame_formula")
     try:
         xi = np.linalg.solve(O.T, drH)
@@ -190,9 +172,8 @@ def lr_ham_field(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarr
     Equals the Hamiltonian vector field computed directly from the induced
     dual-bundle tensor; that equality is verified numerically, not assumed.
     """
-    xi = right_ham_section(P, H, x)
     snap = prolong_eval(P, x)
-    return snap.rho_l @ xi
+    return snap.rho_l @ _right_ham_section(P, H, x, snap)
 
 
 def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
@@ -206,7 +187,6 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
     nm, size = n + P.base.m, P.frame_size
 
     def part(name, shape):
-        # the three parts share prolong_eval's snapshot of each point
         return TensorField.from_array_fn(
             lambda z: getattr(prolong_eval(P, PhasePoint.from_z(z, n)), name), shape, nm
         )

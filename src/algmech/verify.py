@@ -158,9 +158,8 @@ def check_casimir_drift(bundle, cfg, rng):
         raise InputError("casimir_drift requires a scenario with monitors")
     steps = int(cfg.get("steps", 10000))
     h = float(cfg.get("h", 1e-3))
-    x0 = cfg.get("x0")
-    if x0 is None:
-        x0 = PhasePoint(np.zeros(bundle.algebroid.n), np.ones(bundle.algebroid.m))
+    x0 = cfg.get("x0", {"q": np.zeros(bundle.algebroid.n), "p": np.ones(bundle.algebroid.m)})
+    x0 = PhasePoint(x0["q"], x0["p"])
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps, bundle.monitors)
     return worst_residual(
         np.max(np.abs(vals - vals[0]))
@@ -173,8 +172,7 @@ def check_energy_rate_fd(bundle, cfg, rng):
     steps = int(cfg.get("steps", 1000))
     h = float(cfg.get("h", 1e-3))
     x0 = cfg.get("x0")
-    if x0 is None:
-        x0 = _probe(rng, bundle.algebroid, scale=0.5)
+    x0 = _probe(rng, bundle.algebroid, scale=0.5) if x0 is None else PhasePoint(x0["q"], x0["p"])
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps)
     Hs = traj.h_values()
     rates = np.array([s[3] for s in traj.samples])

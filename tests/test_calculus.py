@@ -23,6 +23,7 @@ from algmech.algebroid import (
     structure_checks,
     structure_eval,
 )
+from algmech.connections import curvature_at
 from algmech.fields import TensorField
 from algmech.hamiltonian import PhasePoint
 from algmech.prolongation import ProlongationData, omega, prolong_eval
@@ -150,6 +151,35 @@ def test_anchor_morphism_defect_matches_entrywise_loop(m):
             commutator = sum(rg[i, b, j] * rv[j, a] - rg[i, a, j] * rv[j, b] for j in range(2))
             ref = max(ref, abs(image - commutator))
     assert abs(structure_checks(A, q).anchor_morphism_defect - ref) <= 1e-15 * (1 + ref)
+
+
+def _curvature_loop(s, Gv, Gg):
+    """R(s_a, s_b) s_nu = D_a D_b s_nu - D_b D_a s_nu - D_{B(s_a,s_b)} s_nu, entry by entry."""
+    m, n = s.B.shape[0], s.q.shape[0]
+    R = np.empty((m, m, m, m))
+    for mu, a, b, nu in itertools.product(range(m), repeat=4):
+        derivative = sum(Gg[mu, b, nu, j] * s.rho_l[j, a] for j in range(n)) - sum(
+            Gg[mu, a, nu, j] * s.rho_l[j, b] for j in range(n)
+        )
+        quadratic = sum(Gv[l, b, nu] * Gv[mu, a, l] for l in range(m)) - sum(
+            Gv[l, a, nu] * Gv[mu, b, l] for l in range(m)
+        )
+        bracket = -sum(s.B[l, a, b] * Gv[mu, l, nu] for l in range(m))
+        R[mu, a, b, nu] = derivative + quadratic + bracket
+    return R
+
+
+def test_curvature_matches_entrywise_loop_exactly():
+    # the same products summed in the same order: equal bit for bit
+    rng = np.random.default_rng(127)
+    for _ in range(60):
+        n, m = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        A = random_algebroid(rng, n=n, m=m)
+        Gamma = random_polynomial_tensor(rng, (m, m, m), n, 2)
+        q = rng.uniform(-1, 1, n)
+        Gv, Gg = Gamma.eval_grad(q)
+        ref = _curvature_loop(structure_eval(A, q), Gv, Gg)
+        assert np.array_equal(curvature_at(A, Gamma, q), ref)
 
 
 @pytest.mark.parametrize("n", (0, 2))

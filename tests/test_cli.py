@@ -241,6 +241,10 @@ def _closedness_entry(**override):
     return {"checks": [{"name": "closedness", **override}]}
 
 
+def _entry(name, **override):
+    return {"checks": [{"name": name, **override}]}
+
+
 @pytest.mark.parametrize(
     "override,key",
     [
@@ -252,6 +256,12 @@ def _closedness_entry(**override):
         (_closedness_entry(tolerance=0), "verification.checks[0].tolerance"),
         # a misspelt tolerance class would otherwise be ignored
         ({"tolerances": {"analytc": 1e-12}}, "verification.tolerances.analytc"),
+        (_entry("energy_rate_fd", steps="ten"), "verification.checks[0].steps"),
+        (_entry("theorem43_equivalence", random_instances=0), "verification.checks[0].random_instances"),
+        (_entry("energy_rate_fd", h=0), "verification.checks[0].h"),
+        (_entry("energy_rate_fd", x0={"q": [1.0]}), "verification.checks[0].x0"),
+        (_entry("legendre_equivalence", q0="origin"), "verification.checks[0].q0"),
+        (_entry("legendre_equivalence", v0=[0.1, "fast"]), "verification.checks[0].v0"),
     ],
 )
 def test_verify_rejects_bad_check_overrides(tmp_path, override, key):
@@ -293,3 +303,17 @@ def test_tolerance_class_sets_its_checks_and_yields_to_an_entry(tmp_path):
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert [e["tolerance"] for e in report] == [1e-3, 2e-4, 1e-8, 1e-7]
+
+
+def test_verify_accepts_check_x0_in_integration_form(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "euler_top.json").read_text())
+    x0 = {"q": [], "p": [1, 0.5, 0.2]}
+    cfg["verification"]["checks"] = [
+        {"name": "casimir_drift", "steps": 20, "x0": x0},
+        {"name": "energy_rate_fd", "steps": 20, "x0": x0},
+    ]
+    path = write_config(tmp_path, cfg, "x0.json")
+    r = run_cli("verify", path, "--report", "r.json", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert [e["check"] for e in report] == ["casimir_drift", "energy_rate_fd"]

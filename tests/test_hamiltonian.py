@@ -1,7 +1,13 @@
+import gc
+import json
+import pathlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from algmech.algebroid import algebroid_from_constants, canonical_tangent, structure_checks
+from algmech.config import build_scenario, initial_point
 from algmech.errors import InputError, IntegrationDivergedError
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.hamiltonian import (
@@ -357,3 +363,22 @@ def test_csv_format(canonical1):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1" and first[3] == "0.5"
     assert "-0," not in text and not text.endswith("-0")
+
+
+def test_integrate_keeps_no_memory_per_stage():
+    # a sample itself takes about 0.7 KB; a snapshot kept per RK4 stage would add 3 KB
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical_harmonic.json"
+    cfg = json.loads(path.read_text())
+    bundle, _ = build_scenario(cfg["scenario"])
+    x0, h = initial_point(cfg["integration"], bundle), cfg["integration"]["h"]
+    integrate(bundle.algebroid, bundle.hamiltonian, x0, h, 5)  # lazy tables built here
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, 1000)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(traj.samples) < 1500

@@ -8,6 +8,9 @@ from algmech.algebroid import (
     d_full,
     d_skew,
     d_sym,
+    so3_algebra,
+    structure_checks,
+    structure_eval,
     worst_residual,
 )
 from algmech.connections import (
@@ -358,3 +361,52 @@ def test_full_differential_splits():
     T = rng.uniform(-1, 1, (4, 4))
     s = prolong_eval(P, x)
     assert np.max(np.abs(d_full(s, T) - d_skew(s, T) - d_sym(s, T))) <= 1e-15
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def test_each_call_evaluates_its_point_once(monkeypatch):
+    import algmech.algebroid as algebroid
+    import algmech.prolongation as prolongation
+
+    rng = np.random.default_rng(31)
+    A = random_algebroid(rng, n=2, m=2)
+    P = ProlongationData(A, random_valid_split(rng, A), random_curvature(rng, 2, 2))
+    H = random_phase_function(rng, 2, 2)
+    x = PhasePoint(rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2))
+    lifted = _Counter(prolongation.prolong_eval)
+    base = _Counter(algebroid.structure_eval)
+    monkeypatch.setattr(prolongation, "prolong_eval", lifted)
+    monkeypatch.setattr(algebroid, "structure_eval", base)
+    for call in (
+        lambda: lr_ham_field(P, H, x),
+        lambda: omega(P, x, "generic_dlr"),
+        lambda: closedness_residual(P, x),
+    ):
+        lifted.calls = 0
+        call()
+        assert lifted.calls == 1
+    for B in (A, so3_algebra()):
+        base.calls = 0
+        structure_checks(B, rng.uniform(-1, 1, B.n))
+        assert base.calls <= 1
+
+
+def test_structure_over_a_point_has_one_snapshot(monkeypatch):
+    A = so3_algebra()
+    evaluations = []
+    for name in ("_values", "eval", "eval_grad"):
+        original = getattr(TensorField, name)
+        monkeypatch.setattr(
+            TensorField, name, lambda T, q, _f=original: evaluations.append(T) or _f(T, q)
+        )
+    first = structure_eval(A, [])
+    assert all(structure_eval(A, np.zeros(0)) is first for _ in range(3))
+    assert evaluations == []
