@@ -82,11 +82,10 @@ def load_config(path) -> RunConfig:
 def _validate_integration(icfg):
     if "h" not in icfg:
         raise InputError("integration.h is required")
-    if not isinstance(icfg["h"], (int, float)) or icfg["h"] <= 0:
-        raise InputError("integration.h must be positive")
-    steps = icfg.get("steps")
-    if not isinstance(steps, int) or steps < 1:
-        raise InputError("integration.steps must be an integer >= 1")
+    h = icfg["h"]
+    if not (_is_number(h) and math.isfinite(h) and h > 0):
+        raise InputError("integration.h must be positive and finite")
+    _check_count(icfg.get("steps"), "integration.steps")
     _check_x0(icfg.get("x0"), "integration.x0")
 
 

@@ -80,13 +80,12 @@ def _derivative_terms(coefs, exps):
 def memoized_on_point(fn, maxsize=16384):
     """Cache a pure array-to-result function on the point's byte image.
 
-    Only pointwise results shared by several tensors or points are cached:
-    the Levi-Civita Christoffels (``connections.levi_civita``: Dl, Dr, a
-    bracket, a curvature), the adapted frame ``_AdaptedFrame.U`` (the jets of
-    neighbouring core points share the frames at their stencil points), the
-    adapted-frame core (``_AdaptedFrame.core_at``: every frame tensor) and
-    the projected structure of ``build_constrained`` (bracket and both
-    anchors).  The cache is cleared wholesale when full.
+    Only pointwise results shared by several tensors are cached, at three
+    sites: the Levi-Civita Christoffels (``connections.levi_civita``: Dl, Dr,
+    a bracket, a curvature), the adapted-frame core
+    (``_AdaptedFrame.core_at``: every frame tensor, the frame and its exact
+    jet included) and the projected structure of ``build_constrained``
+    (bracket and both anchors).  The cache is cleared wholesale when full.
     """
     cache = {}
 

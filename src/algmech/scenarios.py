@@ -331,15 +331,47 @@ def _gram_schmidt(cols, Gv, tol=GRAM_SCHMIDT_TOL, strict=True):
     return kept
 
 
+def _qr_jet(Q, A, dA, Gv, dG):
+    """Exact gradient of the metric-orthonormal QR factor ``Q = A R^-1``.
+
+    ``A`` is [M, c] of full column rank and ``Q`` its metric Gram-Schmidt
+    frame (Q^T G Q = I, so R = Q^T G A is upper triangular); ``dA``
+    [n, M, c] and ``dG`` [n, M, M] are the derivatives of A and G along the
+    n chart directions.  Per direction, with L the strict lower triangle of
+    Q^T G dA R^-1 and H = Q^T dG Q,
+
+        dQ = Q Omega + (1 - Q Q^T G) dA R^-1,
+        Omega = L - L^T - triu(H, 1) - diag(H) / 2,
+
+    the second term vanishing for square Q (Walter, Lehmann & Lamour, Optim.
+    Methods Softw. 27, 2012; Murray, arXiv:1602.07527).  Omega reads only
+    the columns of R^-1 that L needs, so an ill-conditioned completion
+    column does not amplify rounding in the others.  Returns [n, M, c].
+    """
+    upper = np.tri(A.shape[1]).T
+    QG = Q.T @ Gv
+    dAR = dA @ np.linalg.inv(QG @ A * upper)
+    L = QG @ dAR * (1.0 - upper)
+    Omega = L - np.swapaxes(L, 1, 2) - Q.T @ dG @ Q * (upper - 0.5 * np.eye(A.shape[1]))
+    dQ = Q @ Omega
+    if Q.shape[1] < Q.shape[0]:
+        dQ += dAR - Q @ (QG @ dAR)
+    return dQ
+
+
 class _AdaptedFrame:
     """Pointwise orthonormal frame adapted to the constraint decomposition.
 
     Columns 0..k-1 are a metric-orthonormal basis of the kinematic subbundle,
     the remaining columns an orthonormal basis of the orthogonal complement of
-    the variational subbundle.  The frame U and the pointwise core are
-    memoized, since every frame tensor reads the core; gradients of
-    frame-dependent quantities are central differences of array-valued
-    tensors over them.
+    the variational subbundle.  The frame U is a metric Gram-Schmidt of the
+    basis data and its jet is exact: U is read as the QR factor of the basis
+    columns and the completing unit vectors, differentiated by
+    :func:`_qr_jet` from the polynomial jets of the metric and the bases.
+    The pointwise core (frame, adapted structure, cross Gram block and its
+    jet, projectors) is memoized, since every frame tensor reads it;
+    gradients of the other core quantities are central differences of
+    array-valued tensors over it.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -352,43 +384,46 @@ class _AdaptedFrame:
         self.variational = (
             None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
         )
-        # the jets of neighbouring core points share frames at their stencils' points
-        self.U = TensorField.from_array_fn(
-            memoized_on_point(self._compute_U), (self.M, self.M), self.n, h=self.h
-        )
         self.core_at = memoized_on_point(self._compute_core)
         self._build_fields()
 
     # frame assembly ---------------------------------------------------------
 
-    def _compute_U(self, q):
+    def _frame_jet(self, q):
+        """The adapted frame U at ``q``, its gradient [n, M, M] and the metric jet."""
         spec = self.spec
-        Gv = spec.metric.eval(q)
-        Dcols = self.kinematic.eval(q)
+        M, k = self.M, self.k
+        Gv, dG = spec.metric.eval_grad(q)
+        Dcols, dD = self.kinematic.eval_grad(q)
         d_frame = _gram_schmidt(Dcols, Gv, strict=True)
         if len(d_frame) != self.k:
             raise InputError(f"kinematic basis rank deficient at {q.tolist()}")
         if spec.classical:
-            complement_seed = d_frame
+            seed, dseed, complement_seed = Dcols, dD, d_frame
         else:
-            Vcols = self.variational.eval(q)
-            v_frame = _gram_schmidt(Vcols, Gv, strict=True)
+            seed, dseed = self.variational.eval_grad(q)
+            v_frame = _gram_schmidt(seed, Gv, strict=True)
             if len(v_frame) != self.k:
                 raise InputError(f"variational basis rank deficient at {q.tolist()}")
             complement_seed = v_frame
-        # complete with an orthonormal basis of the orthogonal complement of the seed
-        comp = list(complement_seed)
+        # complete with an orthonormal basis of the orthogonal complement of the
+        # seed, keeping the first unit vectors e_mu that are not in the span so far
+        span = [(u, u @ Gv) for u in complement_seed]
         perp = []
-        for mu in range(self.M):
-            e = np.zeros(self.M)
-            e[mu] = 1.0
-            w = e.copy()
-            for u in comp + perp:
-                w -= u * float(u @ Gv @ w)
+        kept = []
+        for mu in range(M):
+            if len(perp) == M - k:
+                break
+            w = np.zeros(M)
+            w[mu] = 1.0
+            for u, uG in span:
+                w -= u * float(uG @ w)
             nrm = float(w @ Gv @ w)
             if nrm > 1e-8:
                 perp.append(w / np.sqrt(nrm))
-        if len(perp) != self.M - self.k:
+                span.append((perp[-1], perp[-1] @ Gv))
+                kept.append(mu)
+        if len(perp) != M - k:
             raise InputError(f"could not complete the adapted frame at {q.tolist()}")
         U = np.column_stack(d_frame + perp)
         if abs(np.linalg.det(U)) < 1e-10:
@@ -396,28 +431,49 @@ class _AdaptedFrame:
                 f"compatibility failed: kinematic subbundle and variational complement "
                 f"do not span the ambient fibre at {q.tolist()}"
             )
-        return U
+        # exact jet: the seed columns and the kept unit vectors, QR-factored
+        dG = np.moveaxis(dG, 2, 0)
+        A = np.column_stack([seed.T, np.eye(M)[:, kept]])
+        dA = np.zeros((self.n, M, M))
+        dA[:, :, :k] = np.transpose(dseed, (2, 1, 0))
+        if spec.classical:
+            dU = _qr_jet(U, A, dA, Gv, dG)
+        else:
+            Q = np.column_stack(complement_seed + perp)
+            dU = np.concatenate(
+                [
+                    _qr_jet(U[:, :k], Dcols.T, np.transpose(dD, (2, 1, 0)), Gv, dG),
+                    _qr_jet(Q, A, dA, Gv, dG)[:, :, k:],
+                ],
+                axis=2,
+            )
+        return U, dU, Gv, dG
 
     def _compute_core(self, q):
         spec = self.spec
         M, n, k = self.M, self.n, self.k
-        U, dU = self.U.eval_grad(q)
+        U, dU, Gv, dG = self._frame_jet(q)
         Uinv = np.linalg.inv(U)
         s = structure_eval(spec.ambient, q)
         rho_new = s.rho_l @ U if n else np.zeros((0, M))
         # bracket coefficients in the adapted frame
         W = np.einsum("lmv,ma,vb->lab", s.B, U, U)
         if n:
-            dU_along = np.einsum("lbi,im->lbm", dU, s.rho_l)  # d U[l,b] along rho(eps_m)
+            dU_along = np.einsum("ilb,im->lbm", dU, s.rho_l)  # d U[l,b] along rho(eps_m)
             W += np.einsum("ma,lbm->lab", U, dU_along)
             W -= np.einsum("vb,lav->lab", U, dU_along)
         C_new = np.einsum("gl,lab->gab", Uinv, W)
-        # metric in the adapted frame: orthonormal blocks by construction
+        # metric in the adapted frame: orthonormal blocks by construction; the
+        # jet of the cross block g [k, M - k, n] by the product rule
         if spec.classical:
             g = np.zeros((k, M - k))
+            dg = np.zeros((k, M - k, n))
         else:
-            Gv = spec.metric.eval(q)
             g = (U[:, :k].T @ Gv @ U[:, k:])
+            GU = Gv @ U
+            dg = np.swapaxes(dU[:, :, :k], 1, 2) @ GU[:, k:]
+            dg += U[:, :k].T @ dG @ U[:, k:] + GU[:, :k].T @ dU[:, :, k:]
+            dg = np.moveaxis(dg, 0, 2)
         G_new = np.eye(M)
         G_new[:k, k:] = g
         G_new[k:, :k] = g.T
@@ -437,6 +493,7 @@ class _AdaptedFrame:
             "G_new": G_new,
             "Ginv": Ginv,
             "g": g,
+            "dg": dg,
             "P": P,
             "Pi": Pi,
         }
@@ -502,25 +559,13 @@ class _AdaptedFrame:
         coefficients and the anchor-directional derivative of the cross block.
         """
         core = self.core_at(q)
-        k, M, n = self.k, self.M, self.n
-        C, Ginv, g, rho = core["C_new"], core["Ginv"], core["g"], core["rho_new"]
-        GD = Ginv[:k, :k]
-        _, dg = self._field_from_core("g", (k, M - k)).eval_grad(q)
-        out = np.zeros((k, k, k))
-        for a in range(k):
-            for b in range(k):
-                for c in range(k):
-                    acc = 0.0
-                    for d in range(k):
-                        val = C[a, d, b]
-                        val += float(g[a, :] @ C[k:, d, b])
-                        val -= float(g[d, :] @ C[a, k:, b])
-                        val -= float(g[d, :] @ (g[a, :] @ C[k:, k:, b]))
-                        if n:
-                            val -= float(g[d, :] @ (dg[a, :, :] @ rho[:, b]))
-                        acc += GD[c, d] * val
-                    out[a, b, c] = -acc
-        return out
+        k = self.k
+        C, Ginv, g, dg = core["C_new"], core["Ginv"], core["g"], core["dg"]
+        Cb = C[:, :, :k]  # second argument kinematic
+        val = Cb[:k, :k] + np.einsum("aj,jdb->adb", g, Cb[k:, :k])
+        val -= np.einsum("dj,ajb->adb", g, Cb[:k, k:] + np.einsum("al,ljb->ajb", g, Cb[k:, k:]))
+        val -= np.einsum("dj,ajb->adb", g, dg @ core["rho_new"][:, :k])
+        return -np.einsum("cd,adb->abc", Ginv[:k, :k], val)
 
     def curvature_projected(self) -> CurvatureTensor:
         """Kinematic projection of the ambient Levi-Civita curvature."""

@@ -130,3 +130,35 @@ def nonjacobi_spec():
         metric=TensorField.from_constants(np.eye(4), 0),
         kinematic_basis=[[0, 1, 0, 1], [0, 0, 1, 1], [1, -1, 1, 0]],
     )
+
+
+def generalized_curved_spec():
+    """Distinct kinematic and variational subbundles over a curved 2d chart.
+
+    The ambient bundle is the tangent bundle of the plane plus a trivial
+    line; the metric, the kinematic basis and the variational basis all
+    depend on the base point.
+    """
+    def poly(*terms):
+        return field_from_polynomial([(c, e) for c, e in terms], 2)
+
+    anchor = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    G = TensorField(
+        np.array(
+            [
+                [poly((1.0, [0, 0]), (0.5, [2, 0])), poly((0.2, [0, 1])), SmoothField.zero(2)],
+                [poly((0.2, [0, 1])), poly((1.0, [0, 0]), (0.3, [1, 1])), poly((0.1, [1, 0]))],
+                [SmoothField.zero(2), poly((0.1, [1, 0])), poly((2.0, [0, 0]), (0.4, [0, 2]))],
+            ],
+            dtype=object,
+        )
+    )
+    return ConstraintSpec(
+        ambient=algebroid_from_constants(np.zeros((3, 3, 3)), anchor, anchor, n=2),
+        metric=G,
+        kinematic_basis=[[1, 0, poly((1.0, [0, 1]))], [0, 1, poly((0.5, [1, 0]))]],
+        variational_basis=[
+            [1, poly((0.2, [1, 0])), 0.3],
+            [0, 1, poly((0.2, [0, 1]))],
+        ],
+    )

@@ -73,6 +73,28 @@ def test_simulate_rejects_negative_step(tmp_path):
     assert "integration.h must be positive" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("h", float("nan")),
+        ("h", float("inf")),
+        ("h", True),
+        ("steps", True),
+    ],
+)
+def test_simulate_rejects_non_finite_or_boolean_step(tmp_path, key, value):
+    path = harmonic_config(tmp_path)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["integration"][key] = value
+    path = write_config(tmp_path, cfg, "bad.json")
+    r = run_cli("simulate", path, cwd=tmp_path)
+    assert r.returncode == 1
+    assert f"integration.{key}" in r.stderr
+    if key == "h":
+        assert "integration.h must be positive" in r.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_simulate_divergence_exit_code(tmp_path):
     cases = [
         # dp/dt = p^2: the state after a step leaves float range

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from algmech.scenarios import (
 
 from conftest import (
     curved_plane_metric,
+    generalized_curved_spec,
     generalized_so3_spec,
     nonjacobi_spec,
     se2r_algebra,
@@ -181,6 +184,111 @@ def test_ctilde_display_matches_direct_and_split_difference():
             Dl, Dr = frame.split_at(q)
             assert np.max(np.abs(ct - B)) <= 1e-8
             assert np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))) <= 1e-8
+
+
+def _ctilde_loop(core, k, n):
+    """The closed-form projected coefficients, one entry and one product at a time."""
+    C, g, dg, rho = core["C_new"], core["g"], core["dg"], core["rho_new"]
+    GD = core["Ginv"][:k, :k]
+    out = np.zeros((k, k, k))
+    for a, b, c in itertools.product(range(k), repeat=3):
+        acc = 0.0
+        for d in range(k):
+            val = C[a, d, b]
+            val += float(g[a, :] @ C[k:, d, b])
+            val -= float(g[d, :] @ C[a, k:, b])
+            val -= float(g[d, :] @ (g[a, :] @ C[k:, k:, b]))
+            if n:
+                val -= float(g[d, :] @ (dg[a, :, :] @ rho[:, b]))
+            acc += GD[c, d] * val
+        out[a, b, c] = -acc
+    return out
+
+
+def test_ctilde_display_matches_entrywise_loop():
+    specs = (tr3_classical_spec(), generalized_so3_spec(), nonjacobi_spec(), generalized_curved_spec())
+    for spec in specs:
+        frame = _AdaptedFrame(spec)
+        rng = np.random.default_rng(4)
+        for _ in range(3):
+            q = rng.uniform(-0.7, 0.7, frame.n)
+            ref = _ctilde_loop(frame.core_at(q), frame.k, frame.n)
+            assert np.max(np.abs(frame.ctilde_display_at(q) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+
+
+def test_ctilde_display_on_a_curved_generalized_frame():
+    # the cross block g varies over the base; the projected bracket still reads
+    # the variational projector's jet by central differences, hence 1e-6
+    frame = _AdaptedFrame(generalized_curved_spec())
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        q = rng.uniform(-0.7, 0.7, frame.n)
+        B, _, _ = frame.projected_structure_at(q)
+        assert np.max(np.abs(frame.core_at(q)["dg"])) > 0.01
+        assert np.max(np.abs(frame.ctilde_display_at(q) - B)) <= 1e-6
+
+
+# -- exact adapted-frame jet --------------------------------------------------
+
+
+def _fd_jet(fn, shape, frame, q):
+    """A central-difference sweep of ``fn`` with the frame's step."""
+    return TensorField.from_array_fn(fn, shape, frame.n, h=frame.h).eval_grad(q)
+
+
+@pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])
+def test_exact_frame_jet_matches_central_differences_of_gram_schmidt(make_spec):
+    frame = _AdaptedFrame(make_spec())
+    M, k = frame.M, frame.k
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        q = rng.uniform(-0.7, 0.7, frame.n)
+        U, dU, _, _ = frame._frame_jet(q)
+        U_fd, dU_fd = _fd_jet(lambda x: frame._frame_jet(x)[0], (M, M), frame, q)
+        assert np.array_equal(U, U_fd)
+        assert np.max(np.abs(np.moveaxis(dU, 0, 2) - dU_fd)) <= 1e-7
+        # the cross Gram block's jet, formerly a sweep over core points
+        _, dg_fd = _fd_jet(lambda x: frame.core_at(x)["g"], (k, M - k), frame, q)
+        assert np.max(np.abs(frame.core_at(q)["dg"] - dg_fd)) <= 1e-7
+
+
+@pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])
+def test_frame_jet_keeps_the_metric_orthonormal_blocks(make_spec):
+    """d(U^T G U) vanishes on the orthonormal blocks; the metric jet is taken here."""
+    spec = make_spec()
+    frame = _AdaptedFrame(spec)
+    k = frame.k
+    rng = np.random.default_rng(22)
+    # the first point lies 0.003 off the plane q2 = 0, where tr3's completion
+    # switches unit vector and its last column is ill-conditioned
+    points = [np.array([0.461, -0.0027, 0.27])[: frame.n]]
+    points += [rng.uniform(-0.8, 0.8, frame.n) for _ in range(20)]
+    for q in points:
+        U, dU, _, _ = frame._frame_jet(q)
+        Gv, Gg = spec.metric.eval_grad(q)
+        D = np.swapaxes(dU, 1, 2) @ Gv @ U + U.T @ np.moveaxis(Gg, 2, 0) @ U + U.T @ Gv @ dU
+        assert np.max(np.abs(D[:, :k, :k])) <= 1e-12
+        assert np.max(np.abs(D[:, k:, k:])) <= 1e-12
+        if spec.classical:
+            assert np.max(np.abs(D)) <= 1e-12
+
+
+def test_one_gram_schmidt_frame_per_core_point(monkeypatch):
+    from algmech import scenarios
+
+    frame = _AdaptedFrame(tr3_classical_spec())
+    calls = []
+    gram_schmidt = scenarios._gram_schmidt
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return gram_schmidt(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "_gram_schmidt", counted)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        frame.core_at(rng.uniform(-0.7, 0.7, 3))
+    assert len(calls) == 3
 
 
 def test_projector_identities():
