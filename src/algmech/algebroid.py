@@ -9,6 +9,10 @@ at construction; both are *measured* by :func:`structure_checks`.
 
 n = 0 is allowed (a Lie-algebra-like fibre over a point): anchors are then
 0 x m tensors and all brackets are constant.
+
+Every evaluation takes one point ``q[n]`` or a batch ``q[K, n]``; over a
+batch, each array gains a leading axis of length K and each residual is a
+[K] array instead of a float.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fields import SmoothField, TensorField
+from .fields import SmoothField, TensorField, vecmat
 
 
 @dataclass(frozen=True)
@@ -42,21 +46,23 @@ class AlgebroidStructure:
         ):
             if t.shape != shape:
                 raise InputError(f"{name} must have shape {shape}, got {t.shape}")
-        for t in (self.bracket, self.anchor_left, self.anchor_right):
+        tensors = (self.bracket, self.anchor_left, self.anchor_right)
+        for t in tensors:
             if t.arity != self.n:
                 raise InputError("structure function fields must have arity n")
+        # constant tensors are finite by construction: structure_eval checks the others
+        object.__setattr__(self, "_varying", [k for k, T in enumerate(tensors) if T._const is None])
         object.__setattr__(self, "_point_snapshot", None)
         if self.n == 0:  # constant structure functions: one snapshot, built here
             object.__setattr__(self, "_point_snapshot", structure_eval(self, np.zeros(0)))
 
-    @property
-    def is_over_point(self) -> bool:
-        return self.n == 0
-
     def check_point(self, q) -> np.ndarray:
-        q = np.asarray(q, dtype=float).reshape(-1)
-        if q.shape[0] != self.n:
-            raise InputError(f"base point has length {q.shape[0]}, chart dimension is {self.n}")
+        """A base point ``q[n]`` or a batch ``q[K, n]`` as a float array."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 2:
+            q = q.reshape(-1)
+        if q.shape[-1] != self.n:
+            raise InputError(f"base point has length {q.shape[-1]}, chart dimension is {self.n}")
         return q
 
 
@@ -74,36 +80,36 @@ def base_probes(n, seed, count=5):
 
 @dataclass(frozen=True)
 class StructureSnapshot:
-    """Pointwise values of the structure functions at one chart point ``q``.
+    """Values of the structure functions at a chart point or a batch of them.
 
     The base algebroid (:func:`structure_eval`) and the lifted one
     (``prolongation.prolong_eval``) are both evaluated into this type, and
-    the differential calculus below works on either.
+    the differential calculus below works on either.  Over a batch
+    ``q[K, n]`` every array has a leading axis of length K.
     """
 
     B: np.ndarray  # [m, m, m]
     rho_l: np.ndarray  # [n, m]
     rho_r: np.ndarray  # [n, m]
-    q: np.ndarray
+    q: np.ndarray  # [n]
 
 
 def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
-    """Evaluate all structure functions at ``q``.
+    """Evaluate all structure functions at ``q[n]`` or at each point of ``q[K, n]``.
 
     ``q`` is validated here (length, finiteness) and the snapshot is checked
     for non-finite entries (:class:`NumericError`).  Over a point (n = 0)
-    the one snapshot built with the structure is returned.
+    the one snapshot built with the structure is returned for a single point.
     """
     q = A.check_point(q)
-    if A._point_snapshot is not None:
+    if A._point_snapshot is not None and q.ndim == 1:
         return A._point_snapshot
     if not np.isfinite(q).all():
         raise InputError("point has non-finite entries")
-    tensors = (A.bracket, A.anchor_left, A.anchor_right)
-    B, rho_l, rho_r = values = [T._values(q) for T in tensors]
-    # constant tensors are finite by construction
-    if not all(np.isfinite(v).all() for T, v in zip(tensors, values) if T._const is None):
-        raise NumericError("structure functions evaluated to non-finite entries")
+    B, rho_l, rho_r = values = [T._values(q) for T in (A.bracket, A.anchor_left, A.anchor_right)]
+    for k in A._varying:
+        if not np.isfinite(values[k]).all():
+            raise NumericError("structure functions evaluated to non-finite entries")
     return StructureSnapshot(B=B, rho_l=rho_l, rho_r=rho_r, q=q)
 
 
@@ -115,7 +121,7 @@ def sym_skew_parts(s: StructureSnapshot):
     The parts recombine exactly: B = B_A + B_S, rho_l = rho_A + rho_S,
     rho_r = rho_A - rho_S.
     """
-    Bt = np.swapaxes(s.B, 1, 2)
+    Bt = s.B.swapaxes(-1, -2)
     return 0.5 * (s.B - Bt), 0.5 * (s.rho_l + s.rho_r), 0.5 * (s.B + Bt), 0.5 * (s.rho_l - s.rho_r)
 
 
@@ -132,24 +138,41 @@ def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
     """
     if F.arity != A.n:
         raise InputError("function arity must equal the base dimension")
-    q = A.check_point(q)
     s = structure_eval(A, q)
-    gF = F.gradient(q)
-    dl = s.rho_l.T @ gF if A.n else np.zeros(A.m)
-    dr = s.rho_r.T @ gF if A.n else np.zeros(A.m)
-    return dl, dr
+    gF = F.gradient(s.q)
+    return vecmat(gF, s.rho_l), vecmat(gF, s.rho_r)
 
 
 # -- the differential calculus of a snapshot ---------------------------------
 # Each differential takes the snapshot ``s`` of any algebroid, base or lifted,
-# and a section given as for _as_section; its jet is taken at ``s.q``.
+# at one point or a batch, and a section given as for _as_section; its jet
+# is taken at ``s.q``.
+
+
+def contract_first(v, T) -> np.ndarray:
+    """``sum_c v[c] T[c, a, b]``: an [m] vector against the first slot of an [m, m, m] array.
+
+    One vector-matrix product per point; a batch axis, if any, is on ``T``.
+    """
+    m = T.shape[-1]
+    batch = T.shape[:-3]
+    return vecmat(v, T.reshape(batch + (m, m * m))).reshape(batch + (m, m))
+
+
+def max_abs(a, core) -> float | np.ndarray:
+    """Max-abs over the last ``core`` axes (0 when they are empty); NaN propagates.
+
+    A float at one point, a [K] array over a batch.
+    """
+    r = np.max(np.abs(a), axis=tuple(range(-core, 0)), initial=0.0)
+    return float(r) if r.ndim == 0 else r
 
 
 def _as_section(T, shape, arity):
     """A TensorField of ``shape``, or a float array for constant components.
 
     ``T`` is a TensorField, an array of SmoothFields and numbers (numbers are
-    constant fields) or a float array.
+    constant fields) or a float array, which may carry a leading batch axis.
     """
     if not isinstance(T, TensorField):
         T = np.asarray(T)
@@ -161,17 +184,19 @@ def _as_section(T, shape, arity):
                 for f in T.reshape(-1)
             ]
             T = TensorField(np.array(comps, dtype=object).reshape(shape), arity=arity)
-    if T.shape != shape:
+    batched = isinstance(T, np.ndarray) and T.ndim == len(shape) + 1
+    if T.shape[batched:] != shape:
         raise InputError(f"tensor components must form a {list(shape)} array")
     return T
 
 
 def _section_jets(T, z, shape):
     """Values and chart gradients of a section given as for :func:`_as_section`."""
-    T = _as_section(T, shape, z.shape[0])
+    T = _as_section(T, shape, z.shape[-1])
     if isinstance(T, TensorField):
         return T.eval_grad(z)
-    return T, np.zeros(shape + z.shape)
+    batch = z.shape[:-1]
+    return np.broadcast_to(T, batch + shape), np.zeros(batch + shape + z.shape[-1:])
 
 
 def diff_lr_section(s: StructureSnapshot, kappa) -> np.ndarray:
@@ -186,13 +211,17 @@ def diff_lr_section(s: StructureSnapshot, kappa) -> np.ndarray:
     and it is the convention under which the pairing built from the canonical
     dual section comes out skew.
     """
-    kv, kg = _section_jets(kappa, s.q, (s.B.shape[0],))  # kv: [m], kg: [m, n]
-    return (kg @ s.rho_l).T - kg @ s.rho_r - np.tensordot(kv, s.B, 1)
+    kv, kg = _section_jets(kappa, s.q, (s.B.shape[-1],))  # kv: [m], kg: [m, n]
+    return (kg @ s.rho_l).swapaxes(-1, -2) - kg @ s.rho_r - contract_first(kv, s.B)
 
 
 def d_skew_scalar(s: StructureSnapshot, phi: SmoothField) -> np.ndarray:
-    """Skew differential of a chart function on frame sections: [m] vector."""
-    return sym_skew_parts(s)[1].T @ phi.gradient(s.q)
+    """Skew differential of a chart function on frame sections: [m] vector.
+
+    Only the averaged anchor (rho_A of :func:`sym_skew_parts`) enters, so the
+    bracket's parts are not formed.
+    """
+    return vecmat(phi.gradient(s.q), 0.5 * (s.rho_l + s.rho_r))
 
 
 def d_skew_oneform(s: StructureSnapshot, theta) -> np.ndarray:
@@ -209,16 +238,16 @@ def _d_two(s: StructureSnapshot, T, sign) -> np.ndarray:
     rho(a)T(b,c) + sign rho(b)T(a,c) + rho(c)T(a,b)
     - T(C(a,b),c) - sign T(C(a,c),b) - T(C(b,c),a).
     """
-    m = s.B.shape[0]
+    m = s.B.shape[-1]
     vals, grads = _section_jets(T, s.q, (m, m))
-    vals = 0.5 * (vals + sign * vals.T)
-    grads = 0.5 * (grads + sign * np.swapaxes(grads, 0, 1))
+    vals = 0.5 * (vals + sign * vals.swapaxes(-1, -2))
+    grads = 0.5 * (grads + sign * grads.swapaxes(-3, -2))
     B_A, rho_A, B_S, rho_S = sym_skew_parts(s)
     C, rho = (B_A, rho_A) if sign < 0 else (B_S, rho_S)
-    dirT = np.einsum("ua,bcu->abc", rho, grads)  # dirT[a,b,c] = rho(a)(T[b,c])
-    CT = np.einsum("dab,dc->abc", C, vals)  # CT[a,b,c] = T(C(a,b),c)
-    out = dirT + sign * dirT.transpose(1, 0, 2) + dirT.transpose(1, 2, 0)
-    return out - CT - sign * CT.transpose(0, 2, 1) - CT.transpose(2, 0, 1)
+    dirT = np.einsum("...ua,...bcu->...abc", rho, grads)  # dirT[a,b,c] = rho(a)(T[b,c])
+    CT = np.einsum("...dab,...dc->...abc", C, vals)  # CT[a,b,c] = T(C(a,b),c)
+    out = dirT + sign * np.einsum("...abc->...bac", dirT) + np.einsum("...abc->...bca", dirT)
+    return out - CT - sign * np.einsum("...abc->...acb", CT) - np.einsum("...abc->...cab", CT)
 
 
 def d_skew(s: StructureSnapshot, T) -> np.ndarray:
@@ -239,16 +268,17 @@ def d_full(s: StructureSnapshot, T) -> np.ndarray:
 def worst_residual(values) -> float:
     """Largest of the residuals ``values``; NaN if one of them is NaN or if there are none.
 
+    Each value is a residual or an array of them (one per point of a batch).
     ``max`` keeps its first argument when comparing it with a NaN, so a NaN
     residual would vanish from a running maximum and its check would pass.
     """
-    values = np.asarray(list(values), dtype=float)
+    values = np.concatenate([np.zeros(0)] + [np.ravel(v) for v in values])
     return float(np.max(values)) if values.size else float("nan")
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Diagnostics of optional algebraic properties at one point."""
+    """Diagnostics of optional algebraic properties: floats at one point, [K] over a batch."""
 
     skew_defect: float
     anchor_lr_defect: float
@@ -270,25 +300,25 @@ def jacobiator(A: AlgebroidStructure, q) -> np.ndarray:
 def _jacobiator(A: AlgebroidStructure, s: StructureSnapshot) -> np.ndarray:
     Bv, Bg = A.bracket.eval_grad(s.q)  # [m,m,m], [m,m,m,n]
     # half[nu,a,b,c] = B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
-    half = np.einsum("mbc,nam->nabc", Bv, Bv) + np.einsum("nbci,ia->nabc", Bg, s.rho_l)
-    return half + half.transpose(0, 3, 1, 2) + half.transpose(0, 2, 3, 1)
+    half = np.einsum("...mbc,...nam->...nabc", Bv, Bv)
+    half += np.einsum("...nbci,...ia->...nabc", Bg, s.rho_l)
+    return half + np.einsum("...nabc->...ncab", half) + np.einsum("...nabc->...nbca", half)
 
 
 def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     """Measure skewness, anchor agreement, Jacobi and anchor morphism defects."""
     s = structure_eval(A, q)
-    skew = float(np.max(np.abs(s.B + np.swapaxes(s.B, 1, 2)))) if A.m else 0.0
-    anchor_lr = float(np.max(np.abs(s.rho_l - s.rho_r))) if A.n else 0.0
-    jac = float(np.max(np.abs(_jacobiator(A, s))))
-
     # anchor morphism: rho_l(B(s_a, s_b)) vs [rho_l s_a, rho_l s_b] pointwise
-    if A.n:
-        rv, rg = A.anchor_left.eval_grad(s.q)  # [n,m], [n,m,n]
-        D = np.einsum("ibj,ja->iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
-        defect = float(np.max(np.abs(np.tensordot(rv, s.B, 1) - (D - np.swapaxes(D, 1, 2)))))
-    else:
-        defect = 0.0
-    return StructureReport(skew, anchor_lr, jac, defect)
+    rv, rg = A.anchor_left.eval_grad(s.q)  # [n,m], [n,m,n]
+    D = np.einsum("...ibj,...ja->...iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
+    m = A.m
+    rho_B = (rv @ s.B.reshape(s.B.shape[:-3] + (m, m * m))).reshape(D.shape)
+    return StructureReport(
+        skew_defect=max_abs(s.B + s.B.swapaxes(-1, -2), 3),
+        anchor_lr_defect=max_abs(s.rho_l - s.rho_r, 2),
+        jacobiator_norm=max_abs(_jacobiator(A, s), 4),
+        anchor_morphism_defect=max_abs(rho_B - (D - D.swapaxes(-1, -2)), 3),
+    )
 
 
 def algebroid_from_constants(B, rho_l=None, rho_r=None, n=0) -> AlgebroidStructure:

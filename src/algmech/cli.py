@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .config import build_scenario, initial_point, load_config
+from .config import build_scenario, check_seed, initial_point, load_config
 from .errors import InputError, IntegrationDivergedError
 from .hamiltonian import integrate
 from .verify import CHECKS, TOLERANCES, run_check
@@ -55,6 +55,8 @@ def cmd_simulate(config_path, out=None) -> int:
 
 def cmd_verify(config_path, report_path=None, seed=None) -> int:
     try:
+        if seed is not None:
+            check_seed(seed, "--seed")
         cfg = load_config(config_path)
         if cfg.verification is None:
             raise InputError("config missing 'verification'")
@@ -64,7 +66,7 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         return 1
     vcfg = cfg.verification
     points = int(vcfg.get("points", 100))
-    base_seed = int(seed if seed is not None else vcfg.get("seed", 0))
+    base_seed = seed if seed is not None else vcfg.get("seed", 0)
     class_tolerances = vcfg.get("tolerances") or {}
     classes = sorted({cls for cls, _ in TOLERANCES.values() if cls})
     for cls in class_tolerances:

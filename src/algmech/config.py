@@ -89,9 +89,9 @@ def _validate_integration(icfg):
     _check_x0(icfg.get("x0"), "integration.x0")
 
 
-def _check_count(value, key):
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise InputError(f"{key} must be an integer >= 1")
+def _check_count(value, key, low=1):
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise InputError(f"{key} must be an integer >= {low}")
 
 
 def _is_number(value):
@@ -116,8 +116,14 @@ def _check_x0(x0, key):
     _check_vector(x0["p"], f"{key}.p")
 
 
+def check_seed(value, key):
+    """A seed is an integer >= 0 (not a bool: ``true`` would read as 1)."""
+    _check_count(value, key, low=0)
+
+
 def _validate_verification(vcfg):
     _check_count(vcfg.get("points", 1), "verification.points")
+    check_seed(vcfg.get("seed", 0), "verification.seed")
     tolerances = vcfg.get("tolerances") or {}
     if not isinstance(tolerances, dict):
         raise InputError("verification.tolerances must be an object")
@@ -132,6 +138,8 @@ def _validate_verification(vcfg):
         if not (isinstance(entry, dict) and "name" in entry):
             raise InputError("verification.checks entries must be names or objects with 'name'")
         key = f"verification.checks[{pos}]"
+        if not isinstance(entry["name"], str):
+            raise InputError(f"{key}.name must be a string")
         for name, check in (
             ("points", _check_count),
             ("steps", _check_count),

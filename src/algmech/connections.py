@@ -7,6 +7,9 @@ on a Lie algebroid from the Koszul relation, `curvature` assembles the
 (1,3) curvature array of such Christoffels, and `lift` maps frame coefficient
 vectors to tangent vectors of the dual-bundle chart (horizontal via either
 connection, or vertical).
+
+``verify_split``, ``christoffels_at`` and ``curvature_at`` take one base
+point or a batch ``q[K, n]``, as the structure snapshot does.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, structure_eval
+from .algebroid import AlgebroidStructure, max_abs, structure_eval
 from .errors import InputError
 from .fields import TensorField, memoized_on_point
 from .hamiltonian import PhasePoint
@@ -56,14 +59,14 @@ def default_split(A: AlgebroidStructure) -> ConnectionPair:
 
 
 def verify_split(A: AlgebroidStructure, CP: ConnectionPair, q) -> float:
-    """Max-abs residual of B[c,a,b] - Dl[c,a,b] + Dr[c,b,a] at ``q``."""
+    """Max-abs residual of B[c,a,b] - Dl[c,a,b] + Dr[c,b,a] at ``q`` (per point of a batch)."""
     if CP.m != A.m or CP.Dl.arity != A.n:
         raise InputError("connection pair does not match the algebroid dimensions")
     q = A.check_point(q)
     B = A.bracket.eval(q)
     Dl = CP.Dl.eval(q)
     Dr = CP.Dr.eval(q)
-    return float(np.max(np.abs(B - Dl + np.swapaxes(Dr, 1, 2)))) if A.m else 0.0
+    return max_abs(B - Dl + Dr.swapaxes(-1, -2), 3)
 
 
 def metric_compatible_pair(Gamma: TensorField) -> ConnectionPair:
@@ -78,45 +81,70 @@ def _koszul_rhs(Gv, Gg, Bv, rho):
     K[a, b, g] = d[b, g, a] + d[a, g, b] - d[a, b, g]
                + c[g, b, a] + c[g, a, b] - c[b, a, g].
     """
-    d = Gg @ rho  # [m, m, m]; zero over a point (n = 0)
-    c = np.einsum("kxy,kz->xyz", Bv, Gv)
+    d = Gg @ rho[..., None, :, :]  # [m, m, m]; zero over a point (n = 0)
+    c = np.einsum("...kxy,...kz->...xyz", Bv, Gv)
+    batch = range(d.ndim - 3)  # the last three axes are (a, b, g)
     return (
-        d.transpose(2, 0, 1) + d.transpose(0, 2, 1) - d
-        + c.transpose(2, 1, 0) + c.transpose(1, 2, 0) - c.transpose(1, 0, 2)
+        d.transpose(*batch, -1, -3, -2) + d.transpose(*batch, -3, -1, -2) - d
+        + c.transpose(*batch, -1, -2, -3) + c.transpose(*batch, -2, -1, -3)
+        - c.transpose(*batch, -2, -3, -1)
     )
 
 
+def check_metric(G: TensorField, points):
+    """Raise :class:`InputError` at the first point where ``G`` is not symmetric positive-definite."""
+    for q in points:
+        Gv = G.eval(q)
+        if np.max(np.abs(Gv - Gv.T)) > 1e-10:
+            raise InputError(f"metric not symmetric at {np.asarray(q).tolist()}")
+        try:
+            np.linalg.cholesky(Gv)
+        except np.linalg.LinAlgError as exc:
+            raise InputError(
+                f"metric not positive-definite at {np.asarray(q).tolist()}"
+            ) from exc
+
+
+def _symmetric_positive_definite(Gv) -> bool:
+    """Whether every matrix of the stack ``Gv`` is symmetric (to 1e-10) and positive-definite."""
+    if np.max(np.abs(Gv - Gv.swapaxes(-1, -2))) > 1e-10:
+        return False
+    try:
+        np.linalg.cholesky(Gv)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
-    """Pointwise Levi-Civita Christoffels Gamma[c,a,b] of a fibre metric.
+    """Levi-Civita Christoffels Gamma[c,a,b] of a fibre metric at ``q[n]`` or ``q[K, n]``.
 
     Solves the Koszul relation 2 G(D_a s_b, .) = (anchor derivatives of G)
-    + (bracket contractions with G) at ``q``.  Requires a skew bracket with
-    equal anchors (a Lie-type frame); G must be symmetric positive-definite.
+    + (bracket contractions with G) at ``q``, one stacked solve for a batch.
+    Requires a skew bracket with equal anchors (a Lie-type frame); G must be
+    symmetric positive-definite.
     """
     q = A.check_point(q)
     if G.shape != (A.m, A.m):
         raise InputError("metric must be an [m,m] tensor over the base")
     Gv, Gg = G.eval_grad(q)
-    if np.max(np.abs(Gv - Gv.T)) > 1e-10:
-        raise InputError(f"metric not symmetric at {q.tolist()}")
-    try:
-        np.linalg.cholesky(Gv)
-    except np.linalg.LinAlgError as exc:
-        raise InputError(f"metric not positive-definite at {q.tolist()}") from exc
+    if not _symmetric_positive_definite(Gv):
+        check_metric(G, np.atleast_2d(q))  # raises, naming the first point that fails
     s = structure_eval(A, q)
     K = _koszul_rhs(Gv, Gg, s.B, s.rho_l)
     # Gamma[c,a,b]: solve 2 G_{cg} Gamma[c,a,b] = K[a,b,g] for all (a,b) at once
     m = A.m
-    return np.linalg.solve(Gv, 0.5 * K.reshape(m * m, m).T).reshape(m, m, m)
+    rhs = 0.5 * K.reshape(K.shape[:-3] + (m * m, m)).swapaxes(-1, -2)
+    return np.linalg.solve(Gv, rhs).reshape(K.shape)
 
 
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G``.
 
-    One array-valued tensor over the pointwise Koszul solve, memoized on the
-    point because the Christoffels feed several tensors (Dl, Dr, a bracket,
-    a curvature); gradients are central differences with step
-    ``CHRISTOFFEL_FD_STEP``.
+    One array-valued tensor over the batched Koszul solve, memoized on the
+    batch because the Christoffels feed several tensors (Dl, Dr, a bracket,
+    a curvature) evaluated at the same points; gradients are central
+    differences with step ``CHRISTOFFEL_FD_STEP``.
     """
     m = A.m
     at = memoized_on_point(lambda q: christoffels_at(A, G, q))
@@ -156,7 +184,7 @@ class CurvatureReport:
 
 
 def curvature_at(A: AlgebroidStructure, Gamma: TensorField, q) -> np.ndarray:
-    """Curvature array R[mu,a,b,nu] of connection Christoffels at ``q``.
+    """Curvature array R[mu,a,b,nu] of connection Christoffels at ``q[n]`` or ``q[K, n]``.
 
     R(s_a, s_b) s_nu = D_a D_b s_nu - D_b D_a s_nu - D_{B(s_a,s_b)} s_nu,
     assembled from Gamma values, their anchor-directional derivatives, and a
@@ -166,25 +194,30 @@ def curvature_at(A: AlgebroidStructure, Gamma: TensorField, q) -> np.ndarray:
     Gv, Gg = Gamma.eval_grad(q)  # [m,m,m], [m,m,m,n]
     s = structure_eval(A, q)
     # derivative terms: rho(s_a)(Gamma[mu,b,nu]) - rho(s_b)(Gamma[mu,a,nu])
-    D = np.einsum("mbvj,ja->mabv", Gg, s.rho_l)
+    D = np.einsum("...mbvj,...ja->...mabv", Gg, s.rho_l)
     # quadratic terms: sum_l Gamma[mu,a,l] Gamma[l,b,nu] - (a <-> b)
-    Q = np.einsum("lbv,mal->mabv", Gv, Gv)
+    Q = np.einsum("...lbv,...mal->...mabv", Gv, Gv)
     # bracket term: -sum_l B[l,a,b] Gamma[mu,l,nu]
-    brk = -np.einsum("lab,mlv->mabv", s.B, Gv)
-    return (D - D.swapaxes(1, 2)) + (Q - Q.swapaxes(1, 2)) + brk
+    brk = -np.einsum("...lab,...mlv->...mabv", s.B, Gv)
+    return (D - D.swapaxes(-3, -2)) + (Q - Q.swapaxes(-3, -2)) + brk
 
 
-def curvature(A: AlgebroidStructure, Gamma: TensorField, q):
-    """Curvature array at ``q`` plus residuals of its two classical identities.
+def curvature_identity_residuals(R) -> CurvatureReport:
+    """Residuals of the two classical identities of a curvature array (per point of a batch).
 
     skew_residual: max |R[., a, b, .] + R[., b, a, .]|;
     bianchi_residual: max over the cyclic sum in the three lower slots.
     """
+    cyc = R + np.einsum("...mabc->...mbca", R) + np.einsum("...mabc->...mcab", R)
+    return CurvatureReport(
+        skew_residual=max_abs(R + R.swapaxes(-3, -2), 4), bianchi_residual=max_abs(cyc, 4)
+    )
+
+
+def curvature(A: AlgebroidStructure, Gamma: TensorField, q):
+    """Curvature array at ``q`` plus the residuals of its two classical identities."""
     R = curvature_at(A, Gamma, q)
-    skew = float(np.max(np.abs(R + np.swapaxes(R, 1, 2))))
-    cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-    bianchi = float(np.max(np.abs(cyc)))
-    return R, CurvatureReport(skew_residual=skew, bianchi_residual=bianchi)
+    return R, curvature_identity_residuals(R)
 
 
 def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> CurvatureTensor:

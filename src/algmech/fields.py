@@ -20,9 +20,15 @@ polynomial components into one shared monomial table and one coefficient
 matrix, so a value or a whole jet costs a fixed handful of array operations.
 
 Derived tensors (Christoffel symbols, curvature, the adapted-frame and lifted
-structure functions) are array-valued: one callable ``fn(q) -> array[shape]``
-(:meth:`TensorField.from_array_fn`) gives the whole value in one call, and its
-jet is one central-difference sweep over the whole array.
+structure functions) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
+(:meth:`TensorField.from_array_fn`) gives the whole value at K points in one
+call, and its jet is one central-difference sweep over the whole array, all
+stencil points in one call.
+
+Batch axis: every evaluation accepts one point ``q[n]`` or a batch
+``q[K, n]`` and then returns its values with a leading axis of length K.  A
+single point is the 1-D case of the same arithmetic: row k of a batched
+result equals the evaluation at point k.
 """
 
 from __future__ import annotations
@@ -52,17 +58,38 @@ def fd_default_step() -> float:
 
 
 def _check_point(q, arity):
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if q.shape[0] != arity:
-        raise InputError(f"point has length {q.shape[0]}, field arity is {arity}")
+    """A point ``q[arity]`` or a batch of points ``q[K, arity]``, validated."""
+    q = np.asarray(q, dtype=float)
+    if q.ndim != 2:
+        q = q.reshape(-1)
+    if q.shape[-1] != arity:
+        raise InputError(f"point has length {q.shape[-1]}, field arity is {arity}")
     if not np.isfinite(q).all():
         raise InputError("point has non-finite entries")
     return q
 
 
 def _monomials(q, E):
-    """Values of the monomials q**E[t] for every row t of the table E."""
-    return np.multiply.reduce(q ** E, axis=1)
+    """Values of the monomials q**E[t] for every row t of the table E (last axis)."""
+    return np.multiply.reduce((q if q.ndim == 1 else q[:, None, :]) ** E, axis=-1)
+
+
+def matvec(M, v):
+    """``M @ v`` with a leading batch axis on either operand.
+
+    One matrix-vector product per point, so row k of a batch is bit for bit
+    the product at point k alone.
+    """
+    if v.ndim == 1:  # ``@`` broadcasts a stack of matrices against one vector
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def vecmat(v, M):
+    """``v @ M`` with a leading batch axis on either operand, as :func:`matvec`."""
+    if v.ndim == 1:
+        return v @ M
+    return (v[..., None, :] @ M)[..., 0, :]
 
 
 def _derivative_terms(coefs, exps):
@@ -78,20 +105,23 @@ def _derivative_terms(coefs, exps):
 
 
 def memoized_on_point(fn, maxsize=16384):
-    """Cache a pure array-to-result function on the point's byte image.
+    """Cache a pure array-to-result function on the byte image of its argument.
 
-    Only pointwise results shared by several tensors are cached, at three
-    sites: the Levi-Civita Christoffels (``connections.levi_civita``: Dl, Dr,
-    a bracket, a curvature), the adapted-frame core
+    The argument is one point or one batch of points; a batch is cached as a
+    whole.  Only results shared by several tensors are cached, at three
+    sites: the Levi-Civita Christoffels of a batch
+    (``connections.levi_civita``: Dl, Dr, a bracket, a curvature evaluate the
+    same batch), the adapted-frame core at one point
     (``_AdaptedFrame.core_at``: every frame tensor, the frame and its exact
-    jet included) and the projected structure of ``build_constrained``
-    (bracket and both anchors).  The cache is cleared wholesale when full.
+    jet included) and the projected structure of ``build_constrained`` at
+    one point (bracket and both anchors).  The cache is cleared wholesale
+    when full.
     """
     cache = {}
 
     def wrapped(q):
         q = np.asarray(q, dtype=float)
-        key = q.tobytes()
+        key = (q.shape, q.tobytes())
         hit = cache.get(key)
         if hit is None:
             if len(cache) >= maxsize:
@@ -203,14 +233,16 @@ class SmoothField:
 
     # -- evaluation ---------------------------------------------------------
 
-    def value(self, q) -> float:
+    def value(self, q):
+        """Value at ``q[n]`` (a float) or at each point of ``q[K, n]`` ([K])."""
         q = _check_point(q, self.arity)
         v = self._value(q)
-        if not math.isfinite(v):
+        if not (math.isfinite(v) if q.ndim == 1 else np.isfinite(v).all()):
             raise NumericError(f"field evaluated to non-finite value at {q.tolist()}")
         return v
 
     def gradient(self, q) -> np.ndarray:
+        """Gradient at ``q[n]`` ([n]) or at each point of ``q[K, n]`` ([K, n])."""
         q = _check_point(q, self.arity)
         g = self._gradient(q)
         if not np.isfinite(g).all():
@@ -227,22 +259,28 @@ class SmoothField:
     def _value(self, q):
         if self.kind == "polynomial":
             coefs, exps = self._terms
-            return float(coefs @ _monomials(q, exps))
-        if self.kind == "composite":
-            return float(sum(w * f._value(q) for w, f in self._terms))
-        return float(self._fn(q))
+            v = _monomials(q, exps) @ coefs
+        elif self.kind == "composite":
+            v = sum(w * f._value(q) for w, f in self._terms)
+        elif q.ndim == 2:  # closures take one point at a time
+            return np.array([float(self._fn(row)) for row in q])
+        else:
+            v = self._fn(q)
+        return float(v) if q.ndim == 1 else v
 
     def _gradient(self, q):
         n = self.arity
         if self.kind == "polynomial":
             if self._dexps is None:
                 self._derivative_table()
-            return self._dcoefs @ _monomials(q, self._dexps)
+            return matvec(self._dcoefs, _monomials(q, self._dexps))
         if self.kind == "composite":
-            g = np.zeros(n)
+            g = np.zeros(q.shape)
             for w, f in self._terms:
                 g += w * f._gradient(q)
             return g
+        if q.ndim == 2:  # closures take one point at a time
+            return np.array([self._gradient(row) for row in q]).reshape(q.shape)
         if self._grad is not None:
             return np.asarray(self._grad(q), dtype=float).reshape(n)
         # central differences: (f(q+h e_i) - f(q-h e_i)) / 2h
@@ -400,22 +438,27 @@ class TensorField:
     """Dense tensor of smooth fields over the chart, one value per multi-index.
 
     ``shape`` is the list of index extents; evaluation at a chart point
-    returns a float array of the same shape.  Two forms exist:
+    returns a float array of the same shape, and at a batch ``q[K, n]`` an
+    array ``[K, *shape]``.  Two forms exist:
 
     * components: one SmoothField per multi-index, all of one arity.
-      Polynomial components are packed into one shared monomial table ``_E``
-      and coefficient matrix ``_C`` (values and gradients in one product).
-      Other components are evaluated one by one and listed in ``_others`` as
-      ``(flat index, field)``.
-    * array-valued (:meth:`from_array_fn`): one callable ``_fn(q)`` returns
-      the whole array; the jet is central differences with step ``_h``.
+      Polynomial components are packed as terms ``(rows, coefs, exps)``
+      into one shared monomial table ``_E`` and coefficient matrix ``_C``
+      (values and gradients in one product); :meth:`from_terms` builds the
+      packed form directly and makes the per-component fields only on
+      demand.  Other components are evaluated one by one and listed in
+      ``_others`` as ``(flat index, field)``.
+    * array-valued (:meth:`from_array_fn`): one callable ``_fn(Q[K, n])``
+      returns the whole array at K points; the jet is central differences
+      with step ``_h``.
 
     A tensor of constants, and an array-valued tensor over a point, is folded
     into ``_const``.
     """
 
     __slots__ = (
-        "shape", "arity", "_components", "_const", "_E", "_C", "_Ev", "_Cv", "_others", "_fn", "_h"
+        "shape", "arity", "_components", "_terms", "_const", "_E", "_C", "_Ev", "_Cv",
+        "_others", "_fn", "_h",
     )
 
     def __init__(self, fields, arity=None):
@@ -431,48 +474,73 @@ class TensorField:
             if f.arity != arity:
                 raise InputError("TensorField components have mixed arities")
         self.shape = fields.shape
-        self.arity = int(arity)
+        self.arity = n = int(arity)
         self._components = tuple(flat)
         self._fn = self._h = None
-        self._pack()
+        poly = [k for k, f in enumerate(flat) if f.kind == "polynomial"]
+        counts = [flat[k]._terms[0].shape[0] for k in poly]
+        self._pack(
+            np.repeat(np.asarray(poly, dtype=int), counts),
+            np.concatenate([np.zeros(0)] + [flat[k]._terms[0] for k in poly]),
+            np.concatenate([np.zeros((0, n), dtype=int)] + [flat[k]._terms[1] for k in poly]),
+            tuple((k, f) for k, f in enumerate(flat) if f.kind != "polynomial"),
+        )
 
     @classmethod
-    def from_array_fn(cls, fn, shape, arity, h=None) -> "TensorField":
-        """Tensor whose whole value at ``q`` is ``fn(q) -> array[shape]``.
+    def from_terms(cls, rows, coefs, exps, shape, arity) -> "TensorField":
+        """Packed polynomial tensor: term t adds ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``.
 
-        The jet is one central-difference sweep over the array, 2 * arity
-        calls of ``fn`` with step ``h`` (``fd_default_step()`` when not
-        given); entry by entry it is the arithmetic of a per-component FD
-        field.  Over a point (arity 0) ``fn`` is called once, here, and its
-        value is folded into a constant.
+        Equal to the tensor of the per-entry polynomials with the terms in
+        this order, without building them.
         """
         T = cls.__new__(cls)
         T.shape = tuple(int(s) for s in shape)
         T.arity = int(arity)
         T._components = None
+        T._fn = T._h = None
+        rows = np.asarray(rows, dtype=int)
+        exps = np.asarray(exps, dtype=int).reshape(rows.shape[0], T.arity)
+        T._pack(rows, np.asarray(coefs, dtype=float), exps, ())
+        return T
+
+    @classmethod
+    def from_array_fn(cls, fn, shape, arity, h=None) -> "TensorField":
+        """Tensor whose whole value at the points ``Q[K, arity]`` is ``fn(Q) -> [K, *shape]``.
+
+        As everywhere in the library, one point is the 1-D case: ``fn(q[arity])``
+        returns ``[*shape]``.  The jet is one central-difference sweep over
+        the array: the points and their 2 * arity neighbours at step ``h``
+        (``fd_default_step()`` when not given) in one batch call of ``fn``;
+        entry by entry it is the arithmetic of a per-component FD field.
+        Over a point (arity 0) ``fn`` is called once, here, and its value is
+        folded into a constant.
+        """
+        T = cls.__new__(cls)
+        T.shape = tuple(int(s) for s in shape)
+        T.arity = int(arity)
+        T._components = T._terms = None
         T._E = T._C = T._Ev = T._Cv = None
         T._others = ()
         T._h = fd_default_step() if h is None else float(h)
         T._fn, T._const = fn, None
         if T.arity == 0:
             T._const = T._values(np.zeros(0))
+            T._const.flags.writeable = False
             T._fn = None
             if not np.isfinite(T._const).all():
                 raise NumericError("tensor field evaluated to non-finite entries")
         return T
 
-    def _pack(self):
-        comps = self._components
-        n, size = self.arity, len(comps)
-        poly = [k for k, f in enumerate(comps) if f.kind == "polynomial"]
-        self._others = tuple((k, f) for k, f in enumerate(comps) if f.kind != "polynomial")
-        counts = [comps[k]._terms[0].shape[0] for k in poly]
-        rows = np.repeat(np.asarray(poly, dtype=int), counts)
-        coefs = np.concatenate([np.zeros(0)] + [comps[k]._terms[0] for k in poly])
-        exps = np.concatenate([np.zeros((0, n), dtype=int)] + [comps[k]._terms[1] for k in poly])
-        if not self._others and not exps.any():
+    def _pack(self, rows, coefs, exps, others):
+        n, size = self.arity, math.prod(self.shape)
+        self._terms = (rows, coefs, exps)
+        self._others = others
+        if not others and not exps.any():
             # only constants: fold once, the jet is zero
-            self._const = np.bincount(rows, weights=coefs, minlength=size).reshape(self.shape)
+            # (bincount of no terms is an integer array)
+            const = np.bincount(rows, weights=coefs, minlength=size).astype(float)
+            const.flags.writeable = False
+            self._const = const.reshape(self.shape)
             self._E = self._C = self._Ev = self._Cv = None
             return
         self._const = None
@@ -484,7 +552,13 @@ class TensorField:
     def fields(self) -> np.ndarray:
         """The components as a fresh object array of ``shape``."""
         if self._components is None:
-            raise InputError("an array-valued TensorField has no per-component fields")
+            if self._terms is None:
+                raise InputError("an array-valued TensorField has no per-component fields")
+            rows, coefs, exps = self._terms
+            self._components = tuple(
+                SmoothField._from_arrays(coefs[rows == k], exps[rows == k], self.arity)
+                for k in range(math.prod(self.shape))
+            )
         return np.fromiter(self._components, dtype=object, count=len(self._components)).reshape(
             self.shape
         )
@@ -508,6 +582,18 @@ class TensorField:
     def __getitem__(self, idx) -> SmoothField:
         return self.fields[idx]
 
+    def __add__(self, other) -> "TensorField":
+        """Entrywise sum; two packed tensors stay packed, this tensor's terms first."""
+        if self.shape != other.shape or self.arity != other.arity:
+            raise InputError("tensor fields differ in shape or arity")
+        if all(T._terms is not None and not T._others for T in (self, other)):
+            return TensorField.from_terms(
+                *(np.concatenate(pair) for pair in zip(self._terms, other._terms)),
+                self.shape,
+                self.arity,
+            )
+        return TensorField(self.fields + other.fields, arity=self.arity)
+
     def scaled(self, w, axes=None) -> "TensorField":
         """``w`` times this tensor with its indices permuted as ``np.transpose(., axes)``.
 
@@ -516,13 +602,20 @@ class TensorField:
         """
         w = float(w)
         axes = tuple(range(len(self.shape))) if axes is None else tuple(axes)
-        if self._components is None:
+        shape = [self.shape[a] for a in axes]
+        if self._terms is None:  # array-valued; the batch axis, if any, stays first
+            last = tuple(a - len(axes) for a in axes)
             return TensorField.from_array_fn(
-                lambda q: w * np.transpose(self._values(q), axes),
-                [self.shape[a] for a in axes],
+                lambda Q: w * self._values(Q).transpose(*range(Q.ndim - 1), *last),
+                shape,
                 self.arity,
                 self._h,
             )
+        if not self._others:
+            rows, coefs, exps = self._terms
+            # the new flat position of every old entry
+            where = np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(axes))
+            return TensorField.from_terms(where.reshape(-1)[rows], w * coefs, exps, shape, self.arity)
         F = np.transpose(self.fields, axes)
         out = np.empty(F.shape, dtype=object)
         for idx in np.ndindex(*F.shape):
@@ -537,44 +630,53 @@ class TensorField:
         return vals
 
     def _values(self, q) -> np.ndarray:
-        """Values at a validated point ``q``; the caller checks them for finiteness."""
+        """Values at a validated point or batch ``q``; the caller checks them for finiteness."""
         if self._const is not None:
-            return self._const.copy()
+            if q.ndim == 1:
+                return self._const.copy()
+            # a batch reads one (read-only) constant, not K copies of it
+            return np.broadcast_to(self._const, q.shape[:1] + self.shape)
+        out_shape = q.shape[:-1] + self.shape
         if self._fn is not None:
-            return np.array(self._fn(q), dtype=float).reshape(self.shape)
-        vals = self._Cv @ _monomials(q, self._Ev)
+            return np.array(self._fn(q), dtype=float).reshape(out_shape)
+        vals = matvec(self._Cv, _monomials(q, self._Ev))
         for k, f in self._others:
-            vals[k] = f._value(q)
-        return vals.reshape(self.shape)
+            vals[..., k] = f._value(q)
+        return vals.reshape(out_shape)
 
     def eval_grad(self, q):
-        """Values and gradients: shapes ``shape`` and ``shape + (arity,)``."""
+        """Values and gradients: shapes ``shape`` and ``shape + (arity,)``, batch axis first."""
         q = _check_point(q, self.arity)
+        batch = q.shape[:-1]
         if self._const is not None:
-            return self._const.copy(), np.zeros(self.shape + (self.arity,))
+            return self._values(q), np.zeros(batch + self.shape + (self.arity,))
         if self._fn is not None:
             return self._fd_jet(q)
-        size = len(self._components)
-        jet = self._C @ _monomials(q, self._E)
-        vals = jet[:size]
-        grads = jet[size:].reshape(size, self.arity)
+        size = self._Cv.shape[0]
+        jet = matvec(self._C, _monomials(q, self._E))
+        vals = jet[..., :size]  # views of the jet, also over a batch
+        grads = jet[..., size:].reshape(batch + (size, self.arity))
         for k, f in self._others:
-            vals[k] = f._value(q)
-            grads[k] = f._gradient(q)
+            vals[..., k] = f._value(q)
+            grads[..., k, :] = f._gradient(q)
         if not np.isfinite(jet).all():
             raise NumericError("tensor field jet non-finite")
-        return vals.reshape(self.shape), grads.reshape(self.shape + (self.arity,))
+        return vals.reshape(batch + self.shape), grads.reshape(batch + self.shape + (self.arity,))
 
     def _fd_jet(self, q):
-        """Value and central-difference gradient of the array-valued form."""
-        h = self._h
-        vals = self._values(q)
-        grads = np.empty(self.shape + (self.arity,))
-        for i in range(self.arity):
-            qp, qm = q.copy(), q.copy()
-            qp[i] += h
-            qm[i] -= h
-            grads[..., i] = (self._values(qp) - self._values(qm)) / (2.0 * h)
+        """Value and central-difference gradient of the array-valued form.
+
+        The points and their neighbours ``q +- h e_i`` form one stencil batch
+        ``[2 * arity + 1, *batch, arity]``, evaluated in one call.
+        """
+        h, n = self._h, self.arity
+        stencil = np.repeat(q[None], 2 * n + 1, axis=0)
+        for i in range(n):
+            stencil[1 + 2 * i, ..., i] += h
+            stencil[2 + 2 * i, ..., i] -= h
+        out = self._values(stencil.reshape(-1, n)).reshape(stencil.shape[:-1] + self.shape)
+        vals = out[0]
+        grads = np.moveaxis((out[1::2] - out[2::2]) / (2.0 * h), 0, -1)
         if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
             raise NumericError("tensor field jet non-finite")
         return vals, grads

@@ -3,7 +3,8 @@
 The algebroid's structure functions induce a linear 2-contravariant tensor on
 the dual chart; contracting it with differentials gives a (generally neither
 skew nor Jacobi) bracket of functions, a Hamiltonian vector field, and fixed
-step trajectories.
+step trajectories.  ``PhasePoint`` and ``ham_field`` also take a batch of
+points (a leading axis of length K on q and p).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, structure_eval
+from .algebroid import AlgebroidStructure, contract_first, structure_eval
 from .errors import InputError, IntegrationDivergedError, NumericError
-from .fields import SmoothField, TensorField
+from .fields import SmoothField, TensorField, matvec, vecmat
 
 __all__ = [
     "PhasePoint",
@@ -31,28 +32,40 @@ __all__ = [
 ]
 
 
+def _coords(a) -> np.ndarray:
+    """Coordinates of one point ``[d]`` or of a batch ``[K, d]`` as a float array."""
+    a = np.asarray(a, dtype=float)
+    return a if a.ndim == 2 else a.reshape(-1)
+
+
 @dataclass(frozen=True)
 class PhasePoint:
-    """A point of the dual-bundle chart: base coordinates q, fibre coordinates p."""
+    """A point of the dual-bundle chart: base coordinates q, fibre coordinates p.
+
+    ``q[K, n]`` and ``p[K, m]`` make it a batch of K points.
+    """
 
     q: np.ndarray
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float).reshape(-1))
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float).reshape(-1))
+        object.__setattr__(self, "q", _coords(self.q))
+        object.__setattr__(self, "p", _coords(self.p))
+        if self.q.shape[:-1] != self.p.shape[:-1]:
+            raise InputError("phase point q and p differ in batch size")
         if not (np.all(np.isfinite(self.q)) and np.all(np.isfinite(self.p))):
             raise InputError("phase point has non-finite entries")
 
     @property
     def z(self) -> np.ndarray:
         """Concatenated chart vector (q_1..q_n, p_1..p_m)."""
-        return np.concatenate([self.q, self.p])
+        z = self.__dict__.get("_z")  # the vector a point was viewed from (:meth:`_of`)
+        return np.concatenate([self.q, self.p], axis=-1) if z is None else z
 
     @classmethod
     def from_z(cls, z, n) -> "PhasePoint":
-        z = np.asarray(z, dtype=float).reshape(-1)
-        return cls(z[:n], z[n:])
+        z = _coords(z)
+        return cls(z[..., :n], z[..., n:])
 
     @classmethod
     def _of(cls, z, n) -> "PhasePoint":
@@ -62,27 +75,22 @@ class PhasePoint:
         and the jets evaluated at the point check their own input.
         """
         x = object.__new__(cls)
-        object.__setattr__(x, "q", z[:n])
-        object.__setattr__(x, "p", z[n:])
+        object.__setattr__(x, "q", z[..., :n])
+        object.__setattr__(x, "p", z[..., n:])
+        object.__setattr__(x, "_z", z)
         return x
 
 
 def _check_phase(A: AlgebroidStructure, x: PhasePoint):
-    if x.q.shape[0] != A.n or x.p.shape[0] != A.m:
+    if x.q.shape[-1] != A.n or x.p.shape[-1] != A.m:
         raise InputError(
-            f"phase point dims ({x.q.shape[0]},{x.p.shape[0]}) do not match algebroid ({A.n},{A.m})"
+            f"phase point dims ({x.q.shape[-1]},{x.p.shape[-1]}) do not match algebroid ({A.n},{A.m})"
         )
 
 
 def _check_phase_fn(A: AlgebroidStructure, H: SmoothField):
     if H.arity != A.n + A.m:
         raise InputError(f"phase function arity {H.arity} must be n+m={A.n + A.m}")
-
-
-def _p_dot_B(B, p) -> np.ndarray:
-    """pB[a, b] = sum_c p_c B[c, a, b], as one matrix product."""
-    m = p.shape[0]
-    return (p @ B.reshape(m, m * m)).reshape(m, m)
 
 
 def poisson_tensor(A: AlgebroidStructure, x: PhasePoint) -> np.ndarray:
@@ -98,7 +106,7 @@ def poisson_tensor(A: AlgebroidStructure, x: PhasePoint) -> np.ndarray:
     Pi = np.zeros((n + m, n + m))
     Pi[:n, n:] = s.rho_r
     Pi[n:, :n] = -s.rho_l.T
-    Pi[n:, n:] = -_p_dot_B(s.B, x.p)
+    Pi[n:, n:] = -contract_first(x.p, s.B)
     return Pi
 
 
@@ -112,7 +120,7 @@ def poisson_bracket(A, phi: SmoothField, psi: SmoothField, x: PhasePoint) -> flo
 
 
 def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradient=False):
-    """Hamiltonian vector field at ``x`` as a chart vector (dq, dp).
+    """Hamiltonian vector field at ``x`` as a chart vector (dq, dp), per point of a batch.
 
     standard: dq_i = sum_a rho_l[i,a] dH/dp_a,
               dp_b = -(sum_j rho_r[j,b] dH/dq_j - sum_{a,c} B[c,a,b] p_c dH/dp_a).
@@ -130,15 +138,15 @@ def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradien
     s = structure_eval(A, x.q)
     n = A.n
     g = H.gradient(x.z)
-    gq, gp = g[:n], g[n:]
-    pB = _p_dot_B(s.B, x.p)
-    out = np.empty(g.shape[0])
+    gq, gp = g[..., :n], g[..., n:]
+    pB = contract_first(x.p, s.B)  # pB[a, b] = sum_c p_c B[c, a, b]
+    out = np.empty(g.shape)
     if variant == "standard":
-        out[:n] = s.rho_l @ gp
-        out[n:] = gp @ pB - gq @ s.rho_r
+        out[..., :n] = matvec(s.rho_l, gp)
+        out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
     else:
-        out[:n] = s.rho_r @ gp
-        out[n:] = -(pB @ gp) - gq @ s.rho_l
+        out[..., :n] = matvec(s.rho_r, gp)
+        out[..., n:] = -matvec(pB, gp) - vecmat(gq, s.rho_l)
     return (out, g) if with_gradient else out
 
 

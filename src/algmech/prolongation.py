@@ -10,7 +10,8 @@ differential calculus of ``algebroid`` applies to it unchanged.  On it this
 module evaluates the canonical dual section, the induced skew pairing
 (constant [[0, I], [-I, 0]] in the frame), the right Hamiltonian section,
 the induced Hamiltonian vector field on the chart, and the closedness and
-squared-differential residuals.
+squared-differential residuals.  Each takes one phase point or a batch of K
+(``PhasePoint`` with q[K, n], p[K, m]) and then returns one value per point.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from .algebroid import (
     d_skew_oneform,
     d_skew_scalar,
     diff_lr_section,
+    max_abs,
     structure_eval,
     worst_residual,
 )
 from .connections import ConnectionPair, CurvatureTensor, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
-from .fields import SmoothField, TensorField
+from .fields import SmoothField, TensorField, matvec, vecmat
 from .hamiltonian import PhasePoint
 
 SPLIT_TOL = 1e-10
@@ -66,21 +68,22 @@ class ProlongationData:
             )
         # the canonical dual section (p_1..p_m, 0..0) depends only on (n, m)
         n, m = self.base.n, self.base.m
-        liouville = [SmoothField.coordinate(n + a, n + m) for a in range(m)]
-        liouville += [SmoothField.zero(n + m)] * m
-        object.__setattr__(self, "_liouville", TensorField(liouville, arity=n + m))
+        liouville = TensorField.from_terms(
+            np.arange(m), np.ones(m), np.eye(n + m, dtype=int)[n:], (2 * m,), n + m
+        )
+        object.__setattr__(self, "_liouville", liouville)
 
     @property
     def frame_size(self) -> int:
         return 2 * self.base.m
 
     def check_phase(self, x: PhasePoint):
-        if x.q.shape[0] != self.base.n or x.p.shape[0] != self.base.m:
+        if x.q.shape[-1] != self.base.n or x.p.shape[-1] != self.base.m:
             raise InputError("phase point does not match the base algebroid")
 
 
 def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
-    """Evaluate the lifted algebroid structure at a dual-bundle chart point.
+    """Evaluate the lifted algebroid structure at a dual-bundle chart point or batch.
 
     The snapshot's point is the chart vector ``x.z``.  Anchor columns: h_a
     maps to its left (resp. right) horizontal lift, v^a to the vertical
@@ -94,38 +97,38 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     P.check_phase(x)
     n, m = P.base.n, P.base.m
     q, p = x.q, x.p
+    batch = q.shape[:-1]
     s = structure_eval(P.base, q)
     Dl = P.split.Dl.eval(q)
     Dr = P.split.Dr.eval(q)
 
-    al = np.zeros((n + m, 2 * m))
-    ar = np.zeros((n + m, 2 * m))
+    al = np.zeros(batch + (n + m, 2 * m))
+    ar = np.zeros(batch + (n + m, 2 * m))
     # horizontal columns
-    if n:
-        al[:n, :m] = s.rho_l
-        ar[:n, :m] = s.rho_r
-    al[n:, :m] = np.einsum("gab,g->ba", Dl, p)
-    ar[n:, :m] = np.einsum("gab,g->ba", Dr, p)
+    al[..., :n, :m] = s.rho_l
+    ar[..., :n, :m] = s.rho_r
+    al[..., n:, :m] = np.einsum("...gab,...g->...ba", Dl, p)
+    ar[..., n:, :m] = np.einsum("...gab,...g->...ba", Dr, p)
     # vertical columns
-    al[n:, m:] = np.eye(m)
-    ar[n:, m:] = np.eye(m)
+    al[..., n:, m:] = np.eye(m)
+    ar[..., n:, m:] = np.eye(m)
 
-    coeffs = np.zeros((2 * m, 2 * m, 2 * m))
-    coeffs[:m, :m, :m] = s.B
-    coeffs[m:, :m, :m] = np.einsum("mabn,m->nab", P.R.eval(q), p)
-    coeffs[m:, :m, m:] = -Dl.transpose(2, 1, 0)
-    coeffs[m:, m:, :m] = Dr.transpose(2, 0, 1)
+    coeffs = np.zeros(batch + (2 * m, 2 * m, 2 * m))
+    coeffs[..., :m, :m, :m] = s.B
+    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", P.R.eval(q), p)
+    coeffs[..., m:, :m, m:] = -np.einsum("...cab->...bac", Dl)
+    coeffs[..., m:, m:, :m] = np.einsum("...abc->...cab", Dr)
     return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)
 
 
 def liouville(P: ProlongationData, x: PhasePoint) -> np.ndarray:
     """Canonical dual section in the dual frame: (p_1..p_m, 0..0)."""
     P.check_phase(x)
-    return np.concatenate([x.p, np.zeros(P.base.m)])
+    return np.concatenate([x.p, np.zeros(x.p.shape)], axis=-1)
 
 
 def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndarray:
-    """The induced skew pairing in the frame, as a [2m, 2m] matrix.
+    """The induced skew pairing in the frame, as a [2m, 2m] matrix per point.
 
     frame_formula returns the constant block matrix [[0, I], [-I, 0]].
     generic_dlr recomputes it as minus the two-anchor differential of the
@@ -135,9 +138,9 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
     P.check_phase(x)
     m = P.base.m
     if method == "frame_formula":
-        O = np.zeros((2 * m, 2 * m))
-        O[:m, m:] = np.eye(m)
-        O[m:, :m] = -np.eye(m)
+        O = np.zeros(x.p.shape[:-1] + (2 * m, 2 * m))
+        O[..., :m, m:] = np.eye(m)
+        O[..., m:, :m] = -np.eye(m)
         return O
     if method != "generic_dlr":
         raise InputError(f"unknown omega method {method!r}")
@@ -157,10 +160,10 @@ def _right_ham_section(P, H, x, snap) -> np.ndarray:
     """:func:`right_ham_section` on the lifted snapshot ``snap`` of ``x``."""
     if H.arity != P.base.n + P.base.m:
         raise InputError("Hamiltonian arity must be n+m")
-    drH = snap.rho_r.T @ H.gradient(snap.q)  # d_r H on each frame section
+    drH = vecmat(H.gradient(snap.q), snap.rho_r)  # d_r H on each frame section
     O = omega(P, x, "frame_formula")
     try:
-        xi = np.linalg.solve(O.T, drH)
+        xi = np.linalg.solve(O.swapaxes(-1, -2), drH[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:  # cannot happen for the frame pairing
         raise NumericError("degenerate pairing while solving for the section") from exc
     return xi
@@ -173,7 +176,7 @@ def lr_ham_field(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarr
     dual-bundle tensor; that equality is verified numerically, not assumed.
     """
     snap = prolong_eval(P, x)
-    return snap.rho_l @ _right_ham_section(P, H, x, snap)
+    return matvec(snap.rho_l, _right_ham_section(P, H, x, snap))
 
 
 def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
@@ -204,7 +207,7 @@ def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
 
 
 def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
-    """Max-abs entry of the full differential of the frame pairing at ``x``.
+    """Max-abs entry of the full differential of the frame pairing at ``x`` (per point).
 
     The pairing is constant and skew, so only the skew part of the lifted
     bracket enters, and R only through the cyclic sum over three horizontal
@@ -214,14 +217,15 @@ def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
     R at all; at m >= 3 a violation gives an order-one residual.
     """
     O = omega(P, x, "frame_formula")
-    return float(np.max(np.abs(d_full(prolong_eval(P, x), O))))
+    return max_abs(d_full(prolong_eval(P, x), O), 3)
 
 
 def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoint) -> float:
-    """Max-abs of the twice-applied skew differential on a chart function.
+    """Max-abs of the twice-applied skew differential on a chart function (per point).
 
     Vanishes iff the averaged anchor is a morphism for the skew bracket at
-    ``x``; a Lie lifted structure gives zero up to FD noise.
+    ``x``; a Lie lifted structure gives zero up to FD noise.  The inner
+    differential's jet is one central-difference sweep over all points.
     """
     n, size = P.base.n, P.frame_size
     theta = TensorField.from_array_fn(
@@ -229,11 +233,11 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
         (size,),
         n + P.base.m,
     )
-    return float(np.max(np.abs(d_skew_oneform(prolong_eval(P, x), theta))))
+    return max_abs(d_skew_oneform(prolong_eval(P, x), theta), 2)
 
 
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
-    """Max-abs of the twice-applied skew differential on a frame one-section."""
+    """Max-abs of the twice-applied skew differential on a frame one-section (per point)."""
     n, size = P.base.n, P.frame_size
     theta = _as_section(theta, (size,), n + P.base.m)
     eta = TensorField.from_array_fn(
@@ -241,4 +245,4 @@ def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> flo
         (size, size),
         n + P.base.m,
     )
-    return float(np.max(np.abs(d_skew(prolong_eval(P, x), eta))))
+    return max_abs(d_skew(prolong_eval(P, x), eta), 3)

@@ -2,12 +2,15 @@
 
 Structure functions are polynomials of bounded total degree with coefficients
 uniform in [-1, 1]; dimensions stay small (n <= 3, m <= 3) so every structural
-check runs at desk scale.
+check runs at desk scale.  A tensor's coefficients are one draw, packed
+directly (``TensorField.from_terms``); the stream is consumed as by one draw
+per component, so the coefficients do not depend on the packing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -25,17 +28,23 @@ def poly_exponents(arity, degree):
     return out if arity else [[]]
 
 
-def random_polynomial_field(rng, arity, degree) -> SmoothField:
+def _exponent_table(arity, degree) -> np.ndarray:
     exps = poly_exponents(arity, degree)
-    coefs = rng.uniform(-1.0, 1.0, size=len(exps))
-    return SmoothField.polynomial(list(zip(coefs.tolist(), exps)), arity)
+    return np.array(exps, dtype=int).reshape(len(exps), arity)
+
+
+def random_polynomial_field(rng, arity, degree) -> SmoothField:
+    exps = _exponent_table(arity, degree)
+    return SmoothField._from_arrays(rng.uniform(-1.0, 1.0, size=exps.shape[0]), exps, arity)
 
 
 def random_polynomial_tensor(rng, shape, arity, degree) -> TensorField:
-    out = np.empty(tuple(shape), dtype=object)
-    for idx in np.ndindex(*tuple(shape)):
-        out[idx] = random_polynomial_field(rng, arity, degree)
-    return TensorField(out, arity=arity)
+    """Every entry a random polynomial field, the entries' coefficients in one draw."""
+    exps = _exponent_table(arity, degree)
+    size, T = math.prod(shape), exps.shape[0]
+    coefs = rng.uniform(-1.0, 1.0, size=size * T)
+    rows = np.repeat(np.arange(size), T)
+    return TensorField.from_terms(rows, coefs, np.tile(exps, (size, 1)), shape, arity)
 
 
 def random_algebroid(rng, n=None, m=None, degree=2) -> AlgebroidStructure:
@@ -63,14 +72,9 @@ def random_valid_split(rng, A: AlgebroidStructure, degree=1) -> ConnectionPair:
     Dl is free; Dr is forced by Dr[c,a,b] = Dl[c,b,a] - B[c,b,a], which is
     exact polynomial arithmetic, so the split residual is zero to rounding.
     """
-    m, n = A.m, A.n
-    Dl = random_polynomial_tensor(rng, (m, m, m), n, degree)
-    Dr = np.empty((m, m, m), dtype=object)
-    for c in range(m):
-        for a in range(m):
-            for b in range(m):
-                Dr[c, a, b] = Dl[c, b, a] - A.bracket[c, b, a]
-    return ConnectionPair(Dl=Dl, Dr=TensorField(Dr, arity=n))
+    Dl = random_polynomial_tensor(rng, (A.m,) * 3, A.n, degree)
+    Dr = Dl.scaled(1.0, (0, 2, 1)) + A.bracket.scaled(-1.0, (0, 2, 1))
+    return ConnectionPair(Dl=Dl, Dr=Dr)
 
 
 def random_curvature(rng, m, arity, degree=1) -> CurvatureTensor:
@@ -79,3 +83,13 @@ def random_curvature(rng, m, arity, degree=1) -> CurvatureTensor:
 
 def random_phase_point(rng, n, m, scale=1.0):
     return rng.uniform(-scale, scale, size=n), rng.uniform(-scale, scale, size=m)
+
+
+def random_phase_points(rng, n, m, count, scale=1.0):
+    """``count`` points in one draw: q[count, n], p[count, m].
+
+    The stream is consumed as by ``count`` calls of :func:`random_phase_point`
+    (q, then p, per point), so the points are the same.
+    """
+    z = rng.uniform(-scale, scale, size=(count, n + m))
+    return z[:, :n], z[:, n:]

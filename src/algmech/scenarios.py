@@ -26,6 +26,7 @@ from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     CurvatureTensor,
+    check_metric,
     curvature_field,
     default_split,
     levi_civita,
@@ -61,19 +62,6 @@ class ScenarioBundle:
         return ProlongationData(self.algebroid, self.split, self.curvature)
 
 
-def _check_metric(G: TensorField, probes):
-    for q in probes:
-        Gv = G.eval(q)
-        if np.max(np.abs(Gv - Gv.T)) > 1e-10:
-            raise InputError(f"metric not symmetric at {np.asarray(q).tolist()}")
-        try:
-            np.linalg.cholesky(Gv)
-        except np.linalg.LinAlgError as exc:
-            raise InputError(
-                f"metric not positive-definite at {np.asarray(q).tolist()}"
-            ) from exc
-
-
 # -- gradient extension -------------------------------------------------------
 
 
@@ -89,7 +77,7 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n) or X.shape != (n,):
         raise InputError("need an [n,n] metric and an [n] vector field")
-    _check_metric(G, base_probes(n, seed=_PROBE_SEED))
+    check_metric(G, base_probes(n, seed=_PROBE_SEED))
     A0 = canonical_tangent(n)
     Gamma = levi_civita(A0, G)
     alg = AlgebroidStructure(
@@ -151,7 +139,7 @@ def build_lie_poisson(
         anchor_right=TensorField.from_constants(np.zeros((0, m)), 0),
     )
     G = TensorField.from_constants(np.eye(m) if metric is None else np.asarray(metric), 0)
-    _check_metric(G, [np.zeros(0)])
+    check_metric(G, [np.zeros(0)])
     Gamma = levi_civita(alg, G)
     return ScenarioBundle(
         algebroid=alg,
@@ -208,7 +196,7 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n):
         raise InputError("metric must be [n,n]")
-    _check_metric(G, base_probes(n, seed=_PROBE_SEED))
+    check_metric(G, base_probes(n, seed=_PROBE_SEED))
     if (S is None) == (T is None):
         raise InputError("give exactly one of S (contorsion) or T (direct torsion)")
     if T is None:
@@ -304,7 +292,7 @@ class ConstraintSpec:
                 rep = f"ambient bracket not skew at {q.tolist()}"
         if rep:
             raise InputError("ambient structure must be Lie-type: " + rep)
-        _check_metric(self.metric, base_probes(n, seed=_PROBE_SEED))
+        check_metric(self.metric, base_probes(n, seed=_PROBE_SEED))
 
     @property
     def rank(self) -> int:
@@ -313,6 +301,15 @@ class ConstraintSpec:
     @property
     def classical(self) -> bool:
         return self.variational_basis is None
+
+
+def _rowwise(fn):
+    """The batch form ``Q[K, n] -> [K, ...]`` of a pointwise ``fn``, called on each row.
+
+    The adapted-frame core is computed one point at a time, so the tensors
+    over it take their batches row by row.
+    """
+    return lambda Q: fn(Q) if Q.ndim == 1 else np.array([fn(q) for q in Q])
 
 
 def _gram_schmidt(cols, Gv, tol=GRAM_SCHMIDT_TOL, strict=True):
@@ -477,7 +474,7 @@ class _AdaptedFrame:
         G_new = np.eye(M)
         G_new[:k, k:] = g
         G_new[k:, :k] = g.T
-        Ginv = np.linalg.inv(G_new)
+        Ginv = np.eye(M) if spec.classical else np.linalg.inv(G_new)
         # projector onto the kinematic subbundle along its orthogonal complement
         P = G_new[:k, :]
         # projector onto the variational subbundle along the kinematic complement,
@@ -501,7 +498,9 @@ class _AdaptedFrame:
     # fields over the base ----------------------------------------------------
 
     def _field_from_core(self, key, shape):
-        return TensorField.from_array_fn(lambda q: self.core_at(q)[key], shape, self.n, h=self.h)
+        return TensorField.from_array_fn(
+            _rowwise(lambda q: self.core_at(q)[key]), shape, self.n, h=self.h
+        )
 
     def _build_fields(self):
         M, n = self.M, self.n
@@ -572,9 +571,10 @@ class _AdaptedFrame:
         amb_curv = curvature_field(self.adapted, self.Gamma)
         k = self.k
 
-        def at(q):
-            Rv = amb_curv.eval(q)[:, :k, :k, :k]
-            return np.einsum("dg,gabc->dabc", self.core_at(q)["P"], Rv)
+        def at(Q):
+            Rv = amb_curv.eval(Q)[..., :k, :k, :k]
+            P = _rowwise(lambda q: self.core_at(q)["P"])(Q)
+            return np.einsum("...dg,...gabc->...dabc", P, Rv)
 
         return CurvatureTensor(TensorField.from_array_fn(at, (k, k, k, k), self.n, h=self.h))
 
@@ -599,7 +599,7 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     proj_at = memoized_on_point(frame.projected_structure_at)
 
     def piece(src, pos, shape):
-        return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
+        return TensorField.from_array_fn(_rowwise(lambda q: src(q)[pos]), shape, n, h=frame.h)
 
     alg = AlgebroidStructure(
         n=n,

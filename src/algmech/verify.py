@@ -4,16 +4,22 @@ Each check evaluates one numerical claim about a scenario bundle (or about
 randomly generated instances) at K probe points and reports
 ``{check, points, max_residual, tolerance, pass}``.  The registered names are
 the contract of the command-line ``verify`` subcommand.
+
+A point-based check draws its K probes in one call of the generator (in the
+order of K single draws: q, then p, per probe) and evaluates them as one
+batch.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .algebroid import structure_checks, worst_residual
-from .connections import verify_split
-from .errors import InputError
-from .hamiltonian import PhasePoint, energy_rate, ham_field, integrate
+from .algebroid import max_abs, structure_checks, worst_residual
+from .connections import curvature_identity_residuals, verify_split
+from .errors import InputError, NumericError
+from .hamiltonian import PhasePoint, ham_field, integrate
 from .prolongation import (
     ProlongationData,
     closedness_residual,
@@ -27,21 +33,28 @@ from .randoms import (
     random_curvature,
     random_phase_function,
     random_phase_point,
+    random_phase_points,
+    random_polynomial_tensor,
     random_valid_split,
 )
 from .scenarios import ScenarioBundle, lagrangian_reference
 
 
-def _probe(rng, A, scale=1.0) -> PhasePoint:
-    q, p = random_phase_point(rng, A.n, A.m, scale)
-    return PhasePoint(q, p)
+def _probes(rng, A, count) -> PhasePoint:
+    """``count`` probe points in [-1, 1]^(n+m) as one batch."""
+    return PhasePoint(*random_phase_points(rng, A.n, A.m, count))
 
 
-def _theorem43_gap(P: ProlongationData, H, x) -> float:
-    """Relative gap between the section-route and tensor-route fields at x."""
+def _base_probes(rng, A, count) -> np.ndarray:
+    """``count`` base points in [-1, 1]^n, [count, n]."""
+    return rng.uniform(-1, 1, size=(count, A.n))
+
+
+def _theorem43_gap(P: ProlongationData, H, x) -> np.ndarray:
+    """Relative gap between the section-route and tensor-route fields, per point of x."""
     lhs = lr_ham_field(P, H, x)
     rhs = ham_field(P.base, H, x)
-    return float(np.max(np.abs(lhs - rhs)) / (1.0 + np.max(np.abs(rhs))))
+    return np.max(np.abs(lhs - rhs), axis=-1) / (1.0 + np.max(np.abs(rhs), axis=-1))
 
 
 def check_theorem43_equivalence(bundle, cfg, rng):
@@ -53,15 +66,13 @@ def check_theorem43_equivalence(bundle, cfg, rng):
     residuals = []
     if bundle is not None:
         P = bundle.prolongation()
-        for _ in range(K):
-            residuals.append(_theorem43_gap(P, bundle.hamiltonian, _probe(rng, bundle.algebroid)))
+        residuals.append(_theorem43_gap(P, bundle.hamiltonian, _probes(rng, bundle.algebroid, K)))
     for _ in range(int(cfg.get("random_instances", 5))):
         A = random_algebroid(rng)
         split = random_valid_split(rng, A)
         P = ProlongationData(A, split, random_curvature(rng, A.m, A.n))
         H = random_phase_function(rng, A.n, A.m)
-        for _ in range(max(1, K // 10)):
-            residuals.append(_theorem43_gap(P, H, _probe(rng, A)))
+        residuals.append(_theorem43_gap(P, H, _probes(rng, A, max(1, K // 10))))
     return worst_residual(residuals)
 
 
@@ -72,65 +83,40 @@ def check_omega_frame(bundle, cfg, rng):
     block = np.zeros((2 * m, 2 * m))
     block[:m, m:] = np.eye(m)
     block[m:, :m] = -np.eye(m)
-    residuals = []
-    for _ in range(cfg["points"]):
-        x = _probe(rng, bundle.algebroid)
-        O = omega(P, x, "frame_formula")
-        residuals.append(np.max(np.abs(O - block)))
-        residuals.append(abs(np.linalg.det(O) - 1.0))
-    return worst_residual(residuals)
+    O = omega(P, _probes(rng, bundle.algebroid, cfg["points"]), "frame_formula")
+    return worst_residual([max_abs(O - block, 2), np.abs(np.linalg.det(O) - 1.0)])
 
 
 def check_omega_dlr_consistency(bundle, cfg, rng):
     """Generic differential route reproduces the frame pairing."""
     P = bundle.prolongation()
-    residuals = []
-    for _ in range(cfg["points"]):
-        x = _probe(rng, bundle.algebroid)
-        residuals.append(np.max(np.abs(omega(P, x, "generic_dlr") - omega(P, x, "frame_formula"))))
-    return worst_residual(residuals)
+    x = _probes(rng, bundle.algebroid, cfg["points"])
+    return worst_residual(max_abs(omega(P, x, "generic_dlr") - omega(P, x, "frame_formula"), 2))
 
 
 def check_closedness(bundle, cfg, rng):
     P = bundle.prolongation()
-    return worst_residual(
-        closedness_residual(P, _probe(rng, bundle.algebroid)) for _ in range(cfg["points"])
-    )
+    return worst_residual(closedness_residual(P, _probes(rng, bundle.algebroid, cfg["points"])))
 
 
 def check_curvature_identities(bundle, cfg, rng):
     """Skew and first-Bianchi residuals of the scenario's curvature tensor."""
-    A = bundle.algebroid
-    residuals = []
-    for _ in range(cfg["points"]):
-        q = rng.uniform(-1, 1, size=A.n)
-        R = bundle.curvature.eval(q)
-        residuals.append(np.max(np.abs(R + np.swapaxes(R, 1, 2))))
-        cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
-        residuals.append(np.max(np.abs(cyc)))
-    return worst_residual(residuals)
+    R = bundle.curvature.eval(_base_probes(rng, bundle.algebroid, cfg["points"]))
+    rep = curvature_identity_residuals(R)
+    return worst_residual([rep.skew_residual, rep.bianchi_residual])
 
 
 def check_structure_checks(bundle, cfg, rng):
     """Max of the four structural defects at the probe points."""
-    A = bundle.algebroid
-    residuals = []
-    for _ in range(cfg["points"]):
-        rep = structure_checks(A, rng.uniform(-1, 1, size=A.n))
-        residuals += [
-            rep.skew_defect,
-            rep.anchor_lr_defect,
-            rep.jacobiator_norm,
-            rep.anchor_morphism_defect,
-        ]
-    return worst_residual(residuals)
+    rep = structure_checks(bundle.algebroid, _base_probes(rng, bundle.algebroid, cfg["points"]))
+    return worst_residual(
+        [rep.skew_defect, rep.anchor_lr_defect, rep.jacobiator_norm, rep.anchor_morphism_defect]
+    )
 
 
 def check_split_consistency(bundle, cfg, rng):
     A = bundle.algebroid
-    return worst_residual(
-        verify_split(A, bundle.split, rng.uniform(-1, 1, size=A.n)) for _ in range(cfg["points"])
-    )
+    return worst_residual(verify_split(A, bundle.split, _base_probes(rng, A, cfg["points"])))
 
 
 def check_legendre_equivalence(bundle, cfg, rng):
@@ -172,7 +158,10 @@ def check_energy_rate_fd(bundle, cfg, rng):
     steps = int(cfg.get("steps", 1000))
     h = float(cfg.get("h", 1e-3))
     x0 = cfg.get("x0")
-    x0 = _probe(rng, bundle.algebroid, scale=0.5) if x0 is None else PhasePoint(x0["q"], x0["p"])
+    if x0 is None:
+        x0 = PhasePoint(*random_phase_point(rng, bundle.algebroid.n, bundle.algebroid.m, 0.5))
+    else:
+        x0 = PhasePoint(x0["q"], x0["p"])
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps)
     Hs = traj.h_values()
     rates = np.array([s[3] for s in traj.samples])
@@ -187,12 +176,9 @@ def check_dA_squared(bundle, cfg, rng):
     P = bundle.prolongation()
     A = bundle.algebroid
     phi = random_phase_function(rng, A.n, A.m, degree=2)
-    theta = np.array(
-        [random_phase_function(rng, A.n, A.m, degree=1) for _ in range(2 * A.m)],
-        dtype=object,
-    )
-    residuals = [d_squared_scalar_residual(P, phi, _probe(rng, A)) for _ in range(cfg["points"])]
-    residuals.append(d_squared_oneform_residual(P, theta, _probe(rng, A)))
+    theta = random_polynomial_tensor(rng, (2 * A.m,), A.n + A.m, 1)
+    residuals = [d_squared_scalar_residual(P, phi, _probes(rng, A, cfg["points"]))]
+    residuals.append(d_squared_oneform_residual(P, theta, _probes(rng, A, 1)))
     return worst_residual(residuals)
 
 
@@ -235,17 +221,25 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
 
     With ``expect_fail`` set, passing means the residual *exceeded* the
     tolerance, as expected for a negative control.
+
+    A check whose computation leaves float range (a diverged trajectory, a
+    non-finite jet) reports an infinite residual and fails, also as a
+    negative control: nothing was measured.
     """
     if name not in CHECKS:
         raise InputError(f"unknown check name {name!r}")
     rng = np.random.default_rng(seed)
     tolerance = float(cfg.get("tolerance", TOLERANCES[name][1]))
-    residual = CHECKS[name](bundle, cfg, rng)
-    # a NaN residual fails both comparisons, so it fails a negative control too
-    if cfg.get("expect_fail", False):
-        ok = residual > tolerance
+    try:
+        residual = CHECKS[name](bundle, cfg, rng)
+    except NumericError:  # IntegrationDivergedError included
+        residual, ok = math.inf, False
     else:
-        ok = residual <= tolerance
+        # a NaN residual fails both comparisons, so it fails a negative control too
+        if cfg.get("expect_fail", False):
+            ok = residual > tolerance
+        else:
+            ok = residual <= tolerance
     return {
         "check": name,
         "points": int(cfg["points"]),

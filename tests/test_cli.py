@@ -339,3 +339,58 @@ def test_verify_accepts_check_x0_in_integration_form(tmp_path):
     assert r.returncode == 0, r.stderr
     report = json.loads((tmp_path / "r.json").read_text())
     assert [e["check"] for e in report] == ["casimir_drift", "energy_rate_fd"]
+
+
+# -- seeds, check names and divergence inside a check ---------------------------
+
+
+def _verify_in_process(tmp_path, cfg, *flags):
+    """``algmech verify`` on ``cfg`` in this process: (exit code, report path)."""
+    from algmech.cli import main
+
+    path = write_config(tmp_path, cfg, "in_process.json")
+    report = tmp_path / "in_process_report.json"
+    return main(["verify", path, "--report", str(report), *flags]), report
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 1.7, True, None, [3]])
+def test_verify_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, capsys, seed):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg["verification"]["seed"] = seed
+    rc, report = _verify_in_process(tmp_path, cfg)
+    assert rc == 1
+    assert "verification.seed must be an integer >= 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_verify_rejects_a_negative_seed_flag(tmp_path, capsys):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    rc, report = _verify_in_process(tmp_path, cfg, "--seed", "-1")
+    assert rc == 1
+    assert "--seed must be an integer >= 0" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("name", [["closedness"], 3, None])
+def test_verify_rejects_a_check_name_that_is_not_a_string(tmp_path, capsys, name):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg["verification"]["checks"] = ["closedness", {"name": name}]
+    rc, report = _verify_in_process(tmp_path, cfg)
+    assert rc == 1
+    assert "verification.checks[1].name must be a string" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("expect_fail", [False, True])
+def test_a_diverging_check_fails_and_the_report_is_written(tmp_path, expect_fail):
+    cfg = json.loads((CONFIG_DIR / "euler_top.json").read_text())
+    cfg["verification"]["checks"] = [
+        {"name": "casimir_drift", "h": 10, "steps": 50, "expect_fail": expect_fail},
+        "closedness",
+    ]
+    rc, report = _verify_in_process(tmp_path, cfg)
+    assert rc == 1
+    entries = json.loads(report.read_text())
+    assert [set(e) for e in entries] == [{"check", "points", "max_residual", "tolerance", "pass"}] * 2
+    assert entries[0]["max_residual"] == float("inf") and entries[0]["pass"] is False
+    assert entries[1]["pass"] is True

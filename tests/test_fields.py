@@ -344,6 +344,11 @@ def _array_fn(shape):
     return fn
 
 
+def _rowwise(fn):
+    """A pointwise fn that also maps a batch ``Q[K, n]`` to ``[K, *shape]``, as from_array_fn asks."""
+    return lambda Q: fn(Q) if Q.ndim == 1 else np.array([fn(q) for q in Q])
+
+
 def _per_component(fn, shape, arity, h=None):
     out = np.empty(shape, dtype=object)
     for idx in np.ndindex(*shape):
@@ -357,7 +362,7 @@ def _per_component(fn, shape, arity, h=None):
 )
 def test_array_form_is_bit_equal_to_per_component_fd(arity, shape, h):
     fn = _array_fn(shape)
-    T = TensorField.from_array_fn(fn, shape, arity, h=h)
+    T = TensorField.from_array_fn(_rowwise(fn), shape, arity, h=h)
     ref = _per_component(fn, shape, arity, h=h)
     rng = np.random.default_rng(40 + arity)
     for q in [np.zeros(arity)] + [rng.uniform(-1, 1, size=arity) for _ in range(4)]:
@@ -389,7 +394,7 @@ def test_array_form_non_finite_is_numeric_error():
     with pytest.raises(NumericError):
         TensorField.from_array_fn(lambda q: np.array([1.0, math.nan]), (2,), 0)
     # finite at q <= 0; the jet's stencil at 0 reaches a non-finite entry
-    T = TensorField.from_array_fn(lambda q: np.array([math.inf if q[0] > 0 else 1.0]), (1,), 1)
+    T = TensorField.from_array_fn(lambda Q: np.where(Q > 0, math.inf, 1.0), (1,), 1)
     assert T.eval([0.0])[0] == 1.0
     with pytest.raises(NumericError):
         T.eval_grad([0.0])
@@ -400,7 +405,7 @@ def test_array_form_non_finite_is_numeric_error():
 
 
 def test_array_form_honours_fd_step_env(monkeypatch):
-    cube = lambda q: np.array([q[0] ** 3])  # noqa: E731
+    cube = lambda q: q[..., :1] ** 3  # noqa: E731  (one point or a batch)
     # central difference of q^3 at q = 1: 3 + h^2, exact in binary for these h
     monkeypatch.setenv("ALGMECH_FD_STEP", "0.25")
     assert TensorField.from_array_fn(cube, (1,), 1).eval_grad([1.0])[1][0, 0] == 3.0625
@@ -425,7 +430,7 @@ def test_array_form_has_no_components():
 def test_scaled_transposes_both_forms(arity):
     rng = np.random.default_rng(5)
     packed, _ = _random_tensor_case(11, arity, (2, 3, 2), "polynomial")
-    array = TensorField.from_array_fn(_array_fn((2, 3, 2)), (2, 3, 2), arity)
+    array = TensorField.from_array_fn(_rowwise(_array_fn((2, 3, 2))), (2, 3, 2), arity)
     for T in (packed, array):
         S = T.scaled(-2.0, (0, 2, 1))
         assert S.shape == (2, 2, 3)

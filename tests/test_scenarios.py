@@ -232,8 +232,9 @@ def test_ctilde_display_on_a_curved_generalized_frame():
 
 
 def _fd_jet(fn, shape, frame, q):
-    """A central-difference sweep of ``fn`` with the frame's step."""
-    return TensorField.from_array_fn(fn, shape, frame.n, h=frame.h).eval_grad(q)
+    """A central-difference sweep of the pointwise ``fn`` with the frame's step."""
+    batch_fn = lambda Q: fn(Q) if Q.ndim == 1 else np.array([fn(x) for x in Q])  # noqa: E731
+    return TensorField.from_array_fn(batch_fn, shape, frame.n, h=frame.h).eval_grad(q)
 
 
 @pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])

@@ -102,6 +102,20 @@ def _nan_at_second_call(value):
     return fake
 
 
+def _nan_at_second_row(value):
+    """``value`` with the residual of the second probe of its first batch replaced by NaN."""
+    injected = []
+
+    def fake(*args, **kwargs):
+        out = np.array(value(*args, **kwargs), dtype=float)
+        if not injected and out.ndim == 1 and out.shape[0] >= 2:
+            out[1] = math.nan
+            injected.append(1)
+        return out
+
+    return fake
+
+
 @pytest.mark.parametrize(
     "check,target",
     [
@@ -114,7 +128,7 @@ def _nan_at_second_call(value):
 def test_nan_residual_fails_the_check(monkeypatch, check, target):
     import algmech.verify as verify
 
-    monkeypatch.setattr(verify, target, _nan_at_second_call(getattr(verify, target)))
+    monkeypatch.setattr(verify, target, _nan_at_second_row(getattr(verify, target)))
     cfg = {"points": 4, "random_instances": 1}
     out = run_check(check, _canonical_bundle(), cfg, 11)
     assert math.isnan(out["max_residual"])
