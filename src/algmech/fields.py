@@ -259,7 +259,9 @@ class SmoothField:
     def _value(self, q):
         if self.kind == "polynomial":
             coefs, exps = self._terms
-            v = _monomials(q, exps) @ coefs
+            mono = _monomials(q, exps)
+            # one product per point: a matrix-vector product over the batch may round differently
+            v = mono @ coefs if q.ndim == 1 else vecmat(mono, coefs[:, None])[:, 0]
         elif self.kind == "composite":
             v = sum(w * f._value(q) for w, f in self._terms)
         elif q.ndim == 2:  # closures take one point at a time
@@ -396,7 +398,17 @@ def register_builtin(name, fn, arity=1):
 
 register_builtin("sin", lambda q: math.sin(q[0]))
 register_builtin("cos", lambda q: math.cos(q[0]))
-register_builtin("exp", lambda q: math.exp(q[0]))
+
+
+def _exp(q):
+    """``exp(q[0])``, inf where it overflows (``math.exp`` raises there)."""
+    try:
+        return math.exp(q[0])
+    except OverflowError:
+        return math.inf
+
+
+register_builtin("exp", _exp)
 
 
 def _merge_monomials(E):

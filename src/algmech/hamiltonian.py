@@ -9,7 +9,6 @@ points (a leading axis of length K on q and p).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,8 +70,8 @@ class PhasePoint:
     def _of(cls, z, n) -> "PhasePoint":
         """View a float chart vector ``z`` as a point, without validation.
 
-        For the integrator's stages: the step checks its state for finiteness
-        and the jets evaluated at the point check their own input.
+        For the integrator's samples, whose states it has checked for
+        finiteness.
         """
         x = object.__new__(cls)
         object.__setattr__(x, "q", z[..., :n])
@@ -119,6 +118,20 @@ def poisson_bracket(A, phi: SmoothField, psi: SmoothField, x: PhasePoint) -> flo
     return float(phi.gradient(z) @ Pi @ psi.gradient(z))
 
 
+def _field(s, p, g, n, variant="standard") -> np.ndarray:
+    """The Hamiltonian field of :func:`ham_field` from the snapshot ``s`` and the gradient ``g``."""
+    gq, gp = g[..., :n], g[..., n:]
+    pB = contract_first(p, s.B)  # pB[a, b] = sum_c p_c B[c, a, b]
+    out = np.empty(g.shape)
+    if variant == "standard":
+        out[..., :n] = matvec(s.rho_l, gp)
+        out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
+    else:
+        out[..., :n] = matvec(s.rho_r, gp)
+        out[..., n:] = -matvec(pB, gp) - vecmat(gq, s.rho_l)
+    return out
+
+
 def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradient=False):
     """Hamiltonian vector field at ``x`` as a chart vector (dq, dp), per point of a batch.
 
@@ -136,17 +149,8 @@ def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradien
     if variant not in ("standard", "tilde"):
         raise InputError(f"unknown variant {variant!r}")
     s = structure_eval(A, x.q)
-    n = A.n
     g = H.gradient(x.z)
-    gq, gp = g[..., :n], g[..., n:]
-    pB = contract_first(x.p, s.B)  # pB[a, b] = sum_c p_c B[c, a, b]
-    out = np.empty(g.shape)
-    if variant == "standard":
-        out[..., :n] = matvec(s.rho_l, gp)
-        out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
-    else:
-        out[..., :n] = matvec(s.rho_r, gp)
-        out[..., n:] = -matvec(pB, gp) - vecmat(gq, s.rho_l)
+    out = _field(s, x.p, g, A.n, variant)
     return (out, g) if with_gradient else out
 
 
@@ -221,9 +225,16 @@ def rk4_step(f, y, h):
 def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """Integrate the standard Hamiltonian field with fixed-step RK4.
 
-    Records H, dH/dt and every monitor at each of the steps+1 samples.  Each
-    sample reuses the first stage of the step that starts from it, whose
-    field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}.  Raises
+    Every RK4 stage runs one kernel ``z -> (X_H(z), dH(z))``, built here: one
+    finiteness check of ``z``, the structure read once when it is constant
+    (else :func:`structure_eval` at ``z``), H's gradient and its finiteness
+    check, and the field contraction of :func:`ham_field`.  The initial state
+    goes through :func:`ham_field` itself, so it is validated as there.
+
+    Each sample reuses the first stage of the step that starts from it, whose
+    field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}; states and
+    rates are written into preallocated arrays, and H and every monitor are
+    evaluated once over all recorded states after the loop.  Raises
     :class:`IntegrationDivergedError` (carrying the last good step index and
     the partial trajectory) if the state leaves float range or if H, dH/dt
     or a monitor is not finite at a sample; a non-finite value at the
@@ -241,49 +252,56 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     for name in names:
         _check_phase_fn(A, monitors[name])
     n = A.n
-    traj = Trajectory(h=h, n=A.n, m=A.m, monitor_names=names)
-    stages = []
+    traj = Trajectory(h=h, n=n, m=A.m, monitor_names=names)
+    const = None if A._varying else structure_eval(A, x0.q)
 
-    def stage(z):
-        dz, g = ham_field(A, H, PhasePoint._of(z, n), with_gradient=True)
-        stages.append((dz, g))
-        return dz
+    def kernel(z):
+        if not np.isfinite(z).all():
+            raise InputError("state has non-finite entries")
+        s = const if const is not None else structure_eval(A, z[:n])
+        g = H._gradient(z)
+        if not np.isfinite(g).all():
+            raise NumericError("Hamiltonian gradient non-finite")
+        return _field(s, z[n:], g, n), g
 
-    def sample(k, z, dz, g):
-        rate = float(g @ dz)
-        if not math.isfinite(rate):
-            raise NumericError(f"dH/dt non-finite at step {k}")
-        mon = np.array([monitors[name].value(z) for name in names])
-        return k * h, PhasePoint._of(z, n), H.value(z), rate, mon
+    def stage(y):  # the first stage, at the step's state z itself, is its sample's jet
+        return dz if y is z else kernel(y)[0]
 
-    def diverged(message, last_good):
-        err = IntegrationDivergedError(message, last_good_step=last_good)
-        err.trajectory = traj
-        return err
-
+    Z = np.empty((steps + 1, n + A.m))
+    rates = np.empty(steps + 1)
     z = x0.z
+    dz, g = ham_field(A, H, x0, with_gradient=True)
+    error = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            stages.clear()
-            error = z_next = None
+            Z[k] = z
+            rates[k] = g @ dz
+            if k == steps:
+                break
             try:
-                if k < steps:
-                    z_next = rk4_step(stage, z, h)
-                else:
-                    stage(z)  # the last sample has no step of its own
+                z = rk4_step(stage, z, h)
+                dz, g = kernel(z)  # the next step's first stage: the jet of its sample
             except (InputError, NumericError) as exc:
-                error = exc  # a stage already left float range
-            try:
-                if not stages:
-                    raise error  # the first stage failed: no jet at z
-                traj.samples.append(sample(k, z, *stages[0]))
-            except (InputError, NumericError) as exc:
-                if k == 0:
-                    raise
-                raise diverged(f"non-finite value at the sample of step {k}", k - 1) from exc
-            if error is not None or (z_next is not None and not np.isfinite(z_next).all()):
-                raise diverged(f"state non-finite after step {k + 1}", k) from error
-            z = z_next
+                error = exc
+                break
+        count = k + 1
+        Z, rates = Z[:count], rates[:count]
+        Hs = H._value(Z)
+        mons = np.empty((count, len(names)))
+        for j, name in enumerate(names):
+            mons[:, j] = monitors[name]._value(Z)
+    ok = np.isfinite(rates) & np.isfinite(Hs) & np.isfinite(mons).all(axis=1)
+    bad = count if ok.all() else int(np.argmin(ok))  # the first sample that cannot be recorded
+    if bad == 0:
+        raise NumericError("H, dH/dt or a monitor is non-finite at the initial state")
+    traj.samples = [
+        (k * h, PhasePoint._of(Z[k], n), Hk, rate, mons[k])
+        for k, Hk, rate in zip(range(bad), Hs[:bad].tolist(), rates[:bad].tolist())
+    ]
+    if bad < count or error is not None:
+        err = IntegrationDivergedError(f"non-finite after step {bad - 1}", last_good_step=bad - 1)
+        err.trajectory = traj
+        raise err from (error if bad == count else None)
     return traj
 
 

@@ -82,19 +82,12 @@ class ProlongationData:
             raise InputError("phase point does not match the base algebroid")
 
 
-def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
-    """Evaluate the lifted algebroid structure at a dual-bundle chart point or batch.
+def _lifted_anchors(P: ProlongationData, x: PhasePoint):
+    """The lifted anchors at ``x`` and what the lifted bracket reuses.
 
-    The snapshot's point is the chart vector ``x.z``.  Anchor columns: h_a
-    maps to its left (resp. right) horizontal lift, v^a to the vertical
-    lift, under both anchors.  Bracket coefficients:
-
-    * B(h_a, h_b) = sum_c B[c,a,b] h_c + sum_nu (sum_mu R[mu,a,b,nu] p_mu) v^nu
-    * B(h_a, v^b) = -sum_c Dl[b,a,c] v^c
-    * B(v^a, h_b) = +sum_c Dr[a,b,c] v^c
-    * B(v, v) = 0
+    Returns ``(al, ar, s, Dl, Dr)``: both anchors as [n+m, 2m] arrays, the
+    base snapshot at ``x.q`` and the connection coefficients there.
     """
-    P.check_phase(x)
     n, m = P.base.n, P.base.m
     q, p = x.q, x.p
     batch = q.shape[:-1]
@@ -112,10 +105,27 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     # vertical columns
     al[..., n:, m:] = np.eye(m)
     ar[..., n:, m:] = np.eye(m)
+    return al, ar, s, Dl, Dr
 
-    coeffs = np.zeros(batch + (2 * m, 2 * m, 2 * m))
+
+def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
+    """Evaluate the lifted algebroid structure at a dual-bundle chart point or batch.
+
+    The snapshot's point is the chart vector ``x.z``.  Anchor columns: h_a
+    maps to its left (resp. right) horizontal lift, v^a to the vertical
+    lift, under both anchors.  Bracket coefficients:
+
+    * B(h_a, h_b) = sum_c B[c,a,b] h_c + sum_nu (sum_mu R[mu,a,b,nu] p_mu) v^nu
+    * B(h_a, v^b) = -sum_c Dl[b,a,c] v^c
+    * B(v^a, h_b) = +sum_c Dr[a,b,c] v^c
+    * B(v, v) = 0
+    """
+    P.check_phase(x)
+    m = P.base.m
+    al, ar, s, Dl, Dr = _lifted_anchors(P, x)
+    coeffs = np.zeros(x.q.shape[:-1] + (2 * m, 2 * m, 2 * m))
     coeffs[..., :m, :m, :m] = s.B
-    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", P.R.eval(q), p)
+    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", P.R.eval(x.q), x.p)
     coeffs[..., m:, :m, m:] = -np.einsum("...cab->...bac", Dl)
     coeffs[..., m:, m:, :m] = np.einsum("...abc->...cab", Dr)
     return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)
@@ -228,11 +238,12 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
     differential's jet is one central-difference sweep over all points.
     """
     n, size = P.base.n, P.frame_size
-    theta = TensorField.from_array_fn(
-        lambda z: d_skew_scalar(prolong_eval(P, PhasePoint.from_z(z, n)), phi),
-        (size,),
-        n + P.base.m,
-    )
+
+    def inner(z):  # d_skew_scalar reads only the anchors: the lifted bracket is not built
+        al, ar, *_ = _lifted_anchors(P, PhasePoint.from_z(z, n))
+        return d_skew_scalar(StructureSnapshot(B=None, rho_l=al, rho_r=ar, q=z), phi)
+
+    theta = TensorField.from_array_fn(inner, (size,), n + P.base.m)
     return max_abs(d_skew_oneform(prolong_eval(P, x), theta), 2)
 
 

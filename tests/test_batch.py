@@ -103,6 +103,24 @@ def test_structure_and_tensor_route_batch(family, K):
         assert [r[k] for r in vars(rep).values()] == list(vars(structure_checks(A, x.q)).values())
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_h_and_monitor_values_batch(name):
+    """integrate evaluates H and the monitors once over all recorded states."""
+    bundle = _bundle(name)
+    X, xs = _points(np.random.default_rng(3), bundle.algebroid, 7)
+    for F in [bundle.hamiltonian, *bundle.monitors.values()]:
+        assert _same(F.value(X.z), [F.value(x.z) for x in xs])
+
+
+def test_many_term_polynomial_value_batch():
+    # a matrix-vector product over the whole batch rounds differently from a dot per point
+    rng = np.random.default_rng(4)
+    F = random_phase_function(rng, 2, 2, degree=4)
+    Z = rng.uniform(-1, 1, (50, 4))
+    assert F._terms[0].shape[0] >= 10
+    assert _same(F.value(Z), [F.value(z) for z in Z])
+
+
 @pytest.mark.parametrize("K", [1, 7])
 def test_lifted_calculus_batch(family, K):
     bundle, P = family

@@ -98,18 +98,20 @@ def test_simulate_rejects_non_finite_or_boolean_step(tmp_path, key, value):
 def test_simulate_divergence_exit_code(tmp_path):
     cases = [
         # dp/dt = p^2: the state after a step leaves float range
-        ({"coef": 0.5, "exp": [2]}, 0.5, 10.0),
+        ([[[-1.0]]], {"arity": 1, "terms": [{"coef": 0.5, "exp": [2]}]}, 0.5, 1000, 10.0),
         # dp/dt = 4 p^4: the state stays finite while H and its gradient at it overflow
-        ({"coef": 1.0, "exp": [4]}, 0.1, 2.0),
+        ([[[-1.0]]], {"arity": 1, "terms": [{"coef": 1.0, "exp": [4]}]}, 0.1, 1000, 2.0),
+        # dp/dt = p e^p: the exp builtin overflows (math.exp raises) inside the FD gradient
+        ([[[1.0]]], {"arity": 1, "builtin": "exp"}, 0.1, 200, 2.0),
     ]
-    for k, (term, h, p0) in enumerate(cases):
+    for k, (structure, hamiltonian, h, steps, p0) in enumerate(cases):
         cfg = {
             "scenario": {
                 "scenario": "lie_poisson",
-                "structure": [[[-1.0]]],
-                "hamiltonian": {"arity": 1, "terms": [term]},
+                "structure": structure,
+                "hamiltonian": hamiltonian,
             },
-            "integration": {"h": h, "steps": 1000, "x0": {"q": [], "p": [p0]}},
+            "integration": {"h": h, "steps": steps, "x0": {"q": [], "p": [p0]}},
             "output": {"trajectory": f"part{k}.csv"},
         }
         path = write_config(tmp_path, cfg, f"cfg{k}.json")

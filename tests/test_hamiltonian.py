@@ -286,6 +286,59 @@ def test_integrate_divergence_reports_last_good_step():
         assert all(np.isfinite(s[2]) and np.isfinite(s[3]) for s in samples)
 
 
+def test_a_monitor_that_overflows_first_ends_the_trajectory():
+    # dp/dt = -p^2 from p = -10 blows up near t = 0.1; the monitor p^100
+    # overflows at the sample of step 100, before H, dH/dt and the state do
+    # (without the monitor the trajectory ends two steps later)
+    B = np.zeros((1, 1, 1))
+    B[0, 0, 0] = -1.0
+    A = algebroid_from_constants(B, n=0)
+    H = field_from_polynomial([(0.5, [2])], 1)
+    F = field_from_polynomial([(1.0, [100])], 1)
+    x0 = PhasePoint([], [-10.0])
+    with pytest.raises(IntegrationDivergedError) as info:
+        integrate(A, H, x0, 1e-3, 1000, monitors={"F": F})
+    with pytest.raises(IntegrationDivergedError) as plain:
+        integrate(A, H, x0, 1e-3, 1000)
+    assert info.value.last_good_step == 99
+    assert plain.value.last_good_step == 101
+    samples, ref = info.value.trajectory.samples, plain.value.trajectory.samples
+    assert len(samples) == 100
+    for (t, x, hval, rate, mon), (rt, rx, rh, rrate, _) in zip(samples, ref):
+        assert (t, hval, rate) == (rt, rh, rrate) and np.array_equal(x.z, rx.z)
+        assert mon.tolist() == [F.value(x.z)]
+
+
+def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monkeypatch):
+    import algmech.hamiltonian as hamiltonian
+
+    calls = {"ham_field": 0, "structure_eval": 0}
+
+    def counted(name):
+        real = getattr(hamiltonian, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hamiltonian, name, wrapped)
+
+    counted("ham_field")
+    counted("structure_eval")
+    constant = canonical_tangent(2)  # n = 2: no snapshot built with the structure
+    varying = random_algebroid(np.random.default_rng(3), n=1, m=2)
+    for A, per_step in ((constant, 0), (varying, 4)):
+        H = random_phase_function(np.random.default_rng(4), A.n, A.m, degree=2)
+        x0 = PhasePoint(np.full(A.n, 0.1), np.full(A.m, 0.2))
+        counts = []
+        for steps in (5, 20):
+            calls.update(ham_field=0, structure_eval=0)
+            integrate(A, H, x0, 1e-3, steps)
+            assert calls["ham_field"] == 1
+            counts.append(calls["structure_eval"] - per_step * steps)
+        assert counts[0] == counts[1] <= 2, counts
+
+
 # the shipped gradient_extension field X = (1, 0) conserves H = p.X exactly;
 # X = (q2, q1^2) makes dH/dt non-zero
 _SWIRL = {"vector_field": [
