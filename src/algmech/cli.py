@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -95,7 +96,13 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 1
     path = report_path or cfg.output.get("report") or "report.json"
-    text = json.dumps(entries, indent=2)
+    # RFC 8259 JSON has no infinity or NaN: a non-finite residual is written as
+    # null (its entry fails), and the bare tokens cannot be written at all
+    report = [
+        {**e, "max_residual": e["max_residual"] if math.isfinite(e["max_residual"]) else None}
+        for e in entries
+    ]
+    text = json.dumps(report, indent=2, allow_nan=False)
     with open(path, "w") as fh:
         fh.write(text + "\n")
     for e in entries:

@@ -111,11 +111,11 @@ def memoized_on_point(fn, maxsize=16384):
     whole.  Only results shared by several tensors are cached, at three
     sites: the Levi-Civita Christoffels of a batch
     (``connections.levi_civita``: Dl, Dr, a bracket, a curvature evaluate the
-    same batch), the adapted-frame core at one point
+    same batch), the adapted-frame core of a point or a batch
     (``_AdaptedFrame.core_at``: every frame tensor, the frame and its exact
-    jet included) and the projected structure of ``build_constrained`` at
-    one point (bracket and both anchors).  The cache is cleared wholesale
-    when full.
+    jet included, reads it; an FD stencil is one batch) and the projected
+    structure of ``build_constrained`` at a point or a batch (bracket and
+    both anchors).  The cache is cleared wholesale when full.
     """
     cache = {}
 
@@ -412,13 +412,26 @@ register_builtin("exp", _exp)
 
 
 def _merge_monomials(E):
-    """Distinct rows of the exponent table ``E`` and each row's position among them."""
-    if E.shape[1] == 0:  # over a point every monomial is 1
-        return E[:1], np.zeros(E.shape[0], dtype=np.intp)
-    E = np.ascontiguousarray(E)
-    rows = E.view(np.dtype((np.void, E.dtype.itemsize * E.shape[1]))).reshape(-1)
-    distinct, where = np.unique(rows, return_inverse=True)
-    return distinct.view(E.dtype).reshape(-1, E.shape[1]), where.reshape(-1)
+    """The distinct rows of the exponent table ``E``, sorted lexicographically.
+
+    Also returns each row's position among them.
+    """
+    T, arity = E.shape
+    if arity == 0 or T == 0:  # over a point every monomial is 1
+        return E[:1], np.zeros(T, dtype=np.intp)
+    base = int(E.max()) + 1
+    if base**arity > np.iinfo(np.int64).max:  # the integer keys below would overflow
+        distinct, where = np.unique(E, axis=0, return_inverse=True)
+        return distinct, where.reshape(-1)
+    # a row's key is the number its exponents spell in base ``base``, so the
+    # keys sort as the rows do
+    keys = E @ base ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    first = np.ones(T, dtype=bool)
+    first[1:] = np.diff(keys[order]) != 0
+    where = np.empty(T, dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return E[order[first]], where
 
 
 def _jet_table(rows, coefs, exps, size, arity):
@@ -429,6 +442,7 @@ def _jet_table(rows, coefs, exps, size, arity):
     the components and of their first derivatives, the ``nv`` monomials of
     the values first; ``C[size * (1 + arity), U]`` maps their values at q to
     the ``size`` component values followed by the ``[size, arity]`` gradient.
+    The terms are summed into ``C`` in their order.
     """
     t, i, dcoefs, dexps = _derivative_terms(coefs, exps)
     E, col = _merge_monomials(np.concatenate([exps, dexps]))
@@ -437,13 +451,10 @@ def _jet_table(rows, coefs, exps, size, arity):
     order = np.argsort(~is_value, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.shape[0])
-    C = np.zeros((size * (1 + arity), E.shape[0]))
-    np.add.at(
-        C,
-        (np.concatenate([rows, size + rows[t] * arity + i]), rank[col]),
-        np.concatenate([coefs, dcoefs]),
-    )
-    return E[order].astype(float), int(is_value.sum()), C
+    shape = (size * (1 + arity), E.shape[0])
+    flat = np.concatenate([rows, size + rows[t] * arity + i]) * shape[1] + rank[col]
+    C = np.bincount(flat, weights=np.concatenate([coefs, dcoefs]), minlength=math.prod(shape))
+    return E[order].astype(float), int(is_value.sum()), C.astype(float, copy=False).reshape(shape)
 
 
 class TensorField:

@@ -46,8 +46,8 @@ SPLIT_TOL = 1e-10
 class ProlongationData:
     """Base algebroid + validated splitting + free (1,3) tensor R.
 
-    The splitting is checked at construction probe points; the 2m frame is
-    ordered (h_1..h_m, v^1..v^m).
+    The splitting is checked at construction probe points, in one batch; the
+    2m frame is ordered (h_1..h_m, v^1..v^m).
     """
 
     base: AlgebroidStructure
@@ -59,9 +59,8 @@ class ProlongationData:
             raise InputError("connection pair does not match the base algebroid")
         if self.R.m != self.base.m or self.R.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
-        worst = worst_residual(
-            verify_split(self.base, self.split, q) for q in base_probes(self.base.n, seed=12345)
-        )
+        probes = np.array(base_probes(self.base.n, seed=12345))  # one batch
+        worst = worst_residual([verify_split(self.base, self.split, probes)])
         if not worst <= SPLIT_TOL:
             raise InvalidStructureError(
                 f"connection pair does not split the bracket: residual {worst:.3e} > {SPLIT_TOL:g}"

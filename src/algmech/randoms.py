@@ -9,6 +9,7 @@ per component, so the coefficients do not depend on the packing.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -28,9 +29,13 @@ def poly_exponents(arity, degree):
     return out if arity else [[]]
 
 
+@functools.lru_cache(maxsize=None)
 def _exponent_table(arity, degree) -> np.ndarray:
+    """:func:`poly_exponents` as a read-only [T, arity] array, built once per (arity, degree)."""
     exps = poly_exponents(arity, degree)
-    return np.array(exps, dtype=int).reshape(len(exps), arity)
+    table = np.array(exps, dtype=int).reshape(len(exps), arity)
+    table.flags.writeable = False
+    return table
 
 
 def random_polynomial_field(rng, arity, degree) -> SmoothField:

@@ -17,6 +17,7 @@ independent oracle for the momentum-side trajectories.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -35,7 +36,6 @@ from .connections import (
 from .errors import InputError
 from .fields import SmoothField, TensorField, memoized_on_point
 from .hamiltonian import (
-    PhasePoint,
     metric_inverse,
     momentum_pairing_hamiltonian,
     quadratic_hamiltonian,
@@ -303,39 +303,80 @@ class ConstraintSpec:
         return self.variational_basis is None
 
 
-def _rowwise(fn):
-    """The batch form ``Q[K, n] -> [K, ...]`` of a pointwise ``fn``, called on each row.
+def _gram_schmidt(V, Gv):
+    """Metric Gram-Schmidt of the rows of ``V[K, c, M]``, at all K points in one pass.
 
-    The adapted-frame core is computed one point at a time, so the tensors
-    over it take their batches row by row.
+    Loops over the c rows, not over the points.  Returns the orthonormal
+    rows [K, c, M], the same rows times the metric, and a [K] mask of the
+    points where a row lies in the span of the previous ones (squared norm
+    <= ``GRAM_SCHMIDT_TOL``); the rows of those points are not a frame.
     """
-    return lambda Q: fn(Q) if Q.ndim == 1 else np.array([fn(q) for q in Q])
+    rows, rowsG, norms = [], [], []
+    for j in range(V.shape[1]):
+        w = V[:, j : j + 1]  # [K, 1, M]
+        for u, uG in zip(rows, rowsG):
+            w = w - u * (uG @ w.swapaxes(1, 2))
+        wG = w @ Gv
+        norms.append(wG @ w.swapaxes(1, 2))
+        # a deficient row is scaled by the tolerance instead; its point fails
+        scale = np.sqrt(np.maximum(norms[-1], GRAM_SCHMIDT_TOL))
+        rows.append(w / scale)
+        rowsG.append(wG / scale)
+    deficient = (np.concatenate(norms, axis=1) <= GRAM_SCHMIDT_TOL).any(axis=(1, 2))
+    return np.concatenate(rows, axis=1), np.concatenate(rowsG, axis=1), deficient
 
 
-def _gram_schmidt(cols, Gv, tol=GRAM_SCHMIDT_TOL, strict=True):
-    """Metric Gram-Schmidt of the given column vectors; returns kept columns."""
-    kept = []
-    for v in cols:
-        w = v.astype(float).copy()
-        for u in kept:
-            w -= u * float(u @ Gv @ w)
-        nrm = float(w @ Gv @ w)
-        if nrm <= tol:
-            if strict:
-                raise InputError("constraint basis is rank deficient")
-            continue
-        kept.append(w / np.sqrt(nrm))
-    return kept
+def _complete(F, FG, Gv):
+    """Complete the metric-orthonormal rows ``F[K, k, M]`` (``FG = F G``) to a basis.
+
+    At each point the unit vectors e_mu, projected off the rows of F, are
+    taken in the order of mu, each projected off the ones kept before it,
+    and the first M - k whose remainder has squared norm > 1e-8 are kept,
+    normalized.  All M unit vectors are projected at once, so the loop runs
+    over the completing rows, not over mu or the points.  Returns the
+    completing rows [K, M - k, M], the kept mu [K, M - k] and a [K] mask of
+    the points with too few of them.
+    """
+    K, k, M = F.shape
+    W = np.eye(M) - FG.swapaxes(1, 2) @ F  # row mu: e_mu off the span of F
+    perp, kept = np.empty((K, M - k, M)), np.empty((K, M - k), dtype=int)
+    points, order = np.arange(K), np.arange(M)
+    short = np.zeros(K, dtype=bool)
+    for j in range(M - k):
+        if j:  # project the rows off the last kept one; only later rows stay candidates
+            u = perp[:, j - 1 : j]
+            W = W - (W @ (u @ Gv).swapaxes(1, 2)) * u
+        nrm = (W @ Gv @ W.swapaxes(1, 2)).diagonal(axis1=1, axis2=2)
+        ok = (nrm > 1e-8) & (order > kept[:, j - 1 : j]) if j else nrm > 1e-8
+        mu = ok.argmax(axis=1)
+        short |= ~ok[points, mu]
+        perp[:, j] = W[points, mu] / np.sqrt(np.maximum(nrm[points, mu], 1e-8))[:, None]
+        kept[:, j] = mu
+    return perp, kept, short
+
+
+@functools.lru_cache(maxsize=None)
+def _triangles(c):
+    """Upper, strictly lower, and upper minus half the diagonal: :func:`_qr_jet`'s masks.
+
+    Built once per column count; read-only, since every call shares them.
+    """
+    upper = np.tri(c).T
+    masks = upper, 1.0 - upper, upper - 0.5 * np.eye(c)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
 def _qr_jet(Q, A, dA, Gv, dG):
-    """Exact gradient of the metric-orthonormal QR factor ``Q = A R^-1``.
+    """Exact gradient of the metric-orthonormal QR factor ``Q = A R^-1``, at K points.
 
-    ``A`` is [M, c] of full column rank and ``Q`` its metric Gram-Schmidt
-    frame (Q^T G Q = I, so R = Q^T G A is upper triangular); ``dA``
-    [n, M, c] and ``dG`` [n, M, M] are the derivatives of A and G along the
-    n chart directions.  Per direction, with L the strict lower triangle of
-    Q^T G dA R^-1 and H = Q^T dG Q,
+    ``A`` is [K, M, c], of full column rank at each point, and ``Q`` its
+    metric Gram-Schmidt frame (Q^T G Q = I, so R = Q^T G A is upper
+    triangular); ``dA`` [K, n, M, c] and ``dG`` [K, n, M, M] are the
+    derivatives of A and G along the n chart directions.  Per point and
+    direction, with L the strict lower triangle of Q^T G dA R^-1 and
+    H = Q^T dG Q,
 
         dQ = Q Omega + (1 - Q Q^T G) dA R^-1,
         Omega = L - L^T - triu(H, 1) - diag(H) / 2,
@@ -343,21 +384,23 @@ def _qr_jet(Q, A, dA, Gv, dG):
     the second term vanishing for square Q (Walter, Lehmann & Lamour, Optim.
     Methods Softw. 27, 2012; Murray, arXiv:1602.07527).  Omega reads only
     the columns of R^-1 that L needs, so an ill-conditioned completion
-    column does not amplify rounding in the others.  Returns [n, M, c].
+    column does not amplify rounding in the others.  Every product is a
+    stacked matmul, one per point, so row k equals the result at point k
+    alone.  Returns [K, n, M, c].
     """
-    upper = np.tri(A.shape[1]).T
-    QG = Q.T @ Gv
-    dAR = dA @ np.linalg.inv(QG @ A * upper)
-    L = QG @ dAR * (1.0 - upper)
-    Omega = L - np.swapaxes(L, 1, 2) - Q.T @ dG @ Q * (upper - 0.5 * np.eye(A.shape[1]))
-    dQ = Q @ Omega
-    if Q.shape[1] < Q.shape[0]:
-        dQ += dAR - Q @ (QG @ dAR)
+    upper, lower, half = _triangles(A.shape[-1])
+    Qt = Q.swapaxes(1, 2)
+    QG = Qt @ Gv
+    dAR = dA @ np.linalg.inv(QG @ A * upper)[:, None]
+    L = QG[:, None] @ dAR * lower
+    dQ = Q[:, None] @ (L - L.swapaxes(2, 3) - Qt[:, None] @ dG @ Q[:, None] * half)
+    if A.shape[-1] < Q.shape[1]:
+        dQ += dAR - Q[:, None] @ (QG[:, None] @ dAR)
     return dQ
 
 
 class _AdaptedFrame:
-    """Pointwise orthonormal frame adapted to the constraint decomposition.
+    """Orthonormal frame adapted to the constraint decomposition, over a batch of points.
 
     Columns 0..k-1 are a metric-orthonormal basis of the kinematic subbundle,
     the remaining columns an orthonormal basis of the orthogonal complement of
@@ -365,10 +408,17 @@ class _AdaptedFrame:
     basis data and its jet is exact: U is read as the QR factor of the basis
     columns and the completing unit vectors, differentiated by
     :func:`_qr_jet` from the polynomial jets of the metric and the bases.
-    The pointwise core (frame, adapted structure, cross Gram block and its
-    jet, projectors) is memoized, since every frame tensor reads it;
-    gradients of the other core quantities are central differences of
-    array-valued tensors over it.
+
+    The core (frame and jet, adapted structure, cross Gram block and its
+    jet, projectors) is evaluated at K points ``Q[K, n]`` in one pass, every
+    array with a leading K axis; Gram-Schmidt and the completion loop over
+    columns, not points, and every product is one stacked matmul per point,
+    so row k equals the core at point k alone.  One point ``q[n]`` is the
+    K = 1 case.  :meth:`core_at` memoizes a point or a batch as a whole,
+    since every frame tensor reads it; a tensor's central-difference
+    stencil ``[2n+1, K]`` is one batch.  Gradients of the core quantities
+    other than the frame are central differences of array-valued tensors
+    over it.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -377,6 +427,11 @@ class _AdaptedFrame:
         self.n = spec.ambient.n
         self.k = spec.rank
         self.h = CHRISTOFFEL_FD_STEP
+        self._eye = np.eye(self.M)
+        # a constant ambient structure is read once
+        self._ambient = (
+            None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
+        )
         self.kinematic = TensorField(spec.kinematic_basis, arity=self.n)
         self.variational = (
             None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
@@ -386,105 +441,111 @@ class _AdaptedFrame:
 
     # frame assembly ---------------------------------------------------------
 
-    def _frame_jet(self, q):
-        """The adapted frame U at ``q``, its gradient [n, M, M] and the metric jet."""
+    def _frame_jet(self, Q):
+        """The adapted frame U at ``Q[K, n]``, its gradient [K, n, M, M] and the metric jet.
+
+        Raises :class:`InputError` for the first point, in row order, where
+        the frame fails, naming that point and its first failure.
+        """
         spec = self.spec
-        M, k = self.M, self.k
-        Gv, dG = spec.metric.eval_grad(q)
-        Dcols, dD = self.kinematic.eval_grad(q)
-        d_frame = _gram_schmidt(Dcols, Gv, strict=True)
-        if len(d_frame) != self.k:
-            raise InputError(f"kinematic basis rank deficient at {q.tolist()}")
+        k = self.k
+        Gv, dG = spec.metric.eval_grad(Q)
+        D, dD = self.kinematic.eval_grad(Q)
+        d_frame, d_frameG, d_deficient = _gram_schmidt(D, Gv)
+        failures = [("kinematic basis rank deficient", d_deficient)]
         if spec.classical:
-            seed, dseed, complement_seed = Dcols, dD, d_frame
+            seed, dseed, span, spanG = D, dD, d_frame, d_frameG
         else:
-            seed, dseed = self.variational.eval_grad(q)
-            v_frame = _gram_schmidt(seed, Gv, strict=True)
-            if len(v_frame) != self.k:
-                raise InputError(f"variational basis rank deficient at {q.tolist()}")
-            complement_seed = v_frame
+            seed, dseed = self.variational.eval_grad(Q)
+            span, spanG, v_deficient = _gram_schmidt(seed, Gv)
+            failures.append(("variational basis rank deficient", v_deficient))
         # complete with an orthonormal basis of the orthogonal complement of the
         # seed, keeping the first unit vectors e_mu that are not in the span so far
-        span = [(u, u @ Gv) for u in complement_seed]
-        perp = []
-        kept = []
-        for mu in range(M):
-            if len(perp) == M - k:
-                break
-            w = np.zeros(M)
-            w[mu] = 1.0
-            for u, uG in span:
-                w -= u * float(uG @ w)
-            nrm = float(w @ Gv @ w)
-            if nrm > 1e-8:
-                perp.append(w / np.sqrt(nrm))
-                span.append((perp[-1], perp[-1] @ Gv))
-                kept.append(mu)
-        if len(perp) != M - k:
-            raise InputError(f"could not complete the adapted frame at {q.tolist()}")
-        U = np.column_stack(d_frame + perp)
-        if abs(np.linalg.det(U)) < 1e-10:
-            raise InputError(
-                f"compatibility failed: kinematic subbundle and variational complement "
-                f"do not span the ambient fibre at {q.tolist()}"
-            )
+        perp, kept, short = _complete(span, spanG, Gv)
+        U = np.concatenate([d_frame, perp], axis=1).swapaxes(1, 2)
+        failures += [
+            ("could not complete the adapted frame", short),
+            (
+                "compatibility failed: kinematic subbundle and variational complement "
+                "do not span the ambient fibre",
+                np.abs(np.linalg.det(U)) < 1e-10,
+            ),
+        ]
+        failed = np.logical_or.reduce([mask for _, mask in failures])
+        if failed.any():
+            i = int(failed.argmax())
+            message = next(message for message, mask in failures if mask[i])
+            raise InputError(f"{message} at {Q[i].tolist()}")
         # exact jet: the seed columns and the kept unit vectors, QR-factored
-        dG = np.moveaxis(dG, 2, 0)
-        A = np.column_stack([seed.T, np.eye(M)[:, kept]])
-        dA = np.zeros((self.n, M, M))
-        dA[:, :, :k] = np.transpose(dseed, (2, 1, 0))
+        dG = dG.transpose(0, 3, 1, 2)
+        A = np.concatenate([seed, self._eye[kept]], axis=1).swapaxes(1, 2)
+        dA = np.zeros(dG.shape)
+        dA[..., :k] = dseed.transpose(0, 3, 2, 1)
         if spec.classical:
             dU = _qr_jet(U, A, dA, Gv, dG)
         else:
-            Q = np.column_stack(complement_seed + perp)
+            Qv = np.concatenate([span, perp], axis=1).swapaxes(1, 2)
             dU = np.concatenate(
                 [
-                    _qr_jet(U[:, :k], Dcols.T, np.transpose(dD, (2, 1, 0)), Gv, dG),
-                    _qr_jet(Q, A, dA, Gv, dG)[:, :, k:],
+                    _qr_jet(U[..., :k], D.swapaxes(1, 2), dD.transpose(0, 3, 2, 1), Gv, dG),
+                    _qr_jet(Qv, A, dA, Gv, dG)[..., k:],
                 ],
-                axis=2,
+                axis=-1,
             )
         return U, dU, Gv, dG
 
     def _compute_core(self, q):
+        """The core at ``q[n]``, or at every point of ``q[K, n]`` with a leading K axis."""
         spec = self.spec
         M, n, k = self.M, self.n, self.k
-        U, dU, Gv, dG = self._frame_jet(q)
-        Uinv = np.linalg.inv(U)
-        s = structure_eval(spec.ambient, q)
-        rho_new = s.rho_l @ U if n else np.zeros((0, M))
-        # bracket coefficients in the adapted frame
-        W = np.einsum("lmv,ma,vb->lab", s.B, U, U)
-        if n:
-            dU_along = np.einsum("ilb,im->lbm", dU, s.rho_l)  # d U[l,b] along rho(eps_m)
-            W += np.einsum("ma,lbm->lab", U, dU_along)
-            W -= np.einsum("vb,lav->lab", U, dU_along)
-        C_new = np.einsum("gl,lab->gab", Uinv, W)
+        Q = q if q.ndim == 2 else q[None]
+        K = Q.shape[0]
+        U, dU, Gv, dG = self._frame_jet(Q)
         # metric in the adapted frame: orthonormal blocks by construction; the
         # jet of the cross block g [k, M - k, n] by the product rule
+        Ut = U.swapaxes(1, 2)
         if spec.classical:
-            g = np.zeros((k, M - k))
-            dg = np.zeros((k, M - k, n))
+            g = np.zeros((K, k, M - k))
+            dg = np.zeros((K, k, M - k, n))
         else:
-            g = (U[:, :k].T @ Gv @ U[:, k:])
             GU = Gv @ U
-            dg = np.swapaxes(dU[:, :, :k], 1, 2) @ GU[:, k:]
-            dg += U[:, :k].T @ dG @ U[:, k:] + GU[:, :k].T @ dU[:, :, k:]
-            dg = np.moveaxis(dg, 0, 2)
-        G_new = np.eye(M)
-        G_new[:k, k:] = g
-        G_new[k:, :k] = g.T
-        Ginv = np.eye(M) if spec.classical else np.linalg.inv(G_new)
+            g = Ut[:, :k] @ Gv @ U[..., k:]
+            dg = dU[..., :k].swapaxes(2, 3) @ GU[:, None, :, k:]
+            dg += (
+                Ut[:, None, :k] @ dG @ U[:, None, :, k:]
+                + GU[..., :k].swapaxes(1, 2)[:, None] @ dU[..., k:]
+            )
+            dg = np.moveaxis(dg, 1, 3)
+        G_new = np.repeat(self._eye[None], K, axis=0)
+        G_new[:, :k, k:] = g
+        G_new[:, k:, :k] = g.swapaxes(1, 2)
+        Ginv = G_new if spec.classical else np.linalg.inv(G_new)  # classical: the identity
+        # U^T G U = G_new, so U^-1 = G_new^-1 U^T G
+        Uinv = Ut @ Gv
+        if not spec.classical:
+            Uinv = Ginv @ Uinv
+        # the ambient snapshot of one point has no K axis: it broadcasts
+        s = self._ambient or structure_eval(spec.ambient, q)
+        rho_new = s.rho_l @ U
+        # bracket coefficients in the adapted frame:
+        # U^-1 (B(U_a, U_b) + rho(U_a) U_b - rho(U_b) U_a)
+        W = Ut[:, None] @ (s.B @ U[:, None])
+        if n:
+            # dU_along[l, b, m]: the derivative of U[l, b] along rho(eps_m)
+            dU_along = (dU.reshape(K, n, M * M).swapaxes(1, 2) @ s.rho_l).reshape(K, M, M, M)
+            W += Ut[:, None] @ dU_along.swapaxes(2, 3)
+            W -= dU_along @ U[:, None]
+        C_new = (Uinv @ W.reshape(K, M, M * M)).reshape(K, M, M, M)
         # projector onto the kinematic subbundle along its orthogonal complement
-        P = G_new[:k, :]
+        P = G_new[:, :k, :]
         # projector onto the variational subbundle along the kinematic complement,
         # restricted to kinematic arguments
-        Pi = np.zeros((M, k))
-        Pi[:k, :] = Ginv[:k, :k].T
-        Pi[k:, :] = -(Ginv[:k, :k] @ g).T
-        return {
+        Pi = np.empty((K, M, k))
+        Pi[:, :k] = Ginv[:, :k, :k].swapaxes(1, 2)
+        Pi[:, k:] = -(Ginv[:, :k, :k] @ g).swapaxes(1, 2)
+        core = {
             "U": U,
-            "Uinv": Uinv,
+            "dU": dU,
             "rho_new": rho_new,
             "C_new": C_new,
             "G_new": G_new,
@@ -494,13 +555,12 @@ class _AdaptedFrame:
             "P": P,
             "Pi": Pi,
         }
+        return core if q.ndim == 2 else {key: value[0] for key, value in core.items()}
 
     # fields over the base ----------------------------------------------------
 
     def _field_from_core(self, key, shape):
-        return TensorField.from_array_fn(
-            _rowwise(lambda q: self.core_at(q)[key]), shape, self.n, h=self.h
-        )
+        return TensorField.from_array_fn(lambda q: self.core_at(q)[key], shape, self.n, h=self.h)
 
     def _build_fields(self):
         M, n = self.M, self.n
@@ -519,34 +579,36 @@ class _AdaptedFrame:
         self.Gamma = levi_civita(self.adapted, self.G_new_field)
         self.Pi_field = self._field_from_core("Pi", (M, self.k))
 
-    # derived pointwise structures ---------------------------------------------
+    # derived structures, at a point or a batch --------------------------------
+
+    def _projected(self, q, core, T):
+        """Kinematic projection of a frame tensor ``T[..., M, M, M]`` (value, direction, argument).
+
+        P (T[:, a, :] Pi + rho(s_a) Pi) for kinematic directions a: the
+        result [..., k, k, k] takes its argument through the variational
+        projector Pi, whose anchor derivative enters when it varies.
+        """
+        k = self.k
+        P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
+        inner = T[..., :k, :] @ Pi[..., None, :, :]
+        if self.n and not self.spec.classical:  # classical projector is constant
+            _, dPi = self.Pi_field.eval_grad(q)  # [..., M, k, n]
+            inner += rho[..., None, :, :k].swapaxes(-1, -2) @ dPi.swapaxes(-1, -2)
+        return _project_first(P, inner)
 
     def projected_structure_at(self, q):
-        """Projected bracket coefficients B[c,a,b] and anchors at ``q``."""
+        """Projected bracket coefficients B[c,a,b] and anchors at ``q[n]`` or ``q[K, n]``."""
         core = self.core_at(q)
-        k, n = self.k, self.n
-        C, P, Pi, rho = core["C_new"], core["P"], core["Pi"], core["rho_new"]
-        inner = np.einsum("mb,lam->lab", Pi, C[:, :k, :])
-        if n and not self.spec.classical:  # classical projector is constant
-            _, dPi = self.Pi_field.eval_grad(q)  # [M, k, n]
-            inner += np.einsum("ia,lbi->lab", rho[:, :k], dPi)
-        B = np.einsum("cl,lab->cab", P, inner)
-        rho_l = rho[:, :k]
-        rho_r = rho @ Pi if n else np.zeros((0, k))
-        return B, rho_l, rho_r
+        rho, Pi = core["rho_new"], core["Pi"]
+        return self._projected(q, core, core["C_new"]), rho[..., : self.k], rho @ Pi
 
     def split_at(self, q):
-        """Left/right connection Christoffels of the constrained splitting."""
+        """Left/right Christoffels of the constrained splitting at ``q[n]`` or ``q[K, n]``."""
         core = self.core_at(q)
-        k, n = self.k, self.n
-        P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
-        Gam = self.Gamma.eval(q)  # [M, M, M] value, direction, argument
-        Dl_inner = np.einsum("mb,gam->gab", Pi, Gam[:, :k, :])
-        if n and not self.spec.classical:
-            _, dPi = self.Pi_field.eval_grad(q)
-            Dl_inner += np.einsum("ia,gbi->gab", rho[:, :k], dPi)
-        Dl = np.einsum("cg,gab->cab", P, Dl_inner)
-        Dr = np.einsum("cg,ma,gmb->cab", P, Pi, Gam[:, :, :k])
+        k, Pi = self.k, core["Pi"]
+        Gam = self.Gamma.eval(q)  # [..., M, M, M] value, direction, argument
+        Dl = self._projected(q, core, Gam)
+        Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
 
     def ctilde_display_at(self, q):
@@ -571,12 +633,21 @@ class _AdaptedFrame:
         amb_curv = curvature_field(self.adapted, self.Gamma)
         k = self.k
 
-        def at(Q):
-            Rv = amb_curv.eval(Q)[..., :k, :k, :k]
-            P = _rowwise(lambda q: self.core_at(q)["P"])(Q)
-            return np.einsum("...dg,...gabc->...dabc", P, Rv)
+        def at(q):
+            Rv = amb_curv.eval(q)[..., :k, :k, :k]
+            return _project_first(self.core_at(q)["P"], Rv)
 
         return CurvatureTensor(TensorField.from_array_fn(at, (k, k, k, k), self.n, h=self.h))
+
+
+def _project_first(P, T):
+    """``P[..., k, M]`` applied to the first index of ``T[..., M, *rest]``.
+
+    One matrix product per point, so row k equals the product at point k alone.
+    """
+    lead = T.shape[: P.ndim - 2]
+    rest = T.shape[P.ndim - 1 :]
+    return (P @ T.reshape(lead + (T.shape[P.ndim - 2], -1))).reshape(lead + P.shape[-2:-1] + rest)
 
 
 def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
@@ -591,15 +662,16 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     """
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
-    # exercise the frame at probe points so ill-posed data fails loudly here
-    for q in base_probes(n, seed=_PROBE_SEED):
-        frame.core_at(q)
+    # exercise the frame at the probe points, in one batch, so ill-posed data
+    # fails loudly here (over a point the frame tensors were built from it)
+    if n:
+        frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
 
     # one projected structure feeds the bracket and both anchors
     proj_at = memoized_on_point(frame.projected_structure_at)
 
     def piece(src, pos, shape):
-        return TensorField.from_array_fn(_rowwise(lambda q: src(q)[pos]), shape, n, h=frame.h)
+        return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
 
     alg = AlgebroidStructure(
         n=n,

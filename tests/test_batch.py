@@ -5,7 +5,8 @@ length K.  Row k of a batched result must be the single-point result at
 point k, bit for bit, on every family of the ``probe`` benchmark (the
 shipped configs of the five unconstrained families and the Bianchi negative
 control), over a point (n = 0) and with the array-valued Christoffels of
-gradient_extension.  A batched check draws its probes in one call of the
+gradient_extension, and on the constrained families, whose adapted-frame
+core is evaluated once per batch (FD stencils included).  A batched check draws its probes in one call of the
 generator, in the order of the former per-probe draws, and evaluates the
 lifted structure a fixed number of times whatever K is.
 """
@@ -40,15 +41,17 @@ from algmech.prolongation import (
     omega,
     prolong_eval,
 )
+from algmech.errors import InputError
 from algmech.randoms import (
     random_phase_function,
     random_phase_point,
     random_phase_points,
     random_polynomial_tensor,
 )
+from algmech.scenarios import ConstraintSpec, _AdaptedFrame, build_constrained
 from algmech.verify import CHECKS, run_check
 
-from conftest import curved_plane_metric
+from conftest import curved_plane_metric, generalized_curved_spec
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PROBE_FAMILIES = [
@@ -265,3 +268,113 @@ def test_prolong_eval_calls_do_not_grow_with_the_probe_count(monkeypatch, name):
         run_check(name, bundle, {"points": K, "random_instances": 2}, 3)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 4, counts
+
+
+# -- constrained families: one stacked adapted-frame core per batch ------------------
+
+CONSTRAINED = ["nonholonomic_classical", "generalized_servo", "nonjacobi_projected", "curved"]
+
+
+def _constrained(name):
+    """A constrained bundle and its spec: a shipped config, or the generalized spec over a plane."""
+    if name == "curved":
+        spec = generalized_curved_spec()
+        return build_constrained(spec), spec
+    return build_scenario(load_config(CONFIG_DIR / f"{name}.json").scenario)
+
+
+@pytest.mark.parametrize("K", [1, 5])
+@pytest.mark.parametrize("name", CONSTRAINED)
+def test_constrained_core_and_structures_batch(name, K):
+    """Row k of every constrained evaluation over a batch is the single-point result."""
+    rng = np.random.default_rng(30 + K)
+    batched, spec = _constrained(name)
+    single, _ = _constrained(name)  # its own memo: the single points are evaluated alone
+    A, A1 = batched.algebroid, single.algebroid
+    X, xs = _points(rng, A, K)
+    frame, frame1 = _AdaptedFrame(spec), _AdaptedFrame(spec)
+    core = frame.core_at(X.q)
+    cores = [frame1.core_at(x.q) for x in xs]
+    for key in core:
+        assert _same(core[key], [c[key] for c in cores]), key
+    s = structure_eval(A, X.q)
+    singles = [structure_eval(A1, x.q) for x in xs]
+    for part in ("B", "rho_l", "rho_r"):
+        assert _same(getattr(s, part), [getattr(t, part) for t in singles])
+    for D, D1 in ((batched.split.Dl, single.split.Dl), (batched.split.Dr, single.split.Dr)):
+        assert _same(D.eval(X.q), [D1.eval(x.q) for x in xs])
+    assert _same(batched.curvature.eval(X.q), [single.curvature.eval(x.q) for x in xs])
+    s = prolong_eval(batched.prolongation(), X)
+    P1 = single.prolongation()
+    singles = [prolong_eval(P1, x) for x in xs]
+    for part in ("B", "rho_l", "rho_r"):
+        assert _same(getattr(s, part), [getattr(t, part) for t in singles])
+
+
+def _defective_spec():
+    """Over a line: the kinematic row (q - 3, 0) vanishes at q = 3, and at q = 2 the
+    variational row (q - 2, 1) leaves the kinematic direction in its complement."""
+    from algmech.algebroid import algebroid_from_constants
+    from algmech.fields import SmoothField
+
+    def line(c0, c1):
+        return SmoothField.polynomial([(c0, [0]), (c1, [1])], 1)
+
+    return ConstraintSpec(
+        ambient=algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], [[1.0, 0.0]], n=1),
+        metric=TensorField.from_constants(np.eye(2), 1),
+        kinematic_basis=[[line(-3.0, 1.0), 0.0]],
+        variational_basis=[[line(-2.0, 1.0), 1.0]],
+    )
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([[0.5], [3.0], [0.25]], r"kinematic basis rank deficient at \[3.0\]"),
+        ([[3.0], [2.0]], r"kinematic basis rank deficient at \[3.0\]"),
+        ([[0.5], [2.0], [3.0]], r"compatibility failed: .* at \[2.0\]"),
+    ],
+)
+def test_a_frame_defect_in_a_batch_names_its_point(points, message):
+    """The first failing point in row order is named, with its own failure."""
+    A = build_constrained(_defective_spec()).algebroid  # the probes lie in [-1, 1]
+    with pytest.raises(InputError, match=message):
+        structure_eval(A, points)
+
+
+def _count_frames(monkeypatch):
+    calls = []
+    frame_jet = _AdaptedFrame._frame_jet
+
+    def counted(self, Q):
+        calls.append(Q.shape[0])
+        return frame_jet(self, Q)
+
+    monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
+    return calls
+
+
+@pytest.mark.parametrize("K", [1, 4, 60])
+def test_one_frame_evaluation_per_core_call(monkeypatch, K):
+    _, spec = _constrained("nonholonomic_classical")
+    frame = _AdaptedFrame(spec)
+    calls = _count_frames(monkeypatch)
+    frame.core_at(np.random.default_rng(K).uniform(-0.7, 0.7, (K, 3)))
+    assert calls == [K]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["theorem43_equivalence", "omega_dlr_consistency", "closedness", "curvature_identities",
+     "split_consistency"],
+)
+def test_frame_evaluations_do_not_grow_with_the_probe_count(monkeypatch, name):
+    calls = _count_frames(monkeypatch)
+    counts = []
+    for K in (3, 30):
+        bundle, _ = _constrained("nonholonomic_classical")  # a fresh memo
+        calls.clear()
+        run_check(name, bundle, {"points": K, "random_instances": 1}, 3)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 3, counts

@@ -383,6 +383,10 @@ def test_verify_rejects_a_check_name_that_is_not_a_string(tmp_path, capsys, name
     assert not report.exists()
 
 
+def _reject_constant(token):
+    raise ValueError(f"not RFC 8259 JSON: {token}")
+
+
 @pytest.mark.parametrize("expect_fail", [False, True])
 def test_a_diverging_check_fails_and_the_report_is_written(tmp_path, expect_fail):
     cfg = json.loads((CONFIG_DIR / "euler_top.json").read_text())
@@ -392,7 +396,20 @@ def test_a_diverging_check_fails_and_the_report_is_written(tmp_path, expect_fail
     ]
     rc, report = _verify_in_process(tmp_path, cfg)
     assert rc == 1
-    entries = json.loads(report.read_text())
+    entries = json.loads(report.read_text(), parse_constant=_reject_constant)  # strict JSON
     assert [set(e) for e in entries] == [{"check", "points", "max_residual", "tolerance", "pass"}] * 2
-    assert entries[0]["max_residual"] == float("inf") and entries[0]["pass"] is False
+    assert entries[0]["max_residual"] is None and entries[0]["pass"] is False
     assert entries[1]["pass"] is True
+
+
+def test_a_nan_residual_is_written_as_null(tmp_path, monkeypatch):
+    import algmech.verify as verify
+
+    monkeypatch.setitem(verify.CHECKS, "closedness", lambda bundle, cfg, rng: float("nan"))
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg["verification"]["checks"] = ["closedness", "omega_frame"]
+    rc, report = _verify_in_process(tmp_path, cfg)
+    assert rc == 1
+    entries = json.loads(report.read_text(), parse_constant=_reject_constant)
+    assert entries[0]["max_residual"] is None and entries[0]["pass"] is False
+    assert entries[1]["pass"] is True and isinstance(entries[1]["max_residual"], float)

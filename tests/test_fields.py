@@ -9,6 +9,9 @@ from algmech.errors import InputError, NumericError
 from algmech.fields import (
     SmoothField,
     TensorField,
+    _derivative_terms,
+    _jet_table,
+    _merge_monomials,
     field_from_config_with_arity,
     field_from_polynomial,
     fd_default_step,
@@ -263,6 +266,51 @@ def test_packed_tensor_matches_term_by_term_oracle(seed, arity, shape, kind):
             assert abs(jv[idx] - value) <= tol
             for i in range(arity):
                 assert abs(jg[idx][i] - grad[i]) <= tol
+
+
+def _jet_table_reference(rows, coefs, exps, size, arity):
+    """The packing with monomials merged on the byte image of each row and summed by ``np.add.at``.
+
+    The former implementation, kept as the reference: for exponents below
+    256 its byte order is the lexicographic order of the rows.
+    """
+    t, i, dcoefs, dexps = _derivative_terms(coefs, exps)
+    E = np.ascontiguousarray(np.concatenate([exps, dexps]))
+    if arity == 0:
+        E, col = E[:1], np.zeros(E.shape[0], dtype=np.intp)
+    else:
+        rows_as_bytes = E.view(np.dtype((np.void, E.dtype.itemsize * arity))).reshape(-1)
+        distinct, col = np.unique(rows_as_bytes, return_inverse=True)
+        E, col = distinct.view(E.dtype).reshape(-1, arity), col.reshape(-1)
+    is_value = np.zeros(E.shape[0], dtype=bool)
+    is_value[col[: exps.shape[0]]] = True
+    order = np.argsort(~is_value, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    C = np.zeros((size * (1 + arity), E.shape[0]))
+    np.add.at(
+        C, (np.concatenate([rows, size + rows[t] * arity + i]), rank[col]), np.concatenate([coefs, dcoefs])
+    )
+    return E[order].astype(float), int(is_value.sum()), C
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jet_table_is_bit_equal_to_the_byte_keyed_packing(seed):
+    rng = np.random.default_rng(seed)
+    arity, size, T = int(rng.integers(0, 5)), int(rng.integers(1, 6)), int(rng.integers(0, 40))
+    exps = rng.integers(0, int(rng.integers(1, 7)), size=(T, arity))
+    rows, coefs = rng.integers(0, size, size=T), rng.uniform(-1, 1, T)
+    E, nv, C = _jet_table(rows, coefs, exps, size, arity)
+    E_ref, nv_ref, C_ref = _jet_table_reference(rows, coefs, exps, size, arity)
+    assert nv == nv_ref and np.array_equal(E, E_ref)
+    assert C.shape == C_ref.shape and C.tobytes() == C_ref.tobytes()
+
+
+def test_merged_monomials_sort_lexicographically_when_keys_overflow():
+    big = 2**40  # (big + 1) ** 2 does not fit an int64 key
+    E = np.array([[0, big], [1, 0], [0, big], [0, 1]])
+    distinct, where = _merge_monomials(E)
+    assert distinct.tolist() == [[0, 1], [0, big], [1, 0]] and where.tolist() == [1, 2, 1, 0]
 
 
 @pytest.mark.parametrize("kind", ["polynomial", "constant", "zero", "mixed"])

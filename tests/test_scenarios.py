@@ -231,10 +231,15 @@ def test_ctilde_display_on_a_curved_generalized_frame():
 # -- exact adapted-frame jet --------------------------------------------------
 
 
-def _fd_jet(fn, shape, frame, q):
-    """A central-difference sweep of the pointwise ``fn`` with the frame's step."""
-    batch_fn = lambda Q: fn(Q) if Q.ndim == 1 else np.array([fn(x) for x in Q])  # noqa: E731
-    return TensorField.from_array_fn(batch_fn, shape, frame.n, h=frame.h).eval_grad(q)
+def _fd_jet(key, shape, frame, q):
+    """A central-difference sweep of the core entry ``key`` with the frame's step.
+
+    The stencil is one batch of the core, so its centre row must equal the
+    core at ``q`` alone bit for bit.
+    """
+    return TensorField.from_array_fn(
+        lambda Q: frame.core_at(Q)[key], shape, frame.n, h=frame.h
+    ).eval_grad(q)
 
 
 @pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])
@@ -244,12 +249,12 @@ def test_exact_frame_jet_matches_central_differences_of_gram_schmidt(make_spec):
     rng = np.random.default_rng(21)
     for _ in range(5):
         q = rng.uniform(-0.7, 0.7, frame.n)
-        U, dU, _, _ = frame._frame_jet(q)
-        U_fd, dU_fd = _fd_jet(lambda x: frame._frame_jet(x)[0], (M, M), frame, q)
+        U, dU = frame.core_at(q)["U"], frame.core_at(q)["dU"]
+        U_fd, dU_fd = _fd_jet("U", (M, M), frame, q)
         assert np.array_equal(U, U_fd)
         assert np.max(np.abs(np.moveaxis(dU, 0, 2) - dU_fd)) <= 1e-7
         # the cross Gram block's jet, formerly a sweep over core points
-        _, dg_fd = _fd_jet(lambda x: frame.core_at(x)["g"], (k, M - k), frame, q)
+        _, dg_fd = _fd_jet("g", (k, M - k), frame, q)
         assert np.max(np.abs(frame.core_at(q)["dg"] - dg_fd)) <= 1e-7
 
 
@@ -265,7 +270,7 @@ def test_frame_jet_keeps_the_metric_orthonormal_blocks(make_spec):
     points = [np.array([0.461, -0.0027, 0.27])[: frame.n]]
     points += [rng.uniform(-0.8, 0.8, frame.n) for _ in range(20)]
     for q in points:
-        U, dU, _, _ = frame._frame_jet(q)
+        U, dU = frame.core_at(q)["U"], frame.core_at(q)["dU"]
         Gv, Gg = spec.metric.eval_grad(q)
         D = np.swapaxes(dU, 1, 2) @ Gv @ U + U.T @ np.moveaxis(Gg, 2, 0) @ U + U.T @ Gv @ dU
         assert np.max(np.abs(D[:, :k, :k])) <= 1e-12
@@ -274,22 +279,79 @@ def test_frame_jet_keeps_the_metric_orthonormal_blocks(make_spec):
             assert np.max(np.abs(D)) <= 1e-12
 
 
-def test_one_gram_schmidt_frame_per_core_point(monkeypatch):
-    from algmech import scenarios
+def _frame_loop(spec, q):
+    """The adapted frame at one point, one vector and one product at a time.
 
+    The pointwise metric Gram-Schmidt and completion loop that the stacked
+    frame replaces, kept as its reference.
+    """
+    n, M, k = spec.ambient.n, spec.ambient.m, spec.rank
+    Gv = spec.metric.eval(q)
+
+    def gram_schmidt(rows):
+        kept = []
+        for v in rows:
+            w = np.array(v, dtype=float)
+            for u in kept:
+                w = w - u * float(u @ Gv @ w)
+            kept.append(w / np.sqrt(float(w @ Gv @ w)))
+        return kept
+
+    d_frame = gram_schmidt(TensorField(spec.kinematic_basis, arity=n).eval(q))
+    span = list(d_frame)
+    if not spec.classical:
+        span = gram_schmidt(TensorField(spec.variational_basis, arity=n).eval(q))
+    perp = []
+    for mu in range(M):
+        if len(perp) == M - k:
+            break
+        w = np.eye(M)[mu]
+        for u in span + perp:
+            w = w - u * float(u @ Gv @ w)
+        nrm = float(w @ Gv @ w)
+        if nrm > 1e-8:
+            perp.append(w / np.sqrt(nrm))
+    return np.column_stack(d_frame + perp)
+
+
+@pytest.mark.parametrize(
+    "make_spec", [tr3_classical_spec, generalized_curved_spec, generalized_so3_spec, nonjacobi_spec]
+)
+def test_stacked_frame_matches_the_pointwise_loop(make_spec):
+    """The stacked frame over a batch is the per-point loop's frame to rounding.
+
+    The arithmetic order differs (the seed span is projected off every unit
+    vector at once), so the frames agree to a few hundred ulps: 1e-12, the
+    completion column near tr3's switch plane included.
+    """
+    spec = make_spec()
+    frame = _AdaptedFrame(spec)
+    n = spec.ambient.n
+    Q = np.random.default_rng(24).uniform(-0.8, 0.8, (12, n))
+    if n == 3:
+        Q[0] = [0.461, -0.0027, 0.27]
+    U = frame.core_at(Q)["U"]
+    for q, Uq in zip(Q, U):
+        assert np.max(np.abs(Uq - _frame_loop(spec, q))) <= 1e-12
+
+
+def test_one_gram_schmidt_frame_per_core_point(monkeypatch):
+    """Each fresh core point costs one frame evaluation, and a repeated point none."""
     frame = _AdaptedFrame(tr3_classical_spec())
     calls = []
-    gram_schmidt = scenarios._gram_schmidt
+    frame_jet = _AdaptedFrame._frame_jet
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return gram_schmidt(*args, **kwargs)
+    def counted(self, Q):
+        calls.append(Q.shape[0])
+        return frame_jet(self, Q)
 
-    monkeypatch.setattr(scenarios, "_gram_schmidt", counted)
+    monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
     rng = np.random.default_rng(23)
     for _ in range(3):
-        frame.core_at(rng.uniform(-0.7, 0.7, 3))
-    assert len(calls) == 3
+        q = rng.uniform(-0.7, 0.7, 3)
+        frame.core_at(q)
+        frame.core_at(q)
+    assert calls == [1, 1, 1]
 
 
 def test_projector_identities():

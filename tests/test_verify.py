@@ -92,16 +92,6 @@ def test_report_schema():
 # -- NaN residuals fail ---------------------------------------------------------
 
 
-def _nan_at_second_call(value):
-    calls = []
-
-    def fake(*args, **kwargs):
-        calls.append(1)
-        return math.nan if len(calls) == 2 else value(*args, **kwargs)
-
-    return fake
-
-
 def _nan_at_second_row(value):
     """``value`` with the residual of the second probe of its first batch replaced by NaN."""
     injected = []
@@ -173,9 +163,9 @@ def test_nan_split_residual_rejects_the_pair(monkeypatch):
     import algmech.prolongation as prolongation
     from algmech.errors import InvalidStructureError
 
-    b = _canonical_bundle()
+    b = _canonical_bundle()  # its 5 split probes are checked in one batch
     monkeypatch.setattr(
-        prolongation, "verify_split", _nan_at_second_call(prolongation.verify_split)
+        prolongation, "verify_split", _nan_at_second_row(prolongation.verify_split)
     )
     with pytest.raises(InvalidStructureError):
         b.prolongation()
