@@ -143,9 +143,9 @@ class SmoothField:
     coefficients ``_dcoefs[arity, K]``.
     """
 
-    __slots__ = ("arity", "kind", "_terms", "_dexps", "_dcoefs", "_fn", "_grad", "_h", "name")
+    __slots__ = ("arity", "kind", "_terms", "_dexps", "_dcoefs", "_fn", "_grad", "_h")
 
-    def __init__(self, arity, kind, terms=None, fn=None, grad=None, h=None, name=None):
+    def __init__(self, arity, kind, terms=None, fn=None, grad=None, h=None):
         self.arity = int(arity)
         self.kind = kind
         self._terms = terms
@@ -153,7 +153,6 @@ class SmoothField:
         self._fn = fn
         self._grad = grad
         self._h = h
-        self.name = name
 
     # -- constructors -------------------------------------------------------
 
@@ -184,11 +183,7 @@ class SmoothField:
         return cls(arity, "polynomial", terms=(coefs, exps))
 
     def _derivative_table(self):
-        """Build ``_dexps``/``_dcoefs`` on the first standalone gradient.
-
-        Components of a packed tensor are differentiated through the tensor's
-        own table, so most polynomials never need theirs.
-        """
+        """Build ``_dexps``/``_dcoefs`` on the first gradient."""
         coefs, exps = self._terms
         _, i, dcoefs, self._dexps = _derivative_terms(coefs, exps)
         self._dcoefs = np.zeros((self.arity, i.shape[0]))
@@ -213,12 +208,12 @@ class SmoothField:
         return cls.polynomial([(1.0, exp)], arity)
 
     @classmethod
-    def from_callable(cls, fn, arity, grad=None, h=None, name=None) -> "SmoothField":
+    def from_callable(cls, fn, arity, grad=None, h=None) -> "SmoothField":
         """Wrap ``fn(q) -> float``; gradient analytic if ``grad`` given, else FD."""
         kind = "builtin" if grad is not None else "fd"
         if grad is None and h is None:
             h = fd_default_step()
-        return cls(int(arity), kind, fn=fn, grad=grad, h=h, name=name)
+        return cls(int(arity), kind, fn=fn, grad=grad, h=h)
 
     @classmethod
     def builtin(cls, name, h=None) -> "SmoothField":
@@ -229,7 +224,7 @@ class SmoothField:
             raise InputError(f"unknown builtin field {name!r}") from exc
         if h is None:
             h = fd_default_step()
-        return cls(arity, "builtin", fn=fn, h=float(h), name=name)
+        return cls(arity, "builtin", fn=fn, h=float(h))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -333,22 +328,6 @@ class SmoothField:
         return self.scaled(w)
 
     __rmul__ = __mul__
-
-    # -- serialization (polynomial and builtin kinds only) -------------------
-
-    def as_config(self):
-        if self.kind == "polynomial":
-            coefs, exps = self._terms
-            return {
-                "arity": self.arity,
-                "terms": [
-                    {"coef": float(c), "exp": [int(e) for e in row]}
-                    for c, row in zip(coefs, exps)
-                ],
-            }
-        if self.kind == "builtin" and self.name is not None:
-            return {"arity": self.arity, "builtin": self.name, "h": self._h}
-        raise InputError(f"field of kind {self.kind!r} is not serializable")
 
     def __repr__(self):
         return f"SmoothField(arity={self.arity}, kind={self.kind!r})"
@@ -462,26 +441,25 @@ class TensorField:
 
     ``shape`` is the list of index extents; evaluation at a chart point
     returns a float array of the same shape, and at a batch ``q[K, n]`` an
-    array ``[K, *shape]``.  Two forms exist:
+    array ``[K, *shape]``.  A tensor is one of two things:
 
-    * components: one SmoothField per multi-index, all of one arity.
-      Polynomial components are packed as terms ``(rows, coefs, exps)``
-      into one shared monomial table ``_E`` and coefficient matrix ``_C``
-      (values and gradients in one product); :meth:`from_terms` builds the
-      packed form directly and makes the per-component fields only on
-      demand.  Other components are evaluated one by one and listed in
-      ``_others`` as ``(flat index, field)``.
+    * packed: polynomial terms ``(rows, coefs, exps)``, term t adding
+      ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``, in one shared
+      monomial table ``_E`` and coefficient matrix ``_C`` (values and
+      gradients in one product), plus ``_others``, a tuple of closure
+      entries ``(flat index, field)`` whose values and gradients are added
+      into their entries;
     * array-valued (:meth:`from_array_fn`): one callable ``_fn(Q[K, n])``
       returns the whole array at K points; the jet is central differences
       with step ``_h``.
 
-    A tensor of constants, and an array-valued tensor over a point, is folded
-    into ``_const``.
+    ``TensorField(fields)`` and :func:`tensor_from_config` parse an array of
+    SmoothFields into the packed form.  A tensor of constants, and an
+    array-valued tensor over a point, is folded into ``_const``.
     """
 
     __slots__ = (
-        "shape", "arity", "_components", "_terms", "_const", "_E", "_C", "_Ev", "_Cv",
-        "_others", "_fn", "_h",
+        "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_others", "_fn", "_h",
     )
 
     def __init__(self, fields, arity=None):
@@ -496,13 +474,12 @@ class TensorField:
                 raise InputError("TensorField components must be SmoothField")
             if f.arity != arity:
                 raise InputError("TensorField components have mixed arities")
-        self.shape = fields.shape
-        self.arity = n = int(arity)
-        self._components = tuple(flat)
-        self._fn = self._h = None
+        n = int(arity)
         poly = [k for k, f in enumerate(flat) if f.kind == "polynomial"]
         counts = [flat[k]._terms[0].shape[0] for k in poly]
         self._pack(
+            fields.shape,
+            n,
             np.repeat(np.asarray(poly, dtype=int), counts),
             np.concatenate([np.zeros(0)] + [flat[k]._terms[0] for k in poly]),
             np.concatenate([np.zeros((0, n), dtype=int)] + [flat[k]._terms[1] for k in poly]),
@@ -513,17 +490,17 @@ class TensorField:
     def from_terms(cls, rows, coefs, exps, shape, arity) -> "TensorField":
         """Packed polynomial tensor: term t adds ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``.
 
-        Equal to the tensor of the per-entry polynomials with the terms in
-        this order, without building them.
+        The terms of an entry are summed in their order.
         """
-        T = cls.__new__(cls)
-        T.shape = tuple(int(s) for s in shape)
-        T.arity = int(arity)
-        T._components = None
-        T._fn = T._h = None
         rows = np.asarray(rows, dtype=int)
-        exps = np.asarray(exps, dtype=int).reshape(rows.shape[0], T.arity)
-        T._pack(rows, np.asarray(coefs, dtype=float), exps, ())
+        exps = np.asarray(exps, dtype=int).reshape(rows.shape[0], int(arity))
+        return cls._packed(shape, arity, rows, np.asarray(coefs, dtype=float), exps)
+
+    @classmethod
+    def _packed(cls, shape, arity, rows, coefs, exps, others=()) -> "TensorField":
+        """Packed tensor from validated terms and closure entries ``(flat index, field)``."""
+        T = cls.__new__(cls)
+        T._pack(shape, arity, rows, coefs, exps, others)
         return T
 
     @classmethod
@@ -541,7 +518,7 @@ class TensorField:
         T = cls.__new__(cls)
         T.shape = tuple(int(s) for s in shape)
         T.arity = int(arity)
-        T._components = T._terms = None
+        T._terms = None
         T._E = T._C = T._Ev = T._Cv = None
         T._others = ()
         T._h = fd_default_step() if h is None else float(h)
@@ -554,8 +531,11 @@ class TensorField:
                 raise NumericError("tensor field evaluated to non-finite entries")
         return T
 
-    def _pack(self, rows, coefs, exps, others):
-        n, size = self.arity, math.prod(self.shape)
+    def _pack(self, shape, arity, rows, coefs, exps, others):
+        self.shape = tuple(int(s) for s in shape)
+        self.arity = n = int(arity)
+        self._fn = self._h = None
+        size = math.prod(self.shape)
         self._terms = (rows, coefs, exps)
         self._others = others
         if not others and not exps.any():
@@ -571,57 +551,37 @@ class TensorField:
         self._Ev = np.ascontiguousarray(self._E[:nv])
         self._Cv = np.ascontiguousarray(self._C[:size, :nv])
 
-    @property
-    def fields(self) -> np.ndarray:
-        """The components as a fresh object array of ``shape``."""
-        if self._components is None:
-            if self._terms is None:
-                raise InputError("an array-valued TensorField has no per-component fields")
-            rows, coefs, exps = self._terms
-            self._components = tuple(
-                SmoothField._from_arrays(coefs[rows == k], exps[rows == k], self.arity)
-                for k in range(math.prod(self.shape))
-            )
-        return np.fromiter(self._components, dtype=object, count=len(self._components)).reshape(
-            self.shape
-        )
-
     @classmethod
     def from_constants(cls, array, arity) -> "TensorField":
         array = np.asarray(array, dtype=float)
-        out = np.empty(array.shape, dtype=object)
-        for idx in np.ndindex(*array.shape):
-            out[idx] = SmoothField.constant(array[idx], arity)
-        return cls(out, arity=arity)
+        if not np.isfinite(array).all():
+            raise InputError("coefficients must be finite")
+        rows = np.flatnonzero(array)
+        exps = np.zeros((rows.shape[0], int(arity)), dtype=int)
+        return cls._packed(array.shape, arity, rows, array.reshape(-1)[rows], exps)
 
     @classmethod
     def zeros(cls, shape, arity) -> "TensorField":
-        out = np.empty(tuple(shape), dtype=object)
-        zero = SmoothField.zero(arity)
-        for idx in np.ndindex(*tuple(shape)):
-            out[idx] = zero
-        return cls(out, arity=arity)
-
-    def __getitem__(self, idx) -> SmoothField:
-        return self.fields[idx]
+        return cls.from_terms([], [], [], shape, arity)
 
     def __add__(self, other) -> "TensorField":
-        """Entrywise sum; two packed tensors stay packed, this tensor's terms first."""
+        """Entrywise sum of packed tensors, this tensor's terms and closure entries first."""
         if self.shape != other.shape or self.arity != other.arity:
             raise InputError("tensor fields differ in shape or arity")
-        if all(T._terms is not None and not T._others for T in (self, other)):
-            return TensorField.from_terms(
-                *(np.concatenate(pair) for pair in zip(self._terms, other._terms)),
-                self.shape,
-                self.arity,
-            )
-        return TensorField(self.fields + other.fields, arity=self.arity)
+        if self._terms is None or other._terms is None:
+            raise InputError("an array-valued TensorField cannot be added")
+        return TensorField._packed(
+            self.shape,
+            self.arity,
+            *(np.concatenate(pair) for pair in zip(self._terms, other._terms)),
+            self._others + other._others,
+        )
 
     def scaled(self, w, axes=None) -> "TensorField":
         """``w`` times this tensor with its indices permuted as ``np.transpose(., axes)``.
 
-        Packed components stay packed, with exact jets; an array-valued
-        tensor stays one call.
+        A packed tensor stays packed, with exact jets; an array-valued tensor
+        stays one call.
         """
         w = float(w)
         axes = tuple(range(len(self.shape))) if axes is None else tuple(axes)
@@ -634,16 +594,12 @@ class TensorField:
                 self.arity,
                 self._h,
             )
-        if not self._others:
-            rows, coefs, exps = self._terms
-            # the new flat position of every old entry
-            where = np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(axes))
-            return TensorField.from_terms(where.reshape(-1)[rows], w * coefs, exps, shape, self.arity)
-        F = np.transpose(self.fields, axes)
-        out = np.empty(F.shape, dtype=object)
-        for idx in np.ndindex(*F.shape):
-            out[idx] = F[idx].scaled(w)
-        return TensorField(out, arity=self.arity)
+        rows, coefs, exps = self._terms
+        # the new flat position of every old entry
+        where = np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(axes))
+        where = where.reshape(-1)
+        others = tuple((int(where[k]), f.scaled(w)) for k, f in self._others)
+        return TensorField._packed(shape, self.arity, where[rows], w * coefs, exps, others)
 
     def eval(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
@@ -664,7 +620,7 @@ class TensorField:
             return np.array(self._fn(q), dtype=float).reshape(out_shape)
         vals = matvec(self._Cv, _monomials(q, self._Ev))
         for k, f in self._others:
-            vals[..., k] = f._value(q)
+            vals[..., k] += f._value(q)
         return vals.reshape(out_shape)
 
     def eval_grad(self, q):
@@ -680,8 +636,8 @@ class TensorField:
         vals = jet[..., :size]  # views of the jet, also over a batch
         grads = jet[..., size:].reshape(batch + (size, self.arity))
         for k, f in self._others:
-            vals[..., k] = f._value(q)
-            grads[..., k, :] = f._gradient(q)
+            vals[..., k] += f._value(q)
+            grads[..., k, :] += f._gradient(q)
         if not np.isfinite(jet).all():
             raise NumericError("tensor field jet non-finite")
         return vals.reshape(batch + self.shape), grads.reshape(batch + self.shape + (self.arity,))
@@ -703,14 +659,6 @@ class TensorField:
         if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
             raise NumericError("tensor field jet non-finite")
         return vals, grads
-
-    def as_config(self):
-        def rec(a):
-            if a.ndim == 0:
-                return a.item().as_config()
-            return [rec(sub) for sub in a]
-
-        return rec(self.fields)
 
     def __repr__(self):
         return f"TensorField(shape={self.shape}, arity={self.arity})"

@@ -118,39 +118,30 @@ def poisson_bracket(A, phi: SmoothField, psi: SmoothField, x: PhasePoint) -> flo
     return float(phi.gradient(z) @ Pi @ psi.gradient(z))
 
 
-def _field(s, p, g, n, variant="standard") -> np.ndarray:
+def _field(s, p, g, n) -> np.ndarray:
     """The Hamiltonian field of :func:`ham_field` from the snapshot ``s`` and the gradient ``g``."""
     gq, gp = g[..., :n], g[..., n:]
     pB = contract_first(p, s.B)  # pB[a, b] = sum_c p_c B[c, a, b]
     out = np.empty(g.shape)
-    if variant == "standard":
-        out[..., :n] = matvec(s.rho_l, gp)
-        out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
-    else:
-        out[..., :n] = matvec(s.rho_r, gp)
-        out[..., n:] = -matvec(pB, gp) - vecmat(gq, s.rho_l)
+    out[..., :n] = matvec(s.rho_l, gp)
+    out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
     return out
 
 
-def ham_field(A, H: SmoothField, x: PhasePoint, variant="standard", with_gradient=False):
+def ham_field(A, H: SmoothField, x: PhasePoint, *, with_gradient=False):
     """Hamiltonian vector field at ``x`` as a chart vector (dq, dp), per point of a batch.
 
-    standard: dq_i = sum_a rho_l[i,a] dH/dp_a,
-              dp_b = -(sum_j rho_r[j,b] dH/dq_j - sum_{a,c} B[c,a,b] p_c dH/dp_a).
-    tilde:    the right-sided companion field; anchors swap roles and the
-              bracket term appears transposed with opposite sign.  The two
-              coincide exactly when the bracket is skew and the anchors agree.
+    dq_i = sum_a rho_l[i,a] dH/dp_a,
+    dp_b = -(sum_j rho_r[j,b] dH/dq_j - sum_{a,c} B[c,a,b] p_c dH/dp_a).
 
     With ``with_gradient`` the result is ``(field, dH)``, the gradient of H
     at ``x`` that the field was built from.
     """
     _check_phase(A, x)
     _check_phase_fn(A, H)
-    if variant not in ("standard", "tilde"):
-        raise InputError(f"unknown variant {variant!r}")
     s = structure_eval(A, x.q)
     g = H.gradient(x.z)
-    out = _field(s, x.p, g, A.n, variant)
+    out = _field(s, x.p, g, A.n)
     return (out, g) if with_gradient else out
 
 
@@ -347,7 +338,7 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
             gq = gq + V.gradient(q)
         return np.concatenate([gq, w])
 
-    return SmoothField.from_callable(value, n + m, grad=grad, name="quadratic_energy")
+    return SmoothField.from_callable(value, n + m, grad=grad)
 
 
 def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
@@ -364,4 +355,4 @@ def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
         Xv, Xg = X.eval_grad(q)  # [n], [n,n]
         return np.concatenate([Xg.T @ p, Xv])
 
-    return SmoothField.from_callable(value, 2 * n, grad=grad, name="momentum_pairing")
+    return SmoothField.from_callable(value, 2 * n, grad=grad)

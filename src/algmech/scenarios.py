@@ -200,12 +200,7 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
     if (S is None) == (T is None):
         raise InputError("give exactly one of S (contorsion) or T (direct torsion)")
     if T is None:
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = S[k, i, j] - S[k, j, i]
-        T = TensorField(out, arity=n)
+        T = S + S.scaled(-1.0, (0, 2, 1))
     if T.shape != (n, n, n):
         raise InputError("torsion tensor must be [n,n,n]")
     alg = AlgebroidStructure(

@@ -97,8 +97,7 @@ def test_structure_and_tensor_route_batch(family, K):
         assert _same(getattr(s, name), [getattr(t, name) for t in singles])
     for part, parts in zip(sym_skew_parts(s), zip(*(sym_skew_parts(t) for t in singles))):
         assert _same(part, parts)
-    for variant in ("standard", "tilde"):
-        assert _same(ham_field(A, H, X, variant), [ham_field(A, H, x, variant) for x in xs])
+    assert _same(ham_field(A, H, X), [ham_field(A, H, x) for x in xs])
     assert _same(H.gradient(X.z), [H.gradient(x.z) for x in xs])
     assert _same(verify_split(A, bundle.split, X.q), [verify_split(A, bundle.split, x.q) for x in xs])
     rep = structure_checks(A, X.q)

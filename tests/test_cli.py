@@ -95,6 +95,19 @@ def test_simulate_rejects_non_finite_or_boolean_step(tmp_path, key, value):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_simulate_rejects_non_finite_structure_constants(tmp_path):
+    cfg = {
+        "scenario": {"scenario": "lie_poisson", "structure": [[[float("nan")]]], "inertia": [1.0]},
+        "integration": {"h": 0.001, "steps": 10, "x0": {"q": [], "p": [1.0]}},
+        "output": {"trajectory": "out.csv", "report": "report.json"},
+    }
+    r = run_cli("simulate", write_config(tmp_path, cfg), cwd=tmp_path)
+    assert r.returncode == 1
+    assert "error: coefficients must be finite" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_simulate_divergence_exit_code(tmp_path):
     cases = [
         # dp/dt = p^2: the state after a step leaves float range

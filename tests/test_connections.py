@@ -63,11 +63,8 @@ def test_verify_split_levi_civita_pair(so3):
 
 def test_verify_split_detects_perturbation(canonical2):
     cp = default_split(canonical2)
-    bumped = np.empty((2, 2, 2), dtype=object)
-    for idx in np.ndindex(2, 2, 2):
-        bumped[idx] = cp.Dl.fields[idx]
-    bumped[0, 1, 0] = bumped[0, 1, 0] + SmoothField.constant(1e-3, 2)
-    cp2 = ConnectionPair(Dl=TensorField(bumped, arity=2), Dr=cp.Dr)
+    bump = TensorField.from_terms([2], [1e-3], [[0, 0]], (2, 2, 2), 2)  # flat 2 is [0, 1, 0]
+    cp2 = ConnectionPair(Dl=cp.Dl + bump, Dr=cp.Dr)
     assert abs(verify_split(canonical2, cp2, [0.0, 0.0]) - 1e-3) <= 1e-12
 
 

@@ -12,10 +12,8 @@ from algmech.fields import (
     _derivative_terms,
     _jet_table,
     _merge_monomials,
-    field_from_config_with_arity,
     field_from_polynomial,
     fd_default_step,
-    tensor_from_config,
 )
 
 
@@ -153,18 +151,6 @@ def test_tensor_field_eval_shapes():
 def test_empty_tensor_field():
     T = TensorField.zeros((0, 3), 0)
     assert T.eval([]).shape == (0, 3)
-
-
-def test_serialization_round_trip():
-    f = field_from_polynomial([(1.5, [2, 0]), (-3.0, [0, 1])], 2)
-    cfg = f.as_config()
-    f2 = field_from_config_with_arity(cfg, 2)
-    q = [0.7, -0.2]
-    assert f.value(q) == f2.value(q)
-    assert np.all(f.gradient(q) == f2.gradient(q))
-
-    T = tensor_from_config([[1, 0], [0, cfg]], (2, 2), 2)
-    assert T.eval(q)[1, 1] == f.value(q)
 
 
 def test_fd_step_env_override(monkeypatch):
@@ -330,16 +316,15 @@ def test_returned_arrays_are_owned_by_the_caller(kind):
 
 
 def test_overflowing_point_is_numeric_error():
-    T = TensorField(
-        np.array([field_from_polynomial([(1.0, [3, 0])], 2), SmoothField.constant(1.0, 2)], dtype=object)
-    )
+    f = field_from_polynomial([(1.0, [3, 0])], 2)
+    T = TensorField(np.array([f, SmoothField.constant(1.0, 2)], dtype=object))
     q = [1e200, 1.0]
     with pytest.raises(NumericError):
         T.eval(q)
     with pytest.raises(NumericError):
         T.eval_grad(q)
     with pytest.raises(NumericError):
-        T[0].gradient(q)
+        f.gradient(q)
     with pytest.raises(InputError):
         T.eval([math.inf, 1.0])
 
@@ -350,32 +335,6 @@ def test_polynomial_gradient_needs_only_its_derivative_monomials():
     assert f.gradient([1e103])[0] == pytest.approx(3e206)
     with pytest.raises(NumericError):
         f.value([1e103])
-
-
-def test_packed_components_build_no_derivative_tables():
-    T, specs = _random_tensor_case(2, 2, (2, 2), "polynomial")
-    q = np.array([0.4, -1.1])
-    T.eval(q)
-    T.eval_grad(q)
-    assert all(f._dexps is None and f._dcoefs is None for f in T.fields.reshape(-1))
-    # a standalone gradient builds the table of its own component only
-    f = T[0, 1]
-    value, grad, scale = _oracle_jet(specs[1], 2, [0.4, -1.1])
-    assert np.max(np.abs(f.gradient(q) - grad)) <= 1e-13 * max(scale, 1e-300)
-    assert f._dexps is not None
-    assert T[0, 0]._dexps is None
-
-
-def test_components_and_fields_view():
-    T, _ = _random_tensor_case(3, 2, (2, 3), "mixed")
-    F = T.fields
-    assert F.shape == (2, 3) and F.dtype == object
-    for idx in np.ndindex(2, 3):
-        assert T[idx] is F[idx]
-    assert T[-1, -1] is F[1, 2]
-    assert list(T[0]) == list(F[0])
-    with pytest.raises(IndexError):
-        T[2, 0]
 
 
 # -- array-valued tensors against per-component FD fields ----------------------
@@ -463,23 +422,13 @@ def test_array_form_honours_fd_step_env(monkeypatch):
     assert g[0, 0] == _per_component(cube, (1,), 1).eval_grad([1.0])[1][0, 0]
 
 
-def test_array_form_has_no_components():
-    for arity in (0, 2):
-        T = TensorField.from_array_fn(lambda q: np.ones((2, 2)), (2, 2), arity)
-        with pytest.raises(InputError):
-            T[0, 0]
-        with pytest.raises(InputError):
-            T.fields
-        with pytest.raises(InputError):
-            T.as_config()
-
-
 @pytest.mark.parametrize("arity", [0, 2])
 def test_scaled_transposes_both_forms(arity):
     rng = np.random.default_rng(5)
     packed, _ = _random_tensor_case(11, arity, (2, 3, 2), "polynomial")
+    mixed, _ = _random_tensor_case(12, arity, (2, 3, 2), "mixed")
     array = TensorField.from_array_fn(_rowwise(_array_fn((2, 3, 2))), (2, 3, 2), arity)
-    for T in (packed, array):
+    for T in (packed, mixed, array):
         S = T.scaled(-2.0, (0, 2, 1))
         assert S.shape == (2, 2, 3)
         for q in [np.zeros(arity), rng.uniform(-1, 1, size=arity)]:
@@ -488,5 +437,28 @@ def test_scaled_transposes_both_forms(arity):
             assert np.allclose(sg, -2.0 * np.swapaxes(g, 1, 2), rtol=1e-9, atol=1e-12)
     # packed components stay packed, with exact jets
     S = packed.scaled(3.0)
-    assert S._others == () and S._fn is None
-    assert all(f.kind == "polynomial" for f in S.fields.reshape(-1))
+    assert S._others == () and S._fn is None and S._terms is not None
+
+
+@pytest.mark.parametrize("arity", [0, 2])
+def test_sum_of_packed_and_mixed_is_entrywise(arity):
+    rng = np.random.default_rng(6)
+    packed, _ = _random_tensor_case(13, arity, (2, 3), "polynomial")
+    mixed, _ = _random_tensor_case(14, arity, (2, 3), "mixed")
+    assert mixed._others
+    for A, B in ((packed, mixed), (mixed, packed), (mixed, mixed)):
+        S = A + B
+        assert S._fn is None and len(S._others) == len(A._others) + len(B._others)
+        for q in [np.zeros(arity), rng.uniform(-1, 1, size=arity)]:
+            (av, ag), (bv, bg), (sv, sg) = A.eval_grad(q), B.eval_grad(q), S.eval_grad(q)
+            for got, ref in ((sv, av + bv), (sg, ag + bg), (S.eval(q), av + bv)):
+                err, scale = (np.max(np.abs(a), initial=0.0) for a in (got - ref, ref))
+                assert err <= 1e-14 * scale
+
+
+def test_sum_with_array_valued_is_input_error():
+    packed, _ = _random_tensor_case(15, 2, (2, 2), "polynomial")
+    array = TensorField.from_array_fn(_rowwise(_array_fn((2, 2))), (2, 2), 2)
+    for A, B in ((packed, array), (array, packed), (array, array)):
+        with pytest.raises(InputError):
+            A + B

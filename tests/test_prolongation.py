@@ -22,7 +22,7 @@ from algmech.connections import (
 )
 from algmech.config import build_scenario, load_config
 from algmech.errors import InvalidStructureError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import TensorField, field_from_polynomial
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
     ProlongationData,
@@ -94,13 +94,11 @@ def test_prolong_eval_vertical_anchor_columns():
 
 def test_prolongation_rejects_bad_split(so3):
     cp = default_split(so3)
-    bumped = np.empty((3, 3, 3), dtype=object)
-    for idx in np.ndindex(3, 3, 3):
-        bumped[idx] = cp.Dl.fields[idx]
-    bumped[0, 0, 0] = SmoothField.constant(1e-3, 0)
+    bump = np.zeros((3, 3, 3))
+    bump[0, 0, 0] = 1e-3
     from algmech.connections import ConnectionPair
 
-    bad = ConnectionPair(Dl=TensorField(bumped, arity=0), Dr=cp.Dr)
+    bad = ConnectionPair(Dl=cp.Dl + TensorField.from_constants(bump, 0), Dr=cp.Dr)
     with pytest.raises(InvalidStructureError):
         ProlongationData(so3, bad, CurvatureTensor.zero(3, 0))
 
