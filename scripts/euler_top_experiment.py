@@ -44,8 +44,7 @@ def main():
     print(f"steps: {args.steps}, h: {args.h}")
     print(f"energy drift:    {np.max(np.abs(H - H[0])):.3e}")
     print(f"invariant drift: {np.max(np.abs(cas - cas[0])):.3e}")
-    p_end = traj.samples[-1][1].p
-    print(f"final momentum:  {p_end}")
+    print(f"final momentum:  {traj.states()[-1]}")  # n = 0: the state is p
 
 
 if __name__ == "__main__":

@@ -49,16 +49,12 @@ def main():
     traj = integrate(bundle.algebroid, bundle.hamiltonian, PhasePoint(q0, v0), args.h, args.steps)
     ref = lagrangian_reference(spec, v0, q0, args.h, args.steps)
 
-    worst = worst_residual(
-        np.max(np.abs(diff))
-        for smp, (_, lq, lv) in zip(traj.samples, ref)
-        for diff in (smp[1].q - lq, smp[1].p - lv)
-    )
+    worst = worst_residual([np.abs(traj.states() - ref)])
     H = traj.h_values()
     print(f"steps: {args.steps}, h: {args.h}")
     print(f"momentum/velocity trajectory gap: {worst:.3e}")
     print(f"energy drift: {np.max(np.abs(H - H[0])):.3e}")
-    print(f"final base point: {traj.samples[-1][1].q}")
+    print(f"final base point: {traj.states()[-1, : traj.n]}")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import build_scenario, check_seed, initial_point, load_config
 from .errors import InputError, IntegrationDivergedError
-from .hamiltonian import integrate
+from .hamiltonian import Trajectory, integrate
 from .verify import CHECKS, TOLERANCES, run_check
 
 
@@ -114,7 +114,7 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
     return 0 if all(e["pass"] for e in entries) else 1
 
 
-def _parse_csv(path):
+def _parse_csv(path) -> Trajectory:
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -127,38 +127,30 @@ def _parse_csv(path):
         raise InputError("malformed trajectory header: first column must be 't'")
     n = sum(1 for c in header if c.startswith("q") and c[1:].isdigit())
     m = sum(1 for c in header if c.startswith("p") and c[1:].isdigit())
-    if header[: 1 + n + m + 2] != (
-        ["t"]
-        + [f"q{i + 1}" for i in range(n)]
-        + [f"p{a + 1}" for a in range(m)]
-        + ["H", "dHdt"]
-    ):
+    traj = Trajectory(n, m, np.zeros((0, len(header))), header[3 + n + m :])
+    if traj.csv_header() != lines[0]:
         raise InputError("malformed trajectory header: column contract violated")
-    monitors = header[1 + n + m + 2 :]
     try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
+        traj.samples = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
     except ValueError as exc:
         raise InputError(f"malformed trajectory row: {exc}") from exc
-    if data.ndim != 2 or data.shape[1] != len(header) or data.shape[0] == 0:
+    if traj.samples.ndim != 2 or traj.samples.shape[1] != len(header) or len(traj.samples) == 0:
         raise InputError("trajectory rows do not match the header")
-    return header, n, m, monitors, data
+    return traj
 
 
 def cmd_report(csv_path) -> int:
     try:
-        header, n, m, monitors, data = _parse_csv(csv_path)
+        traj = _parse_csv(csv_path)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    t = data[:, 0]
-    state = data[:, 1 : 1 + n + m]
-    H = data[:, 1 + n + m]
-    print(f"rows: {data.shape[0]}")
+    t, H = traj.times(), traj.h_values()
+    print(f"rows: {len(traj.samples)}")
     print(f"duration: {t[-1] - t[0]:.17g}")
     print(f"H drift: {np.max(np.abs(H - H[0])):.3e}")
-    print(f"max |state|: {np.max(np.abs(state)):.17g}")
-    for j, name in enumerate(monitors):
-        col = data[:, 1 + n + m + 2 + j]
+    print(f"max |state|: {np.max(np.abs(traj.states())):.17g}")
+    for name, col in zip(traj.monitor_names, traj.monitor_table().T):
         print(
             f"monitor {name}: min={np.min(col):.17g} max={np.max(col):.17g} "
             f"drift={np.max(np.abs(col - col[0])):.3e}"

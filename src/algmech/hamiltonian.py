@@ -4,7 +4,8 @@ The algebroid's structure functions induce a linear 2-contravariant tensor on
 the dual chart; contracting it with differentials gives a (generally neither
 skew nor Jacobi) bracket of functions, a Hamiltonian vector field, and fixed
 step trajectories.  ``PhasePoint`` and ``ham_field`` also take a batch of
-points (a leading axis of length K on q and p).
+points (a leading axis of length K on q and p).  A ``Trajectory`` is one float
+table whose columns are those of its CSV.
 """
 
 from __future__ import annotations
@@ -58,26 +59,12 @@ class PhasePoint:
     @property
     def z(self) -> np.ndarray:
         """Concatenated chart vector (q_1..q_n, p_1..p_m)."""
-        z = self.__dict__.get("_z")  # the vector a point was viewed from (:meth:`_of`)
-        return np.concatenate([self.q, self.p], axis=-1) if z is None else z
+        return np.concatenate([self.q, self.p], axis=-1)
 
     @classmethod
     def from_z(cls, z, n) -> "PhasePoint":
         z = _coords(z)
         return cls(z[..., :n], z[..., n:])
-
-    @classmethod
-    def _of(cls, z, n) -> "PhasePoint":
-        """View a float chart vector ``z`` as a point, without validation.
-
-        For the integrator's samples, whose states it has checked for
-        finiteness.
-        """
-        x = object.__new__(cls)
-        object.__setattr__(x, "q", z[..., :n])
-        object.__setattr__(x, "p", z[..., n:])
-        object.__setattr__(x, "_z", z)
-        return x
 
 
 def _check_phase(A: AlgebroidStructure, x: PhasePoint):
@@ -155,30 +142,38 @@ def energy_rate(A, H: SmoothField, x: PhasePoint) -> float:
 
 @dataclass
 class Trajectory:
-    """Fixed-step integration record.
+    """Fixed-step integration record: one float table whose columns are the CSV's.
 
-    ``samples`` holds ``steps + 1`` rows ``(t, PhasePoint, H, dHdt, monitors)``
-    where ``monitors`` is a float array aligned with ``monitor_names``.
+    ``samples`` is ``[N, 3 + n + m + k]``, one row per recorded step, with the
+    columns of :meth:`csv_header`: ``t``, the state ``q_1..q_n, p_1..p_m``,
+    ``H``, ``dHdt`` and the k monitors in the order of ``monitor_names``.
+    The accessors return column views of it.
     """
 
-    h: float
     n: int
     m: int
+    samples: np.ndarray
     monitor_names: list = field(default_factory=list)
-    samples: list = field(default_factory=list)
-
-    def states(self) -> np.ndarray:
-        return np.array([s[1].z for s in self.samples])
 
     def times(self) -> np.ndarray:
-        return np.array([s[0] for s in self.samples])
+        return self.samples[:, 0]
+
+    def states(self) -> np.ndarray:
+        return self.samples[:, 1 : 1 + self.n + self.m]
 
     def h_values(self) -> np.ndarray:
-        return np.array([s[2] for s in self.samples])
+        return self.samples[:, 1 + self.n + self.m]
+
+    def rate_values(self) -> np.ndarray:
+        """dH/dt at each sample."""
+        return self.samples[:, 2 + self.n + self.m]
+
+    def monitor_table(self) -> np.ndarray:
+        """``[N, k]``: one column per name of ``monitor_names``."""
+        return self.samples[:, 3 + self.n + self.m :]
 
     def monitor_values(self, name) -> np.ndarray:
-        k = self.monitor_names.index(name)
-        return np.array([s[4][k] for s in self.samples])
+        return self.monitor_table()[:, self.monitor_names.index(name)]
 
     def csv_header(self) -> str:
         cols = ["t"]
@@ -190,18 +185,9 @@ class Trajectory:
 
     def to_csv(self) -> str:
         """CSV with 17 significant digits per value and no negative zero; header per contract."""
-        S = self.samples
-        N = len(S)
-        data = np.hstack([
-            np.array([s[0] for s in S]).reshape(N, 1),
-            np.array([s[1].q for s in S]).reshape(N, self.n),
-            np.array([s[1].p for s in S]).reshape(N, self.m),
-            np.array([(s[2], s[3]) for s in S]).reshape(N, 2),
-            np.array([s[4] for s in S]).reshape(N, len(self.monitor_names)),
-        ]) + 0.0  # -0.0 + 0.0 is +0.0
-        fmt = ",".join(["%.17g"] * data.shape[1])
-        lines = [self.csv_header()] + [fmt % tuple(row) for row in data.tolist()]
-        return "\n".join(lines) + "\n"
+        fmt = ",".join(["%.17g"] * self.samples.shape[1])
+        rows = (self.samples + 0.0).tolist()  # -0.0 + 0.0 is +0.0
+        return "\n".join([self.csv_header()] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
 def rk4_step(f, y, h):
@@ -223,9 +209,11 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     goes through :func:`ham_field` itself, so it is validated as there.
 
     Each sample reuses the first stage of the step that starts from it, whose
-    field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}; states and
-    rates are written into preallocated arrays, and H and every monitor are
-    evaluated once over all recorded states after the loop.  Raises
+    field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}.  States and
+    rates are written into the rows of one preallocated table, the
+    trajectory's ``samples``; the times, H and every monitor are filled in
+    once over all recorded states after the loop, and the table ends at the
+    last recordable row.  Raises
     :class:`IntegrationDivergedError` (carrying the last good step index and
     the partial trajectory) if the state leaves float range or if H, dH/dt
     or a monitor is not finite at a sample; a non-finite value at the
@@ -242,8 +230,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     names = list(monitors.keys())
     for name in names:
         _check_phase_fn(A, monitors[name])
-    n = A.n
-    traj = Trajectory(h=h, n=n, m=A.m, monitor_names=names)
+    n, N = A.n, A.n + A.m
     const = None if A._varying else structure_eval(A, x0.q)
 
     def kernel(z):
@@ -258,15 +245,14 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     def stage(y):  # the first stage, at the step's state z itself, is its sample's jet
         return dz if y is z else kernel(y)[0]
 
-    Z = np.empty((steps + 1, n + A.m))
-    rates = np.empty(steps + 1)
+    S = np.empty((steps + 1, 3 + N + len(names)))  # the columns of Trajectory.csv_header
     z = x0.z
     dz, g = ham_field(A, H, x0, with_gradient=True)
     error = None
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            Z[k] = z
-            rates[k] = g @ dz
+            S[k, 1 : 1 + N] = z
+            S[k, 2 + N] = g @ dz
             if k == steps:
                 break
             try:
@@ -276,19 +262,17 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
                 error = exc
                 break
         count = k + 1
-        Z, rates = Z[:count], rates[:count]
-        Hs = H._value(Z)
-        mons = np.empty((count, len(names)))
+        S = S[:count]
+        Z = S[:, 1 : 1 + N]
+        S[:, 0] = np.arange(count) * h
+        S[:, 1 + N] = H._value(Z)
         for j, name in enumerate(names):
-            mons[:, j] = monitors[name]._value(Z)
-    ok = np.isfinite(rates) & np.isfinite(Hs) & np.isfinite(mons).all(axis=1)
+            S[:, 3 + N + j] = monitors[name]._value(Z)
+    ok = np.isfinite(S[:, 1 + N :]).all(axis=1)  # H, dH/dt and the monitors
     bad = count if ok.all() else int(np.argmin(ok))  # the first sample that cannot be recorded
     if bad == 0:
         raise NumericError("H, dH/dt or a monitor is non-finite at the initial state")
-    traj.samples = [
-        (k * h, PhasePoint._of(Z[k], n), Hk, rate, mons[k])
-        for k, Hk, rate in zip(range(bad), Hs[:bad].tolist(), rates[:bad].tolist())
-    ]
+    traj = Trajectory(n, A.m, S[:bad], names)
     if bad < count or error is not None:
         err = IntegrationDivergedError(f"non-finite after step {bad - 1}", last_good_step=bad - 1)
         err.trajectory = traj

@@ -717,9 +717,10 @@ def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
         dv_c/dt = - sum_ab Gamma[c,a,b] v_a v_b - sum_i rho_r[i,c] dV/dq_i,
 
     with Gamma the ambient Levi-Civita Christoffels in the adapted frame.
-    Returns a list of ``(t, q, v)`` samples of length steps + 1.  Under the
-    identity pairing of velocities with momenta in this frame, the samples
-    must track the momentum-side trajectory of the built scenario.
+    Returns the states ``(q, v)`` at t = 0, h, .., steps h as one array
+    ``[steps + 1, n + k]``.  Under the identity pairing of velocities with
+    momenta in this frame, they must track the momentum-side trajectory of the
+    built scenario (its ``states()``).
     """
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
@@ -741,9 +742,8 @@ def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
             dv -= rho_r.T @ V._gradient(q)
         return np.concatenate([dq, dv])
 
-    y = np.concatenate([q0, v0])
-    samples = [(0.0, y[:n].copy(), y[n:].copy())]
+    Y = np.empty((int(steps) + 1, n + k))
+    Y[0] = np.concatenate([q0, v0])
     for step in range(int(steps)):
-        y = rk4_step(rhs, y, h)
-        samples.append(((step + 1) * h, y[:n].copy(), y[n:].copy()))
-    return samples
+        Y[step + 1] = rk4_step(rhs, Y[step], h)
+    return Y

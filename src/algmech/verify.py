@@ -131,12 +131,7 @@ def check_legendre_equivalence(bundle, cfg, rng):
     v0 = np.asarray(cfg.get("v0", 0.1 + 0.1 * np.arange(k)), dtype=float)
     traj = integrate(bundle.algebroid, bundle.hamiltonian, PhasePoint(q0, v0), h, steps)
     ref = lagrangian_reference(spec, v0, q0, h, steps)
-    residuals = []
-    for smp, (_, lq, lv) in zip(traj.samples, ref):
-        if n:
-            residuals.append(np.max(np.abs(smp[1].q - lq)))
-        residuals.append(np.max(np.abs(smp[1].p - lv)))
-    return worst_residual(residuals)
+    return worst_residual([np.abs(traj.states() - ref)])
 
 
 def check_casimir_drift(bundle, cfg, rng):
@@ -147,10 +142,8 @@ def check_casimir_drift(bundle, cfg, rng):
     x0 = cfg.get("x0", {"q": np.zeros(bundle.algebroid.n), "p": np.ones(bundle.algebroid.m)})
     x0 = PhasePoint(x0["q"], x0["p"])
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps, bundle.monitors)
-    return worst_residual(
-        np.max(np.abs(vals - vals[0]))
-        for vals in (traj.monitor_values(name) for name in traj.monitor_names)
-    )
+    M = traj.monitor_table()
+    return worst_residual([np.abs(M - M[0])])
 
 
 def check_energy_rate_fd(bundle, cfg, rng):
@@ -164,11 +157,8 @@ def check_energy_rate_fd(bundle, cfg, rng):
         x0 = PhasePoint(x0["q"], x0["p"])
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps)
     Hs = traj.h_values()
-    rates = np.array([s[3] for s in traj.samples])
-    stride = max(1, steps // 100)
-    return worst_residual(
-        abs((Hs[i + 1] - Hs[i - 1]) / (2 * h) - rates[i]) for i in range(1, steps, stride)
-    )
+    i = np.arange(1, steps, max(1, steps // 100))
+    return worst_residual([np.abs((Hs[i + 1] - Hs[i - 1]) / (2 * h) - traj.rate_values()[i])])
 
 
 def check_dA_squared(bundle, cfg, rng):

@@ -231,8 +231,8 @@ def test_criterion_06_gradient_extension():
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([0.2, 0.1], [0.3, -0.4]), h, steps)
     q = np.array([0.2, 0.1])
     marginal = 0.0
-    for smp in traj.samples:
-        marginal = max(marginal, np.max(np.abs(smp[1].q - q)))
+    for z in traj.states():
+        marginal = max(marginal, np.max(np.abs(z[:2] - q)))
         q = rk4_step(lambda y: np.array([1.0, 0.0]), q, h)
     from algmech.connections import levi_civita as lc
 
@@ -258,18 +258,13 @@ def test_criterion_07_legendre_equivalence():
     q0, v0 = np.array([0.4, -0.2, 0.1]), np.array([0.5, -0.3])
     traj = integrate(bc.algebroid, bc.hamiltonian, PhasePoint(q0, v0), 1e-3, 1000)
     ref = lagrangian_reference(spec_c, v0, q0, 1e-3, 1000)
-    worst["classical"] = max(
-        max(np.max(np.abs(s[1].q - lq)), np.max(np.abs(s[1].p - lv)))
-        for s, (_, lq, lv) in zip(traj.samples, ref)
-    )
+    worst["classical"] = np.max(np.abs(traj.states() - ref))  # q and v of every sample
     spec_g = generalized_so3_spec()
     bg = build_constrained(spec_g)
     v0g = np.array([0.7, -0.4])
     traj_g = integrate(bg.algebroid, bg.hamiltonian, PhasePoint([], v0g), 1e-3, 1000)
     ref_g = lagrangian_reference(spec_g, v0g, [], 1e-3, 1000)
-    worst["generalized"] = max(
-        np.max(np.abs(s[1].p - lv)) for s, (_, _, lv) in zip(traj_g.samples, ref_g)
-    )
+    worst["generalized"] = np.max(np.abs(traj_g.states() - ref_g))  # n = 0: v only
     ok = worst["classical"] <= 1e-6 and worst["generalized"] <= 1e-6
     _report(7, ok, f"velocity/momentum equivalence: classical {worst['classical']:.2e}, "
                    f"generalized {worst['generalized']:.2e} (<=1e-6)")
@@ -289,7 +284,7 @@ def test_criterion_08_torsion_energy_law():
     def fd_gap(bundle, steps=1000):
         t = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps)
         vals = t.h_values()
-        rates = [s[3] for s in t.samples]
+        rates = t.rate_values()
         gap = 0.0
         for i in range(1, steps, max(1, steps // 100)):
             gap = max(gap, abs((vals[i + 1] - vals[i - 1]) / (2 * h) - rates[i]))

@@ -265,8 +265,8 @@ def test_gradient_extension_q_marginal_bitwise():
         return np.array([q[1], -q[0]])
 
     q = np.array([0.3, 0.4])
-    for k, smp in enumerate(traj.samples):
-        assert np.array_equal(smp[1].q, q)
+    for z in traj.states():
+        assert np.array_equal(z[:2], q)
         q = rk4_step(xdot, q, 1e-2)
 
 
@@ -279,7 +279,7 @@ def test_monitor_rate_is_minus_bracket_along_flow():
     traj = integrate(A, H, PhasePoint([0.1], [0.2, -0.1]), h, 400, monitors={"F": F})
     Fs = traj.monitor_values("F")
     for i in range(1, 399, 40):
-        x = traj.samples[i][1]
+        x = PhasePoint.from_z(traj.states()[i], 1)
         expected = -poisson_bracket(A, H, F, x)
         fd = (Fs[i + 1] - Fs[i - 1]) / (2 * h)
         assert abs(fd - expected) <= 1e-6 * (1 + abs(expected))
@@ -300,9 +300,9 @@ def test_integrate_divergence_reports_last_good_step():
         with pytest.raises(IntegrationDivergedError) as info:
             integrate(A, H, PhasePoint([], [p0]), h, 1000)
         assert info.value.last_good_step == last_good
-        samples = info.value.trajectory.samples
-        assert len(samples) == last_good + 1
-        assert all(np.isfinite(s[2]) and np.isfinite(s[3]) for s in samples)
+        traj = info.value.trajectory
+        assert len(traj.samples) == last_good + 1
+        assert np.isfinite(traj.h_values()).all() and np.isfinite(traj.rate_values()).all()
 
 
 def test_a_monitor_that_overflows_first_ends_the_trajectory():
@@ -323,9 +323,10 @@ def test_a_monitor_that_overflows_first_ends_the_trajectory():
     assert plain.value.last_good_step == 101
     samples, ref = info.value.trajectory.samples, plain.value.trajectory.samples
     assert len(samples) == 100
-    for (t, x, hval, rate, mon), (rt, rx, rh, rrate, _) in zip(samples, ref):
-        assert (t, hval, rate) == (rt, rh, rrate) and np.array_equal(x.z, rx.z)
-        assert mon.tolist() == [F.value(x.z)]
+    assert info.value.trajectory.csv_header() == "t,p1,H,dHdt,F"
+    for row, ref_row in zip(samples, ref):
+        assert np.array_equal(row[:4], ref_row)  # t, p1, H and dHdt
+        assert row[4:].tolist() == [F.value(row[1:2])]
 
 
 def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monkeypatch):
@@ -381,9 +382,10 @@ def test_samples_match_standalone_h_and_energy_rate(name, override):
     A, H = bundle.algebroid, bundle.hamiltonian
     x0 = initial_point(cfg["integration"], bundle)
     traj = integrate(A, H, x0, float(cfg["integration"]["h"]), 60, bundle.monitors)
-    rates = [s[3] for s in traj.samples]
+    rates = traj.rate_values()
     assert max(abs(r) for r in rates) > 1e-3  # dH/dt is not identically zero here
-    for t, x, hval, rate, mon in traj.samples:
+    for z, hval, rate, mon in zip(traj.states(), traj.h_values(), rates, traj.monitor_table()):
+        x = PhasePoint.from_z(z, A.n)
         ref_rate = energy_rate(A, H, x)
         assert abs(rate - ref_rate) <= 1e-12 * (1 + abs(ref_rate))
         ref_h = H.value(x.z)
@@ -404,13 +406,12 @@ def test_integrate_validation(canonical1):
 
 
 def test_csv_bytes_pinned():
-    traj = Trajectory(h=0.5, n=2, m=1, monitor_names=["a", "b"])
-    traj.samples.append(
-        (0.0, PhasePoint([-0.0, 5e-324], [-1e308]), 0.1, 1 / 3, np.array([1e16, -0.0]))
-    )
-    traj.samples.append(
-        (0.5, PhasePoint([1 / 3, -0.1], [0.0]), -0.0, 5e-324, np.array([-1e308, 0.1]))
-    )
+    # t, q1, q2, p1, H, dHdt, a, b
+    table = np.array([
+        [0.0, -0.0, 5e-324, -1e308, 0.1, 1 / 3, 1e16, -0.0],
+        [0.5, 1 / 3, -0.1, 0.0, -0.0, 5e-324, -1e308, 0.1],
+    ])
+    traj = Trajectory(n=2, m=1, samples=table, monitor_names=["a", "b"])
     assert traj.to_csv().split("\n") == [
         "t,q1,q2,p1,H,dHdt,a,b",
         "0,0,4.9406564584124654e-324,-1e+308,0.10000000000000001,0.33333333333333331,"
@@ -419,8 +420,7 @@ def test_csv_bytes_pinned():
         "-1e+308,0.10000000000000001",
         "",
     ]
-    over_point = Trajectory(h=1.0, n=0, m=1)
-    over_point.samples.append((1.0, PhasePoint([], [-0.0]), 2.5, -0.0, np.zeros(0)))
+    over_point = Trajectory(n=0, m=1, samples=np.array([[1.0, -0.0, 2.5, -0.0]]))
     assert over_point.to_csv() == "t,p1,H,dHdt\n1,0,2.5,0\n"
 
 
@@ -437,8 +437,8 @@ def test_csv_format(canonical1):
     assert "-0," not in text and not text.endswith("-0")
 
 
-def test_integrate_keeps_no_memory_per_stage():
-    # a sample itself takes about 0.7 KB; a snapshot kept per RK4 stage would add 3 KB
+def _bytes_kept_per_sample(steps):
+    """Memory that an integration of canonical_harmonic retains, per sample."""
     path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical_harmonic.json"
     cfg = json.loads(path.read_text())
     bundle, _ = build_scenario(cfg["scenario"])
@@ -448,9 +448,20 @@ def test_integrate_keeps_no_memory_per_stage():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, 1000)
+        traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, h, steps)
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert kept / len(traj.samples) < 1500
+    return kept / len(traj.samples)
+
+
+def test_integrate_keeps_no_memory_per_stage():
+    # a snapshot kept per RK4 stage would add about 3 KB per sample
+    assert _bytes_kept_per_sample(1000) < 1500
+
+
+def test_a_sample_is_one_table_row():
+    # a row of canonical_harmonic's table is t, q1, p1, H and dHdt: 40 B of
+    # floats; a Python object per sample would take several hundred bytes
+    assert _bytes_kept_per_sample(10000) <= 100

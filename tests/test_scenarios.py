@@ -99,8 +99,8 @@ def test_gradient_extension_q_marginal_matches_standalone_flow():
     b = build_gradient_extension(G, X)
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([0.3, 0.4], [0.2, 0.1]), 1e-2, 100)
     q = np.array([0.3, 0.4])
-    for smp in traj.samples:
-        assert np.array_equal(smp[1].q, q)
+    for z in traj.states():
+        assert np.array_equal(z[:2], q)
         q = rk4_step(lambda y: np.array([y[1], -y[0]]), q, 1e-2)
 
 
@@ -428,9 +428,10 @@ def test_legendre_classical():
     v0 = np.array([0.5, -0.3])
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint(q0, v0), 1e-3, 300)
     ref = lagrangian_reference(spec, v0, q0, 1e-3, 300)
+    assert ref.shape == traj.states().shape == (301, 5)
     worst = 0.0
-    for smp, (_, lq, lv) in zip(traj.samples, ref):
-        worst = max(worst, np.max(np.abs(smp[1].q - lq)), np.max(np.abs(smp[1].p - lv)))
+    for z, y in zip(traj.states(), ref):
+        worst = max(worst, np.max(np.abs(z[:3] - y[:3])), np.max(np.abs(z[3:] - y[3:])))
     assert worst <= 1e-6
 
 
@@ -440,9 +441,7 @@ def test_legendre_generalized():
     v0 = np.array([0.7, -0.4])
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([], v0), 1e-3, 500)
     ref = lagrangian_reference(spec, v0, [], 1e-3, 500)
-    worst = max(
-        np.max(np.abs(smp[1].p - lv)) for smp, (_, _, lv) in zip(traj.samples, ref)
-    )
+    worst = max(np.max(np.abs(z - v)) for z, v in zip(traj.states(), ref))  # n = 0: z = p
     assert worst <= 1e-6
 
 
@@ -453,7 +452,9 @@ def test_legendre_free_particle():
         kinematic_basis=np.eye(2),
     )
     ref = lagrangian_reference(spec, [0.3, -0.1], [0.0, 0.0], 1e-2, 50)
-    for t, q, v in ref:
+    assert ref.shape == (51, 4)
+    for k, (q, v) in enumerate(zip(ref[:, :2], ref[:, 2:])):
+        t = k * 1e-2
         assert np.allclose(v, [0.3, -0.1], atol=1e-14)
         assert np.allclose(q, np.array([0.3, -0.1]) * t, atol=1e-12)
 
@@ -470,9 +471,7 @@ def test_legendre_euler_top_via_full_constraint(so3):
     v0 = np.array([0.2, -0.4, 0.3])
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([], v0), 1e-3, 1000)
     ref = lagrangian_reference(spec, v0, [], 1e-3, 1000)
-    worst = max(
-        np.max(np.abs(smp[1].p - lv)) for smp, (_, _, lv) in zip(traj.samples, ref)
-    )
+    worst = max(np.max(np.abs(z - v)) for z, v in zip(traj.states(), ref))  # n = 0: z = p
     assert worst <= 1e-6
 
 
@@ -533,7 +532,7 @@ def test_contorsion_energy_rate_matches_fd_along_flow():
     h = 1e-3
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint(np.zeros(3), [1.0, 2.0, 3.0]), h, 400)
     Hs = traj.h_values()
-    rates = [s[3] for s in traj.samples]
+    rates = traj.rate_values()
     for i in range(1, 399, 20):
         fd = (Hs[i + 1] - Hs[i - 1]) / (2 * h)
         assert abs(fd - rates[i]) <= 1e-6

@@ -1,14 +1,24 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from algmech.algebroid import worst_residual
+from algmech.config import build_scenario
 from algmech.errors import InputError
+from algmech.hamiltonian import PhasePoint, integrate
+from algmech.randoms import random_phase_point
 from algmech.scenarios import build_canonical, build_euler_top
+from algmech import verify
 from algmech.verify import CHECKS, run_check
 
 from conftest import harmonic_hamiltonian, nonjacobi_spec
 from algmech.scenarios import build_constrained
+
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def _canonical_bundle():
@@ -169,3 +179,82 @@ def test_nan_split_residual_rejects_the_pair(monkeypatch):
     )
     with pytest.raises(InvalidStructureError):
         b.prolongation()
+
+
+# -- trajectory checks against their former per-sample loops --------------------
+
+
+def _former_legendre_equivalence(bundle, cfg, rng):
+    """legendre_equivalence as a loop over samples: max |q - q_ref| and max |p - v_ref| per sample."""
+    steps, h = int(cfg.get("steps", 1000)), float(cfg.get("h", 1e-3))
+    n, k = bundle.algebroid.n, bundle.algebroid.m
+    q0 = np.asarray(cfg.get("q0", np.zeros(n)), dtype=float)
+    v0 = np.asarray(cfg.get("v0", 0.1 + 0.1 * np.arange(k)), dtype=float)
+    traj = integrate(bundle.algebroid, bundle.hamiltonian, PhasePoint(q0, v0), h, steps)
+    ref = verify.lagrangian_reference(cfg["constraint_spec"], v0, q0, h, steps)
+    residuals = []
+    for z, y in zip(traj.states(), ref):
+        if n:
+            residuals.append(np.max(np.abs(z[:n] - y[:n])))
+        residuals.append(np.max(np.abs(z[n:] - y[n:])))
+    return worst_residual(residuals)
+
+
+def _former_energy_rate_fd(bundle, cfg, rng):
+    """energy_rate_fd as a loop over the strided sample indices, one scalar at a time."""
+    steps, h = int(cfg.get("steps", 1000)), float(cfg.get("h", 1e-3))
+    A = bundle.algebroid
+    x0 = cfg.get("x0")
+    x0 = PhasePoint(*random_phase_point(rng, A.n, A.m, 0.5)) if x0 is None else PhasePoint(**x0)
+    traj = integrate(A, bundle.hamiltonian, x0, h, steps)
+    Hs, rates = traj.h_values(), traj.rate_values()
+    stride = max(1, steps // 100)
+    return worst_residual(
+        abs((Hs[i + 1] - Hs[i - 1]) / (2 * h) - rates[i]) for i in range(1, steps, stride)
+    )
+
+
+def _perturbed(reference):
+    """``reference`` off by parts in 1e9, the same at each call.
+
+    The two routes of legendre_equivalence agree to the last bit on the
+    shipped constrained configs, and a residual of 0 would hide a difference.
+    """
+
+    def wrapped(*args):
+        Y = reference(*args)
+        return Y * (1.0 + 1e-9 * np.random.default_rng(0).uniform(-1, 1, Y.shape))
+
+    return wrapped
+
+
+# X = (q2, q1^2) makes dH/dt of gradient_extension non-zero (the shipped X conserves H)
+_SWIRL = {"vector_field": [
+    {"arity": 2, "terms": [{"coef": 1.0, "exp": [0, 1]}]},
+    {"arity": 2, "terms": [{"coef": 1.0, "exp": [2, 0]}]},
+]}
+
+
+@pytest.mark.parametrize(
+    "config,override,check,former",
+    [
+        ("nonholonomic_classical", {}, "legendre_equivalence", _former_legendre_equivalence),
+        ("generalized_servo", {}, "legendre_equivalence", _former_legendre_equivalence),
+        ("gradient_extension", _SWIRL, "energy_rate_fd", _former_energy_rate_fd),
+        ("canonical_harmonic", {}, "energy_rate_fd", _former_energy_rate_fd),
+    ],
+)
+def test_trajectory_check_is_bit_identical_to_its_sample_loop(
+    monkeypatch, config, override, check, former
+):
+    monkeypatch.setattr(verify, "lagrangian_reference", _perturbed(verify.lagrangian_reference))
+    cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    bundle, spec = build_scenario({**cfg["scenario"], **override})
+    entries = [e if isinstance(e, dict) else {"name": e} for e in cfg["verification"]["checks"]]
+    (entry,) = [e for e in entries if e["name"] == check]
+    ccfg = {**entry, "points": 1, "constraint_spec": spec}
+    seed = cfg["verification"]["seed"]
+    residual = CHECKS[check](bundle, ccfg, np.random.default_rng(seed))
+    expected = former(bundle, ccfg, np.random.default_rng(seed))
+    assert residual > 0.0
+    assert np.float64(residual).tobytes() == np.float64(expected).tobytes()
