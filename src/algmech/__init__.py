@@ -14,7 +14,6 @@ from .algebroid import (
     d_full,
     d_skew,
     d_sym,
-    decompose_sym_skew,
     diff_lr_section,
     left_right_diff,
     so3_algebra,
@@ -24,11 +23,9 @@ from .algebroid import (
 from .connections import (
     ConnectionPair,
     CurvatureTensor,
-    curvature,
     curvature_field,
     default_split,
     levi_civita,
-    lift,
     metric_compatible_pair,
     verify_split,
 )
@@ -49,13 +46,10 @@ from .hamiltonian import (
     energy_rate,
     ham_field,
     integrate,
-    poisson_bracket,
-    poisson_tensor,
 )
 from .prolongation import (
     ProlongationData,
     closedness_residual,
-    liouville,
     lr_ham_field,
     omega,
     prolong_eval,

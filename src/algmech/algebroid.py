@@ -125,11 +125,6 @@ def sym_skew_parts(s: StructureSnapshot):
     return 0.5 * (s.B - Bt), 0.5 * (s.rho_l + s.rho_r), 0.5 * (s.B + Bt), 0.5 * (s.rho_l - s.rho_r)
 
 
-def decompose_sym_skew(A: AlgebroidStructure, q):
-    """:func:`sym_skew_parts` of the structure at ``q``."""
-    return sym_skew_parts(structure_eval(A, q))
-
-
 def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
     """Left and right differentials of a base function along the frame.
 
@@ -286,18 +281,14 @@ class StructureReport:
     anchor_morphism_defect: float
 
 
-def jacobiator(A: AlgebroidStructure, q) -> np.ndarray:
-    """Jacobiator components J[nu, alpha, beta, gamma] of the frame sections.
+def jacobiator(A: AlgebroidStructure, s: StructureSnapshot) -> np.ndarray:
+    """Jacobiator J[nu, alpha, beta, gamma] of the frame sections, from A's snapshot ``s``.
 
     J(s_a, s_b, s_c) = sum over cyclic permutations of (a, b, c) of
     B(s_a, B(s_b, s_c)), expanded through the structure functions; the
     derivative of the inner bracket coefficients is taken along the left
     anchor (the left Leibniz direction).  Identically zero for Lie algebroids.
     """
-    return _jacobiator(A, structure_eval(A, q))
-
-
-def _jacobiator(A: AlgebroidStructure, s: StructureSnapshot) -> np.ndarray:
     Bv, Bg = A.bracket.eval_grad(s.q)  # [m,m,m], [m,m,m,n]
     # half[nu,a,b,c] = B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
     half = np.einsum("...mbc,...nam->...nabc", Bv, Bv)
@@ -316,7 +307,7 @@ def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     return StructureReport(
         skew_defect=max_abs(s.B + s.B.swapaxes(-1, -2), 3),
         anchor_lr_defect=max_abs(s.rho_l - s.rho_r, 2),
-        jacobiator_norm=max_abs(_jacobiator(A, s), 4),
+        jacobiator_norm=max_abs(jacobiator(A, s), 4),
         anchor_morphism_defect=max_abs(rho_B - (D - D.swapaxes(-1, -2)), 3),
     )
 
@@ -348,16 +339,16 @@ def canonical_tangent(n: int) -> AlgebroidStructure:
 def levi_civita_symbol() -> np.ndarray:
     """The rank-3 alternating symbol as a [3,3,3] array."""
     eps = np.zeros((3, 3, 3))
-    for (a, b, c), sign in (
-        ((0, 1, 2), 1.0), ((1, 2, 0), 1.0), ((2, 0, 1), 1.0),
-        ((2, 1, 0), -1.0), ((0, 2, 1), -1.0), ((1, 0, 2), -1.0),
-    ):
-        eps[a, b, c] = sign
+    for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        eps[a, b, c], eps[a, c, b] = 1.0, -1.0
     return eps
 
 
+def so3_constants() -> np.ndarray:
+    """Rotation-algebra structure constants B[c,a,b] = eps_{abc}, value index first."""
+    return np.transpose(levi_civita_symbol(), (2, 0, 1))
+
+
 def so3_algebra() -> AlgebroidStructure:
-    """Rotation-algebra structure constants over a point: B[c,a,b] = eps_{abc}."""
-    eps = levi_civita_symbol()
-    B = np.transpose(eps, (2, 0, 1))  # value index first
-    return algebroid_from_constants(B, n=0)
+    """The rotation algebra over a point."""
+    return algebroid_from_constants(so3_constants(), n=0)

@@ -24,15 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, levi_civita_symbol
-from .connections import CurvatureTensor, default_split
+from .algebroid import AlgebroidStructure, so3_constants
+from .connections import ConnectionPair, CurvatureTensor, default_split
 from .errors import InputError
-from .fields import (
-    SmoothField,
-    TensorField,
-    field_from_config_with_arity,
-    tensor_from_config,
-)
+from .fields import _is_number, field_from_config_with_arity, tensor_from_config
 from .hamiltonian import PhasePoint
 from .scenarios import (
     ConstraintSpec,
@@ -43,6 +38,7 @@ from .scenarios import (
     build_gradient_extension,
     build_lie_poisson,
     euler_top_hamiltonian,
+    so3_casimir,
 )
 
 
@@ -66,11 +62,14 @@ def load_config(path) -> RunConfig:
         raise InputError("config must be a JSON object")
     if "scenario" not in raw:
         raise InputError("config missing 'scenario'")
+    for key in ("integration", "verification", "output"):
+        if raw.get(key) is not None and not isinstance(raw[key], dict):
+            raise InputError(f"{key} must be an object")
     cfg = RunConfig(
         scenario=raw["scenario"],
         integration=raw.get("integration"),
         verification=raw.get("verification"),
-        output=raw.get("output", {}),
+        output=raw.get("output") or {},
     )
     if cfg.integration is not None:
         _validate_integration(cfg.integration)
@@ -92,10 +91,6 @@ def _validate_integration(icfg):
 def _check_count(value, key, low=1):
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise InputError(f"{key} must be an integer >= {low}")
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_positive(value, key):
@@ -169,16 +164,30 @@ def initial_point(icfg, bundle: ScenarioBundle) -> PhasePoint:
 
 
 def _monitors_from(cfg, arity):
-    out = {}
-    for name, obj in (cfg.get("monitors") or {}).items():
-        out[name] = field_from_config_with_arity(obj, arity)
-    return out
+    monitors = cfg.get("monitors") or {}
+    if not isinstance(monitors, dict):
+        raise InputError("scenario.monitors must be an object of named fields")
+    return {name: field_from_config_with_arity(obj, arity) for name, obj in monitors.items()}
+
+
+def _float_array(value, key):
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or entries that are not numbers
+        raise InputError(f"{key} must be an array of numbers") from exc
+
+
+def _square_rank(cfg, key):
+    """The size n of the [n, n] array ``scenario.<key>``."""
+    value = cfg[key]
+    if not isinstance(value, list):
+        raise InputError(f"scenario.{key} must be an [n,n] array")
+    return len(value)
 
 
 def _build_canonical(cfg):
     n = cfg.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise InputError("scenario.n must be an integer >= 1")
+    _check_count(n, "scenario.n")
     if "hamiltonian" not in cfg:
         raise InputError("scenario.hamiltonian is required for kind 'canonical'")
     H = field_from_config_with_arity(cfg["hamiltonian"], 2 * n)
@@ -188,14 +197,15 @@ def _build_canonical(cfg):
 def _build_lie_poisson(cfg):
     structure = cfg.get("structure")
     if structure == "so3":
-        C = np.transpose(levi_civita_symbol(), (2, 0, 1))
+        C = so3_constants()
     elif isinstance(structure, list):
-        C = np.asarray(structure, dtype=float)
+        C = _float_array(structure, "scenario.structure")
     else:
         raise InputError("scenario.structure must be 'so3' or an [m,m,m] array")
     m = C.shape[0]
     monitors = _monitors_from(cfg, m)
     if "inertia" in cfg:
+        _check_vector(cfg["inertia"], "scenario.inertia")
         if len(cfg["inertia"]) != m:
             raise InputError("scenario.inertia length must equal the structure rank")
         H = euler_top_hamiltonian(cfg["inertia"])
@@ -204,18 +214,16 @@ def _build_lie_poisson(cfg):
     else:
         raise InputError("scenario needs 'hamiltonian' or 'inertia'")
     if structure == "so3" and "casimir" not in monitors:
-        monitors["casimir"] = SmoothField.polynomial(
-            [(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3
-        )
+        monitors["casimir"] = so3_casimir()
     metric = cfg.get("metric")
-    metric = np.asarray(metric, dtype=float) if metric is not None else None
+    metric = _float_array(metric, "scenario.metric") if metric is not None else None
     return build_lie_poisson(C, H, metric=metric, monitors=monitors), None
 
 
 def _build_gradient_extension(cfg):
     if "metric" not in cfg or "vector_field" not in cfg:
         raise InputError("scenario needs 'metric' and 'vector_field'")
-    n = len(cfg["metric"])
+    n = _square_rank(cfg, "metric")
     G = tensor_from_config(cfg["metric"], (n, n), n)
     X = tensor_from_config(cfg["vector_field"], (n,), n)
     return build_gradient_extension(G, X), None
@@ -226,8 +234,8 @@ def _ambient_from(cfg):
     if not isinstance(amb, dict):
         raise InputError("scenario.ambient must be an object")
     n, m = amb.get("n"), amb.get("m")
-    if not isinstance(n, int) or n < 0 or not isinstance(m, int) or m < 1:
-        raise InputError("scenario.ambient needs integer n >= 0 and m >= 1")
+    _check_count(n, "scenario.ambient.n", low=0)
+    _check_count(m, "scenario.ambient.m")
     bracket = tensor_from_config(amb.get("bracket", []), (m, m, m), n)
     anchor = tensor_from_config(amb.get("anchor", []), (n, m), n)
     return AlgebroidStructure(
@@ -240,7 +248,7 @@ def _basis_rows(obj, M, arity, key):
         raise InputError(f"scenario.{key} must be a non-empty list of rows")
     rows = []
     for row in obj:
-        if len(row) != M:
+        if not isinstance(row, list) or len(row) != M:
             raise InputError(f"scenario.{key} rows must have length {M}")
         rows.append([field_from_config_with_arity(e, arity) for e in row])
     return rows
@@ -272,7 +280,7 @@ def _build_constrained(cfg, generalized):
 def _build_contorsion(cfg):
     if "metric" not in cfg:
         raise InputError("scenario.metric is required")
-    n = len(cfg["metric"])
+    n = _square_rank(cfg, "metric")
     G = tensor_from_config(cfg["metric"], (n, n), n)
     S = T = None
     if "contorsion" in cfg:
@@ -343,8 +351,6 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
     elif isinstance(split, dict):
         if "Dl" not in split or "Dr" not in split:
             raise InputError("scenario.split pair needs 'Dl' and 'Dr' tensors")
-        from .connections import ConnectionPair
-
         new_split = ConnectionPair(
             Dl=tensor_from_config(split["Dl"], (A.m, A.m, A.m), A.n),
             Dr=tensor_from_config(split["Dr"], (A.m, A.m, A.m), A.n),

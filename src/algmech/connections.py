@@ -1,12 +1,12 @@
-"""Anchored connections: bracket splittings, Levi-Civita data, curvature, lifts.
+"""Anchored connections: bracket splittings, Levi-Civita data, curvature.
 
 A connection pair (Dl, Dr) splits an algebroid bracket when
 ``B[c,a,b] = Dl[c,a,b] - Dr[c,b,a]`` pointwise; `default_split` realizes the
 closed-form choice Dl = 0.  `levi_civita` builds metric Christoffel symbols
-on a Lie algebroid from the Koszul relation, `curvature` assembles the
-(1,3) curvature array of such Christoffels, and `lift` maps frame coefficient
-vectors to tangent vectors of the dual-bundle chart (horizontal via either
-connection, or vertical).
+on a Lie algebroid from the Koszul relation, and `curvature_at` assembles the
+(1,3) curvature array of such Christoffels.  The horizontal and vertical
+lifts of a pair are the anchor columns of the lifted structure
+(``prolongation.prolong_eval``).
 
 ``verify_split``, ``christoffels_at`` and ``curvature_at`` take one base
 point or a batch ``q[K, n]``, as the structure snapshot does.
@@ -21,7 +21,6 @@ import numpy as np
 from .algebroid import AlgebroidStructure, max_abs, structure_eval
 from .errors import InputError
 from .fields import TensorField, memoized_on_point
-from .hamiltonian import PhasePoint
 
 CHRISTOFFEL_FD_STEP = 1e-4  # larger than the field default: the metric solve
 # inside each Christoffel amplifies cancellation noise
@@ -91,29 +90,25 @@ def _koszul_rhs(Gv, Gg, Bv, rho):
     )
 
 
-def check_metric(G: TensorField, points):
-    """Raise :class:`InputError` at the first point where ``G`` is not symmetric positive-definite."""
-    for q in points:
-        Gv = G.eval(q)
-        if np.max(np.abs(Gv - Gv.T)) > 1e-10:
-            raise InputError(f"metric not symmetric at {np.asarray(q).tolist()}")
-        try:
-            np.linalg.cholesky(Gv)
-        except np.linalg.LinAlgError as exc:
-            raise InputError(
-                f"metric not positive-definite at {np.asarray(q).tolist()}"
-            ) from exc
+def check_metric(Gv, q):
+    """Raise :class:`InputError`, naming the first failing point, unless ``Gv`` is SPD.
 
-
-def _symmetric_positive_definite(Gv) -> bool:
-    """Whether every matrix of the stack ``Gv`` is symmetric (to 1e-10) and positive-definite."""
-    if np.max(np.abs(Gv - Gv.swapaxes(-1, -2))) > 1e-10:
-        return False
+    ``Gv`` holds the metric's values at the point ``q[n]`` or the points ``q[K, n]``.
+    """
+    Gs = Gv.reshape((-1,) + Gv.shape[-2:])
     try:
-        np.linalg.cholesky(Gv)
+        if np.max(np.abs(Gs - Gs.swapaxes(-1, -2))) <= 1e-10:
+            np.linalg.cholesky(Gs)  # one stacked factorization
+            return
     except np.linalg.LinAlgError:
-        return False
-    return True
+        pass
+    for point, G in zip(np.atleast_2d(q), Gs):
+        if np.max(np.abs(G - G.T)) > 1e-10:
+            raise InputError(f"metric not symmetric at {point.tolist()}")
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError as exc:
+            raise InputError(f"metric not positive-definite at {point.tolist()}") from exc
 
 
 def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
@@ -122,14 +117,15 @@ def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
     Solves the Koszul relation 2 G(D_a s_b, .) = (anchor derivatives of G)
     + (bracket contractions with G) at ``q``, one stacked solve for a batch.
     Requires a skew bracket with equal anchors (a Lie-type frame); G must be
-    symmetric positive-definite.
+    symmetric positive-definite, which is checked here when G varies (a
+    constant G is checked once, by :func:`levi_civita`).
     """
     q = A.check_point(q)
     if G.shape != (A.m, A.m):
         raise InputError("metric must be an [m,m] tensor over the base")
     Gv, Gg = G.eval_grad(q)
-    if not _symmetric_positive_definite(Gv):
-        check_metric(G, np.atleast_2d(q))  # raises, naming the first point that fails
+    if G._const is None:
+        check_metric(Gv, q)
     s = structure_eval(A, q)
     K = _koszul_rhs(Gv, Gg, s.B, s.rho_l)
     # Gamma[c,a,b]: solve 2 G_{cg} Gamma[c,a,b] = K[a,b,g] for all (a,b) at once
@@ -144,9 +140,12 @@ def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     One array-valued tensor over the batched Koszul solve, memoized on the
     batch because the Christoffels feed several tensors (Dl, Dr, a bracket,
     a curvature) evaluated at the same points; gradients are central
-    differences with step ``CHRISTOFFEL_FD_STEP``.
+    differences with step ``CHRISTOFFEL_FD_STEP``.  A constant metric is
+    checked here, once.
     """
     m = A.m
+    if G._const is not None and G.shape == (m, m):
+        check_metric(G._const, np.zeros(A.n))
     at = memoized_on_point(lambda q: christoffels_at(A, G, q))
     return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)
 
@@ -214,12 +213,6 @@ def curvature_identity_residuals(R) -> CurvatureReport:
     )
 
 
-def curvature(A: AlgebroidStructure, Gamma: TensorField, q):
-    """Curvature array at ``q`` plus the residuals of its two classical identities."""
-    R = curvature_at(A, Gamma, q)
-    return R, curvature_identity_residuals(R)
-
-
 def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> CurvatureTensor:
     """Curvature of ``Gamma`` as an array-valued (1,3) tensor field over the base."""
     return CurvatureTensor(
@@ -228,32 +221,3 @@ def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> CurvatureTenso
         )
     )
 
-
-def lift(A: AlgebroidStructure, CP: ConnectionPair, mode, coeffs, x: PhasePoint) -> np.ndarray:
-    """Lift a frame coefficient vector to a tangent vector of the (q, p) chart.
-
-    horizontal_left:  (sum_a c_a rho_l[i,a] ; sum_{a,g} c_a Dl[g,a,b] p_g)
-    horizontal_right: same with rho_r, Dr
-    vertical:         (0 ; coeffs)
-    All modes are linear in ``coeffs``.
-    """
-    if x.q.shape[0] != A.n or x.p.shape[0] != A.m:
-        raise InputError("phase point does not match the algebroid dimensions")
-    coeffs = np.asarray(coeffs, dtype=float).reshape(-1)
-    if coeffs.shape[0] != A.m:
-        raise InputError(f"coefficient vector must have length m={A.m}")
-    n, m = A.n, A.m
-    if mode == "vertical":
-        return np.concatenate([np.zeros(n), coeffs])
-    if mode not in ("horizontal_left", "horizontal_right"):
-        raise InputError(f"unknown lift mode {mode!r}")
-    if CP.m != m or CP.Dl.arity != A.n:
-        raise InputError("connection pair does not match the algebroid dimensions")
-    s = structure_eval(A, x.q)
-    if mode == "horizontal_left":
-        rho, D = s.rho_l, CP.Dl.eval(x.q)
-    else:
-        rho, D = s.rho_r, CP.Dr.eval(x.q)
-    qpart = rho @ coeffs if n else np.zeros(0)
-    ppart = np.einsum("a,gab,g->b", coeffs, D, x.p)
-    return np.concatenate([qpart, ppart])

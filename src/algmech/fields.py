@@ -6,13 +6,15 @@ coordinates that can also report its first-derivative jet.  Three flavours
 exist:
 
 * polynomial fields, with exact evaluation and exact gradients;
-* builtin fields, named closures registered in code (``sin``, ``cos``, ...);
+* builtin fields: closures with an analytic gradient, and named closures
+  registered in code (``sin``, ``cos``, ...);
 * finite-difference wrapped fields, any evaluable closure whose gradient is
   taken by central differences with step ``h``.
 
 Linear combinations of fields keep exact gradients (the jet is linear), so
 derived coefficients like differences of polynomial tensors stay as accurate
-as their ingredients.
+as their ingredients.  A finite-difference jet, of a field or of an
+array-valued tensor, is one stencil sweep (``_central_jet``).
 
 Polynomial data is compiled: a field builds the monomial table of its first
 derivatives on its first gradient, and a :class:`TensorField` packs all of its
@@ -104,6 +106,23 @@ def _derivative_terms(coefs, exps):
     return t, i, coefs[t] * exps[t, i], dexps
 
 
+def _central_jet(fn, q, h, shape):
+    """Value and central-difference gradient of ``fn(Q[K, arity]) -> [K, *shape]`` at ``q``.
+
+    ``q`` and its neighbours ``q +- h e_i`` form one stencil batch
+    ``[2 * arity + 1, *batch, arity]``, evaluated in one call; the caller
+    checks the results for finiteness.
+    """
+    n = q.shape[-1]
+    stencil = np.repeat(q[None], 2 * n + 1, axis=0)
+    for i in range(n):
+        stencil[1 + 2 * i, ..., i] += h
+        stencil[2 + 2 * i, ..., i] -= h
+    points = stencil.reshape(math.prod(stencil.shape[:-1]), n)
+    out = np.reshape(fn(points), stencil.shape[:-1] + tuple(shape))
+    return out[0], np.moveaxis((out[1::2] - out[2::2]) / (2.0 * h), 0, -1)
+
+
 def memoized_on_point(fn, maxsize=16384):
     """Cache a pure array-to-result function on the byte image of its argument.
 
@@ -136,8 +155,9 @@ def memoized_on_point(fn, maxsize=16384):
 class SmoothField:
     """Scalar function of ``arity`` chart coordinates with a first-derivative jet.
 
-    ``kind`` is one of ``"polynomial"``, ``"builtin"``, ``"fd"`` or
-    ``"composite"`` (linear combination of other fields).  A polynomial keeps
+    ``kind`` is ``"polynomial"``, ``"builtin"`` or ``"fd"``, as in the
+    module docstring; a sum of fields that are not all polynomial is a
+    closure over its operands' values and gradients.  A polynomial keeps
     its terms ``(coefs[T], exps[T, arity])`` and, from its first gradient on,
     the table of its derivative monomials ``_dexps[K, arity]`` with
     coefficients ``_dcoefs[arity, K]``.
@@ -220,7 +240,7 @@ class SmoothField:
         """Look up a code-registered named closure; gradient by central differences."""
         try:
             fn, arity = _BUILTINS[name]
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable
             raise InputError(f"unknown builtin field {name!r}") from exc
         if h is None:
             h = fd_default_step()
@@ -257,8 +277,6 @@ class SmoothField:
             mono = _monomials(q, exps)
             # one product per point: a matrix-vector product over the batch may round differently
             v = mono @ coefs if q.ndim == 1 else vecmat(mono, coefs[:, None])[:, 0]
-        elif self.kind == "composite":
-            v = sum(w * f._value(q) for w, f in self._terms)
         elif q.ndim == 2:  # closures take one point at a time
             return np.array([float(self._fn(row)) for row in q])
         else:
@@ -271,25 +289,11 @@ class SmoothField:
             if self._dexps is None:
                 self._derivative_table()
             return matvec(self._dcoefs, _monomials(q, self._dexps))
-        if self.kind == "composite":
-            g = np.zeros(q.shape)
-            for w, f in self._terms:
-                g += w * f._gradient(q)
-            return g
+        if self._grad is None:  # central differences over the value
+            return _central_jet(self._value, q, self._h, ())[1]
         if q.ndim == 2:  # closures take one point at a time
             return np.array([self._gradient(row) for row in q]).reshape(q.shape)
-        if self._grad is not None:
-            return np.asarray(self._grad(q), dtype=float).reshape(n)
-        # central differences: (f(q+h e_i) - f(q-h e_i)) / 2h
-        h = self._h if self._h is not None else fd_default_step()
-        g = np.zeros(n)
-        for i in range(n):
-            qp = q.copy()
-            qm = q.copy()
-            qp[i] += h
-            qm[i] -= h
-            g[i] = (self._fn(qp) - self._fn(qm)) / (2.0 * h)
-        return g
+        return np.asarray(self._grad(q), dtype=float).reshape(n)
 
     # -- algebra (linear combinations keep exact jets) ----------------------
 
@@ -304,8 +308,10 @@ class SmoothField:
             return SmoothField._from_arrays(
                 np.concatenate([w_self * c1, w_other * c2]), np.vstack([e1, e2]), self.arity
             )
-        return SmoothField(
-            self.arity, "composite", terms=((w_self, self), (w_other, other))
+        return SmoothField.from_callable(
+            lambda q: w_self * self._value(q) + w_other * other._value(q),
+            self.arity,
+            grad=lambda q: w_self * self._gradient(q) + w_other * other._gradient(q),
         )
 
     def __add__(self, other):
@@ -322,7 +328,9 @@ class SmoothField:
         if self.kind == "polynomial":
             coefs, exps = self._terms
             return SmoothField._from_arrays(w * coefs, exps, self.arity)
-        return SmoothField(self.arity, "composite", terms=((w, self),))
+        return SmoothField.from_callable(
+            lambda q: w * self._value(q), self.arity, grad=lambda q: w * self._gradient(q)
+        )
 
     def __mul__(self, w):
         return self.scaled(w)
@@ -338,30 +346,46 @@ def field_from_polynomial(terms, arity) -> SmoothField:
     return SmoothField.polynomial(terms, arity)
 
 
-def field_from_config(obj) -> SmoothField:
-    """Parse the structured config form of a field.
+def _is_number(value):
+    """A JSON number: an int or a float, not a bool (``true`` would read as 1)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
-    Accepts a plain number (constant of unknown arity is not allowed, so
-    numbers are only valid where the caller supplies arity via
-    :func:`field_from_config_with_arity`), or a dict with either ``terms``
-    (polynomial) or ``builtin``.
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def field_from_config_with_arity(obj, arity) -> SmoothField:
+    """Parse the config form of a field over a chart of dimension ``arity``.
+
+    A plain number is a constant; an object names its ``arity`` and holds
+    either polynomial ``terms`` or a ``builtin`` name.  A malformed field
+    raises :class:`InputError` naming its key.
     """
+    if _is_number(obj):
+        return SmoothField.constant(obj, arity)
     if not isinstance(obj, dict):
         raise InputError(f"field config must be an object, got {type(obj).__name__}")
     if "arity" not in obj:
         raise InputError("field config missing 'arity'")
-    arity = obj["arity"]
+    if not _is_count(obj["arity"]):
+        raise InputError(f"field config 'arity' must be an integer >= 0, got {obj['arity']!r}")
     if "builtin" in obj:
-        return SmoothField.builtin(obj["builtin"], h=obj.get("h"))
-    terms = [(t["coef"], t["exp"]) for t in obj.get("terms", [])]
-    return SmoothField.polynomial(terms, arity)
-
-
-def field_from_config_with_arity(obj, arity) -> SmoothField:
-    """Like :func:`field_from_config` but numbers mean constants of ``arity``."""
-    if isinstance(obj, (int, float)):
-        return SmoothField.constant(obj, arity)
-    f = field_from_config(obj)
+        h = obj.get("h")
+        if h is not None and not (_is_number(h) and math.isfinite(h) and h > 0):
+            raise InputError(f"field config 'h' must be a finite number > 0, got {h!r}")
+        f = SmoothField.builtin(obj["builtin"], h=h)
+    else:
+        terms = obj.get("terms", [])
+        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+            raise InputError("field config 'terms' must be a list of objects")
+        for t in terms:
+            coef, exp = t.get("coef"), t.get("exp")
+            if not (_is_number(coef) and isinstance(exp, list) and all(map(_is_count, exp))):
+                raise InputError(
+                    f"field term needs a number 'coef' and a list 'exp' of integers >= 0, got {t!r}"
+                )
+        f = SmoothField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
     if f.arity != arity:
         raise InputError(f"field arity {f.arity} does not match expected {arity}")
     return f
@@ -630,32 +654,17 @@ class TensorField:
         if self._const is not None:
             return self._values(q), np.zeros(batch + self.shape + (self.arity,))
         if self._fn is not None:
-            return self._fd_jet(q)
-        size = self._Cv.shape[0]
-        jet = matvec(self._C, _monomials(q, self._E))
-        vals = jet[..., :size]  # views of the jet, also over a batch
-        grads = jet[..., size:].reshape(batch + (size, self.arity))
-        for k, f in self._others:
-            vals[..., k] += f._value(q)
-            grads[..., k, :] += f._gradient(q)
-        if not np.isfinite(jet).all():
-            raise NumericError("tensor field jet non-finite")
-        return vals.reshape(batch + self.shape), grads.reshape(batch + self.shape + (self.arity,))
-
-    def _fd_jet(self, q):
-        """Value and central-difference gradient of the array-valued form.
-
-        The points and their neighbours ``q +- h e_i`` form one stencil batch
-        ``[2 * arity + 1, *batch, arity]``, evaluated in one call.
-        """
-        h, n = self._h, self.arity
-        stencil = np.repeat(q[None], 2 * n + 1, axis=0)
-        for i in range(n):
-            stencil[1 + 2 * i, ..., i] += h
-            stencil[2 + 2 * i, ..., i] -= h
-        out = self._values(stencil.reshape(-1, n)).reshape(stencil.shape[:-1] + self.shape)
-        vals = out[0]
-        grads = np.moveaxis((out[1::2] - out[2::2]) / (2.0 * h), 0, -1)
+            vals, grads = _central_jet(self._values, q, self._h, self.shape)
+        else:
+            size = self._Cv.shape[0]
+            jet = matvec(self._C, _monomials(q, self._E))
+            vals = jet[..., :size]  # views of the jet, also over a batch
+            grads = jet[..., size:].reshape(batch + (size, self.arity))
+            for k, f in self._others:
+                vals[..., k] += f._value(q)
+                grads[..., k, :] += f._gradient(q)
+            vals = vals.reshape(batch + self.shape)
+            grads = grads.reshape(batch + self.shape + (self.arity,))
         if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
             raise NumericError("tensor field jet non-finite")
         return vals, grads

@@ -1,11 +1,12 @@
 """Dynamics on the dual bundle chart (q, p) induced by an algebroid.
 
 The algebroid's structure functions induce a linear 2-contravariant tensor on
-the dual chart; contracting it with differentials gives a (generally neither
-skew nor Jacobi) bracket of functions, a Hamiltonian vector field, and fixed
-step trajectories.  ``PhasePoint`` and ``ham_field`` also take a batch of
-points (a leading axis of length K on q and p).  A ``Trajectory`` is one float
-table whose columns are those of its CSV.
+the dual chart and with it a (generally neither skew nor Jacobi) bracket.
+Its contraction with dH, the Hamiltonian vector field, is written once, in
+:func:`ham_field`; the energy rate and fixed-step trajectories build on it.
+``PhasePoint`` and ``ham_field`` also take a batch of points (a leading axis
+of length K on q and p).  A ``Trajectory`` is one float table whose columns
+are those of its CSV.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ from .fields import SmoothField, TensorField, matvec, vecmat
 __all__ = [
     "PhasePoint",
     "Trajectory",
-    "poisson_tensor",
-    "poisson_bracket",
     "ham_field",
     "energy_rate",
     "integrate",
@@ -79,32 +78,6 @@ def _check_phase_fn(A: AlgebroidStructure, H: SmoothField):
         raise InputError(f"phase function arity {H.arity} must be n+m={A.n + A.m}")
 
 
-def poisson_tensor(A: AlgebroidStructure, x: PhasePoint) -> np.ndarray:
-    """The induced linear 2-contravariant tensor at ``x`` as an (n+m)x(n+m) matrix.
-
-    Row/column order is (q_1..q_n, p_1..p_m).  Blocks:
-    [q, q] = 0, [q_i, p_a] = rho_r[i, a], [p_b, q_j] = -rho_l[j, b],
-    [p_a, p_b] = -sum_c B[c, a, b] p_c.
-    """
-    _check_phase(A, x)
-    s = structure_eval(A, x.q)
-    n, m = A.n, A.m
-    Pi = np.zeros((n + m, n + m))
-    Pi[:n, n:] = s.rho_r
-    Pi[n:, :n] = -s.rho_l.T
-    Pi[n:, n:] = -contract_first(x.p, s.B)
-    return Pi
-
-
-def poisson_bracket(A, phi: SmoothField, psi: SmoothField, x: PhasePoint) -> float:
-    """Bracket of two phase functions: (grad phi)^T Pi (grad psi)."""
-    _check_phase_fn(A, phi)
-    _check_phase_fn(A, psi)
-    Pi = poisson_tensor(A, x)
-    z = x.z
-    return float(phi.gradient(z) @ Pi @ psi.gradient(z))
-
-
 def _field(s, p, g, n) -> np.ndarray:
     """The Hamiltonian field of :func:`ham_field` from the snapshot ``s`` and the gradient ``g``."""
     gq, gp = g[..., :n], g[..., n:]
@@ -133,11 +106,13 @@ def ham_field(A, H: SmoothField, x: PhasePoint, *, with_gradient=False):
 
 
 def energy_rate(A, H: SmoothField, x: PhasePoint) -> float:
-    """dH/dt along the standard Hamiltonian field: -{H, H}.
+    """dH/dt = dH(X_H) along the standard Hamiltonian field, as :func:`integrate` records it.
 
-    Zero for skew brackets; the signed dissipation/production rate otherwise.
+    It equals -{H, H}: zero for skew brackets, the signed
+    dissipation/production rate otherwise.
     """
-    return -poisson_bracket(A, H, H, x)
+    X, g = ham_field(A, H, x, with_gradient=True)
+    return float(g @ X)
 
 
 @dataclass

@@ -2,16 +2,17 @@
 
 Given an algebroid, a bracket-splitting connection pair and a free (1,3)
 curvature-like tensor, this module realizes the induced algebroid on the
-rank-2m bundle over the (q, p) chart whose frame is (h_1..h_m, v^1..v^m):
-h_a is the left-connection horizontal lift of the a-th frame section and v^a
-the vertical lift of the a-th dual frame section.  :func:`prolong_eval`
-evaluates that structure into an ``algebroid.StructureSnapshot``, so the
-differential calculus of ``algebroid`` applies to it unchanged.  On it this
-module evaluates the canonical dual section, the induced skew pairing
-(constant [[0, I], [-I, 0]] in the frame), the right Hamiltonian section,
-the induced Hamiltonian vector field on the chart, and the closedness and
-squared-differential residuals.  Each takes one phase point or a batch of K
-(``PhasePoint`` with q[K, n], p[K, m]) and then returns one value per point.
+rank-2m bundle over the (q, p) chart whose frame is (h_1..h_m, v^1..v^m).
+:func:`prolong_eval` evaluates that structure into an
+``algebroid.StructureSnapshot``, so the differential calculus of
+``algebroid`` applies to it unchanged.  Its anchor columns are the only
+lifts: the h_a column of ``rho_l`` (``rho_r``) is the left (right)
+horizontal lift of the a-th frame section, the v^a column the vertical
+lift.  On it this module evaluates the induced skew pairing, the right
+Hamiltonian section, the induced Hamiltonian vector field on the chart, and
+the closedness and squared-differential residuals.  Each takes one
+phase point or a batch of K (``PhasePoint`` with q[K, n], p[K, m]) and then
+returns one value per point.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .algebroid import (
 from .connections import ConnectionPair, CurvatureTensor, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
 from .fields import SmoothField, TensorField, matvec, vecmat
-from .hamiltonian import PhasePoint
+from .hamiltonian import PhasePoint, _check_phase, _check_phase_fn
 
 SPLIT_TOL = 1e-10
 
@@ -47,7 +48,8 @@ class ProlongationData:
     """Base algebroid + validated splitting + free (1,3) tensor R.
 
     The splitting is checked at construction probe points, in one batch; the
-    2m frame is ordered (h_1..h_m, v^1..v^m).
+    2m frame is ordered (h_1..h_m, v^1..v^m).  ``_liouville`` is the
+    canonical dual section (p_1..p_m, 0..0), a tensor over the (q, p) chart.
     """
 
     base: AlgebroidStructure
@@ -75,10 +77,6 @@ class ProlongationData:
     @property
     def frame_size(self) -> int:
         return 2 * self.base.m
-
-    def check_phase(self, x: PhasePoint):
-        if x.q.shape[-1] != self.base.n or x.p.shape[-1] != self.base.m:
-            raise InputError("phase point does not match the base algebroid")
 
 
 def _lifted_anchors(P: ProlongationData, x: PhasePoint):
@@ -119,7 +117,7 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     * B(v^a, h_b) = +sum_c Dr[a,b,c] v^c
     * B(v, v) = 0
     """
-    P.check_phase(x)
+    _check_phase(P.base, x)
     m = P.base.m
     al, ar, s, Dl, Dr = _lifted_anchors(P, x)
     coeffs = np.zeros(x.q.shape[:-1] + (2 * m, 2 * m, 2 * m))
@@ -130,12 +128,6 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)
 
 
-def liouville(P: ProlongationData, x: PhasePoint) -> np.ndarray:
-    """Canonical dual section in the dual frame: (p_1..p_m, 0..0)."""
-    P.check_phase(x)
-    return np.concatenate([x.p, np.zeros(x.p.shape)], axis=-1)
-
-
 def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndarray:
     """The induced skew pairing in the frame, as a [2m, 2m] matrix per point.
 
@@ -144,7 +136,7 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
     canonical dual section, using the lifted anchors/bracket and the jets of
     the section components over the chart; the two must agree.
     """
-    P.check_phase(x)
+    _check_phase(P.base, x)
     m = P.base.m
     if method == "frame_formula":
         O = np.zeros(x.p.shape[:-1] + (2 * m, 2 * m))
@@ -167,8 +159,7 @@ def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.
 
 def _right_ham_section(P, H, x, snap) -> np.ndarray:
     """:func:`right_ham_section` on the lifted snapshot ``snap`` of ``x``."""
-    if H.arity != P.base.n + P.base.m:
-        raise InputError("Hamiltonian arity must be n+m")
+    _check_phase_fn(P.base, H)
     drH = vecmat(H.gradient(snap.q), snap.rho_r)  # d_r H on each frame section
     O = omega(P, x, "frame_formula")
     try:
@@ -186,30 +177,6 @@ def lr_ham_field(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarr
     """
     snap = prolong_eval(P, x)
     return matvec(snap.rho_l, _right_ham_section(P, H, x, snap))
-
-
-def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
-    """Package the lifted structure as an algebroid over the (q, p) chart.
-
-    Useful for running the generic structure diagnostics on it: with a
-    Lie-type base, a metric-compatible splitting and that metric's curvature,
-    all four defects vanish (the lifted bracket is the canonical one).
-    """
-    n = P.base.n
-    nm, size = n + P.base.m, P.frame_size
-
-    def part(name, shape):
-        return TensorField.from_array_fn(
-            lambda z: getattr(prolong_eval(P, PhasePoint.from_z(z, n)), name), shape, nm
-        )
-
-    return AlgebroidStructure(
-        n=nm,
-        m=size,
-        bracket=part("B", (size, size, size)),
-        anchor_left=part("rho_l", (nm, size)),
-        anchor_right=part("rho_r", (nm, size)),
-    )
 
 
 # -- residuals of the degree-raising differentials on the lifted algebroid --

@@ -22,7 +22,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, base_probes, canonical_tangent, structure_eval
+from .algebroid import (
+    AlgebroidStructure, base_probes, canonical_tangent, so3_constants, structure_eval,
+)
 from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
@@ -62,6 +64,12 @@ class ScenarioBundle:
         return ProlongationData(self.algebroid, self.split, self.curvature)
 
 
+def _check_probed_metric(G: TensorField, n):
+    """:func:`check_metric` of ``G`` at the construction probes of an n-dimensional base."""
+    probes = np.array(base_probes(n, seed=_PROBE_SEED))
+    check_metric(G.eval(probes), probes)
+
+
 # -- gradient extension -------------------------------------------------------
 
 
@@ -77,7 +85,7 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n) or X.shape != (n,):
         raise InputError("need an [n,n] metric and an [n] vector field")
-    check_metric(G, base_probes(n, seed=_PROBE_SEED))
+    _check_probed_metric(G, n)
     A0 = canonical_tangent(n)
     Gamma = levi_civita(A0, G)
     alg = AlgebroidStructure(
@@ -139,7 +147,6 @@ def build_lie_poisson(
         anchor_right=TensorField.from_constants(np.zeros((0, m)), 0),
     )
     G = TensorField.from_constants(np.eye(m) if metric is None else np.asarray(metric), 0)
-    check_metric(G, [np.zeros(0)])
     Gamma = levi_civita(alg, G)
     return ScenarioBundle(
         algebroid=alg,
@@ -162,18 +169,17 @@ def euler_top_hamiltonian(inertia) -> SmoothField:
     return SmoothField.polynomial(terms, inertia.shape[0])
 
 
+def so3_casimir() -> SmoothField:
+    """|p|^2 on the dual of the rotation algebra, the Casimir of its bracket."""
+    return SmoothField.polynomial([(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3)
+
+
 def build_euler_top(inertia=(1.0, 2.0, 3.0)) -> ScenarioBundle:
     """Free rigid body as a Lie-Poisson system on the rotation algebra."""
-    from .algebroid import levi_civita_symbol
-
-    eps = levi_civita_symbol()
-    casimir = SmoothField.polynomial(
-        [(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3
-    )
     bundle = build_lie_poisson(
-        np.transpose(eps, (2, 0, 1)),
+        so3_constants(),
         euler_top_hamiltonian(inertia),
-        monitors={"casimir": casimir},
+        monitors={"casimir": so3_casimir()},
         name="euler_top",
     )
     bundle.provenance["inertia"] = list(np.asarray(inertia, dtype=float))
@@ -196,7 +202,7 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n):
         raise InputError("metric must be [n,n]")
-    check_metric(G, base_probes(n, seed=_PROBE_SEED))
+    _check_probed_metric(G, n)
     if (S is None) == (T is None):
         raise InputError("give exactly one of S (contorsion) or T (direct torsion)")
     if T is None:
@@ -287,7 +293,7 @@ class ConstraintSpec:
                 rep = f"ambient bracket not skew at {q.tolist()}"
         if rep:
             raise InputError("ambient structure must be Lie-type: " + rep)
-        check_metric(self.metric, base_probes(n, seed=_PROBE_SEED))
+        _check_probed_metric(self.metric, n)
 
     @property
     def rank(self) -> int:
@@ -605,23 +611,6 @@ class _AdaptedFrame:
         Dl = self._projected(q, core, Gam)
         Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
-
-    def ctilde_display_at(self, q):
-        """The closed-form projected coefficients from the ambient display.
-
-        Output layout [a, b, c] matches the bracket convention: value a,
-        arguments (b, c).  Uses the cross Gram block, the full inverse metric
-        restricted to kinematic indices, the adapted-frame bracket
-        coefficients and the anchor-directional derivative of the cross block.
-        """
-        core = self.core_at(q)
-        k = self.k
-        C, Ginv, g, dg = core["C_new"], core["Ginv"], core["g"], core["dg"]
-        Cb = C[:, :, :k]  # second argument kinematic
-        val = Cb[:k, :k] + np.einsum("aj,jdb->adb", g, Cb[k:, :k])
-        val -= np.einsum("dj,ajb->adb", g, Cb[:k, k:] + np.einsum("al,ljb->ajb", g, Cb[k:, k:]))
-        val -= np.einsum("dj,ajb->adb", g, dg @ core["rho_new"][:, :k])
-        return -np.einsum("cd,adb->abc", Ginv[:k, :k], val)
 
     def curvature_projected(self) -> CurvatureTensor:
         """Kinematic projection of the ambient Levi-Civita curvature."""

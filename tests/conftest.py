@@ -11,6 +11,7 @@ from algmech.algebroid import (
     algebroid_from_constants,
     canonical_tangent,
     so3_algebra,
+    structure_eval,
 )
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.scenarios import ConstraintSpec
@@ -47,6 +48,50 @@ def canonical1():
 @pytest.fixture
 def canonical2():
     return canonical_tangent(2)
+
+
+def poisson_tensor(A, x):
+    """The linear bivector Pi induced on the dual chart at the phase point ``x``.
+
+    An (n+m)x(n+m) matrix in the order (q_1..q_n, p_1..p_m), assembled entry
+    by entry from the structure snapshot, as an oracle that shares no
+    arithmetic with ``ham_field``:
+    [q, q] = 0, [q_i, p_a] = rho_r[i, a], [p_b, q_j] = -rho_l[j, b],
+    [p_a, p_b] = -sum_c B[c, a, b] p_c.
+    """
+    s = structure_eval(A, x.q)
+    n, m = A.n, A.m
+    Pi = np.zeros((n + m, n + m))
+    for a in range(m):
+        for i in range(n):
+            Pi[i, n + a] = s.rho_r[i, a]
+            Pi[n + a, i] = -s.rho_l[i, a]
+        for b in range(m):
+            Pi[n + a, n + b] = -sum(x.p[c] * s.B[c, a, b] for c in range(m))
+    return Pi
+
+
+def poisson_bracket(A, phi, psi, x):
+    """The function bracket (grad phi)^T Pi (grad psi) at ``x``, from :func:`poisson_tensor`."""
+    return float(phi.gradient(x.z) @ poisson_tensor(A, x) @ psi.gradient(x.z))
+
+
+def ctilde_display(frame, q):
+    """The closed-form projected coefficients from the ambient display, at ``q``.
+
+    Output layout [a, b, c] matches the bracket convention: value a,
+    arguments (b, c).  Uses the cross Gram block, the full inverse metric
+    restricted to kinematic indices, the adapted-frame bracket coefficients
+    and the anchor-directional derivative of the cross block.
+    """
+    core = frame.core_at(q)
+    k = frame.k
+    C, Ginv, g, dg = core["C_new"], core["Ginv"], core["g"], core["dg"]
+    Cb = C[:, :, :k]  # second argument kinematic
+    val = Cb[:k, :k] + np.einsum("aj,jdb->adb", g, Cb[k:, :k])
+    val -= np.einsum("dj,ajb->adb", g, Cb[:k, k:] + np.einsum("al,ljb->ajb", g, Cb[k:, k:]))
+    val -= np.einsum("dj,ajb->adb", g, dg @ core["rho_new"][:, :k])
+    return -np.einsum("cd,adb->abc", Ginv[:k, :k], val)
 
 
 def harmonic_hamiltonian():

@@ -9,15 +9,16 @@ import pytest
 
 from algmech.algebroid import (
     canonical_tangent,
-    decompose_sym_skew,
     so3_algebra,
     structure_checks,
     structure_eval,
+    sym_skew_parts,
 )
 from algmech.connections import (
     CurvatureTensor,
-    curvature,
+    curvature_at,
     curvature_field,
+    curvature_identity_residuals,
     default_split,
     levi_civita,
     metric_compatible_pair,
@@ -48,6 +49,7 @@ from algmech.scenarios import (
 )
 
 from conftest import (
+    ctilde_display,
     curved_plane_metric,
     euler_hamiltonian,
     generalized_so3_spec,
@@ -189,13 +191,13 @@ def test_criterion_04_curvature_identities():
     Gam3 = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
     worst_const = 0.0
     for _ in range(50):
-        _, rep = curvature(so3, Gam3, [])
+        rep = curvature_identity_residuals(curvature_at(so3, Gam3, []))
         worst_const = max(worst_const, rep.skew_residual, rep.bianchi_residual)
     A2 = canonical_tangent(2)
     Gam2 = levi_civita(A2, curved_plane_metric())
     worst_fd = 0.0
     for _ in range(50):
-        _, rep = curvature(A2, Gam2, rng.uniform(-1, 1, 2))
+        rep = curvature_identity_residuals(curvature_at(A2, Gam2, rng.uniform(-1, 1, 2)))
         worst_fd = max(worst_fd, rep.skew_residual, rep.bianchi_residual)
     ok = worst_const <= 1e-10 and worst_fd <= 1e-5
     _report(4, ok, f"curvature identities: constant case {worst_const:.2e} (<=1e-10), "
@@ -309,7 +311,7 @@ def test_criterion_09_projection_consistency():
         for _ in range(npts):
             q = rng.uniform(-0.7, 0.7, frame.n)
             B, _, _ = frame.projected_structure_at(q)
-            ct = frame.ctilde_display_at(q)
+            ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q)
             worst_ct = max(worst_ct, np.max(np.abs(ct - B)))
             worst_split = max(worst_split, np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))))
@@ -387,7 +389,7 @@ def test_criterion_10_differential_calculus():
         A = random_algebroid(rng)
         q = rng.uniform(-1, 1, A.n)
         s = structure_eval(A, q)
-        B_A, rho_A, B_S, rho_S = decompose_sym_skew(A, q)
+        B_A, rho_A, B_S, rho_S = sym_skew_parts(s)
         worst_rec = max(worst_rec, np.max(np.abs(B_A + B_S - s.B)))
         if A.n:
             worst_rec = max(worst_rec, np.max(np.abs(rho_A + rho_S - s.rho_l)))

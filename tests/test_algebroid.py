@@ -7,12 +7,12 @@ from algmech.algebroid import (
     AlgebroidStructure,
     algebroid_from_constants,
     canonical_tangent,
-    decompose_sym_skew,
     diff_lr_section,
     left_right_diff,
     levi_civita_symbol,
     structure_checks,
     structure_eval,
+    sym_skew_parts,
 )
 from algmech.errors import InputError
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
@@ -46,14 +46,14 @@ def test_structure_eval_symmetric_product_line():
 
 
 def test_decompose_so3(so3):
-    B_A, rho_A, B_S, rho_S = decompose_sym_skew(so3, [])
+    B_A, rho_A, B_S, rho_S = sym_skew_parts(structure_eval(so3, []))
     assert np.all(B_A == structure_eval(so3, []).B)
     assert np.all(B_S == 0.0)
 
 
 def test_decompose_symmetric_product():
     A = symmetric_product_line()
-    B_A, rho_A, B_S, rho_S = decompose_sym_skew(A, [0.2])
+    B_A, rho_A, B_S, rho_S = sym_skew_parts(structure_eval(A, [0.2]))
     assert np.all(B_A == 0.0)
     assert np.all(rho_A == 0.0)
     assert rho_S[0, 0] == 1.0
@@ -63,7 +63,7 @@ def test_decompose_single_entry():
     B = np.zeros((2, 2, 2))
     B[0, 0, 1] = 1.0
     A = algebroid_from_constants(B, np.zeros((1, 2)), n=1)
-    B_A, _, B_S, _ = decompose_sym_skew(A, [0.0])
+    B_A, _, B_S, _ = sym_skew_parts(structure_eval(A, [0.0]))
     assert B_A[0, 0, 1] == 0.5 and B_A[0, 1, 0] == -0.5
     assert B_S[0, 0, 1] == 0.5 and B_S[0, 1, 0] == 0.5
 
@@ -76,7 +76,7 @@ def test_decompose_recombines_exactly(seed):
     for _ in range(5):
         q = rng.uniform(-1, 1, size=A.n)
         s = structure_eval(A, q)
-        B_A, rho_A, B_S, rho_S = decompose_sym_skew(A, q)
+        B_A, rho_A, B_S, rho_S = sym_skew_parts(structure_eval(A, q))
         assert np.max(np.abs(B_A + B_S - s.B)) <= 1e-14
         if A.n:
             assert np.max(np.abs(rho_A + rho_S - s.rho_l)) <= 1e-14

@@ -95,6 +95,73 @@ def test_simulate_rejects_non_finite_or_boolean_step(tmp_path, key, value):
     assert not (tmp_path / "out.csv").exists()
 
 
+def _harmonic_term(**term):
+    return {"arity": 2, "terms": [{"coef": 0.5, "exp": [0, 2]}, term]}
+
+
+def _shipped_scenario(name, **override):
+    return {**json.loads((CONFIG_DIR / f"{name}.json").read_text())["scenario"], **override}
+
+
+# (scenario, the key the error names); each was a traceback or a silent misread
+MALFORMED_FIELDS = {
+    "terms-not-objects": ({"hamiltonian": {"arity": 2, "terms": [1]}}, "'terms'"),
+    "exp-missing": ({"hamiltonian": _harmonic_term(coef=0.5)}, "'exp'"),
+    "arity-string": ({"hamiltonian": {"arity": "x", "terms": []}}, "'arity'"),
+    "coef-string": ({"hamiltonian": _harmonic_term(coef="a", exp=[2, 0])}, "'coef'"),
+    "exp-fraction": ({"hamiltonian": _harmonic_term(coef=0.5, exp=[0.5, 0])}, "'exp'"),
+    "coef-bool": ({"hamiltonian": _harmonic_term(coef=True, exp=[2, 0])}, "'coef'"),
+    "arity-fraction": ({"hamiltonian": {"arity": 2.7, "terms": []}}, "'arity'"),
+    "monitors-list": ({"monitors": [{"arity": 2, "terms": []}]}, "scenario.monitors"),
+    "metric-number": (_shipped_scenario("gradient_extension", metric=1.0), "scenario.metric"),
+    "inertia-number": (_shipped_scenario("euler_top", inertia=2.0), "scenario.inertia"),
+    "n-bool": ({"n": True}, "scenario.n"),  # read as 1
+    "builtin-step-string": ({"monitors": {"s": {"arity": 1, "builtin": "sin", "h": "x"}}}, "'h'"),
+    "structure-ragged": (
+        {"scenario": "lie_poisson", "structure": [[[1.0]], [[1.0, 2.0]]], "inertia": [1.0, 1.0]},
+        "scenario.structure",
+    ),
+    "basis-row-number": (
+        _shipped_scenario("nonholonomic_classical", kinematic_basis=[1.0]),
+        "scenario.kinematic_basis",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario,key", list(MALFORMED_FIELDS.values()), ids=list(MALFORMED_FIELDS)
+)
+def test_simulate_names_the_key_of_a_malformed_field(tmp_path, scenario, key):
+    if "scenario" not in scenario:  # a canonical oscillator with one field replaced
+        oscillator = _harmonic_term(coef=0.5, exp=[2, 0])
+        scenario = {"scenario": "canonical", "n": 1, "hamiltonian": oscillator, **scenario}
+    n = {"canonical": 1, "gradient_extension": 2, "constrained": 3}.get(scenario["scenario"], 0)
+    m = {"canonical": 1, "gradient_extension": 2, "constrained": 2}.get(scenario["scenario"], 3)
+    cfg = {
+        "scenario": scenario,
+        "integration": {"h": 0.001, "steps": 10, "x0": {"q": [0.1] * n, "p": [0.2] * m}},
+        "output": {"trajectory": "out.csv"},
+    }
+    r = run_cli("simulate", write_config(tmp_path, cfg), cwd=tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: ") and key in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command,section",
+    [("simulate", "integration"), ("verify", "verification"), ("simulate", "output")],
+)
+def test_a_config_section_that_is_not_an_object_is_named(tmp_path, command, section):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg[section] = 5
+    r = run_cli(command, write_config(tmp_path, cfg, "bad.json"), cwd=tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert f"error: {section} must be an object" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_simulate_rejects_non_finite_structure_constants(tmp_path):
     cfg = {
         "scenario": {"scenario": "lie_poisson", "structure": [[[float("nan")]]], "inertia": [1.0]},

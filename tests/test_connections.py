@@ -12,19 +12,20 @@ from algmech.connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     _koszul_rhs,
+    CurvatureTensor,
     christoffels_at,
-    curvature,
     curvature_at,
     curvature_field,
+    curvature_identity_residuals,
     default_split,
     levi_civita,
-    lift,
     metric_compatible_pair,
     verify_split,
 )
 from algmech.errors import InputError
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
 from algmech.hamiltonian import PhasePoint
+from algmech.prolongation import ProlongationData, prolong_eval
 from algmech.randoms import random_algebroid
 from algmech.scenarios import _AdaptedFrame
 
@@ -150,14 +151,16 @@ def test_levi_civita_rejects_bad_metric(canonical2):
 
 def test_curvature_flat(canonical2):
     Gamma = TensorField.zeros((2, 2, 2), 2)
-    R, rep = curvature(canonical2, Gamma, [0.1, 0.2])
+    R = curvature_at(canonical2, Gamma, [0.1, 0.2])
+    rep = curvature_identity_residuals(R)
     assert np.all(R == 0.0)
     assert rep.skew_residual == 0.0 and rep.bianchi_residual == 0.0
 
 
 def test_curvature_curved_plane(canonical2):
     Gamma = levi_civita(canonical2, curved_plane_metric())
-    R, rep = curvature(canonical2, Gamma, [0.5, -0.1])
+    R = curvature_at(canonical2, Gamma, [0.5, -0.1])
+    rep = curvature_identity_residuals(R)
     assert np.max(np.abs(R)) > 1e-3  # genuinely curved
     assert rep.skew_residual <= 1e-6
     assert rep.bianchi_residual <= 1e-6
@@ -165,7 +168,8 @@ def test_curvature_curved_plane(canonical2):
 
 def test_curvature_so3_quarter(so3):
     Gamma = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
-    R, rep = curvature(so3, Gamma, [])
+    R = curvature_at(so3, Gamma, [])
+    rep = curvature_identity_residuals(R)
     out = R[:, 0, 1, 1]  # curvature of the (e1, e2) pair applied to e2
     assert np.max(np.abs(out - [0.25, 0.0, 0.0])) <= 1e-14
     assert rep.skew_residual <= 1e-14 and rep.bianchi_residual <= 1e-14
@@ -219,37 +223,45 @@ def test_default_split_of_array_valued_and_packed_brackets(canonical2):
         assert verify_split(packed, cp, q) <= 1e-15
 
 
+def _lifted_anchors(A, cp, x):
+    """The lifted anchors at ``x`` of the pair ``cp`` (zero curvature).
+
+    Columns :m of ``rho_l`` (``rho_r``) are the left (right) horizontal
+    lifts of the frame sections, columns m: the vertical lifts.
+    """
+    snap = prolong_eval(ProlongationData(A, cp, CurvatureTensor.zero(A.m, A.n)), x)
+    return snap.rho_l, snap.rho_r
+
+
 def test_lift_canonical(canonical1):
     cp = default_split(canonical1)
-    x = PhasePoint([0.3], [0.8])
-    assert np.array_equal(lift(canonical1, cp, "horizontal_left", [1.0], x), [1.0, 0.0])
+    rho_l, _ = _lifted_anchors(canonical1, cp, PhasePoint([0.3], [0.8]))
+    assert np.array_equal(rho_l[:, 0], [1.0, 0.0])
 
 
 def test_lift_so3_horizontal_right(so3):
     cp = default_split(so3)
-    x = PhasePoint([], [1.0, 2.0, 3.0])
-    out = lift(so3, cp, "horizontal_right", [1.0, 0.0, 0.0], x)
-    assert np.allclose(out, [0.0, 3.0, -2.0])
-    out_l = lift(so3, cp, "horizontal_left", [1.0, 0.0, 0.0], x)
-    assert np.all(out_l == 0.0)
+    rho_l, rho_r = _lifted_anchors(so3, cp, PhasePoint([], [1.0, 2.0, 3.0]))
+    assert np.allclose(rho_r[:, 0], [0.0, 3.0, -2.0])
+    assert np.all(rho_l[:, 0] == 0.0)
 
 
 def test_lift_vertical():
     A = random_algebroid(np.random.default_rng(1), n=3, m=2)
     cp = default_split(A)
-    x = PhasePoint([0.1, 0.2, 0.3], [0.5, 0.6])
-    out = lift(A, cp, "vertical", [2.0, 5.0], x)
-    assert np.array_equal(out, [0.0, 0.0, 0.0, 2.0, 5.0])
+    for rho in _lifted_anchors(A, cp, PhasePoint([0.1, 0.2, 0.3], [0.5, 0.6])):
+        assert np.array_equal(rho[:, 2:] @ [2.0, 5.0], [0.0, 0.0, 0.0, 2.0, 5.0])
 
 
 def test_lift_linear_in_coefficients(so3):
     cp = default_split(so3)
-    x = PhasePoint([], [0.4, -0.2, 1.0])
+    rho_l, rho_r = _lifted_anchors(so3, cp, PhasePoint([], [0.4, -0.2, 1.0]))
     rng = np.random.default_rng(8)
-    for mode in ("horizontal_left", "horizontal_right", "vertical"):
+    # horizontal left, horizontal right, vertical
+    for cols in (rho_l[:, :3], rho_r[:, :3], rho_l[:, 3:]):
         u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
-        lhs = lift(so3, cp, mode, 2.0 * u - v, x)
-        rhs = 2.0 * lift(so3, cp, mode, u, x) - lift(so3, cp, mode, v, x)
+        lhs = cols @ (2.0 * u - v)
+        rhs = 2.0 * (cols @ u) - cols @ v
         assert np.max(np.abs(lhs - rhs)) <= 1e-14
 
 
@@ -258,10 +270,9 @@ def test_horizontal_lift_characterization(so3):
     cp = default_split(so3)
     x = PhasePoint([], [1.0, 2.0, 3.0])
     Dr = cp.Dr.eval([])
+    _, rho_r = _lifted_anchors(so3, cp, x)
     for a in range(3):
-        e = np.zeros(3)
-        e[a] = 1.0
-        vec = lift(so3, cp, "horizontal_right", e, x)
+        vec = rho_r[:, a]
         # fibre-linear test function p_beta: derivative equals Dr[g,a,b] p_g
         for b in range(3):
             grad = np.zeros(3)
@@ -277,10 +288,9 @@ def test_horizontal_lift_characterization_pullbacks(canonical2):
     x = PhasePoint([0.6, -0.3], [0.2, 0.9])
     s = structure_eval(canonical2, x.q)
     gf = f.gradient(x.q)
+    rho_l, _ = _lifted_anchors(canonical2, cp, x)
     for a in range(2):
-        e = np.zeros(2)
-        e[a] = 1.0
-        vec = lift(canonical2, cp, "horizontal_left", e, x)
+        vec = rho_l[:, a]
         assert abs(vec[:2] @ gf - s.rho_l[:, a] @ gf) <= 1e-10
 
 

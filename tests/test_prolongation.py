@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import (
+    AlgebroidStructure,
     canonical_tangent,
     d_full,
     d_skew,
@@ -29,7 +30,6 @@ from algmech.prolongation import (
     closedness_residual,
     d_squared_oneform_residual,
     d_squared_scalar_residual,
-    liouville,
     lr_ham_field,
     omega,
     prolong_eval,
@@ -104,13 +104,14 @@ def test_prolongation_rejects_bad_split(so3):
 
 
 def test_liouville(so3):
+    """The canonical dual section that omega's generic route differentiates."""
     P = so3_default_prolongation(so3)
     assert np.array_equal(
-        liouville(P, PhasePoint([], [1.0, 2.0, 3.0])), [1, 2, 3, 0, 0, 0]
+        P._liouville.eval(PhasePoint([], [1.0, 2.0, 3.0]).z), [1, 2, 3, 0, 0, 0]
     )
-    assert np.all(liouville(P, PhasePoint([], [0, 0, 0])) == 0.0)
+    assert np.all(P._liouville.eval(PhasePoint([], [0, 0, 0]).z) == 0.0)
     P1 = canonical_prolongation()
-    assert np.array_equal(liouville(P1, PhasePoint([0.0], [7.0])), [7.0, 0.0])
+    assert np.array_equal(P1._liouville.eval(PhasePoint([0.0], [7.0]).z), [7.0, 0.0])
 
 
 def test_omega_frame_block():
@@ -314,12 +315,32 @@ def test_d_squared_lie_prolongations(so3):
     assert d_squared_oneform_residual(P3, theta, x3) <= 1e-8
 
 
+def lifted_algebroid(P: ProlongationData) -> AlgebroidStructure:
+    """The lifted structure as an algebroid over the (q, p) chart, for the generic diagnostics.
+
+    Its tensors are array-valued reads of :func:`prolong_eval`, so their jets
+    are central differences.
+    """
+    n = P.base.n
+    nm, size = n + P.base.m, P.frame_size
+
+    def part(name, shape):
+        return TensorField.from_array_fn(
+            lambda z: getattr(prolong_eval(P, PhasePoint.from_z(z, n)), name), shape, nm
+        )
+
+    return AlgebroidStructure(
+        n=nm,
+        m=size,
+        bracket=part("B", (size, size, size)),
+        anchor_left=part("rho_l", (nm, size)),
+        anchor_right=part("rho_r", (nm, size)),
+    )
+
+
 def test_metric_lift_is_canonical_bracket(so3):
     """With the metric splitting and its curvature, the lifted structure is
     the canonical one: skew, single-anchored, Jacobi, anchor morphism."""
-    from algmech.algebroid import structure_checks
-    from algmech.prolongation import lifted_algebroid
-
     P = so3_metric_prolongation(so3)
     lifted = lifted_algebroid(P)
     rep = structure_checks(lifted, [1.0, 2.0, 3.0])
@@ -332,9 +353,6 @@ def test_metric_lift_is_canonical_bracket(so3):
 def test_default_lift_of_generic_base_is_not_lie():
     """A generic base with the zero-reference splitting lifts to a structure
     failing skewness; the diagnostics must see it."""
-    from algmech.algebroid import structure_checks
-    from algmech.prolongation import lifted_algebroid
-
     rng = np.random.default_rng(12)
     A = random_algebroid(rng, n=1, m=2)
     P = ProlongationData(A, default_split(A), CurvatureTensor.zero(2, 1))

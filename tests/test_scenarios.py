@@ -19,6 +19,7 @@ from algmech.scenarios import (
 )
 
 from conftest import (
+    ctilde_display,
     curved_plane_metric,
     generalized_curved_spec,
     generalized_so3_spec,
@@ -180,7 +181,7 @@ def test_ctilde_display_matches_direct_and_split_difference():
         for _ in range(4):
             q = rng.uniform(-0.7, 0.7, frame.n)
             B, _, _ = frame.projected_structure_at(q)
-            ct = frame.ctilde_display_at(q)
+            ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q)
             assert np.max(np.abs(ct - B)) <= 1e-8
             assert np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))) <= 1e-8
@@ -213,7 +214,7 @@ def test_ctilde_display_matches_entrywise_loop():
         for _ in range(3):
             q = rng.uniform(-0.7, 0.7, frame.n)
             ref = _ctilde_loop(frame.core_at(q), frame.k, frame.n)
-            assert np.max(np.abs(frame.ctilde_display_at(q) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
+            assert np.max(np.abs(ctilde_display(frame, q) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
 def test_ctilde_display_on_a_curved_generalized_frame():
@@ -225,7 +226,7 @@ def test_ctilde_display_on_a_curved_generalized_frame():
         q = rng.uniform(-0.7, 0.7, frame.n)
         B, _, _ = frame.projected_structure_at(q)
         assert np.max(np.abs(frame.core_at(q)["dg"])) > 0.01
-        assert np.max(np.abs(frame.ctilde_display_at(q) - B)) <= 1e-6
+        assert np.max(np.abs(ctilde_display(frame, q) - B)) <= 1e-6
 
 
 # -- exact adapted-frame jet --------------------------------------------------
