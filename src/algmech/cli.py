@@ -1,7 +1,8 @@
 """Command-line front end: simulate, verify, report.
 
 Exit codes: 0 success (verify: all checks pass), 1 bad input/config,
-2 integration diverged (a partial trajectory CSV is still written).
+2 integration diverged (a partial trajectory CSV is still written; a
+non-finite initial state writes its header only).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import build_scenario, check_seed, initial_point, load_config
-from .errors import InputError, IntegrationDivergedError
+from .errors import InputError, IntegrationDivergedError, NumericError
 from .hamiltonian import Trajectory, integrate
 from .verify import CHECKS, TOLERANCES, run_check
 
@@ -47,6 +48,14 @@ def cmd_simulate(config_path, out=None) -> int:
             f"partial trajectory in {path}",
             file=sys.stderr,
         )
+        return 2
+    except NumericError as exc:  # not finite at the initial state: no sample to record
+        A = bundle.algebroid
+        names = list(bundle.monitors)
+        empty = Trajectory(A.n, A.m, np.zeros((0, 3 + A.n + A.m + len(names))), names)
+        with open(path, "w") as fh:
+            fh.write(empty.to_csv())
+        print(f"error: {exc}; header-only trajectory in {path}", file=sys.stderr)
         return 2
     with open(path, "w") as fh:
         fh.write(traj.to_csv())

@@ -170,7 +170,14 @@ def _monitors_from(cfg, arity):
     return {name: field_from_config_with_arity(obj, arity) for name, obj in monitors.items()}
 
 
+def _has_bool(value):
+    """A JSON boolean anywhere in nested lists (``true`` would read as 1.0)."""
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _float_array(value, key):
+    if _has_bool(value):
+        raise InputError(f"{key} must be an array of numbers, not booleans")
     try:
         return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged, or entries that are not numbers

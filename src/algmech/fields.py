@@ -19,7 +19,8 @@ array-valued tensor, is one stencil sweep (``_central_jet``).
 Polynomial data is compiled: a field builds the monomial table of its first
 derivatives on its first gradient, and a :class:`TensorField` packs all of its
 polynomial components into one shared monomial table and one coefficient
-matrix, so a value or a whole jet costs a fixed handful of array operations.
+matrix, built on first read, so a value or a whole jet costs a fixed handful
+of array operations.
 
 Derived tensors (Christoffel symbols, curvature, the adapted-frame and lifted
 structure functions) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
@@ -468,11 +469,13 @@ class TensorField:
     array ``[K, *shape]``.  A tensor is one of two things:
 
     * packed: polynomial terms ``(rows, coefs, exps)``, term t adding
-      ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``, in one shared
-      monomial table ``_E`` and coefficient matrix ``_C`` (values and
-      gradients in one product), plus ``_others``, a tuple of closure
-      entries ``(flat index, field)`` whose values and gradients are added
-      into their entries;
+      ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``, plus ``_others``,
+      a tuple of closure entries ``(flat index, field)`` whose values and
+      gradients are added into their entries.  The terms are stored as
+      built; their tables are built on first read: the first evaluation
+      builds the value table ``_Ev``/``_Cv``, the first ``eval_grad`` the
+      jet table ``_E``/``_C`` (values and gradients in one product), so a
+      tensor that is only evaluated never builds its jet;
     * array-valued (:meth:`from_array_fn`): one callable ``_fn(Q[K, n])``
       returns the whole array at K points; the jet is central differences
       with step ``_h``.
@@ -557,23 +560,27 @@ class TensorField:
 
     def _pack(self, shape, arity, rows, coefs, exps, others):
         self.shape = tuple(int(s) for s in shape)
-        self.arity = n = int(arity)
+        self.arity = int(arity)
         self._fn = self._h = None
-        size = math.prod(self.shape)
         self._terms = (rows, coefs, exps)
         self._others = others
+        self._const = self._E = self._C = self._Ev = self._Cv = None  # tables: on first read
         if not others and not exps.any():
             # only constants: fold once, the jet is zero
             # (bincount of no terms is an integer array)
+            size = math.prod(self.shape)
             const = np.bincount(rows, weights=coefs, minlength=size).astype(float)
             const.flags.writeable = False
             self._const = const.reshape(self.shape)
-            self._E = self._C = self._Ev = self._Cv = None
-            return
-        self._const = None
-        self._E, nv, self._C = _jet_table(rows, coefs, exps, size, n)
-        self._Ev = np.ascontiguousarray(self._E[:nv])
-        self._Cv = np.ascontiguousarray(self._C[:size, :nv])
+
+    def _value_table(self):
+        """Build ``_Ev``/``_Cv``: bit for bit the value block of :func:`_jet_table`."""
+        rows, coefs, exps = self._terms
+        E, col = _merge_monomials(exps)
+        size, nv = math.prod(self.shape), E.shape[0]
+        Cv = np.bincount(rows * nv + col, weights=coefs, minlength=size * nv)
+        self._Ev = E.astype(float)
+        self._Cv = Cv.astype(float, copy=False).reshape(size, nv)
 
     @classmethod
     def from_constants(cls, array, arity) -> "TensorField":
@@ -642,6 +649,8 @@ class TensorField:
         out_shape = q.shape[:-1] + self.shape
         if self._fn is not None:
             return np.array(self._fn(q), dtype=float).reshape(out_shape)
+        if self._Cv is None:
+            self._value_table()
         vals = matvec(self._Cv, _monomials(q, self._Ev))
         for k, f in self._others:
             vals[..., k] += f._value(q)
@@ -656,7 +665,9 @@ class TensorField:
         if self._fn is not None:
             vals, grads = _central_jet(self._values, q, self._h, self.shape)
         else:
-            size = self._Cv.shape[0]
+            size = math.prod(self.shape)
+            if self._C is None:
+                self._E, _, self._C = _jet_table(*self._terms, size, self.arity)
             jet = matvec(self._C, _monomials(q, self._E))
             vals = jet[..., :size]  # views of the jet, also over a batch
             grads = jet[..., size:].reshape(batch + (size, self.arity))

@@ -222,9 +222,9 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
 
     S = np.empty((steps + 1, 3 + N + len(names)))  # the columns of Trajectory.csv_header
     z = x0.z
-    dz, g = ham_field(A, H, x0, with_gradient=True)
     error = None
     with np.errstate(over="ignore", invalid="ignore"):
+        dz, g = ham_field(A, H, x0, with_gradient=True)
         for k in range(steps + 1):
             S[k, 1 : 1 + N] = z
             S[k, 2 + N] = g @ dz

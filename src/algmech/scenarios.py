@@ -61,7 +61,12 @@ class ScenarioBundle:
     provenance: dict = dc_field(default_factory=dict)
 
     def prolongation(self) -> ProlongationData:
-        return ProlongationData(self.algebroid, self.split, self.curvature)
+        """The lifted structure, built and its split checked on the first call only."""
+        P = self.__dict__.get("_prolongation")
+        if P is None:  # an invalid split raises here, on every call
+            P = ProlongationData(self.algebroid, self.split, self.curvature)
+            object.__setattr__(self, "_prolongation", P)
+        return P
 
 
 def _check_probed_metric(G: TensorField, n):

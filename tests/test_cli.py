@@ -175,6 +175,54 @@ def test_simulate_rejects_non_finite_structure_constants(tmp_path):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "structure,metric,key",
+    [
+        ([[[True]]], None, "scenario.structure"),  # was simulated as the constant 1.0
+        ("so3", [[1.0, 0.0, 0.0], [0.0, True, 0.0], [0.0, 0.0, 1.0]], "scenario.metric"),
+    ],
+    ids=["structure", "metric"],
+)
+def test_simulate_rejects_booleans_in_numeric_arrays(tmp_path, structure, metric, key):
+    m = 1 if isinstance(structure, list) else 3
+    scenario = {"scenario": "lie_poisson", "structure": structure, "inertia": [1.0] * m}
+    if metric is not None:
+        scenario["metric"] = metric
+    cfg = {
+        "scenario": scenario,
+        "integration": {"h": 0.001, "steps": 5, "x0": {"q": [], "p": [1.0] * m}},
+        "output": {"trajectory": "out.csv"},
+    }
+    r = run_cli("simulate", write_config(tmp_path, cfg), cwd=tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr.startswith("error: ") and key in r.stderr, r.stderr
+    assert "Traceback" not in r.stderr
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "terms,q0",
+    [
+        # H = 0.5 p^2 + 0.5 q^4 overflows at q = 1e100; its gradient does not
+        ([{"coef": 0.5, "exp": [0, 2]}, {"coef": 0.5, "exp": [4, 0]}], 1e100),
+        # the gradient 3 q^2 of H = q^3 overflows at q = 1e200
+        ([{"coef": 1.0, "exp": [3, 0]}], 1e200),
+    ],
+    ids=["value", "gradient"],
+)
+def test_simulate_non_finite_initial_state_exits_2_with_header_only_csv(tmp_path, terms, q0):
+    cfg = {
+        "scenario": {"scenario": "canonical", "n": 1, "hamiltonian": {"arity": 2, "terms": terms}},
+        "integration": {"h": 0.001, "steps": 10, "x0": {"q": [q0], "p": [0.0]}},
+        "output": {"trajectory": "out.csv"},
+    }
+    r = run_cli("simulate", write_config(tmp_path, cfg), cwd=tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert (tmp_path / "out.csv").read_text() == "t,q1,p1,H,dHdt\n"
+
+
 def test_simulate_divergence_exit_code(tmp_path):
     cases = [
         # dp/dt = p^2: the state after a step leaves float range

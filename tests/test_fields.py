@@ -462,3 +462,52 @@ def test_sum_with_array_valued_is_input_error():
     for A, B in ((packed, array), (array, packed), (array, array)):
         with pytest.raises(InputError):
             A + B
+
+
+# -- packed tables are built on first read --------------------------------------
+
+
+def _no_table(T):
+    return T._E is None and T._C is None and T._Ev is None and T._Cv is None
+
+
+def test_building_a_packed_tensor_builds_no_table():
+    F = TensorField.from_terms([0, 1, 1], [1.0, 2.0, -3.0], [[1, 0], [0, 2], [1, 1]], (2,), 2)
+    closure = SmoothField.from_callable(lambda q: q[0] * q[1], 2, grad=lambda q: q[::-1])
+    mixed = TensorField(np.array([field_from_polynomial([(1.0, [2, 0])], 2), closure]))
+    for T in (F, mixed, F + mixed, F.scaled(2.0), mixed.scaled(-1.0)):
+        assert _no_table(T)
+    q = np.array([0.3, -0.7])
+    F.eval(q)  # the values: the value table only
+    assert F._Cv is not None and F._C is None and F._E is None
+    F.eval_grad(q)  # the jet: the full table
+    assert F._C is not None and F._E is not None
+    mixed.eval_grad(q)
+    assert mixed._C is not None and mixed._Cv is None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_the_value_table_is_the_value_block_of_the_jet_table(seed):
+    rng = np.random.default_rng(1000 + seed)
+    size, T = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+    if seed % 5 == 0:  # exponents whose integer keys overflow: _merge_monomials' fallback
+        arity = int(rng.integers(2, 5))
+        exps = rng.integers(0, 2**40, size=(T, arity))
+        assert (int(exps.max()) + 1) ** arity > np.iinfo(np.int64).max
+    else:
+        arity = int(rng.integers(0, 5))
+        exps = rng.integers(0, int(rng.integers(1, 7)), size=(T, arity))
+    rows, coefs = rng.integers(0, size, size=T), rng.uniform(-1, 1, T)
+    F = TensorField.from_terms(rows, coefs, exps, (size,), arity)
+    F._value_table()
+    E, nv, C = _jet_table(rows, coefs, exps, size, arity)
+    assert np.array_equal(F._Ev, E[:nv]) and np.array_equal(F._Cv, C[:size, :nv])
+    assert F._Cv.tobytes() == np.ascontiguousarray(C[:size, :nv]).tobytes()
+    # eval reads the value table before and after eval_grad builds the jet table
+    G = TensorField.from_terms(rows, coefs, exps, (size,), arity)
+    Q = rng.uniform(-1, 1, size=(3, arity))
+    before = [G.eval(Q[0]), G.eval(Q)]
+    G.eval_grad(Q)
+    after = [G.eval(Q[0]), G.eval(Q)]
+    for b, a in zip(before, after):
+        assert b.tobytes() == a.tobytes()

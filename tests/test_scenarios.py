@@ -562,3 +562,30 @@ def test_adapted_frame_is_freed_after_use():
     del frame
     gc.collect()
     assert ref() is None
+
+
+# -- the lifted structure of a bundle is built once -----------------------------
+
+
+def test_a_bundle_builds_its_lifted_structure_once():
+    from algmech.config import build_scenario
+
+    bundle, _ = build_scenario({"scenario": "canonical", "n": 1, "hamiltonian": 1.0})
+    P = bundle.prolongation()
+    assert bundle.prolongation() is P and P.split is bundle.split
+
+
+def test_a_bundle_with_an_overridden_split_checks_its_own_pair():
+    from algmech.config import _apply_overrides, build_scenario
+    from algmech.errors import InvalidStructureError
+
+    scenario = {"scenario": "lie_poisson", "structure": "so3", "inertia": [1.0, 2.0, 3.0]}
+    bundle, _ = build_scenario(scenario)
+    P = bundle.prolongation()
+    default = _apply_overrides(bundle, {"split": "default"})
+    assert default.prolongation() is not P and default.prolongation().split is default.split
+    bad = np.zeros((3, 3, 3)).tolist()  # Dl - Dr must give the so(3) bracket, not 0
+    broken = _apply_overrides(bundle, {"split": {"Dl": bad, "Dr": bad}})
+    with pytest.raises(InvalidStructureError):
+        broken.prolongation()
+    assert bundle.prolongation() is P

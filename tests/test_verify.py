@@ -181,6 +181,46 @@ def test_nan_split_residual_rejects_the_pair(monkeypatch):
         b.prolongation()
 
 
+def test_an_invalid_split_is_rejected_on_every_call(monkeypatch):
+    import algmech.prolongation as prolongation
+    from algmech.errors import InvalidStructureError
+
+    real = prolongation.verify_split
+
+    def nan_split(*args):
+        out = np.array(real(*args), dtype=float)
+        out[1] = math.nan
+        return out
+
+    b = _canonical_bundle()
+    monkeypatch.setattr(prolongation, "verify_split", nan_split)
+    for _ in range(2):  # a rejected pair is not remembered as checked
+        with pytest.raises(InvalidStructureError):
+            b.prolongation()
+
+
+def test_a_shipped_verify_builds_each_table_and_lifted_structure_once(monkeypatch, tmp_path):
+    """canonical_harmonic: one scenario prolongation and five random instances."""
+    import algmech.fields as fields
+    import algmech.prolongation as prolongation
+    from algmech.cli import main
+
+    calls = {"jet_table": 0, "split": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(fields, "_jet_table", counted("jet_table", fields._jet_table))
+    monkeypatch.setattr(prolongation, "verify_split", counted("split", prolongation.verify_split))
+    report = str(tmp_path / "report.json")
+    assert main(["verify", str(CONFIG_DIR / "canonical_harmonic.json"), "--report", report]) == 0
+    assert calls["jet_table"] <= 2 and calls["split"] == 6, calls
+
+
 # -- trajectory checks against their former per-sample loops --------------------
 
 
