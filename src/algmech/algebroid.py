@@ -17,7 +17,7 @@ batch, each array gains a leading axis of length K and each residual is a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,6 +34,8 @@ class AlgebroidStructure:
     bracket: TensorField  # shape [m, m, m], index order (value, first, second)
     anchor_left: TensorField  # shape [n, m]
     anchor_right: TensorField  # shape [n, m]
+    # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation
+    _structure_at: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 0 or self.m < 1:
@@ -100,13 +102,16 @@ def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
     ``q`` is validated here (length, finiteness) and the snapshot is checked
     for non-finite entries (:class:`NumericError`).  Over a point (n = 0)
     the one snapshot built with the structure is returned for a single point.
+    A derived structure (``_structure_at``) is one call per point or batch.
     """
     q = A.check_point(q)
     if A._point_snapshot is not None and q.ndim == 1:
         return A._point_snapshot
     if not np.isfinite(q).all():
         raise InputError("point has non-finite entries")
-    B, rho_l, rho_r = values = [T._values(q) for T in (A.bracket, A.anchor_left, A.anchor_right)]
+    tensors = (A.bracket, A.anchor_left, A.anchor_right)
+    values = A._structure_at(q) if A._structure_at else [T._values(q) for T in tensors]
+    B, rho_l, rho_r = values
     for k in A._varying:
         if not np.isfinite(values[k]).all():
             raise NumericError("structure functions evaluated to non-finite entries")

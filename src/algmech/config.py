@@ -319,7 +319,7 @@ def build_scenario(cfg: dict):
     if not isinstance(cfg, dict):
         raise InputError("scenario must be an object")
     kind = cfg.get("scenario", cfg.get("kind"))
-    if kind not in _BUILDERS:
+    if not isinstance(kind, str) or kind not in _BUILDERS:
         raise InputError(
             f"scenario.scenario must be one of {sorted(_BUILDERS)}, got {kind!r}"
         )

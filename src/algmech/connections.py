@@ -9,7 +9,8 @@ lifts of a pair are the anchor columns of the lifted structure
 (``prolongation.prolong_eval``).
 
 ``verify_split``, ``christoffels_at`` and ``curvature_at`` take one base
-point or a batch ``q[K, n]``, as the structure snapshot does.
+point or a batch ``q[K, n]``, as the structure snapshot does; ``koszul_solve``
+and ``curvature_arrays`` take the arrays at the point instead.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, max_abs, structure_eval
 from .errors import InputError
-from .fields import TensorField, memoized_on_point
+from .fields import TensorField
 
 CHRISTOFFEL_FD_STEP = 1e-4  # larger than the field default: the metric solve
 # inside each Christoffel amplifies cancellation noise
@@ -62,9 +63,11 @@ def verify_split(A: AlgebroidStructure, CP: ConnectionPair, q) -> float:
     if CP.m != A.m or CP.Dl.arity != A.n:
         raise InputError("connection pair does not match the algebroid dimensions")
     q = A.check_point(q)
-    B = A.bracket.eval(q)
-    Dl = CP.Dl.eval(q)
-    Dr = CP.Dr.eval(q)
+    return split_residual(A.bracket.eval(q), CP.Dl.eval(q), CP.Dr.eval(q))
+
+
+def split_residual(B, Dl, Dr) -> float:
+    """Max-abs of B[c,a,b] - Dl[c,a,b] + Dr[c,b,a] from their arrays (per point of a batch)."""
     return max_abs(B - Dl + Dr.swapaxes(-1, -2), 3)
 
 
@@ -127,9 +130,16 @@ def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
     if G._const is None:
         check_metric(Gv, q)
     s = structure_eval(A, q)
-    K = _koszul_rhs(Gv, Gg, s.B, s.rho_l)
-    # Gamma[c,a,b]: solve 2 G_{cg} Gamma[c,a,b] = K[a,b,g] for all (a,b) at once
-    m = A.m
+    return koszul_solve(Gv, Gg, s.B, s.rho_l)
+
+
+def koszul_solve(Gv, Gg, B, rho) -> np.ndarray:
+    """Christoffels from the metric jet ``(Gv, Gg)``, the bracket and the anchor (batch axes first).
+
+    Solves 2 G_{cg} Gamma[c,a,b] = K[a,b,g] (:func:`_koszul_rhs`) for all (a, b) at once.
+    """
+    K = _koszul_rhs(Gv, Gg, B, rho)
+    m = B.shape[-1]
     rhs = 0.5 * K.reshape(K.shape[:-3] + (m * m, m)).swapaxes(-1, -2)
     return np.linalg.solve(Gv, rhs).reshape(K.shape)
 
@@ -137,17 +147,17 @@ def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G``.
 
-    One array-valued tensor over the batched Koszul solve, memoized on the
-    batch because the Christoffels feed several tensors (Dl, Dr, a bracket,
-    a curvature) evaluated at the same points; gradients are central
-    differences with step ``CHRISTOFFEL_FD_STEP``.  A constant metric is
-    checked here, once.
+    One array-valued tensor over the batched Koszul solve, one solve per
+    evaluation; gradients are central differences with step
+    ``CHRISTOFFEL_FD_STEP``.  A bundle that needs it in several tensors at
+    one point solves once itself.  A constant metric is checked here, once.
     """
     m = A.m
     if G._const is not None and G.shape == (m, m):
         check_metric(G._const, np.zeros(A.n))
-    at = memoized_on_point(lambda q: christoffels_at(A, G, q))
-    return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)
+    return TensorField.from_array_fn(
+        lambda q: christoffels_at(A, G, q), (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP
+    )
 
 
 @dataclass(frozen=True)
@@ -192,12 +202,17 @@ def curvature_at(A: AlgebroidStructure, Gamma: TensorField, q) -> np.ndarray:
     q = A.check_point(q)
     Gv, Gg = Gamma.eval_grad(q)  # [m,m,m], [m,m,m,n]
     s = structure_eval(A, q)
+    return curvature_arrays(Gv, Gg, s.B, s.rho_l)
+
+
+def curvature_arrays(Gv, Gg, B, rho) -> np.ndarray:
+    """The curvature of :func:`curvature_at` from the Christoffel jet, bracket and anchor."""
     # derivative terms: rho(s_a)(Gamma[mu,b,nu]) - rho(s_b)(Gamma[mu,a,nu])
-    D = np.einsum("...mbvj,...ja->...mabv", Gg, s.rho_l)
+    D = np.einsum("...mbvj,...ja->...mabv", Gg, rho)
     # quadratic terms: sum_l Gamma[mu,a,l] Gamma[l,b,nu] - (a <-> b)
     Q = np.einsum("...lbv,...mal->...mabv", Gv, Gv)
     # bracket term: -sum_l B[l,a,b] Gamma[mu,l,nu]
-    brk = -np.einsum("...lab,...mlv->...mabv", s.B, Gv)
+    brk = -np.einsum("...lab,...mlv->...mabv", B, Gv)
     return (D - D.swapaxes(-3, -2)) + (Q - Q.swapaxes(-3, -2)) + brk
 
 

@@ -55,8 +55,8 @@ def fd_default_step() -> float:
         h = float(raw)
     except ValueError as exc:
         raise InputError(f"ALGMECH_FD_STEP is not a number: {raw!r}") from exc
-    if h <= 0:
-        raise InputError("ALGMECH_FD_STEP must be positive")
+    if not (math.isfinite(h) and h > 0):
+        raise InputError(f"ALGMECH_FD_STEP must be a finite number > 0, got {raw!r}")
     return h
 
 
@@ -107,50 +107,29 @@ def _derivative_terms(coefs, exps):
     return t, i, coefs[t] * exps[t, i], dexps
 
 
-def _central_jet(fn, q, h, shape):
-    """Value and central-difference gradient of ``fn(Q[K, arity]) -> [K, *shape]`` at ``q``.
-
-    ``q`` and its neighbours ``q +- h e_i`` form one stencil batch
-    ``[2 * arity + 1, *batch, arity]``, evaluated in one call; the caller
-    checks the results for finiteness.
-    """
+def stencil(q, h):
+    """``q`` and its neighbours ``q +- h e_i`` as one batch ``[2 * n + 1, *batch, n]``."""
     n = q.shape[-1]
-    stencil = np.repeat(q[None], 2 * n + 1, axis=0)
+    points = np.repeat(q[None], 2 * n + 1, axis=0)
     for i in range(n):
-        stencil[1 + 2 * i, ..., i] += h
-        stencil[2 + 2 * i, ..., i] -= h
-    points = stencil.reshape(math.prod(stencil.shape[:-1]), n)
-    out = np.reshape(fn(points), stencil.shape[:-1] + tuple(shape))
+        points[1 + 2 * i, ..., i] += h
+        points[2 + 2 * i, ..., i] -= h
+    return points
+
+
+def stencil_jet(out, h):
+    """Centre value and gradient (derivative axis last) from the values at :func:`stencil`."""
     return out[0], np.moveaxis((out[1::2] - out[2::2]) / (2.0 * h), 0, -1)
 
 
-def memoized_on_point(fn, maxsize=16384):
-    """Cache a pure array-to-result function on the byte image of its argument.
+def _central_jet(fn, q, h, shape):
+    """Value and central-difference gradient of ``fn(Q[K, arity]) -> [K, *shape]`` at ``q``.
 
-    The argument is one point or one batch of points; a batch is cached as a
-    whole.  Only results shared by several tensors are cached, at three
-    sites: the Levi-Civita Christoffels of a batch
-    (``connections.levi_civita``: Dl, Dr, a bracket, a curvature evaluate the
-    same batch), the adapted-frame core of a point or a batch
-    (``_AdaptedFrame.core_at``: every frame tensor, the frame and its exact
-    jet included, reads it; an FD stencil is one batch) and the projected
-    structure of ``build_constrained`` at a point or a batch (bracket and
-    both anchors).  The cache is cleared wholesale when full.
+    The stencil is one call of ``fn``; the caller checks the results for finiteness.
     """
-    cache = {}
-
-    def wrapped(q):
-        q = np.asarray(q, dtype=float)
-        key = (q.shape, q.tobytes())
-        hit = cache.get(key)
-        if hit is None:
-            if len(cache) >= maxsize:
-                cache.clear()
-            hit = fn(q)
-            cache[key] = hit
-        return hit
-
-    return wrapped
+    points = stencil(q, h)
+    out = fn(points.reshape(math.prod(points.shape[:-1]), q.shape[-1]))
+    return stencil_jet(np.reshape(out, points.shape[:-1] + tuple(shape)), h)
 
 
 class SmoothField:

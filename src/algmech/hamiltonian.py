@@ -19,17 +19,6 @@ from .algebroid import AlgebroidStructure, contract_first, structure_eval
 from .errors import InputError, IntegrationDivergedError, NumericError
 from .fields import SmoothField, TensorField, matvec, vecmat
 
-__all__ = [
-    "PhasePoint",
-    "Trajectory",
-    "ham_field",
-    "energy_rate",
-    "integrate",
-    "metric_inverse",
-    "quadratic_hamiltonian",
-    "momentum_pairing_hamiltonian",
-]
-
 
 def _coords(a) -> np.ndarray:
     """Coordinates of one point ``[d]`` or of a batch ``[K, d]`` as a float array."""
@@ -180,8 +169,10 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     Every RK4 stage runs one kernel ``z -> (X_H(z), dH(z))``, built here: one
     finiteness check of ``z``, the structure read once when it is constant
     (else :func:`structure_eval` at ``z``), H's gradient and its finiteness
-    check, and the field contraction of :func:`ham_field`.  The initial state
-    goes through :func:`ham_field` itself, so it is validated as there.
+    check, and the field contraction of :func:`ham_field`.  A stage on the
+    previous stage's base point, bit for bit (constant dq/dt puts two stages
+    of a step on one), reuses its snapshot, the one held during this call.
+    The initial state goes through :func:`ham_field`, so it is validated as there.
 
     Each sample reuses the first stage of the step that starts from it, whose
     field X_H and gradient dH give dH/dt = dH(X_H) = -{H, H}.  States and
@@ -206,12 +197,14 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     for name in names:
         _check_phase_fn(A, monitors[name])
     n, N = A.n, A.n + A.m
-    const = None if A._varying else structure_eval(A, x0.q)
+    last = [None, None if A._varying else structure_eval(A, x0.q)]  # base point bytes, snapshot
 
     def kernel(z):
         if not np.isfinite(z).all():
             raise InputError("state has non-finite entries")
-        s = const if const is not None else structure_eval(A, z[:n])
+        if A._varying and z[:n].tobytes() != last[0]:
+            last[:] = z[:n].tobytes(), structure_eval(A, z[:n])
+        s = last[1]
         g = H._gradient(z)
         if not np.isfinite(g).all():
             raise NumericError("Hamiltonian gradient non-finite")

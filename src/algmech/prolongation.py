@@ -17,7 +17,7 @@ returns one value per point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .algebroid import (
     structure_eval,
     worst_residual,
 )
-from .connections import ConnectionPair, CurvatureTensor, verify_split
+from .connections import ConnectionPair, CurvatureTensor, split_residual, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
 from .fields import SmoothField, TensorField, matvec, vecmat
 from .hamiltonian import PhasePoint, _check_phase, _check_phase_fn
@@ -50,11 +50,14 @@ class ProlongationData:
     The splitting is checked at construction probe points, in one batch; the
     2m frame is ordered (h_1..h_m, v^1..v^m).  ``_liouville`` is the
     canonical dual section (p_1..p_m, 0..0), a tensor over the (q, p) chart.
+    ``_base_at(q)``, if a scenario gives it, returns the base snapshot, Dl,
+    Dr and R at ``q`` in one call; else each is evaluated as a tensor.
     """
 
     base: AlgebroidStructure
     split: ConnectionPair
     R: CurvatureTensor
+    _base_at: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split.m != self.base.m or self.split.Dl.arity != self.base.n:
@@ -62,7 +65,12 @@ class ProlongationData:
         if self.R.m != self.base.m or self.R.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
         probes = np.array(base_probes(self.base.n, seed=12345))  # one batch
-        worst = worst_residual([verify_split(self.base, self.split, probes)])
+        if self._base_at is None:
+            residual = verify_split(self.base, self.split, probes)
+        else:
+            s, Dl, Dr, _ = self._base_at(probes)
+            residual = split_residual(s.B, Dl, Dr)
+        worst = worst_residual([residual])
         if not worst <= SPLIT_TOL:
             raise InvalidStructureError(
                 f"connection pair does not split the bracket: residual {worst:.3e} > {SPLIT_TOL:g}"
@@ -82,15 +90,17 @@ class ProlongationData:
 def _lifted_anchors(P: ProlongationData, x: PhasePoint):
     """The lifted anchors at ``x`` and what the lifted bracket reuses.
 
-    Returns ``(al, ar, s, Dl, Dr)``: both anchors as [n+m, 2m] arrays, the
-    base snapshot at ``x.q`` and the connection coefficients there.
+    Returns ``(al, ar, s, Dl, Dr, R)``: both anchors as [n+m, 2m] arrays, and
+    the base snapshot, the connection coefficients and R at ``x.q``.
     """
     n, m = P.base.n, P.base.m
     q, p = x.q, x.p
     batch = q.shape[:-1]
-    s = structure_eval(P.base, q)
-    Dl = P.split.Dl.eval(q)
-    Dr = P.split.Dr.eval(q)
+    if P._base_at is not None:
+        s, Dl, Dr, R = P._base_at(q)
+    else:
+        s, Dl, Dr = structure_eval(P.base, q), P.split.Dl.eval(q), P.split.Dr.eval(q)
+        R = P.R.eval(q)
 
     al = np.zeros(batch + (n + m, 2 * m))
     ar = np.zeros(batch + (n + m, 2 * m))
@@ -102,7 +112,7 @@ def _lifted_anchors(P: ProlongationData, x: PhasePoint):
     # vertical columns
     al[..., n:, m:] = np.eye(m)
     ar[..., n:, m:] = np.eye(m)
-    return al, ar, s, Dl, Dr
+    return al, ar, s, Dl, Dr, R
 
 
 def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
@@ -119,10 +129,10 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     """
     _check_phase(P.base, x)
     m = P.base.m
-    al, ar, s, Dl, Dr = _lifted_anchors(P, x)
+    al, ar, s, Dl, Dr, R = _lifted_anchors(P, x)
     coeffs = np.zeros(x.q.shape[:-1] + (2 * m, 2 * m, 2 * m))
     coeffs[..., :m, :m, :m] = s.B
-    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", P.R.eval(x.q), x.p)
+    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", R, x.p)
     coeffs[..., m:, :m, m:] = -np.einsum("...cab->...bac", Dl)
     coeffs[..., m:, m:, :m] = np.einsum("...abc->...cab", Dr)
     return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)

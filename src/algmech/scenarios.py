@@ -18,25 +18,29 @@ independent oracle for the momentum-side trajectories.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .algebroid import (
-    AlgebroidStructure, base_probes, canonical_tangent, so3_constants, structure_eval,
+    AlgebroidStructure, StructureSnapshot, base_probes, canonical_tangent, so3_constants,
+    structure_eval,
 )
 from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     CurvatureTensor,
     check_metric,
+    curvature_arrays,
     curvature_field,
     default_split,
+    koszul_solve,
     levi_civita,
     metric_compatible_pair,
 )
-from .errors import InputError
-from .fields import SmoothField, TensorField, memoized_on_point
+from .errors import InputError, NumericError
+from .fields import SmoothField, TensorField, stencil, stencil_jet
 from .hamiltonian import (
     metric_inverse,
     momentum_pairing_hamiltonian,
@@ -59,12 +63,13 @@ class ScenarioBundle:
     curvature: CurvatureTensor
     monitors: dict = dc_field(default_factory=dict)
     provenance: dict = dc_field(default_factory=dict)
+    _base_at: object = dc_field(default=None, repr=False, compare=False)
 
     def prolongation(self) -> ProlongationData:
         """The lifted structure, built and its split checked on the first call only."""
         P = self.__dict__.get("_prolongation")
         if P is None:  # an invalid split raises here, on every call
-            P = ProlongationData(self.algebroid, self.split, self.curvature)
+            P = ProlongationData(self.algebroid, self.split, self.curvature, self._base_at)
             object.__setattr__(self, "_prolongation", P)
         return P
 
@@ -100,13 +105,20 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
         anchor_left=TensorField.from_constants(np.eye(n), n),
         anchor_right=TensorField.from_constants(-np.eye(n), n),
     )
-    split = ConnectionPair(Dl=Gamma, Dr=Gamma.scaled(-1.0))
+    curvature = CurvatureTensor.zero(n, n)
+
+    def base_at(q):  # one Koszul solve: Dl and Dr are the bracket 2 Gamma halved, exactly
+        s = structure_eval(alg, q)
+        Dl = 0.5 * s.B
+        return s, Dl, -1.0 * Dl, curvature.eval(q)
+
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=momentum_pairing_hamiltonian(X, n),
-        split=split,
-        curvature=CurvatureTensor.zero(n, n),
+        split=ConnectionPair(Dl=Gamma, Dr=Gamma.scaled(-1.0)),
+        curvature=curvature,
         provenance={"scenario": "gradient_extension", "n": n},
+        _base_at=base_at,
     )
 
 
@@ -420,11 +432,13 @@ class _AdaptedFrame:
     array with a leading K axis; Gram-Schmidt and the completion loop over
     columns, not points, and every product is one stacked matmul per point,
     so row k equals the core at point k alone.  One point ``q[n]`` is the
-    K = 1 case.  :meth:`core_at` memoizes a point or a batch as a whole,
-    since every frame tensor reads it; a tensor's central-difference
-    stencil ``[2n+1, K]`` is one batch.  Gradients of the core quantities
-    other than the frame are central differences of array-valued tensors
-    over it.
+    K = 1 case.  Each :meth:`core_at` call is one frame evaluation; over a
+    point (n = 0) the one core is built with the frame.  Nothing is cached:
+    what the frame derives is a function of a core that its caller passes
+    in, and :meth:`lifted_base` gets the projected structure, the split and
+    the curvature at q from one core evaluation over the central-difference
+    stencil of q.  Other gradients of core quantities are central
+    differences of array-valued tensors over it.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -442,8 +456,30 @@ class _AdaptedFrame:
         self.variational = (
             None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
         )
-        self.core_at = memoized_on_point(self._compute_core)
-        self._build_fields()
+        self._point_core = None if self.n else self._compute_core(np.zeros(0))
+        if spec.classical:
+            # fully orthonormal frame: the adapted metric is exactly the identity
+            self.G_new_field = TensorField.from_constants(np.eye(self.M), self.n)
+        else:
+            self.G_new_field = self._field_from_core("G_new", (self.M, self.M))
+        self.Pi_field = self._field_from_core("Pi", (self.M, self.k))
+        M, n = self.M, self.n
+        # the adapted structure and its Christoffels as tensors, for jets (over
+        # a point they are constants, built here)
+        self.adapted = AlgebroidStructure(
+            n=n,
+            m=M,
+            bracket=self._field_from_core("C_new", (M, M, M)),
+            anchor_left=self._field_from_core("rho_new", (n, M)),
+            anchor_right=self._field_from_core("rho_new", (n, M)),
+        )
+        self.Gamma = levi_civita(self.adapted, self.G_new_field)
+
+    def core_at(self, q):
+        """The core at ``q[n]`` or at each point of ``q[K, n]``: one frame evaluation."""
+        if self._point_core is not None and q.ndim == 1:
+            return self._point_core
+        return self._compute_core(q)
 
     # frame assembly ---------------------------------------------------------
 
@@ -563,29 +599,23 @@ class _AdaptedFrame:
         }
         return core if q.ndim == 2 else {key: value[0] for key, value in core.items()}
 
-    # fields over the base ----------------------------------------------------
+    # quantities derived from a core, at a point or a batch --------------------
 
     def _field_from_core(self, key, shape):
         return TensorField.from_array_fn(lambda q: self.core_at(q)[key], shape, self.n, h=self.h)
 
-    def _build_fields(self):
-        M, n = self.M, self.n
-        self.adapted = AlgebroidStructure(
-            n=n,
-            m=M,
-            bracket=self._field_from_core("C_new", (M, M, M)),
-            anchor_left=self._field_from_core("rho_new", (n, M)),
-            anchor_right=self._field_from_core("rho_new", (n, M)),
-        )
-        if self.spec.classical:
-            # fully orthonormal frame: the adapted metric is exactly the identity
-            self.G_new_field = TensorField.from_constants(np.eye(M), n)
-        else:
-            self.G_new_field = self._field_from_core("G_new", (M, M))
-        self.Gamma = levi_civita(self.adapted, self.G_new_field)
-        self.Pi_field = self._field_from_core("Pi", (M, self.k))
+    def christoffels(self, q, core):
+        """Levi-Civita Christoffels of the adapted metric at ``q``, from the core at ``q``.
 
-    # derived structures, at a point or a batch --------------------------------
+        Over a point, the constant solved with the frame; a varying metric
+        reads its jet over the stencil of ``q``.
+        """
+        if self.Gamma._const is not None:
+            return self.Gamma.eval(q)
+        Gv, Gg = self.G_new_field.eval_grad(q)
+        if self.G_new_field._const is None:
+            check_metric(Gv, q)
+        return koszul_solve(Gv, Gg, core["C_new"], core["rho_new"])
 
     def _projected(self, q, core, T):
         """Kinematic projection of a frame tensor ``T[..., M, M, M]`` (value, direction, argument).
@@ -602,31 +632,50 @@ class _AdaptedFrame:
             inner += rho[..., None, :, :k].swapaxes(-1, -2) @ dPi.swapaxes(-1, -2)
         return _project_first(P, inner)
 
-    def projected_structure_at(self, q):
-        """Projected bracket coefficients B[c,a,b] and anchors at ``q[n]`` or ``q[K, n]``."""
-        core = self.core_at(q)
+    def projected_structure_at(self, q, core):
+        """Projected bracket coefficients B[c,a,b] and anchors at ``q``, from the core at ``q``."""
         rho, Pi = core["rho_new"], core["Pi"]
-        return self._projected(q, core, core["C_new"]), rho[..., : self.k], rho @ Pi
+        B = self._projected(q, core, core["C_new"])
+        return B, np.ascontiguousarray(rho[..., : self.k]), rho @ Pi
 
-    def split_at(self, q):
-        """Left/right Christoffels of the constrained splitting at ``q[n]`` or ``q[K, n]``."""
-        core = self.core_at(q)
+    def split_at(self, q, core, Gam=None):
+        """Left/right Christoffels of the constrained splitting at ``q``, from the core at ``q``.
+
+        ``Gam``, the ambient Christoffels at ``q``, is solved from the core if not given.
+        """
         k, Pi = self.k, core["Pi"]
-        Gam = self.Gamma.eval(q)  # [..., M, M, M] value, direction, argument
+        if Gam is None:
+            Gam = self.christoffels(q, core)  # [..., M, M, M] value, direction, argument
         Dl = self._projected(q, core, Gam)
         Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
 
-    def curvature_projected(self) -> CurvatureTensor:
-        """Kinematic projection of the ambient Levi-Civita curvature."""
-        amb_curv = curvature_field(self.adapted, self.Gamma)
-        k = self.k
+    def lifted_base(self, q):
+        """Projected snapshot, split Christoffels and curvature R at ``q[n]`` or ``q[K, n]``.
 
-        def at(q):
-            Rv = amb_curv.eval(q)[..., :k, :k, :k]
-            return _project_first(self.core_at(q)["P"], Rv)
-
-        return CurvatureTensor(TensorField.from_array_fn(at, (k, k, k, k), self.n, h=self.h))
+        One core evaluation over the central-difference stencil of ``q``
+        (step ``h``): its centre rows are the core at ``q``, bit for bit, and
+        the Christoffels over it give their jet there.  R is the kinematic
+        projection of the ambient Levi-Civita curvature.
+        """
+        if not self.n:  # over a point: the constants built with the frame, and no jet
+            core, Gam = self._point_core, self.Gamma.eval(q)
+            dGam = np.zeros(Gam.shape + (0,))
+        else:
+            points = stencil(q, self.h)
+            lead = points.shape[:-1]
+            flat = points.reshape(math.prod(lead), self.n)
+            cores = self.core_at(flat)
+            Gam = self.christoffels(flat, cores).reshape(lead + (self.M,) * 3)
+            Gam, dGam = stencil_jet(Gam, self.h)
+            core = {key: value.reshape(lead + value.shape[1:])[0] for key, value in cores.items()}
+        B, rho_l, rho_r = self.projected_structure_at(q, core)
+        Dl, Dr = self.split_at(q, core, Gam)
+        R = curvature_arrays(Gam, dGam, core["C_new"], core["rho_new"])
+        R = _project_first(core["P"], R[..., : self.k, : self.k, : self.k])
+        if not all(np.isfinite(a).all() for a in (B, rho_l, rho_r, Dl, Dr, R)):
+            raise NumericError("constrained structure evaluated to non-finite entries")
+        return StructureSnapshot(B, rho_l, rho_r, q), Dl, Dr, R
 
 
 def _project_first(P, T):
@@ -652,26 +701,28 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
     # exercise the frame at the probe points, in one batch, so ill-posed data
-    # fails loudly here (over a point the frame tensors were built from it)
+    # fails loudly here (over a point the frame's one core was built with it)
     if n:
         frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
 
-    # one projected structure feeds the bracket and both anchors
-    proj_at = memoized_on_point(frame.projected_structure_at)
+    def structure_at(q):  # one core feeds the bracket and both anchors
+        return frame.projected_structure_at(q, frame.core_at(q))
 
     def piece(src, pos, shape):
         return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
 
+    # over a point every tensor is a constant, read without a call
     alg = AlgebroidStructure(
         n=n,
         m=k,
-        bracket=piece(proj_at, 0, (k, k, k)),
-        anchor_left=piece(proj_at, 1, (n, k)),
-        anchor_right=piece(proj_at, 2, (n, k)),
+        bracket=piece(structure_at, 0, (k, k, k)),
+        anchor_left=piece(structure_at, 1, (n, k)),
+        anchor_right=piece(structure_at, 2, (n, k)),
+        _structure_at=structure_at if n else None,
     )
-    split = ConnectionPair(
-        Dl=piece(frame.split_at, 0, (k, k, k)), Dr=piece(frame.split_at, 1, (k, k, k))
-    )
+
+    def split_at(q):
+        return frame.split_at(q, frame.core_at(q))
 
     terms = [(0.5, [0] * (n + a) + [2] + [0] * (k - a - 1)) for a in range(k)]
     H = SmoothField.polynomial(terms, n + k)
@@ -691,13 +742,14 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
-        split=split,
-        curvature=frame.curvature_projected(),
+        split=ConnectionPair(Dl=piece(split_at, 0, (k, k, k)), Dr=piece(split_at, 1, (k, k, k))),
+        curvature=CurvatureTensor(piece(frame.lifted_base, 3, (k, k, k, k))),
         provenance={
             "scenario": "constrained" if spec.classical else "generalized_constrained",
             "rank": k,
             "ambient_rank": frame.M,
         },
+        _base_at=frame.lifted_base if n else None,
     )
 
 
@@ -727,7 +779,7 @@ def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
     def rhs(y):
         q, v = y[:n], y[n:]
         core = frame.core_at(q)
-        Gam = frame.Gamma.eval(q)
+        Gam = frame.christoffels(q, core)
         rho_l = core["rho_new"][:, :k]
         dq = rho_l @ v if n else np.zeros(0)
         dv = -np.einsum("cab,a,b->c", Gam[:k, :k, :k], v, v)

@@ -14,7 +14,7 @@ from algmech.algebroid import (
     structure_eval,
 )
 from algmech.fields import SmoothField, TensorField, field_from_polynomial
-from algmech.scenarios import ConstraintSpec
+from algmech.scenarios import ConstraintSpec, _AdaptedFrame
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -33,6 +33,24 @@ def checkout_env():
         if p
     ]
     return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC_DIR), *inherited])}
+
+
+@pytest.fixture
+def frame_calls(monkeypatch):
+    """The batch size of every adapted-frame evaluation from here on, in call order.
+
+    An evaluation is one call of ``_AdaptedFrame._frame_jet``: the frame at
+    a point or a batch of points, which every core evaluation makes once.
+    """
+    calls = []
+    frame_jet = _AdaptedFrame._frame_jet
+
+    def counted(self, Q):
+        calls.append(Q.shape[0])
+        return frame_jet(self, Q)
+
+    monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
+    return calls
 
 
 @pytest.fixture

@@ -310,9 +310,10 @@ def test_criterion_09_projection_consistency():
     for frame, npts in frames:
         for _ in range(npts):
             q = rng.uniform(-0.7, 0.7, frame.n)
-            B, _, _ = frame.projected_structure_at(q)
+            core = frame.core_at(q)
+            B, _, _ = frame.projected_structure_at(q, core)
             ct = ctilde_display(frame, q)
-            Dl, Dr = frame.split_at(q)
+            Dl, Dr = frame.split_at(q, core)
             worst_ct = max(worst_ct, np.max(np.abs(ct - B)))
             worst_split = max(worst_split, np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))))
     worst_proj = 0.0
@@ -329,7 +330,7 @@ def test_criterion_09_projection_consistency():
     for _ in range(25):
         q = rng.uniform(-0.7, 0.7, 3)
         core = frame.core_at(q)
-        Dl, _ = frame.split_at(q)
+        Dl, _ = frame.split_at(q, core)
         Gam = frame.Gamma.eval(q)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         gv, gg = g.value(q), g.gradient(q)

@@ -288,7 +288,7 @@ def test_constrained_core_and_structures_batch(name, K):
     """Row k of every constrained evaluation over a batch is the single-point result."""
     rng = np.random.default_rng(30 + K)
     batched, spec = _constrained(name)
-    single, _ = _constrained(name)  # its own memo: the single points are evaluated alone
+    single, _ = _constrained(name)  # a second bundle: the single points are evaluated alone
     A, A1 = batched.algebroid, single.algebroid
     X, xs = _points(rng, A, K)
     frame, frame1 = _AdaptedFrame(spec), _AdaptedFrame(spec)
@@ -342,25 +342,13 @@ def test_a_frame_defect_in_a_batch_names_its_point(points, message):
         structure_eval(A, points)
 
 
-def _count_frames(monkeypatch):
-    calls = []
-    frame_jet = _AdaptedFrame._frame_jet
-
-    def counted(self, Q):
-        calls.append(Q.shape[0])
-        return frame_jet(self, Q)
-
-    monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
-    return calls
-
-
 @pytest.mark.parametrize("K", [1, 4, 60])
-def test_one_frame_evaluation_per_core_call(monkeypatch, K):
+def test_one_frame_evaluation_per_core_call(frame_calls, K):
     _, spec = _constrained("nonholonomic_classical")
     frame = _AdaptedFrame(spec)
-    calls = _count_frames(monkeypatch)
+    frame_calls.clear()
     frame.core_at(np.random.default_rng(K).uniform(-0.7, 0.7, (K, 3)))
-    assert calls == [K]
+    assert frame_calls == [K]
 
 
 @pytest.mark.parametrize(
@@ -368,12 +356,45 @@ def test_one_frame_evaluation_per_core_call(monkeypatch, K):
     ["theorem43_equivalence", "omega_dlr_consistency", "closedness", "curvature_identities",
      "split_consistency"],
 )
-def test_frame_evaluations_do_not_grow_with_the_probe_count(monkeypatch, name):
-    calls = _count_frames(monkeypatch)
+def test_frame_evaluations_do_not_grow_with_the_probe_count(frame_calls, name):
+    calls = frame_calls
     counts = []
     for K in (3, 30):
-        bundle, _ = _constrained("nonholonomic_classical")  # a fresh memo
+        bundle, _ = _constrained("nonholonomic_classical")  # a fresh bundle: its split is checked
         calls.clear()
         run_check(name, bundle, {"points": K, "random_instances": 1}, 3)
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 3, counts
+
+
+# the lifted structure's split check at its 5 probes and each prolong_eval are
+# one frame evaluation over the stencil of their points; a structure
+# snapshot, the curvature and each split tensor are one evaluation each
+FRAME_EVALUATIONS = {
+    "theorem43_equivalence": [35, 21, 3],  # split check, prolong_eval, ham_field
+    "omega_dlr_consistency": [35, 21],
+    "closedness": [35, 21],
+    "curvature_identities": [21],
+    "split_consistency": [3, 3, 3],  # the bracket, Dl, Dr
+}
+
+
+@pytest.mark.parametrize("name", list(FRAME_EVALUATIONS))
+def test_frame_evaluations_of_each_point_check(frame_calls, name):
+    bundle, _ = _constrained("nonholonomic_classical")
+    frame_calls.clear()
+    run_check(name, bundle, {"points": 3, "random_instances": 1}, 3)
+    assert frame_calls == FRAME_EVALUATIONS[name]
+
+
+def test_a_constrained_rk4_stage_is_one_frame_evaluation(frame_calls):
+    from algmech.config import initial_point
+    from algmech.hamiltonian import integrate
+
+    cfg = load_config(CONFIG_DIR / "nonholonomic_classical.json")
+    bundle, _ = build_scenario(cfg.scenario)
+    x0 = initial_point(cfg.integration, bundle)
+    frame_calls.clear()
+    steps = 25
+    integrate(bundle.algebroid, bundle.hamiltonian, x0, 1e-3, steps)
+    assert frame_calls == [1] * (4 * steps + 1)  # the initial state, then 4 stages a step

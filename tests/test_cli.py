@@ -541,3 +541,100 @@ def test_a_nan_residual_is_written_as_null(tmp_path, monkeypatch):
     entries = json.loads(report.read_text(), parse_constant=_reject_constant)
     assert entries[0]["max_residual"] is None and entries[0]["pass"] is False
     assert entries[1]["pass"] is True and isinstance(entries[1]["max_residual"], float)
+
+
+@pytest.mark.parametrize("kind", [{"x": 1}, ["canonical"]], ids=["object", "list"])
+def test_a_scenario_kind_that_is_not_a_string_is_named(tmp_path, capsys, kind):
+    from algmech.cli import main
+
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg["scenario"]["scenario"] = kind
+    out = tmp_path / "kind.csv"
+    assert main(["simulate", write_config(tmp_path, cfg, "kind.json"), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: scenario.scenario must be one of [")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("step", ["inf", "nan"])
+def test_a_non_finite_fd_step_is_named(tmp_path, capsys, monkeypatch, step):
+    from algmech.cli import main
+
+    # the potential is a builtin field: its gradient is a central difference
+    cfg = {
+        "scenario": {
+            "scenario": "contorsion",
+            "metric": [[1.0]],
+            "torsion": [[[0.0]]],
+            "potential": {"arity": 1, "builtin": "sin"},
+        },
+        "integration": {"h": 0.01, "steps": 5, "x0": {"q": [0.1], "p": [0.2]}},
+    }
+    monkeypatch.setenv("ALGMECH_FD_STEP", step)
+    out = tmp_path / "fd.csv"
+    assert main(["simulate", write_config(tmp_path, cfg, "fd.json"), "--out", str(out)]) == 1
+    assert "error: ALGMECH_FD_STEP must be a finite number > 0" in capsys.readouterr().err
+
+
+# -- shipped configs with one leaf replaced ---------------------------------------
+
+FUZZ_VALUES = [None, True, False, 0, -1, 2, 0.5, -2.5, 1e308, -1e308, 1e-320, "", "so3",
+               "zero", [], [1, 2], {}, {"x": 1}]
+FUZZ_CASES = 60  # drawn cases, after the two fixed ones
+
+
+def _leaves(node, path=()):
+    """Paths of the non-container values of a JSON document, in document order."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from _leaves(child, path + (key,))
+    else:
+        yield path
+
+
+def _with_leaf(cfg, path, value):
+    cfg = json.loads(json.dumps(cfg))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _capped(name):
+    """A shipped config whose integration and every check take at most 20 steps."""
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["integration"]["steps"] = min(cfg["integration"]["steps"], 20)
+    checks = cfg["verification"]["checks"]
+    checks[:] = [{**(c if isinstance(c, dict) else {"name": c}), "steps": 20} for c in checks]
+    return cfg
+
+
+def _fuzz_cases():
+    names = sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+    cases = [("canonical_harmonic", ("scenario", "scenario"), {"x": 1}),  # once a TypeError
+             ("nonholonomic_classical", ("scenario", "scenario"), [1, 2])]
+    rng = np.random.default_rng(2026)
+    for _ in range(FUZZ_CASES):
+        name = names[rng.integers(len(names))]
+        leaves = list(_leaves(_capped(name)))
+        leaf = leaves[rng.integers(len(leaves))]
+        cases.append((name, leaf, FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]))
+    return cases
+
+
+def test_a_shipped_config_with_one_leaf_replaced_exits_with_a_documented_code(tmp_path, capsys):
+    """No exception escapes the CLI: every invocation exits 0, 1 or 2."""
+    from algmech.cli import main
+
+    cases = _fuzz_cases()
+    assert len(cases) == 2 + FUZZ_CASES
+    codes = []
+    for i, (name, path, value) in enumerate(cases):
+        config = write_config(tmp_path, _with_leaf(_capped(name), path, value), f"fuzz{i}.json")
+        for args in (["simulate", config, "--out", str(tmp_path / "fuzz.csv")],
+                     ["verify", config, "--report", str(tmp_path / "fuzz.json")]):
+            codes.append((name, path, value, args[0], main(args)))
+            capsys.readouterr()
+    assert [c for c in codes if c[-1] not in (0, 1, 2)] == []
+    assert {c[-1] for c in codes} >= {0, 1}  # the sample reaches both accepted and rejected input

@@ -314,7 +314,7 @@ def test_connection_axioms_for_scenario_built_pair():
     for _ in range(5):
         q = rng.uniform(-0.8, 0.8, 3)
         core = frame.core_at(q)
-        Dl, _ = frame.split_at(q)
+        Dl, _ = frame.split_at(q, core)
         Gam = frame.Gamma.eval(q)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         fv = np.array([fc.value(q) for fc in f])

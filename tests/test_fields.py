@@ -156,9 +156,10 @@ def test_empty_tensor_field():
 def test_fd_step_env_override(monkeypatch):
     monkeypatch.setenv("ALGMECH_FD_STEP", "1e-3")
     assert fd_default_step() == 1e-3
-    monkeypatch.setenv("ALGMECH_FD_STEP", "-1")
-    with pytest.raises(InputError):
-        fd_default_step()
+    for raw in ("-1", "inf", "nan"):
+        monkeypatch.setenv("ALGMECH_FD_STEP", raw)
+        with pytest.raises(InputError, match="ALGMECH_FD_STEP"):
+            fd_default_step()
     monkeypatch.delenv("ALGMECH_FD_STEP")
     assert fd_default_step() == 1e-5
 

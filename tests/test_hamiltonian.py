@@ -453,9 +453,9 @@ def test_csv_format(canonical1):
     assert "-0," not in text and not text.endswith("-0")
 
 
-def _bytes_kept_per_sample(steps):
-    """Memory that an integration of canonical_harmonic retains, per sample."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / "canonical_harmonic.json"
+def _bytes_kept_per_sample(steps, name="canonical_harmonic"):
+    """Memory that an integration of a shipped config retains, per sample."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
     cfg = json.loads(path.read_text())
     bundle, _ = build_scenario(cfg["scenario"])
     x0, h = initial_point(cfg["integration"], bundle), cfg["integration"]["h"]
@@ -481,3 +481,9 @@ def test_a_sample_is_one_table_row():
     # a row of canonical_harmonic's table is t, q1, p1, H and dHdt: 40 B of
     # floats; a Python object per sample would take several hundred bytes
     assert _bytes_kept_per_sample(10000) <= 100
+
+
+def test_a_constrained_integration_keeps_no_memory_per_sample():
+    # a row of nonholonomic_classical's table is 8 floats, 64 B; an adapted
+    # frame kept per RK4 stage would add several KB per sample
+    assert _bytes_kept_per_sample(200, "nonholonomic_classical") <= 100

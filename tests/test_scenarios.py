@@ -180,9 +180,10 @@ def test_ctilde_display_matches_direct_and_split_difference():
         rng = np.random.default_rng(2)
         for _ in range(4):
             q = rng.uniform(-0.7, 0.7, frame.n)
-            B, _, _ = frame.projected_structure_at(q)
+            core = frame.core_at(q)
+            B, _, _ = frame.projected_structure_at(q, core)
             ct = ctilde_display(frame, q)
-            Dl, Dr = frame.split_at(q)
+            Dl, Dr = frame.split_at(q, core)
             assert np.max(np.abs(ct - B)) <= 1e-8
             assert np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))) <= 1e-8
 
@@ -224,7 +225,7 @@ def test_ctilde_display_on_a_curved_generalized_frame():
     rng = np.random.default_rng(5)
     for _ in range(4):
         q = rng.uniform(-0.7, 0.7, frame.n)
-        B, _, _ = frame.projected_structure_at(q)
+        B, _, _ = frame.projected_structure_at(q, frame.core_at(q))
         assert np.max(np.abs(frame.core_at(q)["dg"])) > 0.01
         assert np.max(np.abs(ctilde_display(frame, q) - B)) <= 1e-6
 
@@ -336,23 +337,15 @@ def test_stacked_frame_matches_the_pointwise_loop(make_spec):
         assert np.max(np.abs(Uq - _frame_loop(spec, q))) <= 1e-12
 
 
-def test_one_gram_schmidt_frame_per_core_point(monkeypatch):
-    """Each fresh core point costs one frame evaluation, and a repeated point none."""
+def test_one_gram_schmidt_frame_per_core_point(frame_calls):
+    """Every core_at call is one frame evaluation: a repeated point is evaluated again."""
     frame = _AdaptedFrame(tr3_classical_spec())
-    calls = []
-    frame_jet = _AdaptedFrame._frame_jet
-
-    def counted(self, Q):
-        calls.append(Q.shape[0])
-        return frame_jet(self, Q)
-
-    monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
     rng = np.random.default_rng(23)
     for _ in range(3):
         q = rng.uniform(-0.7, 0.7, 3)
         frame.core_at(q)
         frame.core_at(q)
-    assert calls == [1, 1, 1]
+    assert frame_calls == [1] * 6
 
 
 def test_projector_identities():
@@ -557,7 +550,8 @@ def test_adapted_frame_is_freed_after_use():
     from algmech import scenarios
 
     frame = scenarios._AdaptedFrame(tr3_classical_spec())
-    frame.projected_structure_at(np.array([0.1, -0.2, 0.3]))
+    q = np.array([0.1, -0.2, 0.3])
+    frame.projected_structure_at(q, frame.core_at(q))
     ref = weakref.ref(frame)
     del frame
     gc.collect()
@@ -573,6 +567,48 @@ def test_a_bundle_builds_its_lifted_structure_once():
     bundle, _ = build_scenario({"scenario": "canonical", "n": 1, "hamiltonian": 1.0})
     P = bundle.prolongation()
     assert bundle.prolongation() is P and P.split is bundle.split
+
+
+def test_an_overridden_curvature_is_the_one_the_lifted_structure_reads():
+    """A constrained bundle rebuilt with its own curvature does not read the frame's."""
+    import pathlib
+
+    from algmech.config import build_scenario, load_config
+    from algmech.prolongation import prolong_eval
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "nonholonomic_classical.json"
+    scenario = load_config(path).scenario
+    x = PhasePoint(np.random.default_rng(5).uniform(-0.5, 0.5, (4, 3)), [[0.3, -0.2]] * 4)
+    k = 2
+    own = prolong_eval(build_scenario(scenario)[0].prolongation(), x).B[:, k:, :k, :k]
+    assert np.max(np.abs(own)) > 1e-3  # the frame's curvature is not zero here
+    zero, _ = build_scenario({**scenario, "curvature": "zero"})
+    assert np.all(prolong_eval(zero.prolongation(), x).B[:, k:, :k, :k] == 0.0)
+
+
+def test_a_gradient_extension_rk4_step_solves_the_koszul_relation_at_most_twice(monkeypatch):
+    """Two of the four stages of a step sit on the base point of the stage before them."""
+    import pathlib
+
+    import algmech.connections as connections
+    from algmech.config import build_scenario, initial_point, load_config
+
+    solves = []
+    koszul_solve = connections.koszul_solve
+
+    def counted(*args):
+        solves.append(1)
+        return koszul_solve(*args)
+
+    monkeypatch.setattr(connections, "koszul_solve", counted)
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "gradient_extension.json"
+    cfg = load_config(path)
+    bundle, _ = build_scenario(cfg.scenario)
+    solves.clear()
+    steps = 50
+    x0 = initial_point(cfg.integration, bundle)
+    integrate(bundle.algebroid, bundle.hamiltonian, x0, cfg.integration["h"], steps)
+    assert len(solves) <= 2 * steps + 1  # the initial state, then at most two a step
 
 
 def test_a_bundle_with_an_overridden_split_checks_its_own_pair():
