@@ -40,6 +40,9 @@ def cmd_simulate(config_path, out=None) -> int:
             int(cfg.integration["steps"]),
             bundle.monitors,
         )
+    except InputError as exc:  # all that is left to refuse: a step count too large to allocate
+        print(f"error: integration.{exc}", file=sys.stderr)
+        return 1
     except IntegrationDivergedError as exc:
         with open(path, "w") as fh:
             fh.write(exc.trajectory.to_csv())

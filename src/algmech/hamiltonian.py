@@ -4,6 +4,8 @@ The algebroid's structure functions induce a linear 2-contravariant tensor on
 the dual chart and with it a (generally neither skew nor Jacobi) bracket.
 Its contraction with dH, the Hamiltonian vector field, is written once, in
 :func:`ham_field`; the energy rate and fixed-step trajectories build on it.
+For a constant structure and a polynomial H the field is a polynomial in z,
+and :func:`integrate` packs it, with dH, from that one formula.
 ``PhasePoint`` and ``ham_field`` also take a batch of points (a leading axis
 of length K on q and p).  A ``Trajectory`` is one float table whose columns
 are those of its CSV.
@@ -11,13 +13,14 @@ are those of its CSV.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebroid import AlgebroidStructure, contract_first, structure_eval
 from .errors import InputError, IntegrationDivergedError, NumericError
-from .fields import SmoothField, TensorField, matvec, vecmat
+from .fields import SmoothField, TensorField, _monomials, matvec, vecmat
 
 
 def _coords(a) -> np.ndarray:
@@ -154,6 +157,11 @@ class Trajectory:
         return "\n".join([self.csv_header()] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
+def _all_finite(v) -> bool:
+    """``np.isfinite(v).all()`` for a short vector: a loop over few floats beats numpy's reduce."""
+    return all(map(math.isfinite, v.tolist()))
+
+
 def rk4_step(f, y, h):
     """One classical explicit fourth-order Runge-Kutta step for y' = f(y)."""
     k1 = f(y)
@@ -161,6 +169,32 @@ def rk4_step(f, y, h):
     k3 = f(y + 0.5 * h * k2)
     k4 = f(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _stage_table(s, H: SmoothField, n):
+    """``(E, C)`` such that ``C @ z**E`` stacks X_H(z) over dH(z), ``[2 (n + m)]``.
+
+    For a constant snapshot ``s`` and a polynomial H.  The field of
+    :func:`_field` is linear in dH and, through the bracket, in p; each
+    column of H's derivative table (one derivative monomial of dH) gives one
+    field column at p = 0, and one more per p_c, the field at p = e_c less
+    that, on the monomial times p_c.  A column of the derivative table has
+    one non-zero entry, so the differences are exact.
+    """
+    if H._dexps is None:
+        H._derivative_table()
+    D, Ed = H._dcoefs, H._dexps  # dH(z) = D @ z**Ed: [N, K], [K, N]
+    N, K = D.shape
+    cols = D.T  # the derivative columns as a batch of gradients
+    base = _field(s, np.zeros(N - n), cols, n)
+    # the terms of X_H at p = 0, of X_H's part linear in each p_c, then of dH
+    W = np.concatenate([base] + [_field(s, e, cols, n) - base for e in np.eye(N - n)] + [cols])
+    exps = np.concatenate([Ed] + [Ed + e for e in np.eye(N, dtype=int)[n:]] + [Ed])
+    t, r = np.nonzero(W)
+    rows = r + N * (t >= W.shape[0] - K)  # dH's entries follow X_H's
+    table = TensorField.from_terms(rows, W[t, r], exps[t], (2 * N,), N)
+    table._value_table()
+    return table._Ev, table._Cv
 
 
 def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
@@ -172,6 +206,10 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     check, and the field contraction of :func:`ham_field`.  A stage on the
     previous stage's base point, bit for bit (constant dq/dt puts two stages
     of a step on one), reuses its snapshot, the one held during this call.
+    With a constant structure and a polynomial H, the field and the gradient
+    are one polynomial in z: the kernel is then one monomial table and one
+    matrix product (:func:`_stage_table`, built from the one snapshot, for
+    this call only), with the same finiteness checks.
     The initial state goes through :func:`ham_field`, so it is validated as there.
 
     Each sample reuses the first stage of the step that starts from it, whose
@@ -183,7 +221,8 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     :class:`IntegrationDivergedError` (carrying the last good step index and
     the partial trajectory) if the state leaves float range or if H, dH/dt
     or a monitor is not finite at a sample; a non-finite value at the
-    initial state raises its own error.
+    initial state raises its own error.  A step count whose table cannot be
+    allocated raises :class:`InputError`.
     """
     _check_phase(A, x0)
     _check_phase_fn(A, H)
@@ -198,22 +237,32 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
         _check_phase_fn(A, monitors[name])
     n, N = A.n, A.n + A.m
     last = [None, None if A._varying else structure_eval(A, x0.q)]  # base point bytes, snapshot
+    packed = not A._varying and H.kind == "polynomial"
+    if packed:
+        E, C = _stage_table(last[1], H, n)
 
     def kernel(z):
-        if not np.isfinite(z).all():
+        if not _all_finite(z):
             raise InputError("state has non-finite entries")
-        if A._varying and z[:n].tobytes() != last[0]:
-            last[:] = z[:n].tobytes(), structure_eval(A, z[:n])
-        s = last[1]
-        g = H._gradient(z)
-        if not np.isfinite(g).all():
+        if packed:
+            out = C @ _monomials(z, E)
+            X, g = out[:N], out[N:]
+        else:
+            if A._varying and z[:n].tobytes() != last[0]:
+                last[:] = z[:n].tobytes(), structure_eval(A, z[:n])
+            g = H._gradient(z)
+            X = _field(last[1], z[n:], g, n)
+        if not _all_finite(g):
             raise NumericError("Hamiltonian gradient non-finite")
-        return _field(s, z[n:], g, n), g
+        return X, g
 
     def stage(y):  # the first stage, at the step's state z itself, is its sample's jet
         return dz if y is z else kernel(y)[0]
 
-    S = np.empty((steps + 1, 3 + N + len(names)))  # the columns of Trajectory.csv_header
+    try:
+        S = np.empty((steps + 1, 3 + N + len(names)))  # the columns of Trajectory.csv_header
+    except MemoryError as exc:
+        raise InputError(f"steps is too large: {steps} steps cannot be allocated") from exc
     z = x0.z
     error = None
     with np.errstate(over="ignore", invalid="ignore"):
@@ -248,44 +297,44 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     return traj
 
 
-def metric_inverse(G: TensorField):
-    """``q -> G(q)^{-1}``; a constant metric is inverted once, here."""
-    if G._const is None:
-        return lambda q: np.linalg.inv(G.eval(q))
-    Ginv = np.linalg.inv(G._const)
-    return lambda q: Ginv
+def fibre_form(c, n) -> SmoothField:
+    """The form ``sum c[a, b, ...] p_a p_b ...`` on the chart (q[n], p[m]), as a polynomial."""
+    index = np.nonzero(c)
+    unit = np.eye(n + c.shape[0], dtype=int)[n:]  # the exponents of p_1..p_m
+    return SmoothField._from_arrays(c[index], sum(unit[i] for i in index), n + c.shape[0])
 
 
 def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
     """H(q, p) = 1/2 p^T G(q)^{-1} p + V(q) with an exact analytic jet.
 
-    ``G`` is the m x m fibre metric over the base; the gradient uses the
+    ``G`` is the m x m fibre metric over the base.  A constant metric with a
+    polynomial or absent V gives a polynomial: the terms
+    1/2 G^{-1}[a, b] p_a p_b and V's.  Otherwise the gradient uses the
     closed-form derivative of the inverse, so the jet is exact whenever G and
     V have exact jets.
     """
     if G.shape != (m, m):
         raise InputError("metric must be m x m over the base")
-    inverse = metric_inverse(G)
-
-    def split(z):
-        return z[:n], z[n:]
+    if G._const is not None and (V is None or V.kind == "polynomial"):
+        H = fibre_form(0.5 * np.linalg.inv(G._const), n)
+        if V is None:
+            return H
+        coefs, exps = V._terms
+        exps = np.hstack([exps, np.zeros((coefs.shape[0], m), dtype=int)])  # V(q) on the chart
+        return H + SmoothField._from_arrays(coefs, exps, n + m)
 
     def value(z):
-        q, p = split(z)
-        v = 0.5 * float(p @ inverse(q) @ p)
+        q, p = z[:n], z[n:]
+        v = 0.5 * float(p @ np.linalg.inv(G.eval(q)) @ p)
         if V is not None:
             v += V.value(q)
         return v
 
     def grad(z):
-        q, p = split(z)
-        if G._const is not None:  # zero metric derivative
-            w = inverse(q) @ p
-            gq = np.zeros(n)
-        else:
-            Gv, Gg = G.eval_grad(q)  # [m,m], [m,m,n]
-            w = np.linalg.inv(Gv) @ p
-            gq = -0.5 * np.einsum("i,ijk,j->k", w, Gg, w) if n else np.zeros(0)
+        q, p = z[:n], z[n:]
+        Gv, Gg = G.eval_grad(q)  # [m,m], [m,m,n]
+        w = np.linalg.inv(Gv) @ p
+        gq = -0.5 * np.einsum("i,ijk,j->k", w, Gg, w) if n else np.zeros(0)
         if V is not None:
             gq = gq + V.gradient(q)
         return np.concatenate([gq, w])

@@ -42,10 +42,7 @@ from .connections import (
 from .errors import InputError, NumericError
 from .fields import SmoothField, TensorField, stencil, stencil_jet
 from .hamiltonian import (
-    metric_inverse,
-    momentum_pairing_hamiltonian,
-    quadratic_hamiltonian,
-    rk4_step,
+    fibre_form, momentum_pairing_hamiltonian, quadratic_hamiltonian, rk4_step,
 )
 from .prolongation import ProlongationData
 
@@ -234,20 +231,25 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
         anchor_right=TensorField.from_constants(np.eye(n), n),
     )
     H = quadratic_hamiltonian(G, V, n, n)
-    inverse = metric_inverse(G)
+    if T._const is not None and G._const is not None:  # a cubic in p
+        Ginv = np.linalg.inv(G._const)
+        # the coefficient of p_k p_l p_r: -sum T[k, i, j] Ginv[i, l] Ginv[j, r]
+        dissipation = fibre_form(-(Ginv.T @ T._const @ Ginv), n)
+    else:
 
-    def dissipation(z):
-        q, p = z[:n], z[n:]
-        Tv = T.eval(q)
-        w = inverse(q) @ p
-        return -float(np.einsum("kij,k,i,j->", Tv, p, w, w))
+        def rate(z):
+            q, p = z[:n], z[n:]
+            w = np.linalg.inv(G.eval(q)) @ p
+            return -float(np.einsum("kij,k,i,j->", T.eval(q), p, w, w))
+
+        dissipation = SmoothField.from_callable(rate, 2 * n)
 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
         split=default_split(alg),
         curvature=CurvatureTensor.zero(n, n),
-        monitors={"dissipation": SmoothField.from_callable(dissipation, 2 * n)},
+        monitors={"dissipation": dissipation},
         provenance={"scenario": "contorsion", "n": n},
     )
 

@@ -95,6 +95,13 @@ def check_omega_dlr_consistency(bundle, cfg, rng):
 
 
 def check_closedness(bundle, cfg, rng):
+    """Full differential of the frame pairing; zero when R satisfies the first Bianchi identity.
+
+    Blind at rank m <= 2: R enters only through a cyclic sum over three
+    distinct horizontal slots, so any R reads 0 there (a random constant R on
+    gradient_extension reads 0.0 and passes, while ``curvature_identities``
+    reads order one and fails).
+    """
     P = bundle.prolongation()
     return worst_residual(closedness_residual(P, _probes(rng, bundle.algebroid, cfg["points"])))
 
@@ -214,7 +221,8 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
 
     A check whose computation leaves float range (a diverged trajectory, a
     non-finite jet) reports an infinite residual and fails, also as a
-    negative control: nothing was measured.
+    negative control: nothing was measured.  A batch of ``points`` too large
+    to allocate raises :class:`InputError`.
     """
     if name not in CHECKS:
         raise InputError(f"unknown check name {name!r}")
@@ -224,6 +232,9 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
         residual = CHECKS[name](bundle, cfg, rng)
     except NumericError:  # IntegrationDivergedError included
         residual, ok = math.inf, False
+    except MemoryError as exc:  # a batch no array can hold is a bad request, not a result
+        K = cfg["points"]
+        raise InputError(f"points is too large: {K} points cannot be allocated") from exc
     else:
         # a NaN residual fails both comparisons, so it fails a negative control too
         if cfg.get("expect_fail", False):

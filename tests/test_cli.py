@@ -543,6 +543,50 @@ def test_a_nan_residual_is_written_as_null(tmp_path, monkeypatch):
     assert entries[1]["pass"] is True and isinstance(entries[1]["max_residual"], float)
 
 
+# sizes >= 1e15 ask for petabytes: the allocation fails at once and touches no memory
+def test_a_step_count_too_large_to_allocate_is_named(tmp_path, capsys):
+    from algmech.cli import main
+
+    out = tmp_path / "huge.csv"
+    path = harmonic_config(tmp_path, steps=10**15)
+    assert main(["simulate", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: integration.steps is too large: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "where,message",
+    [
+        ("verification", "error: check 'theorem43_equivalence': points is too large: "),
+        ("check", "error: check 'energy_rate_fd': steps is too large: "),
+    ],
+)
+def test_a_check_size_too_large_to_allocate_is_named(tmp_path, capsys, where, message):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    if where == "verification":
+        cfg["verification"]["points"] = 10**15
+    else:
+        cfg["verification"]["checks"] = [{"name": "energy_rate_fd", "steps": 10**15}]
+    rc, report = _verify_in_process(tmp_path, cfg)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(message)
+    assert not report.exists()
+
+
+def test_importing_the_package_loads_neither_scipy_nor_sympy(tmp_path):
+    # both are installed for the tests; importing either would cost every run its start-up
+    code = "import sys, algmech; print(sorted({'scipy', 'sympy'} & sys.modules.keys()))"
+    r = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=checkout_env(),
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("kind", [{"x": 1}, ["canonical"]], ids=["object", "list"])
 def test_a_scenario_kind_that_is_not_a_string_is_named(tmp_path, capsys, kind):
     from algmech.cli import main

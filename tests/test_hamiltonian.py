@@ -24,6 +24,7 @@ from algmech.hamiltonian import (
     rk4_step,
 )
 from algmech.randoms import random_algebroid, random_phase_function
+from algmech.scenarios import build_contorsion
 
 from conftest import (
     euler_hamiltonian,
@@ -373,6 +374,94 @@ def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monk
             assert calls["ham_field"] == 1
             counts.append(calls["structure_eval"] - per_step * steps)
         assert counts[0] == counts[1] <= 2, counts
+
+
+# -- the packed stage table: constant structure, polynomial H -------------------
+
+
+def _constant_instances(count=24):
+    """Seeded random constant algebroids (n = 0..3 in turn) with a random polynomial H."""
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        A = random_algebroid(rng, n=seed % 4, degree=0)
+        yield rng, A, random_phase_function(rng, A.n, A.m)
+
+
+def test_the_stage_table_is_the_field_and_the_gradient():
+    from algmech.fields import _monomials
+    from algmech.hamiltonian import _stage_table
+
+    checked = set()
+    for rng, A, H in _constant_instances():
+        assert A._varying == []
+        N = A.n + A.m
+        E, C = _stage_table(structure_eval(A, np.zeros(A.n)), H, A.n)
+        for _ in range(5):
+            x = PhasePoint(*(rng.uniform(-1.5, 1.5, size=k) for k in (A.n, A.m)))
+            X, g = ham_field(A, H, x, with_gradient=True)  # _field of H.gradient
+            out = C @ _monomials(x.z, E)
+            for got, ref in ((out[:N], X), (out[N:], g)):
+                assert np.all(np.abs(got - ref) <= 1e-14 * (1.0 + np.abs(ref))), (got, ref)
+        checked.add(A.n)
+    assert checked == {0, 1, 2, 3}
+
+
+def _as_closure(H):
+    """H with the same value and gradient arithmetic, but not polynomial."""
+    return SmoothField.from_callable(H._value, H.arity, grad=H._gradient)
+
+
+def test_the_packed_kernel_follows_the_general_kernel(monkeypatch):
+    import algmech.hamiltonian as hamiltonian
+
+    tables = []
+    build = hamiltonian._stage_table
+    monkeypatch.setattr(hamiltonian, "_stage_table", lambda *a: tables.append(1) or build(*a))
+    cases = [(A, H, 1e-3) for _, A, H in _constant_instances(8)]
+    for name in ("euler_top", "contorsion_dissipative", "canonical_harmonic"):
+        path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        cfg = json.loads(path.read_text())
+        bundle, _ = build_scenario(cfg["scenario"])
+        cases.append((bundle.algebroid, bundle.hamiltonian, cfg["integration"]["h"]))
+    for A, H, h in cases:
+        x0 = PhasePoint(np.full(A.n, 0.3), np.linspace(-0.5, 0.5, A.m))
+        del tables[:]
+        packed = integrate(A, H, x0, h, 200).samples
+        assert len(tables) == 1
+        general = integrate(A, _as_closure(H), x0, h, 200).samples
+        assert len(tables) == 1
+        assert packed.shape == general.shape == (201, 3 + A.n + A.m)
+        assert np.all(np.abs(packed - general) <= 1e-12 * (1.0 + np.abs(general)))
+
+
+def test_a_diverging_packed_trajectory_ends_at_its_last_good_step():
+    # dq/dt = 4 p^3, dp/dt = -4 q^3 from (3, 3): step 2 overflows
+    H = field_from_polynomial([(1.0, [4, 0]), (1.0, [0, 4])], 2)
+    for F in (H, _as_closure(H)):
+        with pytest.raises(IntegrationDivergedError) as info:
+            integrate(canonical_tangent(1), F, PhasePoint([3.0], [3.0]), 0.05, 100)
+        assert info.value.last_good_step == 1
+        assert len(info.value.trajectory.samples) == 2
+
+
+def test_contorsion_data_is_packed_and_keeps_its_values():
+    rng = np.random.default_rng(5)
+    n = 3
+    G = np.eye(n) + 0.2 * np.ones((n, n))
+    T = rng.uniform(-1, 1, size=(n, n, n))
+    V = field_from_polynomial([(0.5, [2, 0, 0]), (-1.0, [1, 1, 1])], n)
+    bundle = build_contorsion(
+        TensorField.from_constants(G, n), T=TensorField.from_constants(T, n), V=V
+    )
+    H, rate = bundle.hamiltonian, bundle.monitors["dissipation"]
+    assert H.kind == rate.kind == "polynomial"
+    Ginv = np.linalg.inv(G)
+    for _ in range(5):
+        q, p = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+        z, w = np.concatenate([q, p]), Ginv @ p
+        assert abs(H.value(z) - (0.5 * p @ w + V.value(q))) <= 1e-14
+        assert np.allclose(H.gradient(z), np.concatenate([V.gradient(q), w]), rtol=0, atol=1e-14)
+        assert abs(rate.value(z) + np.einsum("kij,k,i,j->", T, p, w, w)) <= 1e-13
 
 
 # the shipped gradient_extension field X = (1, 0) conserves H = p.X exactly;

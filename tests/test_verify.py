@@ -298,3 +298,16 @@ def test_trajectory_check_is_bit_identical_to_its_sample_loop(
     expected = former(bundle, ccfg, np.random.default_rng(seed))
     assert residual > 0.0
     assert np.float64(residual).tobytes() == np.float64(expected).tobytes()
+
+
+def test_closedness_is_blind_to_the_curvature_at_rank_two():
+    # at m <= 2 no three horizontal slots differ, so closedness cannot see R;
+    # curvature_identities on the same bundle does
+    cfg = json.loads((CONFIG_DIR / "gradient_extension.json").read_text())
+    cfg["scenario"]["curvature"] = np.random.default_rng(3).uniform(-1, 1, (2, 2, 2, 2)).tolist()
+    bundle, _ = build_scenario(cfg["scenario"])
+    closed = run_check("closedness", bundle, {"points": 25}, 0)
+    curvature = run_check("curvature_identities", bundle, {"points": 25}, 0)
+    assert closed["max_residual"] == 0.0 and closed["pass"]
+    assert curvature["max_residual"] == pytest.approx(2.7376035290165914, rel=1e-6)
+    assert not curvature["pass"]
