@@ -12,7 +12,7 @@ import argparse
 import numpy as np
 
 from algmech import PhasePoint, integrate
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, field_from_polynomial, tensor_from_config
 from algmech.algebroid import canonical_tangent, worst_residual
 from algmech.scenarios import ConstraintSpec, build_constrained, lagrangian_reference
 
@@ -23,14 +23,14 @@ def build_spec():
     one = field_from_polynomial([(1.0, [0, 0, 0])], 3)
     zero = SmoothField.zero(3)
     g22 = field_from_polynomial([(1.0, [0, 0, 0]), (1.0, [2, 0, 0])], 3)
-    metric = TensorField(
-        np.array([[one, zero, zero], [zero, g22, zero], [zero, zero, one]], dtype=object)
+    metric = tensor_from_config(
+        [[one, zero, zero], [zero, g22, zero], [zero, zero, one]], (3, 3), 3
     )
     potential = field_from_polynomial([(0.5, [0, 2, 0]), (1.0, [2, 0, 0])], 3)
     return ConstraintSpec(
         ambient=amb,
         metric=metric,
-        kinematic_basis=[[1, 0, q2], [0, 1, 0]],
+        kinematic_basis=tensor_from_config([[1, 0, q2], [0, 1, 0]], (2, 3), 3),
         potential=potential,
     )
 

@@ -168,22 +168,14 @@ def max_abs(a, core) -> float | np.ndarray:
     return float(r) if r.ndim == 0 else r
 
 
-def _as_section(T, shape, arity):
-    """A TensorField of ``shape``, or a float array for constant components.
+def _as_section(T, shape):
+    """A TensorField of ``shape``, or a float array of constant components.
 
-    ``T`` is a TensorField, an array of SmoothFields and numbers (numbers are
-    constant fields) or a float array, which may carry a leading batch axis.
+    ``T`` is a TensorField or a float array, which may carry a leading batch
+    axis.
     """
     if not isinstance(T, TensorField):
-        T = np.asarray(T)
-        if T.dtype != object:
-            T = T.astype(float)
-        elif T.shape == shape:
-            comps = [
-                f if isinstance(f, SmoothField) else SmoothField.constant(f, arity)
-                for f in T.reshape(-1)
-            ]
-            T = TensorField(np.array(comps, dtype=object).reshape(shape), arity=arity)
+        T = np.asarray(T, dtype=float)
     batched = isinstance(T, np.ndarray) and T.ndim == len(shape) + 1
     if T.shape[batched:] != shape:
         raise InputError(f"tensor components must form a {list(shape)} array")
@@ -192,7 +184,7 @@ def _as_section(T, shape, arity):
 
 def _section_jets(T, z, shape):
     """Values and chart gradients of a section given as for :func:`_as_section`."""
-    T = _as_section(T, shape, z.shape[-1])
+    T = _as_section(T, shape)
     if isinstance(T, TensorField):
         return T.eval_grad(z)
     batch = z.shape[:-1]

@@ -170,20 +170,6 @@ def _monitors_from(cfg, arity):
     return {name: field_from_config_with_arity(obj, arity) for name, obj in monitors.items()}
 
 
-def _has_bool(value):
-    """A JSON boolean anywhere in nested lists (``true`` would read as 1.0)."""
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
-
-
-def _float_array(value, key):
-    if _has_bool(value):
-        raise InputError(f"{key} must be an array of numbers, not booleans")
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:  # ragged, or entries that are not numbers
-        raise InputError(f"{key} must be an array of numbers") from exc
-
-
 def _square_rank(cfg, key):
     """The size n of the [n, n] array ``scenario.<key>``."""
     value = cfg[key]
@@ -205,8 +191,10 @@ def _build_lie_poisson(cfg):
     structure = cfg.get("structure")
     if structure == "so3":
         C = so3_constants()
-    elif isinstance(structure, list):
-        C = _float_array(structure, "scenario.structure")
+    elif isinstance(structure, list) and structure:
+        m = len(structure)
+        C = tensor_from_config(structure, (m, m, m), 0, key="scenario.structure")
+        C = C.eval(np.zeros(0))
     else:
         raise InputError("scenario.structure must be 'so3' or an [m,m,m] array")
     m = C.shape[0]
@@ -222,8 +210,10 @@ def _build_lie_poisson(cfg):
         raise InputError("scenario needs 'hamiltonian' or 'inertia'")
     if structure == "so3" and "casimir" not in monitors:
         monitors["casimir"] = so3_casimir()
-    metric = cfg.get("metric")
-    metric = _float_array(metric, "scenario.metric") if metric is not None else None
+    metric = None
+    if cfg.get("metric") is not None:
+        metric = tensor_from_config(cfg["metric"], (m, m), 0, key="scenario.metric")
+        metric = metric.eval(np.zeros(0))
     return build_lie_poisson(C, H, metric=metric, monitors=monitors), None
 
 
@@ -231,8 +221,8 @@ def _build_gradient_extension(cfg):
     if "metric" not in cfg or "vector_field" not in cfg:
         raise InputError("scenario needs 'metric' and 'vector_field'")
     n = _square_rank(cfg, "metric")
-    G = tensor_from_config(cfg["metric"], (n, n), n)
-    X = tensor_from_config(cfg["vector_field"], (n,), n)
+    G = tensor_from_config(cfg["metric"], (n, n), n, key="scenario.metric")
+    X = tensor_from_config(cfg["vector_field"], (n,), n, key="scenario.vector_field")
     return build_gradient_extension(G, X), None
 
 
@@ -243,22 +233,21 @@ def _ambient_from(cfg):
     n, m = amb.get("n"), amb.get("m")
     _check_count(n, "scenario.ambient.n", low=0)
     _check_count(m, "scenario.ambient.m")
-    bracket = tensor_from_config(amb.get("bracket", []), (m, m, m), n)
-    anchor = tensor_from_config(amb.get("anchor", []), (n, m), n)
+    bracket = tensor_from_config(
+        amb.get("bracket", []), (m, m, m), n, key="scenario.ambient.bracket"
+    )
+    anchor = tensor_from_config(amb.get("anchor", []), (n, m), n, key="scenario.ambient.anchor")
     return AlgebroidStructure(
         n=n, m=m, bracket=bracket, anchor_left=anchor, anchor_right=anchor
     )
 
 
-def _basis_rows(obj, M, arity, key):
+def _basis_rows(cfg, key, M, arity):
+    """The [k, M] basis ``scenario.<key>``, k >= 1 rows."""
+    obj = cfg.get(key)
     if not isinstance(obj, list) or not obj:
         raise InputError(f"scenario.{key} must be a non-empty list of rows")
-    rows = []
-    for row in obj:
-        if not isinstance(row, list) or len(row) != M:
-            raise InputError(f"scenario.{key} rows must have length {M}")
-        rows.append([field_from_config_with_arity(e, arity) for e in row])
-    return rows
+    return tensor_from_config(obj, (len(obj), M), arity, key=f"scenario.{key}")
 
 
 def _build_constrained(cfg, generalized):
@@ -266,11 +255,9 @@ def _build_constrained(cfg, generalized):
     M, n = ambient.m, ambient.n
     if "metric" not in cfg:
         raise InputError("scenario.metric is required")
-    G = tensor_from_config(cfg["metric"], (M, M), n)
-    kin = _basis_rows(cfg.get("kinematic_basis"), M, n, "kinematic_basis")
-    var = None
-    if generalized:
-        var = _basis_rows(cfg.get("variational_basis"), M, n, "variational_basis")
+    G = tensor_from_config(cfg["metric"], (M, M), n, key="scenario.metric")
+    kin = _basis_rows(cfg, "kinematic_basis", M, n)
+    var = _basis_rows(cfg, "variational_basis", M, n) if generalized else None
     V = None
     if cfg.get("potential") is not None:
         V = field_from_config_with_arity(cfg["potential"], n)
@@ -288,12 +275,12 @@ def _build_contorsion(cfg):
     if "metric" not in cfg:
         raise InputError("scenario.metric is required")
     n = _square_rank(cfg, "metric")
-    G = tensor_from_config(cfg["metric"], (n, n), n)
+    G = tensor_from_config(cfg["metric"], (n, n), n, key="scenario.metric")
     S = T = None
     if "contorsion" in cfg:
-        S = tensor_from_config(cfg["contorsion"], (n, n, n), n)
+        S = tensor_from_config(cfg["contorsion"], (n, n, n), n, key="scenario.contorsion")
     if "torsion" in cfg:
-        T = tensor_from_config(cfg["torsion"], (n, n, n), n)
+        T = tensor_from_config(cfg["torsion"], (n, n, n), n, key="scenario.torsion")
     V = None
     if cfg.get("potential") is not None:
         V = field_from_config_with_arity(cfg["potential"], n)
@@ -346,7 +333,7 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
         new_curv = CurvatureTensor.zero(A.m, A.n)
     elif isinstance(curv, list):
         new_curv = CurvatureTensor(
-            tensor_from_config(curv, (A.m, A.m, A.m, A.m), A.n)
+            tensor_from_config(curv, (A.m, A.m, A.m, A.m), A.n, key="scenario.curvature")
         )
     elif curv not in (None, "scenario"):
         raise InputError(
@@ -359,8 +346,8 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
         if "Dl" not in split or "Dr" not in split:
             raise InputError("scenario.split pair needs 'Dl' and 'Dr' tensors")
         new_split = ConnectionPair(
-            Dl=tensor_from_config(split["Dl"], (A.m, A.m, A.m), A.n),
-            Dr=tensor_from_config(split["Dr"], (A.m, A.m, A.m), A.n),
+            Dl=tensor_from_config(split["Dl"], (A.m, A.m, A.m), A.n, key="scenario.split.Dl"),
+            Dr=tensor_from_config(split["Dr"], (A.m, A.m, A.m), A.n, key="scenario.split.Dr"),
         )
     elif split not in (None, "scenario"):
         raise InputError(
@@ -372,5 +359,4 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
         split=new_split,
         curvature=new_curv,
         monitors=bundle.monitors,
-        provenance=bundle.provenance,
     )

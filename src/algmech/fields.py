@@ -20,7 +20,9 @@ Polynomial data is compiled: a field builds the monomial table of its first
 derivatives on its first gradient, and a :class:`TensorField` packs all of its
 polynomial components into one shared monomial table and one coefficient
 matrix, built on first read, so a value or a whole jet costs a fixed handful
-of array operations.
+of array operations.  Nested input, from a config or from code, becomes a
+packed tensor in one walk (:func:`tensor_from_config`); no entry is an object
+of its own.
 
 Derived tensors (Christoffel symbols, curvature, the adapted-frame and lifted
 structure functions) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
@@ -459,38 +461,15 @@ class TensorField:
       returns the whole array at K points; the jet is central differences
       with step ``_h``.
 
-    ``TensorField(fields)`` and :func:`tensor_from_config` parse an array of
-    SmoothFields into the packed form.  A tensor of constants, and an
-    array-valued tensor over a point, is folded into ``_const``.
+    Nested input (numbers, config field objects, SmoothFields) is packed by
+    :func:`tensor_from_config`, constant arrays by :meth:`from_constants`.  A
+    tensor of constants, and an array-valued tensor over a point, is folded
+    into ``_const``.
     """
 
     __slots__ = (
         "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_others", "_fn", "_h",
     )
-
-    def __init__(self, fields, arity=None):
-        fields = np.asarray(fields, dtype=object)
-        flat = fields.reshape(-1)
-        if flat.shape[0] == 0 and arity is None:
-            raise InputError("empty TensorField needs an explicit arity")
-        if arity is None:
-            arity = flat[0].arity
-        for f in flat:
-            if not isinstance(f, SmoothField):
-                raise InputError("TensorField components must be SmoothField")
-            if f.arity != arity:
-                raise InputError("TensorField components have mixed arities")
-        n = int(arity)
-        poly = [k for k, f in enumerate(flat) if f.kind == "polynomial"]
-        counts = [flat[k]._terms[0].shape[0] for k in poly]
-        self._pack(
-            fields.shape,
-            n,
-            np.repeat(np.asarray(poly, dtype=int), counts),
-            np.concatenate([np.zeros(0)] + [flat[k]._terms[0] for k in poly]),
-            np.concatenate([np.zeros((0, n), dtype=int)] + [flat[k]._terms[1] for k in poly]),
-            tuple((k, f) for k, f in enumerate(flat) if f.kind != "polynomial"),
-        )
 
     @classmethod
     def from_terms(cls, rows, coefs, exps, shape, arity) -> "TensorField":
@@ -663,18 +642,62 @@ class TensorField:
         return f"TensorField(shape={self.shape}, arity={self.arity})"
 
 
-def tensor_from_config(obj, shape, arity) -> TensorField:
-    """Nested lists of field objects / numbers -> TensorField of given shape."""
-    shape = tuple(shape)
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        node = obj
-        for k in idx:
-            try:
-                node = node[k]
-            except (IndexError, KeyError, TypeError) as exc:
+def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
+    """Nested lists of exactly ``shape`` -> packed TensorField, walked once.
+
+    A leaf is a number (a constant term), a config field object (parsed by
+    :func:`field_from_config_with_arity`) or a :class:`SmoothField`.  The
+    terms of polynomial leaves are packed in flat-index order; any other
+    field becomes a closure entry.  A list of the wrong length, a malformed
+    leaf or a leaf of another arity raises :class:`InputError` naming the
+    entry as ``key[i][j]...``.
+    """
+    shape = tuple(int(s) for s in shape)
+    rows, coefs, exps, others = [], [], [], []
+    constant = [0] * int(arity)
+
+    def leaf(node, flat):
+        if _is_number(node):
+            if not math.isfinite(node):
+                raise InputError("coefficients must be finite")
+            if node != 0:
+                rows.append(flat)
+                coefs.append(float(node))
+                exps.append(constant)
+            return
+        f = node if isinstance(node, SmoothField) else field_from_config_with_arity(node, arity)
+        if f.arity != arity:
+            raise InputError(f"field arity {f.arity} does not match expected {arity}")
+        if f.kind != "polynomial":
+            others.append((flat, f))
+            return
+        c, e = f._terms
+        rows.extend([flat] * c.shape[0])
+        coefs.extend(c.tolist())
+        exps.extend(e.tolist())
+
+    def walk(node, idx, flat):
+        depth = len(idx)
+        try:
+            if depth == len(shape):
+                return leaf(node, flat)
+            if not isinstance(node, list) or len(node) != shape[depth]:
+                got = len(node) if isinstance(node, list) else type(node).__name__
                 raise InputError(
-                    f"tensor config does not cover index {list(idx)} for shape {list(shape)}"
-                ) from exc
-        out[idx] = field_from_config_with_arity(node, arity)
-    return TensorField(out, arity=arity)
+                    f"tensor config does not match shape {list(shape)}: expected a list of "
+                    f"{shape[depth]} entries, got {got}"
+                )
+        except InputError as exc:
+            raise InputError(f"{exc} at {key}{''.join(f'[{i}]' for i in idx)}") from exc
+        for i, child in enumerate(node):
+            walk(child, idx + (i,), flat * shape[depth] + i)
+
+    walk(obj, (), 0)
+    return TensorField._packed(
+        shape,
+        arity,
+        np.array(rows, dtype=int),
+        np.array(coefs, dtype=float),
+        np.array(exps, dtype=int).reshape(len(rows), int(arity)),
+        tuple(others),
+    )

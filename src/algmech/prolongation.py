@@ -226,7 +226,7 @@ def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoi
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a frame one-section (per point)."""
     n, size = P.base.n, P.frame_size
-    theta = _as_section(theta, (size,), n + P.base.m)
+    theta = _as_section(theta, (size,))
     eta = TensorField.from_array_fn(
         lambda z: d_skew_oneform(prolong_eval(P, PhasePoint.from_z(z, n)), theta),
         (size, size),

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .algebroid import (
-    AlgebroidStructure, StructureSnapshot, base_probes, canonical_tangent, so3_constants,
-    structure_eval,
+    AlgebroidStructure, StructureSnapshot, algebroid_from_constants, base_probes,
+    canonical_tangent, so3_constants, structure_eval,
 )
 from .connections import (
     CHRISTOFFEL_FD_STEP,
@@ -59,7 +59,6 @@ class ScenarioBundle:
     split: ConnectionPair
     curvature: CurvatureTensor
     monitors: dict = dc_field(default_factory=dict)
-    provenance: dict = dc_field(default_factory=dict)
     _base_at: object = dc_field(default=None, repr=False, compare=False)
 
     def prolongation(self) -> ProlongationData:
@@ -114,7 +113,6 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
         hamiltonian=momentum_pairing_hamiltonian(X, n),
         split=ConnectionPair(Dl=Gamma, Dr=Gamma.scaled(-1.0)),
         curvature=curvature,
-        provenance={"scenario": "gradient_extension", "n": n},
         _base_at=base_at,
     )
 
@@ -133,13 +131,10 @@ def build_canonical(n: int, H: SmoothField, monitors=None) -> ScenarioBundle:
         split=default_split(alg),
         curvature=CurvatureTensor.zero(n, n),
         monitors=dict(monitors or {}),
-        provenance={"scenario": "canonical", "n": n},
     )
 
 
-def build_lie_poisson(
-    constants, H: SmoothField, metric=None, monitors=None, name="lie_poisson"
-) -> ScenarioBundle:
+def build_lie_poisson(constants, H: SmoothField, metric=None, monitors=None) -> ScenarioBundle:
     """Structure-constant algebra over a point, with a metric-compatible splitting.
 
     ``constants[c, a, b]`` are the bracket coefficients.  The splitting uses
@@ -153,13 +148,7 @@ def build_lie_poisson(
         raise InputError("structure constants must be [m,m,m]")
     if H.arity != m:
         raise InputError("Hamiltonian arity must be m for an algebra over a point")
-    alg = AlgebroidStructure(
-        n=0,
-        m=m,
-        bracket=TensorField.from_constants(C, 0),
-        anchor_left=TensorField.from_constants(np.zeros((0, m)), 0),
-        anchor_right=TensorField.from_constants(np.zeros((0, m)), 0),
-    )
+    alg = algebroid_from_constants(C)
     G = TensorField.from_constants(np.eye(m) if metric is None else np.asarray(metric), 0)
     Gamma = levi_civita(alg, G)
     return ScenarioBundle(
@@ -168,7 +157,6 @@ def build_lie_poisson(
         split=metric_compatible_pair(Gamma),
         curvature=curvature_field(alg, Gamma),
         monitors=dict(monitors or {}),
-        provenance={"scenario": name, "m": m},
     )
 
 
@@ -190,14 +178,9 @@ def so3_casimir() -> SmoothField:
 
 def build_euler_top(inertia=(1.0, 2.0, 3.0)) -> ScenarioBundle:
     """Free rigid body as a Lie-Poisson system on the rotation algebra."""
-    bundle = build_lie_poisson(
-        so3_constants(),
-        euler_top_hamiltonian(inertia),
-        monitors={"casimir": so3_casimir()},
-        name="euler_top",
+    return build_lie_poisson(
+        so3_constants(), euler_top_hamiltonian(inertia), monitors={"casimir": so3_casimir()}
     )
-    bundle.provenance["inertia"] = list(np.asarray(inertia, dtype=float))
-    return bundle
 
 
 # -- bracket modification by a torsion tensor ---------------------------------
@@ -250,27 +233,10 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
         split=default_split(alg),
         curvature=CurvatureTensor.zero(n, n),
         monitors={"dissipation": dissipation},
-        provenance={"scenario": "contorsion", "n": n},
     )
 
 
 # -- constrained systems ------------------------------------------------------
-
-
-def _as_basis(rows, M, arity):
-    rows = list(rows)
-    out = np.empty((len(rows), M), dtype=object)
-    for j, row in enumerate(rows):
-        if len(row) != M:
-            raise InputError(f"basis vector {j} has length {len(row)}, ambient rank is {M}")
-        for mu, entry in enumerate(row):
-            if isinstance(entry, SmoothField):
-                if entry.arity != arity:
-                    raise InputError("basis coefficient fields must have the base arity")
-                out[j, mu] = entry
-            else:
-                out[j, mu] = SmoothField.constant(float(entry), arity)
-    return out
 
 
 @dataclass(frozen=True)
@@ -279,28 +245,25 @@ class ConstraintSpec:
 
     ``kinematic_basis`` spans the admissible subbundle; ``variational_basis``
     (optional) spans where reaction forces do no work.  When the latter is
-    omitted the classical case is meant and the two coincide.  Basis entries
-    may be numbers or SmoothFields over the base.
+    omitted the classical case is meant and the two coincide.  Each basis is
+    a packed [k, M] tensor over the base (:func:`~algmech.fields.tensor_from_config`
+    packs nested rows of numbers and SmoothFields), its rows the basis vectors.
     """
 
     ambient: AlgebroidStructure
     metric: TensorField
-    kinematic_basis: np.ndarray  # object array [k, M]
-    variational_basis: np.ndarray | None = None
+    kinematic_basis: TensorField
+    variational_basis: TensorField | None = None
     potential: SmoothField | None = None
 
     def __post_init__(self):
         M, n = self.ambient.m, self.ambient.n
         if self.metric.shape != (M, M) or self.metric.arity != n:
             raise InputError("metric must be [M,M] over the ambient base")
-        object.__setattr__(self, "kinematic_basis", _as_basis(self.kinematic_basis, M, n))
-        if self.variational_basis is not None:
-            vb = _as_basis(self.variational_basis, M, n)
-            if vb.shape[0] != self.kinematic_basis.shape[0]:
-                raise InputError(
-                    "kinematic and variational subbundles must have equal rank"
-                )
-            object.__setattr__(self, "variational_basis", vb)
+        k = self.kinematic_basis.shape[0]
+        for basis in (self.kinematic_basis, self.variational_basis):
+            if basis is not None and (basis.shape != (k, M) or basis.arity != n):
+                raise InputError("bases must be [k,M] over the ambient base, of equal rank k")
         if self.potential is not None and self.potential.arity != n:
             raise InputError("potential must be a base function")
         rep = None
@@ -454,10 +417,6 @@ class _AdaptedFrame:
         self._ambient = (
             None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
         )
-        self.kinematic = TensorField(spec.kinematic_basis, arity=self.n)
-        self.variational = (
-            None if spec.classical else TensorField(spec.variational_basis, arity=self.n)
-        )
         self._point_core = None if self.n else self._compute_core(np.zeros(0))
         if spec.classical:
             # fully orthonormal frame: the adapted metric is exactly the identity
@@ -494,13 +453,13 @@ class _AdaptedFrame:
         spec = self.spec
         k = self.k
         Gv, dG = spec.metric.eval_grad(Q)
-        D, dD = self.kinematic.eval_grad(Q)
+        D, dD = spec.kinematic_basis.eval_grad(Q)
         d_frame, d_frameG, d_deficient = _gram_schmidt(D, Gv)
         failures = [("kinematic basis rank deficient", d_deficient)]
         if spec.classical:
             seed, dseed, span, spanG = D, dD, d_frame, d_frameG
         else:
-            seed, dseed = self.variational.eval_grad(Q)
+            seed, dseed = spec.variational_basis.eval_grad(Q)
             span, spanG, v_deficient = _gram_schmidt(seed, Gv)
             failures.append(("variational basis rank deficient", v_deficient))
         # complete with an orthonormal basis of the orthogonal complement of the
@@ -726,31 +685,13 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     def split_at(q):
         return frame.split_at(q, frame.core_at(q))
 
-    terms = [(0.5, [0] * (n + a) + [2] + [0] * (k - a - 1)) for a in range(k)]
-    H = SmoothField.polynomial(terms, n + k)
-    if spec.potential is not None:
-        V = spec.potential
-
-        def with_potential(z):
-            return V._value(z[:n])
-
-        Hpot = SmoothField.from_callable(
-            with_potential,
-            n + k,
-            grad=lambda z: np.concatenate([V._gradient(z[:n]), np.zeros(k)]),
-        )
-        H = H + Hpot
+    H = quadratic_hamiltonian(TensorField.from_constants(np.eye(k), n), spec.potential, n, k)
 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
         split=ConnectionPair(Dl=piece(split_at, 0, (k, k, k)), Dr=piece(split_at, 1, (k, k, k))),
         curvature=CurvatureTensor(piece(frame.lifted_base, 3, (k, k, k, k))),
-        provenance={
-            "scenario": "constrained" if spec.classical else "generalized_constrained",
-            "rank": k,
-            "ambient_rank": frame.M,
-        },
         _base_at=frame.lifted_base if n else None,
     )
 

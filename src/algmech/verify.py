@@ -46,8 +46,12 @@ def _probes(rng, A, count) -> PhasePoint:
 
 
 def _base_probes(rng, A, count) -> np.ndarray:
-    """``count`` base points in [-1, 1]^n, [count, n]."""
-    return rng.uniform(-1, 1, size=(count, A.n))
+    """``count`` base points in [-1, 1]^n, [count, n].
+
+    Over a point (n = 0) every probe is the same empty point, so there is
+    one row, and the stream is not consumed.
+    """
+    return rng.uniform(-1, 1, size=(count if A.n else 1, A.n))
 
 
 def _theorem43_gap(P: ProlongationData, H, x) -> np.ndarray:

@@ -13,7 +13,7 @@ from algmech.algebroid import (
     so3_algebra,
     structure_eval,
 )
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.scenarios import ConstraintSpec, _AdaptedFrame
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -66,6 +66,14 @@ def canonical1():
 @pytest.fixture
 def canonical2():
     return canonical_tangent(2)
+
+
+def nested(entries, shape):
+    """The flat, row-major ``entries`` as nested lists of ``shape``, for ``tensor_from_config``."""
+    entries = list(entries)
+    for size in reversed(shape[1:]):
+        entries = [entries[i : i + size] for i in range(0, len(entries), size)]
+    return entries
 
 
 def poisson_tensor(A, x):
@@ -142,7 +150,7 @@ def curved_plane_metric():
     one = field_from_polynomial([(1.0, [0, 0])], 2)
     zero = SmoothField.zero(2)
     g22 = field_from_polynomial([(1.0, [0, 0]), (1.0, [2, 0])], 2)
-    return TensorField(np.array([[one, zero], [zero, g22]], dtype=object))
+    return tensor_from_config([[one, zero], [zero, g22]], (2, 2), 2)
 
 
 def tr3_classical_spec():
@@ -152,16 +160,12 @@ def tr3_classical_spec():
     one = field_from_polynomial([(1.0, [0, 0, 0])], 3)
     zero = SmoothField.zero(3)
     g22 = field_from_polynomial([(1.0, [0, 0, 0]), (1.0, [2, 0, 0])], 3)
-    G = TensorField(
-        np.array(
-            [[one, zero, zero], [zero, g22, zero], [zero, zero, one]], dtype=object
-        )
-    )
+    G = tensor_from_config([[one, zero, zero], [zero, g22, zero], [zero, zero, one]], (3, 3), 3)
     V = field_from_polynomial([(0.5, [0, 2, 0]), (1.0, [2, 0, 0])], 3)
     return ConstraintSpec(
         ambient=amb,
         metric=G,
-        kinematic_basis=[[1, 0, q2], [0, 1, 0]],
+        kinematic_basis=tensor_from_config([[1, 0, q2], [0, 1, 0]], (2, 3), 3),
         potential=V,
     )
 
@@ -171,8 +175,8 @@ def generalized_so3_spec():
     return ConstraintSpec(
         ambient=so3_algebra(),
         metric=TensorField.from_constants(np.eye(3), 0),
-        kinematic_basis=[[1, 0, 0], [0, 1, 0]],
-        variational_basis=[[1, 0, 0], [0, 1, 1]],
+        kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
+        variational_basis=tensor_from_config([[1, 0, 0], [0, 1, 1]], (2, 3), 0),
     )
 
 
@@ -191,7 +195,7 @@ def nonjacobi_spec():
     return ConstraintSpec(
         ambient=se2r_algebra(),
         metric=TensorField.from_constants(np.eye(4), 0),
-        kinematic_basis=[[0, 1, 0, 1], [0, 0, 1, 1], [1, -1, 1, 0]],
+        kinematic_basis=tensor_from_config([[0, 1, 0, 1], [0, 0, 1, 1], [1, -1, 1, 0]], (3, 4), 0),
     )
 
 
@@ -206,22 +210,22 @@ def generalized_curved_spec():
         return field_from_polynomial([(c, e) for c, e in terms], 2)
 
     anchor = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    G = TensorField(
-        np.array(
-            [
-                [poly((1.0, [0, 0]), (0.5, [2, 0])), poly((0.2, [0, 1])), SmoothField.zero(2)],
-                [poly((0.2, [0, 1])), poly((1.0, [0, 0]), (0.3, [1, 1])), poly((0.1, [1, 0]))],
-                [SmoothField.zero(2), poly((0.1, [1, 0])), poly((2.0, [0, 0]), (0.4, [0, 2]))],
-            ],
-            dtype=object,
-        )
+    G = tensor_from_config(
+        [
+            [poly((1.0, [0, 0]), (0.5, [2, 0])), poly((0.2, [0, 1])), SmoothField.zero(2)],
+            [poly((0.2, [0, 1])), poly((1.0, [0, 0]), (0.3, [1, 1])), poly((0.1, [1, 0]))],
+            [SmoothField.zero(2), poly((0.1, [1, 0])), poly((2.0, [0, 0]), (0.4, [0, 2]))],
+        ],
+        (3, 3),
+        2,
     )
     return ConstraintSpec(
         ambient=algebroid_from_constants(np.zeros((3, 3, 3)), anchor, anchor, n=2),
         metric=G,
-        kinematic_basis=[[1, 0, poly((1.0, [0, 1]))], [0, 1, poly((0.5, [1, 0]))]],
-        variational_basis=[
-            [1, poly((0.2, [1, 0])), 0.3],
-            [0, 1, poly((0.2, [0, 1]))],
-        ],
+        kinematic_basis=tensor_from_config(
+            [[1, 0, poly((1.0, [0, 1]))], [0, 1, poly((0.5, [1, 0]))]], (2, 3), 2
+        ),
+        variational_basis=tensor_from_config(
+            [[1, poly((0.2, [1, 0])), 0.3], [0, 1, poly((0.2, [0, 1]))]], (2, 3), 2
+        ),
     )

@@ -23,7 +23,7 @@ from algmech.connections import (
     levi_civita,
     metric_compatible_pair,
 )
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field, integrate, rk4_step
 from algmech.prolongation import (
     ProlongationData,
@@ -74,11 +74,8 @@ def _shipped_bundles():
         "euler_top": build_euler_top(),
         "gradient_extension": build_gradient_extension(
             curved_plane_metric(),
-            TensorField(
-                np.array(
-                    [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)],
-                    dtype=object,
-                )
+            tensor_from_config(
+                [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
             ),
         ),
         "constrained": build_constrained(tr3_classical_spec()),
@@ -222,11 +219,8 @@ def test_criterion_05_euler_top():
 
 def test_criterion_06_gradient_extension():
     G = curved_plane_metric()
-    X = TensorField(
-        np.array(
-            [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
     )
     b = build_gradient_extension(G, X)
     h, steps = 1e-3, 1000
@@ -369,9 +363,10 @@ def test_criterion_10_differential_calculus():
     for P in (P2, P3):
         A = P.base
         phi = random_phase_function(rng, A.n, A.m, degree=2)
-        theta = np.array(
+        theta = tensor_from_config(
             [random_phase_function(rng, A.n, A.m, degree=1) for _ in range(2 * A.m)],
-            dtype=object,
+            (2 * A.m,),
+            A.n + A.m,
         )
         for _ in range(3):
             x = _probe(rng, A)

@@ -15,7 +15,7 @@ from algmech.algebroid import (
     sym_skew_parts,
 )
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.randoms import random_algebroid, random_polynomial_field
 from algmech.scenarios import build_constrained
 
@@ -103,9 +103,7 @@ def test_left_right_diff_over_point(so3):
 
 
 def test_diff_lr_canonical_line(canonical1):
-    kappa = TensorField(
-        np.array([field_from_polynomial([(1.0, [1])], 1)], dtype=object)
-    )
+    kappa = tensor_from_config([field_from_polynomial([(1.0, [1])], 1)], (1,), 1)
     out = diff_lr_section(structure_eval(canonical1, [0.4]), kappa)
     assert abs(out[0, 0]) <= 1e-15
 
@@ -136,7 +134,7 @@ def test_diff_lr_leibniz_identity():
     A = random_algebroid(rng, n=2, m=2)
     F = random_polynomial_field(rng, 2, 2)
     kap = [random_polynomial_field(rng, 2, 2) for _ in range(2)]
-    kappa = TensorField(np.array(kap, dtype=object))
+    kappa = tensor_from_config(kap, (2,), 2)
 
     # products of fields are not provided; build F*k as an exact-jet closure
     def prod_field(k):
@@ -146,7 +144,7 @@ def test_diff_lr_leibniz_identity():
             grad=lambda q, k=k: F._value(q) * k._gradient(q) + k._value(q) * F._gradient(q),
         )
 
-    fkappa = TensorField(np.array([prod_field(k) for k in kap], dtype=object))
+    fkappa = tensor_from_config([prod_field(k) for k in kap], (2,), 2)
     for _ in range(5):
         q = rng.uniform(-1, 1, 2)
         lhs = diff_lr_section(structure_eval(A, q), fkappa)

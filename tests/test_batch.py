@@ -31,7 +31,7 @@ from algmech.algebroid import (
 )
 from algmech.config import build_scenario, load_config
 from algmech.connections import christoffels_at, curvature_at, levi_civita, verify_split
-from algmech.fields import TensorField
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
     closedness_residual,
@@ -185,7 +185,7 @@ def test_a_metric_defect_in_a_batch_names_its_point():
 
     A = algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], n=1)
     q, zero = SmoothField.coordinate(0, 1), SmoothField.zero(1)
-    G = TensorField(np.array([[q, zero], [zero, q]], dtype=object))
+    G = tensor_from_config([[q, zero], [zero, q]], (2, 2), 1)
     with pytest.raises(InputError, match=r"not positive-definite at \[-0.5\]"):
         christoffels_at(A, G, [[0.5], [-0.5], [0.25]])
 
@@ -322,8 +322,8 @@ def _defective_spec():
     return ConstraintSpec(
         ambient=algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], [[1.0, 0.0]], n=1),
         metric=TensorField.from_constants(np.eye(2), 1),
-        kinematic_basis=[[line(-3.0, 1.0), 0.0]],
-        variational_basis=[[line(-2.0, 1.0), 1.0]],
+        kinematic_basis=tensor_from_config([[line(-3.0, 1.0), 0.0]], (1, 2), 1),
+        variational_basis=tensor_from_config([[line(-2.0, 1.0), 1.0]], (1, 2), 1),
     )
 
 

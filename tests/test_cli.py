@@ -200,6 +200,37 @@ def test_simulate_rejects_booleans_in_numeric_arrays(tmp_path, structure, metric
     assert not (tmp_path / "out.csv").exists()
 
 
+# (shipped config, the list under its scenario, entries appended, the key the error
+# names); each exited 0, the extra entries silently dropped
+OVERLONG_TENSORS = {
+    "anchor-row": ("nonholonomic_classical", ("ambient", "anchor", 0), 1, "ambient.anchor[0]"),
+    "curvature-block": ("closedness_negative", ("curvature",), 1, "curvature"),
+    "metric-row": ("contorsion_skew", ("metric", 0), 1, "metric[0]"),
+    "contorsion-row": ("contorsion_skew", ("contorsion", 0, 0), 2, "contorsion[0][0]"),
+    "bracket-block": ("nonholonomic_classical", ("ambient", "bracket"), 1, "ambient.bracket"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,path,extra,key", list(OVERLONG_TENSORS.values()), ids=list(OVERLONG_TENSORS)
+)
+def test_a_tensor_list_longer_than_its_shape_is_named(tmp_path, capsys, name, path, extra, key):
+    from algmech.cli import main
+
+    cfg = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    cfg["integration"]["steps"] = 5
+    node = cfg["scenario"]
+    for k in path:
+        node = node[k]
+    node.extend(json.loads(json.dumps(node[-1:])) * extra)
+    out = tmp_path / "long.csv"
+    assert main(["simulate", write_config(tmp_path, cfg, "long.json"), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tensor config does not match shape "), err
+    assert err.rstrip().endswith(f" at scenario.{key}"), err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "terms,q0",
     [
@@ -573,6 +604,29 @@ def test_a_check_size_too_large_to_allocate_is_named(tmp_path, capsys, where, me
     assert not report.exists()
 
 
+def test_base_checks_over_a_point_evaluate_its_one_point(tmp_path):
+    # over a point all base probes are the same empty point; 10**15 of them never returned,
+    # so the run is a child with a timeout
+    cfg = json.loads((CONFIG_DIR / "euler_top.json").read_text())
+    checks = ["structure_checks", "curvature_identities", "split_consistency"]
+    cfg["verification"] = {"points": 10**15, "seed": 0, "checks": checks}
+    report = tmp_path / "point.json"
+    r = subprocess.run(
+        [sys.executable, "-m", "algmech.cli", "verify", write_config(tmp_path, cfg),
+         "--report", str(report)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=checkout_env(),
+        timeout=30,
+    )
+    assert r.returncode == 0, r.stderr
+    entries = json.loads(report.read_text())
+    assert [(e["check"], e["points"], e["pass"]) for e in entries] == [
+        (name, 10**15, True) for name in checks
+    ]
+
+
 def test_importing_the_package_loads_neither_scipy_nor_sympy(tmp_path):
     # both are installed for the tests; importing either would cost every run its start-up
     code = "import sys, algmech; print(sorted({'scipy', 'sympy'} & sys.modules.keys()))"
@@ -682,3 +736,61 @@ def test_a_shipped_config_with_one_leaf_replaced_exits_with_a_documented_code(tm
             capsys.readouterr()
     assert [c for c in codes if c[-1] not in (0, 1, 2)] == []
     assert {c[-1] for c in codes} >= {0, 1}  # the sample reaches both accepted and rejected input
+
+
+# -- shipped configs with one tensor list one entry too long or too short ----------
+
+TENSOR_KEYS = [("metric",), ("vector_field",), ("contorsion",), ("torsion",), ("structure",),
+               ("curvature",), ("ambient", "bracket"), ("ambient", "anchor"),
+               ("kinematic_basis",), ("variational_basis",)]
+BASES = {("kinematic_basis",), ("variational_basis",)}  # their row count k is free
+SHAPE_CASES = 40  # drawn cases
+
+
+def _tensor_lists(node, path=()):
+    """Paths of the lists in a tensor config, stopping at field objects."""
+    if isinstance(node, list):
+        yield path
+        for i, child in enumerate(node):
+            yield from _tensor_lists(child, path + (i,))
+
+
+def _shape_cases():
+    """(config, tensor key, list path, append or drop) drawn from every list whose length
+    the tensor's shape fixes."""
+    candidates = []
+    for name in sorted(p.stem for p in CONFIG_DIR.glob("*.json")):
+        scenario = _capped(name)["scenario"]
+        for key in TENSOR_KEYS:
+            node = scenario
+            for k in key:
+                node = node.get(k) if isinstance(node, dict) else None
+            candidates += [
+                (name, key, path) for path in _tensor_lists(node) if path or key not in BASES
+            ]
+    rng = np.random.default_rng(2027)
+    picks = rng.integers(len(candidates), size=SHAPE_CASES)
+    return [(*candidates[i], bool(rng.integers(2))) for i in picks]
+
+
+def test_a_tensor_list_of_the_wrong_length_exits_1_naming_its_key(tmp_path, capsys):
+    from algmech.cli import main
+
+    cases = _shape_cases()
+    assert len(cases) == SHAPE_CASES
+    wrong = []
+    for i, (name, key, path, append) in enumerate(cases):
+        cfg = _capped(name)
+        node = cfg["scenario"]
+        for k in key + path:
+            node = node[k]
+        if append or not node:  # one more copy of the last entry (0 in an empty list)
+            node.append(json.loads(json.dumps(node[-1])) if node else 0)
+        else:
+            node.pop()
+        config = write_config(tmp_path, cfg, f"shape{i}.json")
+        rc = main(["simulate", config, "--out", str(tmp_path / "shape.csv")])
+        err = capsys.readouterr().err
+        if rc != 1 or not err.startswith("error: ") or f"scenario.{'.'.join(key)}" not in err:
+            wrong.append((name, key, path, append, rc, err))
+    assert wrong == []

@@ -23,13 +23,13 @@ from algmech.connections import (
     verify_split,
 )
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.hamiltonian import PhasePoint
 from algmech.prolongation import ProlongationData, prolong_eval
 from algmech.randoms import random_algebroid
 from algmech.scenarios import _AdaptedFrame
 
-from conftest import curved_plane_metric, tr3_classical_spec
+from conftest import curved_plane_metric, nested, tr3_classical_spec
 
 
 def test_default_split_canonical(canonical2):
@@ -177,12 +177,11 @@ def test_curvature_so3_quarter(so3):
 
 def _per_component_fd(at, shape, arity):
     """The per-component form: one FD closure per entry over the pointwise array."""
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = SmoothField.from_callable(
-            lambda q, idx=idx: at(q)[idx], arity, h=CHRISTOFFEL_FD_STEP
-        )
-    return TensorField(out, arity=arity)
+    entries = [
+        SmoothField.from_callable(lambda q, idx=idx: at(q)[idx], arity, h=CHRISTOFFEL_FD_STEP)
+        for idx in np.ndindex(*shape)
+    ]
+    return tensor_from_config(nested(entries, shape), shape, arity)
 
 
 @pytest.mark.parametrize("which", ["curved_plane", "so3"])
@@ -206,7 +205,9 @@ def test_christoffels_and_curvature_are_bit_equal_to_per_component_fields(which,
 def test_default_split_of_array_valued_and_packed_brackets(canonical2):
     from algmech.scenarios import build_gradient_extension
 
-    X = TensorField(np.array([field_from_polynomial([(1.0, [0, 1])], 2), SmoothField.zero(2)]))
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 1])], 2), SmoothField.zero(2)], (2,), 2
+    )
     A = build_gradient_extension(curved_plane_metric(), X).algebroid  # bracket 2 Gamma
     rng = np.random.default_rng(3)
     cp = default_split(A)

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +16,10 @@ from algmech.fields import (
     _merge_monomials,
     field_from_polynomial,
     fd_default_step,
+    tensor_from_config,
 )
+
+from conftest import nested
 
 
 def test_polynomial_eval_and_gradient():
@@ -220,9 +225,7 @@ def _random_tensor_case(seed, arity, shape, kind):
         else SmoothField.polynomial(spec, arity)
         for spec in specs
     ]
-    out = np.empty(len(comps), dtype=object)
-    out[:] = comps
-    return TensorField(out.reshape(shape), arity=arity), specs
+    return tensor_from_config(nested(comps, shape), shape, arity), specs
 
 
 PACKED_CASES = [
@@ -318,7 +321,7 @@ def test_returned_arrays_are_owned_by_the_caller(kind):
 
 def test_overflowing_point_is_numeric_error():
     f = field_from_polynomial([(1.0, [3, 0])], 2)
-    T = TensorField(np.array([f, SmoothField.constant(1.0, 2)], dtype=object))
+    T = tensor_from_config([f, SmoothField.constant(1.0, 2)], (2,), 2)
     q = [1e200, 1.0]
     with pytest.raises(NumericError):
         T.eval(q)
@@ -358,10 +361,11 @@ def _rowwise(fn):
 
 
 def _per_component(fn, shape, arity, h=None):
-    out = np.empty(shape, dtype=object)
-    for idx in np.ndindex(*shape):
-        out[idx] = SmoothField.from_callable(lambda q, idx=idx: float(fn(q)[idx]), arity, h=h)
-    return TensorField(out, arity=arity)
+    entries = [
+        SmoothField.from_callable(lambda q, idx=idx: float(fn(q)[idx]), arity, h=h)
+        for idx in np.ndindex(*shape)
+    ]
+    return tensor_from_config(nested(entries, shape), shape, arity)
 
 
 @pytest.mark.parametrize("h", [None, 1e-4])
@@ -475,7 +479,7 @@ def _no_table(T):
 def test_building_a_packed_tensor_builds_no_table():
     F = TensorField.from_terms([0, 1, 1], [1.0, 2.0, -3.0], [[1, 0], [0, 2], [1, 1]], (2,), 2)
     closure = SmoothField.from_callable(lambda q: q[0] * q[1], 2, grad=lambda q: q[::-1])
-    mixed = TensorField(np.array([field_from_polynomial([(1.0, [2, 0])], 2), closure]))
+    mixed = tensor_from_config([field_from_polynomial([(1.0, [2, 0])], 2), closure], (2,), 2)
     for T in (F, mixed, F + mixed, F.scaled(2.0), mixed.scaled(-1.0)):
         assert _no_table(T)
     q = np.array([0.3, -0.7])
@@ -512,3 +516,11 @@ def test_the_value_table_is_the_value_block_of_the_jet_table(seed):
     after = [G.eval(Q[0]), G.eval(Q)]
     for b, a in zip(before, after):
         assert b.tobytes() == a.tobytes()
+
+
+def test_no_module_builds_an_object_array():
+    # nested input is packed by tensor_from_config in one walk; an array with one
+    # Python object per entry is the per-entry form it replaced
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "algmech"
+    pattern = re.compile(r"dtype\s*=\s*(object|['\"]O['\"])")
+    assert [p.name for p in sorted(src.glob("*.py")) if pattern.search(p.read_text())] == []

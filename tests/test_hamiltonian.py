@@ -14,7 +14,7 @@ from algmech.algebroid import (
 )
 from algmech.config import build_scenario, initial_point
 from algmech.errors import InputError, IntegrationDivergedError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.hamiltonian import (
     PhasePoint,
     Trajectory,
@@ -118,14 +118,10 @@ def test_ham_field_gradient_extension_flat():
     from algmech.scenarios import build_gradient_extension
 
     G = TensorField.from_constants(np.eye(2), 2)
-    X = TensorField(
-        np.array(
-            [
-                field_from_polynomial([(1.0, [0, 1])], 2),
-                field_from_polynomial([(1.0, [1, 0])], 2),
-            ],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 1])], 2), field_from_polynomial([(1.0, [1, 0])], 2)],
+        (2,),
+        2,
     )
     b = build_gradient_extension(G, X)
     out = ham_field(b.algebroid, b.hamiltonian, PhasePoint([1.0, 2.0], [3.0, 4.0]))
@@ -266,14 +262,10 @@ def test_gradient_extension_q_marginal_bitwise():
     from algmech.scenarios import build_gradient_extension
 
     G = TensorField.from_constants(np.eye(2), 2)
-    X = TensorField(
-        np.array(
-            [
-                field_from_polynomial([(1.0, [0, 1])], 2),
-                field_from_polynomial([(-1.0, [1, 0])], 2),
-            ],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 1])], 2), field_from_polynomial([(-1.0, [1, 0])], 2)],
+        (2,),
+        2,
     )
     b = build_gradient_extension(G, X)
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([0.3, 0.4], [1.0, -1.0]), 1e-2, 200)

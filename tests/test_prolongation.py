@@ -23,7 +23,7 @@ from algmech.connections import (
 )
 from algmech.config import build_scenario, load_config
 from algmech.errors import InvalidStructureError
-from algmech.fields import TensorField, field_from_polynomial
+from algmech.fields import TensorField, field_from_polynomial, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
     ProlongationData,
@@ -309,8 +309,8 @@ def test_d_squared_lie_prolongations(so3):
     phi3 = random_phase_function(rng, 0, 3, degree=2)
     x3 = PhasePoint([], [1.0, 2.0, 3.0])
     assert d_squared_scalar_residual(P3, phi3, x3) <= 1e-8
-    theta = np.array(
-        [random_phase_function(rng, 0, 3, degree=1) for _ in range(6)], dtype=object
+    theta = tensor_from_config(
+        [random_phase_function(rng, 0, 3, degree=1) for _ in range(6)], (6,), 3
     )
     assert d_squared_oneform_residual(P3, theta, x3) <= 1e-8
 

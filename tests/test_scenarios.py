@@ -6,7 +6,7 @@ import pytest
 from algmech.algebroid import structure_checks, structure_eval
 from algmech.connections import verify_split
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial
+from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
 from algmech.hamiltonian import PhasePoint, energy_rate, ham_field, integrate
 from algmech.scenarios import (
     ConstraintSpec,
@@ -35,14 +35,10 @@ from algmech.algebroid import canonical_tangent, so3_algebra
 
 def test_gradient_extension_flat_dynamics():
     G = TensorField.from_constants(np.eye(2), 2)
-    X = TensorField(
-        np.array(
-            [
-                field_from_polynomial([(1.0, [0, 1])], 2),
-                field_from_polynomial([(1.0, [1, 0])], 2),
-            ],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 1])], 2), field_from_polynomial([(1.0, [1, 0])], 2)],
+        (2,),
+        2,
     )
     b = build_gradient_extension(G, X)
     out = ham_field(b.algebroid, b.hamiltonian, PhasePoint([1.0, 2.0], [3.0, 4.0]))
@@ -61,11 +57,8 @@ def test_gradient_extension_zero_field_is_static():
 def test_gradient_extension_curved_momentum_block():
     """Momentum transport includes the Christoffel correction term."""
     G = curved_plane_metric()
-    X = TensorField(
-        np.array(
-            [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
     )
     b = build_gradient_extension(G, X)
     rng = np.random.default_rng(0)
@@ -88,14 +81,10 @@ def test_gradient_extension_q_marginal_matches_standalone_flow():
     from algmech.hamiltonian import rk4_step
 
     G = TensorField.from_constants(np.eye(2), 2)
-    X = TensorField(
-        np.array(
-            [
-                field_from_polynomial([(1.0, [0, 1])], 2),
-                field_from_polynomial([(-1.0, [1, 0])], 2),
-            ],
-            dtype=object,
-        )
+    X = tensor_from_config(
+        [field_from_polynomial([(1.0, [0, 1])], 2), field_from_polynomial([(-1.0, [1, 0])], 2)],
+        (2,),
+        2,
     )
     b = build_gradient_extension(G, X)
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([0.3, 0.4], [0.2, 0.1]), 1e-2, 100)
@@ -152,7 +141,7 @@ def test_full_constraint_recovers_ambient(so3):
     spec = ConstraintSpec(
         ambient=so3,
         metric=TensorField.from_constants(np.eye(3), 0),
-        kinematic_basis=np.eye(3),
+        kinematic_basis=TensorField.from_constants(np.eye(3), 0),
     )
     b = build_constrained(spec)
     assert np.array_equal(structure_eval(b.algebroid, []).B, structure_eval(so3, []).B)
@@ -166,7 +155,7 @@ def test_so3_plane_constraint_is_static():
     spec = ConstraintSpec(
         ambient=so3_algebra(),
         metric=TensorField.from_constants(np.eye(3), 0),
-        kinematic_basis=[[1, 0, 0], [0, 1, 0]],
+        kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
     )
     b = build_constrained(spec)
     assert np.all(structure_eval(b.algebroid, []).B == 0.0)
@@ -299,10 +288,10 @@ def _frame_loop(spec, q):
             kept.append(w / np.sqrt(float(w @ Gv @ w)))
         return kept
 
-    d_frame = gram_schmidt(TensorField(spec.kinematic_basis, arity=n).eval(q))
+    d_frame = gram_schmidt(spec.kinematic_basis.eval(q))
     span = list(d_frame)
     if not spec.classical:
-        span = gram_schmidt(TensorField(spec.variational_basis, arity=n).eval(q))
+        span = gram_schmidt(spec.variational_basis.eval(q))
     perp = []
     for mu in range(M):
         if len(perp) == M - k:
@@ -385,7 +374,10 @@ def test_rank_deficient_basis_rejected():
     )
     with pytest.raises(InputError):
         build_constrained(
-            ConstraintSpec(kinematic_basis=[[1, 0, 0], [2, 0, 0]], **spec_kwargs)
+            ConstraintSpec(
+                kinematic_basis=tensor_from_config([[1, 0, 0], [2, 0, 0]], (2, 3), 0),
+                **spec_kwargs,
+            )
         )
 
 
@@ -394,8 +386,8 @@ def test_variational_rank_mismatch_rejected():
         ConstraintSpec(
             ambient=so3_algebra(),
             metric=TensorField.from_constants(np.eye(3), 0),
-            kinematic_basis=[[1, 0, 0], [0, 1, 0]],
-            variational_basis=[[1, 0, 0]],
+            kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
+            variational_basis=tensor_from_config([[1, 0, 0]], (1, 3), 0),
         )
 
 
@@ -406,8 +398,8 @@ def test_compatibility_failure_names_point():
         spec = ConstraintSpec(
             ambient=so3_algebra(),
             metric=TensorField.from_constants(np.eye(3), 0),
-            kinematic_basis=[[1, 0, 0], [0, 1, 0]],
-            variational_basis=[[0, 0, 1], [1, 0, 0]],
+            kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
+            variational_basis=tensor_from_config([[0, 0, 1], [1, 0, 0]], (2, 3), 0),
         )
         build_constrained(spec)
 
@@ -443,7 +435,7 @@ def test_legendre_free_particle():
     spec = ConstraintSpec(
         ambient=canonical_tangent(2),
         metric=TensorField.from_constants(np.eye(2), 2),
-        kinematic_basis=np.eye(2),
+        kinematic_basis=TensorField.from_constants(np.eye(2), 2),
     )
     ref = lagrangian_reference(spec, [0.3, -0.1], [0.0, 0.0], 1e-2, 50)
     assert ref.shape == (51, 4)
@@ -459,7 +451,7 @@ def test_legendre_euler_top_via_full_constraint(so3):
     spec = ConstraintSpec(
         ambient=so3,
         metric=TensorField.from_constants(np.diag([1.0, 2.0, 3.0]), 0),
-        kinematic_basis=np.eye(3),
+        kinematic_basis=TensorField.from_constants(np.eye(3), 0),
     )
     b = build_constrained(spec)
     v0 = np.array([0.2, -0.4, 0.3])
