@@ -27,7 +27,7 @@ import numpy as np
 from .algebroid import AlgebroidStructure, so3_constants
 from .connections import ConnectionPair, CurvatureTensor, default_split
 from .errors import InputError
-from .fields import _is_number, field_from_config_with_arity, tensor_from_config
+from .fields import MAX_COUNT, field_from_config_with_arity, is_finite_number, tensor_from_config
 from .hamiltonian import PhasePoint
 from .scenarios import (
     ConstraintSpec,
@@ -56,7 +56,7 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer of more digits than Python parses
         raise InputError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
@@ -82,25 +82,27 @@ def _validate_integration(icfg):
     if "h" not in icfg:
         raise InputError("integration.h is required")
     h = icfg["h"]
-    if not (_is_number(h) and math.isfinite(h) and h > 0):
+    if not (is_finite_number(h) and h > 0):
         raise InputError("integration.h must be positive and finite")
     _check_count(icfg.get("steps"), "integration.steps")
     _check_x0(icfg.get("x0"), "integration.x0")
 
 
-def _check_count(value, key, low=1):
+def _check_count(value, key, low=1, most=MAX_COUNT):
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise InputError(f"{key} must be an integer >= {low}")
+    if value > most:  # by default, the longest array axis
+        raise InputError(f"{key} is too large: no array holds more than {most} entries")
 
 
 def _check_positive(value, key):
     # a NaN tolerance fails every comparison and would pass a negative control
-    if not (_is_number(value) and math.isfinite(value) and value > 0):
+    if not (is_finite_number(value) and value > 0):
         raise InputError(f"{key} must be a finite number > 0")
 
 
 def _check_vector(value, key):
-    if not (isinstance(value, list) and all(_is_number(v) and math.isfinite(v) for v in value)):
+    if not (isinstance(value, list) and all(map(is_finite_number, value))):
         raise InputError(f"{key} must be a list of finite numbers")
 
 
@@ -112,8 +114,8 @@ def _check_x0(x0, key):
 
 
 def check_seed(value, key):
-    """A seed is an integer >= 0 (not a bool: ``true`` would read as 1)."""
-    _check_count(value, key, low=0)
+    """A seed is an integer >= 0 of any size (not a bool: ``true`` would read as 1)."""
+    _check_count(value, key, low=0, most=math.inf)
 
 
 def _validate_verification(vcfg):
@@ -325,8 +327,6 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
     """
     curv = cfg.get("curvature")
     split = cfg.get("split")
-    if curv is None and split is None:
-        return bundle
     A = bundle.algebroid
     new_curv = bundle.curvature
     if curv == "zero":
@@ -353,6 +353,8 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
         raise InputError(
             "scenario.split must be 'default', 'scenario' or a {'Dl','Dr'} pair"
         )
+    if new_curv is bundle.curvature and new_split is bundle.split:
+        return bundle  # nothing changed: keep the builder's one-evaluation lifted base
     return ScenarioBundle(
         algebroid=A,
         hamiltonian=bundle.hamiltonian,

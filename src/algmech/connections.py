@@ -8,9 +8,9 @@ on a Lie algebroid from the Koszul relation, and `curvature_at` assembles the
 lifts of a pair are the anchor columns of the lifted structure
 (``prolongation.prolong_eval``).
 
-``verify_split``, ``christoffels_at`` and ``curvature_at`` take one base
-point or a batch ``q[K, n]``, as the structure snapshot does; ``koszul_solve``
-and ``curvature_arrays`` take the arrays at the point instead.
+``verify_split`` and ``curvature_at`` take one base point or a batch
+``q[K, n]``, as the structure snapshot does; ``christoffels_at`` and
+``curvature_arrays`` take the arrays at the point instead.
 """
 
 from __future__ import annotations
@@ -114,29 +114,12 @@ def check_metric(Gv, q):
             raise InputError(f"metric not positive-definite at {point.tolist()}") from exc
 
 
-def christoffels_at(A: AlgebroidStructure, G: TensorField, q) -> np.ndarray:
-    """Levi-Civita Christoffels Gamma[c,a,b] of a fibre metric at ``q[n]`` or ``q[K, n]``.
+def christoffels_at(Gv, Gg, B, rho) -> np.ndarray:
+    """Levi-Civita Christoffels Gamma[c,a,b] from the metric jet, bracket and anchor.
 
-    Solves the Koszul relation 2 G(D_a s_b, .) = (anchor derivatives of G)
-    + (bracket contractions with G) at ``q``, one stacked solve for a batch.
-    Requires a skew bracket with equal anchors (a Lie-type frame); G must be
-    symmetric positive-definite, which is checked here when G varies (a
-    constant G is checked once, by :func:`levi_civita`).
-    """
-    q = A.check_point(q)
-    if G.shape != (A.m, A.m):
-        raise InputError("metric must be an [m,m] tensor over the base")
-    Gv, Gg = G.eval_grad(q)
-    if G._const is None:
-        check_metric(Gv, q)
-    s = structure_eval(A, q)
-    return koszul_solve(Gv, Gg, s.B, s.rho_l)
-
-
-def koszul_solve(Gv, Gg, B, rho) -> np.ndarray:
-    """Christoffels from the metric jet ``(Gv, Gg)``, the bracket and the anchor (batch axes first).
-
-    Solves 2 G_{cg} Gamma[c,a,b] = K[a,b,g] (:func:`_koszul_rhs`) for all (a, b) at once.
+    Solves 2 G_{cg} Gamma[c,a,b] = K[a,b,g] (:func:`_koszul_rhs`) for all (a, b)
+    at once, batch axes first.  Needs a Lie-type frame (skew bracket, equal
+    anchors) and an SPD metric, which the caller checks (:func:`check_metric`).
     """
     K = _koszul_rhs(Gv, Gg, B, rho)
     m = B.shape[-1]
@@ -147,17 +130,25 @@ def koszul_solve(Gv, Gg, B, rho) -> np.ndarray:
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G``.
 
-    One array-valued tensor over the batched Koszul solve, one solve per
-    evaluation; gradients are central differences with step
-    ``CHRISTOFFEL_FD_STEP``.  A bundle that needs it in several tensors at
-    one point solves once itself.  A constant metric is checked here, once.
+    One array-valued tensor, one :func:`christoffels_at` per evaluation;
+    gradients are central differences with step ``CHRISTOFFEL_FD_STEP``.  A
+    bundle that needs it in several tensors at one point solves once itself.
+    A constant metric is checked here, once; a varying one at each evaluation.
     """
     m = A.m
-    if G._const is not None and G.shape == (m, m):
+    if G.shape != (m, m):
+        raise InputError("metric must be an [m,m] tensor over the base")
+    if G._const is not None:
         check_metric(G._const, np.zeros(A.n))
-    return TensorField.from_array_fn(
-        lambda q: christoffels_at(A, G, q), (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP
-    )
+
+    def at(q):
+        Gv, Gg = G.eval_grad(q)
+        if G._const is None:
+            check_metric(Gv, q)
+        s = structure_eval(A, q)
+        return christoffels_at(Gv, Gg, s.B, s.rho_l)
+
+    return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,11 @@ of array operations.  Nested input, from a config or from code, becomes a
 packed tensor in one walk (:func:`tensor_from_config`); no entry is an object
 of its own.
 
-Derived tensors (Christoffel symbols, curvature, the adapted-frame and lifted
-structure functions) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
+Derived tensors (Christoffel symbols, curvature, the projected constrained and
+the lifted structure) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
 (:meth:`TensorField.from_array_fn`) gives the whole value at K points in one
-call, and its jet is one central-difference sweep over the whole array, all
-stencil points in one call.
+call, and its jet is one central-difference sweep, all stencil points in one
+call; the adapted frame's own arrays carry exact jets.
 
 Batch axis: every evaluation accepts one point ``q[n]`` or a batch
 ``q[K, n]`` and then returns its values with a leading axis of length K.  A
@@ -40,12 +40,14 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 
 import numpy as np
 
 from .errors import InputError, NumericError
 
 DEFAULT_FD_STEP = 1e-5
+MAX_COUNT = int(np.iinfo(np.intp).max)  # the largest length an array axis can have
 
 
 def fd_default_step() -> float:
@@ -333,8 +335,13 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def is_finite_number(value):
+    """A JSON number that a float holds: not NaN, an infinity or an int beyond float range."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
+
+
 def _is_count(value):
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
 def field_from_config_with_arity(obj, arity) -> SmoothField:
@@ -345,6 +352,8 @@ def field_from_config_with_arity(obj, arity) -> SmoothField:
     raises :class:`InputError` naming its key.
     """
     if _is_number(obj):
+        if not is_finite_number(obj):
+            raise InputError("coefficients must be finite")
         return SmoothField.constant(obj, arity)
     if not isinstance(obj, dict):
         raise InputError(f"field config must be an object, got {type(obj).__name__}")
@@ -354,7 +363,7 @@ def field_from_config_with_arity(obj, arity) -> SmoothField:
         raise InputError(f"field config 'arity' must be an integer >= 0, got {obj['arity']!r}")
     if "builtin" in obj:
         h = obj.get("h")
-        if h is not None and not (_is_number(h) and math.isfinite(h) and h > 0):
+        if h is not None and not (is_finite_number(h) and h > 0):
             raise InputError(f"field config 'h' must be a finite number > 0, got {h!r}")
         f = SmoothField.builtin(obj["builtin"], h=h)
     else:
@@ -363,9 +372,9 @@ def field_from_config_with_arity(obj, arity) -> SmoothField:
             raise InputError("field config 'terms' must be a list of objects")
         for t in terms:
             coef, exp = t.get("coef"), t.get("exp")
-            if not (_is_number(coef) and isinstance(exp, list) and all(map(_is_count, exp))):
+            if not (is_finite_number(coef) and isinstance(exp, list) and all(map(_is_count, exp))):
                 raise InputError(
-                    f"field term needs a number 'coef' and a list 'exp' of integers >= 0, got {t!r}"
+                    f"field term needs a finite 'coef' and a list 'exp' of integers >= 0, got {t!r}"
                 )
         f = SmoothField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
     if f.arity != arity:
@@ -658,7 +667,7 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
 
     def leaf(node, flat):
         if _is_number(node):
-            if not math.isfinite(node):
+            if not is_finite_number(node):
                 raise InputError("coefficients must be finite")
             if node != 0:
                 rows.append(flat)

@@ -32,10 +32,10 @@ from .connections import (
     ConnectionPair,
     CurvatureTensor,
     check_metric,
+    christoffels_at,
     curvature_arrays,
     curvature_field,
     default_split,
-    koszul_solve,
     levi_civita,
     metric_compatible_pair,
 )
@@ -392,18 +392,18 @@ class _AdaptedFrame:
     columns and the completing unit vectors, differentiated by
     :func:`_qr_jet` from the polynomial jets of the metric and the bases.
 
-    The core (frame and jet, adapted structure, cross Gram block and its
-    jet, projectors) is evaluated at K points ``Q[K, n]`` in one pass, every
-    array with a leading K axis; Gram-Schmidt and the completion loop over
-    columns, not points, and every product is one stacked matmul per point,
-    so row k equals the core at point k alone.  One point ``q[n]`` is the
-    K = 1 case.  Each :meth:`core_at` call is one frame evaluation; over a
-    point (n = 0) the one core is built with the frame.  Nothing is cached:
-    what the frame derives is a function of a core that its caller passes
-    in, and :meth:`lifted_base` gets the projected structure, the split and
-    the curvature at q from one core evaluation over the central-difference
-    stencil of q.  Other gradients of core quantities are central
-    differences of array-valued tensors over it.
+    The core (frame and jet, adapted structure, adapted metric and its jet,
+    projectors and the variational projector's jet) is evaluated at K points
+    ``Q[K, n]`` in one pass, every array with a leading K axis; Gram-Schmidt
+    and the completion loop over columns, not points, and every product is
+    one stacked matmul per point, so row k equals the core at point k alone.
+    One point ``q[n]`` is the K = 1 case.  Each :meth:`core_at` call is one
+    frame evaluation; over a point (n = 0) the one core and its
+    Christoffels are built with the frame.  Nothing is cached: what the
+    frame derives is a function of a core that its caller passes in, and
+    :meth:`lifted_base` gets the projected structure, the split and the
+    curvature at q from one core evaluation over the central-difference
+    stencil of q, which gives the Christoffels' jet there.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -417,24 +417,10 @@ class _AdaptedFrame:
         self._ambient = (
             None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
         )
-        self._point_core = None if self.n else self._compute_core(np.zeros(0))
-        if spec.classical:
-            # fully orthonormal frame: the adapted metric is exactly the identity
-            self.G_new_field = TensorField.from_constants(np.eye(self.M), self.n)
-        else:
-            self.G_new_field = self._field_from_core("G_new", (self.M, self.M))
-        self.Pi_field = self._field_from_core("Pi", (self.M, self.k))
-        M, n = self.M, self.n
-        # the adapted structure and its Christoffels as tensors, for jets (over
-        # a point they are constants, built here)
-        self.adapted = AlgebroidStructure(
-            n=n,
-            m=M,
-            bracket=self._field_from_core("C_new", (M, M, M)),
-            anchor_left=self._field_from_core("rho_new", (n, M)),
-            anchor_right=self._field_from_core("rho_new", (n, M)),
-        )
-        self.Gamma = levi_civita(self.adapted, self.G_new_field)
+        self._point_core = self._point_gamma = None
+        if not self.n:  # over a point: one core and one Christoffel solve, here
+            self._point_core = self._compute_core(np.zeros(0))
+            self._point_gamma = self.christoffels(np.zeros(0), self._point_core)
 
     def core_at(self, q):
         """The core at ``q[n]`` or at each point of ``q[K, n]``: one frame evaluation."""
@@ -522,6 +508,9 @@ class _AdaptedFrame:
         G_new = np.repeat(self._eye[None], K, axis=0)
         G_new[:, :k, k:] = g
         G_new[:, k:, :k] = g.swapaxes(1, 2)
+        dG_new = np.zeros((K, M, M, n))
+        dG_new[:, :k, k:] = dg
+        dG_new[:, k:, :k] = dg.swapaxes(1, 2)
         Ginv = G_new if spec.classical else np.linalg.inv(G_new)  # classical: the identity
         # U^T G U = G_new, so U^-1 = G_new^-1 U^T G
         Uinv = Ut @ Gv
@@ -552,33 +541,35 @@ class _AdaptedFrame:
             "rho_new": rho_new,
             "C_new": C_new,
             "G_new": G_new,
+            "dG_new": dG_new,
             "Ginv": Ginv,
             "g": g,
             "dg": dg,
             "P": P,
             "Pi": Pi,
         }
+        if n and not spec.classical:  # the classical projector is constant
+            # Pi is the first k columns of G_new^-1: d(G^-1) = -G^-1 dG G^-1 per direction
+            dPi = Ginv[:, None] @ np.moveaxis(dG_new, 3, 1) @ Ginv[:, None, :, :k]
+            core["dPi"] = -np.moveaxis(dPi, 1, 3)  # [K, M, k, n]
         return core if q.ndim == 2 else {key: value[0] for key, value in core.items()}
 
     # quantities derived from a core, at a point or a batch --------------------
 
-    def _field_from_core(self, key, shape):
-        return TensorField.from_array_fn(lambda q: self.core_at(q)[key], shape, self.n, h=self.h)
-
     def christoffels(self, q, core):
         """Levi-Civita Christoffels of the adapted metric at ``q``, from the core at ``q``.
 
-        Over a point, the constant solved with the frame; a varying metric
-        reads its jet over the stencil of ``q``.
+        One solve from the core's metric jet and adapted structure; over a
+        point, the one solved with the frame.  A generalized frame's metric
+        is checked where it is solved (the classical one is the identity).
         """
-        if self.Gamma._const is not None:
-            return self.Gamma.eval(q)
-        Gv, Gg = self.G_new_field.eval_grad(q)
-        if self.G_new_field._const is None:
-            check_metric(Gv, q)
-        return koszul_solve(Gv, Gg, core["C_new"], core["rho_new"])
+        if self._point_gamma is not None:
+            return np.broadcast_to(self._point_gamma, q.shape[:-1] + self._point_gamma.shape)
+        if not self.spec.classical:
+            check_metric(core["G_new"], q)
+        return christoffels_at(core["G_new"], core["dG_new"], core["C_new"], core["rho_new"])
 
-    def _projected(self, q, core, T):
+    def _projected(self, core, T):
         """Kinematic projection of a frame tensor ``T[..., M, M, M]`` (value, direction, argument).
 
         P (T[:, a, :] Pi + rho(s_a) Pi) for kinematic directions a: the
@@ -588,15 +579,14 @@ class _AdaptedFrame:
         k = self.k
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         inner = T[..., :k, :] @ Pi[..., None, :, :]
-        if self.n and not self.spec.classical:  # classical projector is constant
-            _, dPi = self.Pi_field.eval_grad(q)  # [..., M, k, n]
-            inner += rho[..., None, :, :k].swapaxes(-1, -2) @ dPi.swapaxes(-1, -2)
+        if "dPi" in core:  # only a generalized frame's projector varies
+            inner += rho[..., None, :, :k].swapaxes(-1, -2) @ core["dPi"].swapaxes(-1, -2)
         return _project_first(P, inner)
 
-    def projected_structure_at(self, q, core):
-        """Projected bracket coefficients B[c,a,b] and anchors at ``q``, from the core at ``q``."""
+    def projected_structure_at(self, core):
+        """Projected bracket coefficients B[c,a,b] and anchors from the core at a point or batch."""
         rho, Pi = core["rho_new"], core["Pi"]
-        B = self._projected(q, core, core["C_new"])
+        B = self._projected(core, core["C_new"])
         return B, np.ascontiguousarray(rho[..., : self.k]), rho @ Pi
 
     def split_at(self, q, core, Gam=None):
@@ -607,7 +597,7 @@ class _AdaptedFrame:
         k, Pi = self.k, core["Pi"]
         if Gam is None:
             Gam = self.christoffels(q, core)  # [..., M, M, M] value, direction, argument
-        Dl = self._projected(q, core, Gam)
+        Dl = self._projected(core, Gam)
         Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
 
@@ -620,7 +610,7 @@ class _AdaptedFrame:
         projection of the ambient Levi-Civita curvature.
         """
         if not self.n:  # over a point: the constants built with the frame, and no jet
-            core, Gam = self._point_core, self.Gamma.eval(q)
+            core, Gam = self._point_core, self.christoffels(q, self._point_core)
             dGam = np.zeros(Gam.shape + (0,))
         else:
             points = stencil(q, self.h)
@@ -630,7 +620,7 @@ class _AdaptedFrame:
             Gam = self.christoffels(flat, cores).reshape(lead + (self.M,) * 3)
             Gam, dGam = stencil_jet(Gam, self.h)
             core = {key: value.reshape(lead + value.shape[1:])[0] for key, value in cores.items()}
-        B, rho_l, rho_r = self.projected_structure_at(q, core)
+        B, rho_l, rho_r = self.projected_structure_at(core)
         Dl, Dr = self.split_at(q, core, Gam)
         R = curvature_arrays(Gam, dGam, core["C_new"], core["rho_new"])
         R = _project_first(core["P"], R[..., : self.k, : self.k, : self.k])
@@ -667,7 +657,7 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
         frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
 
     def structure_at(q):  # one core feeds the bracket and both anchors
-        return frame.projected_structure_at(q, frame.core_at(q))
+        return frame.projected_structure_at(frame.core_at(q))
 
     def piece(src, pos, shape):
         return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)

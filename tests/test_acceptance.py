@@ -305,7 +305,7 @@ def test_criterion_09_projection_consistency():
         for _ in range(npts):
             q = rng.uniform(-0.7, 0.7, frame.n)
             core = frame.core_at(q)
-            B, _, _ = frame.projected_structure_at(q, core)
+            B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q, core)
             worst_ct = max(worst_ct, np.max(np.abs(ct - B)))
@@ -325,7 +325,7 @@ def test_criterion_09_projection_consistency():
         q = rng.uniform(-0.7, 0.7, 3)
         core = frame.core_at(q)
         Dl, _ = frame.split_at(q, core)
-        Gam = frame.Gamma.eval(q)
+        Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         gv, gg = g.value(q), g.gradient(q)
         for a in range(frame.k):

@@ -30,7 +30,7 @@ from algmech.algebroid import (
     sym_skew_parts,
 )
 from algmech.config import build_scenario, load_config
-from algmech.connections import christoffels_at, curvature_at, levi_civita, verify_split
+from algmech.connections import curvature_at, levi_civita, verify_split
 from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
@@ -163,8 +163,8 @@ def test_christoffels_and_curvature_batch(K):
         (so3_algebra(), TensorField.from_constants(np.diag([1.0, 2.0, 3.0]), 0), np.zeros((K, 0))),
     ]
     for A, G, Q in cases:
-        assert _same(christoffels_at(A, G, Q), [christoffels_at(A, G, q) for q in Q])
         Gamma = levi_civita(A, G)
+        assert _same(Gamma.eval(Q), [Gamma.eval(q) for q in Q])
         assert _same(curvature_at(A, Gamma, Q), [curvature_at(A, Gamma, q) for q in Q])
         v, g = Gamma.eval_grad(Q)
         singles = [Gamma.eval_grad(q) for q in Q]
@@ -187,7 +187,7 @@ def test_a_metric_defect_in_a_batch_names_its_point():
     q, zero = SmoothField.coordinate(0, 1), SmoothField.zero(1)
     G = tensor_from_config([[q, zero], [zero, q]], (2, 2), 1)
     with pytest.raises(InputError, match=r"not positive-definite at \[-0.5\]"):
-        christoffels_at(A, G, [[0.5], [-0.5], [0.25]])
+        levi_civita(A, G).eval([[0.5], [-0.5], [0.25]])
 
 
 # -- probes: one draw per check, in the order of the per-probe draws ---------------
@@ -385,6 +385,30 @@ def test_frame_evaluations_of_each_point_check(frame_calls, name):
     frame_calls.clear()
     run_check(name, bundle, {"points": 3, "random_instances": 1}, 3)
     assert frame_calls == FRAME_EVALUATIONS[name]
+
+
+# a generalized frame over a curved chart (n = 2) reads its metric and projector
+# jets from its own core: a prolong_eval at 4 points is one evaluation over their
+# stencil (5 points each), and the point checks evaluate as the classical frame does
+CURVED_FRAME_EVALUATIONS = {
+    "prolong_eval": [20],
+    "theorem43_equivalence": [25, 15, 3],  # split check, prolong_eval, ham_field
+    "split_consistency": [3, 3, 3],  # the bracket, Dl, Dr
+}
+
+
+@pytest.mark.parametrize("name", list(CURVED_FRAME_EVALUATIONS))
+def test_frame_evaluations_of_a_curved_generalized_frame(frame_calls, name):
+    bundle, _ = _constrained("curved")
+    if name == "prolong_eval":
+        P = bundle.prolongation()
+        X, _ = _points(np.random.default_rng(6), bundle.algebroid, 4)
+        frame_calls.clear()
+        prolong_eval(P, X)
+    else:
+        frame_calls.clear()
+        run_check(name, bundle, {"points": 3, "random_instances": 1}, 3)
+    assert frame_calls == CURVED_FRAME_EVALUATIONS[name]
 
 
 def test_a_constrained_rk4_stage_is_one_frame_evaluation(frame_calls):

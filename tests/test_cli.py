@@ -604,6 +604,54 @@ def test_a_check_size_too_large_to_allocate_is_named(tmp_path, capsys, where, me
     assert not report.exists()
 
 
+# (shipped config, command, leaf, the key the error names): a JSON integer beyond
+# float range, or beyond the length of any array axis, exits 1 with no traceback
+HUGE = 10**400
+TERM = ("scenario", "hamiltonian", "terms", 0)
+BEYOND_RANGE = {
+    "metric-entry": ("contorsion_skew", "simulate", ("scenario", "metric", 1, 1),
+                     "scenario.metric[1][1]"),
+    "term-coef": ("canonical_harmonic", "simulate", TERM + ("coef",), "'coef'"),
+    "term-exp": ("canonical_harmonic", "simulate", TERM + ("exp", 0), "'exp'"),
+    "step": ("canonical_harmonic", "simulate", ("integration", "h"), "integration.h"),
+    "x0-q": ("canonical_harmonic", "simulate", ("integration", "x0", "q", 0), "integration.x0.q"),
+    "check-tolerance": ("canonical_harmonic", "verify", ("verification", "checks", 0),
+                        "verification.checks[0].tolerance"),
+    "steps": ("canonical_harmonic", "simulate", ("integration", "steps"),
+              "integration.steps is too large"),
+    "points": ("canonical_harmonic", "verify", ("verification", "points"),
+               "verification.points is too large"),
+}
+
+
+@pytest.mark.parametrize(
+    "name,command,leaf,key", list(BEYOND_RANGE.values()), ids=list(BEYOND_RANGE)
+)
+def test_a_number_beyond_range_is_named(tmp_path, capsys, name, command, leaf, key):
+    from algmech.cli import main
+
+    value = {"name": "closedness", "tolerance": HUGE} if key.endswith("tolerance") else HUGE
+    cfg = _with_leaf(json.loads((CONFIG_DIR / f"{name}.json").read_text()), leaf, value)
+    out = tmp_path / "out"
+    flag = "--out" if command == "simulate" else "--report"
+    assert main([command, write_config(tmp_path, cfg), flag, str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err, err
+    assert not out.exists()
+
+
+def test_an_integer_of_too_many_digits_is_refused(tmp_path, capsys):
+    from algmech.cli import main
+
+    # Python refuses to parse integers of more than 4300 digits (3.11 on)
+    path = pathlib.Path(harmonic_config(tmp_path))
+    path.write_text(path.read_text().replace('"steps": 5000', '"steps": ' + "1" * 5000))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_base_checks_over_a_point_evaluate_its_one_point(tmp_path):
     # over a point all base probes are the same empty point; 10**15 of them never returned,
     # so the run is a child with a timeout

@@ -13,7 +13,7 @@ from algmech.connections import (
     ConnectionPair,
     _koszul_rhs,
     CurvatureTensor,
-    christoffels_at,
+    curvature_arrays,
     curvature_at,
     curvature_field,
     curvature_identity_residuals,
@@ -89,14 +89,14 @@ def test_levi_civita_curved_plane(canonical2):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_christoffels_at_curved_plane_closed_form(canonical2, seed):
     """diag(1, 1 + x^2) in (x, y): Gamma^x_yy = -x, Gamma^y_xy = Gamma^y_yx = x / (1 + x^2)."""
-    G = curved_plane_metric()
+    Gamma = levi_civita(canonical2, curved_plane_metric())
     rng = np.random.default_rng(seed)
     for q in rng.uniform(-2.0, 2.0, size=(8, 2)):
         x = float(q[0])
         expected = np.zeros((2, 2, 2))
         expected[0, 1, 1] = -x
         expected[1, 0, 1] = expected[1, 1, 0] = x / (1.0 + x * x)
-        assert np.max(np.abs(christoffels_at(canonical2, G, q) - expected)) <= 1e-14
+        assert np.max(np.abs(Gamma.eval(q) - expected)) <= 1e-14
 
 
 def _koszul_rhs_loop(Gv, Gg, Bv, rho):
@@ -193,7 +193,7 @@ def test_christoffels_and_curvature_are_bit_equal_to_per_component_fields(which,
     m, n = A.m, A.n
     Gamma = levi_civita(A, G)
     R = curvature_field(A, Gamma).R
-    ref_gamma = _per_component_fd(lambda q: christoffels_at(A, G, q), (m, m, m), n)
+    ref_gamma = _per_component_fd(Gamma.eval, (m, m, m), n)
     ref_R = _per_component_fd(lambda q: curvature_at(A, ref_gamma, q), (m,) * 4, n)
     rng = np.random.default_rng(17)
     for q in [np.zeros(n)] + [rng.uniform(-1, 1, size=n) for _ in range(3)]:
@@ -316,7 +316,7 @@ def test_connection_axioms_for_scenario_built_pair():
         q = rng.uniform(-0.8, 0.8, 3)
         core = frame.core_at(q)
         Dl, _ = frame.split_at(q, core)
-        Gam = frame.Gamma.eval(q)
+        Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         fv = np.array([fc.value(q) for fc in f])
         gv = np.array([gc.value(q) for gc in g])
@@ -355,10 +355,15 @@ def test_split_consistency_for_torsion_free_pair(canonical2):
 def test_curvature_identities_for_projected_connection():
     spec = tr3_classical_spec()
     frame = _AdaptedFrame(spec)
+    # the adapted Christoffels with a central-difference jet at the frame's step
+    Gamma = TensorField.from_array_fn(
+        lambda Q: frame.christoffels(Q, frame.core_at(Q)), (frame.M,) * 3, frame.n, h=frame.h
+    )
     rng = np.random.default_rng(10)
     for _ in range(5):
         q = rng.uniform(-0.8, 0.8, 3)
-        R = curvature_at(frame.adapted, frame.Gamma, q)
+        core = frame.core_at(q)
+        R = curvature_arrays(*Gamma.eval_grad(q), core["C_new"], core["rho_new"])
         assert np.max(np.abs(R + np.swapaxes(R, 1, 2))) <= 1e-5
         cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))
         assert np.max(np.abs(cyc)) <= 1e-5

@@ -170,7 +170,7 @@ def test_ctilde_display_matches_direct_and_split_difference():
         for _ in range(4):
             q = rng.uniform(-0.7, 0.7, frame.n)
             core = frame.core_at(q)
-            B, _, _ = frame.projected_structure_at(q, core)
+            B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q, core)
             assert np.max(np.abs(ct - B)) <= 1e-8
@@ -208,29 +208,47 @@ def test_ctilde_display_matches_entrywise_loop():
 
 
 def test_ctilde_display_on_a_curved_generalized_frame():
-    # the cross block g varies over the base; the projected bracket still reads
-    # the variational projector's jet by central differences, hence 1e-6
+    # the cross block g varies over the base; the projected bracket reads the
+    # variational projector's exact jet from the core
     frame = _AdaptedFrame(generalized_curved_spec())
     rng = np.random.default_rng(5)
     for _ in range(4):
         q = rng.uniform(-0.7, 0.7, frame.n)
-        B, _, _ = frame.projected_structure_at(q, frame.core_at(q))
+        B, _, _ = frame.projected_structure_at(frame.core_at(q))
         assert np.max(np.abs(frame.core_at(q)["dg"])) > 0.01
-        assert np.max(np.abs(ctilde_display(frame, q) - B)) <= 1e-6
+        assert np.max(np.abs(ctilde_display(frame, q) - B)) <= 1e-13
 
 
 # -- exact adapted-frame jet --------------------------------------------------
 
 
-def _fd_jet(key, shape, frame, q):
-    """A central-difference sweep of the core entry ``key`` with the frame's step.
+def _fd_jet(key, shape, frame, q, h=None):
+    """A central-difference sweep of the core entry ``key``, by default with the frame's step.
 
     The stencil is one batch of the core, so its centre row must equal the
     core at ``q`` alone bit for bit.
     """
     return TensorField.from_array_fn(
-        lambda Q: frame.core_at(Q)[key], shape, frame.n, h=frame.h
+        lambda Q: frame.core_at(Q)[key], shape, frame.n, h=h or frame.h
     ).eval_grad(q)
+
+
+def test_exact_metric_and_projector_jets_match_central_differences():
+    """``dG_new`` and ``dPi`` of a generalized frame over a curved chart, at 20 points.
+
+    Central differences converge to them as O(h^2): the error falls 100x per
+    decade of h until rounding, so 50x from 1e-3 to 1e-4 is required.
+    """
+    frame = _AdaptedFrame(generalized_curved_spec())
+    M, k = frame.M, frame.k
+    Q = np.random.default_rng(23).uniform(-0.7, 0.7, (20, frame.n))
+    core = frame.core_at(Q)
+    for key, shape, jet in (("G_new", (M, M), core["dG_new"]), ("Pi", (M, k), core["dPi"])):
+        errors = [
+            np.max(np.abs(jet - _fd_jet(key, shape, frame, Q, h)[1])) for h in (1e-3, 1e-4, 1e-5)
+        ]
+        assert errors[0] >= 50 * errors[1], (key, errors)
+        assert errors[2] <= 1e-6 * (1 + np.max(np.abs(jet))), (key, errors)
 
 
 @pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])
@@ -543,7 +561,7 @@ def test_adapted_frame_is_freed_after_use():
 
     frame = scenarios._AdaptedFrame(tr3_classical_spec())
     q = np.array([0.1, -0.2, 0.3])
-    frame.projected_structure_at(q, frame.core_at(q))
+    frame.projected_structure_at(frame.core_at(q))
     ref = weakref.ref(frame)
     del frame
     gc.collect()
@@ -586,13 +604,13 @@ def test_a_gradient_extension_rk4_step_solves_the_koszul_relation_at_most_twice(
     from algmech.config import build_scenario, initial_point, load_config
 
     solves = []
-    koszul_solve = connections.koszul_solve
+    christoffels_at = connections.christoffels_at
 
     def counted(*args):
         solves.append(1)
-        return koszul_solve(*args)
+        return christoffels_at(*args)
 
-    monkeypatch.setattr(connections, "koszul_solve", counted)
+    monkeypatch.setattr(connections, "christoffels_at", counted)
     path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "gradient_extension.json"
     cfg = load_config(path)
     bundle, _ = build_scenario(cfg.scenario)
@@ -617,3 +635,54 @@ def test_a_bundle_with_an_overridden_split_checks_its_own_pair():
     with pytest.raises(InvalidStructureError):
         broken.prolongation()
     assert bundle.prolongation() is P
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"curvature": "scenario"},
+        {"split": "scenario"},
+        {"curvature": "scenario", "split": "scenario"},
+    ],
+    ids=["curvature", "split", "both"],
+)
+def test_a_scenario_override_keeps_the_one_evaluation_base(frame_calls, monkeypatch, override):
+    """"scenario" keeps the builder's choice, and with it the builder's lifted base.
+
+    A prolong_eval at 4 points on nonholonomic_classical is one frame evaluation
+    over their stencil, and on gradient_extension one Koszul solve.
+    """
+    import pathlib
+
+    import algmech.connections as connections
+    import algmech.scenarios as scenarios
+    from algmech.config import build_scenario, load_config
+    from algmech.prolongation import prolong_eval
+
+    solves = []
+    christoffels_at = connections.christoffels_at
+
+    def counted(*args):
+        solves.append(1)
+        return christoffels_at(*args)
+
+    for module in (connections, scenarios):  # levi_civita's and the frame's solve
+        monkeypatch.setattr(module, "christoffels_at", counted)
+    configs = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    counts = {}
+    for name in ("nonholonomic_classical", "gradient_extension"):
+        scenario = load_config(configs / f"{name}.json").scenario
+        for extra in ({}, override):
+            bundle, _ = build_scenario({**scenario, **extra})
+            P = bundle.prolongation()
+            A = bundle.algebroid
+            rng = np.random.default_rng(8)
+            x = PhasePoint(rng.uniform(-0.5, 0.5, (4, A.n)), rng.uniform(-0.5, 0.5, (4, A.m)))
+            frame_calls.clear()
+            solves.clear()
+            prolong_eval(P, x)
+            counts[name, bool(extra)] = (list(frame_calls), len(solves))
+    assert counts["nonholonomic_classical", False] == ([28], 1)
+    assert counts["gradient_extension", False] == ([], 1)
+    for name in ("nonholonomic_classical", "gradient_extension"):
+        assert counts[name, True] == counts[name, False], name
