@@ -169,7 +169,10 @@ def _monitors_from(cfg, arity):
     monitors = cfg.get("monitors") or {}
     if not isinstance(monitors, dict):
         raise InputError("scenario.monitors must be an object of named fields")
-    return {name: field_from_config_with_arity(obj, arity) for name, obj in monitors.items()}
+    return {
+        name: field_from_config_with_arity(obj, arity, f"scenario.monitors.{name}")
+        for name, obj in monitors.items()
+    }
 
 
 def _square_rank(cfg, key):
@@ -185,7 +188,7 @@ def _build_canonical(cfg):
     _check_count(n, "scenario.n")
     if "hamiltonian" not in cfg:
         raise InputError("scenario.hamiltonian is required for kind 'canonical'")
-    H = field_from_config_with_arity(cfg["hamiltonian"], 2 * n)
+    H = field_from_config_with_arity(cfg["hamiltonian"], 2 * n, "scenario.hamiltonian")
     return build_canonical(n, H, monitors=_monitors_from(cfg, 2 * n)), None
 
 
@@ -207,7 +210,7 @@ def _build_lie_poisson(cfg):
             raise InputError("scenario.inertia length must equal the structure rank")
         H = euler_top_hamiltonian(cfg["inertia"])
     elif "hamiltonian" in cfg:
-        H = field_from_config_with_arity(cfg["hamiltonian"], m)
+        H = field_from_config_with_arity(cfg["hamiltonian"], m, "scenario.hamiltonian")
     else:
         raise InputError("scenario needs 'hamiltonian' or 'inertia'")
     if structure == "so3" and "casimir" not in monitors:
@@ -262,7 +265,7 @@ def _build_constrained(cfg, generalized):
     var = _basis_rows(cfg, "variational_basis", M, n) if generalized else None
     V = None
     if cfg.get("potential") is not None:
-        V = field_from_config_with_arity(cfg["potential"], n)
+        V = field_from_config_with_arity(cfg["potential"], n, "scenario.potential")
     spec = ConstraintSpec(
         ambient=ambient,
         metric=G,
@@ -285,7 +288,7 @@ def _build_contorsion(cfg):
         T = tensor_from_config(cfg["torsion"], (n, n, n), n, key="scenario.torsion")
     V = None
     if cfg.get("potential") is not None:
-        V = field_from_config_with_arity(cfg["potential"], n)
+        V = field_from_config_with_arity(cfg["potential"], n, "scenario.potential")
     return build_contorsion(G, S=S, T=T, V=V), None
 
 

@@ -344,41 +344,47 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
-def field_from_config_with_arity(obj, arity) -> SmoothField:
-    """Parse the config form of a field over a chart of dimension ``arity``.
+def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
+    """Parse the config form of the field ``key`` over a chart of dimension ``arity``.
 
     A plain number is a constant; an object names its ``arity`` and holds
     either polynomial ``terms`` or a ``builtin`` name.  A malformed field
-    raises :class:`InputError` naming its key.
+    raises :class:`InputError` ending ``at <key>``, a malformed term
+    ``at <key>.terms[i]``; neither echoes the offending value.
     """
-    if _is_number(obj):
-        if not is_finite_number(obj):
-            raise InputError("coefficients must be finite")
-        return SmoothField.constant(obj, arity)
-    if not isinstance(obj, dict):
-        raise InputError(f"field config must be an object, got {type(obj).__name__}")
-    if "arity" not in obj:
-        raise InputError("field config missing 'arity'")
-    if not _is_count(obj["arity"]):
-        raise InputError(f"field config 'arity' must be an integer >= 0, got {obj['arity']!r}")
-    if "builtin" in obj:
-        h = obj.get("h")
-        if h is not None and not (is_finite_number(h) and h > 0):
-            raise InputError(f"field config 'h' must be a finite number > 0, got {h!r}")
-        f = SmoothField.builtin(obj["builtin"], h=h)
-    else:
-        terms = obj.get("terms", [])
-        if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
-            raise InputError("field config 'terms' must be a list of objects")
-        for t in terms:
-            coef, exp = t.get("coef"), t.get("exp")
-            if not (is_finite_number(coef) and isinstance(exp, list) and all(map(_is_count, exp))):
-                raise InputError(
-                    f"field term needs a finite 'coef' and a list 'exp' of integers >= 0, got {t!r}"
-                )
-        f = SmoothField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
-    if f.arity != arity:
-        raise InputError(f"field arity {f.arity} does not match expected {arity}")
+    where = key
+    try:
+        if _is_number(obj):
+            if not is_finite_number(obj):
+                raise InputError("coefficients must be finite")
+            return SmoothField.constant(obj, arity)
+        if not isinstance(obj, dict):
+            raise InputError(f"field config must be an object, got {type(obj).__name__}")
+        if not _is_count(obj.get("arity")):
+            raise InputError("field config needs an 'arity', an integer >= 0")
+        if "builtin" in obj:
+            h = obj.get("h")
+            if h is not None and not (is_finite_number(h) and h > 0):
+                raise InputError("field config 'h' must be a finite number > 0")
+            f = SmoothField.builtin(obj["builtin"], h=h)
+        else:
+            terms = obj.get("terms", [])
+            if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
+                raise InputError("field config 'terms' must be a list of objects")
+            for i, t in enumerate(terms):
+                coef, exp = t.get("coef"), t.get("exp")
+                if not (
+                    is_finite_number(coef) and isinstance(exp, list) and all(map(_is_count, exp))
+                ):
+                    where = f"{key}.terms[{i}]"
+                    raise InputError(
+                        "field term needs a finite 'coef' and a list 'exp' of integers >= 0"
+                    )
+            f = SmoothField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
+        if f.arity != arity:
+            raise InputError(f"field arity {f.arity} does not match expected {arity}")
+    except InputError as exc:
+        raise InputError(f"{exc} at {where}") from exc
     return f
 
 
@@ -665,18 +671,20 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
     rows, coefs, exps, others = [], [], [], []
     constant = [0] * int(arity)
 
-    def leaf(node, flat):
+    def leaf(node, flat, where):
         if _is_number(node):
             if not is_finite_number(node):
-                raise InputError("coefficients must be finite")
+                raise InputError(f"coefficients must be finite at {where}")
             if node != 0:
                 rows.append(flat)
                 coefs.append(float(node))
                 exps.append(constant)
             return
-        f = node if isinstance(node, SmoothField) else field_from_config_with_arity(node, arity)
+        f = node
+        if not isinstance(f, SmoothField):
+            f = field_from_config_with_arity(node, arity, where)
         if f.arity != arity:
-            raise InputError(f"field arity {f.arity} does not match expected {arity}")
+            raise InputError(f"field arity {f.arity} does not match expected {arity} at {where}")
         if f.kind != "polynomial":
             others.append((flat, f))
             return
@@ -687,17 +695,15 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
 
     def walk(node, idx, flat):
         depth = len(idx)
-        try:
-            if depth == len(shape):
-                return leaf(node, flat)
-            if not isinstance(node, list) or len(node) != shape[depth]:
-                got = len(node) if isinstance(node, list) else type(node).__name__
-                raise InputError(
-                    f"tensor config does not match shape {list(shape)}: expected a list of "
-                    f"{shape[depth]} entries, got {got}"
-                )
-        except InputError as exc:
-            raise InputError(f"{exc} at {key}{''.join(f'[{i}]' for i in idx)}") from exc
+        where = f"{key}{''.join(f'[{i}]' for i in idx)}"
+        if depth == len(shape):
+            return leaf(node, flat, where)
+        if not isinstance(node, list) or len(node) != shape[depth]:
+            got = len(node) if isinstance(node, list) else type(node).__name__
+            raise InputError(
+                f"tensor config does not match shape {list(shape)}: expected a list of "
+                f"{shape[depth]} entries, got {got} at {where}"
+            )
         for i, child in enumerate(node):
             walk(child, idx + (i,), flat * shape[depth] + i)
 

@@ -11,8 +11,10 @@ functions into one :class:`ScenarioBundle`.  Covered families:
   variational subbundle) built by metric Gram-Schmidt from ambient data,
 * bracket modifications of cotangent dynamics by a torsion/contorsion tensor.
 
-A Lagrangian-side reference integrator for the constrained family provides an
-independent oracle for the momentum-side trajectories.
+For the constrained family, :func:`lagrangian_reference` integrates the
+Lagrange-d'Alembert equations in ambient coordinates from the spec's own data.
+It shares no arithmetic with the adapted frame of the momentum side, so it is
+an independent oracle for the momentum-side trajectories.
 """
 
 from __future__ import annotations
@@ -404,6 +406,10 @@ class _AdaptedFrame:
     :meth:`lifted_base` gets the projected structure, the split and the
     curvature at q from one core evaluation over the central-difference
     stencil of q, which gives the Christoffels' jet there.
+
+    Only the momentum side is built on the frame: the velocity-side oracle,
+    :func:`lagrangian_reference`, never evaluates it, so a defect here moves
+    one side of ``legendre_equivalence`` and not the other.
     """
 
     def __init__(self, spec: ConstraintSpec):
@@ -687,42 +693,83 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
 
 
 def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
-    """Velocity-side reference trajectory for a constrained system.
+    """Velocity-side reference trajectory of a constrained system, in ambient coordinates.
 
-    Integrates, in the same adapted orthonormal frame as
-    :func:`build_constrained` but through the ambient Christoffel route,
+    Reads only the spec's data, never the adapted frame: the metric G and
+    the kinematic rows D with their jets, the variational rows W (D if
+    classical), the ambient structure (B, rho) and the potential V.  RK4
+    integrates the Lagrange-d'Alembert equations of L = 1/2 w^T G w - V in
+    the state (q, u), w = D^T u:
 
-        dq/dt = rho_l v,
-        dv_c/dt = - sum_ab Gamma[c,a,b] v_a v_b - sum_i rho_r[i,c] dV/dq_i,
+        dq/dt = rho w,
+        (W G D^T) du/dt = -W [(d_qdot G) w + G (d_qdot D)^T u - B(G w, w)
+                              - rho^T (1/2 w^T dG w - dV)],
 
-    with Gamma the ambient Levi-Civita Christoffels in the adapted frame.
-    Returns the states ``(q, v)`` at t = 0, h, .., steps h as one array
-    ``[steps + 1, n + k]``.  Under the identity pairing of velocities with
-    momenta in this frame, they must track the momentum-side trajectory of the
-    built scenario (its ``states()``).
+    B(G w, w)_b = sum_{c,a} B[c,a,b] (G w)_c w_a; the reaction lies in the
+    annihilator of W, so its multipliers drop out of the one k x k solve
+    per stage.  Constant data, and all data over a point, is read once.
+    Velocities v are components in E = D^T L^-T, the metric Gram-Schmidt of
+    the rows of D (L L^T = D G D^T): w0 = E v0, and v = E^T G w = L^T u
+    over all samples in one batch after the loop.  Returns the states
+    ``(q, v)`` at t = 0, h, .., steps h, ``[steps + 1, n + k]``; they must
+    track the momentum-side trajectory of the built scenario (its ``states()``).
     """
-    frame = _AdaptedFrame(spec)
-    k, n = frame.k, frame.n
+    A = spec.ambient
+    M, n, k = A.m, A.n, spec.rank
     v0 = np.asarray(v0, dtype=float).reshape(-1)
     q0 = np.asarray(q0, dtype=float).reshape(-1)
     if v0.shape[0] != k or q0.shape[0] != n:
         raise InputError("initial data does not match the constrained dimensions")
-    V = spec.potential
+
+    def constant(T):  # a tensor that is absent counts as constant
+        return T is None or T._const is not None or not n
+
+    def once(T, read):
+        """``read``, a method of T; a constant T is read here, once."""
+        if not constant(T):
+            return read
+        value = read(q0)
+        return lambda q: value
+
+    metric = once(spec.metric, spec.metric.eval_grad)
+    kinematic = once(spec.kinematic_basis, spec.kinematic_basis.eval_grad)
+    if not spec.classical:
+        variational = once(spec.variational_basis, spec.variational_basis.eval)
+
+    def data(q):  # G and its jet, D and its jet, and (W G D^T)^-1 W at q
+        (G, dG), (D, dD) = metric(q), kinematic(q)
+        W = D if spec.classical else variational(q)
+        return G, dG, D, dD, np.linalg.solve(W @ G @ D.T, W)
+
+    s = structure_eval(A, q0) if not (A._varying and n) else None
+    V = spec.potential if n else None
 
     def rhs(y):
-        q, v = y[:n], y[n:]
-        core = frame.core_at(q)
-        Gam = frame.christoffels(q, core)
-        rho_l = core["rho_new"][:, :k]
-        dq = rho_l @ v if n else np.zeros(0)
-        dv = -np.einsum("cab,a,b->c", Gam[:k, :k, :k], v, v)
-        if V is not None and n:
-            rho_r = core["rho_new"] @ core["Pi"]
-            dv -= rho_r.T @ V._gradient(q)
-        return np.concatenate([dq, dv])
+        q, u = y[:n], y[n:]
+        G, dG, D, dD, R = fixed or data(q)
+        snap = s or structure_eval(A, q)
+        w = u @ D
+        f = -(w @ (G @ w @ snap.B.reshape(M, M * M)).reshape(M, M))  # -B(G w, w)
+        if not n:
+            return -(R @ f)
+        qdot = snap.rho_l @ w
+        f += dG @ qdot @ w + G @ (u @ (dD @ qdot)) - 0.5 * snap.rho_l.T @ (w @ (w @ dG))
+        if V is not None:
+            f += snap.rho_l.T @ V._gradient(q)
+        return np.concatenate([qdot, -(R @ f)])
+
+    def gram_factor(q):  # L at q, or at each sample of q[K, n]
+        G, D = metric(q)[0], kinematic(q)[0]
+        return np.linalg.cholesky(D @ G @ D.swapaxes(-1, -2))
 
     Y = np.empty((int(steps) + 1, n + k))
-    Y[0] = np.concatenate([q0, v0])
-    for step in range(int(steps)):
-        Y[step + 1] = rk4_step(rhs, Y[step], h)
+    try:
+        tensors = (spec.metric, spec.kinematic_basis, spec.variational_basis)
+        fixed = data(q0) if all(map(constant, tensors)) else None
+        Y[0] = np.concatenate([q0, np.linalg.solve(gram_factor(q0).T, v0)])
+        for step in range(int(steps)):
+            Y[step + 1] = rk4_step(rhs, Y[step], h)
+        Y[:, n:] = (Y[:, None, n:] @ gram_factor(Y[:, :n]))[:, 0]
+    except np.linalg.LinAlgError as exc:  # rows that are no frame along the way
+        raise NumericError(f"constrained reference failed: {exc}") from exc
     return Y

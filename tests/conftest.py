@@ -180,6 +180,20 @@ def generalized_so3_spec():
     )
 
 
+def generalized_so3_inertia_spec():
+    """The servo bases of :func:`generalized_so3_spec` under the metric diag(1, 2, 3).
+
+    Under the unit metric the constrained field is zero and p(t) stays put;
+    under this one it moves, so a Legendre comparison on it measures something.
+    """
+    return ConstraintSpec(
+        ambient=so3_algebra(),
+        metric=TensorField.from_constants(np.diag([1.0, 2.0, 3.0]), 0),
+        kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
+        variational_basis=tensor_from_config([[1, 0, 0], [0, 1, 1]], (2, 3), 0),
+    )
+
+
 def se2r_algebra():
     """Planar-motion algebra plus a central direction, as constants."""
     C = np.zeros((4, 4, 4))

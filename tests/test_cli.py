@@ -652,6 +652,29 @@ def test_an_integer_of_too_many_digits_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+# (shipped config, leaf, value, the key the error names): a field given outside a
+# tensor named no key, and a bad term echoed all 400 digits of its coefficient
+BARE_FIELDS = {
+    "potential": ("contorsion_skew", ("scenario", "potential"), HUGE, "scenario.potential"),
+    "monitor": ("canonical_harmonic", ("scenario", "monitors"), {"m": float("nan")},
+                "scenario.monitors.m"),
+    "term": ("canonical_harmonic", TERM + ("coef",), HUGE, "scenario.hamiltonian.terms[0]"),
+}
+
+
+@pytest.mark.parametrize("name,leaf,value,key", list(BARE_FIELDS.values()), ids=list(BARE_FIELDS))
+def test_a_bare_field_names_its_key(tmp_path, capsys, name, leaf, value, key):
+    from algmech.cli import main
+
+    cfg = _with_leaf(json.loads((CONFIG_DIR / f"{name}.json").read_text()), leaf, value)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.rstrip()
+    assert err.startswith("error: ") and err.endswith(f" at {key}"), err
+    assert len(err) < 200, err
+    assert not out.exists()
+
+
 def test_base_checks_over_a_point_evaluate_its_one_point(tmp_path):
     # over a point all base probes are the same empty point; 10**15 of them never returned,
     # so the run is a child with a timeout

@@ -1,8 +1,10 @@
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
+from algmech import connections, scenarios
 from algmech.algebroid import structure_checks, structure_eval
 from algmech.connections import verify_split
 from algmech.errors import InputError
@@ -22,6 +24,7 @@ from conftest import (
     ctilde_display,
     curved_plane_metric,
     generalized_curved_spec,
+    generalized_so3_inertia_spec,
     generalized_so3_spec,
     nonjacobi_spec,
     se2r_algebra,
@@ -477,6 +480,66 @@ def test_legendre_euler_top_via_full_constraint(so3):
     ref = lagrangian_reference(spec, v0, [], 1e-3, 1000)
     worst = max(np.max(np.abs(z - v)) for z, v in zip(traj.states(), ref))  # n = 0: z = p
     assert worst <= 1e-6
+
+
+# spec -> (builder, q0, v0, whether p(t) moves); generalized_so3 is the shipped
+# generalized_servo, whose constrained field is zero
+LEGENDRE_SPECS = {
+    "tr3_classical": (tr3_classical_spec, [0.4, -0.2, 0.1], [0.5, -0.3], True),
+    "generalized_curved": (generalized_curved_spec, [0.3, -0.2], [0.4, 0.2], True),
+    "generalized_so3": (generalized_so3_spec, [], [0.7, -0.4], False),
+    "generalized_so3_inertia": (generalized_so3_inertia_spec, [], [0.7, -0.4], True),
+}
+
+
+@pytest.mark.parametrize("name", list(LEGENDRE_SPECS))
+def test_legendre_reference_never_evaluates_the_adapted_frame(monkeypatch, name):
+    make, q0, v0, _ = LEGENDRE_SPECS[name]
+    spec = make()
+
+    def refuse(*args):
+        raise AssertionError("the reference evaluated the adapted frame or its Christoffels")
+
+    monkeypatch.setattr(_AdaptedFrame, "_compute_core", refuse)
+    monkeypatch.setattr(connections, "christoffels_at", refuse)
+    monkeypatch.setattr(scenarios, "christoffels_at", refuse)
+    ref = lagrangian_reference(spec, v0, q0, 1e-3, 50)
+    assert ref.shape == (51, len(q0) + len(v0)) and np.isfinite(ref).all()
+
+
+@pytest.mark.parametrize("name", list(LEGENDRE_SPECS))
+def test_legendre_reference_agrees_with_the_momentum_route(name):
+    make, q0, v0, moves = LEGENDRE_SPECS[name]
+    spec = make()
+    b = build_constrained(spec)
+    Z = integrate(b.algebroid, b.hamiltonian, PhasePoint(q0, v0), 1e-3, 300).states()
+    ref = lagrangian_reference(spec, v0, q0, 1e-3, 300)
+    assert np.max(np.abs(Z - ref)) <= 1e-12
+    # a constant p(t) would make the comparison an identity
+    assert (np.max(np.abs(Z[:, len(q0):] - Z[0, len(q0):])) > 1e-3) == moves
+
+
+@pytest.mark.parametrize("make", [generalized_so3_spec, generalized_so3_inertia_spec])
+def test_legendre_reference_reads_data_over_a_point_once(monkeypatch, make):
+    spec = make()
+    reads = collections.Counter()
+    for method in ("eval", "eval_grad"):
+
+        def counted(self, q, read=getattr(TensorField, method)):
+            reads[id(self)] += 1
+            return read(self, q)
+
+        monkeypatch.setattr(TensorField, method, counted)
+    structure = scenarios.structure_eval
+
+    def counted_structure(A, q):
+        reads["structure"] += 1
+        return structure(A, q)
+
+    monkeypatch.setattr(scenarios, "structure_eval", counted_structure)
+    lagrangian_reference(spec, [0.7, -0.4], [], 1e-3, 100)
+    tensors = (spec.metric, spec.kinematic_basis, spec.variational_basis)
+    assert reads == {**{id(T): 1 for T in tensors}, "structure": 1}
 
 
 # -- contorsion ---------------------------------------------------------------

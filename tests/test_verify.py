@@ -257,8 +257,9 @@ def _former_energy_rate_fd(bundle, cfg, rng):
 def _perturbed(reference):
     """``reference`` off by parts in 1e9, the same at each call.
 
-    The two routes of legendre_equivalence agree to the last bit on the
-    shipped constrained configs, and a residual of 0 would hide a difference.
+    The two routes of legendre_equivalence agree to the last bit on
+    generalized_servo, whose momenta stay constant, and a residual of 0
+    would hide a difference.
     """
 
     def wrapped(*args):
