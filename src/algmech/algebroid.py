@@ -17,12 +17,13 @@ batch, each array gains a leading axis of length K and each residual is a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fields import SmoothField, TensorField, vecmat
+from .fields import SmoothField, TensorField, stencil, stencil_jet, vecmat
 
 
 @dataclass(frozen=True)
@@ -128,19 +129,6 @@ def sym_skew_parts(s: StructureSnapshot):
     """
     Bt = s.B.swapaxes(-1, -2)
     return 0.5 * (s.B - Bt), 0.5 * (s.rho_l + s.rho_r), 0.5 * (s.B + Bt), 0.5 * (s.rho_l - s.rho_r)
-
-
-def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
-    """Left and right differentials of a base function along the frame.
-
-    ``dl[alpha] = sum_i rho_l[i, alpha] dF/dq_i`` and likewise with the right
-    anchor.  Over a point (n = 0) both are zero vectors of length m.
-    """
-    if F.arity != A.n:
-        raise InputError("function arity must equal the base dimension")
-    s = structure_eval(A, q)
-    gF = F.gradient(s.q)
-    return vecmat(gF, s.rho_l), vecmat(gF, s.rho_r)
 
 
 # -- the differential calculus of a snapshot ---------------------------------
@@ -278,33 +266,56 @@ class StructureReport:
     anchor_morphism_defect: float
 
 
-def jacobiator(A: AlgebroidStructure, s: StructureSnapshot) -> np.ndarray:
-    """Jacobiator J[nu, alpha, beta, gamma] of the frame sections, from A's snapshot ``s``.
+def jacobiator(s: StructureSnapshot, Bv, Bg) -> np.ndarray:
+    """Jacobiator J[nu, alpha, beta, gamma] of the frame sections at the point of ``s``.
 
-    J(s_a, s_b, s_c) = sum over cyclic permutations of (a, b, c) of
-    B(s_a, B(s_b, s_c)), expanded through the structure functions; the
-    derivative of the inner bracket coefficients is taken along the left
-    anchor (the left Leibniz direction).  Identically zero for Lie algebroids.
+    ``Bv`` [m,m,m] and ``Bg`` [m,m,m,n] are the bracket coefficients and their
+    gradient there.  J(s_a, s_b, s_c) = sum over cyclic permutations of
+    (a, b, c) of B(s_a, B(s_b, s_c)), expanded through the structure
+    functions; the derivative of the inner bracket coefficients is taken
+    along the left anchor (the left Leibniz direction).  Identically zero
+    for Lie algebroids.
     """
-    Bv, Bg = A.bracket.eval_grad(s.q)  # [m,m,m], [m,m,m,n]
     # half[nu,a,b,c] = B(s_a, B(s_b, s_c)) = B[mu,b,c] B[nu,a,mu] + rho_l(s_a)(B[nu,b,c])
     half = np.einsum("...mbc,...nam->...nabc", Bv, Bv)
     half += np.einsum("...nbci,...ia->...nabc", Bg, s.rho_l)
     return half + np.einsum("...nabc->...ncab", half) + np.einsum("...nabc->...nbca", half)
 
 
+def _structure_jets(A: AlgebroidStructure, q):
+    """The snapshot at ``q`` and the jets ``(value, gradient)`` of the bracket and left anchor.
+
+    A derived structure's tensors are central-difference reads of its
+    ``_structure_at`` at the bracket's step, so one sweep of it over the
+    stencil of ``q`` gives both jets, and its centre rows are the snapshot;
+    other tensors give their own jets.
+    """
+    if A._structure_at is None:
+        s = structure_eval(A, q)
+        return s, A.bracket.eval_grad(s.q), A.anchor_left.eval_grad(s.q)
+    q = A.check_point(q)
+    h = A.bracket._h
+    points = stencil(q, h)
+    lead = points.shape[:-1]
+    sweep = structure_eval(A, points.reshape(math.prod(lead), A.n))
+    B, rho_l, rho_r = (v.reshape(lead + v.shape[1:]) for v in (sweep.B, sweep.rho_l, sweep.rho_r))
+    jets = stencil_jet(B, h), stencil_jet(rho_l, h)
+    if not all(np.isfinite(grad).all() for _, grad in jets):
+        raise NumericError("tensor field jet non-finite")
+    return StructureSnapshot(B=B[0], rho_l=rho_l[0], rho_r=rho_r[0], q=q), *jets
+
+
 def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     """Measure skewness, anchor agreement, Jacobi and anchor morphism defects."""
-    s = structure_eval(A, q)
+    s, (Bv, Bg), (rv, rg) = _structure_jets(A, q)
     # anchor morphism: rho_l(B(s_a, s_b)) vs [rho_l s_a, rho_l s_b] pointwise
-    rv, rg = A.anchor_left.eval_grad(s.q)  # [n,m], [n,m,n]
     D = np.einsum("...ibj,...ja->...iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
     m = A.m
     rho_B = (rv @ s.B.reshape(s.B.shape[:-3] + (m, m * m))).reshape(D.shape)
     return StructureReport(
         skew_defect=max_abs(s.B + s.B.swapaxes(-1, -2), 3),
         anchor_lr_defect=max_abs(s.rho_l - s.rho_r, 2),
-        jacobiator_norm=max_abs(jacobiator(A, s), 4),
+        jacobiator_norm=max_abs(jacobiator(s, Bv, Bg), 4),
         anchor_morphism_defect=max_abs(rho_B - (D - D.swapaxes(-1, -2)), 3),
     )
 

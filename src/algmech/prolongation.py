@@ -51,7 +51,9 @@ class ProlongationData:
     2m frame is ordered (h_1..h_m, v^1..v^m).  ``_liouville`` is the
     canonical dual section (p_1..p_m, 0..0), a tensor over the (q, p) chart.
     ``_base_at(q)``, if a scenario gives it, returns the base snapshot, Dl,
-    Dr and R at ``q`` in one call; else each is evaluated as a tensor.
+    Dr and R at ``q`` in one call, and ``_base_at(q, curvature=False)`` the
+    first three without R, which the split check reads; else each is
+    evaluated as a tensor.
     """
 
     base: AlgebroidStructure
@@ -68,7 +70,7 @@ class ProlongationData:
         if self._base_at is None:
             residual = verify_split(self.base, self.split, probes)
         else:
-            s, Dl, Dr, _ = self._base_at(probes)
+            s, Dl, Dr, _ = self._base_at(probes, curvature=False)
             residual = split_residual(s.B, Dl, Dr)
         worst = worst_residual([residual])
         if not worst <= SPLIT_TOL:

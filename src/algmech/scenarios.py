@@ -103,18 +103,18 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
         anchor_left=TensorField.from_constants(np.eye(n), n),
         anchor_right=TensorField.from_constants(-np.eye(n), n),
     )
-    curvature = CurvatureTensor.zero(n, n)
+    zero = CurvatureTensor.zero(n, n)
 
-    def base_at(q):  # one Koszul solve: Dl and Dr are the bracket 2 Gamma halved, exactly
-        s = structure_eval(alg, q)
+    def base_at(q, curvature=True):  # one Koszul solve: Dl, Dr are 2 Gamma halved, exactly
+        s = structure_eval(alg, q)  # R is a zero constant: returned either way
         Dl = 0.5 * s.B
-        return s, Dl, -1.0 * Dl, curvature.eval(q)
+        return s, Dl, -1.0 * Dl, zero.eval(q)
 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=momentum_pairing_hamiltonian(X, n),
         split=ConnectionPair(Dl=Gamma, Dr=Gamma.scaled(-1.0)),
-        curvature=curvature,
+        curvature=zero,
         _base_at=base_at,
     )
 
@@ -340,6 +340,44 @@ def _complete(F, FG, Gv):
     return perp, kept, short
 
 
+def _completion_failures(U, short):
+    """The failure masks of a completed frame ``U[K, M, M]``, ``short`` from :func:`_complete`."""
+    return [
+        ("could not complete the adapted frame", short),
+        (
+            "compatibility failed: kinematic subbundle and variational complement "
+            "do not span the ambient fibre",
+            np.abs(np.linalg.det(U)) < 1e-10,
+        ),
+    ]
+
+
+def _raise_first(Q, failures):
+    """Raise :class:`InputError` at the first point of ``Q``, in row order, that a mask marks.
+
+    ``failures`` are (message, [K] mask) pairs; the point's first failure is named.
+    """
+    if any(mask.any() for _, mask in failures):
+        i = int(np.logical_or.reduce([mask for _, mask in failures]).argmax())
+        message = next(message for message, mask in failures if mask[i])
+        raise InputError(f"{message} at {Q[i].tolist()}")
+
+
+def _completion_jet(span, spanG, perp, kept, seed, dseed, Gv, dG):
+    """Gradient [K, n, M, M - k] of the rows ``perp`` that :func:`_complete` adds to ``span``.
+
+    ``span`` [K, k, M] (``spanG`` = span G) orthonormalizes the rows ``seed``,
+    whose gradient is ``dseed`` [K, n, M, k]; [span, perp] is read as the QR
+    factor of the seed and the kept unit vectors.
+    """
+    k, M = span.shape[1:]
+    A = np.concatenate([seed, np.eye(M)[kept]], axis=1).swapaxes(1, 2)
+    dA = np.zeros(dG.shape)
+    dA[..., :k] = dseed
+    QG = np.concatenate([spanG, perp @ Gv], axis=1)
+    return _qr_jet(np.concatenate([span, perp], axis=1).swapaxes(1, 2), QG, A, dA, dG)[..., k:]
+
+
 @functools.lru_cache(maxsize=None)
 def _triangles(c):
     """Upper, strictly lower, and upper minus half the diagonal: :func:`_qr_jet`'s masks.
@@ -353,13 +391,13 @@ def _triangles(c):
     return masks
 
 
-def _qr_jet(Q, A, dA, Gv, dG):
+def _qr_jet(Q, QG, A, dA, dG):
     """Exact gradient of the metric-orthonormal QR factor ``Q = A R^-1``, at K points.
 
     ``A`` is [K, M, c], of full column rank at each point, and ``Q`` its
     metric Gram-Schmidt frame (Q^T G Q = I, so R = Q^T G A is upper
-    triangular); ``dA`` [K, n, M, c] and ``dG`` [K, n, M, M] are the
-    derivatives of A and G along the n chart directions.  Per point and
+    triangular), ``QG`` = Q^T G; ``dA`` [K, n, M, c] and ``dG`` [K, n, M, M]
+    are the derivatives of A and G along the n chart directions.  Per point and
     direction, with L the strict lower triangle of Q^T G dA R^-1 and
     H = Q^T dG Q,
 
@@ -373,15 +411,17 @@ def _qr_jet(Q, A, dA, Gv, dG):
     stacked matmul, one per point, so row k equals the result at point k
     alone.  Returns [K, n, M, c].
     """
+    if not dA.shape[1]:  # over a point: no chart direction, no jet
+        return np.zeros(dA.shape[:2] + Q.shape[1:])
     upper, lower, half = _triangles(A.shape[-1])
     Qt = Q.swapaxes(1, 2)
-    QG = Qt @ Gv
     dAR = dA @ np.linalg.inv(QG @ A * upper)[:, None]
-    L = QG[:, None] @ dAR * lower
-    dQ = Q[:, None] @ (L - L.swapaxes(2, 3) - Qt[:, None] @ dG @ Q[:, None] * half)
-    if A.shape[-1] < Q.shape[1]:
-        dQ += dAR - Q[:, None] @ (QG[:, None] @ dAR)
-    return dQ
+    X = QG[:, None] @ dAR
+    L = X * lower
+    Omega = L - L.swapaxes(2, 3) - Qt[:, None] @ dG @ Q[:, None] * half
+    if A.shape[-1] < Q.shape[1]:  # thin: dA R^-1 off the span of Q, Q Q^T G dA R^-1 = Q X
+        return dAR + Q[:, None] @ (Omega - X)
+    return Q[:, None] @ Omega
 
 
 class _AdaptedFrame:
@@ -392,7 +432,14 @@ class _AdaptedFrame:
     the variational subbundle.  The frame U is a metric Gram-Schmidt of the
     basis data and its jet is exact: U is read as the QR factor of the basis
     columns and the completing unit vectors, differentiated by
-    :func:`_qr_jet` from the polynomial jets of the metric and the bases.
+    :func:`_qr_jet` from one packed jet of the metric and the bases.
+
+    A classical frame's projected structure reads only the kinematic columns
+    E and their jet (:meth:`structure_at`, :meth:`_kinematic_snapshot`): an
+    RK4 stage builds no completion and no M^3 bracket.  The core completes
+    E and takes its kinematic block from the same function, so the split,
+    the curvature and the lifted structure share that block's arithmetic
+    with the stage.
 
     The core (frame and jet, adapted structure, adapted metric and its jet,
     projectors and the variational projector's jet) is evaluated at K points
@@ -419,6 +466,13 @@ class _AdaptedFrame:
         self.k = spec.rank
         self.h = CHRISTOFFEL_FD_STEP
         self._eye = np.eye(self.M)
+        # the metric and the bases: one packed jet when they are packed and not all constant
+        self._data = [spec.metric, spec.kinematic_basis]
+        if not spec.classical:
+            self._data.append(spec.variational_basis)
+        packed = all(T._terms is not None for T in self._data)
+        varying = any(T._const is None for T in self._data)
+        self._stacked = TensorField.stacked(self._data) if packed and varying else None
         # a constant ambient structure is read once
         self._ambient = (
             None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
@@ -437,57 +491,101 @@ class _AdaptedFrame:
     # frame assembly ---------------------------------------------------------
 
     def _frame_jet(self, Q):
-        """The adapted frame U at ``Q[K, n]``, its gradient [K, n, M, M] and the metric jet.
+        """The frame columns at ``Q[K, n]``, their gradient, the metric and its gradient.
 
-        Raises :class:`InputError` for the first point, in row order, where
-        the frame fails, naming that point and its first failure.
+        Classical: the k kinematic columns E and the thin branch of their
+        :func:`_qr_jet`.  Generalized: the whole frame U, whose completion
+        seeds from the variational rows and whose failures are checked with
+        the kinematic ones.  Raises :class:`InputError` for the first point,
+        in row order, where the frame fails, naming that point and its
+        first failure.
         """
         spec = self.spec
-        k = self.k
-        Gv, dG = spec.metric.eval_grad(Q)
-        D, dD = spec.kinematic_basis.eval_grad(Q)
-        d_frame, d_frameG, d_deficient = _gram_schmidt(D, Gv)
-        failures = [("kinematic basis rank deficient", d_deficient)]
-        if spec.classical:
-            seed, dseed, span, spanG = D, dD, d_frame, d_frameG
-        else:
-            seed, dseed = spec.variational_basis.eval_grad(Q)
-            span, spanG, v_deficient = _gram_schmidt(seed, Gv)
+        Gv, dG, D, dD, *variational = self._data_jets(Q)
+        rows, rowsG, deficient = _gram_schmidt(D, Gv)
+        E = rows.swapaxes(1, 2)
+        failures = [("kinematic basis rank deficient", deficient)]
+        if not spec.classical:
+            # complete with an orthonormal basis of the orthogonal complement of
+            # the variational rows
+            V, dV = variational
+            span, spanG, v_deficient = _gram_schmidt(V, Gv)
+            perp, kept, short = _complete(span, spanG, Gv)
+            U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
             failures.append(("variational basis rank deficient", v_deficient))
-        # complete with an orthonormal basis of the orthogonal complement of the
-        # seed, keeping the first unit vectors e_mu that are not in the span so far
-        perp, kept, short = _complete(span, spanG, Gv)
-        U = np.concatenate([d_frame, perp], axis=1).swapaxes(1, 2)
-        failures += [
-            ("could not complete the adapted frame", short),
-            (
-                "compatibility failed: kinematic subbundle and variational complement "
-                "do not span the ambient fibre",
-                np.abs(np.linalg.det(U)) < 1e-10,
-            ),
-        ]
-        failed = np.logical_or.reduce([mask for _, mask in failures])
-        if failed.any():
-            i = int(failed.argmax())
-            message = next(message for message, mask in failures if mask[i])
-            raise InputError(f"{message} at {Q[i].tolist()}")
-        # exact jet: the seed columns and the kept unit vectors, QR-factored
+            failures += _completion_failures(U, short)
+        _raise_first(Q, failures)
         dG = dG.transpose(0, 3, 1, 2)
-        A = np.concatenate([seed, self._eye[kept]], axis=1).swapaxes(1, 2)
-        dA = np.zeros(dG.shape)
-        dA[..., :k] = dseed.transpose(0, 3, 2, 1)
+        dE = _qr_jet(E, rowsG, D.swapaxes(1, 2), dD.transpose(0, 3, 2, 1), dG)
         if spec.classical:
-            dU = _qr_jet(U, A, dA, Gv, dG)
-        else:
-            Qv = np.concatenate([span, perp], axis=1).swapaxes(1, 2)
-            dU = np.concatenate(
-                [
-                    _qr_jet(U[..., :k], D.swapaxes(1, 2), dD.transpose(0, 3, 2, 1), Gv, dG),
-                    _qr_jet(Qv, A, dA, Gv, dG)[..., k:],
-                ],
-                axis=-1,
-            )
-        return U, dU, Gv, dG
+            return E, dE, Gv, dG
+        dperp = _completion_jet(span, spanG, perp, kept, V, dV.transpose(0, 3, 2, 1), Gv, dG)
+        return U, np.concatenate([dE, dperp], axis=-1), Gv, dG
+
+    def _data_jets(self, Q):
+        """Values and gradients of the metric and the bases at ``Q[K, n]``, in turn."""
+        if self._stacked is None:
+            return [jet for T in self._data for jet in T.eval_grad(Q)]
+        values, grads = self._stacked.eval_grad(Q)
+        jets, start = [], 0
+        for T in self._data:
+            stop = start + math.prod(T.shape)
+            lead = Q.shape[:1] + T.shape
+            jets.append(values[:, start:stop].reshape(lead))
+            jets.append(grads[:, start:stop].reshape(lead + (self.n,)))
+            start = stop
+        return jets
+
+    def _kinematic_snapshot(self, E, dE, EG, s):
+        """Bracket coefficients and anchors of the frame columns ``E[K, M, c]``, at K points.
+
+        With the ambient snapshot ``s``, the jet ``dE[K, n, M, c]`` and the
+        rows ``EG[K, c, M]`` that read a vector's components in the columns:
+
+            rho = rho_amb E,
+            B[c, a, b] = EG_c . (B_amb(E_a, E_b) + d_{rho E_a} E_b - d_{rho E_b} E_a).
+
+        With all M columns of U and EG = U^-1 it is the core's adapted
+        structure.  With the k kinematic columns of a classical frame and
+        EG = E^T G it is the projected structure (the constrained bracket
+        is the projection of the bracket of sections of the constraint
+        subbundle): an RK4 stage needs no completion, no ``det``, no
+        inverse and no M^3 bracket, and so no longer checks the completion
+        or the determinant at its points.  The build checks both at its
+        probes, and along a trajectory a classical frame with full-rank
+        kinematic rows cannot fail them: the completion always exists, and
+        |det U| = det(G)^(-1/2) trips 1e-10 only where det G > 1e20.
+        Rank-deficient kinematic rows still fail in :meth:`_frame_jet`, at
+        the first such point in row order.
+        """
+        K, M, c = E.shape
+        rho = s.rho_l @ E
+        # EG_c . B_amb(E_a, E_b): B_amb read in EG, then applied to the columns
+        out = (EG @ s.B.reshape(s.B.shape[:-3] + (M, M * M))).reshape(K, c * M, M) @ E
+        out = E.swapaxes(1, 2)[:, None] @ out.reshape(K, c, M, c)
+        if self.n:
+            # along[c, a, b] = EG_c . d_{rho E_a} E_b, from EG dE along each chart direction
+            along = EG @ dE.transpose(0, 2, 1, 3).reshape(K, M, self.n * c)
+            along = rho.swapaxes(1, 2)[:, None] @ along.reshape(K, c, self.n, c)
+            out += along - along.swapaxes(2, 3)
+        return out, rho
+
+    def structure_at(self, q):
+        """Projected bracket coefficients B[c,a,b] and anchors at ``q[n]`` or ``q[K, n]``.
+
+        One frame evaluation: a classical frame reads only its kinematic
+        columns (:meth:`_kinematic_snapshot`), a generalized one its core,
+        whose variational projector needs the complement.  Over a point the
+        one core built with the frame is read, whose kinematic block is the
+        kinematic snapshot's.
+        """
+        if not self.spec.classical or (self._point_core is not None and q.ndim == 1):
+            return self.projected_structure_at(self.core_at(q))
+        Q = q if q.ndim == 2 else q[None]
+        E, dE, Gv, _ = self._frame_jet(Q)
+        s = self._ambient or structure_eval(self.spec.ambient, q)
+        B, rho = self._kinematic_snapshot(E, dE, E.swapaxes(1, 2) @ Gv, s)
+        return (B, rho, rho) if q.ndim == 2 else (B[0], rho[0], rho[0])
 
     def _compute_core(self, q):
         """The core at ``q[n]``, or at every point of ``q[K, n]`` with a leading K axis."""
@@ -496,6 +594,18 @@ class _AdaptedFrame:
         Q = q if q.ndim == 2 else q[None]
         K = Q.shape[0]
         U, dU, Gv, dG = self._frame_jet(Q)
+        # the ambient snapshot of one point has no K axis: it broadcasts
+        s = self._ambient or structure_eval(spec.ambient, q)
+        if spec.classical:  # complete the kinematic columns E
+            E, dE, rows = U, dU, U.swapaxes(1, 2)
+            EG = rows @ Gv
+            kinematic = self._kinematic_snapshot(E, dE, EG, s)
+            # project off the span of E through its Gram matrix, so that the
+            # completion depends on that span alone, not on how E is scaled
+            perp, kept, short = _complete(rows, np.linalg.solve(EG @ E, EG), Gv)
+            U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
+            _raise_first(Q, _completion_failures(U, short))
+            dU = np.concatenate([dE, _completion_jet(rows, EG, perp, kept, rows, dE, Gv, dG)], -1)
         # metric in the adapted frame: orthonormal blocks by construction; the
         # jet of the cross block g [k, M - k, n] by the product rule
         Ut = U.swapaxes(1, 2)
@@ -522,18 +632,10 @@ class _AdaptedFrame:
         Uinv = Ut @ Gv
         if not spec.classical:
             Uinv = Ginv @ Uinv
-        # the ambient snapshot of one point has no K axis: it broadcasts
-        s = self._ambient or structure_eval(spec.ambient, q)
-        rho_new = s.rho_l @ U
-        # bracket coefficients in the adapted frame:
-        # U^-1 (B(U_a, U_b) + rho(U_a) U_b - rho(U_b) U_a)
-        W = Ut[:, None] @ (s.B @ U[:, None])
-        if n:
-            # dU_along[l, b, m]: the derivative of U[l, b] along rho(eps_m)
-            dU_along = (dU.reshape(K, n, M * M).swapaxes(1, 2) @ s.rho_l).reshape(K, M, M, M)
-            W += Ut[:, None] @ dU_along.swapaxes(2, 3)
-            W -= dU_along @ U[:, None]
-        C_new = (Uinv @ W.reshape(K, M, M * M)).reshape(K, M, M, M)
+        # bracket coefficients in the adapted frame: the same formula on all M columns
+        C_new, rho_new = self._kinematic_snapshot(U, dU, Uinv, s)
+        if spec.classical:  # the kinematic block is an RK4 stage's, bit for bit
+            C_new[:, :k, :k, :k], rho_new[..., :k] = kinematic
         # projector onto the kinematic subbundle along its orthogonal complement
         P = G_new[:, :k, :]
         # projector onto the variational subbundle along the kinematic complement,
@@ -607,17 +709,22 @@ class _AdaptedFrame:
         Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
 
-    def lifted_base(self, q):
+    def lifted_base(self, q, curvature=True):
         """Projected snapshot, split Christoffels and curvature R at ``q[n]`` or ``q[K, n]``.
 
         One core evaluation over the central-difference stencil of ``q``
         (step ``h``): its centre rows are the core at ``q``, bit for bit, and
         the Christoffels over it give their jet there.  R is the kinematic
-        projection of the ambient Levi-Civita curvature.
+        projection of the ambient Levi-Civita curvature.  Without
+        ``curvature`` R is None and the one core evaluation is at ``q``
+        alone: the snapshot, Dl and Dr need no jet.
         """
         if not self.n:  # over a point: the constants built with the frame, and no jet
             core, Gam = self._point_core, self.christoffels(q, self._point_core)
             dGam = np.zeros(Gam.shape + (0,))
+        elif not curvature:
+            core = self.core_at(q)
+            Gam = self.christoffels(q, core)
         else:
             points = stencil(q, self.h)
             lead = points.shape[:-1]
@@ -628,9 +735,11 @@ class _AdaptedFrame:
             core = {key: value.reshape(lead + value.shape[1:])[0] for key, value in cores.items()}
         B, rho_l, rho_r = self.projected_structure_at(core)
         Dl, Dr = self.split_at(q, core, Gam)
-        R = curvature_arrays(Gam, dGam, core["C_new"], core["rho_new"])
-        R = _project_first(core["P"], R[..., : self.k, : self.k, : self.k])
-        if not all(np.isfinite(a).all() for a in (B, rho_l, rho_r, Dl, Dr, R)):
+        R = None
+        if curvature:
+            R = curvature_arrays(Gam, dGam, core["C_new"], core["rho_new"])
+            R = _project_first(core["P"], R[..., : self.k, : self.k, : self.k])
+        if not all(np.isfinite(a).all() for a in (B, rho_l, rho_r, Dl, Dr, R) if a is not None):
             raise NumericError("constrained structure evaluated to non-finite entries")
         return StructureSnapshot(B, rho_l, rho_r, q), Dl, Dr, R
 
@@ -653,7 +762,10 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     variational subbundle (of the kinematic one in the classical case).  The
     projected bracket, the left/right projected covariant derivatives, the
     projected ambient curvature and the constrained energy
-    H = 1/2 sum p_a^2 + V(q) are assembled over that frame.
+    H = 1/2 sum p_a^2 + V(q) are assembled over that frame.  The whole frame
+    is built at the probes here; afterwards a classical structure snapshot
+    (every RK4 stage) reads only the kinematic columns, and the split and
+    curvature read the whole frame's core.
     """
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
@@ -662,8 +774,7 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     if n:
         frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
 
-    def structure_at(q):  # one core feeds the bracket and both anchors
-        return frame.projected_structure_at(frame.core_at(q))
+    structure_at = frame.structure_at  # one frame evaluation feeds the bracket and both anchors
 
     def piece(src, pos, shape):
         return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)

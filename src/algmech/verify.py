@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .algebroid import max_abs, structure_checks, worst_residual
-from .connections import curvature_identity_residuals, verify_split
+from .connections import curvature_identity_residuals, split_residual, verify_split
 from .errors import InputError, NumericError
 from .hamiltonian import PhasePoint, ham_field, integrate
 from .prolongation import (
@@ -126,8 +126,13 @@ def check_structure_checks(bundle, cfg, rng):
 
 
 def check_split_consistency(bundle, cfg, rng):
+    """The bracket against Dl - Dr^T; a builder's lifted base reads all three in one call."""
     A = bundle.algebroid
-    return worst_residual(verify_split(A, bundle.split, _base_probes(rng, A, cfg["points"])))
+    q = _base_probes(rng, A, cfg["points"])
+    if bundle._base_at is None:
+        return worst_residual(verify_split(A, bundle.split, q))
+    s, Dl, Dr, _ = bundle._base_at(A.check_point(q), curvature=False)
+    return worst_residual(split_residual(s.B, Dl, Dr))
 
 
 def check_legendre_equivalence(bundle, cfg, rng):

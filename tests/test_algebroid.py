@@ -8,18 +8,32 @@ from algmech.algebroid import (
     algebroid_from_constants,
     canonical_tangent,
     diff_lr_section,
-    left_right_diff,
     levi_civita_symbol,
     structure_checks,
     structure_eval,
     sym_skew_parts,
 )
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import (
+    SmoothField, TensorField, field_from_polynomial, tensor_from_config, vecmat,
+)
 from algmech.randoms import random_algebroid, random_polynomial_field
 from algmech.scenarios import build_constrained
 
 from conftest import nonjacobi_spec, symmetric_product_line
+
+
+def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
+    """Left and right differentials of a base function along the frame.
+
+    ``dl[alpha] = sum_i rho_l[i, alpha] dF/dq_i`` and likewise with the right
+    anchor.  Over a point (n = 0) both are zero vectors of length m.
+    """
+    if F.arity != A.n:
+        raise InputError("function arity must equal the base dimension")
+    s = structure_eval(A, q)
+    gF = F.gradient(s.q)
+    return vecmat(gF, s.rho_l), vecmat(gF, s.rho_r)
 
 
 def test_structure_eval_canonical(canonical2):

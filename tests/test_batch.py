@@ -310,7 +310,7 @@ def test_constrained_core_and_structures_batch(name, K):
         assert _same(getattr(s, part), [getattr(t, part) for t in singles])
 
 
-def _defective_spec():
+def _defective_spec(classical=False):
     """Over a line: the kinematic row (q - 3, 0) vanishes at q = 3, and at q = 2 the
     variational row (q - 2, 1) leaves the kinematic direction in its complement."""
     from algmech.algebroid import algebroid_from_constants
@@ -323,7 +323,9 @@ def _defective_spec():
         ambient=algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], [[1.0, 0.0]], n=1),
         metric=TensorField.from_constants(np.eye(2), 1),
         kinematic_basis=tensor_from_config([[line(-3.0, 1.0), 0.0]], (1, 2), 1),
-        variational_basis=tensor_from_config([[line(-2.0, 1.0), 1.0]], (1, 2), 1),
+        variational_basis=(
+            None if classical else tensor_from_config([[line(-2.0, 1.0), 1.0]], (1, 2), 1)
+        ),
     )
 
 
@@ -339,6 +341,14 @@ def test_a_frame_defect_in_a_batch_names_its_point(points, message):
     """The first failing point in row order is named, with its own failure."""
     A = build_constrained(_defective_spec()).algebroid  # the probes lie in [-1, 1]
     with pytest.raises(InputError, match=message):
+        structure_eval(A, points)
+
+
+@pytest.mark.parametrize("points", [[[0.5], [3.0], [0.25]], [[3.0], [2.0]], [[2.0], [3.0]]])
+def test_a_classical_snapshot_names_its_rank_deficient_point(points):
+    """The kinematic snapshot of a classical frame names the first deficient point too."""
+    A = build_constrained(_defective_spec(classical=True)).algebroid
+    with pytest.raises(InputError, match=r"kinematic basis rank deficient at \[3.0\]"):
         structure_eval(A, points)
 
 
@@ -367,15 +377,17 @@ def test_frame_evaluations_do_not_grow_with_the_probe_count(frame_calls, name):
     assert counts[0] == counts[1] <= 3, counts
 
 
-# the lifted structure's split check at its 5 probes and each prolong_eval are
-# one frame evaluation over the stencil of their points; a structure
-# snapshot, the curvature and each split tensor are one evaluation each
+# the lifted structure's split check is one frame evaluation at its 5 probes,
+# each prolong_eval, the curvature and the structure checks' jets one over
+# the stencil of their points; a structure snapshot is one evaluation, and
+# the split check reads the bracket, Dl and Dr from one
 FRAME_EVALUATIONS = {
-    "theorem43_equivalence": [35, 21, 3],  # split check, prolong_eval, ham_field
-    "omega_dlr_consistency": [35, 21],
-    "closedness": [35, 21],
+    "theorem43_equivalence": [5, 21, 3],  # split check, prolong_eval, ham_field
+    "omega_dlr_consistency": [5, 21],
+    "closedness": [5, 21],
     "curvature_identities": [21],
-    "split_consistency": [3, 3, 3],  # the bracket, Dl, Dr
+    "split_consistency": [3],
+    "structure_checks": [21],  # the snapshot and both jets in one sweep
 }
 
 
@@ -392,8 +404,9 @@ def test_frame_evaluations_of_each_point_check(frame_calls, name):
 # stencil (5 points each), and the point checks evaluate as the classical frame does
 CURVED_FRAME_EVALUATIONS = {
     "prolong_eval": [20],
-    "theorem43_equivalence": [25, 15, 3],  # split check, prolong_eval, ham_field
-    "split_consistency": [3, 3, 3],  # the bracket, Dl, Dr
+    "theorem43_equivalence": [5, 15, 3],  # split check, prolong_eval, ham_field
+    "split_consistency": [3],
+    "structure_checks": [15],
 }
 
 
@@ -422,3 +435,35 @@ def test_a_constrained_rk4_stage_is_one_frame_evaluation(frame_calls):
     steps = 25
     integrate(bundle.algebroid, bundle.hamiltonian, x0, 1e-3, steps)
     assert frame_calls == [1] * (4 * steps + 1)  # the initial state, then 4 stages a step
+
+
+def test_a_classical_rk4_stage_reads_only_the_kinematic_frame(monkeypatch):
+    """No completion and no determinant along a classical constrained trajectory."""
+    from algmech import scenarios
+    from algmech.config import initial_point
+    from algmech.hamiltonian import integrate
+
+    cfg = load_config(CONFIG_DIR / "nonholonomic_classical.json")
+    bundle, spec = build_scenario(cfg.scenario)  # the build completes the frame at its probes
+    x0 = initial_point(cfg.integration, bundle)
+    calls = []
+    complete, det = scenarios._complete, np.linalg.det
+
+    def counted(fn, name):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(scenarios, "_complete", counted(complete, "_complete"))
+    monkeypatch.setattr(np.linalg, "det", counted(det, "det"))
+    traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, 1e-3, 25)
+    assert calls == []
+    assert np.max(np.abs(traj.states()[-1] - traj.states()[0])) > 1e-3  # it moved
+    _AdaptedFrame(spec).core_at(x0.q)
+    assert calls == ["_complete", "det"]  # the counters see a full core
+
+
+@pytest.mark.parametrize("name", ["nonholonomic_classical", "curved"])
+def test_the_split_check_of_the_lifted_structure_needs_no_stencil(frame_calls, name):
+    """Build and prolongation: the frame at the build's probes and at the split's, 5 each."""
+    bundle, _ = _constrained(name)
+    bundle.prolongation()
+    assert frame_calls == [5, 5]

@@ -134,7 +134,7 @@ def test_jacobiator_matches_entrywise_loop(m):
     ref = np.empty((m, m, m, m))
     for a, b, c in itertools.product(range(m), repeat=3):
         ref[:, a, b, c] = half(a, b, c) + half(b, c, a) + half(c, a, b)
-    assert _close(jacobiator(A, structure_eval(A, q)), ref)
+    assert _close(jacobiator(structure_eval(A, q), Bv, Bg), ref)
 
 
 @pytest.mark.parametrize("m", RANKS)

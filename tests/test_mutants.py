@@ -9,6 +9,7 @@ residual, so the pass is a measurement and not an identity.
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from algmech.cli import cmd_verify
@@ -28,13 +29,31 @@ def scale_adapted_frame(monkeypatch):
     monkeypatch.setattr(_AdaptedFrame, "_frame_jet", scaled)
 
 
+def drop_frame_derivative(monkeypatch):
+    """The frame bracket without its frame-derivative term d_{rho E_a} E_b - d_{rho E_b} E_a.
+
+    One function builds the kinematic bracket of an RK4 stage and the adapted
+    structure of the core, so the split stays consistent with the defective
+    bracket; only the velocity-side oracle can see it.
+    """
+    snapshot = _AdaptedFrame._kinematic_snapshot
+
+    def without_derivative(self, E, dE, EG, s):
+        return snapshot(self, E, np.zeros_like(dE), EG, s)
+
+    monkeypatch.setattr(_AdaptedFrame, "_kinematic_snapshot", without_derivative)
+
+
 # mutant -> (shipped config, the check that must catch it, the largest clean reading).
 # Sizes: nonholonomic_classical as shipped, its legendre_equivalence entry at 300
 # RK4 steps of h = 1e-3 from q0 = (0.4, -0.2, 0.1), v0 = (0.5, -0.3), 15 points;
-# clean it reads 1.1e-15, under the frame mutant 2.75e-4 against a tolerance of 1e-6.
+# clean it reads 1.1e-15, under the frame mutant 2.75e-4 and without the frame
+# derivative 1.08e-2, against a tolerance of 1e-6.
 MUTANTS = {
     "adapted_frame_x1.001": (scale_adapted_frame, "nonholonomic_classical",
                              "legendre_equivalence", 1e-12),
+    "bracket_without_frame_derivative": (drop_frame_derivative, "nonholonomic_classical",
+                                         "legendre_equivalence", 1e-12),
 }
 
 
