@@ -35,8 +35,33 @@ class AlgebroidStructure:
     bracket: TensorField  # shape [m, m, m], index order (value, first, second)
     anchor_left: TensorField  # shape [n, m]
     anchor_right: TensorField  # shape [n, m]
-    # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation
+    # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation,
+    # and the step of its tensors' central-difference jets (see derived)
     _structure_at: object = field(default=None, repr=False, compare=False)
+    _structure_h: float = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def derived(cls, n, m, structure_at, h) -> "AlgebroidStructure":
+        """The structure whose bracket and anchors at ``q`` are the one call ``structure_at(q)``.
+
+        Each tensor's jet is a central difference of that call at step ``h``,
+        so :func:`structure_checks` reads all of them from one sweep over the
+        stencil.  Over a point (n = 0) each tensor is a constant, read
+        without a call.
+        """
+
+        def piece(pos, shape):
+            return TensorField.from_array_fn(lambda q: structure_at(q)[pos], shape, n, h=h)
+
+        return cls(
+            n=n,
+            m=m,
+            bracket=piece(0, (m, m, m)),
+            anchor_left=piece(1, (n, m)),
+            anchor_right=piece(2, (n, m)),
+            _structure_at=structure_at if n else None,
+            _structure_h=h,
+        )
 
     def __post_init__(self):
         if self.n < 0 or self.m < 1:
@@ -285,16 +310,15 @@ def jacobiator(s: StructureSnapshot, Bv, Bg) -> np.ndarray:
 def _structure_jets(A: AlgebroidStructure, q):
     """The snapshot at ``q`` and the jets ``(value, gradient)`` of the bracket and left anchor.
 
-    A derived structure's tensors are central-difference reads of its
-    ``_structure_at`` at the bracket's step, so one sweep of it over the
-    stencil of ``q`` gives both jets, and its centre rows are the snapshot;
-    other tensors give their own jets.
+    A :meth:`~AlgebroidStructure.derived` structure's jets are one sweep of
+    its ``_structure_at`` over the stencil of ``q``, whose centre rows are the
+    snapshot; other tensors give their own jets.
     """
     if A._structure_at is None:
         s = structure_eval(A, q)
         return s, A.bracket.eval_grad(s.q), A.anchor_left.eval_grad(s.q)
     q = A.check_point(q)
-    h = A.bracket._h
+    h = A._structure_h
     points = stencil(q, h)
     lead = points.shape[:-1]
     sweep = structure_eval(A, points.reshape(math.prod(lead), A.n))

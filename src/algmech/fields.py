@@ -565,20 +565,6 @@ class TensorField:
         return cls._packed(array.shape, arity, rows, array.reshape(-1)[rows], exps)
 
     @classmethod
-    def stacked(cls, tensors) -> "TensorField":
-        """The entries of the packed ``tensors``, each flattened, in order, as one packed vector.
-
-        One :meth:`eval_grad` of it is the jets of all of them; each entry
-        sums its terms, in their order, as its own tensor does.
-        """
-        sizes = [math.prod(T.shape) for T in tensors]
-        offsets = np.cumsum([0] + sizes[:-1])
-        rows = np.concatenate([o + T._terms[0] for o, T in zip(offsets, tensors)])
-        coefs, exps = (np.concatenate([T._terms[i] for T in tensors]) for i in (1, 2))
-        others = tuple((int(o) + k, f) for o, T in zip(offsets, tensors) for k, f in T._others)
-        return cls._packed((sum(sizes),), tensors[0].arity, rows, coefs, exps, others)
-
-    @classmethod
     def zeros(cls, shape, arity) -> "TensorField":
         return cls.from_terms([], [], [], shape, arity)
 

@@ -432,7 +432,7 @@ class _AdaptedFrame:
     the variational subbundle.  The frame U is a metric Gram-Schmidt of the
     basis data and its jet is exact: U is read as the QR factor of the basis
     columns and the completing unit vectors, differentiated by
-    :func:`_qr_jet` from one packed jet of the metric and the bases.
+    :func:`_qr_jet`.
 
     A classical frame's projected structure reads only the kinematic columns
     E and their jet (:meth:`structure_at`, :meth:`_kinematic_snapshot`): an
@@ -466,13 +466,6 @@ class _AdaptedFrame:
         self.k = spec.rank
         self.h = CHRISTOFFEL_FD_STEP
         self._eye = np.eye(self.M)
-        # the metric and the bases: one packed jet when they are packed and not all constant
-        self._data = [spec.metric, spec.kinematic_basis]
-        if not spec.classical:
-            self._data.append(spec.variational_basis)
-        packed = all(T._terms is not None for T in self._data)
-        varying = any(T._const is None for T in self._data)
-        self._stacked = TensorField.stacked(self._data) if packed and varying else None
         # a constant ambient structure is read once
         self._ambient = (
             None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
@@ -501,14 +494,15 @@ class _AdaptedFrame:
         first failure.
         """
         spec = self.spec
-        Gv, dG, D, dD, *variational = self._data_jets(Q)
+        Gv, dG = spec.metric.eval_grad(Q)
+        D, dD = spec.kinematic_basis.eval_grad(Q)
         rows, rowsG, deficient = _gram_schmidt(D, Gv)
         E = rows.swapaxes(1, 2)
         failures = [("kinematic basis rank deficient", deficient)]
         if not spec.classical:
             # complete with an orthonormal basis of the orthogonal complement of
             # the variational rows
-            V, dV = variational
+            V, dV = spec.variational_basis.eval_grad(Q)
             span, spanG, v_deficient = _gram_schmidt(V, Gv)
             perp, kept, short = _complete(span, spanG, Gv)
             U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
@@ -521,20 +515,6 @@ class _AdaptedFrame:
             return E, dE, Gv, dG
         dperp = _completion_jet(span, spanG, perp, kept, V, dV.transpose(0, 3, 2, 1), Gv, dG)
         return U, np.concatenate([dE, dperp], axis=-1), Gv, dG
-
-    def _data_jets(self, Q):
-        """Values and gradients of the metric and the bases at ``Q[K, n]``, in turn."""
-        if self._stacked is None:
-            return [jet for T in self._data for jet in T.eval_grad(Q)]
-        values, grads = self._stacked.eval_grad(Q)
-        jets, start = [], 0
-        for T in self._data:
-            stop = start + math.prod(T.shape)
-            lead = Q.shape[:1] + T.shape
-            jets.append(values[:, start:stop].reshape(lead))
-            jets.append(grads[:, start:stop].reshape(lead + (self.n,)))
-            start = stop
-        return jets
 
     def _kinematic_snapshot(self, E, dE, EG, s):
         """Bracket coefficients and anchors of the frame columns ``E[K, M, c]``, at K points.
@@ -600,9 +580,7 @@ class _AdaptedFrame:
             E, dE, rows = U, dU, U.swapaxes(1, 2)
             EG = rows @ Gv
             kinematic = self._kinematic_snapshot(E, dE, EG, s)
-            # project off the span of E through its Gram matrix, so that the
-            # completion depends on that span alone, not on how E is scaled
-            perp, kept, short = _complete(rows, np.linalg.solve(EG @ E, EG), Gv)
+            perp, kept, short = _complete(rows, EG, Gv)
             U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
             _raise_first(Q, _completion_failures(U, short))
             dU = np.concatenate([dE, _completion_jet(rows, EG, perp, kept, rows, dE, Gv, dG)], -1)
@@ -774,20 +752,11 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     if n:
         frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
 
-    structure_at = frame.structure_at  # one frame evaluation feeds the bracket and both anchors
+    # one frame evaluation feeds the bracket and both anchors
+    alg = AlgebroidStructure.derived(n, k, frame.structure_at, frame.h)
 
-    def piece(src, pos, shape):
+    def piece(src, pos, shape):  # over a point, a constant read without a call
         return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
-
-    # over a point every tensor is a constant, read without a call
-    alg = AlgebroidStructure(
-        n=n,
-        m=k,
-        bracket=piece(structure_at, 0, (k, k, k)),
-        anchor_left=piece(structure_at, 1, (n, k)),
-        anchor_right=piece(structure_at, 2, (n, k)),
-        _structure_at=structure_at if n else None,
-    )
 
     def split_at(q):
         return frame.split_at(q, frame.core_at(q))
