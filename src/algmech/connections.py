@@ -81,16 +81,13 @@ def _koszul_rhs(Gv, Gg, Bv, rho):
 
     With d[x, y, a] = rho(s_a) G[x, y] and c[x, y, z] = G(B(s_x, s_y), s_z):
     K[a, b, g] = d[b, g, a] + d[a, g, b] - d[a, b, g]
-               + c[g, b, a] + c[g, a, b] - c[b, a, g].
+               + c[g, b, a] + c[g, a, b] - c[b, a, g],
+    that is e[b, g, a] + e[a, g, b] - e[a, b, g] with e[x, y, z] = d[x, y, z] + c[y, x, z].
     """
     d = Gg @ rho[..., None, :, :]  # [m, m, m]; zero over a point (n = 0)
-    c = np.einsum("...kxy,...kz->...xyz", Bv, Gv)
-    batch = range(d.ndim - 3)  # the last three axes are (a, b, g)
-    return (
-        d.transpose(*batch, -1, -3, -2) + d.transpose(*batch, -3, -1, -2) - d
-        + c.transpose(*batch, -1, -2, -3) + c.transpose(*batch, -2, -1, -3)
-        - c.transpose(*batch, -2, -3, -1)
-    )
+    e = d + np.einsum("...kyx,...kz->...xyz", Bv, Gv)
+    batch = range(e.ndim - 3)  # the last three axes are (a, b, g)
+    return e.transpose(*batch, -1, -3, -2) + e.transpose(*batch, -3, -1, -2) - e
 
 
 def check_metric(Gv, q):
@@ -98,14 +95,13 @@ def check_metric(Gv, q):
 
     ``Gv`` holds the metric's values at the point ``q[n]`` or the points ``q[K, n]``.
     """
-    Gs = Gv.reshape((-1,) + Gv.shape[-2:])
-    try:
-        if np.max(np.abs(Gs - Gs.swapaxes(-1, -2))) <= 1e-10:
-            np.linalg.cholesky(Gs)  # one stacked factorization
+    try:  # abs() and .max(): np.max's dispatch costs more than this check on [m, m]
+        if abs(Gv - Gv.swapaxes(-1, -2)).max() <= 1e-10:
+            np.linalg.cholesky(Gv)  # one stacked factorization
             return
     except np.linalg.LinAlgError:
         pass
-    for point, G in zip(np.atleast_2d(q), Gs):
+    for point, G in zip(np.atleast_2d(q), Gv.reshape((-1,) + Gv.shape[-2:])):
         if np.max(np.abs(G - G.T)) > 1e-10:
             raise InputError(f"metric not symmetric at {point.tolist()}")
         try:
@@ -134,18 +130,20 @@ def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     gradients are central differences with step ``CHRISTOFFEL_FD_STEP``.  A
     bundle that needs it in several tensors at one point solves once itself.
     A constant metric is checked here, once; a varying one at each evaluation.
+    A constant frame is read here, once; a varying one at each evaluation.
     """
     m = A.m
     if G.shape != (m, m):
         raise InputError("metric must be an [m,m] tensor over the base")
     if G._const is not None:
         check_metric(G._const, np.zeros(A.n))
+    frame = None if A._varying or A._structure_at else structure_eval(A, np.zeros(A.n))
 
     def at(q):
         Gv, Gg = G.eval_grad(q)
         if G._const is None:
             check_metric(Gv, q)
-        s = structure_eval(A, q)
+        s = frame or structure_eval(A, q)
         return christoffels_at(Gv, Gg, s.B, s.rho_l)
 
     return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)

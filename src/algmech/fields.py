@@ -585,15 +585,16 @@ class TensorField:
         """``w`` times this tensor with its indices permuted as ``np.transpose(., axes)``.
 
         A packed tensor stays packed, with exact jets; an array-valued tensor
-        stays one call.
+        stays one call, of the wrapped callable itself.
         """
         w = float(w)
         axes = tuple(range(len(self.shape))) if axes is None else tuple(axes)
         shape = [self.shape[a] for a in axes]
         if self._terms is None:  # array-valued; the batch axis, if any, stays first
+            fn = self._fn or self._values  # over a point, the folded constant
             last = tuple(a - len(axes) for a in axes)
             return TensorField.from_array_fn(
-                lambda Q: w * self._values(Q).transpose(*range(Q.ndim - 1), *last),
+                lambda Q: w * np.transpose(fn(Q), (*range(Q.ndim - 1), *last)),
                 shape,
                 self.arity,
                 self._h,

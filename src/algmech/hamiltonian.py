@@ -343,9 +343,19 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
 
 
 def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
-    """H(q, p) = sum_i p_i X^i(q), the linear-in-momentum pairing with a base field."""
+    """H(q, p) = sum_i p_i X^i(q), the linear-in-momentum pairing with a base field.
+
+    A packed X without closure entries gives a polynomial: each term of X^i,
+    times p_i.  Otherwise H is a closure over X's values and jet.
+    """
     if X.shape != (n,):
         raise InputError("vector field must have shape [n]")
+    if X.arity != n:
+        raise InputError(f"vector field arity {X.arity} does not match n={n}")
+    if X._terms is not None and not X._others:
+        rows, coefs, exps = X._terms  # term t of X^i, times p_i: exponent e_i on p
+        exps = np.hstack([exps, np.eye(n, dtype=int)[rows]])
+        return SmoothField._from_arrays(coefs, exps, 2 * n)
 
     def value(z):
         q, p = z[:n], z[n:]

@@ -93,6 +93,8 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
     n = G.shape[0]
     if G.shape != (n, n) or X.shape != (n,):
         raise InputError("need an [n,n] metric and an [n] vector field")
+    if G.arity != n or X.arity != n:
+        raise InputError(f"metric arity {G.arity} and vector field arity {X.arity} must be n={n}")
     _check_probed_metric(G, n)
     A0 = canonical_tangent(n)
     Gamma = levi_civita(A0, G)

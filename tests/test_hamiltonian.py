@@ -21,9 +21,10 @@ from algmech.hamiltonian import (
     energy_rate,
     ham_field,
     integrate,
+    momentum_pairing_hamiltonian,
     rk4_step,
 )
-from algmech.randoms import random_algebroid, random_phase_function
+from algmech.randoms import random_algebroid, random_phase_function, random_polynomial_tensor
 from algmech.scenarios import build_contorsion
 
 from conftest import (
@@ -490,6 +491,48 @@ def test_samples_match_standalone_h_and_energy_rate(name, override):
         for k, name in enumerate(traj.monitor_names):
             assert mon[k] == bundle.monitors[name].value(x.z)
     assert traj.monitor_names == list(bundle.monitors)
+
+
+def _pairing_reference(X, z, n):
+    """p.X(q) and its gradient [Xg^T p, X], from X's own jet, at a point or per row of a batch."""
+    q, p = z[..., :n], z[..., n:]
+    Xv, Xg = X.eval_grad(q)
+    return np.sum(p * Xv, axis=-1), np.concatenate([np.einsum("...ij,...i->...j", Xg, p), Xv], -1)
+
+
+def _packed_pairing_cases():
+    rng = np.random.default_rng(22)
+    for _ in range(24):
+        n = int(rng.integers(1, 4))
+        yield random_polynomial_tensor(rng, (n,), n, int(rng.integers(0, 3))), n
+    yield tensor_from_config(_SWIRL["vector_field"], (2,), 2), 2
+
+
+@pytest.mark.parametrize("case", range(25))
+def test_a_packed_vector_field_gives_a_polynomial_pairing(case):
+    X, n = list(_packed_pairing_cases())[case]
+    H = momentum_pairing_hamiltonian(X, n)
+    assert H.kind == "polynomial"
+    Z = np.random.default_rng(case).uniform(-1.5, 1.5, (6, 2 * n))
+    for z in [*Z, Z]:  # single points, then the batch
+        v, g = _pairing_reference(X, z, n)
+        assert np.all(np.abs(H.value(z) - v) <= 1e-15 * (1 + np.abs(v)))
+        assert np.all(np.abs(H.gradient(z) - g) <= 1e-15 * (1 + np.abs(g)))
+
+
+def test_a_vector_field_with_a_closure_entry_keeps_the_closure_pairing():
+    X = tensor_from_config([{"arity": 1, "builtin": "sin"}], (1,), 1)
+    H = momentum_pairing_hamiltonian(X, 1)
+    assert H.kind == "builtin"
+    for z in ([0.3, -0.7], [-1.2, 2.0]):
+        Xv, Xg = X.eval_grad(z[:1])
+        assert H.value(z) == z[1] * Xv[0]
+        assert np.array_equal(H.gradient(z), [Xg[0, 0] * z[1], Xv[0]])
+
+
+def test_a_pairing_refuses_a_vector_field_of_another_arity():
+    with pytest.raises(InputError, match="arity 3"):
+        momentum_pairing_hamiltonian(TensorField.from_constants([1.0, 0.0], 3), 2)
 
 
 def test_integrate_validation(canonical1):

@@ -103,6 +103,15 @@ def test_gradient_extension_requires_spd_metric():
         build_gradient_extension(bad, TensorField.zeros((2,), 2))
 
 
+@pytest.mark.parametrize("bad", ["metric", "vector_field"])
+def test_gradient_extension_refuses_data_of_another_arity(bad):
+    """A metric or a vector field over a chart of another dimension is refused by name."""
+    G = TensorField.from_constants(np.eye(2), 3 if bad == "metric" else 2)
+    X = TensorField.from_constants([1.0, 0.0], 3 if bad == "vector_field" else 2)
+    with pytest.raises(InputError, match="arity 3"):
+        build_gradient_extension(G, X)
+
+
 # -- Lie-Poisson / Euler top --------------------------------------------------
 
 
@@ -682,6 +691,60 @@ def test_a_gradient_extension_rk4_step_solves_the_koszul_relation_at_most_twice(
     x0 = initial_point(cfg.integration, bundle)
     integrate(bundle.algebroid, bundle.hamiltonian, x0, cfg.integration["h"], steps)
     assert len(solves) <= 2 * steps + 1  # the initial state, then at most two a step
+
+
+def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_solve(monkeypatch):
+    """The tangent frame is read when the bracket is built, never by an RK4 stage.
+
+    Each distinct stage point evaluates the metric jet once and solves the
+    Koszul relation once; a stage on the point before it does neither.
+    """
+    import pathlib
+    import sys
+
+    from algmech.config import initial_point, load_config
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" / "gradient_extension.json"
+    cfg = load_config(path)
+    n = 2
+    G = tensor_from_config(cfg.scenario["metric"], (n, n), n)
+    X = tensor_from_config(cfg.scenario["vector_field"], (n,), n)
+    bundle = build_gradient_extension(G, X)
+    A = bundle.algebroid
+    fresh, others, jets, solves = [], [], [], []
+    christoffels_at, eval_grad = connections.christoffels_at, TensorField.eval_grad
+
+    def counted_structure_eval(module):
+        def counted(S, q):
+            # integrate reads the structure only at a stage point that differs from the last
+            if S is A and module == "algmech.hamiltonian":
+                fresh.append(np.asarray(q).tobytes())
+            elif S is not A:
+                others.append(module)
+            return structure_eval(S, q)
+
+        return counted
+
+    def counted_eval_grad(T, q):
+        if T is G:
+            jets.append(1)
+        return eval_grad(T, q)
+
+    def counted_christoffels_at(*args):
+        solves.append(1)
+        return christoffels_at(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("algmech") and getattr(module, "structure_eval", None) is structure_eval:
+            monkeypatch.setattr(module, "structure_eval", counted_structure_eval(name))
+    monkeypatch.setattr(TensorField, "eval_grad", counted_eval_grad)
+    monkeypatch.setattr(connections, "christoffels_at", counted_christoffels_at)
+    steps = 40
+    x0 = initial_point(cfg.integration, bundle)
+    integrate(A, bundle.hamiltonian, x0, cfg.integration["h"], steps)
+    assert others == []  # no structure_eval of the canonical frame
+    assert len(fresh) >= 2 * steps + 1 and len(set(fresh)) == len(fresh)
+    assert len(jets) == len(fresh) and len(solves) == len(fresh)
 
 
 def test_a_bundle_with_an_overridden_split_checks_its_own_pair():
