@@ -11,8 +11,8 @@ import argparse
 import numpy as np
 
 from algmech import PhasePoint, ham_field, integrate, lr_ham_field
-from algmech.algebroid import worst_residual
-from algmech.scenarios import build_euler_top
+from algmech.algebroid import so3_constants, worst_residual
+from algmech.scenarios import build_lie_poisson, euler_top_hamiltonian, so3_casimir
 
 
 def main():
@@ -23,7 +23,9 @@ def main():
     ap.add_argument("--p0", type=float, nargs=3, default=[1.0, 1.0, 1.0])
     args = ap.parse_args()
 
-    bundle = build_euler_top(tuple(args.inertia))
+    bundle = build_lie_poisson(
+        so3_constants(), euler_top_hamiltonian(args.inertia), monitors={"casimir": so3_casimir()}
+    )
     x0 = PhasePoint([], args.p0)
 
     P = bundle.prolongation()
@@ -40,7 +42,7 @@ def main():
 
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, args.h, args.steps, bundle.monitors)
     H = traj.h_values()
-    cas = traj.monitor_values("casimir")
+    cas = traj.monitor_table()[:, traj.monitor_names.index("casimir")]
     print(f"steps: {args.steps}, h: {args.h}")
     print(f"energy drift:    {np.max(np.abs(H - H[0])):.3e}")
     print(f"invariant drift: {np.max(np.abs(cas - cas[0])):.3e}")

@@ -379,8 +379,3 @@ def levi_civita_symbol() -> np.ndarray:
 def so3_constants() -> np.ndarray:
     """Rotation-algebra structure constants B[c,a,b] = eps_{abc}, value index first."""
     return np.transpose(levi_civita_symbol(), (2, 0, 1))
-
-
-def so3_algebra() -> AlgebroidStructure:
-    """The rotation algebra over a point."""
-    return algebroid_from_constants(so3_constants(), n=0)

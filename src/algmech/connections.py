@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebroid import AlgebroidStructure, max_abs, structure_eval
-from .errors import InputError
-from .fields import TensorField
+from .errors import InputError, NumericError
+from .fields import TensorField, _monomials, matvec
 
 CHRISTOFFEL_FD_STEP = 1e-4  # larger than the field default: the metric solve
 # inside each Christoffel amplifies cancellation noise
@@ -94,6 +94,7 @@ def check_metric(Gv, q):
     """Raise :class:`InputError`, naming the first failing point, unless ``Gv`` is SPD.
 
     ``Gv`` holds the metric's values at the point ``q[n]`` or the points ``q[K, n]``.
+    A non-finite entry fails the first pass (inf - inf is NaN) and raises :class:`NumericError`.
     """
     try:  # abs() and .max(): np.max's dispatch costs more than this check on [m, m]
         if abs(Gv - Gv.swapaxes(-1, -2)).max() <= 1e-10:
@@ -102,6 +103,8 @@ def check_metric(Gv, q):
     except np.linalg.LinAlgError:
         pass
     for point, G in zip(np.atleast_2d(q), Gv.reshape((-1,) + Gv.shape[-2:])):
+        if not np.isfinite(G).all():
+            raise NumericError(f"metric not finite at {point.tolist()}")
         if np.max(np.abs(G - G.T)) > 1e-10:
             raise InputError(f"metric not symmetric at {point.tolist()}")
         try:
@@ -110,43 +113,51 @@ def check_metric(Gv, q):
             raise InputError(f"metric not positive-definite at {point.tolist()}") from exc
 
 
-def christoffels_at(Gv, Gg, B, rho) -> np.ndarray:
-    """Levi-Civita Christoffels Gamma[c,a,b] from the metric jet, bracket and anchor.
+def christoffels_at(Gv, K) -> np.ndarray:
+    """Levi-Civita Christoffels Gamma[c,a,b] from the metric values and the Koszul right-hand side.
 
-    Solves 2 G_{cg} Gamma[c,a,b] = K[a,b,g] (:func:`_koszul_rhs`) for all (a, b)
+    Solves 2 G_{cg} Gamma[c,a,b] = K[a,b,g] (:func:`_koszul_rhs`, or flat) for all (a, b)
     at once, batch axes first.  Needs a Lie-type frame (skew bracket, equal
     anchors) and an SPD metric, which the caller checks (:func:`check_metric`).
     """
-    K = _koszul_rhs(Gv, Gg, B, rho)
-    m = B.shape[-1]
-    rhs = 0.5 * K.reshape(K.shape[:-3] + (m * m, m)).swapaxes(-1, -2)
-    return np.linalg.solve(Gv, rhs).reshape(K.shape)
+    m = Gv.shape[-1]
+    rhs = 0.5 * K.reshape(Gv.shape[:-2] + (m * m, m)).swapaxes(-1, -2)
+    return np.linalg.solve(Gv, rhs).reshape(Gv.shape[:-2] + (m,) * 3)
 
 
 def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
-    """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G``.
+    """Levi-Civita Christoffel fields Gamma[c,a,b](q) for metric ``G`` on a constant frame.
 
-    One array-valued tensor, one :func:`christoffels_at` per evaluation;
-    gradients are central differences with step ``CHRISTOFFEL_FD_STEP``.  A
-    bundle that needs it in several tensors at one point solves once itself.
-    A constant metric is checked here, once; a varying one at each evaluation.
-    A constant frame is read here, once; a varying one at each evaluation.
+    There K is linear in the metric's jet, so one packed table, built here,
+    gives G(q) and K(q) in one product: its K rows are :func:`_koszul_rhs`
+    of the columns of G's jet table.  A metric with closure entries, or an
+    array-valued one, sends its jet at each point through that map instead.
+    An evaluation then checks the metric and makes one :func:`christoffels_at`
+    (over a point, once, here); gradients are central differences with step
+    ``CHRISTOFFEL_FD_STEP``.
     """
-    m = A.m
+    m, n = A.m, A.n
     if G.shape != (m, m):
         raise InputError("metric must be an [m,m] tensor over the base")
-    if G._const is not None:
-        check_metric(G._const, np.zeros(A.n))
-    frame = None if A._varying or A._structure_at else structure_eval(A, np.zeros(A.n))
+    if A._varying:
+        raise InputError("levi_civita needs a constant frame; this frame's bracket or anchors vary")
+    s = structure_eval(A, np.zeros(n))
+    per_point = G if G._terms is None or G._others else None
+    E, C = (G if per_point is None else TensorField.zeros(G.shape, n)).jet_table()
+    size, U = m * m, C.shape[1]  # column u of C is the metric jet of monomial u
+    K = _koszul_rhs(C[:size].T.reshape(U, m, m), C[size:].T.reshape(U, m, m, n), s.B, s.rho_l)
+    table = np.concatenate([C[:size], K.reshape(U, size * m).T])
 
     def at(q):
-        Gv, Gg = G.eval_grad(q)
-        if G._const is None:
-            check_metric(Gv, q)
-        s = frame or structure_eval(A, q)
-        return christoffels_at(Gv, Gg, s.B, s.rho_l)
+        out = matvec(table, _monomials(q, E))  # check_metric refuses a non-finite metric
+        Gv, K = out[..., :size].reshape(q.shape[:-1] + (m, m)), out[..., size:]
+        if per_point is not None:  # the table is empty
+            Gv, Gg = per_point.eval_grad(q)
+            K = _koszul_rhs(Gv, Gg, s.B, s.rho_l)
+        check_metric(Gv, q)
+        return christoffels_at(Gv, K)
 
-    return TensorField.from_array_fn(at, (m, m, m), A.n, h=CHRISTOFFEL_FD_STEP)
+    return TensorField.from_array_fn(at, (m, m, m), n, h=CHRISTOFFEL_FD_STEP)
 
 
 @dataclass(frozen=True)

@@ -325,11 +325,6 @@ class SmoothField:
         return f"SmoothField(arity={self.arity}, kind={self.kind!r})"
 
 
-def field_from_polynomial(terms, arity) -> SmoothField:
-    """Polynomial field from ``[(coefficient, exponent_vector), ...]``."""
-    return SmoothField.polynomial(terms, arity)
-
-
 def _is_number(value):
     """A JSON number: an int or a float, not a bool (``true`` would read as 1)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -630,6 +625,12 @@ class TensorField:
             vals[..., k] += f._value(q)
         return vals.reshape(out_shape)
 
+    def jet_table(self):
+        """``(E, C)`` of the packed terms (:func:`_jet_table`), built on the first call."""
+        if self._C is None:
+            self._E, _, self._C = _jet_table(*self._terms, math.prod(self.shape), self.arity)
+        return self._E, self._C
+
     def eval_grad(self, q):
         """Values and gradients: shapes ``shape`` and ``shape + (arity,)``, batch axis first."""
         q = _check_point(q, self.arity)
@@ -640,9 +641,8 @@ class TensorField:
             vals, grads = _central_jet(self._values, q, self._h, self.shape)
         else:
             size = math.prod(self.shape)
-            if self._C is None:
-                self._E, _, self._C = _jet_table(*self._terms, size, self.arity)
-            jet = matvec(self._C, _monomials(q, self._E))
+            E, C = self.jet_table()
+            jet = matvec(C, _monomials(q, E))
             vals = jet[..., :size]  # views of the jet, also over a batch
             grads = jet[..., size:].reshape(batch + (size, self.arity))
             for k, f in self._others:

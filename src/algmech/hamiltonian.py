@@ -139,9 +139,6 @@ class Trajectory:
         """``[N, k]``: one column per name of ``monitor_names``."""
         return self.samples[:, 3 + self.n + self.m :]
 
-    def monitor_values(self, name) -> np.ndarray:
-        return self.monitor_table()[:, self.monitor_names.index(name)]
-
     def csv_header(self) -> str:
         cols = ["t"]
         cols += [f"q{i + 1}" for i in range(self.n)]

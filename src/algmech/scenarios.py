@@ -27,12 +27,13 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidStructure, StructureSnapshot, algebroid_from_constants, base_probes,
-    canonical_tangent, so3_constants, structure_eval,
+    canonical_tangent, structure_eval,
 )
 from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     CurvatureTensor,
+    _koszul_rhs,
     check_metric,
     christoffels_at,
     curvature_arrays,
@@ -178,13 +179,6 @@ def euler_top_hamiltonian(inertia) -> SmoothField:
 def so3_casimir() -> SmoothField:
     """|p|^2 on the dual of the rotation algebra, the Casimir of its bracket."""
     return SmoothField.polynomial([(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3)
-
-
-def build_euler_top(inertia=(1.0, 2.0, 3.0)) -> ScenarioBundle:
-    """Free rigid body as a Lie-Poisson system on the rotation algebra."""
-    return build_lie_poisson(
-        so3_constants(), euler_top_hamiltonian(inertia), monitors={"casimir": so3_casimir()}
-    )
 
 
 # -- bracket modification by a torsion tensor ---------------------------------
@@ -655,7 +649,8 @@ class _AdaptedFrame:
             return np.broadcast_to(self._point_gamma, q.shape[:-1] + self._point_gamma.shape)
         if not self.spec.classical:
             check_metric(core["G_new"], q)
-        return christoffels_at(core["G_new"], core["dG_new"], core["C_new"], core["rho_new"])
+        G = core["G_new"]
+        return christoffels_at(G, _koszul_rhs(G, core["dG_new"], core["C_new"], core["rho_new"]))
 
     def _projected(self, core, T):
         """Kinematic projection of a frame tensor ``T[..., M, M, M]`` (value, direction, argument).

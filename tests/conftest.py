@@ -10,13 +10,40 @@ from algmech.algebroid import (
     AlgebroidStructure,
     algebroid_from_constants,
     canonical_tangent,
-    so3_algebra,
+    so3_constants,
     structure_eval,
 )
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
-from algmech.scenarios import ConstraintSpec, _AdaptedFrame
+from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.scenarios import (
+    ConstraintSpec, _AdaptedFrame, build_lie_poisson, euler_top_hamiltonian, so3_casimir,
+)
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+# -- helpers that only the tests use ------------------------------------------
+
+
+def so3_algebra():
+    """The rotation algebra over a point."""
+    return algebroid_from_constants(so3_constants(), n=0)
+
+
+def build_euler_top(inertia=(1.0, 2.0, 3.0)):
+    """Free rigid body as a Lie-Poisson system on the rotation algebra."""
+    return build_lie_poisson(
+        so3_constants(), euler_top_hamiltonian(inertia), monitors={"casimir": so3_casimir()}
+    )
+
+
+def field_from_polynomial(terms, arity):
+    """Polynomial field from ``[(coefficient, exponent_vector), ...]``."""
+    return SmoothField.polynomial(terms, arity)
+
+
+def monitor_values(traj, name):
+    """The column of the monitor ``name`` in a trajectory's table."""
+    return traj.monitor_table()[:, traj.monitor_names.index(name)]
 
 
 def checkout_env():

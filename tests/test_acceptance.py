@@ -9,7 +9,6 @@ import pytest
 
 from algmech.algebroid import (
     canonical_tangent,
-    so3_algebra,
     structure_checks,
     structure_eval,
     sym_skew_parts,
@@ -23,7 +22,7 @@ from algmech.connections import (
     levi_civita,
     metric_compatible_pair,
 )
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import SmoothField, TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field, integrate, rk4_step
 from algmech.prolongation import (
     ProlongationData,
@@ -43,18 +42,21 @@ from algmech.scenarios import (
     build_canonical,
     build_constrained,
     build_contorsion,
-    build_euler_top,
     build_gradient_extension,
     lagrangian_reference,
 )
 
 from conftest import (
+    build_euler_top,
     ctilde_display,
     curved_plane_metric,
     euler_hamiltonian,
+    field_from_polynomial,
     generalized_so3_spec,
     harmonic_hamiltonian,
+    monitor_values,
     nonjacobi_spec,
+    so3_algebra,
     tr3_classical_spec,
 )
 
@@ -209,7 +211,7 @@ def test_criterion_05_euler_top():
         b.algebroid, b.hamiltonian, PhasePoint([], [1.0, 1.0, 1.0]), 1e-3, 10000, b.monitors
     )
     Hs = traj.h_values()
-    cas = traj.monitor_values("casimir")
+    cas = monitor_values(traj, "casimir")
     h_drift = np.max(np.abs(Hs - Hs[0]))
     c_drift = np.max(np.abs(cas - cas[0]))
     ok = field_err <= 1e-14 and h_drift <= 1e-8 and c_drift <= 1e-8

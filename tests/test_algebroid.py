@@ -15,12 +15,12 @@ from algmech.algebroid import (
 )
 from algmech.errors import InputError
 from algmech.fields import (
-    SmoothField, TensorField, field_from_polynomial, tensor_from_config, vecmat,
+    SmoothField, TensorField, tensor_from_config, vecmat,
 )
 from algmech.randoms import random_algebroid, random_polynomial_field
 from algmech.scenarios import build_constrained
 
-from conftest import nonjacobi_spec, symmetric_product_line
+from conftest import field_from_polynomial, nonjacobi_spec, symmetric_product_line
 
 
 def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):

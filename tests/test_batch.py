@@ -24,7 +24,6 @@ from algmech.algebroid import (
     d_skew_scalar,
     d_sym,
     diff_lr_section,
-    so3_algebra,
     structure_checks,
     structure_eval,
     sym_skew_parts,
@@ -51,7 +50,7 @@ from algmech.randoms import (
 from algmech.scenarios import ConstraintSpec, _AdaptedFrame, build_constrained
 from algmech.verify import CHECKS, run_check
 
-from conftest import curved_plane_metric, generalized_curved_spec
+from conftest import curved_plane_metric, generalized_curved_spec, so3_algebra
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PROBE_FAMILIES = [

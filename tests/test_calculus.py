@@ -19,7 +19,6 @@ from algmech.algebroid import (
     d_sym,
     diff_lr_section,
     jacobiator,
-    so3_algebra,
     structure_checks,
     structure_eval,
 )
@@ -34,6 +33,7 @@ from algmech.randoms import (
     random_polynomial_tensor,
     random_valid_split,
 )
+from conftest import so3_algebra
 
 RANKS = (1, 2, 3)
 

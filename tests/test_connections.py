@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import (
+    AlgebroidStructure,
+    algebroid_from_constants,
     canonical_tangent,
     levi_civita_symbol,
     structure_eval,
@@ -12,6 +14,7 @@ from algmech.connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
     _koszul_rhs,
+    christoffels_at,
     CurvatureTensor,
     curvature_arrays,
     curvature_at,
@@ -23,13 +26,15 @@ from algmech.connections import (
     verify_split,
 )
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import SmoothField, TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint
 from algmech.prolongation import ProlongationData, prolong_eval
 from algmech.randoms import random_algebroid
 from algmech.scenarios import _AdaptedFrame
 
-from conftest import curved_plane_metric, nested, tr3_classical_spec
+from conftest import (
+    curved_plane_metric, field_from_polynomial, nested, so3_algebra, tr3_classical_spec,
+)
 
 
 def test_default_split_canonical(canonical2):
@@ -147,6 +152,101 @@ def test_levi_civita_rejects_bad_metric(canonical2):
     indef = TensorField.from_constants(np.diag([1.0, -1.0]), 2)
     with pytest.raises(InputError):
         levi_civita(canonical2, indef).eval([0.0, 0.0])
+
+
+# -- the packed Koszul table ----------------------------------------------------
+
+
+def _random_packed_metric(rng, m, n):
+    """A packed [m, m] metric of degree <= 2 over n coordinates, SPD on [-1, 1]^n.
+
+    A constant diagonal 4m plus one to three symmetric random terms per
+    entry pair, each at most 0.4 in size there; the first one varies.
+    """
+    rows, coefs, exps = [], [], []
+    for a in range(m):
+        rows.append(a * m + a)
+        coefs.append(4.0 * m)
+        exps.append([0] * n)
+        for b in range(a, m):
+            for k in range(rng.integers(1, 4)):  # the first term is not constant
+                e = rng.multinomial(rng.integers(k == 0, 3), [1.0 / n] * n).tolist()
+                c = rng.uniform(-0.4, 0.4)
+                for r in sorted({a * m + b, b * m + a}):
+                    rows.append(r)
+                    coefs.append(c)
+                    exps.append(e)
+    return TensorField.from_terms(rows, coefs, exps, (m, m), n)
+
+
+def _random_constant_frame(rng, m, n):
+    """A constant frame with a non-zero bracket and non-zero (equal) anchors."""
+    B, rho = rng.normal(size=(m, m, m)), rng.normal(size=(n, m))
+    assert np.max(np.abs(B)) > 0.1 and (n == 0 or np.max(np.abs(rho)) > 0.1)
+    return algebroid_from_constants(B, rho, n=n)
+
+
+def _assert_table_matches_the_jet_route(A, G, Q):
+    """levi_civita at each point of ``Q`` and over ``Q`` as a batch, against the per-point route.
+
+    The route: the metric jet from ``G.eval_grad``, the frame from
+    ``structure_eval``, then ``christoffels_at(Gv, _koszul_rhs(...))``.
+    """
+    Gamma = levi_civita(A, G)
+    for q in [*Q, Q]:
+        Gv, Gg = G.eval_grad(q)
+        s = structure_eval(A, q)
+        assert np.linalg.eigvalsh(Gv).min() > 0  # SPD at the probes
+        ref = christoffels_at(Gv, _koszul_rhs(Gv, Gg, s.B, s.rho_l))
+        out = Gamma.eval(q)
+        assert out.shape == ref.shape
+        assert np.all(np.abs(out - ref) <= 1e-14 * (1 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_packed_koszul_table_matches_the_metric_jet_route(seed):
+    rng = np.random.default_rng(1000 + seed)
+    n, m = 1 + seed % 3, 1 + (seed // 3) % 3
+    G = _random_packed_metric(rng, m, n)
+    assert G._others == () and G._const is None
+    A = _random_constant_frame(rng, m, n)
+    _assert_table_matches_the_jet_route(A, G, rng.uniform(-1, 1, (7, n)))
+
+
+def test_packed_koszul_table_matches_the_jet_route_on_special_metrics():
+    rng = np.random.default_rng(77)
+    sin = {"arity": 1, "builtin": "sin"}
+    square = {"arity": 1, "terms": [{"coef": 2.0, "exp": [0]}, {"coef": 1.0, "exp": [2]}]}
+    closure = tensor_from_config([[3.0, sin], [sin, square]], (2, 2), 1)  # a closure entry
+    assert closure._others
+    array_valued = TensorField.from_array_fn(
+        lambda Q: np.stack([3.0 + Q, 0.5 * Q**2, 0.5 * Q**2, 2.0 + 0 * Q], axis=-1)
+        .reshape(Q.shape[:-1] + (2, 2)),
+        (2, 2),
+        1,
+    )
+    const = TensorField.from_constants([[2.0, 0.3], [0.3, 1.5]], 2)
+    cases = [
+        (_random_constant_frame(rng, 2, 1), closure, rng.uniform(-1, 1, (7, 1))),
+        (_random_constant_frame(rng, 2, 1), array_valued, rng.uniform(-1, 1, (7, 1))),
+        (so3_algebra(), TensorField.from_constants(np.diag([1.0, 2.0, 3.0]), 0), np.zeros((7, 0))),
+        (_random_constant_frame(rng, 2, 2), const, rng.uniform(-1, 1, (7, 2))),
+    ]
+    for A, G, Q in cases:
+        _assert_table_matches_the_jet_route(A, G, Q)
+
+
+def test_levi_civita_refuses_a_varying_frame():
+    from algmech.scenarios import build_gradient_extension
+
+    X = tensor_from_config([1.0, 0.0], (2,), 2)
+    varying = build_gradient_extension(curved_plane_metric(), X).algebroid  # bracket 2 Gamma(q)
+    with pytest.raises(InputError, match="needs a constant frame; this frame's bracket or anchors"):
+        levi_civita(varying, curved_plane_metric())
+    anchor = tensor_from_config([[field_from_polynomial([(1.0, [1])], 1)]], (1, 1), 1)
+    moving = AlgebroidStructure(1, 1, TensorField.zeros((1, 1, 1), 1), anchor, anchor)
+    with pytest.raises(InputError, match="needs a constant frame"):
+        levi_civita(moving, TensorField.from_constants(np.eye(1), 1))
 
 
 def test_curvature_flat(canonical2):

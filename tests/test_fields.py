@@ -14,12 +14,11 @@ from algmech.fields import (
     _derivative_terms,
     _jet_table,
     _merge_monomials,
-    field_from_polynomial,
     fd_default_step,
     tensor_from_config,
 )
 
-from conftest import nested
+from conftest import field_from_polynomial, nested
 
 
 def test_polynomial_eval_and_gradient():

@@ -14,7 +14,7 @@ from algmech.algebroid import (
 )
 from algmech.config import build_scenario, initial_point
 from algmech.errors import InputError, IntegrationDivergedError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import SmoothField, TensorField, tensor_from_config
 from algmech.hamiltonian import (
     PhasePoint,
     Trajectory,
@@ -29,7 +29,9 @@ from algmech.scenarios import build_contorsion
 
 from conftest import (
     euler_hamiltonian,
+    field_from_polynomial,
     harmonic_hamiltonian,
+    monitor_values,
     poisson_bracket,
     poisson_tensor,
     symmetric_product_line,
@@ -177,7 +179,7 @@ def test_tilde_field_differs_for_nonskew():
 def test_bracket_antisymmetry_iff_skew_and_equal_anchors():
     rng = np.random.default_rng(3)
     # skew instance with equal anchors: antisymmetry holds everywhere
-    from algmech.algebroid import so3_algebra
+    from conftest import so3_algebra
 
     A = so3_algebra()
     worst = 0.0
@@ -255,7 +257,7 @@ def test_integrate_euler_casimir_drift(so3):
         so3, euler_hamiltonian(), PhasePoint([], [1.0, 1.0, 1.0]), 1e-3, 10000,
         monitors={"casimir": cas},
     )
-    c = traj.monitor_values("casimir")
+    c = monitor_values(traj, "casimir")
     assert np.max(np.abs(c - c[0])) <= 1e-8
 
 
@@ -287,7 +289,7 @@ def test_monitor_rate_is_minus_bracket_along_flow():
     F = random_phase_function(rng, 1, 2, degree=2)
     h = 1e-3
     traj = integrate(A, H, PhasePoint([0.1], [0.2, -0.1]), h, 400, monitors={"F": F})
-    Fs = traj.monitor_values("F")
+    Fs = monitor_values(traj, "F")
     for i in range(1, 399, 40):
         x = PhasePoint.from_z(traj.states()[i], 1)
         expected = -poisson_bracket(A, H, F, x)

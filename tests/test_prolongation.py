@@ -9,7 +9,6 @@ from algmech.algebroid import (
     d_full,
     d_skew,
     d_sym,
-    so3_algebra,
     structure_checks,
     structure_eval,
     worst_residual,
@@ -23,7 +22,7 @@ from algmech.connections import (
 )
 from algmech.config import build_scenario, load_config
 from algmech.errors import InvalidStructureError
-from algmech.fields import TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
     ProlongationData,
@@ -43,7 +42,9 @@ from algmech.randoms import (
 )
 from algmech.scenarios import build_constrained
 
-from conftest import euler_hamiltonian, harmonic_hamiltonian, nonjacobi_spec
+from conftest import (
+    euler_hamiltonian, field_from_polynomial, harmonic_hamiltonian, nonjacobi_spec, so3_algebra,
+)
 
 
 def canonical_prolongation(n=1):

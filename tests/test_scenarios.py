@@ -8,29 +8,32 @@ from algmech import connections, scenarios
 from algmech.algebroid import structure_checks, structure_eval
 from algmech.connections import verify_split
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, field_from_polynomial, tensor_from_config
+from algmech.fields import SmoothField, TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, energy_rate, ham_field, integrate
 from algmech.scenarios import (
     ConstraintSpec,
     _AdaptedFrame,
     build_constrained,
     build_contorsion,
-    build_euler_top,
     build_gradient_extension,
     lagrangian_reference,
 )
 
 from conftest import (
+    build_euler_top,
     ctilde_display,
     curved_plane_metric,
+    field_from_polynomial,
     generalized_curved_spec,
     generalized_so3_inertia_spec,
     generalized_so3_spec,
+    monitor_values,
     nonjacobi_spec,
     se2r_algebra,
+    so3_algebra,
     tr3_classical_spec,
 )
-from algmech.algebroid import canonical_tangent, so3_algebra
+from algmech.algebroid import canonical_tangent
 
 
 # -- gradient extension -------------------------------------------------------
@@ -120,7 +123,7 @@ def test_euler_top_field_and_drift():
     out = ham_field(b.algebroid, b.hamiltonian, PhasePoint([], [1.0, 1.0, 1.0]))
     assert np.max(np.abs(out - [-1 / 6, 2 / 3, -1 / 2])) <= 1e-14
     traj = integrate(b.algebroid, b.hamiltonian, PhasePoint([], [1.0, 1.0, 1.0]), 1e-3, 2000, b.monitors)
-    c = traj.monitor_values("casimir")
+    c = monitor_values(traj, "casimir")
     Hs = traj.h_values()
     assert np.max(np.abs(c - c[0])) <= 1e-9
     assert np.max(np.abs(Hs - Hs[0])) <= 1e-9
@@ -696,8 +699,11 @@ def test_a_gradient_extension_rk4_step_solves_the_koszul_relation_at_most_twice(
 def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_solve(monkeypatch):
     """The tangent frame is read when the bracket is built, never by an RK4 stage.
 
-    Each distinct stage point evaluates the metric jet once and solves the
-    Koszul relation once; a stage on the point before it does neither.
+    Each distinct stage point reads the metric and the Koszul right-hand side
+    from one product of the packed Koszul table: no tensor's ``eval_grad``
+    and no ``_koszul_rhs`` run in a stage, and the point makes one
+    ``check_metric`` and one ``christoffels_at``; a stage on the point
+    before it does none of these.
     """
     import pathlib
     import sys
@@ -711,8 +717,8 @@ def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_s
     X = tensor_from_config(cfg.scenario["vector_field"], (n,), n)
     bundle = build_gradient_extension(G, X)
     A = bundle.algebroid
-    fresh, others, jets, solves = [], [], [], []
-    christoffels_at, eval_grad = connections.christoffels_at, TensorField.eval_grad
+    fresh, others = [], []
+    calls = collections.Counter()
 
     def counted_structure_eval(module):
         def counted(S, q):
@@ -725,26 +731,26 @@ def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_s
 
         return counted
 
-    def counted_eval_grad(T, q):
-        if T is G:
-            jets.append(1)
-        return eval_grad(T, q)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    def counted_christoffels_at(*args):
-        solves.append(1)
-        return christoffels_at(*args)
+        return wrapper
 
     for name, module in list(sys.modules.items()):
         if name.startswith("algmech") and getattr(module, "structure_eval", None) is structure_eval:
             monkeypatch.setattr(module, "structure_eval", counted_structure_eval(name))
-    monkeypatch.setattr(TensorField, "eval_grad", counted_eval_grad)
-    monkeypatch.setattr(connections, "christoffels_at", counted_christoffels_at)
+    monkeypatch.setattr(TensorField, "eval_grad", counted("eval_grad", TensorField.eval_grad))
+    for name in ("_koszul_rhs", "check_metric", "christoffels_at"):
+        monkeypatch.setattr(connections, name, counted(name, getattr(connections, name)))
     steps = 40
     x0 = initial_point(cfg.integration, bundle)
     integrate(A, bundle.hamiltonian, x0, cfg.integration["h"], steps)
     assert others == []  # no structure_eval of the canonical frame
     assert len(fresh) >= 2 * steps + 1 and len(set(fresh)) == len(fresh)
-    assert len(jets) == len(fresh) and len(solves) == len(fresh)
+    assert calls["eval_grad"] == 0 and calls["_koszul_rhs"] == 0
+    assert calls["check_metric"] == len(fresh) and calls["christoffels_at"] == len(fresh)
 
 
 def test_a_bundle_with_an_overridden_split_checks_its_own_pair():

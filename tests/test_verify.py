@@ -10,11 +10,11 @@ from algmech.config import build_scenario
 from algmech.errors import InputError
 from algmech.hamiltonian import PhasePoint, integrate
 from algmech.randoms import random_phase_point
-from algmech.scenarios import build_canonical, build_euler_top
+from algmech.scenarios import build_canonical
 from algmech import verify
 from algmech.verify import CHECKS, run_check
 
-from conftest import harmonic_hamiltonian, nonjacobi_spec
+from conftest import build_euler_top, harmonic_hamiltonian, nonjacobi_spec
 from algmech.scenarios import build_constrained
 
 
