@@ -130,8 +130,9 @@ def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
 
     There K is linear in the metric's jet, so one packed table, built here,
     gives G(q) and K(q) in one product: its K rows are :func:`_koszul_rhs`
-    of the columns of G's jet table.  A metric with closure entries, or an
-    array-valued one, sends its jet at each point through that map instead.
+    of the columns of G's jet table.  An array-valued metric (one with a
+    non-polynomial entry, say) sends its jet at each point through that map
+    instead.
     An evaluation then checks the metric and makes one :func:`christoffels_at`
     (over a point, once, here); gradients are central differences with step
     ``CHRISTOFFEL_FD_STEP``.
@@ -142,7 +143,7 @@ def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
     if A._varying:
         raise InputError("levi_civita needs a constant frame; this frame's bracket or anchors vary")
     s = structure_eval(A, np.zeros(n))
-    per_point = G if G._terms is None or G._others else None
+    per_point = G if G._terms is None else None
     E, C = (G if per_point is None else TensorField.zeros(G.shape, n)).jet_table()
     size, U = m * m, C.shape[1]  # column u of C is the metric jet of monomial u
     K = _koszul_rhs(C[:size].T.reshape(U, m, m), C[size:].T.reshape(U, m, m, n), s.B, s.rho_l)

@@ -1,34 +1,31 @@
 """Smooth scalar and tensor fields over a coordinate chart.
 
 Every coordinate-dependent coefficient in the library (structure functions,
-metrics, Hamiltonians) is a :class:`SmoothField`: a real function of the chart
-coordinates that can also report its first-derivative jet.  Three flavours
-exist:
+metrics, Hamiltonians) is a :class:`TensorField`: an array of real functions
+of the chart coordinates that also reports its first-derivative jet.  A
+scalar, such as a Hamiltonian, is the tensor of shape ``()``, a
+:class:`SmoothField`, whose class adds only scalar constructors and
+accessors.  A tensor takes one of two forms:
 
-* polynomial fields, with exact evaluation and exact gradients;
-* builtin fields: closures with an analytic gradient, and named closures
-  registered in code (``sin``, ``cos``, ...);
-* finite-difference wrapped fields, any evaluable closure whose gradient is
-  taken by central differences with step ``h``.
+* packed polynomial terms, with exact values and exact jets.  The terms are
+  compiled into one shared monomial table and one coefficient matrix per use
+  (value, gradient, jet), built on first read, so a value or a whole jet
+  costs a fixed handful of array operations;
+* array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
+  (:meth:`TensorField.from_array_fn`) gives the whole value at K points in
+  one call.  Its gradient is an exact callable when it has one (a closure
+  with an analytic gradient, a sum or multiple of exact jets), else one
+  central-difference sweep with step ``h``, all stencil points in one call
+  (``_central_jet``): the named builtins (``sin``, ``cos``, ``exp``), a
+  closure without a gradient, and the derived tensors (Christoffel symbols,
+  curvature, the projected constrained and the lifted structure).  The
+  adapted frame's own arrays carry exact jets.
 
-Linear combinations of fields keep exact gradients (the jet is linear), so
-derived coefficients like differences of polynomial tensors stay as accurate
-as their ingredients.  A finite-difference jet, of a field or of an
-array-valued tensor, is one stencil sweep (``_central_jet``).
-
-Polynomial data is compiled: a field builds the monomial table of its first
-derivatives on its first gradient, and a :class:`TensorField` packs all of its
-polynomial components into one shared monomial table and one coefficient
-matrix, built on first read, so a value or a whole jet costs a fixed handful
-of array operations.  Nested input, from a config or from code, becomes a
-packed tensor in one walk (:func:`tensor_from_config`); no entry is an object
-of its own.
-
-Derived tensors (Christoffel symbols, curvature, the projected constrained and
-the lifted structure) are array-valued: one callable ``fn(Q[K, n]) -> [K, *shape]``
-(:meth:`TensorField.from_array_fn`) gives the whole value at K points in one
-call, and its jet is one central-difference sweep, all stencil points in one
-call; the adapted frame's own arrays carry exact jets.
+Linear combinations keep exact jets (the jet is linear), so derived
+coefficients like differences of polynomial tensors stay as accurate as their
+ingredients.  Nested input, from a config or from code, becomes one tensor in
+one walk (:func:`tensor_from_config`): packed when every entry is a
+polynomial, else array-valued, the packed part plus each other entry.
 
 Batch axis: every evaluation accepts one point ``q[n]`` or a batch
 ``q[K, n]`` and then returns its values with a leading axis of length K.  A
@@ -136,195 +133,6 @@ def _central_jet(fn, q, h, shape):
     return stencil_jet(np.reshape(out, points.shape[:-1] + tuple(shape)), h)
 
 
-class SmoothField:
-    """Scalar function of ``arity`` chart coordinates with a first-derivative jet.
-
-    ``kind`` is ``"polynomial"``, ``"builtin"`` or ``"fd"``, as in the
-    module docstring; a sum of fields that are not all polynomial is a
-    closure over its operands' values and gradients.  A polynomial keeps
-    its terms ``(coefs[T], exps[T, arity])`` and, from its first gradient on,
-    the table of its derivative monomials ``_dexps[K, arity]`` with
-    coefficients ``_dcoefs[arity, K]``.
-    """
-
-    __slots__ = ("arity", "kind", "_terms", "_dexps", "_dcoefs", "_fn", "_grad", "_h")
-
-    def __init__(self, arity, kind, terms=None, fn=None, grad=None, h=None):
-        self.arity = int(arity)
-        self.kind = kind
-        self._terms = terms
-        self._dexps = self._dcoefs = None
-        self._fn = fn
-        self._grad = grad
-        self._h = h
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def polynomial(cls, terms, arity) -> "SmoothField":
-        """Field Σ coef · Π q_i^{e_i} from ``terms = [(coef, exponent_vector), ...]``."""
-        arity = int(arity)
-        if arity < 0:
-            raise InputError("arity must be >= 0")
-        terms = list(terms)
-        exps = [np.asarray(exp, dtype=int).reshape(-1) for _, exp in terms]
-        for exp in exps:
-            if exp.shape[0] != arity:
-                raise InputError(
-                    f"exponent vector {exp.tolist()} has length {exp.shape[0]}, arity is {arity}"
-                )
-        exps = np.array(exps, dtype=int).reshape(len(terms), arity)
-        if np.any(exps < 0):
-            raise InputError("exponents must be >= 0")
-        coefs = np.array([float(coef) for coef, _ in terms], dtype=float)
-        if not np.isfinite(coefs).all():
-            raise InputError("coefficients must be finite")
-        return cls._from_arrays(coefs, exps, arity)
-
-    @classmethod
-    def _from_arrays(cls, coefs, exps, arity) -> "SmoothField":
-        """Polynomial from validated ``coefs[T]`` and ``exps[T, arity]``."""
-        return cls(arity, "polynomial", terms=(coefs, exps))
-
-    def _derivative_table(self):
-        """Build ``_dexps``/``_dcoefs`` on the first gradient."""
-        coefs, exps = self._terms
-        _, i, dcoefs, self._dexps = _derivative_terms(coefs, exps)
-        self._dcoefs = np.zeros((self.arity, i.shape[0]))
-        self._dcoefs[i, np.arange(i.shape[0])] = dcoefs
-
-    @classmethod
-    def constant(cls, value, arity) -> "SmoothField":
-        value = float(value)
-        if value == 0.0:
-            return cls.polynomial([], arity)
-        return cls.polynomial([(value, [0] * arity)], arity)
-
-    @classmethod
-    def zero(cls, arity) -> "SmoothField":
-        return cls.polynomial([], arity)
-
-    @classmethod
-    def coordinate(cls, index, arity) -> "SmoothField":
-        """The chart coordinate q_index as a field."""
-        exp = [0] * arity
-        exp[index] = 1
-        return cls.polynomial([(1.0, exp)], arity)
-
-    @classmethod
-    def from_callable(cls, fn, arity, grad=None, h=None) -> "SmoothField":
-        """Wrap ``fn(q) -> float``; gradient analytic if ``grad`` given, else FD."""
-        kind = "builtin" if grad is not None else "fd"
-        if grad is None and h is None:
-            h = fd_default_step()
-        return cls(int(arity), kind, fn=fn, grad=grad, h=h)
-
-    @classmethod
-    def builtin(cls, name, h=None) -> "SmoothField":
-        """Look up a code-registered named closure; gradient by central differences."""
-        try:
-            fn, arity = _BUILTINS[name]
-        except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable
-            raise InputError(f"unknown builtin field {name!r}") from exc
-        if h is None:
-            h = fd_default_step()
-        return cls(arity, "builtin", fn=fn, h=float(h))
-
-    # -- evaluation ---------------------------------------------------------
-
-    def value(self, q):
-        """Value at ``q[n]`` (a float) or at each point of ``q[K, n]`` ([K])."""
-        q = _check_point(q, self.arity)
-        v = self._value(q)
-        if not (math.isfinite(v) if q.ndim == 1 else np.isfinite(v).all()):
-            raise NumericError(f"field evaluated to non-finite value at {q.tolist()}")
-        return v
-
-    def gradient(self, q) -> np.ndarray:
-        """Gradient at ``q[n]`` ([n]) or at each point of ``q[K, n]`` ([K, n])."""
-        q = _check_point(q, self.arity)
-        g = self._gradient(q)
-        if not np.isfinite(g).all():
-            raise NumericError(f"field gradient non-finite at {q.tolist()}")
-        return g
-
-    def eval(self, q):
-        """Return ``(value, gradient)`` at ``q``."""
-        return self.value(q), self.gradient(q)
-
-    def __call__(self, q) -> float:
-        return self.value(q)
-
-    def _value(self, q):
-        if self.kind == "polynomial":
-            coefs, exps = self._terms
-            mono = _monomials(q, exps)
-            # one product per point: a matrix-vector product over the batch may round differently
-            v = mono @ coefs if q.ndim == 1 else vecmat(mono, coefs[:, None])[:, 0]
-        elif q.ndim == 2:  # closures take one point at a time
-            return np.array([float(self._fn(row)) for row in q])
-        else:
-            v = self._fn(q)
-        return float(v) if q.ndim == 1 else v
-
-    def _gradient(self, q):
-        n = self.arity
-        if self.kind == "polynomial":
-            if self._dexps is None:
-                self._derivative_table()
-            return matvec(self._dcoefs, _monomials(q, self._dexps))
-        if self._grad is None:  # central differences over the value
-            return _central_jet(self._value, q, self._h, ())[1]
-        if q.ndim == 2:  # closures take one point at a time
-            return np.array([self._gradient(row) for row in q]).reshape(q.shape)
-        return np.asarray(self._grad(q), dtype=float).reshape(n)
-
-    # -- algebra (linear combinations keep exact jets) ----------------------
-
-    def _lincomb(self, other, w_self, w_other):
-        if not isinstance(other, SmoothField):
-            raise TypeError("can only combine SmoothField with SmoothField")
-        if other.arity != self.arity:
-            raise InputError("field arities differ")
-        if self.kind == "polynomial" and other.kind == "polynomial":
-            c1, e1 = self._terms
-            c2, e2 = other._terms
-            return SmoothField._from_arrays(
-                np.concatenate([w_self * c1, w_other * c2]), np.vstack([e1, e2]), self.arity
-            )
-        return SmoothField.from_callable(
-            lambda q: w_self * self._value(q) + w_other * other._value(q),
-            self.arity,
-            grad=lambda q: w_self * self._gradient(q) + w_other * other._gradient(q),
-        )
-
-    def __add__(self, other):
-        return self._lincomb(other, 1.0, 1.0)
-
-    def __sub__(self, other):
-        return self._lincomb(other, 1.0, -1.0)
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    def scaled(self, w) -> "SmoothField":
-        w = float(w)
-        if self.kind == "polynomial":
-            coefs, exps = self._terms
-            return SmoothField._from_arrays(w * coefs, exps, self.arity)
-        return SmoothField.from_callable(
-            lambda q: w * self._value(q), self.arity, grad=lambda q: w * self._gradient(q)
-        )
-
-    def __mul__(self, w):
-        return self.scaled(w)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"SmoothField(arity={self.arity}, kind={self.kind!r})"
-
-
 def _is_number(value):
     """A JSON number: an int or a float, not a bool (``true`` would read as 1)."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -362,6 +170,8 @@ def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
             if h is not None and not (is_finite_number(h) and h > 0):
                 raise InputError("field config 'h' must be a finite number > 0")
             f = SmoothField.builtin(obj["builtin"], h=h)
+            if f.arity != obj["arity"]:
+                raise InputError(f"field arity {obj['arity']} is not its builtin's arity {f.arity}")
         else:
             terms = obj.get("terms", [])
             if not (isinstance(terms, list) and all(isinstance(t, dict) for t in terms)):
@@ -457,29 +267,43 @@ class TensorField:
 
     ``shape`` is the list of index extents; evaluation at a chart point
     returns a float array of the same shape, and at a batch ``q[K, n]`` an
-    array ``[K, *shape]``.  A tensor is one of two things:
+    array ``[K, *shape]``.  A tensor of shape ``()`` is a
+    :class:`SmoothField`.  A tensor is one of two things:
 
     * packed: polynomial terms ``(rows, coefs, exps)``, term t adding
-      ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``, plus ``_others``,
-      a tuple of closure entries ``(flat index, field)`` whose values and
-      gradients are added into their entries.  The terms are stored as
-      built; their tables are built on first read: the first evaluation
-      builds the value table ``_Ev``/``_Cv``, the first ``eval_grad`` the
-      jet table ``_E``/``_C`` (values and gradients in one product), so a
-      tensor that is only evaluated never builds its jet;
+      ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``.  The terms are
+      stored as built; their tables are built on first read: the first
+      evaluation builds the value table ``_Ev``/``_Cv``, the first gradient
+      the gradient table ``_Eg``/``_Cg``, the first ``eval_grad`` the jet
+      table ``_E``/``_C`` (values and gradients in one product), so a tensor
+      that is only evaluated never builds its jet;
     * array-valued (:meth:`from_array_fn`): one callable ``_fn(Q[K, n])``
-      returns the whole array at K points; the jet is central differences
-      with step ``_h``.
+      returns the whole array at K points; the gradient is the exact
+      callable ``_grad`` when there is one, else central differences with
+      step ``_h``.
 
-    Nested input (numbers, config field objects, SmoothFields) is packed by
-    :func:`tensor_from_config`, constant arrays by :meth:`from_constants`.  A
-    tensor of constants, and an array-valued tensor over a point, is folded
-    into ``_const``.
+    Nested input (numbers, config field objects, SmoothFields) becomes a
+    tensor in :func:`tensor_from_config`, constant arrays in
+    :meth:`from_constants`.  A tensor of constants, and an array-valued
+    tensor over a point, is folded into ``_const``.  ``_values``,
+    ``_gradient`` and ``_jet`` take a validated point and leave the
+    finiteness check to their caller; ``eval`` and ``eval_grad`` do both.
     """
 
     __slots__ = (
-        "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_others", "_fn", "_h",
+        "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_Eg", "_Cg",
+        "_fn", "_grad", "_h",
     )
+
+    @staticmethod
+    def _new(shape, arity) -> "TensorField":
+        """A tensor without data; one of shape ``()`` is a :class:`SmoothField`."""
+        shape = tuple(int(s) for s in shape)
+        T = object.__new__(TensorField if shape else SmoothField)
+        T.shape, T.arity = shape, int(arity)
+        T._terms = T._const = T._fn = T._grad = T._h = None
+        T._E = T._C = T._Ev = T._Cv = T._Eg = T._Cg = None  # tables: on first read
+        return T
 
     @classmethod
     def from_terms(cls, rows, coefs, exps, shape, arity) -> "TensorField":
@@ -492,54 +316,42 @@ class TensorField:
         return cls._packed(shape, arity, rows, np.asarray(coefs, dtype=float), exps)
 
     @classmethod
-    def _packed(cls, shape, arity, rows, coefs, exps, others=()) -> "TensorField":
-        """Packed tensor from validated terms and closure entries ``(flat index, field)``."""
-        T = cls.__new__(cls)
-        T._pack(shape, arity, rows, coefs, exps, others)
+    def _packed(cls, shape, arity, rows, coefs, exps) -> "TensorField":
+        """Packed tensor from validated terms."""
+        T = cls._new(shape, arity)
+        T._terms = (rows, coefs, exps)
+        if not exps.any():
+            # only constants: fold once, the jet is zero
+            # (bincount of no terms is an integer array)
+            const = np.bincount(rows, weights=coefs, minlength=math.prod(T.shape)).astype(float)
+            const.flags.writeable = False
+            T._const = const.reshape(T.shape)
         return T
 
     @classmethod
-    def from_array_fn(cls, fn, shape, arity, h=None) -> "TensorField":
+    def from_array_fn(cls, fn, shape, arity, h=None, grad=None) -> "TensorField":
         """Tensor whose whole value at the points ``Q[K, arity]`` is ``fn(Q) -> [K, *shape]``.
 
         As everywhere in the library, one point is the 1-D case: ``fn(q[arity])``
-        returns ``[*shape]``.  The jet is one central-difference sweep over
-        the array: the points and their 2 * arity neighbours at step ``h``
-        (``fd_default_step()`` when not given) in one batch call of ``fn``;
-        entry by entry it is the arithmetic of a per-component FD field.
-        Over a point (arity 0) ``fn`` is called once, here, and its value is
-        folded into a constant.
+        returns ``[*shape]``.  ``grad``, when given, is the exact gradient in
+        the same form, ``grad(Q) -> [K, *shape, arity]``.  Without it the jet
+        is one central-difference sweep over the array: the points and their
+        2 * arity neighbours at step ``h`` (``fd_default_step()`` when not
+        given) in one batch call of ``fn``; entry by entry it is the
+        arithmetic of a per-component FD field.  Over a point (arity 0)
+        ``fn`` is called once, here, and its value is folded into a constant.
         """
-        T = cls.__new__(cls)
-        T.shape = tuple(int(s) for s in shape)
-        T.arity = int(arity)
-        T._terms = None
-        T._E = T._C = T._Ev = T._Cv = None
-        T._others = ()
-        T._h = fd_default_step() if h is None else float(h)
-        T._fn, T._const = fn, None
+        T = cls._new(shape, arity)
+        T._fn, T._grad = fn, grad
+        if grad is None:
+            T._h = fd_default_step() if h is None else float(h)
         if T.arity == 0:
             T._const = T._values(np.zeros(0))
             T._const.flags.writeable = False
-            T._fn = None
+            T._fn = T._grad = None
             if not np.isfinite(T._const).all():
                 raise NumericError("tensor field evaluated to non-finite entries")
         return T
-
-    def _pack(self, shape, arity, rows, coefs, exps, others):
-        self.shape = tuple(int(s) for s in shape)
-        self.arity = int(arity)
-        self._fn = self._h = None
-        self._terms = (rows, coefs, exps)
-        self._others = others
-        self._const = self._E = self._C = self._Ev = self._Cv = None  # tables: on first read
-        if not others and not exps.any():
-            # only constants: fold once, the jet is zero
-            # (bincount of no terms is an integer array)
-            size = math.prod(self.shape)
-            const = np.bincount(rows, weights=coefs, minlength=size).astype(float)
-            const.flags.writeable = False
-            self._const = const.reshape(self.shape)
 
     def _value_table(self):
         """Build ``_Ev``/``_Cv``: bit for bit the value block of :func:`_jet_table`."""
@@ -563,43 +375,67 @@ class TensorField:
     def zeros(cls, shape, arity) -> "TensorField":
         return cls.from_terms([], [], [], shape, arity)
 
+    # -- algebra (linear combinations keep exact jets) ----------------------
+
     def __add__(self, other) -> "TensorField":
-        """Entrywise sum of packed tensors, this tensor's terms and closure entries first."""
+        """Entrywise sum.  Of packed tensors it is packed, this tensor's terms first.
+
+        Otherwise it is array-valued, with the sum of the operands' gradients
+        as its exact gradient; an operand whose jet is central differences
+        cannot be added.
+        """
+        if not isinstance(other, TensorField):
+            return NotImplemented
         if self.shape != other.shape or self.arity != other.arity:
             raise InputError("tensor fields differ in shape or arity")
-        if self._terms is None or other._terms is None:
-            raise InputError("an array-valued TensorField cannot be added")
-        return TensorField._packed(
+        if self._terms is not None and other._terms is not None:
+            terms = (np.concatenate(pair) for pair in zip(self._terms, other._terms))
+            return TensorField._packed(self.shape, self.arity, *terms)
+        if any(T._fn is not None and T._grad is None for T in (self, other)):
+            raise InputError("a TensorField with a central-difference jet cannot be added")
+        return TensorField.from_array_fn(
+            lambda Q: self._values(Q) + other._values(Q),
             self.shape,
             self.arity,
-            *(np.concatenate(pair) for pair in zip(self._terms, other._terms)),
-            self._others + other._others,
+            grad=lambda Q: self._gradient(Q) + other._gradient(Q),
         )
+
+    def __sub__(self, other) -> "TensorField":
+        return self + -other
+
+    def __neg__(self) -> "TensorField":
+        return self.scaled(-1.0)
+
+    def __mul__(self, w) -> "TensorField":
+        return self.scaled(w)
+
+    __rmul__ = __mul__
 
     def scaled(self, w, axes=None) -> "TensorField":
         """``w`` times this tensor with its indices permuted as ``np.transpose(., axes)``.
 
         A packed tensor stays packed, with exact jets; an array-valued tensor
-        stays one call, of the wrapped callable itself.
+        stays one call, of the wrapped callable itself, and an exact gradient
+        stays exact.
         """
         w = float(w)
         axes = tuple(range(len(self.shape))) if axes is None else tuple(axes)
         shape = [self.shape[a] for a in axes]
-        if self._terms is None:  # array-valued; the batch axis, if any, stays first
+        if self._terms is None:  # array-valued; the batch axis stays first, the derivative last
+
+            def permuted(fn, tail):
+                last = tuple(a - len(axes) - len(tail) for a in axes) + tail
+                return lambda Q: w * np.transpose(fn(Q), (*range(Q.ndim - 1), *last))
+
             fn = self._fn or self._values  # over a point, the folded constant
-            last = tuple(a - len(axes) for a in axes)
-            return TensorField.from_array_fn(
-                lambda Q: w * np.transpose(fn(Q), (*range(Q.ndim - 1), *last)),
-                shape,
-                self.arity,
-                self._h,
-            )
+            grad = self._grad and permuted(self._grad, (-1,))
+            return TensorField.from_array_fn(permuted(fn, ()), shape, self.arity, self._h, grad)
         rows, coefs, exps = self._terms
         # the new flat position of every old entry
         where = np.transpose(np.arange(math.prod(shape)).reshape(shape), np.argsort(axes))
-        where = where.reshape(-1)
-        others = tuple((int(where[k]), f.scaled(w)) for k, f in self._others)
-        return TensorField._packed(shape, self.arity, where[rows], w * coefs, exps, others)
+        return TensorField._packed(shape, self.arity, where.reshape(-1)[rows], w * coefs, exps)
+
+    # -- evaluation ---------------------------------------------------------
 
     def eval(self, q) -> np.ndarray:
         q = _check_point(q, self.arity)
@@ -609,7 +445,7 @@ class TensorField:
         return vals
 
     def _values(self, q) -> np.ndarray:
-        """Values at a validated point or batch ``q``; the caller checks them for finiteness."""
+        """Values at a validated point or batch ``q``."""
         if self._const is not None:
             if q.ndim == 1:
                 return self._const.copy()
@@ -620,10 +456,38 @@ class TensorField:
             return np.array(self._fn(q), dtype=float).reshape(out_shape)
         if self._Cv is None:
             self._value_table()
-        vals = matvec(self._Cv, _monomials(q, self._Ev))
-        for k, f in self._others:
-            vals[..., k] += f._value(q)
-        return vals.reshape(out_shape)
+        return matvec(self._Cv, _monomials(q, self._Ev)).reshape(out_shape)
+
+    def gradient_table(self):
+        """``(E, C)`` such that ``C @ q**E`` is the packed gradient, ``[size * arity]``.
+
+        Its columns are the terms' derivatives (:func:`_derivative_terms`),
+        unmerged, so each has one non-zero entry.  Built on the first call.
+        """
+        if self._Cg is None:
+            rows, coefs, exps = self._terms
+            t, i, dcoefs, self._Eg = _derivative_terms(coefs, exps)
+            C = np.zeros((math.prod(self.shape) * self.arity, t.shape[0]))
+            C[rows[t] * self.arity + i, np.arange(t.shape[0])] = dcoefs
+            self._Cg = C
+        return self._Eg, self._Cg
+
+    def _gradient(self, q) -> np.ndarray:
+        """Gradient ``[*batch, *shape, arity]`` at a validated point or batch ``q``.
+
+        A packed gradient reads only the derivative monomials; a scalar's
+        (the RK4 kernel's dH) is returned without a reshape.
+        """
+        if self._const is None and self._terms is not None:
+            E, C = self.gradient_table()
+            g = matvec(C, _monomials(q, E))
+            return g.reshape(q.shape[:-1] + self.shape + (self.arity,)) if self.shape else g
+        out_shape = q.shape[:-1] + self.shape + (self.arity,)
+        if self._const is not None:
+            return np.zeros(out_shape)
+        if self._grad is not None:
+            return np.array(self._grad(q), dtype=float).reshape(out_shape)
+        return _central_jet(self._values, q, self._h, self.shape)[1]
 
     def jet_table(self):
         """``(E, C)`` of the packed terms (:func:`_jet_table`), built on the first call."""
@@ -631,45 +495,139 @@ class TensorField:
             self._E, _, self._C = _jet_table(*self._terms, math.prod(self.shape), self.arity)
         return self._E, self._C
 
+    def _jet(self, q):
+        """Values and gradients at a validated point or batch ``q``."""
+        if self._const is None and self._terms is not None:
+            size, batch = math.prod(self.shape), q.shape[:-1]
+            E, C = self.jet_table()
+            jet = matvec(C, _monomials(q, E))  # the values and gradients are views of it
+            return (
+                jet[..., :size].reshape(batch + self.shape),
+                jet[..., size:].reshape(batch + self.shape + (self.arity,)),
+            )
+        if self._fn is not None and self._grad is None:
+            return _central_jet(self._values, q, self._h, self.shape)
+        return self._values(q), self._gradient(q)
+
     def eval_grad(self, q):
         """Values and gradients: shapes ``shape`` and ``shape + (arity,)``, batch axis first."""
-        q = _check_point(q, self.arity)
-        batch = q.shape[:-1]
-        if self._const is not None:
-            return self._values(q), np.zeros(batch + self.shape + (self.arity,))
-        if self._fn is not None:
-            vals, grads = _central_jet(self._values, q, self._h, self.shape)
-        else:
-            size = math.prod(self.shape)
-            E, C = self.jet_table()
-            jet = matvec(C, _monomials(q, E))
-            vals = jet[..., :size]  # views of the jet, also over a batch
-            grads = jet[..., size:].reshape(batch + (size, self.arity))
-            for k, f in self._others:
-                vals[..., k] += f._value(q)
-                grads[..., k, :] += f._gradient(q)
-            vals = vals.reshape(batch + self.shape)
-            grads = grads.reshape(batch + self.shape + (self.arity,))
-        if not (np.isfinite(vals).all() and np.isfinite(grads).all()):
+        vals, grads = self._jet(_check_point(q, self.arity))
+        if self._const is None and not (np.isfinite(vals).all() and np.isfinite(grads).all()):
             raise NumericError("tensor field jet non-finite")
         return vals, grads
 
     def __repr__(self):
-        return f"TensorField(shape={self.shape}, arity={self.arity})"
+        return f"{type(self).__name__}(shape={self.shape}, arity={self.arity})"
+
+
+class SmoothField(TensorField):
+    """Scalar function of ``arity`` chart coordinates: the :class:`TensorField` of shape ``()``.
+
+    Every tensor of shape ``()`` is one, whatever built it.  This class adds
+    only the scalar constructors and the scalar accessors; its algebra, its
+    evaluation and its jet are the tensor's.
+    """
+
+    __slots__ = ()
+
+    # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def polynomial(cls, terms, arity) -> "SmoothField":
+        """Field Σ coef · Π q_i^{e_i} from ``terms = [(coef, exponent_vector), ...]``."""
+        arity = int(arity)
+        if arity < 0:
+            raise InputError("arity must be >= 0")
+        terms = list(terms)
+        exps = [np.asarray(exp, dtype=int).reshape(-1) for _, exp in terms]
+        for exp in exps:
+            if exp.shape[0] != arity:
+                raise InputError(
+                    f"exponent vector {exp.tolist()} has length {exp.shape[0]}, arity is {arity}"
+                )
+        exps = np.array(exps, dtype=int).reshape(len(terms), arity)
+        if np.any(exps < 0):
+            raise InputError("exponents must be >= 0")
+        coefs = np.array([float(coef) for coef, _ in terms], dtype=float)
+        if not np.isfinite(coefs).all():
+            raise InputError("coefficients must be finite")
+        return cls._packed((), arity, np.zeros(len(terms), dtype=int), coefs, exps)
+
+    @classmethod
+    def constant(cls, value, arity) -> "SmoothField":
+        value = float(value)
+        if value == 0.0:
+            return cls.polynomial([], arity)
+        return cls.polynomial([(value, [0] * arity)], arity)
+
+    @classmethod
+    def zero(cls, arity) -> "SmoothField":
+        return cls.polynomial([], arity)
+
+    @classmethod
+    def coordinate(cls, index, arity) -> "SmoothField":
+        """The chart coordinate q_index as a field."""
+        exp = [0] * arity
+        exp[index] = 1
+        return cls.polynomial([(1.0, exp)], arity)
+
+    @classmethod
+    def from_callable(cls, fn, arity, grad=None, h=None) -> "SmoothField":
+        """Wrap ``fn(q) -> float``; gradient ``grad(q) -> [arity]`` if given, else FD at step ``h``.
+
+        Both take one point at a time; over a batch they are called per point.
+        """
+
+        def per_point(f, shape):
+            return lambda Q: np.array([f(q) for q in np.atleast_2d(Q)], dtype=float).reshape(
+                Q.shape[:-1] + shape
+            )
+
+        grad = grad and per_point(grad, (int(arity),))
+        return cls.from_array_fn(per_point(fn, ()), (), arity, h, grad)
+
+    @classmethod
+    def builtin(cls, name, h=None) -> "SmoothField":
+        """Look up a code-registered named closure; gradient by central differences."""
+        try:
+            fn, arity = _BUILTINS[name]
+        except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable
+            raise InputError(f"unknown builtin field {name!r}") from exc
+        return cls.from_callable(fn, arity, h=h)
+
+    # -- scalar accessors ---------------------------------------------------
+
+    def value(self, q):
+        """Value at ``q[n]`` (a float) or at each point of ``q[K, n]`` ([K])."""
+        v = self.eval(q)
+        return float(v) if v.ndim == 0 else v
+
+    def gradient(self, q) -> np.ndarray:
+        """Gradient at ``q[n]`` ([n]) or at each point of ``q[K, n]`` ([K, n])."""
+        q = _check_point(q, self.arity)
+        g = self._gradient(q)
+        if not np.isfinite(g).all():
+            raise NumericError(f"field gradient non-finite at {q.tolist()}")
+        return g
+
+    def __call__(self, q) -> float:
+        return self.value(q)
 
 
 def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
-    """Nested lists of exactly ``shape`` -> packed TensorField, walked once.
+    """Nested lists of exactly ``shape`` -> one TensorField, walked once.
 
     A leaf is a number (a constant term), a config field object (parsed by
     :func:`field_from_config_with_arity`) or a :class:`SmoothField`.  The
-    terms of polynomial leaves are packed in flat-index order; any other
-    field becomes a closure entry.  A list of the wrong length, a malformed
-    leaf or a leaf of another arity raises :class:`InputError` naming the
-    entry as ``key[i][j]...``.
+    terms of polynomial leaves are packed in flat-index order.  If any other
+    leaf is given, the tensor is array-valued: its values and gradients are
+    the packed part's, plus each such leaf's in its entry, so the packed
+    entries keep exact jets.  A list of the wrong length, a malformed leaf or
+    a leaf of another arity raises :class:`InputError` naming the entry as
+    ``key[i][j]...``.
     """
     shape = tuple(int(s) for s in shape)
-    rows, coefs, exps, others = [], [], [], []
+    rows, coefs, exps, leaves = [], [], [], []
     constant = [0] * int(arity)
 
     def leaf(node, flat, where):
@@ -686,10 +644,10 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
             f = field_from_config_with_arity(node, arity, where)
         if f.arity != arity:
             raise InputError(f"field arity {f.arity} does not match expected {arity} at {where}")
-        if f.kind != "polynomial":
-            others.append((flat, f))
+        if f._terms is None:
+            leaves.append((flat, f))
             return
-        c, e = f._terms
+        _, c, e = f._terms
         rows.extend([flat] * c.shape[0])
         coefs.extend(c.tolist())
         exps.extend(e.tolist())
@@ -709,11 +667,27 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
             walk(child, idx + (i,), flat * shape[depth] + i)
 
     walk(obj, (), 0)
-    return TensorField._packed(
+    packed = TensorField._packed(
         shape,
         arity,
         np.array(rows, dtype=int),
         np.array(coefs, dtype=float),
         np.array(exps, dtype=int).reshape(len(rows), int(arity)),
-        tuple(others),
     )
+    if not leaves:
+        return packed
+    size = math.prod(shape)
+
+    def fn(Q):
+        vals = np.array(packed._values(Q)).reshape(Q.shape[:-1] + (size,))
+        for k, f in leaves:
+            vals[..., k] += f._values(Q)
+        return vals.reshape(Q.shape[:-1] + shape)
+
+    def grad(Q):
+        grads = np.array(packed._gradient(Q)).reshape(Q.shape[:-1] + (size, int(arity)))
+        for k, f in leaves:
+            grads[..., k, :] += f._gradient(Q)
+        return grads.reshape(Q.shape[:-1] + shape + (int(arity),))
+
+    return TensorField.from_array_fn(fn, shape, arity, grad=grad)

@@ -173,14 +173,12 @@ def _stage_table(s, H: SmoothField, n):
 
     For a constant snapshot ``s`` and a polynomial H.  The field of
     :func:`_field` is linear in dH and, through the bracket, in p; each
-    column of H's derivative table (one derivative monomial of dH) gives one
+    column of H's gradient table (one derivative monomial of dH) gives one
     field column at p = 0, and one more per p_c, the field at p = e_c less
-    that, on the monomial times p_c.  A column of the derivative table has
+    that, on the monomial times p_c.  A column of the gradient table has
     one non-zero entry, so the differences are exact.
     """
-    if H._dexps is None:
-        H._derivative_table()
-    D, Ed = H._dcoefs, H._dexps  # dH(z) = D @ z**Ed: [N, K], [K, N]
+    Ed, D = H.gradient_table()  # dH(z) = D @ z**Ed: [K, N], [N, K]
     N, K = D.shape
     cols = D.T  # the derivative columns as a batch of gradients
     base = _field(s, np.zeros(N - n), cols, n)
@@ -234,7 +232,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
         _check_phase_fn(A, monitors[name])
     n, N = A.n, A.n + A.m
     last = [None, None if A._varying else structure_eval(A, x0.q)]  # base point bytes, snapshot
-    packed = not A._varying and H.kind == "polynomial"
+    packed = not A._varying and H._terms is not None
     if packed:
         E, C = _stage_table(last[1], H, n)
 
@@ -279,9 +277,9 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
         S = S[:count]
         Z = S[:, 1 : 1 + N]
         S[:, 0] = np.arange(count) * h
-        S[:, 1 + N] = H._value(Z)
+        S[:, 1 + N] = H._values(Z)
         for j, name in enumerate(names):
-            S[:, 3 + N + j] = monitors[name]._value(Z)
+            S[:, 3 + N + j] = monitors[name]._values(Z)
     ok = np.isfinite(S[:, 1 + N :]).all(axis=1)  # H, dH/dt and the monitors
     bad = count if ok.all() else int(np.argmin(ok))  # the first sample that cannot be recorded
     if bad == 0:
@@ -298,7 +296,8 @@ def fibre_form(c, n) -> SmoothField:
     """The form ``sum c[a, b, ...] p_a p_b ...`` on the chart (q[n], p[m]), as a polynomial."""
     index = np.nonzero(c)
     unit = np.eye(n + c.shape[0], dtype=int)[n:]  # the exponents of p_1..p_m
-    return SmoothField._from_arrays(c[index], sum(unit[i] for i in index), n + c.shape[0])
+    rows, exps = np.zeros(index[0].shape[0], dtype=int), sum(unit[i] for i in index)
+    return TensorField.from_terms(rows, c[index], exps, (), n + c.shape[0])
 
 
 def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
@@ -312,13 +311,13 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
     """
     if G.shape != (m, m):
         raise InputError("metric must be m x m over the base")
-    if G._const is not None and (V is None or V.kind == "polynomial"):
+    if G._const is not None and (V is None or V._terms is not None):
         H = fibre_form(0.5 * np.linalg.inv(G._const), n)
         if V is None:
             return H
-        coefs, exps = V._terms
+        rows, coefs, exps = V._terms
         exps = np.hstack([exps, np.zeros((coefs.shape[0], m), dtype=int)])  # V(q) on the chart
-        return H + SmoothField._from_arrays(coefs, exps, n + m)
+        return H + TensorField.from_terms(rows, coefs, exps, (), n + m)
 
     def value(z):
         q, p = z[:n], z[n:]
@@ -342,17 +341,17 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
 def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
     """H(q, p) = sum_i p_i X^i(q), the linear-in-momentum pairing with a base field.
 
-    A packed X without closure entries gives a polynomial: each term of X^i,
-    times p_i.  Otherwise H is a closure over X's values and jet.
+    A packed X gives a polynomial: each term of X^i, times p_i.  Otherwise H
+    is a closure over X's values and jet.
     """
     if X.shape != (n,):
         raise InputError("vector field must have shape [n]")
     if X.arity != n:
         raise InputError(f"vector field arity {X.arity} does not match n={n}")
-    if X._terms is not None and not X._others:
+    if X._terms is not None:
         rows, coefs, exps = X._terms  # term t of X^i, times p_i: exponent e_i on p
         exps = np.hstack([exps, np.eye(n, dtype=int)[rows]])
-        return SmoothField._from_arrays(coefs, exps, 2 * n)
+        return TensorField.from_terms(np.zeros_like(rows), coefs, exps, (), 2 * n)
 
     def value(z):
         q, p = z[:n], z[n:]

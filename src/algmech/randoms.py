@@ -38,11 +38,6 @@ def _exponent_table(arity, degree) -> np.ndarray:
     return table
 
 
-def random_polynomial_field(rng, arity, degree) -> SmoothField:
-    exps = _exponent_table(arity, degree)
-    return SmoothField._from_arrays(rng.uniform(-1.0, 1.0, size=exps.shape[0]), exps, arity)
-
-
 def random_polynomial_tensor(rng, shape, arity, degree) -> TensorField:
     """Every entry a random polynomial field, the entries' coefficients in one draw."""
     exps = _exponent_table(arity, degree)
@@ -68,7 +63,7 @@ def random_algebroid(rng, n=None, m=None, degree=2) -> AlgebroidStructure:
 
 
 def random_phase_function(rng, n, m, degree=3) -> SmoothField:
-    return random_polynomial_field(rng, n + m, degree)
+    return random_polynomial_tensor(rng, (), n + m, degree)
 
 
 def random_valid_split(rng, A: AlgebroidStructure, degree=1) -> ConnectionPair:

@@ -244,8 +244,9 @@ class ConstraintSpec:
     ``kinematic_basis`` spans the admissible subbundle; ``variational_basis``
     (optional) spans where reaction forces do no work.  When the latter is
     omitted the classical case is meant and the two coincide.  Each basis is
-    a packed [k, M] tensor over the base (:func:`~algmech.fields.tensor_from_config`
-    packs nested rows of numbers and SmoothFields), its rows the basis vectors.
+    a [k, M] tensor over the base, its rows the basis vectors
+    (:func:`~algmech.fields.tensor_from_config` builds it from nested rows of
+    numbers and scalar fields).
     """
 
     ambient: AlgebroidStructure

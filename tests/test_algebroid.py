@@ -17,7 +17,7 @@ from algmech.errors import InputError
 from algmech.fields import (
     SmoothField, TensorField, tensor_from_config, vecmat,
 )
-from algmech.randoms import random_algebroid, random_polynomial_field
+from algmech.randoms import random_algebroid, random_polynomial_tensor
 from algmech.scenarios import build_constrained
 
 from conftest import field_from_polynomial, nonjacobi_spec, symmetric_product_line
@@ -146,16 +146,16 @@ def test_diff_lr_zero_section_is_zero():
 def test_diff_lr_leibniz_identity():
     rng = np.random.default_rng(11)
     A = random_algebroid(rng, n=2, m=2)
-    F = random_polynomial_field(rng, 2, 2)
-    kap = [random_polynomial_field(rng, 2, 2) for _ in range(2)]
+    F = random_polynomial_tensor(rng, (), 2, 2)
+    kap = [random_polynomial_tensor(rng, (), 2, 2) for _ in range(2)]
     kappa = tensor_from_config(kap, (2,), 2)
 
     # products of fields are not provided; build F*k as an exact-jet closure
     def prod_field(k):
         return SmoothField.from_callable(
-            lambda q, k=k: F._value(q) * k._value(q),
+            lambda q, k=k: F._values(q) * k._values(q),
             2,
-            grad=lambda q, k=k: F._value(q) * k._gradient(q) + k._value(q) * F._gradient(q),
+            grad=lambda q, k=k: F._values(q) * k._gradient(q) + k._values(q) * F._gradient(q),
         )
 
     fkappa = tensor_from_config([prod_field(k) for k in kap], (2,), 2)
@@ -172,13 +172,13 @@ def test_diff_lr_leibniz_identity():
 def test_left_diff_linear_and_product_rule():
     rng = np.random.default_rng(21)
     A = random_algebroid(rng, n=2, m=3)
-    F = random_polynomial_field(rng, 2, 2)
-    G = random_polynomial_field(rng, 2, 2)
+    F = random_polynomial_tensor(rng, (), 2, 2)
+    G = random_polynomial_tensor(rng, (), 2, 2)
 
     FG = SmoothField.from_callable(
-        lambda q: F._value(q) * G._value(q),
+        lambda q: F._values(q) * G._values(q),
         2,
-        grad=lambda q: F._value(q) * G._gradient(q) + G._value(q) * F._gradient(q),
+        grad=lambda q: F._values(q) * G._gradient(q) + G._values(q) * F._gradient(q),
     )
     combo = F.scaled(2.0) - G.scaled(0.5)
     for _ in range(10):

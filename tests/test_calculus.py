@@ -29,7 +29,6 @@ from algmech.prolongation import ProlongationData, omega, prolong_eval
 from algmech.randoms import (
     random_algebroid,
     random_curvature,
-    random_polynomial_field,
     random_polynomial_tensor,
     random_valid_split,
 )
@@ -215,7 +214,7 @@ def test_base_d_squared_vanishes_on_lie_algebroids():
     # with the default step: its rounding noise reads about 3e-12
     rng = np.random.default_rng(150)
     for A, tol in ((so3_algebra(), 1e-12), (canonical_tangent(2), 1e-10)):
-        phi = random_polynomial_field(rng, A.n, 2)
+        phi = random_polynomial_tensor(rng, (), A.n, 2)
         for _ in range(3):
             assert _d_squared_on_base(A, phi, rng.uniform(-1, 1, A.n)) <= tol
 
@@ -228,4 +227,4 @@ def test_base_d_squared_detects_non_jacobi_bracket():
     A = algebroid_from_constants(B - np.swapaxes(B, 1, 2), np.eye(3), n=3)
     q = rng.uniform(-1, 1, 3)
     assert structure_checks(A, q).jacobiator_norm >= 0.1
-    assert _d_squared_on_base(A, random_polynomial_field(rng, 3, 2), q) >= 0.1
+    assert _d_squared_on_base(A, random_polynomial_tensor(rng, (), 3, 2), q) >= 0.1

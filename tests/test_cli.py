@@ -117,6 +117,12 @@ MALFORMED_FIELDS = {
     "inertia-number": (_shipped_scenario("euler_top", inertia=2.0), "scenario.inertia"),
     "n-bool": ({"n": True}, "scenario.n"),  # read as 1
     "builtin-step-string": ({"monitors": {"s": {"arity": 1, "builtin": "sin", "h": "x"}}}, "'h'"),
+    # sin's own arity is the expected 1; the declared 5 was dropped
+    "builtin-arity": (
+        {"scenario": "lie_poisson", "structure": [[[0.0]]], "inertia": [1.0],
+         "monitors": {"s": {"arity": 5, "builtin": "sin"}}},
+        "scenario.monitors.s",
+    ),
     "structure-ragged": (
         {"scenario": "lie_poisson", "structure": [[[1.0]], [[1.0, 2.0]]], "inertia": [1.0, 1.0]},
         "scenario.structure",

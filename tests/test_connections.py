@@ -208,7 +208,7 @@ def test_packed_koszul_table_matches_the_metric_jet_route(seed):
     rng = np.random.default_rng(1000 + seed)
     n, m = 1 + seed % 3, 1 + (seed // 3) % 3
     G = _random_packed_metric(rng, m, n)
-    assert G._others == () and G._const is None
+    assert G._terms is not None and G._const is None
     A = _random_constant_frame(rng, m, n)
     _assert_table_matches_the_jet_route(A, G, rng.uniform(-1, 1, (7, n)))
 
@@ -218,7 +218,7 @@ def test_packed_koszul_table_matches_the_jet_route_on_special_metrics():
     sin = {"arity": 1, "builtin": "sin"}
     square = {"arity": 1, "terms": [{"coef": 2.0, "exp": [0]}, {"coef": 1.0, "exp": [2]}]}
     closure = tensor_from_config([[3.0, sin], [sin, square]], (2, 2), 1)  # a closure entry
-    assert closure._others
+    assert closure._terms is None  # array-valued: its packed part plus the sin entries
     array_valued = TensorField.from_array_fn(
         lambda Q: np.stack([3.0 + Q, 0.5 * Q**2, 0.5 * Q**2, 2.0 + 0 * Q], axis=-1)
         .reshape(Q.shape[:-1] + (2, 2)),
@@ -316,7 +316,7 @@ def test_default_split_of_array_valued_and_packed_brackets(canonical2):
         assert np.max(np.abs(A.bracket.eval(q))) > 1e-3
     packed = random_algebroid(rng, n=2, m=2)
     cp = default_split(packed)
-    assert cp.Dr._others == () and cp.Dr._fn is None  # exact packed jets
+    assert cp.Dr._terms is not None and cp.Dr._fn is None  # exact packed jets
     for q in rng.uniform(-1, 1, size=(4, 2)):
         (v, g), (bv, bg) = cp.Dr.eval_grad(q), packed.bracket.eval_grad(q)
         assert np.allclose(v, -np.swapaxes(bv, 1, 2), rtol=1e-14, atol=1e-14)

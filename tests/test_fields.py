@@ -17,27 +17,28 @@ from algmech.fields import (
     fd_default_step,
     tensor_from_config,
 )
+from algmech.randoms import random_polynomial_tensor
 
 from conftest import field_from_polynomial, nested
 
 
 def test_polynomial_eval_and_gradient():
     f = field_from_polynomial([(1.0, [2, 1])], 2)  # q1^2 q2
-    v, g = f.eval([2.0, 3.0])
+    v, g = f.eval_grad([2.0, 3.0])
     assert v == 12.0
     assert np.allclose(g, [12.0, 4.0], rtol=0, atol=0)
 
 
 def test_constant_field():
     f = SmoothField.constant(5.0, 1)
-    v, g = f.eval([0.0])
+    v, g = f.eval_grad([0.0])
     assert v == 5.0
     assert g.shape == (1,) and g[0] == 0.0
 
 
 def test_sin_builtin_fd_gradient():
     f = SmoothField.builtin("sin", h=1e-5)
-    v, g = f.eval([0.0])
+    v, g = f.eval_grad([0.0])
     assert v == 0.0
     # central-difference truncation is bounded by h^2/6 * max|f'''| = 1.7e-11
     assert abs(g[0] - 1.0) <= 1e-10
@@ -57,7 +58,7 @@ def test_field_from_polynomial_examples():
 
 def test_arity_zero_polynomial():
     f = field_from_polynomial([(3.0, [])], 0)
-    v, g = f.eval([])
+    v, g = f.eval_grad([])
     assert v == 3.0 and g.shape == (0,)
 
 
@@ -441,7 +442,7 @@ def test_scaled_transposes_both_forms(arity):
             assert np.allclose(sg, -2.0 * np.swapaxes(g, 1, 2), rtol=1e-9, atol=1e-12)
     # packed components stay packed, with exact jets
     S = packed.scaled(3.0)
-    assert S._others == () and S._fn is None and S._terms is not None
+    assert S._fn is None and S._terms is not None
 
 
 @pytest.mark.parametrize("arity", [0, 2])
@@ -449,10 +450,10 @@ def test_sum_of_packed_and_mixed_is_entrywise(arity):
     rng = np.random.default_rng(6)
     packed, _ = _random_tensor_case(13, arity, (2, 3), "polynomial")
     mixed, _ = _random_tensor_case(14, arity, (2, 3), "mixed")
-    assert mixed._others
+    assert mixed._terms is None  # array-valued: its packed part plus the closure
     for A, B in ((packed, mixed), (mixed, packed), (mixed, mixed)):
         S = A + B
-        assert S._fn is None and len(S._others) == len(A._others) + len(B._others)
+        assert S._terms is None and (arity == 0 or S._grad is not None)  # an exact jet
         for q in [np.zeros(arity), rng.uniform(-1, 1, size=arity)]:
             (av, ag), (bv, bg), (sv, sg) = A.eval_grad(q), B.eval_grad(q), S.eval_grad(q)
             for got, ref in ((sv, av + bv), (sg, ag + bg), (S.eval(q), av + bv)):
@@ -466,6 +467,84 @@ def test_sum_with_array_valued_is_input_error():
     for A, B in ((packed, array), (array, packed), (array, array)):
         with pytest.raises(InputError):
             A + B
+
+
+def test_adding_a_non_tensor_is_a_type_error():
+    T = TensorField.from_constants(np.ones((2, 2)), 1)
+    f = SmoothField.coordinate(0, 1)
+    for A in (T, f):
+        for other in (1.0, None):
+            with pytest.raises(TypeError):
+                A + other
+            with pytest.raises(TypeError):
+                A - other
+
+
+# -- exact jets of array-valued tensors --------------------------------------------
+
+
+def _spy_on_central_jet(monkeypatch):
+    """The shapes of every central-difference sweep run from now on."""
+    import algmech.fields as fields
+
+    calls, real = [], fields._central_jet
+
+    def spy(fn, q, h, shape):
+        calls.append(tuple(shape))
+        return real(fn, q, h, shape)
+
+    monkeypatch.setattr(fields, "_central_jet", spy)
+    return calls
+
+
+_W = np.arange(1.0, 7.0).reshape(2, 3)
+
+
+def _wave(Q):  # [*batch, 2, 3] at Q[*batch, 2]
+    return np.sin(_W * Q[..., 0, None, None]) + _W * Q[..., 1, None, None] ** 2
+
+
+def _wave_grad(Q):  # its exact gradient, [*batch, 2, 3, 2]
+    q0, q1 = Q[..., 0, None, None], Q[..., 1, None, None]
+    return np.stack([_W * np.cos(_W * q0), 2.0 * _W * q1], axis=-1)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_an_exact_jet_is_returned_bit_for_bit(monkeypatch):
+    calls = _spy_on_central_jet(monkeypatch)
+    T = TensorField.from_array_fn(_wave, (2, 3), 2, grad=_wave_grad)
+    S = T.scaled(-2.0, (1, 0))
+    P = random_polynomial_tensor(np.random.default_rng(8), (2, 3), 2, 2)
+    rng = np.random.default_rng(9)
+    for q in (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (7, 2))):  # a point, a batch of K = 7
+        v, g = T.eval_grad(q)
+        assert _bits(v) == _bits(_wave(q)) and _bits(g) == _bits(_wave_grad(q))
+        sv, sg = S.eval_grad(q)
+        assert sv.shape == q.shape[:-1] + (3, 2) and sg.shape == q.shape[:-1] + (3, 2, 2)
+        assert _bits(sv) == _bits(-2.0 * np.swapaxes(_wave(q), -1, -2))
+        assert _bits(sg) == _bits(-2.0 * np.swapaxes(_wave_grad(q), -2, -3))
+        for U in (P + T, T + P):
+            (uv, ug), (pv, pg) = U.eval_grad(q), P.eval_grad(q)
+            assert _bits(uv) == _bits(pv + _wave(q))
+            ref = pg + _wave_grad(q)
+            assert np.all(np.abs(ug - ref) <= 1e-14 * (1 + np.abs(ref)))
+    assert calls == []  # no central difference ran
+
+
+def test_a_config_tensor_takes_central_differences_only_on_its_closure_leaf(monkeypatch):
+    calls = _spy_on_central_jet(monkeypatch)
+    square = {"arity": 1, "terms": [{"coef": 2.0, "exp": [2]}]}
+    T = tensor_from_config([[square, {"arity": 1, "builtin": "sin"}]], (1, 2), 1)
+    for q in (np.array([0.4]), np.linspace(-1, 1, 7)[:, None]):
+        v, g = T.eval_grad(q)
+        assert calls == [()]  # one sweep, of the sin leaf alone
+        calls.clear()
+        assert _bits(g[..., 0, 0, 0]) == _bits(4.0 * q[..., 0])  # the exact jet of 2 q^2
+        assert np.all(np.abs(g[..., 0, 1, 0] - np.cos(q[..., 0])) <= 1e-9)
+        assert _bits(v[..., 0, 1]) == _bits(np.sin(q[..., 0]))
 
 
 # -- packed tables are built on first read --------------------------------------
@@ -486,8 +565,8 @@ def test_building_a_packed_tensor_builds_no_table():
     assert F._Cv is not None and F._C is None and F._E is None
     F.eval_grad(q)  # the jet: the full table
     assert F._C is not None and F._E is not None
-    mixed.eval_grad(q)
-    assert mixed._C is not None and mixed._Cv is None
+    mixed.eval_grad(q)  # array-valued: the tables are its packed part's
+    assert _no_table(mixed)
 
 
 @pytest.mark.parametrize("seed", range(40))
