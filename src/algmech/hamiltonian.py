@@ -221,8 +221,8 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """
     _check_phase(A, x0)
     _check_phase_fn(A, H)
-    if h <= 0:
-        raise InputError("step size h must be positive")
+    if not 0 < h < math.inf:  # NaN compares false
+        raise InputError("step size h must be a finite number > 0")
     steps = int(steps)
     if steps < 1:
         raise InputError("steps must be >= 1")

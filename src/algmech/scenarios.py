@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebroid import (
     AlgebroidStructure, StructureSnapshot, algebroid_from_constants, base_probes,
-    canonical_tangent, structure_eval,
+    canonical_tangent, max_abs, structure_eval,
 )
 from .connections import (
     CHRISTOFFEL_FD_STEP,
@@ -265,15 +265,13 @@ class ConstraintSpec:
                 raise InputError("bases must be [k,M] over the ambient base, of equal rank k")
         if self.potential is not None and self.potential.arity != n:
             raise InputError("potential must be a base function")
-        rep = None
-        for q in base_probes(n, seed=_PROBE_SEED):
-            s = structure_eval(self.ambient, q)
-            if n and np.max(np.abs(s.rho_l - s.rho_r)) > 1e-12:
-                rep = f"ambient anchors differ at {q.tolist()}"
-            if np.max(np.abs(s.B + np.swapaxes(s.B, 1, 2))) > 1e-12:
-                rep = f"ambient bracket not skew at {q.tolist()}"
-        if rep:
-            raise InputError("ambient structure must be Lie-type: " + rep)
+        probes = np.array(base_probes(n, seed=_PROBE_SEED))
+        s = structure_eval(self.ambient, probes)
+        lie = "ambient structure must be Lie-type: ambient"
+        _raise_first(probes, [
+            (f"{lie} anchors differ", max_abs(s.rho_l - s.rho_r, 2) > 1e-12),
+            (f"{lie} bracket not skew", max_abs(s.B + s.B.swapaxes(-1, -2), 3) > 1e-12),
+        ])
         _check_probed_metric(self.metric, n)
 
     @property
@@ -426,17 +424,17 @@ class _AdaptedFrame:
 
     Columns 0..k-1 are a metric-orthonormal basis of the kinematic subbundle,
     the remaining columns an orthonormal basis of the orthogonal complement of
-    the variational subbundle.  The frame U is a metric Gram-Schmidt of the
-    basis data and its jet is exact: U is read as the QR factor of the basis
-    columns and the completing unit vectors, differentiated by
-    :func:`_qr_jet`.
+    the variational subbundle (of the kinematic one if classical), both
+    assembled by :meth:`_frame_jet` with an exact jet: U is read as the QR
+    factor of the basis columns and the completing unit vectors,
+    differentiated by :func:`_qr_jet`.
 
     A classical frame's projected structure reads only the kinematic columns
     E and their jet (:meth:`structure_at`, :meth:`_kinematic_snapshot`): an
-    RK4 stage builds no completion and no M^3 bracket.  The core completes
-    E and takes its kinematic block from the same function, so the split,
-    the curvature and the lifted structure share that block's arithmetic
-    with the stage.
+    RK4 stage builds no completion and no M^3 bracket.  The core's adapted
+    structure is the same function on all M columns, whose kinematic block
+    is the stage's, so the split, the curvature and the lifted structure
+    share that block's arithmetic with the stage.
 
     The core (frame and jet, adapted structure, adapted metric and its jet,
     projectors and the variational projector's jet) is evaluated at K points
@@ -480,14 +478,16 @@ class _AdaptedFrame:
 
     # frame assembly ---------------------------------------------------------
 
-    def _frame_jet(self, Q):
-        """The frame columns at ``Q[K, n]``, their gradient, the metric and its gradient.
+    def _frame_jet(self, Q, complete=True):
+        """The frame at ``Q[K, n]``, its gradient, the metric and its gradient.
 
-        Classical: the k kinematic columns E and the thin branch of their
-        :func:`_qr_jet`.  Generalized: the whole frame U, whose completion
-        seeds from the variational rows and whose failures are checked with
-        the kinematic ones.  Raises :class:`InputError` for the first point,
-        in row order, where the frame fails, naming that point and its
+        Every frame is assembled here: the kinematic columns E are the metric
+        Gram-Schmidt of the kinematic rows, with the thin :func:`_qr_jet`.
+        ``complete`` adds an orthonormal basis of the orthogonal complement
+        of the variational rows (of E if classical), seeded by those rows (by
+        E's rows and their jet), with its :func:`_completion_jet`; a classical
+        RK4 stage reads E alone.  Raises :class:`InputError` for the first
+        point, in row order, where the frame fails, naming that point and its
         first failure.
         """
         spec = self.spec
@@ -496,21 +496,23 @@ class _AdaptedFrame:
         rows, rowsG, deficient = _gram_schmidt(D, Gv)
         E = rows.swapaxes(1, 2)
         failures = [("kinematic basis rank deficient", deficient)]
-        if not spec.classical:
-            # complete with an orthonormal basis of the orthogonal complement of
-            # the variational rows
-            V, dV = spec.variational_basis.eval_grad(Q)
-            span, spanG, v_deficient = _gram_schmidt(V, Gv)
+        if complete:
+            if spec.classical:
+                span, spanG = rows, rows @ Gv
+            else:
+                V, dV = spec.variational_basis.eval_grad(Q)
+                span, spanG, v_deficient = _gram_schmidt(V, Gv)
+                failures.append(("variational basis rank deficient", v_deficient))
             perp, kept, short = _complete(span, spanG, Gv)
             U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
-            failures.append(("variational basis rank deficient", v_deficient))
             failures += _completion_failures(U, short)
         _raise_first(Q, failures)
         dG = dG.transpose(0, 3, 1, 2)
         dE = _qr_jet(E, rowsG, D.swapaxes(1, 2), dD.transpose(0, 3, 2, 1), dG)
-        if spec.classical:
+        if not complete:
             return E, dE, Gv, dG
-        dperp = _completion_jet(span, spanG, perp, kept, V, dV.transpose(0, 3, 2, 1), Gv, dG)
+        seed, dseed = (rows, dE) if spec.classical else (V, dV.transpose(0, 3, 2, 1))
+        dperp = _completion_jet(span, spanG, perp, kept, seed, dseed, Gv, dG)
         return U, np.concatenate([dE, dperp], axis=-1), Gv, dG
 
     def _kinematic_snapshot(self, E, dE, EG, s):
@@ -559,7 +561,7 @@ class _AdaptedFrame:
         if not self.spec.classical or (self._point_core is not None and q.ndim == 1):
             return self.projected_structure_at(self.core_at(q))
         Q = q if q.ndim == 2 else q[None]
-        E, dE, Gv, _ = self._frame_jet(Q)
+        E, dE, Gv, _ = self._frame_jet(Q, complete=False)
         s = self._ambient or structure_eval(self.spec.ambient, q)
         B, rho = self._kinematic_snapshot(E, dE, E.swapaxes(1, 2) @ Gv, s)
         return (B, rho, rho) if q.ndim == 2 else (B[0], rho[0], rho[0])
@@ -573,14 +575,6 @@ class _AdaptedFrame:
         U, dU, Gv, dG = self._frame_jet(Q)
         # the ambient snapshot of one point has no K axis: it broadcasts
         s = self._ambient or structure_eval(spec.ambient, q)
-        if spec.classical:  # complete the kinematic columns E
-            E, dE, rows = U, dU, U.swapaxes(1, 2)
-            EG = rows @ Gv
-            kinematic = self._kinematic_snapshot(E, dE, EG, s)
-            perp, kept, short = _complete(rows, EG, Gv)
-            U = np.concatenate([E, perp.swapaxes(1, 2)], axis=-1)
-            _raise_first(Q, _completion_failures(U, short))
-            dU = np.concatenate([dE, _completion_jet(rows, EG, perp, kept, rows, dE, Gv, dG)], -1)
         # metric in the adapted frame: orthonormal blocks by construction; the
         # jet of the cross block g [k, M - k, n] by the product rule
         Ut = U.swapaxes(1, 2)
@@ -607,10 +601,8 @@ class _AdaptedFrame:
         Uinv = Ut @ Gv
         if not spec.classical:
             Uinv = Ginv @ Uinv
-        # bracket coefficients in the adapted frame: the same formula on all M columns
+        # bracket coefficients in the adapted frame: the stage's formula on all M columns
         C_new, rho_new = self._kinematic_snapshot(U, dU, Uinv, s)
-        if spec.classical:  # the kinematic block is an RK4 stage's, bit for bit
-            C_new[:, :k, :k, :k], rho_new[..., :k] = kinematic
         # projector onto the kinematic subbundle along its orthogonal complement
         P = G_new[:, :k, :]
         # projector onto the variational subbundle along the kinematic complement,
@@ -692,15 +684,13 @@ class _AdaptedFrame:
         (step ``h``): its centre rows are the core at ``q``, bit for bit, and
         the Christoffels over it give their jet there.  R is the kinematic
         projection of the ambient Levi-Civita curvature.  Without
-        ``curvature`` R is None and the one core evaluation is at ``q``
-        alone: the snapshot, Dl and Dr need no jet.
+        ``curvature`` (R is None) or over a point, the one core evaluation
+        is at ``q`` alone and no jet is taken.
         """
-        if not self.n:  # over a point: the constants built with the frame, and no jet
-            core, Gam = self._point_core, self.christoffels(q, self._point_core)
-            dGam = np.zeros(Gam.shape + (0,))
-        elif not curvature:
+        if not (curvature and self.n):  # at q alone; over a point, the core built with the frame
             core = self.core_at(q)
             Gam = self.christoffels(q, core)
+            dGam = np.zeros(Gam.shape + (0,))
         else:
             points = stencil(q, self.h)
             lead = points.shape[:-1]

@@ -72,9 +72,9 @@ def frame_calls(monkeypatch):
     calls = []
     frame_jet = _AdaptedFrame._frame_jet
 
-    def counted(self, Q):
+    def counted(self, Q, complete=True):
         calls.append(Q.shape[0])
-        return frame_jet(self, Q)
+        return frame_jet(self, Q, complete)
 
     monkeypatch.setattr(_AdaptedFrame, "_frame_jet", counted)
     return calls

@@ -50,7 +50,7 @@ from algmech.randoms import (
 from algmech.scenarios import ConstraintSpec, _AdaptedFrame, build_constrained
 from algmech.verify import CHECKS, run_check
 
-from conftest import curved_plane_metric, generalized_curved_spec, so3_algebra
+from conftest import curved_plane_metric, generalized_curved_spec, so3_algebra, tr3_classical_spec
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PROBE_FAMILIES = [
@@ -458,6 +458,42 @@ def test_a_classical_rk4_stage_reads_only_the_kinematic_frame(monkeypatch):
     assert np.max(np.abs(traj.states()[-1] - traj.states()[0])) > 1e-3  # it moved
     _AdaptedFrame(spec).core_at(x0.q)
     assert calls == ["_complete", "det"]  # the counters see a full core
+
+
+@pytest.mark.parametrize("K", [None, 5, 21])
+@pytest.mark.parametrize("name", ["nonholonomic_classical", "tr3"])
+def test_a_classical_stage_is_the_kinematic_block_of_the_core(name, K):
+    """The thin stage snapshot and the core's bracket on all M columns agree bit for bit."""
+    spec = tr3_classical_spec() if name == "tr3" else _constrained(name)[1]
+    frame = _AdaptedFrame(spec)
+    k = frame.k
+    q = np.random.default_rng(11).uniform(-0.7, 0.7, (3,) if K is None else (K, 3))
+    B, rho, _ = frame.structure_at(q)
+    core = frame.core_at(q)
+    assert B.tobytes() == np.ascontiguousarray(core["C_new"][..., :k, :k, :k]).tobytes()
+    assert rho.tobytes() == np.ascontiguousarray(core["rho_new"][..., :k]).tobytes()
+
+
+def test_a_classical_core_completes_and_brackets_once(monkeypatch):
+    """One core evaluation: one completion of E, one bracket formula, on all M columns."""
+    from algmech import scenarios
+
+    frame = _AdaptedFrame(_constrained("nonholonomic_classical")[1])
+    calls = []
+    complete, snapshot = scenarios._complete, _AdaptedFrame._kinematic_snapshot
+
+    def counted_complete(F, FG, Gv):  # records the rows it completes
+        calls.append(("_complete", F.shape[1]))
+        return complete(F, FG, Gv)
+
+    def counted_snapshot(self, E, dE, EG, s):  # records the columns it brackets
+        calls.append(("snapshot", E.shape[-1]))
+        return snapshot(self, E, dE, EG, s)
+
+    monkeypatch.setattr(scenarios, "_complete", counted_complete)
+    monkeypatch.setattr(_AdaptedFrame, "_kinematic_snapshot", counted_snapshot)
+    frame.core_at(np.random.default_rng(12).uniform(-0.7, 0.7, (4, 3)))
+    assert calls == [("_complete", frame.k), ("snapshot", frame.M)]
 
 
 @pytest.mark.parametrize("name", ["nonholonomic_classical", "curved"])

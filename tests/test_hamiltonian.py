@@ -539,8 +539,9 @@ def test_a_pairing_refuses_a_vector_field_of_another_arity():
 
 def test_integrate_validation(canonical1):
     H = harmonic_hamiltonian()
-    with pytest.raises(InputError):
-        integrate(canonical1, H, PhasePoint([1.0], [0.0]), -1.0, 10)
+    for h in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="h must be a finite number > 0"):
+            integrate(canonical1, H, PhasePoint([1.0], [0.0]), h, 10)
     with pytest.raises(InputError):
         integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, 0)
     with pytest.raises(InputError):

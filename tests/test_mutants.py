@@ -21,14 +21,15 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 def scale_adapted_frame(monkeypatch):
     """The adapted frame's jet dU, scaled by 1.001 where it is assembled.
 
-    A classical frame is completed after :meth:`_AdaptedFrame._frame_jet`
-    returns its kinematic columns, so scaling those columns too would fail
-    the build's completion instead of reaching a check.
+    :meth:`_AdaptedFrame._frame_jet` assembles every frame, so the kinematic
+    jet of an RK4 stage and the whole jet of a core are both scaled.  The
+    columns are left metric-orthonormal, so the build's frame checks pass
+    and the defect reaches ``verify``.
     """
     frame_jet = _AdaptedFrame._frame_jet
 
-    def scaled(self, Q):
-        U, dU, Gv, dG = frame_jet(self, Q)
+    def scaled(self, Q, complete=True):
+        U, dU, Gv, dG = frame_jet(self, Q, complete)
         return U, 1.001 * dU, Gv, dG
 
     monkeypatch.setattr(_AdaptedFrame, "_frame_jet", scaled)

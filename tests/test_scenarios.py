@@ -1,11 +1,12 @@
 import collections
 import itertools
+import re
 
 import numpy as np
 import pytest
 
 from algmech import connections, scenarios
-from algmech.algebroid import structure_checks, structure_eval
+from algmech.algebroid import AlgebroidStructure, base_probes, structure_checks, structure_eval
 from algmech.connections import verify_split
 from algmech.errors import InputError
 from algmech.fields import SmoothField, TensorField, tensor_from_config
@@ -421,6 +422,33 @@ def test_variational_rank_mismatch_rejected():
             metric=TensorField.from_constants(np.eye(3), 0),
             kinematic_basis=tensor_from_config([[1, 0, 0], [0, 1, 0]], (2, 3), 0),
             variational_basis=tensor_from_config([[1, 0, 0]], (1, 3), 0),
+        )
+
+
+@pytest.mark.parametrize("skew, anchor, named, probe", [
+    (False, None, "bracket not skew", 0),  # fails at every probe: the origin is named
+    (True, "q", "anchors differ", 1),  # equal at the origin only
+    (False, "q", "bracket not skew", 0),  # the origin's own failure
+    (False, "1", "anchors differ", 0),  # both fail there: the anchors are checked first
+])
+def test_the_lie_type_check_names_the_first_failing_probe(skew, anchor, named, probe):
+    """Over a line, M = 2: the first construction probe in row order that fails is named."""
+    B = np.zeros((2, 2, 2))
+    if not skew:
+        B[0, 0, 1] = 1.0
+    q = field_from_polynomial([(1.0, [1])], 1)
+    rho = {None: [[0.0, 0.0]], "1": [[1.0, 0.0]], "q": [[q, 0.0]]}
+    ambient = AlgebroidStructure(
+        n=1, m=2, bracket=TensorField.from_constants(B, 1),
+        anchor_left=tensor_from_config(rho[anchor], (1, 2), 1),
+        anchor_right=TensorField.from_constants([[0.0, 0.0]], 1),
+    )
+    point = base_probes(1, seed=scenarios._PROBE_SEED)[probe].tolist()
+    with pytest.raises(InputError, match=f"Lie-type: ambient {named} at {re.escape(str(point))}$"):
+        ConstraintSpec(
+            ambient=ambient,
+            metric=TensorField.from_constants(np.eye(2), 1),
+            kinematic_basis=TensorField.from_constants([[1.0, 0.0]], 1),
         )
 
 
