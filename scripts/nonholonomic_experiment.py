@@ -15,21 +15,21 @@ import argparse
 import numpy as np
 
 from algmech import PhasePoint, integrate
-from algmech.fields import SmoothField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.algebroid import canonical_tangent, worst_residual
 from algmech.scenarios import ConstraintSpec, build_constrained, lagrangian_reference
 
 
 def build_spec():
     amb = canonical_tangent(3)
-    q2 = SmoothField.polynomial([(1.0, [0, 1, 0])], 3)
-    one = SmoothField.polynomial([(1.0, [0, 0, 0])], 3)
-    zero = SmoothField.zero(3)
-    g22 = SmoothField.polynomial([(1.0, [0, 0, 0]), (1.0, [2, 0, 0])], 3)
+    q2 = TensorField.polynomial([(1.0, [0, 1, 0])], 3)
+    one = TensorField.polynomial([(1.0, [0, 0, 0])], 3)
+    zero = TensorField.zeros((), 3)
+    g22 = TensorField.polynomial([(1.0, [0, 0, 0]), (1.0, [2, 0, 0])], 3)
     metric = tensor_from_config(
         [[one, zero, zero], [zero, g22, zero], [zero, zero, one]], (3, 3), 3
     )
-    potential = SmoothField.polynomial([(0.5, [0, 2, 0]), (1.0, [2, 0, 0])], 3)
+    potential = TensorField.polynomial([(0.5, [0, 2, 0]), (1.0, [2, 0, 0])], 3)
     return ConstraintSpec(
         ambient=amb,
         metric=metric,

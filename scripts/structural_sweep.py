@@ -13,7 +13,8 @@ import numpy as np
 
 from algmech import PhasePoint, ham_field
 from algmech.algebroid import worst_residual
-from algmech.connections import CurvatureTensor, default_split
+from algmech.connections import default_split
+from algmech.fields import TensorField
 from algmech.prolongation import ProlongationData, closedness_residual, lr_ham_field
 from algmech.randoms import (
     random_algebroid,
@@ -36,7 +37,7 @@ def main():
     for _ in range(args.instances):
         A = random_algebroid(rng)
         H = random_phase_function(rng, A.n, A.m)
-        P0 = ProlongationData(A, default_split(A), CurvatureTensor.zero(A.m, A.n))
+        P0 = ProlongationData(A, default_split(A), TensorField.zeros((A.m,) * 4, A.n))
         P1 = ProlongationData(A, random_valid_split(rng, A), random_curvature(rng, A.m, A.n))
         gaps, drifts, closeds = [], [], []
         for _ in range(args.points):

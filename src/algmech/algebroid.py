@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fields import SmoothField, TensorField, stencil, stencil_jet, vecmat
+from .fields import TensorField, stencil, stencil_jet, vecmat
 
 
 @dataclass(frozen=True)
@@ -220,7 +220,7 @@ def diff_lr_section(s: StructureSnapshot, kappa) -> np.ndarray:
     return (kg @ s.rho_l).swapaxes(-1, -2) - kg @ s.rho_r - contract_first(kv, s.B)
 
 
-def d_skew_scalar(s: StructureSnapshot, phi: SmoothField) -> np.ndarray:
+def d_skew_scalar(s: StructureSnapshot, phi: TensorField) -> np.ndarray:
     """Skew differential of a chart function on frame sections: [m] vector.
 
     Only the averaged anchor (rho_A of :func:`sym_skew_parts`) enters, so the

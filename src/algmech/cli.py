@@ -1,8 +1,9 @@
 """Command-line front end: simulate, verify, report.
 
-Exit codes: 0 success (verify: all checks pass), 1 bad input/config,
-2 integration diverged (a partial trajectory CSV is still written; a
-non-finite initial state writes its header only).
+Exit codes: 0 success (verify: all checks pass), 1 bad input/config or an
+output path that cannot be written, 2 integration diverged (a partial
+trajectory CSV is still written; a non-finite initial state writes its header
+only).
 """
 
 from __future__ import annotations
@@ -18,6 +19,17 @@ from .config import build_scenario, check_seed, initial_point, load_config
 from .errors import InputError, IntegrationDivergedError, NumericError
 from .hamiltonian import Trajectory, integrate
 from .verify import CHECKS, TOLERANCES, run_check
+
+
+def _write(path, text) -> bool:
+    """Write ``text`` to ``path``; on failure print one ``error:`` line and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def cmd_simulate(config_path, out=None) -> int:
@@ -44,8 +56,8 @@ def cmd_simulate(config_path, out=None) -> int:
         print(f"error: integration.{exc}", file=sys.stderr)
         return 1
     except IntegrationDivergedError as exc:
-        with open(path, "w") as fh:
-            fh.write(exc.trajectory.to_csv())
+        if not _write(path, exc.trajectory.to_csv()):
+            return 1
         print(
             f"error: integration diverged, last good step {exc.last_good_step}; "
             f"partial trajectory in {path}",
@@ -56,12 +68,12 @@ def cmd_simulate(config_path, out=None) -> int:
         A = bundle.algebroid
         names = list(bundle.monitors)
         empty = Trajectory(A.n, A.m, np.zeros((0, 3 + A.n + A.m + len(names))), names)
-        with open(path, "w") as fh:
-            fh.write(empty.to_csv())
+        if not _write(path, empty.to_csv()):
+            return 1
         print(f"error: {exc}; header-only trajectory in {path}", file=sys.stderr)
         return 2
-    with open(path, "w") as fh:
-        fh.write(traj.to_csv())
+    if not _write(path, traj.to_csv()):
+        return 1
     print(f"wrote {len(traj.samples)} samples to {path}")
     return 0
 
@@ -114,9 +126,8 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         {**e, "max_residual": e["max_residual"] if math.isfinite(e["max_residual"]) else None}
         for e in entries
     ]
-    text = json.dumps(report, indent=2, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+    if not _write(path, json.dumps(report, indent=2, allow_nan=False) + "\n"):
+        return 1
     for e in entries:
         status = "pass" if e["pass"] else "FAIL"
         print(

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebroid import AlgebroidStructure, so3_constants
-from .connections import ConnectionPair, CurvatureTensor, default_split
+from .connections import ConnectionPair, default_split
 from .errors import InputError
-from .fields import MAX_COUNT, field_from_config_with_arity, is_finite_number, tensor_from_config
+from .fields import (
+    MAX_COUNT, TensorField, field_from_config_with_arity, is_finite_number, tensor_from_config,
+)
 from .hamiltonian import PhasePoint
 from .scenarios import (
     ConstraintSpec,
@@ -333,11 +335,9 @@ def _apply_overrides(bundle: ScenarioBundle, cfg) -> ScenarioBundle:
     A = bundle.algebroid
     new_curv = bundle.curvature
     if curv == "zero":
-        new_curv = CurvatureTensor.zero(A.m, A.n)
+        new_curv = TensorField.zeros((A.m,) * 4, A.n)
     elif isinstance(curv, list):
-        new_curv = CurvatureTensor(
-            tensor_from_config(curv, (A.m, A.m, A.m, A.m), A.n, key="scenario.curvature")
-        )
+        new_curv = tensor_from_config(curv, (A.m,) * 4, A.n, key="scenario.curvature")
     elif curv not in (None, "scenario"):
         raise InputError(
             "scenario.curvature must be 'zero', 'scenario' or an [m,m,m,m] tensor"

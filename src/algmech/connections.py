@@ -162,32 +162,6 @@ def levi_civita(A: AlgebroidStructure, G: TensorField) -> TensorField:
 
 
 @dataclass(frozen=True)
-class CurvatureTensor:
-    """A (1,3) tensor field R[mu, alpha, beta, nu](q): value, skew pair, argument slot."""
-
-    R: TensorField
-
-    def __post_init__(self):
-        if len(self.R.shape) != 4 or len(set(self.R.shape)) != 1:
-            raise InputError("curvature tensor must be [m,m,m,m]")
-
-    @property
-    def m(self) -> int:
-        return self.R.shape[0]
-
-    def eval(self, q) -> np.ndarray:
-        return self.R.eval(q)
-
-    @classmethod
-    def zero(cls, m, arity) -> "CurvatureTensor":
-        return cls(TensorField.zeros((m, m, m, m), arity))
-
-    @classmethod
-    def from_constants(cls, array, arity=0) -> "CurvatureTensor":
-        return cls(TensorField.from_constants(np.asarray(array, dtype=float), arity))
-
-
-@dataclass(frozen=True)
 class CurvatureReport:
     skew_residual: float
     bianchi_residual: float
@@ -229,11 +203,9 @@ def curvature_identity_residuals(R) -> CurvatureReport:
     )
 
 
-def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> CurvatureTensor:
-    """Curvature of ``Gamma`` as an array-valued (1,3) tensor field over the base."""
-    return CurvatureTensor(
-        TensorField.from_array_fn(
-            lambda q: curvature_at(A, Gamma, q), (A.m,) * 4, A.n, h=CHRISTOFFEL_FD_STEP
-        )
+def curvature_field(A: AlgebroidStructure, Gamma: TensorField) -> TensorField:
+    """Curvature of ``Gamma`` (:func:`curvature_at`) as an array-valued [m,m,m,m] tensor field."""
+    return TensorField.from_array_fn(
+        lambda q: curvature_at(A, Gamma, q), (A.m,) * 4, A.n, h=CHRISTOFFEL_FD_STEP
     )
 

@@ -3,9 +3,9 @@
 Every coordinate-dependent coefficient in the library (structure functions,
 metrics, Hamiltonians) is a :class:`TensorField`: an array of real functions
 of the chart coordinates that also reports its first-derivative jet.  A
-scalar, such as a Hamiltonian, is the tensor of shape ``()``, a
-:class:`SmoothField`, whose class adds only scalar constructors and
-accessors.  A tensor takes one of two forms:
+scalar, such as a Hamiltonian, is the tensor of shape ``()``; the scalar
+constructors (:meth:`TensorField.polynomial`, :meth:`TensorField.from_callable`,
+:meth:`TensorField.builtin`) build one.  A tensor takes one of two forms:
 
 * packed polynomial terms, with exact values and exact jets.  The terms are
   compiled into one shared monomial table and one coefficient matrix per use
@@ -147,12 +147,13 @@ def _is_count(value):
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= MAX_COUNT
 
 
-def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
+def field_from_config_with_arity(obj, arity, key="field") -> TensorField:
     """Parse the config form of the field ``key`` over a chart of dimension ``arity``.
 
-    A plain number is a constant; an object names its ``arity`` and holds
-    either polynomial ``terms`` or a ``builtin`` name.  A malformed field
-    raises :class:`InputError` ending ``at <key>``, a malformed term
+    The field is a :class:`TensorField` of shape ``()``.  A plain number is a
+    constant; an object names its ``arity`` and holds either polynomial
+    ``terms`` or a ``builtin`` name.  A malformed field raises
+    :class:`InputError` ending ``at <key>``, a malformed term
     ``at <key>.terms[i]``; neither echoes the offending value.
     """
     where = key
@@ -160,7 +161,7 @@ def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
         if _is_number(obj):
             if not is_finite_number(obj):
                 raise InputError("coefficients must be finite")
-            return SmoothField.constant(obj, arity)
+            return TensorField.from_constants(obj, arity)
         if not isinstance(obj, dict):
             raise InputError(f"field config must be an object, got {type(obj).__name__}")
         if not _is_count(obj.get("arity")):
@@ -169,7 +170,7 @@ def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
             h = obj.get("h")
             if h is not None and not (is_finite_number(h) and h > 0):
                 raise InputError("field config 'h' must be a finite number > 0")
-            f = SmoothField.builtin(obj["builtin"], h=h)
+            f = TensorField.builtin(obj["builtin"], h=h)
             if f.arity != obj["arity"]:
                 raise InputError(f"field arity {obj['arity']} is not its builtin's arity {f.arity}")
         else:
@@ -185,7 +186,7 @@ def field_from_config_with_arity(obj, arity, key="field") -> SmoothField:
                     raise InputError(
                         "field term needs a finite 'coef' and a list 'exp' of integers >= 0"
                     )
-            f = SmoothField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
+            f = TensorField.polynomial([(t["coef"], t["exp"]) for t in terms], obj["arity"])
         if f.arity != arity:
             raise InputError(f"field arity {f.arity} does not match expected {arity}")
     except InputError as exc:
@@ -197,7 +198,7 @@ _BUILTINS = {}
 
 
 def register_builtin(name, fn, arity=1):
-    """Register a named closure usable as ``SmoothField.builtin(name)``."""
+    """Register a named closure usable as ``TensorField.builtin(name)``."""
     _BUILTINS[name] = (fn, int(arity))
 
 
@@ -267,8 +268,8 @@ class TensorField:
 
     ``shape`` is the list of index extents; evaluation at a chart point
     returns a float array of the same shape, and at a batch ``q[K, n]`` an
-    array ``[K, *shape]``.  A tensor of shape ``()`` is a
-    :class:`SmoothField`.  A tensor is one of two things:
+    array ``[K, *shape]``.  A scalar is the tensor of shape ``()``.  A
+    tensor is one of two things:
 
     * packed: polynomial terms ``(rows, coefs, exps)``, term t adding
       ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``.  The terms are
@@ -282,7 +283,7 @@ class TensorField:
       callable ``_grad`` when there is one, else central differences with
       step ``_h``.
 
-    Nested input (numbers, config field objects, SmoothFields) becomes a
+    Nested input (numbers, config field objects, scalar tensors) becomes a
     tensor in :func:`tensor_from_config`, constant arrays in
     :meth:`from_constants`.  A tensor of constants, and an array-valued
     tensor over a point, is folded into ``_const``.  ``_values``,
@@ -297,9 +298,9 @@ class TensorField:
 
     @staticmethod
     def _new(shape, arity) -> "TensorField":
-        """A tensor without data; one of shape ``()`` is a :class:`SmoothField`."""
+        """A tensor without data."""
         shape = tuple(int(s) for s in shape)
-        T = object.__new__(TensorField if shape else SmoothField)
+        T = object.__new__(TensorField)
         T.shape, T.arity = shape, int(arity)
         T._terms = T._const = T._fn = T._grad = T._h = None
         T._E = T._C = T._Ev = T._Cv = T._Eg = T._Cg = None  # tables: on first read
@@ -375,6 +376,53 @@ class TensorField:
     def zeros(cls, shape, arity) -> "TensorField":
         return cls.from_terms([], [], [], shape, arity)
 
+    # -- scalar constructors (shape ``()``) ---------------------------------
+
+    @classmethod
+    def polynomial(cls, terms, arity) -> "TensorField":
+        """Scalar Σ coef · Π q_i^{e_i} from ``terms = [(coef, exponent_vector), ...]``."""
+        arity = int(arity)
+        if arity < 0:
+            raise InputError("arity must be >= 0")
+        terms = list(terms)
+        exps = [np.asarray(exp, dtype=int).reshape(-1) for _, exp in terms]
+        for exp in exps:
+            if exp.shape[0] != arity:
+                raise InputError(
+                    f"exponent vector {exp.tolist()} has length {exp.shape[0]}, arity is {arity}"
+                )
+        exps = np.array(exps, dtype=int).reshape(len(terms), arity)
+        if np.any(exps < 0):
+            raise InputError("exponents must be >= 0")
+        coefs = np.array([float(coef) for coef, _ in terms], dtype=float)
+        if not np.isfinite(coefs).all():
+            raise InputError("coefficients must be finite")
+        return cls._packed((), arity, np.zeros(len(terms), dtype=int), coefs, exps)
+
+    @classmethod
+    def from_callable(cls, fn, arity, grad=None, h=None) -> "TensorField":
+        """Wrap ``fn(q) -> float``; gradient ``grad(q) -> [arity]`` if given, else FD at step ``h``.
+
+        Both take one point at a time; over a batch they are called per point.
+        """
+
+        def per_point(f, shape):
+            return lambda Q: np.array([f(q) for q in np.atleast_2d(Q)], dtype=float).reshape(
+                Q.shape[:-1] + shape
+            )
+
+        grad = grad and per_point(grad, (int(arity),))
+        return cls.from_array_fn(per_point(fn, ()), (), arity, h, grad)
+
+    @classmethod
+    def builtin(cls, name, h=None) -> "TensorField":
+        """Scalar of a code-registered named closure; gradient by central differences."""
+        try:
+            fn, arity = _BUILTINS[name]
+        except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable
+            raise InputError(f"unknown builtin field {name!r}") from exc
+        return cls.from_callable(fn, arity, h=h)
+
     # -- algebra (linear combinations keep exact jets) ----------------------
 
     def __add__(self, other) -> "TensorField":
@@ -443,6 +491,14 @@ class TensorField:
         if self._const is None and not np.isfinite(vals).all():
             raise NumericError("tensor field evaluated to non-finite entries")
         return vals
+
+    def gradient(self, q) -> np.ndarray:
+        """Gradient ``[*batch, *shape, arity]``; a packed one reads :meth:`gradient_table`."""
+        q = _check_point(q, self.arity)
+        g = self._gradient(q)
+        if not np.isfinite(g).all():
+            raise NumericError(f"field gradient non-finite at {q.tolist()}")
+        return g
 
     def _values(self, q) -> np.ndarray:
         """Values at a validated point or batch ``q``."""
@@ -520,105 +576,17 @@ class TensorField:
         return f"{type(self).__name__}(shape={self.shape}, arity={self.arity})"
 
 
-class SmoothField(TensorField):
-    """Scalar function of ``arity`` chart coordinates: the :class:`TensorField` of shape ``()``.
-
-    Every tensor of shape ``()`` is one, whatever built it.  This class adds
-    only the scalar constructors and the scalar accessors; its algebra, its
-    evaluation and its jet are the tensor's.
-    """
-
-    __slots__ = ()
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def polynomial(cls, terms, arity) -> "SmoothField":
-        """Field Σ coef · Π q_i^{e_i} from ``terms = [(coef, exponent_vector), ...]``."""
-        arity = int(arity)
-        if arity < 0:
-            raise InputError("arity must be >= 0")
-        terms = list(terms)
-        exps = [np.asarray(exp, dtype=int).reshape(-1) for _, exp in terms]
-        for exp in exps:
-            if exp.shape[0] != arity:
-                raise InputError(
-                    f"exponent vector {exp.tolist()} has length {exp.shape[0]}, arity is {arity}"
-                )
-        exps = np.array(exps, dtype=int).reshape(len(terms), arity)
-        if np.any(exps < 0):
-            raise InputError("exponents must be >= 0")
-        coefs = np.array([float(coef) for coef, _ in terms], dtype=float)
-        if not np.isfinite(coefs).all():
-            raise InputError("coefficients must be finite")
-        return cls._packed((), arity, np.zeros(len(terms), dtype=int), coefs, exps)
-
-    @classmethod
-    def constant(cls, value, arity) -> "SmoothField":
-        value = float(value)
-        if value == 0.0:
-            return cls.polynomial([], arity)
-        return cls.polynomial([(value, [0] * arity)], arity)
-
-    @classmethod
-    def zero(cls, arity) -> "SmoothField":
-        return cls.polynomial([], arity)
-
-    @classmethod
-    def coordinate(cls, index, arity) -> "SmoothField":
-        """The chart coordinate q_index as a field."""
-        exp = [0] * arity
-        exp[index] = 1
-        return cls.polynomial([(1.0, exp)], arity)
-
-    @classmethod
-    def from_callable(cls, fn, arity, grad=None, h=None) -> "SmoothField":
-        """Wrap ``fn(q) -> float``; gradient ``grad(q) -> [arity]`` if given, else FD at step ``h``.
-
-        Both take one point at a time; over a batch they are called per point.
-        """
-
-        def per_point(f, shape):
-            return lambda Q: np.array([f(q) for q in np.atleast_2d(Q)], dtype=float).reshape(
-                Q.shape[:-1] + shape
-            )
-
-        grad = grad and per_point(grad, (int(arity),))
-        return cls.from_array_fn(per_point(fn, ()), (), arity, h, grad)
-
-    @classmethod
-    def builtin(cls, name, h=None) -> "SmoothField":
-        """Look up a code-registered named closure; gradient by central differences."""
-        try:
-            fn, arity = _BUILTINS[name]
-        except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable
-            raise InputError(f"unknown builtin field {name!r}") from exc
-        return cls.from_callable(fn, arity, h=h)
-
-    # -- scalar accessors ---------------------------------------------------
-
-    def value(self, q):
-        """Value at ``q[n]`` (a float) or at each point of ``q[K, n]`` ([K])."""
-        v = self.eval(q)
-        return float(v) if v.ndim == 0 else v
-
-    def gradient(self, q) -> np.ndarray:
-        """Gradient at ``q[n]`` ([n]) or at each point of ``q[K, n]`` ([K, n])."""
-        q = _check_point(q, self.arity)
-        g = self._gradient(q)
-        if not np.isfinite(g).all():
-            raise NumericError(f"field gradient non-finite at {q.tolist()}")
-        return g
-
-    def __call__(self, q) -> float:
-        return self.value(q)
+# ``bench/tracing.py`` names this alias (``SmoothField.gradient``); it goes
+# together with ``hamiltonian.energy_rate`` when those traced spans move
+SmoothField = TensorField
 
 
 def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
     """Nested lists of exactly ``shape`` -> one TensorField, walked once.
 
     A leaf is a number (a constant term), a config field object (parsed by
-    :func:`field_from_config_with_arity`) or a :class:`SmoothField`.  The
+    :func:`field_from_config_with_arity`) or a :class:`TensorField` of shape
+    ``()``.  The
     terms of polynomial leaves are packed in flat-index order.  If any other
     leaf is given, the tensor is array-valued: its values and gradients are
     the packed part's, plus each such leaf's in its entry, so the packed
@@ -640,7 +608,7 @@ def tensor_from_config(obj, shape, arity, key="tensor") -> TensorField:
                 exps.append(constant)
             return
         f = node
-        if not isinstance(f, SmoothField):
+        if not (isinstance(f, TensorField) and f.shape == ()):
             f = field_from_config_with_arity(node, arity, where)
         if f.arity != arity:
             raise InputError(f"field arity {f.arity} does not match expected {arity} at {where}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure, contract_first, structure_eval
 from .errors import InputError, IntegrationDivergedError, NumericError
-from .fields import SmoothField, TensorField, _monomials, matvec, vecmat
+from .fields import TensorField, _monomials, matvec, vecmat
 
 
 def _coords(a) -> np.ndarray:
@@ -65,7 +65,7 @@ def _check_phase(A: AlgebroidStructure, x: PhasePoint):
         )
 
 
-def _check_phase_fn(A: AlgebroidStructure, H: SmoothField):
+def _check_phase_fn(A: AlgebroidStructure, H: TensorField):
     if H.arity != A.n + A.m:
         raise InputError(f"phase function arity {H.arity} must be n+m={A.n + A.m}")
 
@@ -80,7 +80,7 @@ def _field(s, p, g, n) -> np.ndarray:
     return out
 
 
-def ham_field(A, H: SmoothField, x: PhasePoint, *, with_gradient=False):
+def ham_field(A, H: TensorField, x: PhasePoint, *, with_gradient=False):
     """Hamiltonian vector field at ``x`` as a chart vector (dq, dp), per point of a batch.
 
     dq_i = sum_a rho_l[i,a] dH/dp_a,
@@ -97,7 +97,7 @@ def ham_field(A, H: SmoothField, x: PhasePoint, *, with_gradient=False):
     return (out, g) if with_gradient else out
 
 
-def energy_rate(A, H: SmoothField, x: PhasePoint) -> float:
+def energy_rate(A, H: TensorField, x: PhasePoint) -> float:
     """dH/dt = dH(X_H) along the standard Hamiltonian field, as :func:`integrate` records it.
 
     It equals -{H, H}: zero for skew brackets, the signed
@@ -168,7 +168,7 @@ def rk4_step(f, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _stage_table(s, H: SmoothField, n):
+def _stage_table(s, H: TensorField, n):
     """``(E, C)`` such that ``C @ z**E`` stacks X_H(z) over dH(z), ``[2 (n + m)]``.
 
     For a constant snapshot ``s`` and a polynomial H.  The field of
@@ -223,9 +223,9 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     _check_phase_fn(A, H)
     if not 0 < h < math.inf:  # NaN compares false
         raise InputError("step size h must be a finite number > 0")
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise InputError("steps must be an integer >= 1")
     steps = int(steps)
-    if steps < 1:
-        raise InputError("steps must be >= 1")
     monitors = monitors or {}
     names = list(monitors.keys())
     for name in names:
@@ -256,7 +256,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
 
     try:
         S = np.empty((steps + 1, 3 + N + len(names)))  # the columns of Trajectory.csv_header
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: more rows than an array axis holds
         raise InputError(f"steps is too large: {steps} steps cannot be allocated") from exc
     z = x0.z
     error = None
@@ -292,7 +292,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     return traj
 
 
-def fibre_form(c, n) -> SmoothField:
+def fibre_form(c, n) -> TensorField:
     """The form ``sum c[a, b, ...] p_a p_b ...`` on the chart (q[n], p[m]), as a polynomial."""
     index = np.nonzero(c)
     unit = np.eye(n + c.shape[0], dtype=int)[n:]  # the exponents of p_1..p_m
@@ -300,7 +300,7 @@ def fibre_form(c, n) -> SmoothField:
     return TensorField.from_terms(rows, c[index], exps, (), n + c.shape[0])
 
 
-def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
+def quadratic_hamiltonian(G: TensorField, V, n, m) -> TensorField:
     """H(q, p) = 1/2 p^T G(q)^{-1} p + V(q) with an exact analytic jet.
 
     ``G`` is the m x m fibre metric over the base.  A constant metric with a
@@ -323,7 +323,7 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
         q, p = z[:n], z[n:]
         v = 0.5 * float(p @ np.linalg.inv(G.eval(q)) @ p)
         if V is not None:
-            v += V.value(q)
+            v += float(V.eval(q))
         return v
 
     def grad(z):
@@ -335,10 +335,10 @@ def quadratic_hamiltonian(G: TensorField, V, n, m) -> SmoothField:
             gq = gq + V.gradient(q)
         return np.concatenate([gq, w])
 
-    return SmoothField.from_callable(value, n + m, grad=grad)
+    return TensorField.from_callable(value, n + m, grad=grad)
 
 
-def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
+def momentum_pairing_hamiltonian(X: TensorField, n) -> TensorField:
     """H(q, p) = sum_i p_i X^i(q), the linear-in-momentum pairing with a base field.
 
     A packed X gives a polynomial: each term of X^i, times p_i.  Otherwise H
@@ -362,4 +362,4 @@ def momentum_pairing_hamiltonian(X: TensorField, n) -> SmoothField:
         Xv, Xg = X.eval_grad(q)  # [n], [n,n]
         return np.concatenate([Xg.T @ p, Xv])
 
-    return SmoothField.from_callable(value, 2 * n, grad=grad)
+    return TensorField.from_callable(value, 2 * n, grad=grad)

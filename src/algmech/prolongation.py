@@ -35,9 +35,9 @@ from .algebroid import (
     structure_eval,
     worst_residual,
 )
-from .connections import ConnectionPair, CurvatureTensor, split_residual, verify_split
+from .connections import ConnectionPair, split_residual, verify_split
 from .errors import InputError, InvalidStructureError, NumericError
-from .fields import SmoothField, TensorField, matvec, vecmat
+from .fields import TensorField, matvec, vecmat
 from .hamiltonian import PhasePoint, _check_phase, _check_phase_fn
 
 SPLIT_TOL = 1e-10
@@ -45,7 +45,7 @@ SPLIT_TOL = 1e-10
 
 @dataclass(frozen=True)
 class ProlongationData:
-    """Base algebroid + validated splitting + free (1,3) tensor R.
+    """Base algebroid + validated splitting + free (1,3) tensor R, a [m,m,m,m] TensorField.
 
     The splitting is checked at construction probe points, in one batch; the
     2m frame is ordered (h_1..h_m, v^1..v^m).  ``_liouville`` is the
@@ -58,13 +58,13 @@ class ProlongationData:
 
     base: AlgebroidStructure
     split: ConnectionPair
-    R: CurvatureTensor
+    R: TensorField
     _base_at: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.split.m != self.base.m or self.split.Dl.arity != self.base.n:
             raise InputError("connection pair does not match the base algebroid")
-        if self.R.m != self.base.m or self.R.R.arity != self.base.n:
+        if self.R.shape != (self.base.m,) * 4 or self.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
         probes = np.array(base_probes(self.base.n, seed=12345))  # one batch
         if self._base_at is None:
@@ -160,7 +160,7 @@ def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndar
     return -diff_lr_section(prolong_eval(P, x), P._liouville)
 
 
-def right_ham_section(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarray:
+def right_ham_section(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.ndarray:
     """Frame coefficients of the section xi solving Omega(xi, .) = d_r H.
 
     Explicitly: h-part dH/dp_a; v-part
@@ -181,7 +181,7 @@ def _right_ham_section(P, H, x, snap) -> np.ndarray:
     return xi
 
 
-def lr_ham_field(P: ProlongationData, H: SmoothField, x: PhasePoint) -> np.ndarray:
+def lr_ham_field(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.ndarray:
     """Left anchor applied to the right Hamiltonian section: a chart vector.
 
     Equals the Hamiltonian vector field computed directly from the induced
@@ -208,7 +208,7 @@ def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
     return max_abs(d_full(prolong_eval(P, x), O), 3)
 
 
-def d_squared_scalar_residual(P: ProlongationData, phi: SmoothField, x: PhasePoint) -> float:
+def d_squared_scalar_residual(P: ProlongationData, phi: TensorField, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a chart function (per point).
 
     Vanishes iff the averaged anchor is a morphism for the skew bracket at

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .algebroid import AlgebroidStructure
-from .connections import ConnectionPair, CurvatureTensor
-from .fields import SmoothField, TensorField
+from .connections import ConnectionPair
+from .fields import TensorField
 
 
 def poly_exponents(arity, degree):
@@ -62,7 +62,7 @@ def random_algebroid(rng, n=None, m=None, degree=2) -> AlgebroidStructure:
     )
 
 
-def random_phase_function(rng, n, m, degree=3) -> SmoothField:
+def random_phase_function(rng, n, m, degree=3) -> TensorField:
     return random_polynomial_tensor(rng, (), n + m, degree)
 
 
@@ -77,8 +77,8 @@ def random_valid_split(rng, A: AlgebroidStructure, degree=1) -> ConnectionPair:
     return ConnectionPair(Dl=Dl, Dr=Dr)
 
 
-def random_curvature(rng, m, arity, degree=1) -> CurvatureTensor:
-    return CurvatureTensor(random_polynomial_tensor(rng, (m, m, m, m), arity, degree))
+def random_curvature(rng, m, arity, degree=1) -> TensorField:
+    return random_polynomial_tensor(rng, (m, m, m, m), arity, degree)
 
 
 def random_phase_point(rng, n, m, scale=1.0):

@@ -32,7 +32,6 @@ from .algebroid import (
 from .connections import (
     CHRISTOFFEL_FD_STEP,
     ConnectionPair,
-    CurvatureTensor,
     _koszul_rhs,
     check_metric,
     christoffels_at,
@@ -43,7 +42,7 @@ from .connections import (
     metric_compatible_pair,
 )
 from .errors import InputError, NumericError
-from .fields import SmoothField, TensorField, stencil, stencil_jet
+from .fields import TensorField, stencil, stencil_jet
 from .hamiltonian import (
     fibre_form, momentum_pairing_hamiltonian, quadratic_hamiltonian, rk4_step,
 )
@@ -58,9 +57,9 @@ class ScenarioBundle:
     """One ready-to-run system: structure, energy, splitting, curvature, monitors."""
 
     algebroid: AlgebroidStructure
-    hamiltonian: SmoothField
+    hamiltonian: TensorField
     split: ConnectionPair
-    curvature: CurvatureTensor
+    curvature: TensorField
     monitors: dict = dc_field(default_factory=dict)
     _base_at: object = dc_field(default=None, repr=False, compare=False)
 
@@ -106,7 +105,7 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
         anchor_left=TensorField.from_constants(np.eye(n), n),
         anchor_right=TensorField.from_constants(-np.eye(n), n),
     )
-    zero = CurvatureTensor.zero(n, n)
+    zero = TensorField.zeros((n,) * 4, n)
 
     def base_at(q, curvature=True):  # one Koszul solve: Dl, Dr are 2 Gamma halved, exactly
         s = structure_eval(alg, q)  # R is a zero constant: returned either way
@@ -125,7 +124,7 @@ def build_gradient_extension(G: TensorField, X: TensorField) -> ScenarioBundle:
 # -- canonical and Lie-Poisson ------------------------------------------------
 
 
-def build_canonical(n: int, H: SmoothField, monitors=None) -> ScenarioBundle:
+def build_canonical(n: int, H: TensorField, monitors=None) -> ScenarioBundle:
     """Canonical cotangent dynamics on an n-dimensional chart."""
     alg = canonical_tangent(n)
     if H.arity != 2 * n:
@@ -134,12 +133,12 @@ def build_canonical(n: int, H: SmoothField, monitors=None) -> ScenarioBundle:
         algebroid=alg,
         hamiltonian=H,
         split=default_split(alg),
-        curvature=CurvatureTensor.zero(n, n),
+        curvature=TensorField.zeros((n,) * 4, n),
         monitors=dict(monitors or {}),
     )
 
 
-def build_lie_poisson(constants, H: SmoothField, metric=None, monitors=None) -> ScenarioBundle:
+def build_lie_poisson(constants, H: TensorField, metric=None, monitors=None) -> ScenarioBundle:
     """Structure-constant algebra over a point, with a metric-compatible splitting.
 
     ``constants[c, a, b]`` are the bracket coefficients.  The splitting uses
@@ -165,7 +164,7 @@ def build_lie_poisson(constants, H: SmoothField, metric=None, monitors=None) -> 
     )
 
 
-def euler_top_hamiltonian(inertia) -> SmoothField:
+def euler_top_hamiltonian(inertia) -> TensorField:
     """H(p) = 1/2 sum_a p_a^2 / I_a for a rigid body with principal inertias I."""
     inertia = np.asarray(inertia, dtype=float)
     terms = []
@@ -173,12 +172,12 @@ def euler_top_hamiltonian(inertia) -> SmoothField:
         e = [0] * inertia.shape[0]
         e[a] = 2
         terms.append((0.5 / I, e))
-    return SmoothField.polynomial(terms, inertia.shape[0])
+    return TensorField.polynomial(terms, inertia.shape[0])
 
 
-def so3_casimir() -> SmoothField:
+def so3_casimir() -> TensorField:
     """|p|^2 on the dual of the rotation algebra, the Casimir of its bracket."""
-    return SmoothField.polynomial([(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3)
+    return TensorField.polynomial([(1.0, [2, 0, 0]), (1.0, [0, 2, 0]), (1.0, [0, 0, 2])], 3)
 
 
 # -- bracket modification by a torsion tensor ---------------------------------
@@ -223,13 +222,13 @@ def build_contorsion(G: TensorField, S=None, T=None, V=None) -> ScenarioBundle:
             w = np.linalg.inv(G.eval(q)) @ p
             return -float(np.einsum("kij,k,i,j->", T.eval(q), p, w, w))
 
-        dissipation = SmoothField.from_callable(rate, 2 * n)
+        dissipation = TensorField.from_callable(rate, 2 * n)
 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
         split=default_split(alg),
-        curvature=CurvatureTensor.zero(n, n),
+        curvature=TensorField.zeros((n,) * 4, n),
         monitors={"dissipation": dissipation},
     )
 
@@ -253,7 +252,7 @@ class ConstraintSpec:
     metric: TensorField
     kinematic_basis: TensorField
     variational_basis: TensorField | None = None
-    potential: SmoothField | None = None
+    potential: TensorField | None = None
 
     def __post_init__(self):
         M, n = self.ambient.m, self.ambient.n
@@ -755,7 +754,7 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
         algebroid=alg,
         hamiltonian=H,
         split=ConnectionPair(Dl=piece(split_at, 0, (k, k, k)), Dr=piece(split_at, 1, (k, k, k))),
-        curvature=CurvatureTensor(piece(frame.lifted_base, 3, (k, k, k, k))),
+        curvature=piece(frame.lifted_base, 3, (k, k, k, k)),
         _base_at=frame.lifted_base if n else None,
     )
 

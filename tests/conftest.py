@@ -13,7 +13,7 @@ from algmech.algebroid import (
     so3_constants,
     structure_eval,
 )
-from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.scenarios import (
     ConstraintSpec, _AdaptedFrame, build_lie_poisson, euler_top_hamiltonian, so3_casimir,
 )
@@ -38,7 +38,7 @@ def build_euler_top(inertia=(1.0, 2.0, 3.0)):
 
 def field_from_polynomial(terms, arity):
     """Polynomial field from ``[(coefficient, exponent_vector), ...]``."""
-    return SmoothField.polynomial(terms, arity)
+    return TensorField.polynomial(terms, arity)
 
 
 def monitor_values(traj, name):
@@ -175,7 +175,7 @@ def symmetric_product_line():
 def curved_plane_metric():
     """diag(1, 1 + q1^2) over the 2d chart."""
     one = field_from_polynomial([(1.0, [0, 0])], 2)
-    zero = SmoothField.zero(2)
+    zero = TensorField.zeros((), 2)
     g22 = field_from_polynomial([(1.0, [0, 0]), (1.0, [2, 0])], 2)
     return tensor_from_config([[one, zero], [zero, g22]], (2, 2), 2)
 
@@ -185,7 +185,7 @@ def tr3_classical_spec():
     amb = canonical_tangent(3)
     q2 = field_from_polynomial([(1.0, [0, 1, 0])], 3)
     one = field_from_polynomial([(1.0, [0, 0, 0])], 3)
-    zero = SmoothField.zero(3)
+    zero = TensorField.zeros((), 3)
     g22 = field_from_polynomial([(1.0, [0, 0, 0]), (1.0, [2, 0, 0])], 3)
     G = tensor_from_config([[one, zero, zero], [zero, g22, zero], [zero, zero, one]], (3, 3), 3)
     V = field_from_polynomial([(0.5, [0, 2, 0]), (1.0, [2, 0, 0])], 3)
@@ -253,9 +253,9 @@ def generalized_curved_spec():
     anchor = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     G = tensor_from_config(
         [
-            [poly((1.0, [0, 0]), (0.5, [2, 0])), poly((0.2, [0, 1])), SmoothField.zero(2)],
+            [poly((1.0, [0, 0]), (0.5, [2, 0])), poly((0.2, [0, 1])), TensorField.zeros((), 2)],
             [poly((0.2, [0, 1])), poly((1.0, [0, 0]), (0.3, [1, 1])), poly((0.1, [1, 0]))],
-            [SmoothField.zero(2), poly((0.1, [1, 0])), poly((2.0, [0, 0]), (0.4, [0, 2]))],
+            [TensorField.zeros((), 2), poly((0.1, [1, 0])), poly((2.0, [0, 0]), (0.4, [0, 2]))],
         ],
         (3, 3),
         2,

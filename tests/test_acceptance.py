@@ -14,7 +14,6 @@ from algmech.algebroid import (
     sym_skew_parts,
 )
 from algmech.connections import (
-    CurvatureTensor,
     curvature_at,
     curvature_field,
     curvature_identity_residuals,
@@ -22,7 +21,7 @@ from algmech.connections import (
     levi_civita,
     metric_compatible_pair,
 )
-from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field, integrate, rk4_step
 from algmech.prolongation import (
     ProlongationData,
@@ -77,7 +76,7 @@ def _shipped_bundles():
         "gradient_extension": build_gradient_extension(
             curved_plane_metric(),
             tensor_from_config(
-                [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
+                [field_from_polynomial([(1.0, [0, 0])], 2), TensorField.zeros((), 2)], (2,), 2
             ),
         ),
         "constrained": build_constrained(tr3_classical_spec()),
@@ -102,7 +101,7 @@ def test_criterion_01_equivalence_of_the_two_routes():
     worst = 0.0
     for _ in range(20):
         A = random_algebroid(rng, degree=2)
-        P = ProlongationData(A, default_split(A), CurvatureTensor.zero(A.m, A.n))
+        P = ProlongationData(A, default_split(A), TensorField.zeros((A.m,) * 4, A.n))
         for _ in range(5):
             H = random_phase_function(rng, A.n, A.m, degree=3)
             for _ in range(20):
@@ -117,7 +116,7 @@ def test_criterion_01_equivalence_of_the_two_routes():
     for _ in range(5):
         A = random_algebroid(rng, n=2, m=2, degree=2)
         H = random_phase_function(rng, 2, 2, degree=3)
-        P0 = ProlongationData(A, default_split(A), CurvatureTensor.zero(2, 2))
+        P0 = ProlongationData(A, default_split(A), TensorField.zeros((2,) * 4, 2))
         P1 = ProlongationData(A, random_valid_split(rng, A), random_curvature(rng, 2, 2))
         for _ in range(20):
             x = _probe(rng, A)
@@ -134,7 +133,7 @@ def test_criterion_02_frame_pairing_and_generic_route():
     rng = np.random.default_rng(2)
     for m in (1, 2, 3):
         A = random_algebroid(rng, n=1, m=m, degree=1)
-        P = ProlongationData(A, default_split(A), CurvatureTensor.zero(m, 1))
+        P = ProlongationData(A, default_split(A), TensorField.zeros((m,) * 4, 1))
         O = omega(P, PhasePoint([0.2], np.zeros(m)))
         block = np.zeros((2 * m, 2 * m))
         block[:m, m:] = np.eye(m)
@@ -160,7 +159,7 @@ def test_criterion_03_closedness():
     worst_zero = 0.0
     for name, b in _shipped_bundles().items():
         A = b.algebroid
-        P = ProlongationData(A, b.split, CurvatureTensor.zero(A.m, A.n))
+        P = ProlongationData(A, b.split, TensorField.zeros((A.m,) * 4, A.n))
         for _ in range(5):
             worst_zero = max(worst_zero, closedness_residual(P, _probe(rng, A)))
     so3 = so3_algebra()
@@ -176,7 +175,7 @@ def test_criterion_03_closedness():
     Rbad = np.zeros((3, 3, 3, 3))
     Rbad[0, 0, 1, 2] = 1.0
     Rbad[0, 1, 0, 2] = -1.0
-    Pbad = ProlongationData(so3, default_split(so3), CurvatureTensor.from_constants(Rbad, 0))
+    Pbad = ProlongationData(so3, default_split(so3), TensorField.from_constants(Rbad, 0))
     control = closedness_residual(Pbad, PhasePoint([], [1.0, 0.0, 0.0]))
     ok = worst_zero <= 1e-10 and worst_so3 <= 1e-8 and worst_tr2 <= 1e-5 and control >= 0.5
     _report(3, ok, f"closed: R=0 {worst_zero:.2e} (<=1e-10), metric-curvature "
@@ -222,7 +221,7 @@ def test_criterion_05_euler_top():
 def test_criterion_06_gradient_extension():
     G = curved_plane_metric()
     X = tensor_from_config(
-        [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
+        [field_from_polynomial([(1.0, [0, 0])], 2), TensorField.zeros((), 2)], (2,), 2
     )
     b = build_gradient_extension(G, X)
     h, steps = 1e-3, 1000
@@ -329,12 +328,12 @@ def test_criterion_09_projection_consistency():
         Dl, _ = frame.split_at(q, core)
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
-        gv, gg = g.value(q), g.gradient(q)
+        gv, gg = g.eval(q), g.gradient(q)
         for a in range(frame.k):
             for b in range(frame.k):
                 def img(qq):
                     c = frame.core_at(qq)
-                    return c["Pi"][:, b] * g.value(qq)
+                    return c["Pi"][:, b] * g.eval(qq)
 
                 dY = np.empty((frame.M, 3))
                 for i in range(3):
@@ -358,7 +357,7 @@ def test_criterion_10_differential_calculus():
     # twice-applied skew differential on Lie-type lifted structures
     worst_lie = 0.0
     A2 = canonical_tangent(2)
-    P2 = ProlongationData(A2, default_split(A2), CurvatureTensor.zero(2, 2))
+    P2 = ProlongationData(A2, default_split(A2), TensorField.zeros((2,) * 4, 2))
     so3 = so3_algebra()
     Gam3 = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
     P3 = ProlongationData(so3, metric_compatible_pair(Gam3), curvature_field(so3, Gam3))

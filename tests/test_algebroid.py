@@ -15,7 +15,7 @@ from algmech.algebroid import (
 )
 from algmech.errors import InputError
 from algmech.fields import (
-    SmoothField, TensorField, tensor_from_config, vecmat,
+    TensorField, tensor_from_config, vecmat,
 )
 from algmech.randoms import random_algebroid, random_polynomial_tensor
 from algmech.scenarios import build_constrained
@@ -23,7 +23,7 @@ from algmech.scenarios import build_constrained
 from conftest import field_from_polynomial, nonjacobi_spec, symmetric_product_line
 
 
-def left_right_diff(A: AlgebroidStructure, F: SmoothField, q):
+def left_right_diff(A: AlgebroidStructure, F: TensorField, q):
     """Left and right differentials of a base function along the frame.
 
     ``dl[alpha] = sum_i rho_l[i, alpha] dF/dq_i`` and likewise with the right
@@ -152,7 +152,7 @@ def test_diff_lr_leibniz_identity():
 
     # products of fields are not provided; build F*k as an exact-jet closure
     def prod_field(k):
-        return SmoothField.from_callable(
+        return TensorField.from_callable(
             lambda q, k=k: F._values(q) * k._values(q),
             2,
             grad=lambda q, k=k: F._values(q) * k._gradient(q) + k._values(q) * F._gradient(q),
@@ -164,7 +164,7 @@ def test_diff_lr_leibniz_identity():
         lhs = diff_lr_section(structure_eval(A, q), fkappa)
         dlF, drF = left_right_diff(A, F, q)
         kv = kappa.eval(q)
-        rhs = F.value(q) * diff_lr_section(structure_eval(A, q), kappa)
+        rhs = F.eval(q) * diff_lr_section(structure_eval(A, q), kappa)
         rhs += np.outer(dlF, kv) - np.outer(kv, drF)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -175,7 +175,7 @@ def test_left_diff_linear_and_product_rule():
     F = random_polynomial_tensor(rng, (), 2, 2)
     G = random_polynomial_tensor(rng, (), 2, 2)
 
-    FG = SmoothField.from_callable(
+    FG = TensorField.from_callable(
         lambda q: F._values(q) * G._values(q),
         2,
         grad=lambda q: F._values(q) * G._gradient(q) + G._values(q) * F._gradient(q),
@@ -189,7 +189,7 @@ def test_left_diff_linear_and_product_rule():
         assert np.max(np.abs(dl_combo - (2.0 * dlF - 0.5 * dlG))) <= 1e-12
         assert np.max(np.abs(dr_combo - (2.0 * drF - 0.5 * drG))) <= 1e-12
         dl_prod, _ = left_right_diff(A, FG, q)
-        expect = F.value(q) * dlG + G.value(q) * dlF
+        expect = F.eval(q) * dlG + G.eval(q) * dlF
         assert np.max(np.abs(dl_prod - expect)) <= 1e-12 * (1 + np.max(np.abs(expect)))
 
 

@@ -110,7 +110,7 @@ def test_h_and_monitor_values_batch(name):
     bundle = _bundle(name)
     X, xs = _points(np.random.default_rng(3), bundle.algebroid, 7)
     for F in [bundle.hamiltonian, *bundle.monitors.values()]:
-        assert _same(F.value(X.z), [F.value(x.z) for x in xs])
+        assert _same(F.eval(X.z), [F.eval(x.z) for x in xs])
 
 
 def test_many_term_polynomial_value_batch():
@@ -119,7 +119,7 @@ def test_many_term_polynomial_value_batch():
     F = random_phase_function(rng, 2, 2, degree=4)
     Z = rng.uniform(-1, 1, (50, 4))
     assert F._terms[0].shape[0] >= 10
-    assert _same(F.value(Z), [F.value(z) for z in Z])
+    assert _same(F.eval(Z), [F.eval(z) for z in Z])
 
 
 @pytest.mark.parametrize("K", [1, 7])
@@ -180,10 +180,10 @@ def test_a_metric_defect_in_a_batch_names_its_point():
     """G = diag(q, q) over a line is positive-definite only at q > 0."""
     from algmech.algebroid import algebroid_from_constants
     from algmech.errors import InputError
-    from algmech.fields import SmoothField
+    from algmech.fields import TensorField
 
     A = algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], n=1)
-    q, zero = SmoothField.coordinate(0, 1), SmoothField.zero(1)
+    q, zero = TensorField.polynomial([(1.0, [1])], 1), TensorField.zeros((), 1)
     G = tensor_from_config([[q, zero], [zero, q]], (2, 2), 1)
     with pytest.raises(InputError, match=r"not positive-definite at \[-0.5\]"):
         levi_civita(A, G).eval([[0.5], [-0.5], [0.25]])
@@ -313,10 +313,10 @@ def _defective_spec(classical=False):
     """Over a line: the kinematic row (q - 3, 0) vanishes at q = 3, and at q = 2 the
     variational row (q - 2, 1) leaves the kinematic direction in its complement."""
     from algmech.algebroid import algebroid_from_constants
-    from algmech.fields import SmoothField
+    from algmech.fields import TensorField
 
     def line(c0, c1):
-        return SmoothField.polynomial([(c0, [0]), (c1, [1])], 1)
+        return TensorField.polynomial([(c0, [0]), (c1, [1])], 1)
 
     return ConstraintSpec(
         ambient=algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], [[1.0, 0.0]], n=1),

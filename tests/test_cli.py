@@ -290,6 +290,25 @@ def test_simulate_divergence_exit_code(tmp_path):
         assert len(lines) == last_good + 2  # header plus samples 0..last_good
 
 
+@pytest.mark.parametrize(
+    "command,flag,q0",
+    [
+        ("simulate", "--out", 1.0),
+        ("simulate", "--out", 1e200),  # not finite at the initial state: the header-only CSV
+        ("verify", "--report", 1.0),
+    ],
+    ids=["simulate", "simulate-header-only", "verify"],
+)
+def test_an_unwritable_output_path_exits_1_with_one_error_line(tmp_path, command, flag, q0):
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path, steps=50)).read_text())
+    cfg["integration"]["x0"]["q"] = [q0]  # H = (p^2 + q^2) / 2 overflows at q = 1e200
+    target = tmp_path / "missing" / "out"
+    r = run_cli(command, write_config(tmp_path, cfg), flag, str(target), cwd=tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert r.stderr == f"error: cannot write {target}: No such file or directory\n"
+    assert "Traceback" not in r.stderr and not target.parent.exists()
+
+
 def test_verify_report_and_exit_codes(tmp_path):
     path = harmonic_config(tmp_path)
     r = run_cli("verify", path, cwd=tmp_path)

@@ -15,7 +15,6 @@ from algmech.connections import (
     ConnectionPair,
     _koszul_rhs,
     christoffels_at,
-    CurvatureTensor,
     curvature_arrays,
     curvature_at,
     curvature_field,
@@ -26,7 +25,7 @@ from algmech.connections import (
     verify_split,
 )
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint
 from algmech.prolongation import ProlongationData, prolong_eval
 from algmech.randoms import random_algebroid
@@ -278,7 +277,7 @@ def test_curvature_so3_quarter(so3):
 def _per_component_fd(at, shape, arity):
     """The per-component form: one FD closure per entry over the pointwise array."""
     entries = [
-        SmoothField.from_callable(lambda q, idx=idx: at(q)[idx], arity, h=CHRISTOFFEL_FD_STEP)
+        TensorField.from_callable(lambda q, idx=idx: at(q)[idx], arity, h=CHRISTOFFEL_FD_STEP)
         for idx in np.ndindex(*shape)
     ]
     return tensor_from_config(nested(entries, shape), shape, arity)
@@ -292,7 +291,7 @@ def test_christoffels_and_curvature_are_bit_equal_to_per_component_fields(which,
         A, G = canonical2, curved_plane_metric()
     m, n = A.m, A.n
     Gamma = levi_civita(A, G)
-    R = curvature_field(A, Gamma).R
+    R = curvature_field(A, Gamma)
     ref_gamma = _per_component_fd(Gamma.eval, (m, m, m), n)
     ref_R = _per_component_fd(lambda q: curvature_at(A, ref_gamma, q), (m,) * 4, n)
     rng = np.random.default_rng(17)
@@ -306,7 +305,7 @@ def test_default_split_of_array_valued_and_packed_brackets(canonical2):
     from algmech.scenarios import build_gradient_extension
 
     X = tensor_from_config(
-        [field_from_polynomial([(1.0, [0, 1])], 2), SmoothField.zero(2)], (2,), 2
+        [field_from_polynomial([(1.0, [0, 1])], 2), TensorField.zeros((), 2)], (2,), 2
     )
     A = build_gradient_extension(curved_plane_metric(), X).algebroid  # bracket 2 Gamma
     rng = np.random.default_rng(3)
@@ -330,7 +329,7 @@ def _lifted_anchors(A, cp, x):
     Columns :m of ``rho_l`` (``rho_r``) are the left (right) horizontal
     lifts of the frame sections, columns m: the vertical lifts.
     """
-    snap = prolong_eval(ProlongationData(A, cp, CurvatureTensor.zero(A.m, A.n)), x)
+    snap = prolong_eval(ProlongationData(A, cp, TensorField.zeros((A.m,) * 4, A.n)), x)
     return snap.rho_l, snap.rho_r
 
 
@@ -418,14 +417,14 @@ def test_connection_axioms_for_scenario_built_pair():
         Dl, _ = frame.split_at(q, core)
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
-        fv = np.array([fc.value(q) for fc in f])
-        gv = np.array([gc.value(q) for gc in g])
+        fv = np.array([fc.eval(q) for fc in f])
+        gv = np.array([gc.eval(q) for gc in g])
         gg = np.array([gc.gradient(q) for gc in g])  # [k, n]
 
         # defining route: ambient coefficients of the variational image of Y
         def Y_ambient(qq):
             c = frame.core_at(qq)
-            return c["Pi"] @ np.array([gc.value(qq) for gc in g])
+            return c["Pi"] @ np.array([gc.eval(qq) for gc in g])
 
         Yv = Y_ambient(q)
         dY = np.empty((M, 3))

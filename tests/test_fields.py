@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from algmech.errors import InputError, NumericError
 from algmech.fields import (
-    SmoothField,
     TensorField,
     _derivative_terms,
     _jet_table,
@@ -30,14 +29,14 @@ def test_polynomial_eval_and_gradient():
 
 
 def test_constant_field():
-    f = SmoothField.constant(5.0, 1)
+    f = TensorField.from_constants(5.0, 1)
     v, g = f.eval_grad([0.0])
     assert v == 5.0
     assert g.shape == (1,) and g[0] == 0.0
 
 
 def test_sin_builtin_fd_gradient():
-    f = SmoothField.builtin("sin", h=1e-5)
+    f = TensorField.builtin("sin", h=1e-5)
     v, g = f.eval_grad([0.0])
     assert v == 0.0
     # central-difference truncation is bounded by h^2/6 * max|f'''| = 1.7e-11
@@ -46,10 +45,10 @@ def test_sin_builtin_fd_gradient():
 
 def test_field_from_polynomial_examples():
     f = field_from_polynomial([(1, [2, 0]), (-3, [0, 1])], 2)
-    assert f.value([1.0, 1.0]) == -2.0
+    assert f.eval([1.0, 1.0]) == -2.0
 
     z = field_from_polynomial([], 3)
-    assert z.value([4.0, -1.0, 2.0]) == 0.0
+    assert z.eval([4.0, -1.0, 2.0]) == 0.0
     assert np.all(z.gradient([4.0, -1.0, 2.0]) == 0.0)
 
     lin = field_from_polynomial([(2, [1])], 1)
@@ -69,15 +68,15 @@ def test_input_errors():
         field_from_polynomial([(1.0, [-1])], 1)  # negative exponent
     f = field_from_polynomial([(1.0, [1])], 1)
     with pytest.raises(InputError):
-        f.value([1.0, 2.0])  # wrong point length
+        f.eval([1.0, 2.0])  # wrong point length
     with pytest.raises(InputError):
-        f.value([math.nan])
+        f.eval([math.nan])
 
 
 def test_non_finite_result_is_numeric_error():
-    f = SmoothField.from_callable(lambda q: math.inf, 1, grad=lambda q: [0.0])
+    f = TensorField.from_callable(lambda q: math.inf, 1, grad=lambda q: [0.0])
     with pytest.raises(NumericError):
-        f.value([0.0])
+        f.eval([0.0])
 
 
 @st.composite
@@ -119,7 +118,7 @@ def test_polynomial_gradient_matches_term_differentiation(data):
 def test_fd_gradient_within_h_squared_bound(data, h):
     terms, arity, q = data
     f = field_from_polynomial(terms, arity)
-    wrapped = SmoothField.from_callable(f.value, arity, h=h)
+    wrapped = TensorField.from_callable(f.eval, arity, h=h)
     g_exact = f.gradient(q)
     g_fd = wrapped.gradient(q)
     # C h^2 truncation with C from a coarse third-derivative bound on [-2,2]^n,
@@ -130,14 +129,14 @@ def test_fd_gradient_within_h_squared_bound(data, h):
 
 def test_linear_combinations_keep_exact_jets():
     f = field_from_polynomial([(2.0, [1, 0])], 2)
-    g = SmoothField.from_callable(
+    g = TensorField.from_callable(
         lambda q: math.sin(q[0]) * q[1],
         2,
         grad=lambda q: [math.cos(q[0]) * q[1], math.sin(q[0])],
     )
     combo = f - g.scaled(2.0)
     q = np.array([0.3, -1.2])
-    assert np.isclose(combo.value(q), 2 * q[0] - 2 * math.sin(q[0]) * q[1])
+    assert np.isclose(combo.eval(q), 2 * q[0] - 2 * math.sin(q[0]) * q[1])
     expect = np.array(
         [2 - 2 * math.cos(q[0]) * q[1], -2 * math.sin(q[0])]
     )
@@ -220,9 +219,9 @@ def _random_tensor_case(seed, arity, shape, kind):
     if kind == "mixed":
         specs[int(rng.integers(len(specs)))] = "closure"
     comps = [
-        SmoothField.from_callable(_wiggle, arity, grad=_wiggle_grad)
+        TensorField.from_callable(_wiggle, arity, grad=_wiggle_grad)
         if spec == "closure"
-        else SmoothField.polynomial(spec, arity)
+        else TensorField.polynomial(spec, arity)
         for spec in specs
     ]
     return tensor_from_config(nested(comps, shape), shape, arity), specs
@@ -319,9 +318,32 @@ def test_returned_arrays_are_owned_by_the_caller(kind):
     assert np.array_equal(q, [0.3, -0.7])
 
 
+def test_every_scalar_constructor_builds_a_tensor_field():
+    from algmech import fields
+
+    built = [
+        TensorField.polynomial([(1.0, [1, 0])], 2),
+        TensorField.from_callable(lambda q: q[0], 2),
+        TensorField.builtin("sin"),
+        TensorField.from_constants(2.0, 2),
+        TensorField.zeros((), 2),
+    ]
+    for f in built:
+        assert type(f) is TensorField and f.shape == ()
+    assert fields.SmoothField is TensorField
+
+
+def test_a_config_leaf_may_be_a_scalar_tensor_but_not_a_vector():
+    f = field_from_polynomial([(2.0, [1, 0])], 2)
+    assert np.array_equal(tensor_from_config([f, 1.0], (2,), 2).eval([3.0, 0.0]), [6.0, 1.0])
+    v = TensorField.from_constants([1.0, 2.0], 2)
+    with pytest.raises(InputError, match=r"got TensorField at vec\[1\]$"):
+        tensor_from_config([f, v], (2,), 2, key="vec")
+
+
 def test_overflowing_point_is_numeric_error():
     f = field_from_polynomial([(1.0, [3, 0])], 2)
-    T = tensor_from_config([f, SmoothField.constant(1.0, 2)], (2,), 2)
+    T = tensor_from_config([f, TensorField.from_constants(1.0, 2)], (2,), 2)
     q = [1e200, 1.0]
     with pytest.raises(NumericError):
         T.eval(q)
@@ -338,7 +360,7 @@ def test_polynomial_gradient_needs_only_its_derivative_monomials():
     f = field_from_polynomial([(1.0, [3])], 1)
     assert f.gradient([1e103])[0] == pytest.approx(3e206)
     with pytest.raises(NumericError):
-        f.value([1e103])
+        f.eval([1e103])
 
 
 # -- array-valued tensors against per-component FD fields ----------------------
@@ -362,7 +384,7 @@ def _rowwise(fn):
 
 def _per_component(fn, shape, arity, h=None):
     entries = [
-        SmoothField.from_callable(lambda q, idx=idx: float(fn(q)[idx]), arity, h=h)
+        TensorField.from_callable(lambda q, idx=idx: float(fn(q)[idx]), arity, h=h)
         for idx in np.ndindex(*shape)
     ]
     return tensor_from_config(nested(entries, shape), shape, arity)
@@ -471,7 +493,7 @@ def test_sum_with_array_valued_is_input_error():
 
 def test_adding_a_non_tensor_is_a_type_error():
     T = TensorField.from_constants(np.ones((2, 2)), 1)
-    f = SmoothField.coordinate(0, 1)
+    f = TensorField.polynomial([(1.0, [1])], 1)
     for A in (T, f):
         for other in (1.0, None):
             with pytest.raises(TypeError):
@@ -556,7 +578,7 @@ def _no_table(T):
 
 def test_building_a_packed_tensor_builds_no_table():
     F = TensorField.from_terms([0, 1, 1], [1.0, 2.0, -3.0], [[1, 0], [0, 2], [1, 1]], (2,), 2)
-    closure = SmoothField.from_callable(lambda q: q[0] * q[1], 2, grad=lambda q: q[::-1])
+    closure = TensorField.from_callable(lambda q: q[0] * q[1], 2, grad=lambda q: q[::-1])
     mixed = tensor_from_config([field_from_polynomial([(1.0, [2, 0])], 2), closure], (2,), 2)
     for T in (F, mixed, F + mixed, F.scaled(2.0), mixed.scaled(-1.0)):
         assert _no_table(T)

@@ -14,7 +14,7 @@ from algmech.algebroid import (
 )
 from algmech.config import build_scenario, initial_point
 from algmech.errors import InputError, IntegrationDivergedError
-from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import (
     PhasePoint,
     Trajectory,
@@ -338,7 +338,7 @@ def test_a_monitor_that_overflows_first_ends_the_trajectory():
     assert info.value.trajectory.csv_header() == "t,p1,H,dHdt,F"
     for row, ref_row in zip(samples, ref):
         assert np.array_equal(row[:4], ref_row)  # t, p1, H and dHdt
-        assert row[4:].tolist() == [F.value(row[1:2])]
+        assert row[4:].tolist() == [F.eval(row[1:2])]
 
 
 def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monkeypatch):
@@ -403,7 +403,7 @@ def test_the_stage_table_is_the_field_and_the_gradient():
 
 def _as_closure(H):
     """H with the same value and gradient arithmetic, but not polynomial."""
-    return SmoothField.from_callable(H._values, H.arity, grad=H._gradient)
+    return TensorField.from_callable(H._values, H.arity, grad=H._gradient)
 
 
 def test_the_packed_kernel_follows_the_general_kernel(monkeypatch):
@@ -454,9 +454,9 @@ def test_contorsion_data_is_packed_and_keeps_its_values():
     for _ in range(5):
         q, p = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
         z, w = np.concatenate([q, p]), Ginv @ p
-        assert abs(H.value(z) - (0.5 * p @ w + V.value(q))) <= 1e-14
+        assert abs(H.eval(z) - (0.5 * p @ w + V.eval(q))) <= 1e-14
         assert np.allclose(H.gradient(z), np.concatenate([V.gradient(q), w]), rtol=0, atol=1e-14)
-        assert abs(rate.value(z) + np.einsum("kij,k,i,j->", T, p, w, w)) <= 1e-13
+        assert abs(rate.eval(z) + np.einsum("kij,k,i,j->", T, p, w, w)) <= 1e-13
 
 
 # the shipped gradient_extension field X = (1, 0) conserves H = p.X exactly;
@@ -488,10 +488,10 @@ def test_samples_match_standalone_h_and_energy_rate(name, override):
         x = PhasePoint.from_z(z, A.n)
         ref_rate = -poisson_bracket(A, H, H, x)
         assert abs(rate - ref_rate) <= 1e-12 * (1 + abs(ref_rate))
-        ref_h = H.value(x.z)
+        ref_h = H.eval(x.z)
         assert abs(hval - ref_h) <= 1e-12 * (1 + abs(ref_h))
         for k, name in enumerate(traj.monitor_names):
-            assert mon[k] == bundle.monitors[name].value(x.z)
+            assert mon[k] == bundle.monitors[name].eval(x.z)
     assert traj.monitor_names == list(bundle.monitors)
 
 
@@ -518,7 +518,7 @@ def test_a_packed_vector_field_gives_a_polynomial_pairing(case):
     Z = np.random.default_rng(case).uniform(-1.5, 1.5, (6, 2 * n))
     for z in [*Z, Z]:  # single points, then the batch
         v, g = _pairing_reference(X, z, n)
-        assert np.all(np.abs(H.value(z) - v) <= 1e-15 * (1 + np.abs(v)))
+        assert np.all(np.abs(H.eval(z) - v) <= 1e-15 * (1 + np.abs(v)))
         assert np.all(np.abs(H.gradient(z) - g) <= 1e-15 * (1 + np.abs(g)))
 
 
@@ -528,7 +528,7 @@ def test_a_vector_field_with_a_closure_entry_keeps_the_closure_pairing():
     assert H._terms is None and H._grad is not None  # a closure with an exact gradient
     for z in ([0.3, -0.7], [-1.2, 2.0]):
         Xv, Xg = X.eval_grad(z[:1])
-        assert H.value(z) == z[1] * Xv[0]
+        assert H.eval(z) == z[1] * Xv[0]
         assert np.array_equal(H.gradient(z), [Xg[0, 0] * z[1], Xv[0]])
 
 
@@ -542,8 +542,12 @@ def test_integrate_validation(canonical1):
     for h in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(InputError, match="h must be a finite number > 0"):
             integrate(canonical1, H, PhasePoint([1.0], [0.0]), h, 10)
-    with pytest.raises(InputError):
-        integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, 0)
+    for steps in (0, float("nan"), float("inf"), 2.7, True, "3"):
+        with pytest.raises(InputError, match="steps must be an integer >= 1"):
+            integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, steps)
+    assert len(integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, np.int64(3)).samples) == 4
+    with pytest.raises(InputError, match="steps is too large"):
+        integrate(canonical1, H, PhasePoint([1.0], [0.0]), 1e-3, 2**63 - 1)
     with pytest.raises(InputError):
         ham_field(canonical1, H, PhasePoint([1.0, 2.0], [0.0]))
 

@@ -14,14 +14,13 @@ from algmech.algebroid import (
     worst_residual,
 )
 from algmech.connections import (
-    CurvatureTensor,
     curvature_field,
     default_split,
     levi_civita,
     metric_compatible_pair,
 )
 from algmech.config import build_scenario, load_config
-from algmech.errors import InvalidStructureError
+from algmech.errors import InputError, InvalidStructureError
 from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field
 from algmech.prolongation import (
@@ -49,11 +48,11 @@ from conftest import (
 
 def canonical_prolongation(n=1):
     A = canonical_tangent(n)
-    return ProlongationData(A, default_split(A), CurvatureTensor.zero(n, n))
+    return ProlongationData(A, default_split(A), TensorField.zeros((n,) * 4, n))
 
 
 def so3_default_prolongation(so3):
-    return ProlongationData(so3, default_split(so3), CurvatureTensor.zero(3, 0))
+    return ProlongationData(so3, default_split(so3), TensorField.zeros((3,) * 4, 0))
 
 
 def so3_metric_prolongation(so3):
@@ -101,7 +100,17 @@ def test_prolongation_rejects_bad_split(so3):
 
     bad = ConnectionPair(Dl=cp.Dl + TensorField.from_constants(bump, 0), Dr=cp.Dr)
     with pytest.raises(InvalidStructureError):
-        ProlongationData(so3, bad, CurvatureTensor.zero(3, 0))
+        ProlongationData(so3, bad, TensorField.zeros((3,) * 4, 0))
+
+
+@pytest.mark.parametrize(
+    "shape,arity", [((2, 2, 2), 1), ((2, 2, 2, 3), 1), ((2, 2, 2, 2), 0), ((2, 2, 2, 2), 2)]
+)
+def test_a_curvature_of_the_wrong_shape_or_arity_is_refused(shape, arity):
+    A = random_algebroid(np.random.default_rng(3), n=1, m=2)
+    with pytest.raises(InputError, match="curvature tensor does not match the base algebroid"):
+        ProlongationData(A, default_split(A), TensorField.zeros(shape, arity))
+    ProlongationData(A, default_split(A), TensorField.zeros((2,) * 4, 1))  # the right one
 
 
 def test_liouville(so3):
@@ -118,7 +127,7 @@ def test_liouville(so3):
 def test_omega_frame_block():
     rng = np.random.default_rng(1)
     A = random_algebroid(rng, n=1, m=2)
-    P = ProlongationData(A, default_split(A), CurvatureTensor.zero(2, 1))
+    P = ProlongationData(A, default_split(A), TensorField.zeros((2,) * 4, 1))
     O = omega(P, PhasePoint([0.1], [0.4, -0.6]))
     assert np.array_equal(
         O, [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
@@ -143,7 +152,7 @@ def test_omega_determinant_unity_for_small_ranks():
     rng = np.random.default_rng(2)
     for m in (1, 2, 3):
         A = random_algebroid(rng, n=1, m=m)
-        P = ProlongationData(A, default_split(A), CurvatureTensor.zero(m, 1))
+        P = ProlongationData(A, default_split(A), TensorField.zeros((m,) * 4, 1))
         O = omega(P, PhasePoint([0.0], np.zeros(m)))
         assert np.max(np.abs(O + O.T)) == 0.0
         assert abs(np.linalg.det(O) - 1.0) <= 1e-14
@@ -202,7 +211,7 @@ def test_lr_field_invariant_under_split_and_curvature_choice():
     rng = np.random.default_rng(4)
     A = random_algebroid(rng, n=2, m=3, degree=2)
     H = random_phase_function(rng, 2, 3, degree=3)
-    P0 = ProlongationData(A, default_split(A), CurvatureTensor.zero(3, 2))
+    P0 = ProlongationData(A, default_split(A), TensorField.zeros((3,) * 4, 2))
     P1 = ProlongationData(A, random_valid_split(rng, A), random_curvature(rng, 3, 2))
     P2 = ProlongationData(A, default_split(A), random_curvature(rng, 3, 2))
     for _ in range(20):
@@ -220,7 +229,7 @@ def test_d_skew_of_frame_pairing_is_zero_canonical():
 
 def test_d_skew_constant_tensor_zero_bracket():
     A = canonical_tangent(2)
-    P = ProlongationData(A, default_split(A), CurvatureTensor.zero(2, 2))
+    P = ProlongationData(A, default_split(A), TensorField.zeros((2,) * 4, 2))
     T = np.array(
         [[0, 1, 2, 0], [-1, 0, 0, 3], [-2, 0, 0, 1], [0, -3, -1, 0]], dtype=float
     )
@@ -231,7 +240,7 @@ def bianchi_violating_prolongation(so3):
     R = np.zeros((3, 3, 3, 3))
     R[0, 0, 1, 2] = 1.0
     R[0, 1, 0, 2] = -1.0
-    return ProlongationData(so3, default_split(so3), CurvatureTensor.from_constants(R, 0))
+    return ProlongationData(so3, default_split(so3), TensorField.from_constants(R, 0))
 
 
 def test_d_skew_detects_bianchi_violation(so3):
@@ -249,7 +258,7 @@ def test_d_sym_of_skew_pairing_vanishes(so3):
 
 def test_d_sym_constant_symmetric_flat_line():
     A = canonical_tangent(1)
-    P = ProlongationData(A, default_split(A), CurvatureTensor.zero(1, 1))
+    P = ProlongationData(A, default_split(A), TensorField.zeros((1,) * 4, 1))
     T = np.array([[1.0, 0.0], [0.0, 2.0]])
     assert np.all(d_sym(prolong_eval(P, PhasePoint([0.2], [0.4])), T) == 0.0)
 
@@ -287,7 +296,7 @@ def test_closedness_sees_curvature_only_from_rank_three(config):
     bundle, _ = build_scenario(load_config(path).scenario)
     A = bundle.algebroid
     rng = np.random.default_rng(13)
-    R = CurvatureTensor.from_constants(rng.uniform(-1, 1, (A.m,) * 4), A.n)
+    R = TensorField.from_constants(rng.uniform(-1, 1, (A.m,) * 4), A.n)
     P = ProlongationData(A, bundle.split, R)
     worst = worst_residual(
         closedness_residual(P, PhasePoint(rng.uniform(-1, 1, A.n), rng.uniform(-1, 1, A.m)))
@@ -356,7 +365,7 @@ def test_default_lift_of_generic_base_is_not_lie():
     failing skewness; the diagnostics must see it."""
     rng = np.random.default_rng(12)
     A = random_algebroid(rng, n=1, m=2)
-    P = ProlongationData(A, default_split(A), CurvatureTensor.zero(2, 1))
+    P = ProlongationData(A, default_split(A), TensorField.zeros((2,) * 4, 1))
     rep = structure_checks(lifted_algebroid(P), [0.3, 0.5, -0.2])
     assert rep.skew_defect > 1e-3 or rep.anchor_lr_defect > 1e-3
 

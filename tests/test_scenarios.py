@@ -9,7 +9,7 @@ from algmech import connections, scenarios
 from algmech.algebroid import AlgebroidStructure, base_probes, structure_checks, structure_eval
 from algmech.connections import verify_split
 from algmech.errors import InputError
-from algmech.fields import SmoothField, TensorField, tensor_from_config
+from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, energy_rate, ham_field, integrate
 from algmech.scenarios import (
     ConstraintSpec,
@@ -65,7 +65,7 @@ def test_gradient_extension_curved_momentum_block():
     """Momentum transport includes the Christoffel correction term."""
     G = curved_plane_metric()
     X = tensor_from_config(
-        [field_from_polynomial([(1.0, [0, 0])], 2), SmoothField.zero(2)], (2,), 2
+        [field_from_polynomial([(1.0, [0, 0])], 2), TensorField.zeros((), 2)], (2,), 2
     )
     b = build_gradient_extension(G, X)
     rng = np.random.default_rng(0)
@@ -620,7 +620,7 @@ def test_contorsion_direct_torsion_dissipates():
     x = PhasePoint(np.zeros(3), [1.0, 2.0, 3.0])
     assert abs(energy_rate(b.algebroid, b.hamiltonian, x) - 2.0) <= 1e-14
     # the dissipation monitor records the self-bracket of H
-    assert abs(b.monitors["dissipation"].value(x.z) + 2.0) <= 1e-14
+    assert abs(b.monitors["dissipation"].eval(x.z) + 2.0) <= 1e-14
 
 
 def test_contorsion_rejects_both_or_neither():
