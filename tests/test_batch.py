@@ -180,7 +180,6 @@ def test_a_metric_defect_in_a_batch_names_its_point():
     """G = diag(q, q) over a line is positive-definite only at q > 0."""
     from algmech.algebroid import algebroid_from_constants
     from algmech.errors import InputError
-    from algmech.fields import TensorField
 
     A = algebroid_from_constants(np.zeros((2, 2, 2)), [[1.0, 0.0]], n=1)
     q, zero = TensorField.polynomial([(1.0, [1])], 1), TensorField.zeros((), 1)
@@ -313,7 +312,6 @@ def _defective_spec(classical=False):
     """Over a line: the kinematic row (q - 3, 0) vanishes at q = 3, and at q = 2 the
     variational row (q - 2, 1) leaves the kinematic direction in its complement."""
     from algmech.algebroid import algebroid_from_constants
-    from algmech.fields import TensorField
 
     def line(c0, c1):
         return TensorField.polynomial([(c0, [0]), (c1, [1])], 1)
