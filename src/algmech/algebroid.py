@@ -46,8 +46,7 @@ class AlgebroidStructure:
 
         Each tensor's jet is a central difference of that call at step ``h``,
         so :func:`structure_checks` reads all of them from one sweep over the
-        stencil.  Over a point (n = 0) each tensor is a constant, read
-        without a call.
+        stencil.
         """
 
         def piece(pos, shape):
@@ -59,7 +58,7 @@ class AlgebroidStructure:
             bracket=piece(0, (m, m, m)),
             anchor_left=piece(1, (n, m)),
             anchor_right=piece(2, (n, m)),
-            _structure_at=structure_at if n else None,
+            _structure_at=structure_at,
             _structure_h=h,
         )
 

@@ -85,6 +85,15 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         cfg = load_config(config_path)
         if cfg.verification is None:
             raise InputError("config missing 'verification'")
+        # every name is known before the scenario is built or a check runs
+        classes = sorted({cls for cls, _ in TOLERANCES.values() if cls})
+        for cls in cfg.verification.get("tolerances") or {}:
+            if cls not in classes:
+                raise InputError(f"verification.tolerances.{cls} is not one of {classes}")
+        for pos, entry in enumerate(cfg.verification.get("checks", [])):
+            name = entry if isinstance(entry, str) else entry["name"]
+            if name not in CHECKS:
+                raise InputError(f"unknown check name {name!r} at verification.checks[{pos}].name")
         bundle, spec = build_scenario(cfg.scenario)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -93,19 +102,11 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
     points = int(vcfg.get("points", 100))
     base_seed = seed if seed is not None else vcfg.get("seed", 0)
     class_tolerances = vcfg.get("tolerances") or {}
-    classes = sorted({cls for cls, _ in TOLERANCES.values() if cls})
-    for cls in class_tolerances:
-        if cls not in classes:
-            print(f"error: verification.tolerances.{cls} is not one of {classes}", file=sys.stderr)
-            return 1
     entries = []
     for pos, entry in enumerate(vcfg.get("checks", [])):
         if isinstance(entry, str):
             entry = {"name": entry}
         name = entry["name"]
-        if name not in CHECKS:
-            print(f"error: unknown check name {name!r}", file=sys.stderr)
-            return 1
         ccfg = dict(entry)
         ccfg.pop("name")
         ccfg.setdefault("points", points)

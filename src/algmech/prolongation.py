@@ -36,7 +36,7 @@ from .algebroid import (
     worst_residual,
 )
 from .connections import ConnectionPair, split_residual, verify_split
-from .errors import InputError, InvalidStructureError, NumericError
+from .errors import InputError, InvalidStructureError
 from .fields import TensorField, matvec, vecmat
 from .hamiltonian import PhasePoint, _check_phase, _check_phase_fn
 
@@ -166,19 +166,15 @@ def right_ham_section(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.
     Explicitly: h-part dH/dp_a; v-part
     -(sum_i dH/dq_i rho_r[i,a] + sum_{b,g} dH/dp_b Dr[g,a,b] p_g).
     """
-    return _right_ham_section(P, H, x, prolong_eval(P, x))
+    return _right_ham_section(P, H, prolong_eval(P, x))
 
 
-def _right_ham_section(P, H, x, snap) -> np.ndarray:
-    """:func:`right_ham_section` on the lifted snapshot ``snap`` of ``x``."""
+def _right_ham_section(P, H, snap) -> np.ndarray:
+    """:func:`right_ham_section` on a lifted snapshot: the pairing is [[0, I], [-I, 0]]."""
     _check_phase_fn(P.base, H)
     drH = vecmat(H.gradient(snap.q), snap.rho_r)  # d_r H on each frame section
-    O = omega(P, x, "frame_formula")
-    try:
-        xi = np.linalg.solve(O.swapaxes(-1, -2), drH[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:  # cannot happen for the frame pairing
-        raise NumericError("degenerate pairing while solving for the section") from exc
-    return xi
+    m = P.base.m
+    return np.concatenate([drH[..., m:], -drH[..., :m]], axis=-1)
 
 
 def lr_ham_field(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.ndarray:
@@ -188,7 +184,7 @@ def lr_ham_field(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.ndarr
     dual-bundle tensor; that equality is verified numerically, not assumed.
     """
     snap = prolong_eval(P, x)
-    return matvec(snap.rho_l, _right_ham_section(P, H, x, snap))
+    return matvec(snap.rho_l, _right_ham_section(P, H, snap))
 
 
 # -- residuals of the degree-raising differentials on the lifted algebroid --

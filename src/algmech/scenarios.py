@@ -405,8 +405,6 @@ def _qr_jet(Q, QG, A, dA, dG):
     stacked matmul, one per point, so row k equals the result at point k
     alone.  Returns [K, n, M, c].
     """
-    if not dA.shape[1]:  # over a point: no chart direction, no jet
-        return np.zeros(dA.shape[:2] + Q.shape[1:])
     upper, lower, half = _triangles(A.shape[-1])
     Qt = Q.swapaxes(1, 2)
     dAR = dA @ np.linalg.inv(QG @ A * upper)[:, None]
@@ -440,12 +438,11 @@ class _AdaptedFrame:
     ``Q[K, n]`` in one pass, every array with a leading K axis; Gram-Schmidt
     and the completion loop over columns, not points, and every product is
     one stacked matmul per point, so row k equals the core at point k alone.
-    One point ``q[n]`` is the K = 1 case.  Each :meth:`core_at` call is one
-    frame evaluation; over a point (n = 0) the one core and its
-    Christoffels are built with the frame.  Nothing is cached: what the
-    frame derives is a function of a core that its caller passes in, and
-    :meth:`lifted_base` gets the projected structure, the split and the
-    curvature at q from one core evaluation over the central-difference
+    One point ``q[n]`` is the K = 1 case.  Each :meth:`_compute_core` call
+    is one frame evaluation, over a point (n = 0) too.  Nothing is cached:
+    what the frame derives is a function of a core that its caller passes
+    in, and :meth:`lifted_base` gets the projected structure, the split and
+    the curvature at q from one core evaluation over the central-difference
     stencil of q, which gives the Christoffels' jet there.
 
     Only the momentum side is built on the frame: the velocity-side oracle,
@@ -464,16 +461,6 @@ class _AdaptedFrame:
         self._ambient = (
             None if spec.ambient._varying else structure_eval(spec.ambient, np.zeros(self.n))
         )
-        self._point_core = self._point_gamma = None
-        if not self.n:  # over a point: one core and one Christoffel solve, here
-            self._point_core = self._compute_core(np.zeros(0))
-            self._point_gamma = self.christoffels(np.zeros(0), self._point_core)
-
-    def core_at(self, q):
-        """The core at ``q[n]`` or at each point of ``q[K, n]``: one frame evaluation."""
-        if self._point_core is not None and q.ndim == 1:
-            return self._point_core
-        return self._compute_core(q)
 
     # frame assembly ---------------------------------------------------------
 
@@ -553,12 +540,10 @@ class _AdaptedFrame:
 
         One frame evaluation: a classical frame reads only its kinematic
         columns (:meth:`_kinematic_snapshot`), a generalized one its core,
-        whose variational projector needs the complement.  Over a point the
-        one core built with the frame is read, whose kinematic block is the
-        kinematic snapshot's.
+        whose variational projector needs the complement.
         """
-        if not self.spec.classical or (self._point_core is not None and q.ndim == 1):
-            return self.projected_structure_at(self.core_at(q))
+        if not self.spec.classical:
+            return self.projected_structure_at(self._compute_core(q))
         Q = q if q.ndim == 2 else q[None]
         E, dE, Gv, _ = self._frame_jet(Q, complete=False)
         s = self._ambient or structure_eval(self.spec.ambient, q)
@@ -633,12 +618,10 @@ class _AdaptedFrame:
     def christoffels(self, q, core):
         """Levi-Civita Christoffels of the adapted metric at ``q``, from the core at ``q``.
 
-        One solve from the core's metric jet and adapted structure; over a
-        point, the one solved with the frame.  A generalized frame's metric
-        is checked where it is solved (the classical one is the identity).
+        One solve from the core's metric jet and adapted structure.  A
+        generalized frame's metric is checked where it is solved (the
+        classical one is the identity).
         """
-        if self._point_gamma is not None:
-            return np.broadcast_to(self._point_gamma, q.shape[:-1] + self._point_gamma.shape)
         if not self.spec.classical:
             check_metric(core["G_new"], q)
         G = core["G_new"]
@@ -683,18 +666,18 @@ class _AdaptedFrame:
         (step ``h``): its centre rows are the core at ``q``, bit for bit, and
         the Christoffels over it give their jet there.  R is the kinematic
         projection of the ambient Levi-Civita curvature.  Without
-        ``curvature`` (R is None) or over a point, the one core evaluation
-        is at ``q`` alone and no jet is taken.
+        ``curvature`` (R is None) the one core evaluation is at ``q`` alone
+        and no jet is taken; over a point (n = 0) the stencil is ``q`` alone.
         """
-        if not (curvature and self.n):  # at q alone; over a point, the core built with the frame
-            core = self.core_at(q)
+        if not curvature:  # at q alone
+            core = self._compute_core(q)
             Gam = self.christoffels(q, core)
             dGam = np.zeros(Gam.shape + (0,))
         else:
             points = stencil(q, self.h)
             lead = points.shape[:-1]
             flat = points.reshape(math.prod(lead), self.n)
-            cores = self.core_at(flat)
+            cores = self._compute_core(flat)
             Gam = self.christoffels(flat, cores).reshape(lead + (self.M,) * 3)
             Gam, dGam = stencil_jet(Gam, self.h)
             core = {key: value.reshape(lead + value.shape[1:])[0] for key, value in cores.items()}
@@ -730,32 +713,38 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     H = 1/2 sum p_a^2 + V(q) are assembled over that frame.  The whole frame
     is built at the probes here; afterwards a classical structure snapshot
     (every RK4 stage) reads only the kinematic columns, and the split and
-    curvature read the whole frame's core.
+    curvature read the whole frame through :meth:`_AdaptedFrame.lifted_base`.
+    Over a point (n = 0) every tensor is a constant, folded from the one
+    ``lifted_base`` evaluation made here.
     """
     frame = _AdaptedFrame(spec)
     k, n = frame.k, frame.n
-    # exercise the frame at the probe points, in one batch, so ill-posed data
-    # fails loudly here (over a point the frame's one core was built with it)
-    if n:
-        frame.core_at(np.array(base_probes(n, seed=_PROBE_SEED)))
-
+    H = quadratic_hamiltonian(TensorField.from_constants(np.eye(k), n), spec.potential, n, k)
+    if not n:
+        s, *tensors = frame.lifted_base(np.zeros(0))
+        Dl, Dr, R = (TensorField.from_constants(T, 0) for T in tensors)
+        return ScenarioBundle(
+            algebroid=algebroid_from_constants(s.B, s.rho_l, s.rho_r),
+            hamiltonian=H,
+            split=ConnectionPair(Dl=Dl, Dr=Dr),
+            curvature=R,
+        )
+    # exercise the frame at the probe points, in one batch, so ill-posed data fails loudly here
+    frame._compute_core(np.array(base_probes(n, seed=_PROBE_SEED)))
     # one frame evaluation feeds the bracket and both anchors
     alg = AlgebroidStructure.derived(n, k, frame.structure_at, frame.h)
 
-    def piece(src, pos, shape):  # over a point, a constant read without a call
-        return TensorField.from_array_fn(lambda q: src(q)[pos], shape, n, h=frame.h)
-
-    def split_at(q):
-        return frame.split_at(q, frame.core_at(q))
-
-    H = quadratic_hamiltonian(TensorField.from_constants(np.eye(k), n), spec.potential, n, k)
+    def piece(pos, shape, curvature=False):
+        return TensorField.from_array_fn(
+            lambda q: frame.lifted_base(q, curvature)[pos], shape, n, h=frame.h
+        )
 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
-        split=ConnectionPair(Dl=piece(split_at, 0, (k, k, k)), Dr=piece(split_at, 1, (k, k, k))),
-        curvature=piece(frame.lifted_base, 3, (k, k, k, k)),
-        _base_at=frame.lifted_base if n else None,
+        split=ConnectionPair(Dl=piece(1, (k, k, k)), Dr=piece(2, (k, k, k))),
+        curvature=piece(3, (k, k, k, k), curvature=True),
+        _base_at=frame.lifted_base,
     )
 
 

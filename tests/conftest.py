@@ -137,7 +137,7 @@ def ctilde_display(frame, q):
     restricted to kinematic indices, the adapted-frame bracket coefficients
     and the anchor-directional derivative of the cross block.
     """
-    core = frame.core_at(q)
+    core = frame._compute_core(q)
     k = frame.k
     C, Ginv, g, dg = core["C_new"], core["Ginv"], core["g"], core["dg"]
     Cb = C[:, :, :k]  # second argument kinematic

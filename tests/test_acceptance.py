@@ -305,7 +305,7 @@ def test_criterion_09_projection_consistency():
     for frame, npts in frames:
         for _ in range(npts):
             q = rng.uniform(-0.7, 0.7, frame.n)
-            core = frame.core_at(q)
+            core = frame._compute_core(q)
             B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q, core)
@@ -314,7 +314,7 @@ def test_criterion_09_projection_consistency():
     worst_proj = 0.0
     for frame, npts in frames:
         for _ in range(min(npts, 25)):
-            core = frame.core_at(rng.uniform(-0.7, 0.7, frame.n))
+            core = frame._compute_core(rng.uniform(-0.7, 0.7, frame.n))
             k = frame.k
             worst_proj = max(worst_proj, np.max(np.abs(core["P"] @ core["Pi"] - np.eye(k))))
             worst_proj = max(worst_proj, np.max(np.abs(core["P"][:, :k] - np.eye(k))))
@@ -324,7 +324,7 @@ def test_criterion_09_projection_consistency():
     worst_leib = 0.0
     for _ in range(25):
         q = rng.uniform(-0.7, 0.7, 3)
-        core = frame.core_at(q)
+        core = frame._compute_core(q)
         Dl, _ = frame.split_at(q, core)
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
@@ -332,7 +332,7 @@ def test_criterion_09_projection_consistency():
         for a in range(frame.k):
             for b in range(frame.k):
                 def img(qq):
-                    c = frame.core_at(qq)
+                    c = frame._compute_core(qq)
                     return c["Pi"][:, b] * g.eval(qq)
 
                 dY = np.empty((frame.M, 3))

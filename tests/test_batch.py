@@ -50,7 +50,13 @@ from algmech.randoms import (
 from algmech.scenarios import ConstraintSpec, _AdaptedFrame, build_constrained
 from algmech.verify import CHECKS, run_check
 
-from conftest import curved_plane_metric, generalized_curved_spec, so3_algebra, tr3_classical_spec
+from conftest import (
+    curved_plane_metric,
+    generalized_curved_spec,
+    generalized_so3_spec,
+    so3_algebra,
+    tr3_classical_spec,
+)
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 PROBE_FAMILIES = [
@@ -290,8 +296,8 @@ def test_constrained_core_and_structures_batch(name, K):
     A, A1 = batched.algebroid, single.algebroid
     X, xs = _points(rng, A, K)
     frame, frame1 = _AdaptedFrame(spec), _AdaptedFrame(spec)
-    core = frame.core_at(X.q)
-    cores = [frame1.core_at(x.q) for x in xs]
+    core = frame._compute_core(X.q)
+    cores = [frame1._compute_core(x.q) for x in xs]
     for key in core:
         assert _same(core[key], [c[key] for c in cores]), key
     s = structure_eval(A, X.q)
@@ -354,7 +360,7 @@ def test_one_frame_evaluation_per_core_call(frame_calls, K):
     _, spec = _constrained("nonholonomic_classical")
     frame = _AdaptedFrame(spec)
     frame_calls.clear()
-    frame.core_at(np.random.default_rng(K).uniform(-0.7, 0.7, (K, 3)))
+    frame._compute_core(np.random.default_rng(K).uniform(-0.7, 0.7, (K, 3)))
     assert frame_calls == [K]
 
 
@@ -454,7 +460,7 @@ def test_a_classical_rk4_stage_reads_only_the_kinematic_frame(monkeypatch):
     traj = integrate(bundle.algebroid, bundle.hamiltonian, x0, 1e-3, 25)
     assert calls == []
     assert np.max(np.abs(traj.states()[-1] - traj.states()[0])) > 1e-3  # it moved
-    _AdaptedFrame(spec).core_at(x0.q)
+    _AdaptedFrame(spec)._compute_core(x0.q)
     assert calls == ["_complete", "det"]  # the counters see a full core
 
 
@@ -467,7 +473,7 @@ def test_a_classical_stage_is_the_kinematic_block_of_the_core(name, K):
     k = frame.k
     q = np.random.default_rng(11).uniform(-0.7, 0.7, (3,) if K is None else (K, 3))
     B, rho, _ = frame.structure_at(q)
-    core = frame.core_at(q)
+    core = frame._compute_core(q)
     assert B.tobytes() == np.ascontiguousarray(core["C_new"][..., :k, :k, :k]).tobytes()
     assert rho.tobytes() == np.ascontiguousarray(core["rho_new"][..., :k]).tobytes()
 
@@ -490,7 +496,7 @@ def test_a_classical_core_completes_and_brackets_once(monkeypatch):
 
     monkeypatch.setattr(scenarios, "_complete", counted_complete)
     monkeypatch.setattr(_AdaptedFrame, "_kinematic_snapshot", counted_snapshot)
-    frame.core_at(np.random.default_rng(12).uniform(-0.7, 0.7, (4, 3)))
+    frame._compute_core(np.random.default_rng(12).uniform(-0.7, 0.7, (4, 3)))
     assert calls == [("_complete", frame.k), ("snapshot", frame.M)]
 
 
@@ -500,3 +506,58 @@ def test_the_split_check_of_the_lifted_structure_needs_no_stencil(frame_calls, n
     bundle, _ = _constrained(name)
     bundle.prolongation()
     assert frame_calls == [5, 5]
+
+
+# constrained systems over a point (n = 0): every tensor is a constant, folded at build
+OVER_A_POINT = ["generalized_servo", "nonjacobi_projected", "generalized_so3"]
+
+
+def _over_a_point(name):
+    """A bundle over a point, its spec and its config; generalized_so3 runs the servo's config."""
+    if name == "generalized_so3":
+        spec = generalized_so3_spec()
+        return build_constrained(spec), spec, load_config(CONFIG_DIR / "generalized_servo.json")
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    return (*build_scenario(cfg.scenario), cfg)
+
+
+@pytest.mark.parametrize("name", OVER_A_POINT)
+def test_over_a_point_build_simulate_and_verify_are_one_frame_evaluation(frame_calls, name):
+    from algmech.config import initial_point
+    from algmech.hamiltonian import integrate
+
+    bundle, spec, cfg = _over_a_point(name)
+    bundle.prolongation()
+    icfg, vcfg = cfg.integration, cfg.verification
+    x0 = initial_point(icfg, bundle)
+    integrate(bundle.algebroid, bundle.hamiltonian, x0, icfg["h"], icfg["steps"], bundle.monitors)
+    for pos, entry in enumerate(vcfg["checks"]):  # as cli.cmd_verify runs them
+        entry = {"name": entry} if isinstance(entry, str) else dict(entry)
+        ccfg = {"points": vcfg["points"], "constraint_spec": spec, **entry}
+        assert run_check(ccfg.pop("name"), bundle, ccfg, vcfg["seed"] + pos)["pass"]
+    assert frame_calls == [1]
+
+
+@pytest.mark.parametrize("name", OVER_A_POINT)
+def test_over_a_point_every_tensor_is_the_lifted_base_at_the_point(name):
+    bundle, spec, _ = _over_a_point(name)
+    s, Dl, Dr, R = _AdaptedFrame(spec).lifted_base(np.zeros(0))
+    A = bundle.algebroid
+    for T, ref in (
+        (A.bracket, s.B), (A.anchor_left, s.rho_l), (A.anchor_right, s.rho_r),
+        (bundle.split.Dl, Dl), (bundle.split.Dr, Dr), (bundle.curvature, R),
+    ):
+        assert T._const is not None and np.array_equal(T.eval(np.zeros(0)), ref)
+    assert bundle._base_at is None
+
+
+@pytest.mark.parametrize("K", [None, 5])
+def test_the_constrained_split_and_curvature_read_the_lifted_base(K):
+    bundle, spec = _constrained("nonholonomic_classical")
+    frame = _AdaptedFrame(spec)
+    q = np.random.default_rng(41).uniform(-0.7, 0.7, (3,) if K is None else (K, 3))
+    _, Dl, Dr, R = frame.lifted_base(q, False)
+    assert R is None
+    assert np.array_equal(bundle.split.Dl.eval(q), Dl)
+    assert np.array_equal(bundle.split.Dr.eval(q), Dr)
+    assert np.array_equal(bundle.curvature.eval(q), frame.lifted_base(q)[3])

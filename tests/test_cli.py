@@ -330,6 +330,30 @@ def test_verify_unknown_check(tmp_path):
     assert "unknown check" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "override,key",
+    [
+        ({"checks": ["structure_checks", "bogus_check"]}, "verification.checks[1].name"),
+        ({"tolerances": {"analytc": 1e-12}}, "verification.tolerances.analytc"),
+    ],
+    ids=["check", "tolerance-class"],
+)
+def test_verify_refuses_an_unknown_name_before_any_check_runs(
+    tmp_path, monkeypatch, capsys, override, key
+):
+    import algmech.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "run_check", lambda name, *args: calls.append(name))
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
+    cfg["verification"].update(override)
+    report = tmp_path / "report.json"
+    assert cli.cmd_verify(write_config(tmp_path, cfg), report_path=str(report)) == 1
+    err = capsys.readouterr().err
+    assert key in err and ("unknown check" in err or "is not one of" in err), err
+    assert calls == [] and not report.exists()
+
+
 def test_verify_failing_check_nonzero_exit(tmp_path):
     path = harmonic_config(tmp_path)
     cfg = json.loads(pathlib.Path(path).read_text())

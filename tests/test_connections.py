@@ -413,7 +413,7 @@ def test_connection_axioms_for_scenario_built_pair():
     h = frame.h
     for _ in range(5):
         q = rng.uniform(-0.8, 0.8, 3)
-        core = frame.core_at(q)
+        core = frame._compute_core(q)
         Dl, _ = frame.split_at(q, core)
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
@@ -423,7 +423,7 @@ def test_connection_axioms_for_scenario_built_pair():
 
         # defining route: ambient coefficients of the variational image of Y
         def Y_ambient(qq):
-            c = frame.core_at(qq)
+            c = frame._compute_core(qq)
             return c["Pi"] @ np.array([gc.eval(qq) for gc in g])
 
         Yv = Y_ambient(q)
@@ -456,12 +456,12 @@ def test_curvature_identities_for_projected_connection():
     frame = _AdaptedFrame(spec)
     # the adapted Christoffels with a central-difference jet at the frame's step
     Gamma = TensorField.from_array_fn(
-        lambda Q: frame.christoffels(Q, frame.core_at(Q)), (frame.M,) * 3, frame.n, h=frame.h
+        lambda Q: frame.christoffels(Q, frame._compute_core(Q)), (frame.M,) * 3, frame.n, h=frame.h
     )
     rng = np.random.default_rng(10)
     for _ in range(5):
         q = rng.uniform(-0.8, 0.8, 3)
-        core = frame.core_at(q)
+        core = frame._compute_core(q)
         R = curvature_arrays(*Gamma.eval_grad(q), core["C_new"], core["rho_new"])
         assert np.max(np.abs(R + np.swapaxes(R, 1, 2))) <= 1e-5
         cyc = R + np.transpose(R, (0, 2, 3, 1)) + np.transpose(R, (0, 3, 1, 2))

@@ -185,7 +185,7 @@ def test_ctilde_display_matches_direct_and_split_difference():
         rng = np.random.default_rng(2)
         for _ in range(4):
             q = rng.uniform(-0.7, 0.7, frame.n)
-            core = frame.core_at(q)
+            core = frame._compute_core(q)
             B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
             Dl, Dr = frame.split_at(q, core)
@@ -219,7 +219,7 @@ def test_ctilde_display_matches_entrywise_loop():
         rng = np.random.default_rng(4)
         for _ in range(3):
             q = rng.uniform(-0.7, 0.7, frame.n)
-            ref = _ctilde_loop(frame.core_at(q), frame.k, frame.n)
+            ref = _ctilde_loop(frame._compute_core(q), frame.k, frame.n)
             assert np.max(np.abs(ctilde_display(frame, q) - ref)) <= 1e-13 * (1 + np.max(np.abs(ref)))
 
 
@@ -230,8 +230,8 @@ def test_ctilde_display_on_a_curved_generalized_frame():
     rng = np.random.default_rng(5)
     for _ in range(4):
         q = rng.uniform(-0.7, 0.7, frame.n)
-        B, _, _ = frame.projected_structure_at(frame.core_at(q))
-        assert np.max(np.abs(frame.core_at(q)["dg"])) > 0.01
+        B, _, _ = frame.projected_structure_at(frame._compute_core(q))
+        assert np.max(np.abs(frame._compute_core(q)["dg"])) > 0.01
         assert np.max(np.abs(ctilde_display(frame, q) - B)) <= 1e-13
 
 
@@ -245,7 +245,7 @@ def _fd_jet(key, shape, frame, q, h=None):
     core at ``q`` alone bit for bit.
     """
     return TensorField.from_array_fn(
-        lambda Q: frame.core_at(Q)[key], shape, frame.n, h=h or frame.h
+        lambda Q: frame._compute_core(Q)[key], shape, frame.n, h=h or frame.h
     ).eval_grad(q)
 
 
@@ -258,7 +258,7 @@ def test_exact_metric_and_projector_jets_match_central_differences():
     frame = _AdaptedFrame(generalized_curved_spec())
     M, k = frame.M, frame.k
     Q = np.random.default_rng(23).uniform(-0.7, 0.7, (20, frame.n))
-    core = frame.core_at(Q)
+    core = frame._compute_core(Q)
     for key, shape, jet in (("G_new", (M, M), core["dG_new"]), ("Pi", (M, k), core["dPi"])):
         errors = [
             np.max(np.abs(jet - _fd_jet(key, shape, frame, Q, h)[1])) for h in (1e-3, 1e-4, 1e-5)
@@ -274,13 +274,13 @@ def test_exact_frame_jet_matches_central_differences_of_gram_schmidt(make_spec):
     rng = np.random.default_rng(21)
     for _ in range(5):
         q = rng.uniform(-0.7, 0.7, frame.n)
-        U, dU = frame.core_at(q)["U"], frame.core_at(q)["dU"]
+        U, dU = frame._compute_core(q)["U"], frame._compute_core(q)["dU"]
         U_fd, dU_fd = _fd_jet("U", (M, M), frame, q)
         assert np.array_equal(U, U_fd)
         assert np.max(np.abs(np.moveaxis(dU, 0, 2) - dU_fd)) <= 1e-7
         # the cross Gram block's jet, formerly a sweep over core points
         _, dg_fd = _fd_jet("g", (k, M - k), frame, q)
-        assert np.max(np.abs(frame.core_at(q)["dg"] - dg_fd)) <= 1e-7
+        assert np.max(np.abs(frame._compute_core(q)["dg"] - dg_fd)) <= 1e-7
 
 
 @pytest.mark.parametrize("make_spec", [tr3_classical_spec, generalized_curved_spec])
@@ -295,7 +295,7 @@ def test_frame_jet_keeps_the_metric_orthonormal_blocks(make_spec):
     points = [np.array([0.461, -0.0027, 0.27])[: frame.n]]
     points += [rng.uniform(-0.8, 0.8, frame.n) for _ in range(20)]
     for q in points:
-        U, dU = frame.core_at(q)["U"], frame.core_at(q)["dU"]
+        U, dU = frame._compute_core(q)["U"], frame._compute_core(q)["dU"]
         Gv, Gg = spec.metric.eval_grad(q)
         D = np.swapaxes(dU, 1, 2) @ Gv @ U + U.T @ np.moveaxis(Gg, 2, 0) @ U + U.T @ Gv @ dU
         assert np.max(np.abs(D[:, :k, :k])) <= 1e-12
@@ -355,26 +355,26 @@ def test_stacked_frame_matches_the_pointwise_loop(make_spec):
     Q = np.random.default_rng(24).uniform(-0.8, 0.8, (12, n))
     if n == 3:
         Q[0] = [0.461, -0.0027, 0.27]
-    U = frame.core_at(Q)["U"]
+    U = frame._compute_core(Q)["U"]
     for q, Uq in zip(Q, U):
         assert np.max(np.abs(Uq - _frame_loop(spec, q))) <= 1e-12
 
 
 def test_one_gram_schmidt_frame_per_core_point(frame_calls):
-    """Every core_at call is one frame evaluation: a repeated point is evaluated again."""
+    """Every _compute_core call is one frame evaluation: a repeated point is evaluated again."""
     frame = _AdaptedFrame(tr3_classical_spec())
     rng = np.random.default_rng(23)
     for _ in range(3):
         q = rng.uniform(-0.7, 0.7, 3)
-        frame.core_at(q)
-        frame.core_at(q)
+        frame._compute_core(q)
+        frame._compute_core(q)
     assert frame_calls == [1] * 6
 
 
 def test_projector_identities():
     for spec in (generalized_so3_spec(), nonjacobi_spec()):
         frame = _AdaptedFrame(spec)
-        core = frame.core_at(np.zeros(0))
+        core = frame._compute_core(np.zeros(0))
         k = frame.k
         P, Pi, G = core["P"], core["Pi"], core["G_new"]
         assert np.max(np.abs(P[:, :k] - np.eye(k))) <= 1e-10  # P fixes the subbundle
@@ -664,7 +664,7 @@ def test_adapted_frame_is_freed_after_use():
 
     frame = scenarios._AdaptedFrame(tr3_classical_spec())
     q = np.array([0.1, -0.2, 0.3])
-    frame.projected_structure_at(frame.core_at(q))
+    frame.projected_structure_at(frame._compute_core(q))
     ref = weakref.ref(frame)
     del frame
     gc.collect()
