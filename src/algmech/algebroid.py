@@ -17,36 +17,34 @@ batch, each array gains a leading axis of length K and each residual is a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fields import TensorField, stencil, stencil_jet, vecmat
+from .fields import TensorField, vecmat
 
 
 @dataclass(frozen=True)
 class AlgebroidStructure:
-    """Structure functions of an algebroid in one frame; immutable."""
+    """Structure functions of an algebroid in one frame; immutable.
+
+    Nothing is cached: :func:`structure_eval` evaluates every point or batch.
+    """
 
     n: int
     m: int
     bracket: TensorField  # shape [m, m, m], index order (value, first, second)
     anchor_left: TensorField  # shape [n, m]
     anchor_right: TensorField  # shape [n, m]
-    # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation,
-    # and the step of its tensors' central-difference jets (see derived)
+    # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation
     _structure_at: object = field(default=None, repr=False, compare=False)
-    _structure_h: float = field(default=None, repr=False, compare=False)
 
     @classmethod
     def derived(cls, n, m, structure_at, h) -> "AlgebroidStructure":
         """The structure whose bracket and anchors at ``q`` are the one call ``structure_at(q)``.
 
-        Each tensor's jet is a central difference of that call at step ``h``,
-        so :func:`structure_checks` reads all of them from one sweep over the
-        stencil.
+        Each tensor's jet is a central difference of that call at step ``h``.
         """
 
         def piece(pos, shape):
@@ -59,7 +57,6 @@ class AlgebroidStructure:
             anchor_left=piece(1, (n, m)),
             anchor_right=piece(2, (n, m)),
             _structure_at=structure_at,
-            _structure_h=h,
         )
 
     def __post_init__(self):
@@ -79,9 +76,6 @@ class AlgebroidStructure:
                 raise InputError("structure function fields must have arity n")
         # constant tensors are finite by construction: structure_eval checks the others
         object.__setattr__(self, "_varying", [k for k, T in enumerate(tensors) if T._const is None])
-        object.__setattr__(self, "_point_snapshot", None)
-        if self.n == 0:  # constant structure functions: one snapshot, built here
-            object.__setattr__(self, "_point_snapshot", structure_eval(self, np.zeros(0)))
 
     def check_point(self, q) -> np.ndarray:
         """A base point ``q[n]`` or a batch ``q[K, n]`` as a float array."""
@@ -125,13 +119,10 @@ def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
     """Evaluate all structure functions at ``q[n]`` or at each point of ``q[K, n]``.
 
     ``q`` is validated here (length, finiteness) and the snapshot is checked
-    for non-finite entries (:class:`NumericError`).  Over a point (n = 0)
-    the one snapshot built with the structure is returned for a single point.
-    A derived structure (``_structure_at``) is one call per point or batch.
+    for non-finite entries (:class:`NumericError`).  A derived structure
+    (``_structure_at``) is one call per point or batch.
     """
     q = A.check_point(q)
-    if A._point_snapshot is not None and q.ndim == 1:
-        return A._point_snapshot
     if not np.isfinite(q).all():
         raise InputError("point has non-finite entries")
     tensors = (A.bracket, A.anchor_left, A.anchor_right)
@@ -306,31 +297,10 @@ def jacobiator(s: StructureSnapshot, Bv, Bg) -> np.ndarray:
     return half + np.einsum("...nabc->...ncab", half) + np.einsum("...nabc->...nbca", half)
 
 
-def _structure_jets(A: AlgebroidStructure, q):
-    """The snapshot at ``q`` and the jets ``(value, gradient)`` of the bracket and left anchor.
-
-    A :meth:`~AlgebroidStructure.derived` structure's jets are one sweep of
-    its ``_structure_at`` over the stencil of ``q``, whose centre rows are the
-    snapshot; other tensors give their own jets.
-    """
-    if A._structure_at is None:
-        s = structure_eval(A, q)
-        return s, A.bracket.eval_grad(s.q), A.anchor_left.eval_grad(s.q)
-    q = A.check_point(q)
-    h = A._structure_h
-    points = stencil(q, h)
-    lead = points.shape[:-1]
-    sweep = structure_eval(A, points.reshape(math.prod(lead), A.n))
-    B, rho_l, rho_r = (v.reshape(lead + v.shape[1:]) for v in (sweep.B, sweep.rho_l, sweep.rho_r))
-    jets = stencil_jet(B, h), stencil_jet(rho_l, h)
-    if not all(np.isfinite(grad).all() for _, grad in jets):
-        raise NumericError("tensor field jet non-finite")
-    return StructureSnapshot(B=B[0], rho_l=rho_l[0], rho_r=rho_r[0], q=q), *jets
-
-
 def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
     """Measure skewness, anchor agreement, Jacobi and anchor morphism defects."""
-    s, (Bv, Bg), (rv, rg) = _structure_jets(A, q)
+    s = structure_eval(A, q)
+    (Bv, Bg), (rv, rg) = A.bracket.eval_grad(s.q), A.anchor_left.eval_grad(s.q)
     # anchor morphism: rho_l(B(s_a, s_b)) vs [rho_l s_a, rho_l s_b] pointwise
     D = np.einsum("...ibj,...ja->...iab", rg, rv)  # D[i,a,b] = rho_l(s_a)(rho_l[i,b])
     m = A.m

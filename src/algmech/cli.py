@@ -149,9 +149,10 @@ def _parse_csv(path) -> Trajectory:
     header = lines[0].split(",")
     if header[0] != "t":
         raise InputError("malformed trajectory header: first column must be 't'")
-    n = sum(1 for c in header if c.startswith("q") and c[1:].isdigit())
-    m = sum(1 for c in header if c.startswith("p") and c[1:].isdigit())
-    traj = Trajectory(n, m, np.zeros((0, len(header))), header[3 + n + m :])
+    # the state columns are those between t and the first H; monitors follow dHdt
+    state = header[1 : header.index("H") if "H" in header else 1]
+    n = sum(1 for c in state if c.startswith("q"))
+    traj = Trajectory(n, len(state) - n, np.zeros((0, len(header))), header[3 + len(state) :])
     if traj.csv_header() != lines[0]:
         raise InputError("malformed trajectory header: column contract violated")
     try:

@@ -171,6 +171,9 @@ def _monitors_from(cfg, arity):
     monitors = cfg.get("monitors") or {}
     if not isinstance(monitors, dict):
         raise InputError("scenario.monitors must be an object of named fields")
+    for name in monitors:
+        if any(c in name for c in ",\n\r"):
+            raise InputError(f"scenario.monitors: name {name!r} has a ',' or a line break")
     return {
         name: field_from_config_with_arity(obj, arity, f"scenario.monitors.{name}")
         for name, obj in monitors.items()

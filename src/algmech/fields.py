@@ -194,18 +194,6 @@ def field_from_config_with_arity(obj, arity, key="field") -> TensorField:
     return f
 
 
-_BUILTINS = {}
-
-
-def register_builtin(name, fn, arity=1):
-    """Register a named closure usable as ``TensorField.builtin(name)``."""
-    _BUILTINS[name] = (fn, int(arity))
-
-
-register_builtin("sin", lambda q: math.sin(q[0]))
-register_builtin("cos", lambda q: math.cos(q[0]))
-
-
 def _exp(q):
     """``exp(q[0])``, inf where it overflows (``math.exp`` raises there)."""
     try:
@@ -214,7 +202,12 @@ def _exp(q):
         return math.inf
 
 
-register_builtin("exp", _exp)
+# name -> (closure, arity) of each ``TensorField.builtin(name)``
+_BUILTINS = {
+    "sin": (lambda q: math.sin(q[0]), 1),
+    "cos": (lambda q: math.cos(q[0]), 1),
+    "exp": (_exp, 1),
+}
 
 
 def _merge_monomials(E):
@@ -416,7 +409,7 @@ class TensorField:
 
     @classmethod
     def builtin(cls, name, h=None) -> "TensorField":
-        """Scalar of a code-registered named closure; gradient by central differences."""
+        """Scalar of a named closure of ``_BUILTINS``; gradient by central differences."""
         try:
             fn, arity = _BUILTINS[name]
         except (KeyError, TypeError) as exc:  # TypeError: a name that is not hashable

@@ -26,7 +26,6 @@ from .algebroid import (
     StructureSnapshot,
     _as_section,
     base_probes,
-    d_full,
     d_skew,
     d_skew_oneform,
     d_skew_scalar,
@@ -191,17 +190,19 @@ def lr_ham_field(P: ProlongationData, H: TensorField, x: PhasePoint) -> np.ndarr
 
 
 def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
-    """Max-abs entry of the full differential of the frame pairing at ``x`` (per point).
+    """Max-abs entry of the differential of the frame pairing at ``x`` (per point).
 
-    The pairing is constant and skew, so only the skew part of the lifted
-    bracket enters, and R only through the cyclic sum over three horizontal
-    slots of its part skew in the first two.  The residual vanishes (to
-    rounding / FD noise) when that part satisfies the first Bianchi identity.
+    The pairing is constant and skew, so its full differential is the skew
+    one (the symmetric half is exactly zero): only the skew part of the
+    lifted bracket enters, and R only through the cyclic sum over three
+    horizontal slots of its part skew in the first two.  The residual
+    vanishes (to rounding / FD noise) when that part satisfies the first
+    Bianchi identity.
     At m <= 2 no three horizontal slots differ and the residual does not see
     R at all; at m >= 3 a violation gives an order-one residual.
     """
     O = omega(P, x, "frame_formula")
-    return max_abs(d_full(prolong_eval(P, x), O), 3)
+    return max_abs(d_skew(prolong_eval(P, x), O), 3)
 
 
 def d_squared_scalar_residual(P: ProlongationData, phi: TensorField, x: PhasePoint) -> float:

@@ -381,16 +381,16 @@ def test_frame_evaluations_do_not_grow_with_the_probe_count(frame_calls, name):
 
 
 # the lifted structure's split check is one frame evaluation at its 5 probes,
-# each prolong_eval, the curvature and the structure checks' jets one over
-# the stencil of their points; a structure snapshot is one evaluation, and
-# the split check reads the bracket, Dl and Dr from one
+# each prolong_eval, the curvature and each tensor jet one over the stencil of
+# their points; a structure snapshot is one evaluation, and the split check
+# reads the bracket, Dl and Dr from one
 FRAME_EVALUATIONS = {
     "theorem43_equivalence": [5, 21, 3],  # split check, prolong_eval, ham_field
     "omega_dlr_consistency": [5, 21],
     "closedness": [5, 21],
     "curvature_identities": [21],
     "split_consistency": [3],
-    "structure_checks": [21],  # the snapshot and both jets in one sweep
+    "structure_checks": [3, 21, 21],  # the snapshot, then the bracket's and left anchor's jets
 }
 
 
@@ -409,7 +409,7 @@ CURVED_FRAME_EVALUATIONS = {
     "prolong_eval": [20],
     "theorem43_equivalence": [5, 15, 3],  # split check, prolong_eval, ham_field
     "split_consistency": [3],
-    "structure_checks": [15],
+    "structure_checks": [3, 15, 15],
 }
 
 

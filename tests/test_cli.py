@@ -113,6 +113,11 @@ MALFORMED_FIELDS = {
     "coef-bool": ({"hamiltonian": _harmonic_term(coef=True, exp=[2, 0])}, "'coef'"),
     "arity-fraction": ({"hamiltonian": {"arity": 2.7, "terms": []}}, "'arity'"),
     "monitors-list": ({"monitors": [{"arity": 2, "terms": []}]}, "scenario.monitors"),
+    # a comma or a line break in a monitor name splits its CSV column or row
+    "monitor-name-comma": ({"monitors": {"a,b": _harmonic_term(coef=1.0, exp=[2, 0])}},
+                           "scenario.monitors"),
+    "monitor-name-newline": ({"monitors": {"a\nb": _harmonic_term(coef=1.0, exp=[2, 0])}},
+                             "scenario.monitors"),
     "metric-number": (_shipped_scenario("gradient_extension", metric=1.0), "scenario.metric"),
     "inertia-number": (_shipped_scenario("euler_top", inertia=2.0), "scenario.inertia"),
     "n-bool": ({"n": True}, "scenario.n"),  # read as 1
@@ -373,6 +378,23 @@ def test_report_summary(tmp_path):
     assert r.stdout.splitlines()[0] == "rows: 2001"
     drift_line = [ln for ln in r.stdout.splitlines() if ln.startswith("H drift:")][0]
     assert float(drift_line.split(":")[1]) <= 1e-10
+
+
+def test_report_reads_monitors_named_like_state_columns(tmp_path):
+    """A monitor named p1, q2 or H follows dHdt, and report reads the state
+    columns as those between t and the first H."""
+    term = {"arity": 2, "terms": [{"coef": 1.0, "exp": [1, 0]}]}
+    path = harmonic_config(tmp_path, steps=50)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["scenario"]["monitors"] = {"p1": term, "q2": term, "H": term}
+    path = write_config(tmp_path, cfg)
+    assert run_cli("simulate", path, cwd=tmp_path).returncode == 0
+    assert (tmp_path / "out.csv").read_text().split("\n")[0] == "t,q1,p1,H,dHdt,p1,q2,H"
+    r = run_cli("report", str(tmp_path / "out.csv"), cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert [ln.split(":")[0] for ln in r.stdout.splitlines()[4:]] == [
+        "monitor p1", "monitor q2", "monitor H"
+    ]
 
 
 def test_report_rejects_empty_and_malformed(tmp_path):

@@ -9,6 +9,7 @@ from algmech.algebroid import (
     d_full,
     d_skew,
     d_sym,
+    max_abs,
     structure_checks,
     structure_eval,
     worst_residual,
@@ -37,6 +38,7 @@ from algmech.randoms import (
     random_algebroid,
     random_curvature,
     random_phase_function,
+    random_phase_points,
     random_valid_split,
 )
 from algmech.scenarios import build_constrained
@@ -44,6 +46,8 @@ from algmech.scenarios import build_constrained
 from conftest import (
     euler_hamiltonian, field_from_polynomial, harmonic_hamiltonian, nonjacobi_spec, so3_algebra,
 )
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 
 def canonical_prolongation(n=1):
@@ -292,8 +296,7 @@ def test_closedness_sees_curvature_only_from_rank_three(config):
     """A random constant R on the shipped splitting: closedness reads exactly
     zero at m = 2 (no three distinct horizontal slots for R's cyclic sum) and
     order one at m = 3."""
-    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / config
-    bundle, _ = build_scenario(load_config(path).scenario)
+    bundle, _ = build_scenario(load_config(CONFIG_DIR / config).scenario)
     A = bundle.algebroid
     rng = np.random.default_rng(13)
     R = TensorField.from_constants(rng.uniform(-1, 1, (A.m,) * 4), A.n)
@@ -306,6 +309,19 @@ def test_closedness_sees_curvature_only_from_rank_three(config):
         assert worst == 0.0
     else:
         assert A.m == 3 and worst >= 0.1
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_closedness_is_the_full_differential_of_the_pairing(config):
+    """The pairing is constant and skew, so the skew differential that
+    closedness takes is the full one bit for bit, at one point and at a batch."""
+    bundle, _ = build_scenario(load_config(CONFIG_DIR / config).scenario)
+    A, P = bundle.algebroid, bundle.prolongation()
+    q, p = random_phase_points(np.random.default_rng(17), A.n, A.m, 8)
+    for x in (PhasePoint(q, p), PhasePoint(q[0], p[0])):
+        O = omega(P, x, "frame_formula")
+        full = max_abs(d_full(prolong_eval(P, x), O), 3)
+        assert np.array_equal(closedness_residual(P, x), full)
 
 
 def test_d_squared_lie_prolongations(so3):
@@ -423,16 +439,3 @@ def test_each_call_evaluates_its_point_once(monkeypatch):
         base.calls = 0
         structure_checks(B, rng.uniform(-1, 1, B.n))
         assert base.calls <= 1
-
-
-def test_structure_over_a_point_has_one_snapshot(monkeypatch):
-    A = so3_algebra()
-    evaluations = []
-    for name in ("_values", "eval", "eval_grad"):
-        original = getattr(TensorField, name)
-        monkeypatch.setattr(
-            TensorField, name, lambda T, q, _f=original: evaluations.append(T) or _f(T, q)
-        )
-    first = structure_eval(A, [])
-    assert all(structure_eval(A, np.zeros(0)) is first for _ in range(3))
-    assert evaluations == []
