@@ -40,25 +40,6 @@ class AlgebroidStructure:
     # q -> (B, rho_l, rho_r) in one call, for a structure derived from one computation
     _structure_at: object = field(default=None, repr=False, compare=False)
 
-    @classmethod
-    def derived(cls, n, m, structure_at, h) -> "AlgebroidStructure":
-        """The structure whose bracket and anchors at ``q`` are the one call ``structure_at(q)``.
-
-        Each tensor's jet is a central difference of that call at step ``h``.
-        """
-
-        def piece(pos, shape):
-            return TensorField.from_array_fn(lambda q: structure_at(q)[pos], shape, n, h=h)
-
-        return cls(
-            n=n,
-            m=m,
-            bracket=piece(0, (m, m, m)),
-            anchor_left=piece(1, (n, m)),
-            anchor_right=piece(2, (n, m)),
-            _structure_at=structure_at,
-        )
-
     def __post_init__(self):
         if self.n < 0 or self.m < 1:
             raise InputError("need base dimension n >= 0 and rank m >= 1")
@@ -314,20 +295,11 @@ def structure_checks(A: AlgebroidStructure, q) -> StructureReport:
 
 
 def algebroid_from_constants(B, rho_l=None, rho_r=None, n=0) -> AlgebroidStructure:
-    """Convenience constructor for constant structure functions."""
-    B = np.asarray(B, dtype=float)
-    m = B.shape[0]
-    if rho_l is None:
-        rho_l = np.zeros((n, m))
-    if rho_r is None:
-        rho_r = np.asarray(rho_l, dtype=float)
-    return AlgebroidStructure(
-        n=n,
-        m=m,
-        bracket=TensorField.from_constants(B, n),
-        anchor_left=TensorField.from_constants(np.asarray(rho_l, dtype=float), n),
-        anchor_right=TensorField.from_constants(np.asarray(rho_r, dtype=float), n),
-    )
+    """Convenience constructor for constant structure functions; ``rho_r`` defaults to ``rho_l``."""
+    m = np.shape(B)[0]
+    rho_l = np.zeros((n, m)) if rho_l is None else rho_l
+    tensors = (B, rho_l, rho_l if rho_r is None else rho_r)
+    return AlgebroidStructure(n, m, *(TensorField.from_constants(T, n) for T in tensors))
 
 
 def canonical_tangent(n: int) -> AlgebroidStructure:

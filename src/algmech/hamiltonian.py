@@ -192,6 +192,14 @@ def _stage_table(s, H: TensorField, n):
     return table._Ev, table._Cv
 
 
+def _check_step(h, steps):
+    """Refuse a step size that is no finite number > 0 and a step count that is no integer >= 1."""
+    if not 0 < h < math.inf:  # NaN compares false
+        raise InputError("step size h must be a finite number > 0")
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
+        raise InputError("steps must be an integer >= 1")
+
+
 def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """Integrate the standard Hamiltonian field with fixed-step RK4.
 
@@ -221,10 +229,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """
     _check_phase(A, x0)
     _check_phase_fn(A, H)
-    if not 0 < h < math.inf:  # NaN compares false
-        raise InputError("step size h must be a finite number > 0")
-    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer)) and steps >= 1):
-        raise InputError("steps must be an integer >= 1")
+    _check_step(h, steps)
     steps = int(steps)
     monitors = monitors or {}
     names = list(monitors.keys())

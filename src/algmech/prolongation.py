@@ -3,14 +3,16 @@
 Given an algebroid, a bracket-splitting connection pair and a free (1,3)
 curvature-like tensor, this module realizes the induced algebroid on the
 rank-2m bundle over the (q, p) chart whose frame is (h_1..h_m, v^1..v^m).
-:func:`prolong_eval` evaluates that structure into an
-``algebroid.StructureSnapshot``, so the differential calculus of
+:func:`prolong_eval` is the one function that evaluates that structure: it
+returns an ``algebroid.StructureSnapshot``, so the differential calculus of
 ``algebroid`` applies to it unchanged.  Its anchor columns are the only
 lifts: the h_a column of ``rho_l`` (``rho_r``) is the left (right)
 horizontal lift of the a-th frame section, the v^a column the vertical
 lift.  On it this module evaluates the induced skew pairing, the right
 Hamiltonian section, the induced Hamiltonian vector field on the chart, and
-the closedness and squared-differential residuals.  Each takes one
+the closedness and squared-differential residuals; the inner differential
+of each squared one is a tensor over the chart, one central-difference
+sweep of :func:`prolong_eval` (:func:`_lifted_sweep`).  Each takes one
 phase point or a batch of K (``PhasePoint`` with q[K, n], p[K, m]) and then
 returns one value per point.
 """
@@ -50,9 +52,9 @@ class ProlongationData:
     2m frame is ordered (h_1..h_m, v^1..v^m).  ``_liouville`` is the
     canonical dual section (p_1..p_m, 0..0), a tensor over the (q, p) chart.
     ``_base_at(q)``, if a scenario gives it, returns the base snapshot, Dl,
-    Dr and R at ``q`` in one call, and ``_base_at(q, curvature=False)`` the
-    first three without R, which the split check reads; else each is
-    evaluated as a tensor.
+    Dr and R at ``q`` in one call, which :func:`prolong_eval` reads, and
+    ``_base_at(q, curvature=False)`` the first three without R, which the
+    split check reads; else each is evaluated as a tensor.
     """
 
     base: AlgebroidStructure
@@ -88,40 +90,14 @@ class ProlongationData:
         return 2 * self.base.m
 
 
-def _lifted_anchors(P: ProlongationData, x: PhasePoint):
-    """The lifted anchors at ``x`` and what the lifted bracket reuses.
-
-    Returns ``(al, ar, s, Dl, Dr, R)``: both anchors as [n+m, 2m] arrays, and
-    the base snapshot, the connection coefficients and R at ``x.q``.
-    """
-    n, m = P.base.n, P.base.m
-    q, p = x.q, x.p
-    batch = q.shape[:-1]
-    if P._base_at is not None:
-        s, Dl, Dr, R = P._base_at(q)
-    else:
-        s, Dl, Dr = structure_eval(P.base, q), P.split.Dl.eval(q), P.split.Dr.eval(q)
-        R = P.R.eval(q)
-
-    al = np.zeros(batch + (n + m, 2 * m))
-    ar = np.zeros(batch + (n + m, 2 * m))
-    # horizontal columns
-    al[..., :n, :m] = s.rho_l
-    ar[..., :n, :m] = s.rho_r
-    al[..., n:, :m] = np.einsum("...gab,...g->...ba", Dl, p)
-    ar[..., n:, :m] = np.einsum("...gab,...g->...ba", Dr, p)
-    # vertical columns
-    al[..., n:, m:] = np.eye(m)
-    ar[..., n:, m:] = np.eye(m)
-    return al, ar, s, Dl, Dr, R
-
-
 def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     """Evaluate the lifted algebroid structure at a dual-bundle chart point or batch.
 
-    The snapshot's point is the chart vector ``x.z``.  Anchor columns: h_a
-    maps to its left (resp. right) horizontal lift, v^a to the vertical
-    lift, under both anchors.  Bracket coefficients:
+    The base snapshot, Dl, Dr and R are read once at ``x.q``, and the
+    anchors and the bracket filled from them; the snapshot's point is the
+    chart vector ``x.z``.  Anchor columns: h_a maps to its left (resp.
+    right) horizontal lift, v^a to the vertical lift, under both anchors.
+    Bracket coefficients:
 
     * B(h_a, h_b) = sum_c B[c,a,b] h_c + sum_nu (sum_mu R[mu,a,b,nu] p_mu) v^nu
     * B(h_a, v^b) = -sum_c Dl[b,a,c] v^c
@@ -129,14 +105,28 @@ def prolong_eval(P: ProlongationData, x: PhasePoint) -> StructureSnapshot:
     * B(v, v) = 0
     """
     _check_phase(P.base, x)
-    m = P.base.m
-    al, ar, s, Dl, Dr, R = _lifted_anchors(P, x)
-    coeffs = np.zeros(x.q.shape[:-1] + (2 * m, 2 * m, 2 * m))
+    n, m = P.base.n, P.base.m
+    q, p = x.q, x.p
+    if P._base_at is not None:
+        s, Dl, Dr, R = P._base_at(q)
+    else:
+        s, Dl, Dr = structure_eval(P.base, q), P.split.Dl.eval(q), P.split.Dr.eval(q)
+        R = P.R.eval(q)
+    batch = q.shape[:-1]
+
+    def anchor(rho, D):  # the lift of the base anchor rho along the connection D
+        a = np.zeros(batch + (n + m, 2 * m))
+        a[..., :n, :m] = rho  # horizontal columns
+        a[..., n:, :m] = np.einsum("...gab,...g->...ba", D, p)
+        a[..., n:, m:] = np.eye(m)  # vertical columns
+        return a
+
+    coeffs = np.zeros(batch + (2 * m, 2 * m, 2 * m))
     coeffs[..., :m, :m, :m] = s.B
-    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", R, x.p)
+    coeffs[..., m:, :m, :m] = np.einsum("...mabn,...m->...nab", R, p)
     coeffs[..., m:, :m, m:] = -np.einsum("...cab->...bac", Dl)
     coeffs[..., m:, m:, :m] = np.einsum("...abc->...cab", Dr)
-    return StructureSnapshot(B=coeffs, rho_l=al, rho_r=ar, q=x.z)
+    return StructureSnapshot(B=coeffs, rho_l=anchor(s.rho_l, Dl), rho_r=anchor(s.rho_r, Dr), q=x.z)
 
 
 def omega(P: ProlongationData, x: PhasePoint, method="frame_formula") -> np.ndarray:
@@ -205,6 +195,18 @@ def closedness_residual(P: ProlongationData, x: PhasePoint) -> float:
     return max_abs(d_skew(prolong_eval(P, x), O), 3)
 
 
+def _lifted_sweep(P: ProlongationData, inner, shape) -> TensorField:
+    """``inner`` of the lifted snapshot as a tensor over the chart.
+
+    Its value at ``z`` is ``inner(prolong_eval(P, PhasePoint.from_z(z, n)))``,
+    and its jet one central-difference sweep of that over all points.
+    """
+    n = P.base.n
+    return TensorField.from_array_fn(
+        lambda z: inner(prolong_eval(P, PhasePoint.from_z(z, n))), shape, n + P.base.m
+    )
+
+
 def d_squared_scalar_residual(P: ProlongationData, phi: TensorField, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a chart function (per point).
 
@@ -212,23 +214,13 @@ def d_squared_scalar_residual(P: ProlongationData, phi: TensorField, x: PhasePoi
     ``x``; a Lie lifted structure gives zero up to FD noise.  The inner
     differential's jet is one central-difference sweep over all points.
     """
-    n, size = P.base.n, P.frame_size
-
-    def inner(z):  # d_skew_scalar reads only the anchors: the lifted bracket is not built
-        al, ar, *_ = _lifted_anchors(P, PhasePoint.from_z(z, n))
-        return d_skew_scalar(StructureSnapshot(B=None, rho_l=al, rho_r=ar, q=z), phi)
-
-    theta = TensorField.from_array_fn(inner, (size,), n + P.base.m)
+    theta = _lifted_sweep(P, lambda s: d_skew_scalar(s, phi), (P.frame_size,))
     return max_abs(d_skew_oneform(prolong_eval(P, x), theta), 2)
 
 
 def d_squared_oneform_residual(P: ProlongationData, theta, x: PhasePoint) -> float:
     """Max-abs of the twice-applied skew differential on a frame one-section (per point)."""
-    n, size = P.base.n, P.frame_size
+    size = P.frame_size
     theta = _as_section(theta, (size,))
-    eta = TensorField.from_array_fn(
-        lambda z: d_skew_oneform(prolong_eval(P, PhasePoint.from_z(z, n)), theta),
-        (size, size),
-        n + P.base.m,
-    )
+    eta = _lifted_sweep(P, lambda s: d_skew_oneform(s, theta), (size, size))
     return max_abs(d_skew(prolong_eval(P, x), eta), 3)

@@ -44,7 +44,7 @@ from .connections import (
 from .errors import InputError, NumericError
 from .fields import TensorField, stencil, stencil_jet
 from .hamiltonian import (
-    fibre_form, momentum_pairing_hamiltonian, quadratic_hamiltonian, rk4_step,
+    _check_step, fibre_form, momentum_pairing_hamiltonian, quadratic_hamiltonian, rk4_step,
 )
 from .prolongation import ProlongationData
 
@@ -647,14 +647,13 @@ class _AdaptedFrame:
         B = self._projected(core, core["C_new"])
         return B, np.ascontiguousarray(rho[..., : self.k]), rho @ Pi
 
-    def split_at(self, q, core, Gam=None):
-        """Left/right Christoffels of the constrained splitting at ``q``, from the core at ``q``.
+    def split_at(self, core, Gam):
+        """Left/right Christoffels of the constrained splitting at a point or batch.
 
-        ``Gam``, the ambient Christoffels at ``q``, is solved from the core if not given.
+        From the core there and the adapted Christoffels ``Gam[..., M, M, M]``
+        (value, direction, argument) that its caller solved from that core.
         """
         k, Pi = self.k, core["Pi"]
-        if Gam is None:
-            Gam = self.christoffels(q, core)  # [..., M, M, M] value, direction, argument
         Dl = self._projected(core, Gam)
         Dr = _project_first(core["P"], Pi.swapaxes(-1, -2)[..., None, :, :] @ Gam[..., :k])
         return Dl, Dr
@@ -672,7 +671,6 @@ class _AdaptedFrame:
         if not curvature:  # at q alone
             core = self._compute_core(q)
             Gam = self.christoffels(q, core)
-            dGam = np.zeros(Gam.shape + (0,))
         else:
             points = stencil(q, self.h)
             lead = points.shape[:-1]
@@ -682,7 +680,7 @@ class _AdaptedFrame:
             Gam, dGam = stencil_jet(Gam, self.h)
             core = {key: value.reshape(lead + value.shape[1:])[0] for key, value in cores.items()}
         B, rho_l, rho_r = self.projected_structure_at(core)
-        Dl, Dr = self.split_at(q, core, Gam)
+        Dl, Dr = self.split_at(core, Gam)
         R = None
         if curvature:
             R = curvature_arrays(Gam, dGam, core["C_new"], core["rho_new"])
@@ -714,6 +712,8 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
     is built at the probes here; afterwards a classical structure snapshot
     (every RK4 stage) reads only the kinematic columns, and the split and
     curvature read the whole frame through :meth:`_AdaptedFrame.lifted_base`.
+    Each of the six tensors is an entry of one call of ``structure_at`` or
+    ``lifted_base``, its jet a central difference of that call.
     Over a point (n = 0) every tensor is a constant, folded from the one
     ``lifted_base`` evaluation made here.
     """
@@ -731,19 +731,20 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
         )
     # exercise the frame at the probe points, in one batch, so ill-posed data fails loudly here
     frame._compute_core(np.array(base_probes(n, seed=_PROBE_SEED)))
-    # one frame evaluation feeds the bracket and both anchors
-    alg = AlgebroidStructure.derived(n, k, frame.structure_at, frame.h)
 
-    def piece(pos, shape, curvature=False):
-        return TensorField.from_array_fn(
-            lambda q: frame.lifted_base(q, curvature)[pos], shape, n, h=frame.h
-        )
+    def piece(at, pos, shape):
+        return TensorField.from_array_fn(lambda q: at(q)[pos], shape, n, h=frame.h)
 
+    at, base = frame.structure_at, functools.partial(frame.lifted_base, curvature=False)
     return ScenarioBundle(
-        algebroid=alg,
+        # one frame evaluation feeds the bracket and both anchors
+        algebroid=AlgebroidStructure(
+            n, k, piece(at, 0, (k, k, k)), piece(at, 1, (n, k)), piece(at, 2, (n, k)),
+            _structure_at=at,
+        ),
         hamiltonian=H,
-        split=ConnectionPair(Dl=piece(1, (k, k, k)), Dr=piece(2, (k, k, k))),
-        curvature=piece(3, (k, k, k, k), curvature=True),
+        split=ConnectionPair(Dl=piece(base, 1, (k, k, k)), Dr=piece(base, 2, (k, k, k))),
+        curvature=piece(frame.lifted_base, 3, (k, k, k, k)),
         _base_at=frame.lifted_base,
     )
 
@@ -776,6 +777,7 @@ def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
     q0 = np.asarray(q0, dtype=float).reshape(-1)
     if v0.shape[0] != k or q0.shape[0] != n:
         raise InputError("initial data does not match the constrained dimensions")
+    _check_step(h, steps)
 
     def constant(T):  # a tensor that is absent counts as constant
         return T is None or T._const is not None or not n
@@ -818,12 +820,12 @@ def lagrangian_reference(spec: ConstraintSpec, v0, q0, h, steps):
         G, D = metric(q)[0], kinematic(q)[0]
         return np.linalg.cholesky(D @ G @ D.swapaxes(-1, -2))
 
-    Y = np.empty((int(steps) + 1, n + k))
+    Y = np.empty((steps + 1, n + k))
     try:
         tensors = (spec.metric, spec.kinematic_basis, spec.variational_basis)
         fixed = data(q0) if all(map(constant, tensors)) else None
         Y[0] = np.concatenate([q0, np.linalg.solve(gram_factor(q0).T, v0)])
-        for step in range(int(steps)):
+        for step in range(steps):
             Y[step + 1] = rk4_step(rhs, Y[step], h)
         Y[:, n:] = (Y[:, None, n:] @ gram_factor(Y[:, :n]))[:, 0]
     except np.linalg.LinAlgError as exc:  # rows that are no frame along the way

@@ -308,7 +308,7 @@ def test_criterion_09_projection_consistency():
             core = frame._compute_core(q)
             B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
-            Dl, Dr = frame.split_at(q, core)
+            Dl, Dr = frame.split_at(core, frame.christoffels(q, core))
             worst_ct = max(worst_ct, np.max(np.abs(ct - B)))
             worst_split = max(worst_split, np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))))
     worst_proj = 0.0
@@ -325,7 +325,7 @@ def test_criterion_09_projection_consistency():
     for _ in range(25):
         q = rng.uniform(-0.7, 0.7, 3)
         core = frame._compute_core(q)
-        Dl, _ = frame.split_at(q, core)
+        Dl, _ = frame.split_at(core, frame.christoffels(q, core))
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         gv, gg = g.eval(q), g.gradient(q)

@@ -391,6 +391,9 @@ FRAME_EVALUATIONS = {
     "curvature_identities": [21],
     "split_consistency": [3],
     "structure_checks": [3, 21, 21],  # the snapshot, then the bracket's and left anchor's jets
+    # split check, prolong_eval at the 3 points, the scalar sweep over their chart stencil
+    # (3 x 11 points), prolong_eval at the one-section's point, and its sweep (11 points)
+    "dA_squared": [5, 21, 231, 7, 77],
 }
 
 
@@ -561,3 +564,7 @@ def test_the_constrained_split_and_curvature_read_the_lifted_base(K):
     assert np.array_equal(bundle.split.Dl.eval(q), Dl)
     assert np.array_equal(bundle.split.Dr.eval(q), Dr)
     assert np.array_equal(bundle.curvature.eval(q), frame.lifted_base(q)[3])
+    # the bracket and both anchors are the entries of one structure_at call
+    A = bundle.algebroid
+    for T, ref in zip((A.bracket, A.anchor_left, A.anchor_right), frame.structure_at(q)):
+        assert np.array_equal(T.eval(q), ref)

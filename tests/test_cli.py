@@ -120,6 +120,11 @@ MALFORMED_FIELDS = {
                              "scenario.monitors"),
     "metric-number": (_shipped_scenario("gradient_extension", metric=1.0), "scenario.metric"),
     "inertia-number": (_shipped_scenario("euler_top", inertia=2.0), "scenario.inertia"),
+    # 1/(2 I) of a zero or subnormal inertia is not finite: a numpy warning, no key named
+    "inertia-zero": (_shipped_scenario("euler_top", inertia=[0, 2, 3]), "scenario.inertia"),
+    "inertia-subnormal": (
+        _shipped_scenario("euler_top", inertia=[1e-320, 1, 2]), "scenario.inertia"
+    ),
     "n-bool": ({"n": True}, "scenario.n"),  # read as 1
     "builtin-step-string": ({"monitors": {"s": {"arity": 1, "builtin": "sin", "h": "x"}}}, "'h'"),
     # sin's own arity is the expected 1; the declared 5 was dropped

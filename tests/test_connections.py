@@ -414,7 +414,7 @@ def test_connection_axioms_for_scenario_built_pair():
     for _ in range(5):
         q = rng.uniform(-0.8, 0.8, 3)
         core = frame._compute_core(q)
-        Dl, _ = frame.split_at(q, core)
+        Dl, _ = frame.split_at(core, frame.christoffels(q, core))
         Gam = frame.christoffels(q, core)
         P, Pi, rho = core["P"], core["Pi"], core["rho_new"]
         fv = np.array([fc.eval(q) for fc in f])

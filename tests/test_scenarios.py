@@ -188,7 +188,7 @@ def test_ctilde_display_matches_direct_and_split_difference():
             core = frame._compute_core(q)
             B, _, _ = frame.projected_structure_at(core)
             ct = ctilde_display(frame, q)
-            Dl, Dr = frame.split_at(q, core)
+            Dl, Dr = frame.split_at(core, frame.christoffels(q, core))
             assert np.max(np.abs(ct - B)) <= 1e-8
             assert np.max(np.abs(B - (Dl - np.swapaxes(Dr, 1, 2)))) <= 1e-8
 
@@ -580,6 +580,21 @@ def test_legendre_reference_reads_data_over_a_point_once(monkeypatch, make):
     lagrangian_reference(spec, [0.7, -0.4], [], 1e-3, 100)
     tensors = (spec.metric, spec.kinematic_basis, spec.variational_basis)
     assert reads == {**{id(T): 1 for T in tensors}, "structure": 1}
+
+
+STEP_MESSAGE = "step size h must be a finite number > 0"
+STEPS_MESSAGE = "steps must be an integer >= 1"
+
+
+@pytest.mark.parametrize(
+    "h,steps,message",
+    [(h, 10, STEP_MESSAGE) for h in (-1e-3, 0.0, float("nan"), float("inf"))]
+    + [(1e-3, steps, STEPS_MESSAGE) for steps in (0, float("nan"), 2.7, True, "3")],
+)
+def test_legendre_reference_refuses_the_steps_that_integrate_refuses(h, steps, message):
+    make, q0, v0, _ = LEGENDRE_SPECS["tr3_classical"]
+    with pytest.raises(InputError, match=message):
+        lagrangian_reference(make(), v0, q0, h, steps)
 
 
 # -- contorsion ---------------------------------------------------------------
