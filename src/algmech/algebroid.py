@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericError
-from .fields import TensorField, vecmat
+from .fields import TensorField, _check_point, vecmat
 
 
 @dataclass(frozen=True)
@@ -58,26 +58,18 @@ class AlgebroidStructure:
         # constant tensors are finite by construction: structure_eval checks the others
         object.__setattr__(self, "_varying", [k for k, T in enumerate(tensors) if T._const is None])
 
-    def check_point(self, q) -> np.ndarray:
-        """A base point ``q[n]`` or a batch ``q[K, n]`` as a float array."""
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 2:
-            q = q.reshape(-1)
-        if q.shape[-1] != self.n:
-            raise InputError(f"base point has length {q.shape[-1]}, chart dimension is {self.n}")
-        return q
 
+def base_probes(n, seed, count=5) -> np.ndarray:
+    """Construction-time probe points of an n-dimensional chart, ``[count, n]``.
 
-def base_probes(n, seed, count=5):
-    """Construction-time probe points of an n-dimensional chart.
-
-    The origin, then ``count - 1`` points uniform in [-1, 1]^n drawn from
-    ``seed``; over a point (n = 0) the one empty point.
+    The origin, then ``count - 1`` points uniform in [-1, 1]^n from one draw
+    of ``default_rng(seed)`` (row k is the k-th single draw); over a point
+    (n = 0) the one empty point, ``[1, 0]``.
     """
     if n == 0:
-        return [np.zeros(0)]
+        return np.zeros((1, 0))
     rng = np.random.default_rng(seed)
-    return [np.zeros(n)] + [rng.uniform(-1.0, 1.0, size=n) for _ in range(count - 1)]
+    return np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(count - 1, n))])
 
 
 @dataclass(frozen=True)
@@ -99,13 +91,12 @@ class StructureSnapshot:
 def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
     """Evaluate all structure functions at ``q[n]`` or at each point of ``q[K, n]``.
 
-    ``q`` is validated here (length, finiteness) and the snapshot is checked
-    for non-finite entries (:class:`NumericError`).  A derived structure
-    (``_structure_at``) is one call per point or batch.
+    ``q`` is validated here by ``fields._check_point`` (length n, finite
+    entries) and the snapshot is checked for non-finite entries
+    (:class:`NumericError`).  A derived structure (``_structure_at``) is one
+    call per point or batch.
     """
-    q = A.check_point(q)
-    if not np.isfinite(q).all():
-        raise InputError("point has non-finite entries")
+    q = _check_point(q, A.n)
     tensors = (A.bracket, A.anchor_left, A.anchor_right)
     values = A._structure_at(q) if A._structure_at else [T._values(q) for T in tensors]
     B, rho_l, rho_r = values

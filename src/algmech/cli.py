@@ -18,7 +18,7 @@ import numpy as np
 from .config import build_scenario, check_seed, initial_point, load_config
 from .errors import InputError, IntegrationDivergedError, NumericError
 from .hamiltonian import Trajectory, integrate
-from .verify import CHECKS, TOLERANCES, run_check
+from .verify import CHECKS, run_check
 
 
 def _write(path, text) -> bool:
@@ -86,7 +86,7 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         if cfg.verification is None:
             raise InputError("config missing 'verification'")
         # every name is known before the scenario is built or a check runs
-        classes = sorted({cls for cls, _ in TOLERANCES.values() if cls})
+        classes = sorted({cls for _, cls, _ in CHECKS.values() if cls})
         for cls in cfg.verification.get("tolerances") or {}:
             if cls not in classes:
                 raise InputError(f"verification.tolerances.{cls} is not one of {classes}")
@@ -110,7 +110,7 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         ccfg = dict(entry)
         ccfg.pop("name")
         ccfg.setdefault("points", points)
-        cls = TOLERANCES[name][0]
+        cls = CHECKS[name][1]
         if cls in class_tolerances:
             ccfg.setdefault("tolerance", class_tolerances[cls])
         if spec is not None:

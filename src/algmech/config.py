@@ -213,9 +213,10 @@ def _build_lie_poisson(cfg):
         _check_vector(cfg["inertia"], "scenario.inertia")
         if len(cfg["inertia"]) != m:
             raise InputError("scenario.inertia length must equal the structure rank")
-        if not all(I > 0 and 0.5 / I < math.inf for I in cfg["inertia"]):  # H's 1/(2 I)
-            raise InputError("scenario.inertia entries must be > 0 with a finite 1/(2 I)")
-        H = euler_top_hamiltonian(cfg["inertia"])
+        try:
+            H = euler_top_hamiltonian(cfg["inertia"])
+        except InputError as exc:  # H's 1/(2 I)
+            raise InputError(f"scenario.{exc}") from None
     elif "hamiltonian" in cfg:
         H = field_from_config_with_arity(cfg["hamiltonian"], m, "scenario.hamiltonian")
     else:

@@ -62,18 +62,12 @@ def verify_split(A: AlgebroidStructure, CP: ConnectionPair, q) -> float:
     """Max-abs residual of B[c,a,b] - Dl[c,a,b] + Dr[c,b,a] at ``q`` (per point of a batch)."""
     if CP.m != A.m or CP.Dl.arity != A.n:
         raise InputError("connection pair does not match the algebroid dimensions")
-    q = A.check_point(q)
     return split_residual(A.bracket.eval(q), CP.Dl.eval(q), CP.Dr.eval(q))
 
 
 def split_residual(B, Dl, Dr) -> float:
     """Max-abs of B[c,a,b] - Dl[c,a,b] + Dr[c,b,a] from their arrays (per point of a batch)."""
     return max_abs(B - Dl + Dr.swapaxes(-1, -2), 3)
-
-
-def metric_compatible_pair(Gamma: TensorField) -> ConnectionPair:
-    """The pair Dl = Dr = Gamma (valid split of a torsion-free Lie bracket)."""
-    return ConnectionPair(Dl=Gamma, Dr=Gamma)
 
 
 def _koszul_rhs(Gv, Gg, Bv, rho):
@@ -174,7 +168,6 @@ def curvature_at(A: AlgebroidStructure, Gamma: TensorField, q) -> np.ndarray:
     assembled from Gamma values, their anchor-directional derivatives, and a
     bracket contraction.  Uses the left anchor (Lie frames have one anchor).
     """
-    q = A.check_point(q)
     Gv, Gg = Gamma.eval_grad(q)  # [m,m,m], [m,m,m,n]
     s = structure_eval(A, q)
     return curvature_arrays(Gv, Gg, s.B, s.rho_l)

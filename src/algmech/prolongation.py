@@ -67,7 +67,7 @@ class ProlongationData:
             raise InputError("connection pair does not match the base algebroid")
         if self.R.shape != (self.base.m,) * 4 or self.R.arity != self.base.n:
             raise InputError("curvature tensor does not match the base algebroid")
-        probes = np.array(base_probes(self.base.n, seed=12345))  # one batch
+        probes = base_probes(self.base.n, seed=12345)  # one batch
         if self._base_at is None:
             residual = verify_split(self.base, self.split, probes)
         else:

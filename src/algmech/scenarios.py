@@ -39,7 +39,6 @@ from .connections import (
     curvature_field,
     default_split,
     levi_civita,
-    metric_compatible_pair,
 )
 from .errors import InputError, NumericError
 from .fields import TensorField, stencil, stencil_jet
@@ -74,7 +73,7 @@ class ScenarioBundle:
 
 def _check_probed_metric(G: TensorField, n):
     """:func:`check_metric` of ``G`` at the construction probes of an n-dimensional base."""
-    probes = np.array(base_probes(n, seed=_PROBE_SEED))
+    probes = base_probes(n, seed=_PROBE_SEED)
     check_metric(G.eval(probes), probes)
 
 
@@ -158,21 +157,23 @@ def build_lie_poisson(constants, H: TensorField, metric=None, monitors=None) -> 
     return ScenarioBundle(
         algebroid=alg,
         hamiltonian=H,
-        split=metric_compatible_pair(Gamma),
+        split=ConnectionPair(Dl=Gamma, Dr=Gamma),
         curvature=curvature_field(alg, Gamma),
         monitors=dict(monitors or {}),
     )
 
 
 def euler_top_hamiltonian(inertia) -> TensorField:
-    """H(p) = 1/2 sum_a p_a^2 / I_a for a rigid body with principal inertias I."""
-    inertia = np.asarray(inertia, dtype=float)
+    """H(p) = 1/2 sum_a p_a^2 / I_a for principal inertias I_a > 0 with a finite 1/(2 I_a)."""
+    inertia = np.asarray(inertia, dtype=float).tolist()  # Python floats divide without a warning
+    if not all(I > 0 and 0.5 / I < math.inf for I in inertia):
+        raise InputError("inertia entries must be > 0 with a finite 1/(2 I)")
     terms = []
     for a, I in enumerate(inertia):
-        e = [0] * inertia.shape[0]
+        e = [0] * len(inertia)
         e[a] = 2
         terms.append((0.5 / I, e))
-    return TensorField.polynomial(terms, inertia.shape[0])
+    return TensorField.polynomial(terms, len(inertia))
 
 
 def so3_casimir() -> TensorField:
@@ -264,7 +265,7 @@ class ConstraintSpec:
                 raise InputError("bases must be [k,M] over the ambient base, of equal rank k")
         if self.potential is not None and self.potential.arity != n:
             raise InputError("potential must be a base function")
-        probes = np.array(base_probes(n, seed=_PROBE_SEED))
+        probes = base_probes(n, seed=_PROBE_SEED)
         s = structure_eval(self.ambient, probes)
         lie = "ambient structure must be Lie-type: ambient"
         _raise_first(probes, [
@@ -730,7 +731,7 @@ def build_constrained(spec: ConstraintSpec) -> ScenarioBundle:
             curvature=R,
         )
     # exercise the frame at the probe points, in one batch, so ill-posed data fails loudly here
-    frame._compute_core(np.array(base_probes(n, seed=_PROBE_SEED)))
+    frame._compute_core(base_probes(n, seed=_PROBE_SEED))
 
     def piece(at, pos, shape):
         return TensorField.from_array_fn(lambda q: at(q)[pos], shape, n, h=frame.h)

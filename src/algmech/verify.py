@@ -131,7 +131,7 @@ def check_split_consistency(bundle, cfg, rng):
     q = _base_probes(rng, A, cfg["points"])
     if bundle._base_at is None:
         return worst_residual(verify_split(A, bundle.split, q))
-    s, Dl, Dr, _ = bundle._base_at(A.check_point(q), curvature=False)
+    s, Dl, Dr, _ = bundle._base_at(q, curvature=False)
     return worst_residual(split_residual(s.B, Dl, Dr))
 
 
@@ -188,42 +188,28 @@ def check_dA_squared(bundle, cfg, rng):
     return worst_residual(residuals)
 
 
-# check -> (the class of verification.tolerances that sets its tolerance, or
-# None; its default tolerance)
-TOLERANCES = {
-    "theorem43_equivalence": ("analytic", 1e-9),
-    "omega_frame": (None, 1e-15),
-    "omega_dlr_consistency": (None, 1e-8),
-    "closedness": (None, 1e-8),
-    "curvature_identities": ("fd", 1e-5),
-    "structure_checks": (None, 1e-10),
-    "split_consistency": (None, 1e-10),
-    "legendre_equivalence": (None, 1e-6),
-    "casimir_drift": (None, 1e-8),
-    "energy_rate_fd": (None, 1e-6),
-    "dA_squared": (None, 1e-8),
-}
-
+# check -> (its function; the class of verification.tolerances that sets its
+# tolerance, or None; its default tolerance)
 CHECKS = {
-    "theorem43_equivalence": check_theorem43_equivalence,
-    "omega_frame": check_omega_frame,
-    "omega_dlr_consistency": check_omega_dlr_consistency,
-    "closedness": check_closedness,
-    "curvature_identities": check_curvature_identities,
-    "structure_checks": check_structure_checks,
-    "split_consistency": check_split_consistency,
-    "legendre_equivalence": check_legendre_equivalence,
-    "casimir_drift": check_casimir_drift,
-    "energy_rate_fd": check_energy_rate_fd,
-    "dA_squared": check_dA_squared,
+    "theorem43_equivalence": (check_theorem43_equivalence, "analytic", 1e-9),
+    "omega_frame": (check_omega_frame, None, 1e-15),
+    "omega_dlr_consistency": (check_omega_dlr_consistency, None, 1e-8),
+    "closedness": (check_closedness, None, 1e-8),
+    "curvature_identities": (check_curvature_identities, "fd", 1e-5),
+    "structure_checks": (check_structure_checks, None, 1e-10),
+    "split_consistency": (check_split_consistency, None, 1e-10),
+    "legendre_equivalence": (check_legendre_equivalence, None, 1e-6),
+    "casimir_drift": (check_casimir_drift, None, 1e-8),
+    "energy_rate_fd": (check_energy_rate_fd, None, 1e-6),
+    "dA_squared": (check_dA_squared, None, 1e-8),
 }
 
 
 def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
     """Run one registered check; ``cfg`` holds points/tolerance/extras.
 
-    The tolerance is ``cfg["tolerance"]`` if given, else the check's default
-    in :data:`TOLERANCES`.
+    The check's function and default tolerance are its row of
+    :data:`CHECKS`; ``cfg["tolerance"]`` overrides that default.
 
     With ``expect_fail`` set, passing means the residual *exceeded* the
     tolerance, as expected for a negative control.
@@ -235,10 +221,11 @@ def run_check(name, bundle: ScenarioBundle, cfg, seed) -> dict:
     """
     if name not in CHECKS:
         raise InputError(f"unknown check name {name!r}")
+    check, _, default = CHECKS[name]
     rng = np.random.default_rng(seed)
-    tolerance = float(cfg.get("tolerance", TOLERANCES[name][1]))
+    tolerance = float(cfg.get("tolerance", default))
     try:
-        residual = CHECKS[name](bundle, cfg, rng)
+        residual = check(bundle, cfg, rng)
     except NumericError:  # IntegrationDivergedError included
         residual, ok = math.inf, False
     except MemoryError as exc:  # a batch no array can hold is a bad request, not a result

@@ -14,12 +14,12 @@ from algmech.algebroid import (
     sym_skew_parts,
 )
 from algmech.connections import (
+    ConnectionPair,
     curvature_at,
     curvature_field,
     curvature_identity_residuals,
     default_split,
     levi_civita,
-    metric_compatible_pair,
 )
 from algmech.fields import TensorField, tensor_from_config
 from algmech.hamiltonian import PhasePoint, ham_field, integrate, rk4_step
@@ -164,13 +164,13 @@ def test_criterion_03_closedness():
             worst_zero = max(worst_zero, closedness_residual(P, _probe(rng, A)))
     so3 = so3_algebra()
     Gam3 = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
-    P3 = ProlongationData(so3, metric_compatible_pair(Gam3), curvature_field(so3, Gam3))
+    P3 = ProlongationData(so3, ConnectionPair(Dl=Gam3, Dr=Gam3), curvature_field(so3, Gam3))
     worst_so3 = max(
         closedness_residual(P3, PhasePoint([], rng.uniform(-1, 1, 3))) for _ in range(10)
     )
     A2 = canonical_tangent(2)
     Gam2 = levi_civita(A2, curved_plane_metric())
-    P2 = ProlongationData(A2, metric_compatible_pair(Gam2), curvature_field(A2, Gam2))
+    P2 = ProlongationData(A2, ConnectionPair(Dl=Gam2, Dr=Gam2), curvature_field(A2, Gam2))
     worst_tr2 = max(closedness_residual(P2, _probe(rng, A2)) for _ in range(10))
     Rbad = np.zeros((3, 3, 3, 3))
     Rbad[0, 0, 1, 2] = 1.0
@@ -360,7 +360,7 @@ def test_criterion_10_differential_calculus():
     P2 = ProlongationData(A2, default_split(A2), TensorField.zeros((2,) * 4, 2))
     so3 = so3_algebra()
     Gam3 = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
-    P3 = ProlongationData(so3, metric_compatible_pair(Gam3), curvature_field(so3, Gam3))
+    P3 = ProlongationData(so3, ConnectionPair(Dl=Gam3, Dr=Gam3), curvature_field(so3, Gam3))
     for P in (P2, P3):
         A = P.base
         phi = random_phase_function(rng, A.n, A.m, degree=2)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from algmech.algebroid import (
     AlgebroidStructure,
     algebroid_from_constants,
+    base_probes,
     canonical_tangent,
     diff_lr_section,
     levi_civita_symbol,
@@ -239,3 +240,19 @@ def test_dimension_errors(canonical2):
             anchor_left=TensorField.zeros((2, 2), 1),
             anchor_right=TensorField.zeros((1, 2), 1),
         )
+
+
+@pytest.mark.parametrize("seed", [2024, 12345, 7])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_base_probes_are_the_origin_then_successive_draws(n, seed):
+    probes = base_probes(n, seed)
+    assert isinstance(probes, np.ndarray) and probes.shape == (5, n)
+    assert np.array_equal(probes[0], np.zeros(n))
+    rng = np.random.default_rng(seed)
+    for row in probes[1:]:
+        assert np.array_equal(row, rng.uniform(-1.0, 1.0, size=n))
+
+
+def test_base_probes_over_a_point_are_one_empty_row():
+    probes = base_probes(0, seed=2024)
+    assert isinstance(probes, np.ndarray) and probes.shape == (1, 0)

@@ -640,7 +640,8 @@ def test_a_diverging_check_fails_and_the_report_is_written(tmp_path, expect_fail
 def test_a_nan_residual_is_written_as_null(tmp_path, monkeypatch):
     import algmech.verify as verify
 
-    monkeypatch.setitem(verify.CHECKS, "closedness", lambda bundle, cfg, rng: float("nan"))
+    nan_row = (lambda bundle, cfg, rng: float("nan"), *verify.CHECKS["closedness"][1:])
+    monkeypatch.setitem(verify.CHECKS, "closedness", nan_row)
     cfg = json.loads(pathlib.Path(harmonic_config(tmp_path)).read_text())
     cfg["verification"]["checks"] = ["closedness", "omega_frame"]
     rc, report = _verify_in_process(tmp_path, cfg)

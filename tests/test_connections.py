@@ -21,7 +21,6 @@ from algmech.connections import (
     curvature_identity_residuals,
     default_split,
     levi_civita,
-    metric_compatible_pair,
     verify_split,
 )
 from algmech.errors import InputError
@@ -63,7 +62,7 @@ def test_default_split_verifies_on_random_instances():
 def test_verify_split_levi_civita_pair(so3):
     G = TensorField.from_constants(np.eye(3), 0)
     Gamma = levi_civita(so3, G)
-    assert verify_split(so3, metric_compatible_pair(Gamma), []) <= 1e-14
+    assert verify_split(so3, ConnectionPair(Dl=Gamma, Dr=Gamma), []) <= 1e-14
 
 
 def test_verify_split_detects_perturbation(canonical2):
@@ -383,7 +382,7 @@ def test_horizontal_lift_characterization(so3):
 def test_horizontal_lift_characterization_pullbacks(canonical2):
     """Applied to base-pullback functions the lift returns the anchor derivative."""
     Gamma = levi_civita(canonical2, curved_plane_metric())
-    cp = metric_compatible_pair(Gamma)
+    cp = ConnectionPair(Dl=Gamma, Dr=Gamma)
     f = field_from_polynomial([(1.0, [2, 1]), (0.5, [0, 1])], 2)
     x = PhasePoint([0.6, -0.3], [0.2, 0.9])
     s = structure_eval(canonical2, x.q)
@@ -446,7 +445,7 @@ def test_connection_axioms_for_scenario_built_pair():
 
 def test_split_consistency_for_torsion_free_pair(canonical2):
     Gamma = levi_civita(canonical2, curved_plane_metric())
-    cp = metric_compatible_pair(Gamma)
+    cp = ConnectionPair(Dl=Gamma, Dr=Gamma)
     for q in ([0.0, 0.0], [0.5, -0.5], [1.0, 2.0]):
         assert verify_split(canonical2, cp, q) <= 1e-12
 

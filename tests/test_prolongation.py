@@ -15,10 +15,10 @@ from algmech.algebroid import (
     worst_residual,
 )
 from algmech.connections import (
+    ConnectionPair,
     curvature_field,
     default_split,
     levi_civita,
-    metric_compatible_pair,
 )
 from algmech.config import build_scenario, load_config
 from algmech.errors import InputError, InvalidStructureError
@@ -61,7 +61,7 @@ def so3_default_prolongation(so3):
 
 def so3_metric_prolongation(so3):
     Gamma = levi_civita(so3, TensorField.from_constants(np.eye(3), 0))
-    return ProlongationData(so3, metric_compatible_pair(Gamma), curvature_field(so3, Gamma))
+    return ProlongationData(so3, ConnectionPair(Dl=Gamma, Dr=Gamma), curvature_field(so3, Gamma))
 
 
 def test_prolong_eval_canonical():
@@ -100,8 +100,6 @@ def test_prolongation_rejects_bad_split(so3):
     cp = default_split(so3)
     bump = np.zeros((3, 3, 3))
     bump[0, 0, 0] = 1e-3
-    from algmech.connections import ConnectionPair
-
     bad = ConnectionPair(Dl=cp.Dl + TensorField.from_constants(bump, 0), Dr=cp.Dr)
     with pytest.raises(InvalidStructureError):
         ProlongationData(so3, bad, TensorField.zeros((3,) * 4, 0))

@@ -1,6 +1,8 @@
 import collections
 import itertools
+import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from algmech.scenarios import (
     build_constrained,
     build_contorsion,
     build_gradient_extension,
+    euler_top_hamiltonian,
     lagrangian_reference,
 )
 
@@ -128,6 +131,15 @@ def test_euler_top_field_and_drift():
     Hs = traj.h_values()
     assert np.max(np.abs(c - c[0])) <= 1e-9
     assert np.max(np.abs(Hs - Hs[0])) <= 1e-9
+
+
+@pytest.mark.parametrize("inertia", [0.0, -1.0, 1e-320, math.nan])
+def test_euler_top_hamiltonian_refuses_an_inertia_without_a_finite_coefficient(inertia):
+    """Each 1/(2 I) must be finite and positive; the builder says so and warns nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="inertia entries must be > 0"):
+            euler_top_hamiltonian([inertia, 2.0, 3.0])
 
 
 def test_euler_top_split_is_valid_and_curvature_consistent():

@@ -1,6 +1,7 @@
 import json
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -143,10 +144,21 @@ def test_worst_residual_propagates_nan():
         assert math.isnan(worst_residual(values))
 
 
+def test_readme_lists_the_registered_checks_and_their_classes():
+    """README's check list and tolerance classes are the rows of CHECKS, in its order."""
+    readme = (CONFIG_DIR.parent / "README.md").read_text()
+    listed = readme.split("Registered checks:", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(\w+)`", listed) == list(CHECKS)
+    sentence = readme.split("`verification.tolerances` sets", 1)[1].split(";", 1)[0]
+    pairs = re.findall(r"`(\w+)`\s+\(`(\w+)`\)", sentence)
+    assert pairs == [(cls, name) for name, (_, cls, _) in CHECKS.items() if cls is not None]
+
+
 def test_nan_residual_fails_a_negative_control(monkeypatch):
     import algmech.verify as verify
 
-    monkeypatch.setitem(verify.CHECKS, "closedness", lambda bundle, cfg, rng: math.nan)
+    nan_row = (lambda bundle, cfg, rng: math.nan, *verify.CHECKS["closedness"][1:])
+    monkeypatch.setitem(verify.CHECKS, "closedness", nan_row)
     out = run_check("closedness", _canonical_bundle(), {"points": 2, "expect_fail": True}, 0)
     assert out["pass"] is False
 
@@ -295,7 +307,7 @@ def test_trajectory_check_is_bit_identical_to_its_sample_loop(
     (entry,) = [e for e in entries if e["name"] == check]
     ccfg = {**entry, "points": 1, "constraint_spec": spec}
     seed = cfg["verification"]["seed"]
-    residual = CHECKS[check](bundle, ccfg, np.random.default_rng(seed))
+    residual = CHECKS[check][0](bundle, ccfg, np.random.default_rng(seed))
     expected = former(bundle, ccfg, np.random.default_rng(seed))
     assert residual > 0.0
     assert np.float64(residual).tobytes() == np.float64(expected).tobytes()
