@@ -88,21 +88,28 @@ class StructureSnapshot:
     q: np.ndarray  # [n]
 
 
-def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
-    """Evaluate all structure functions at ``q[n]`` or at each point of ``q[K, n]``.
+def _structure_values(A: AlgebroidStructure, q):
+    """``(B, rho_l, rho_r)`` at a validated ``q``; a non-finite varying one raises NumericError.
 
-    ``q`` is validated here by ``fields._check_point`` (length n, finite
-    entries) and the snapshot is checked for non-finite entries
-    (:class:`NumericError`).  A derived structure (``_structure_at``) is one
-    call per point or batch.
+    A constant at one point is its read-only ``_const``; a derived structure is one call.
     """
-    q = _check_point(q, A.n)
-    tensors = (A.bracket, A.anchor_left, A.anchor_right)
-    values = A._structure_at(q) if A._structure_at else [T._values(q) for T in tensors]
-    B, rho_l, rho_r = values
+    values = A._structure_at(q) if A._structure_at else [
+        T._const if T._const is not None and q.ndim == 1 else T._values(q)
+        for T in (A.bracket, A.anchor_left, A.anchor_right)
+    ]
     for k in A._varying:
         if not np.isfinite(values[k]).all():
             raise NumericError("structure functions evaluated to non-finite entries")
+    return values
+
+
+def structure_eval(A: AlgebroidStructure, q) -> StructureSnapshot:
+    """Evaluate all structure functions at ``q[n]`` or at each point of ``q[K, n]``.
+
+    ``q`` is validated by ``fields._check_point``, then read by :func:`_structure_values`.
+    """
+    q = _check_point(q, A.n)
+    B, rho_l, rho_r = _structure_values(A, q)
     return StructureSnapshot(B=B, rho_l=rho_l, rho_r=rho_r, q=q)
 
 
@@ -129,9 +136,7 @@ def contract_first(v, T) -> np.ndarray:
 
     One vector-matrix product per point; a batch axis, if any, is on ``T``.
     """
-    m = T.shape[-1]
-    batch = T.shape[:-3]
-    return vecmat(v, T.reshape(batch + (m, m * m))).reshape(batch + (m, m))
+    return vecmat(v, T.reshape(T.shape[:-2] + (-1,))).reshape(T.shape[:-3] + T.shape[-2:])
 
 
 def max_abs(a, core) -> float | np.ndarray:
@@ -220,16 +225,6 @@ def _d_two(s: StructureSnapshot, T, sign) -> np.ndarray:
 def d_skew(s: StructureSnapshot, T) -> np.ndarray:
     """Skew differential of the skew part of a (0,2) section, as [m, m, m]."""
     return _d_two(s, T, -1.0)
-
-
-def d_sym(s: StructureSnapshot, T) -> np.ndarray:
-    """Symmetric differential of the symmetric part of a (0,2) section."""
-    return _d_two(s, T, 1.0)
-
-
-def d_full(s: StructureSnapshot, T) -> np.ndarray:
-    """Differential of a general (0,2) section: skew part + symmetric part."""
-    return d_skew(s, T) + d_sym(s, T)
 
 
 def worst_residual(values) -> float:

@@ -9,8 +9,10 @@ only).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +34,15 @@ def _write(path, text) -> bool:
     return True
 
 
+def _output_path(path):
+    """``path``, refused (:class:`InputError`) unless its parent is a directory; opens nothing."""
+    try:
+        os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "/": a directory
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def cmd_simulate(config_path, out=None) -> int:
     try:
         cfg = load_config(config_path)
@@ -39,10 +50,10 @@ def cmd_simulate(config_path, out=None) -> int:
             raise InputError("config missing 'integration'")
         bundle, _ = build_scenario(cfg.scenario)
         x0 = initial_point(cfg.integration, bundle)
+        path = _output_path(out or cfg.output.get("trajectory") or "trajectory.csv")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    path = out or cfg.output.get("trajectory") or "trajectory.csv"
     try:
         traj = integrate(
             bundle.algebroid,
@@ -95,6 +106,7 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
             if name not in CHECKS:
                 raise InputError(f"unknown check name {name!r} at verification.checks[{pos}].name")
         bundle, spec = build_scenario(cfg.scenario)
+        path = _output_path(report_path or cfg.output.get("report") or "report.json")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -120,7 +132,6 @@ def cmd_verify(config_path, report_path=None, seed=None) -> int:
         except InputError as exc:
             print(f"error: check {name!r}: {exc}", file=sys.stderr)
             return 1
-    path = report_path or cfg.output.get("report") or "report.json"
     # RFC 8259 JSON has no infinity or NaN: a non-finite residual is written as
     # null (its entry fails), and the bare tokens cannot be written at all
     report = [
@@ -183,7 +194,8 @@ def cmd_report(csv_path) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache  # built on the first call, reused by every later one
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="algmech",
         description="Algebroid mechanics: simulate scenarios and verify the "
@@ -199,11 +211,16 @@ def main(argv=None) -> int:
     p_ver.add_argument("--seed", type=int, default=None)
     p_rep = sub.add_parser("report", help="summarize a trajectory CSV")
     p_rep.add_argument("csv")
-    args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config, out=args.out)
-    if args.command == "verify":
-        return cmd_verify(args.config, report_path=args.report, seed=args.seed)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    with np.errstate(all="ignore"):  # an overflow meets a finiteness check and its exit code
+        if args.command == "simulate":
+            return cmd_simulate(args.config, out=args.out)
+        if args.command == "verify":
+            return cmd_verify(args.config, report_path=args.report, seed=args.seed)
     return cmd_report(args.csv)
 
 

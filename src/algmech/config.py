@@ -73,6 +73,9 @@ def load_config(path) -> RunConfig:
         verification=raw.get("verification"),
         output=raw.get("output") or {},
     )
+    for key, value in cfg.output.items():
+        if value is not None and not isinstance(value, str):  # null: the default path
+            raise InputError(f"output.{key} must be a string")
     if cfg.integration is not None:
         _validate_integration(cfg.integration)
     if cfg.verification is not None:

@@ -82,17 +82,17 @@ def matvec(M, v):
     """``M @ v`` with a leading batch axis on either operand.
 
     One matrix-vector product per point, so row k of a batch is bit for bit
-    the product at point k alone.
+    the product at point k alone; at one point, ``dot``: ``@``'s BLAS call, at less call cost.
     """
     if v.ndim == 1:  # ``@`` broadcasts a stack of matrices against one vector
-        return M @ v
+        return M.dot(v) if M.ndim == 2 else M @ v
     return (M @ v[..., None])[..., 0]
 
 
 def vecmat(v, M):
     """``v @ M`` with a leading batch axis on either operand, as :func:`matvec`."""
     if v.ndim == 1:
-        return v @ M
+        return v.dot(M) if M.ndim == 2 else v @ M
     return (v[..., None, :] @ M)[..., 0, :]
 
 
@@ -465,6 +465,8 @@ class TensorField:
         if self._terms is None:  # array-valued; the batch axis stays first, the derivative last
 
             def permuted(fn, tail):
+                if axes == tuple(sorted(axes)):  # the identity: no transpose
+                    return lambda Q: np.multiply(w, fn(Q))
                 last = tuple(a - len(axes) - len(tail) for a in axes) + tail
                 return lambda Q: w * np.transpose(fn(Q), (*range(Q.ndim - 1), *last))
 

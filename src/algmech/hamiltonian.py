@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebroid import AlgebroidStructure, contract_first, structure_eval
+from .algebroid import AlgebroidStructure, _structure_values, contract_first, structure_eval
 from .errors import InputError, IntegrationDivergedError, NumericError
 from .fields import TensorField, _monomials, matvec, vecmat
 
@@ -70,14 +70,11 @@ def _check_phase_fn(A: AlgebroidStructure, H: TensorField):
         raise InputError(f"phase function arity {H.arity} must be n+m={A.n + A.m}")
 
 
-def _field(s, p, g, n) -> np.ndarray:
-    """The Hamiltonian field of :func:`ham_field` from the snapshot ``s`` and the gradient ``g``."""
+def _field(B, rho_l, rho_r, p, g, n) -> np.ndarray:
+    """The Hamiltonian field of :func:`ham_field` from the structure arrays and the gradient g."""
     gq, gp = g[..., :n], g[..., n:]
-    pB = contract_first(p, s.B)  # pB[a, b] = sum_c p_c B[c, a, b]
-    out = np.empty(g.shape)
-    out[..., :n] = matvec(s.rho_l, gp)
-    out[..., n:] = vecmat(gp, pB) - vecmat(gq, s.rho_r)
-    return out
+    pB = contract_first(p, B)  # pB[a, b] = sum_c p_c B[c, a, b]
+    return np.concatenate((matvec(rho_l, gp), vecmat(gp, pB) - vecmat(gq, rho_r)), axis=-1)
 
 
 def ham_field(A, H: TensorField, x: PhasePoint, *, with_gradient=False):
@@ -93,7 +90,7 @@ def ham_field(A, H: TensorField, x: PhasePoint, *, with_gradient=False):
     _check_phase_fn(A, H)
     s = structure_eval(A, x.q)
     g = H.gradient(x.z)
-    out = _field(s, x.p, g, A.n)
+    out = _field(s.B, s.rho_l, s.rho_r, x.p, g, A.n)
     return (out, g) if with_gradient else out
 
 
@@ -171,19 +168,19 @@ def rk4_step(f, y, h):
 def _stage_table(s, H: TensorField, n):
     """``(E, C)`` such that ``C @ z**E`` stacks X_H(z) over dH(z), ``[2 (n + m)]``.
 
-    For a constant snapshot ``s`` and a polynomial H.  The field of
-    :func:`_field` is linear in dH and, through the bracket, in p; each
-    column of H's gradient table (one derivative monomial of dH) gives one
-    field column at p = 0, and one more per p_c, the field at p = e_c less
-    that, on the monomial times p_c.  A column of the gradient table has
-    one non-zero entry, so the differences are exact.
+    For the constant structure arrays ``s = (B, rho_l, rho_r)`` and a
+    polynomial H.  The field of :func:`_field` is linear in dH and, through
+    the bracket, in p; each column of H's gradient table (one derivative
+    monomial of dH) gives one field column at p = 0, and one more per p_c,
+    the field at p = e_c less that, on the monomial times p_c.  A column of
+    the gradient table has one non-zero entry, so the differences are exact.
     """
     Ed, D = H.gradient_table()  # dH(z) = D @ z**Ed: [K, N], [N, K]
     N, K = D.shape
     cols = D.T  # the derivative columns as a batch of gradients
-    base = _field(s, np.zeros(N - n), cols, n)
+    base = _field(*s, np.zeros(N - n), cols, n)
     # the terms of X_H at p = 0, of X_H's part linear in each p_c, then of dH
-    W = np.concatenate([base] + [_field(s, e, cols, n) - base for e in np.eye(N - n)] + [cols])
+    W = np.concatenate([base] + [_field(*s, e, cols, n) - base for e in np.eye(N - n)] + [cols])
     exps = np.concatenate([Ed] + [Ed + e for e in np.eye(N, dtype=int)[n:]] + [Ed])
     t, r = np.nonzero(W)
     rows = r + N * (t >= W.shape[0] - K)  # dH's entries follow X_H's
@@ -200,19 +197,42 @@ def _check_step(h, steps):
         raise InputError("steps must be an integer >= 1")
 
 
+def _stage_kernel(A, H, q0):
+    """The map ``z -> (X_H(z), dH(z))`` that every RK4 stage of :func:`integrate` runs.
+
+    z's finiteness check, the structure read (once here if it is constant,
+    else at each base point that differs, bit for bit, from the last), dH and
+    its finiteness check, and :func:`_field`; with a constant structure and a
+    polynomial H, one product of the packed :func:`_stage_table` instead.
+    """
+    n, N = A.n, A.n + A.m
+    last = [None, None if A._varying else _structure_values(A, q0)]  # base point bytes, arrays
+    packed = not A._varying and H._terms is not None
+    if packed:
+        E, C = _stage_table(last[1], H, n)
+
+    def kernel(z):
+        if not _all_finite(z):
+            raise InputError("state has non-finite entries")
+        if packed:
+            out = C.dot(_monomials(z, E))  # the BLAS product of ``@``, at less call cost
+            X, g = out[:N], out[N:]
+        else:
+            if A._varying and z[:n].tobytes() != last[0]:
+                last[:] = z[:n].tobytes(), _structure_values(A, z[:n])
+            g = H._gradient(z)
+            X = _field(*last[1], z[n:], g, n)
+        if not _all_finite(g):
+            raise NumericError("Hamiltonian gradient non-finite")
+        return X, g
+
+    return kernel
+
+
 def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     """Integrate the standard Hamiltonian field with fixed-step RK4.
 
-    Every RK4 stage runs one kernel ``z -> (X_H(z), dH(z))``, built here: one
-    finiteness check of ``z``, the structure read once when it is constant
-    (else :func:`structure_eval` at ``z``), H's gradient and its finiteness
-    check, and the field contraction of :func:`ham_field`.  A stage on the
-    previous stage's base point, bit for bit (constant dq/dt puts two stages
-    of a step on one), reuses its snapshot, the one held during this call.
-    With a constant structure and a polynomial H, the field and the gradient
-    are one polynomial in z: the kernel is then one monomial table and one
-    matrix product (:func:`_stage_table`, built from the one snapshot, for
-    this call only), with the same finiteness checks.
+    Every RK4 stage runs the kernel of :func:`_stage_kernel`, built for this call only.
     The initial state goes through :func:`ham_field`, so it is validated as there.
 
     Each sample reuses the first stage of the step that starts from it, whose
@@ -235,26 +255,8 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     names = list(monitors.keys())
     for name in names:
         _check_phase_fn(A, monitors[name])
-    n, N = A.n, A.n + A.m
-    last = [None, None if A._varying else structure_eval(A, x0.q)]  # base point bytes, snapshot
-    packed = not A._varying and H._terms is not None
-    if packed:
-        E, C = _stage_table(last[1], H, n)
-
-    def kernel(z):
-        if not _all_finite(z):
-            raise InputError("state has non-finite entries")
-        if packed:
-            out = C @ _monomials(z, E)
-            X, g = out[:N], out[N:]
-        else:
-            if A._varying and z[:n].tobytes() != last[0]:
-                last[:] = z[:n].tobytes(), structure_eval(A, z[:n])
-            g = H._gradient(z)
-            X = _field(last[1], z[n:], g, n)
-        if not _all_finite(g):
-            raise NumericError("Hamiltonian gradient non-finite")
-        return X, g
+    N = A.n + A.m
+    kernel = _stage_kernel(A, H, x0.q)
 
     def stage(y):  # the first stage, at the step's state z itself, is its sample's jet
         return dz if y is z else kernel(y)[0]
@@ -289,7 +291,7 @@ def integrate(A, H, x0: PhasePoint, h, steps, monitors=None) -> Trajectory:
     bad = count if ok.all() else int(np.argmin(ok))  # the first sample that cannot be recorded
     if bad == 0:
         raise NumericError("H, dH/dt or a monitor is non-finite at the initial state")
-    traj = Trajectory(n, A.m, S[:bad], names)
+    traj = Trajectory(A.n, A.m, S[:bad], names)
     if bad < count or error is not None:
         err = IntegrationDivergedError(f"non-finite after step {bad - 1}", last_good_step=bad - 1)
         err.trajectory = traj

@@ -8,8 +8,10 @@ import pytest
 
 from algmech.algebroid import (
     AlgebroidStructure,
+    _d_two,
     algebroid_from_constants,
     canonical_tangent,
+    d_skew,
     so3_constants,
     structure_eval,
 )
@@ -22,6 +24,16 @@ SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 # -- helpers that only the tests use ------------------------------------------
+
+
+def d_sym(s, T):
+    """Symmetric differential of the symmetric part of a (0,2) section (``_d_two``, sign +1)."""
+    return _d_two(s, T, 1.0)
+
+
+def d_full(s, T):
+    """Differential of a general (0,2) section: skew part + symmetric part."""
+    return d_skew(s, T) + d_sym(s, T)
 
 
 def so3_algebra():

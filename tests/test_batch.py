@@ -22,7 +22,6 @@ from algmech.algebroid import (
     d_skew,
     d_skew_oneform,
     d_skew_scalar,
-    d_sym,
     diff_lr_section,
     structure_checks,
     structure_eval,
@@ -52,6 +51,7 @@ from algmech.verify import CHECKS, run_check
 
 from conftest import (
     curved_plane_metric,
+    d_sym,
     generalized_curved_spec,
     generalized_so3_spec,
     so3_algebra,

@@ -16,7 +16,6 @@ from algmech.algebroid import (
     d_skew,
     d_skew_oneform,
     d_skew_scalar,
-    d_sym,
     diff_lr_section,
     jacobiator,
     structure_checks,
@@ -32,7 +31,7 @@ from algmech.randoms import (
     random_polynomial_tensor,
     random_valid_split,
 )
-from conftest import so3_algebra
+from conftest import d_sym, so3_algebra
 
 RANKS = (1, 2, 3)
 

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,68 @@ def test_an_unwritable_output_path_exits_1_with_one_error_line(tmp_path, command
     assert r.returncode == 1, r.stderr
     assert r.stderr == f"error: cannot write {target}: No such file or directory\n"
     assert "Traceback" not in r.stderr and not target.parent.exists()
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("verify", "--report")])
+@pytest.mark.parametrize(
+    "parent,reason", [("missing", "No such file or directory"), ("a_file", "Not a directory")]
+)
+def test_an_output_path_without_a_parent_directory_exits_1_before_any_step_or_check(
+    tmp_path, capsys, monkeypatch, command, flag, parent, reason
+):
+    from algmech import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step or a check ran")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    monkeypatch.setattr(cli, "run_check", never)
+    (tmp_path / "a_file").write_text("kept\n")
+    target = tmp_path / parent / "out"
+    assert cli.main([command, harmonic_config(tmp_path), flag, str(target)]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: {reason}\n"
+    assert (tmp_path / "a_file").read_text() == "kept\n" and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("verify", "--report")])
+def test_a_config_error_leaves_an_existing_output_file_as_it_is(tmp_path, capsys, command, flag):
+    from algmech.cli import main
+
+    path = harmonic_config(tmp_path)
+    cfg = json.loads(pathlib.Path(path).read_text())
+    cfg["integration"]["h"] = -1.0
+    cfg["verification"]["checks"] = ["bogus_check"]
+    target = tmp_path / "kept.txt"
+    target.write_text("kept\n")
+    assert main([command, write_config(tmp_path, cfg), flag, str(target)]) == 1
+    assert capsys.readouterr().err.startswith("error: ") and target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("value", [5, True, ["out.csv"], {"path": "out.csv"}])
+def test_an_output_path_that_is_no_string_exits_1_naming_its_key(tmp_path, capsys, value):
+    from algmech.cli import main
+
+    cfg = json.loads(pathlib.Path(harmonic_config(tmp_path, steps=5)).read_text())
+    cfg["output"]["trajectory"] = value
+    assert main(["simulate", write_config(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "error: output.trajectory must be a string\n"
+
+
+def test_the_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    from algmech import cli
+
+    built, init = [], cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # a subcommand's parser is "algmech simulate", say
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert cli.main(["report", str(tmp_path / "missing.csv")]) == 1
+    assert built.count("algmech") == 1 and cli._parser() is cli._parser()
+    capsys.readouterr()
 
 
 def test_verify_report_and_exit_codes(tmp_path):
@@ -870,20 +933,51 @@ def _fuzz_cases():
 
 
 def test_a_shipped_config_with_one_leaf_replaced_exits_with_a_documented_code(tmp_path, capsys):
-    """No exception escapes the CLI: every invocation exits 0, 1 or 2."""
+    """No exception escapes the CLI: every invocation exits 0, 1 or 2, and none warns."""
     from algmech.cli import main
 
     cases = _fuzz_cases()
     assert len(cases) == 2 + FUZZ_CASES
     codes = []
-    for i, (name, path, value) in enumerate(cases):
-        config = write_config(tmp_path, _with_leaf(_capped(name), path, value), f"fuzz{i}.json")
-        for args in (["simulate", config, "--out", str(tmp_path / "fuzz.csv")],
-                     ["verify", config, "--report", str(tmp_path / "fuzz.json")]):
-            codes.append((name, path, value, args[0], main(args)))
-            capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for i, (name, path, value) in enumerate(cases):
+            config = write_config(tmp_path, _with_leaf(_capped(name), path, value), f"fuzz{i}.json")
+            for args in (["simulate", config, "--out", str(tmp_path / "fuzz.csv")],
+                         ["verify", config, "--report", str(tmp_path / "fuzz.json")]):
+                codes.append((name, path, value, args[0], main(args)))
+                capsys.readouterr()
     assert [c for c in codes if c[-1] not in (0, 1, 2)] == []
+    assert [str(w.message) for w in caught] == []  # numpy's overflow warnings are off in the CLI
     assert {c[-1] for c in codes} >= {0, 1}  # the sample reaches both accepted and rejected input
+
+
+# a shipped config with one entry at 1e308 overflowed in numpy and printed a RuntimeWarning
+# on stderr before its error line; the CLI runs its commands with numpy's warnings off
+OVERFLOW_REPROS = [
+    ("verify", "contorsion_dissipative", ("scenario", "torsion", 2, 0, 0)),
+    ("verify", "nonjacobi_projected", ("scenario", "ambient", "bracket", 1, 3, 3)),
+    ("simulate", "nonjacobi_projected", ("scenario", "kinematic_basis", 1, 1)),
+    ("verify", "nonjacobi_projected", ("scenario", "kinematic_basis", 1, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "command,name,path", OVERFLOW_REPROS,
+    ids=[f"{c}-{n}-{'.'.join(map(str, p[1:]))}" for c, n, p in OVERFLOW_REPROS],
+)
+def test_an_overflowing_config_entry_exits_1_without_a_warning(tmp_path, capsys, command, name, path):
+    from algmech.cli import main
+
+    config = write_config(tmp_path, _with_leaf(_capped(name), path, 1e308))
+    flag = "--out" if command == "simulate" else "--report"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main([command, config, flag, str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert rc == 1 and [str(w.message) for w in caught] == []
+    lines = err.splitlines() + out.splitlines()
+    assert any(line.startswith(("error: ", "FAIL ")) for line in lines), (out, err)
 
 
 # -- shipped configs with one tensor list one entry too long or too short ----------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import (
+    _structure_values,
     algebroid_from_constants,
     canonical_tangent,
     structure_checks,
@@ -25,7 +26,7 @@ from algmech.hamiltonian import (
     rk4_step,
 )
 from algmech.randoms import random_algebroid, random_phase_function, random_polynomial_tensor
-from algmech.scenarios import build_contorsion
+from algmech.scenarios import build_contorsion, build_gradient_extension
 
 from conftest import (
     euler_hamiltonian,
@@ -342,21 +343,24 @@ def test_a_monitor_that_overflows_first_ends_the_trajectory():
 
 
 def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monkeypatch):
+    import algmech.algebroid as algebroid
     import algmech.hamiltonian as hamiltonian
 
-    calls = {"ham_field": 0, "structure_eval": 0}
+    calls = {"ham_field": 0, "_structure_values": 0}
 
-    def counted(name):
-        real = getattr(hamiltonian, name)
+    def counted(module, name):
+        real = getattr(module, name)
 
         def wrapped(*args, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(hamiltonian, name, wrapped)
+        monkeypatch.setattr(module, name, wrapped)
 
-    counted("ham_field")
-    counted("structure_eval")
+    counted(hamiltonian, "ham_field")
+    # the one structure read: structure_eval's (in ham_field) and the stage kernel's
+    counted(algebroid, "_structure_values")
+    counted(hamiltonian, "_structure_values")
     constant = canonical_tangent(2)  # n = 2: no snapshot built with the structure
     varying = random_algebroid(np.random.default_rng(3), n=1, m=2)
     for A, per_step in ((constant, 0), (varying, 4)):
@@ -364,11 +368,55 @@ def test_integrate_calls_ham_field_once_and_reads_a_constant_structure_once(monk
         x0 = PhasePoint(np.full(A.n, 0.1), np.full(A.m, 0.2))
         counts = []
         for steps in (5, 20):
-            calls.update(ham_field=0, structure_eval=0)
+            calls.update(ham_field=0, _structure_values=0)
             integrate(A, H, x0, 1e-3, steps)
             assert calls["ham_field"] == 1
-            counts.append(calls["structure_eval"] - per_step * steps)
+            counts.append(calls["_structure_values"] - per_step * steps)
         assert counts[0] == counts[1] <= 2, counts
+
+
+def _varying_case(name):
+    """``(A, H, z0)``: a shipped config with a varying structure, or a random one (n = 1, m = 2)."""
+    if name == "random":
+        A = random_algebroid(np.random.default_rng(3), n=1, m=2)
+        return A, random_phase_function(np.random.default_rng(4), A.n, A.m, degree=2), np.full(3, 0.1)
+    path = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = json.loads(path.read_text())
+    bundle, _ = build_scenario(cfg["scenario"])
+    return bundle.algebroid, bundle.hamiltonian, initial_point(cfg["integration"], bundle).z
+
+
+@pytest.mark.parametrize("name", ["gradient_extension", "nonholonomic_classical", "random"])
+def test_the_stage_kernel_is_ham_field_bit_for_bit(name):
+    """A varying structure's stage is one structure read and one ``_field``, as ``ham_field``'s."""
+    from algmech.hamiltonian import _stage_kernel
+
+    A, H, z0 = _varying_case(name)
+    assert A._varying
+    kernel = _stage_kernel(A, H, z0[: A.n])
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        z = z0 + 0.05 * rng.standard_normal(z0.shape)
+        # a fresh base point, then the same one with other momenta: the read is reused
+        for w in (z, np.concatenate([z[: A.n], -z[A.n :]])):
+            X, g = kernel(w)
+            ref_X, ref_g = ham_field(A, H, PhasePoint.from_z(w, A.n), with_gradient=True)
+            assert np.array_equal(X, ref_X) and np.array_equal(g, ref_g)
+
+
+def test_a_metric_that_stops_being_positive_definite_ends_the_trajectory():
+    # G = diag(1, 1 - q1^2) and X = (1, 0): q1 = t + 0.99 reaches 1 and G stops being SPD
+    one = {"arity": 2, "terms": [{"coef": 1.0, "exp": [0, 0]}]}
+    g22 = {"arity": 2, "terms": [{"coef": 1.0, "exp": [0, 0]}, {"coef": -1.0, "exp": [2, 0]}]}
+    G = tensor_from_config([[one, 0], [0, g22]], (2, 2), 2)
+    bundle = build_gradient_extension(G, tensor_from_config([one, 0], (2,), 2))
+    x0 = PhasePoint([0.99, 0.0], [0.3, -0.4])
+    with pytest.raises(IntegrationDivergedError) as info:
+        integrate(bundle.algebroid, bundle.hamiltonian, x0, 1e-3, 100)
+    # the stages of step 10 reach q1 = 1.0: the Christoffel solve's metric check refuses it
+    assert info.value.last_good_step == 9 and len(info.value.trajectory.samples) == 10
+    assert isinstance(info.value.__cause__, InputError)
+    assert str(info.value.__cause__) == "metric not positive-definite at [1.0, 0.0]"
 
 
 # -- the packed stage table: constant structure, polynomial H -------------------
@@ -390,7 +438,7 @@ def test_the_stage_table_is_the_field_and_the_gradient():
     for rng, A, H in _constant_instances():
         assert A._varying == []
         N = A.n + A.m
-        E, C = _stage_table(structure_eval(A, np.zeros(A.n)), H, A.n)
+        E, C = _stage_table(_structure_values(A, np.zeros(A.n)), H, A.n)
         for _ in range(5):
             x = PhasePoint(*(rng.uniform(-1.5, 1.5, size=k) for k in (A.n, A.m)))
             X, g = ham_field(A, H, x, with_gradient=True)  # _field of H.gradient

@@ -6,9 +6,7 @@ import pytest
 from algmech.algebroid import (
     AlgebroidStructure,
     canonical_tangent,
-    d_full,
     d_skew,
-    d_sym,
     max_abs,
     structure_checks,
     structure_eval,
@@ -44,7 +42,8 @@ from algmech.randoms import (
 from algmech.scenarios import build_constrained
 
 from conftest import (
-    euler_hamiltonian, field_from_polynomial, harmonic_hamiltonian, nonjacobi_spec, so3_algebra,
+    d_full, d_sym, euler_hamiltonian, field_from_polynomial, harmonic_hamiltonian, nonjacobi_spec,
+    so3_algebra,
 )
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from algmech import connections, scenarios
-from algmech.algebroid import AlgebroidStructure, base_probes, structure_checks, structure_eval
+from algmech.algebroid import (
+    AlgebroidStructure, _structure_values, base_probes, structure_checks, structure_eval,
+)
 from algmech.connections import verify_split
 from algmech.errors import InputError
 from algmech.fields import TensorField, tensor_from_config
@@ -775,14 +777,14 @@ def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_s
     fresh, others = [], []
     calls = collections.Counter()
 
-    def counted_structure_eval(module):
+    def counted_structure_values(module):
         def counted(S, q):
             # integrate reads the structure only at a stage point that differs from the last
-            if S is A and module == "algmech.hamiltonian":
+            if S is A:
                 fresh.append(np.asarray(q).tobytes())
-            elif S is not A:
+            else:
                 others.append(module)
-            return structure_eval(S, q)
+            return _structure_values(S, q)
 
         return counted
 
@@ -793,16 +795,17 @@ def test_a_gradient_extension_stage_at_a_fresh_point_is_one_metric_jet_and_one_s
 
         return wrapper
 
+    # structure_eval (in ham_field, at the initial state) and the stage kernel read it
     for name, module in list(sys.modules.items()):
-        if name.startswith("algmech") and getattr(module, "structure_eval", None) is structure_eval:
-            monkeypatch.setattr(module, "structure_eval", counted_structure_eval(name))
+        if name.startswith("algmech") and hasattr(module, "_structure_values"):
+            monkeypatch.setattr(module, "_structure_values", counted_structure_values(name))
     monkeypatch.setattr(TensorField, "eval_grad", counted("eval_grad", TensorField.eval_grad))
     for name in ("_koszul_rhs", "check_metric", "christoffels_at"):
         monkeypatch.setattr(connections, name, counted(name, getattr(connections, name)))
     steps = 40
     x0 = initial_point(cfg.integration, bundle)
     integrate(A, bundle.hamiltonian, x0, cfg.integration["h"], steps)
-    assert others == []  # no structure_eval of the canonical frame
+    assert others == []  # no read of the canonical frame
     assert len(fresh) >= 2 * steps + 1 and len(set(fresh)) == len(fresh)
     assert calls["eval_grad"] == 0 and calls["_koszul_rhs"] == 0
     assert calls["check_metric"] == len(fresh) and calls["christoffels_at"] == len(fresh)
