@@ -17,6 +17,7 @@ batch, each array gains a leading axis of length K and each residual is a
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,17 +60,19 @@ class AlgebroidStructure:
         object.__setattr__(self, "_varying", [k for k, T in enumerate(tensors) if T._const is None])
 
 
+@functools.lru_cache(maxsize=None)
 def base_probes(n, seed, count=5) -> np.ndarray:
     """Construction-time probe points of an n-dimensional chart, ``[count, n]``.
 
     The origin, then ``count - 1`` points uniform in [-1, 1]^n from one draw
     of ``default_rng(seed)`` (row k is the k-th single draw); over a point
-    (n = 0) the one empty point, ``[1, 0]``.
+    (n = 0) the one empty point, ``[1, 0]``.  Drawn once per arguments, read-only.
     """
-    if n == 0:
-        return np.zeros((1, 0))
-    rng = np.random.default_rng(seed)
-    return np.vstack([np.zeros(n), rng.uniform(-1.0, 1.0, size=(count - 1, n))])
+    probes = np.zeros((1, 0)) if n == 0 else np.vstack(
+        [np.zeros(n), np.random.default_rng(seed).uniform(-1.0, 1.0, size=(count - 1, n))]
+    )
+    probes.flags.writeable = False
+    return probes
 
 
 @dataclass(frozen=True)

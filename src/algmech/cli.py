@@ -9,6 +9,7 @@ only).
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -35,9 +36,11 @@ def _write(path, text) -> bool:
 
 
 def _output_path(path):
-    """``path``, refused (:class:`InputError`) unless its parent is a directory; opens nothing."""
+    """``path``, refused (InputError) if it is a directory or its parent is none; opens nothing."""
     try:
         os.stat(os.path.join(os.path.dirname(path) or ".", ""))  # the trailing "/": a directory
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     return path
@@ -216,12 +219,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    with np.errstate(all="ignore"):  # an overflow meets a finiteness check and its exit code
+    with np.errstate(all="ignore"):  # an overflow meets a finiteness check, or report's nan/inf
         if args.command == "simulate":
             return cmd_simulate(args.config, out=args.out)
         if args.command == "verify":
             return cmd_verify(args.config, report_path=args.report, seed=args.seed)
-    return cmd_report(args.csv)
+        return cmd_report(args.csv)
 
 
 if __name__ == "__main__":

@@ -213,7 +213,7 @@ _BUILTINS = {
 def _merge_monomials(E):
     """The distinct rows of the exponent table ``E``, sorted lexicographically.
 
-    Also returns each row's position among them.
+    Also returns each row's position among them; distinct sorted rows come back as ``E`` itself.
     """
     T, arity = E.shape
     if arity == 0 or T == 0:  # over a point every monomial is 1
@@ -225,6 +225,8 @@ def _merge_monomials(E):
     # a row's key is the number its exponents spell in base ``base``, so the
     # keys sort as the rows do
     keys = E @ base ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+    if (keys[1:] > keys[:-1]).all():  # already distinct and sorted
+        return E, np.arange(T)
     order = np.argsort(keys, kind="stable")
     first = np.ones(T, dtype=bool)
     first[1:] = np.diff(keys[order]) != 0
@@ -268,9 +270,10 @@ class TensorField:
       ``coefs[t] * q**exps[t]`` to flat entry ``rows[t]``.  The terms are
       stored as built; their tables are built on first read: the first
       evaluation builds the value table ``_Ev``/``_Cv``, the first gradient
-      the gradient table ``_Eg``/``_Cg``, the first ``eval_grad`` the jet
-      table ``_E``/``_C`` (values and gradients in one product), so a tensor
-      that is only evaluated never builds its jet;
+      the gradient table ``_Eg``/``_Wg``/``_Cg`` (each distinct derivative
+      monomial once), the first ``eval_grad`` the jet table ``_E``/``_C``
+      (values and gradients in one product), so a tensor that is only
+      evaluated never builds its jet;
     * array-valued (:meth:`from_array_fn`): one callable ``_fn(Q[K, n])``
       returns the whole array at K points; the gradient is the exact
       callable ``_grad`` when there is one, else central differences with
@@ -285,7 +288,7 @@ class TensorField:
     """
 
     __slots__ = (
-        "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_Eg", "_Cg",
+        "shape", "arity", "_terms", "_const", "_E", "_C", "_Ev", "_Cv", "_Eg", "_Wg", "_Cg",
         "_fn", "_grad", "_h",
     )
 
@@ -296,7 +299,7 @@ class TensorField:
         T = object.__new__(TensorField)
         T.shape, T.arity = shape, int(arity)
         T._terms = T._const = T._fn = T._grad = T._h = None
-        T._E = T._C = T._Ev = T._Cv = T._Eg = T._Cg = None  # tables: on first read
+        T._E = T._C = T._Ev = T._Cv = T._Eg = T._Wg = T._Cg = None  # tables: on first read
         return T
 
     @classmethod
@@ -347,10 +350,13 @@ class TensorField:
                 raise NumericError("tensor field evaluated to non-finite entries")
         return T
 
-    def _value_table(self):
-        """Build ``_Ev``/``_Cv``: bit for bit the value block of :func:`_jet_table`."""
+    def _value_table(self, merged=None):
+        """Build ``_Ev``/``_Cv``: bit for bit the value block of :func:`_jet_table`.
+
+        ``merged``, if given, is :func:`_merge_monomials` of the exponents, computed before.
+        """
         rows, coefs, exps = self._terms
-        E, col = _merge_monomials(exps)
+        E, col = merged or _merge_monomials(exps)
         size, nv = math.prod(self.shape), E.shape[0]
         Cv = np.bincount(rows * nv + col, weights=coefs, minlength=size * nv)
         self._Ev = E.astype(float)
@@ -509,6 +515,17 @@ class TensorField:
             self._value_table()
         return matvec(self._Cv, _monomials(q, self._Ev)).reshape(out_shape)
 
+    def _gradient_table(self, merged=None):
+        """Build ``_Eg``/``_Wg``/``_Cg``: ``C @ q**E[W]`` is the gradient, ``E`` its distinct
+        derivative monomials (``merged``, if given: their :func:`_merge_monomials`).
+        """
+        rows, coefs, exps = self._terms
+        t, i, dcoefs, dexps = _derivative_terms(coefs, exps)
+        self._Eg, self._Wg = merged or _merge_monomials(dexps)
+        C = np.zeros((math.prod(self.shape) * self.arity, t.shape[0]))
+        C[rows[t] * self.arity + i, np.arange(t.shape[0])] = dcoefs
+        self._Cg = C
+
     def gradient_table(self):
         """``(E, C)`` such that ``C @ q**E`` is the packed gradient, ``[size * arity]``.
 
@@ -516,22 +533,20 @@ class TensorField:
         unmerged, so each has one non-zero entry.  Built on the first call.
         """
         if self._Cg is None:
-            rows, coefs, exps = self._terms
-            t, i, dcoefs, self._Eg = _derivative_terms(coefs, exps)
-            C = np.zeros((math.prod(self.shape) * self.arity, t.shape[0]))
-            C[rows[t] * self.arity + i, np.arange(t.shape[0])] = dcoefs
-            self._Cg = C
-        return self._Eg, self._Cg
+            self._gradient_table()
+        return self._Eg[self._Wg], self._Cg
 
     def _gradient(self, q) -> np.ndarray:
         """Gradient ``[*batch, *shape, arity]`` at a validated point or batch ``q``.
 
-        A packed gradient reads only the derivative monomials; a scalar's
-        (the RK4 kernel's dH) is returned without a reshape.
+        A packed gradient evaluates each distinct derivative monomial once and
+        gathers the values to its columns; a scalar's (the RK4 kernel's dH) is
+        returned without a reshape.
         """
         if self._const is None and self._terms is not None:
-            E, C = self.gradient_table()
-            g = matvec(C, _monomials(q, E))
+            if self._Cg is None:
+                self._gradient_table()
+            g = matvec(self._Cg, _monomials(q, self._Eg).take(self._Wg, -1))
             return g.reshape(q.shape[:-1] + self.shape + (self.arity,)) if self.shape else g
         out_shape = q.shape[:-1] + self.shape + (self.arity,)
         if self._const is not None:

@@ -3,8 +3,10 @@
 Structure functions are polynomials of bounded total degree with coefficients
 uniform in [-1, 1]; dimensions stay small (n <= 3, m <= 3) so every structural
 check runs at desk scale.  A tensor's coefficients are one draw, packed
-directly (``TensorField.from_terms``); the stream is consumed as by one draw
-per component, so the coefficients do not depend on the packing.
+directly; the stream is consumed as by one draw per component, so the
+coefficients do not depend on the packing.  A tensor is born with its value
+table, a phase function with its gradient table and a split's Dr with its
+value table, from exponent tables and monomial merges built once per process.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .algebroid import AlgebroidStructure
 from .connections import ConnectionPair
-from .fields import TensorField
+from .fields import TensorField, _derivative_terms, _merge_monomials
 
 
 def poly_exponents(arity, degree):
@@ -29,22 +31,50 @@ def poly_exponents(arity, degree):
     return out if arity else [[]]
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+# the degree of each exponent array of _dense_terms, by id: the cache keeps every one alive
+_DENSE_DEGREE = {}
+
+
 @functools.lru_cache(maxsize=None)
-def _exponent_table(arity, degree) -> np.ndarray:
-    """:func:`poly_exponents` as a read-only [T, arity] array, built once per (arity, degree)."""
-    exps = poly_exponents(arity, degree)
-    table = np.array(exps, dtype=int).reshape(len(exps), arity)
-    table.flags.writeable = False
-    return table
+def _dense_terms(size, arity, degree):
+    """Read-only ``(rows, exps, E)``: ``size`` entries that each hold every monomial of
+    ``E`` (:func:`poly_exponents`) in its order, built once per (size, arity, degree).
+    """
+    E = np.array(poly_exponents(arity, degree), dtype=int)
+    terms = np.repeat(np.arange(size), E.shape[0]), np.tile(E, (size, 1)), E.astype(float)
+    _DENSE_DEGREE[id(terms[1])] = degree
+    return _read_only(*terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _merged(size, arity, degrees, derivatives=False):
+    """Read-only ``_merge_monomials`` of the exponents of the dense terms of each
+    degree in turn (of their first derivatives), built once per arguments.
+    """
+    exps = np.concatenate([_dense_terms(size, arity, d)[1] for d in degrees])
+    if derivatives:
+        exps = _derivative_terms(np.zeros(exps.shape[0]), exps)[3]
+    return _read_only(*_merge_monomials(exps))
 
 
 def random_polynomial_tensor(rng, shape, arity, degree) -> TensorField:
-    """Every entry a random polynomial field, the entries' coefficients in one draw."""
-    exps = _exponent_table(arity, degree)
-    size, T = math.prod(shape), exps.shape[0]
-    coefs = rng.uniform(-1.0, 1.0, size=size * T)
-    rows = np.repeat(np.arange(size), T)
-    return TensorField.from_terms(rows, coefs, np.tile(exps, (size, 1)), shape, arity)
+    """Every entry a random polynomial field, the entries' coefficients in one draw.
+
+    Each entry holds every monomial, distinct and sorted: the value table is the draw.
+    """
+    size = math.prod(shape)
+    rows, exps, E = _dense_terms(size, arity, degree)
+    coefs = rng.uniform(-1.0, 1.0, size=rows.shape[0])
+    F = TensorField._packed(shape, arity, rows, coefs, exps)
+    if F._const is None:
+        F._Ev, F._Cv = E, coefs.reshape(size, E.shape[0])
+    return F
 
 
 def random_algebroid(rng, n=None, m=None, degree=2) -> AlgebroidStructure:
@@ -63,7 +93,11 @@ def random_algebroid(rng, n=None, m=None, degree=2) -> AlgebroidStructure:
 
 
 def random_phase_function(rng, n, m, degree=3) -> TensorField:
-    return random_polynomial_tensor(rng, (), n + m, degree)
+    """A random polynomial over the (q, p) chart, born with its gradient table."""
+    H = random_polynomial_tensor(rng, (), n + m, degree)
+    if H._const is None:
+        H._gradient_table(_merged(1, n + m, (degree,), derivatives=True))
+    return H
 
 
 def random_valid_split(rng, A: AlgebroidStructure, degree=1) -> ConnectionPair:
@@ -74,6 +108,10 @@ def random_valid_split(rng, A: AlgebroidStructure, degree=1) -> ConnectionPair:
     """
     Dl = random_polynomial_tensor(rng, (A.m,) * 3, A.n, degree)
     Dr = Dl.scaled(1.0, (0, 2, 1)) + A.bracket.scaled(-1.0, (0, 2, 1))
+    # Dr's exponents are Dl's, then the bracket's: for a random bracket their merge is cached
+    bracket_degree = _DENSE_DEGREE.get(id(A.bracket._terms[2])) if Dr._terms is not None else None
+    if Dr._const is None and bracket_degree is not None:
+        Dr._value_table(_merged(A.m**3, A.n, (degree, bracket_degree)))
     return ConnectionPair(Dl=Dl, Dr=Dr)
 
 

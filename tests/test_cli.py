@@ -342,6 +342,25 @@ def test_an_output_path_without_a_parent_directory_exits_1_before_any_step_or_ch
 
 
 @pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("verify", "--report")])
+@pytest.mark.parametrize("name", ["adir", "adir/"])
+def test_an_output_path_that_is_a_directory_exits_1_before_any_step_or_check(
+    tmp_path, capsys, monkeypatch, command, flag, name
+):
+    from algmech import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step or a check ran")
+
+    monkeypatch.setattr(cli, "integrate", never)
+    monkeypatch.setattr(cli, "run_check", never)
+    (tmp_path / "adir").mkdir()
+    target = f"{tmp_path / 'adir'}{name[4:]}"
+    assert cli.main([command, harmonic_config(tmp_path), flag, target]) == 1
+    assert capsys.readouterr().err == f"error: cannot write {target}: Is a directory\n"
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--out"), ("verify", "--report")])
 def test_a_config_error_leaves_an_existing_output_file_as_it_is(tmp_path, capsys, command, flag):
     from algmech.cli import main
 
@@ -463,6 +482,19 @@ def test_report_reads_monitors_named_like_state_columns(tmp_path):
     assert [ln.split(":")[0] for ln in r.stdout.splitlines()[4:]] == [
         "monitor p1", "monitor q2", "monitor H"
     ]
+
+
+def test_report_on_an_infinite_h_column_prints_no_warning(tmp_path, capsys):
+    from algmech.cli import main
+
+    csv = tmp_path / "inf.csv"
+    csv.write_text("t,p1,H,dHdt\n0,1,inf,0\n1,1,inf,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["report", str(csv)])
+    out, err = capsys.readouterr()
+    assert rc == 0 and [str(w.message) for w in caught] == [] and err == ""
+    assert out.splitlines() == ["rows: 2", "duration: 1", "H drift: nan", "max |state|: 1"]
 
 
 def test_report_rejects_empty_and_malformed(tmp_path):

@@ -14,6 +14,7 @@ from algmech.fields import (
     _jet_table,
     _merge_monomials,
     fd_default_step,
+    matvec,
     tensor_from_config,
 )
 from algmech.randoms import random_polynomial_tensor
@@ -616,6 +617,111 @@ def test_the_value_table_is_the_value_block_of_the_jet_table(seed):
     after = [G.eval(Q[0]), G.eval(Q)]
     for b, a in zip(before, after):
         assert b.tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_merged_monomials_skip_the_sort_on_distinct_sorted_rows_and_equal_the_sorting_path(seed):
+    rng = np.random.default_rng(2000 + seed)
+    arity, T = int(rng.integers(1, 5)), int(rng.integers(1, 40))
+    if seed % 5 == 0:  # integer keys that overflow: the fallback, which never skips
+        E = rng.integers(0, 2**40, size=(T, arity))
+    else:
+        E = rng.integers(0, int(rng.integers(1, 7)), size=(T, arity))
+    distinct, where = np.unique(E, axis=0, return_inverse=True)  # the sorting path's result
+    got, got_where = _merge_monomials(E)
+    assert np.array_equal(got, distinct) and np.array_equal(got_where, where.reshape(-1))
+    got, got_where = _merge_monomials(distinct)
+    assert np.array_equal(got, distinct) and np.array_equal(got_where, np.arange(len(distinct)))
+    if seed % 5:  # no sort and no copy: the rows come back as they are
+        assert got is distinct
+    if len(distinct) > 1:  # rows in reverse are sorted, not skipped
+        got, got_where = _merge_monomials(distinct[::-1])
+        assert np.array_equal(got, distinct)
+        assert np.array_equal(got_where, np.arange(len(distinct))[::-1])
+
+
+def _int64_bits(a):
+    return np.ascontiguousarray(a, dtype=a.dtype).view(np.int64)
+
+
+def _assert_same_tables(born, rebuilt, names):
+    for name in names:
+        a, b = getattr(born, name), getattr(rebuilt, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert np.array_equal(_int64_bits(a), _int64_bits(b)), name
+
+
+def test_random_tensors_are_born_with_the_tables_that_their_terms_build():
+    """300 seeded instances, degree 0 and n = 0 among them: every table a random tensor
+    is born with equals, as int64 bits, the table built from its terms on first read."""
+    from algmech.randoms import (
+        random_algebroid, random_curvature, random_phase_function, random_valid_split,
+    )
+
+    rng = np.random.default_rng(4321)
+    born = {"_Cv": 0, "_Cg": 0, "Dr": 0}
+    for _ in range(300):
+        n, m = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        A = random_algebroid(rng, n, m, degree=int(rng.integers(0, 4)))
+        split = random_valid_split(rng, A, degree=int(rng.integers(0, 3)))
+        H = random_phase_function(rng, n, m, degree=int(rng.integers(0, 4)))
+        tensors = [A.bracket, A.anchor_left, A.anchor_right, split.Dl, split.Dr, H]
+        tensors.append(random_curvature(rng, m, n, degree=int(rng.integers(0, 3))))
+        for T in tensors:
+            # a tensor that varies is born with its value table; a constant needs none
+            assert (T._Cv is None) == (T._const is not None)
+            rebuilt = TensorField.from_terms(*T._terms, T.shape, T.arity)
+            if T._Cv is not None:
+                rebuilt._value_table()
+                _assert_same_tables(T, rebuilt, ["_Ev", "_Cv"])
+                born["Dr" if T is split.Dr else "_Cv"] += 1
+        assert (H._Cg is None) == (H._const is not None)
+        if H._Cg is not None:
+            rebuilt = TensorField.from_terms(*H._terms, H.shape, H.arity)
+            rebuilt._gradient_table()
+            _assert_same_tables(H, rebuilt, ["_Eg", "_Wg", "_Cg"])
+            for a, b in zip(H.gradient_table(), rebuilt.gradient_table()):
+                assert np.array_equal(_int64_bits(a), _int64_bits(b))
+            born["_Cg"] += 1
+    assert min(born.values()) >= 100, born
+
+
+def test_a_split_of_a_bracket_not_drawn_dense_builds_its_table_on_first_read():
+    from algmech.algebroid import AlgebroidStructure
+    from algmech.randoms import random_valid_split
+
+    rng = np.random.default_rng(5)
+    bracket = TensorField.from_terms(
+        [0, 3, 3], [1.0, -2.0, 0.5], [[2, 0], [0, 1], [0, 1]], (2, 2, 2), 2
+    )
+    zeros = TensorField.zeros((2, 2), 2)
+    A = AlgebroidStructure(n=2, m=2, bracket=bracket, anchor_left=zeros, anchor_right=zeros)
+    Dr = random_valid_split(rng, A).Dr
+    assert Dr._Cv is None
+    q = rng.uniform(-1, 1, size=(4, 2))
+    values = Dr.eval(q)
+    rebuilt = TensorField.from_terms(*Dr._terms, Dr.shape, Dr.arity)
+    assert values.tobytes() == np.stack([rebuilt.eval(x) for x in q]).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_packed_gradient_reads_each_distinct_monomial_once_bit_for_bit(seed):
+    """The gradient equals the product of the gradient table with every column's own
+    monomial, at one point and over a batch."""
+    rng = np.random.default_rng(3000 + seed)
+    arity, shape = int(rng.integers(1, 5)), tuple(int(s) for s in rng.integers(1, 4, size=2))
+    size = math.prod(shape)
+    terms = [_random_terms(rng, arity, int(rng.integers(1, 12))) for _ in range(size)]
+    rows = np.repeat(np.arange(size), [len(t) for t in terms])
+    coefs = np.array([c for t in terms for c, _ in t])
+    exps = np.array([e for t in terms for _, e in t]).reshape(-1, arity)
+    F = TensorField.from_terms(rows, coefs, exps, shape, arity)
+    E, C = F.gradient_table()
+    assert len(np.unique(E, axis=0)) == len(F._Eg) <= E.shape[0]
+    for q in (rng.uniform(-1, 1, arity), rng.uniform(-1, 1, (7, arity))):
+        per_column = matvec(C, np.multiply.reduce(q[..., None, :] ** E, axis=-1))
+        expected = per_column.reshape(q.shape[:-1] + shape + (arity,))
+        assert _bits(F.gradient(q)) == _bits(expected)
 
 
 def test_no_module_builds_an_object_array():

@@ -233,6 +233,36 @@ def test_a_shipped_verify_builds_each_table_and_lifted_structure_once(monkeypatc
     assert calls["jet_table"] <= 2 and calls["split"] == 6, calls
 
 
+def test_the_random_instances_of_a_shipped_verify_build_no_table(monkeypatch, tmp_path):
+    """canonical_harmonic: no monomial merge between the scenario's gap and the last random one."""
+    import algmech.fields as fields
+    import algmech.prolongation as prolongation
+    from algmech.cli import main
+
+    calls = {"merge": 0, "split": 0}
+    marks = []  # merges made so far, after each theorem43 gap
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    def gap(*args):
+        out = real_gap(*args)
+        marks.append(calls["merge"])
+        return out
+
+    real_gap = verify._theorem43_gap
+    monkeypatch.setattr(fields, "_merge_monomials", counted("merge", fields._merge_monomials))
+    monkeypatch.setattr(prolongation, "verify_split", counted("split", prolongation.verify_split))
+    monkeypatch.setattr(verify, "_theorem43_gap", gap)
+    report = str(tmp_path / "report.json")
+    assert main(["verify", str(CONFIG_DIR / "canonical_harmonic.json"), "--report", report]) == 0
+    assert len(marks) == 6 and marks == marks[:1] * 6 and calls["split"] == 6, (marks, calls)
+
+
 # -- trajectory checks against their former per-sample loops --------------------
 
 
